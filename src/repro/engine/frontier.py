@@ -10,16 +10,28 @@ whole frontier at once:
   ``parent[candidates]`` against the frontier
   (:func:`numpy.searchsorted` over the sorted frontier);
 - descendant transitions are subtree-interval arithmetic: the frontier
-  is staircase-pruned to disjoint top-most ``[v, xml_end[v])`` ranges
-  and every candidate is located in (at most) one range with a single
-  batched binary search;
+  is staircase-pruned to disjoint top-most ``[v, xml_end[v])`` ranges,
+  and the join runs from its *smaller side* -- a frontier much smaller
+  than the candidate array binary-searches its range bounds *into the
+  candidates* and returns the slices between them (one range: a
+  zero-copy view), a large one locates every candidate in (at most) one
+  range with a single batched binary search;
 - following-sibling transitions reduce to a per-parent minimum over the
   frontier plus one membership probe per candidate;
-- predicates become boolean masks over the frontier, computed *back to
-  front*: for an existence path ``p1/p2/.../pk`` the match sets
+- predicates become boolean masks over the frontier and cost no more
+  than they must: ``and``/``or`` evaluate their right operand only on
+  the nodes the left one left undecided; an existence path over *few*
+  context nodes is searched front to back from each of them, in
+  geometrically growing chunks that stop at the first witness; over
+  many context nodes it is computed *back to front* -- the match sets
   ``M_k ... M_1`` (nodes from which the path suffix matches) are built
-  with the same three vectorized primitives, so a predicate costs a few
-  array passes instead of a per-node automaton run.
+  with the same vectorized primitives, a few array passes instead of a
+  per-node automaton run.
+
+Both choices are made from sizes known before the work starts
+(:data:`CONTEXT_SIDE_FACTOR`, :data:`WITNESS_DISPATCH`).  The loops and
+predicate logic here are shared with :mod:`repro.engine.window`, which
+plugs its own physical operators in through a :class:`Kernel`.
 
 Candidate arrays come straight from the
 :class:`~repro.index.labels.LabelIndex`: per-label sorted id arrays for
@@ -34,14 +46,20 @@ Counters are *redefined* for this strategy (see ``EvalStats``): a node
 is "visited" when its array element is touched by a vectorized pass, a
 "jump" is one batched index operation (a searchsorted / membership
 pass over a whole frontier), and ``index_probes`` counts the probe
-elements of those batches.  Totals stay comparable to the node-at-a-time
-engines -- the same relevant elements are touched, just many per
-operation instead of one.
+elements of those batches.  A context-side descendant join books what
+it touches, not what it could have: two ``index_probes`` per context
+range (its bounds, searched in the candidates) and as ``visited`` the
+elements it copies into the result -- none for a single range, whose
+result is a view of the candidate array.  A first-witness search books
+every node it expands (its chunks) as ``visited``, plus whatever the
+steps it runs over them book.  Totals stay comparable to the
+node-at-a-time engines -- the same relevant elements are touched, just
+many per operation instead of one.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +78,41 @@ from repro.xpath.ast import (
 )
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: A descendant step joins from the context side when the pruned
+#: frontier is at most this fraction (1/x) of the candidate array: two
+#: binary searches per range plus a gather of the output beat one
+#: binary search per candidate up to about a quarter (measured on 2k-
+#: to 100k-element arrays).
+CONTEXT_SIDE_FACTOR = 4
+
+#: Price, in array-element touches, of one expansion of a first-witness
+#: search: one location step over one small chunk, a handful of array
+#: passes whose cost is their dispatch.  A relative predicate path is
+#: searched from each context node while ``contexts * steps *
+#: WITNESS_DISPATCH`` -- every search succeeding at once -- stays below
+#: the candidate size of the path's *last* step: what the back-to-front
+#: construction touches before it can stop, hence what the searches may
+#: spend before they give up and run it.  Measured at 212k nodes: an
+#: expansion takes 6-30 us, a back-to-front element 10-180 ns.
+WITNESS_DISPATCH = 512
+
+#: First chunk of a witness search; every failed chunk is followed by
+#: one four times as large, so a search that finds nothing costs a
+#: constant factor of evaluating the whole level at once.
+_WITNESS_CHUNK = 16
+
+
+class Kernel(NamedTuple):
+    """The physical operators one set-at-a-time strategy supplies; the
+    step loop and the predicate logic around them are written once."""
+
+    #: ``(index, step, frontier, stats) -> sorted ids`` -- one location
+    #: step (predicate included) over a frontier (``None``: document node).
+    step: Callable
+    #: ``(index, axis, nodes, targets, stats) -> bool mask`` -- which of
+    #: ``nodes`` have an ``axis``-successor inside ``targets``.
+    successor: Callable
 
 
 def is_vectorizable(path: Path) -> bool:
@@ -86,7 +139,7 @@ def evaluate(
             f"query {str(path)!r} is outside the vectorized fragment "
             "(absolute forward paths only)"
         )
-    frontier = _eval_steps(index, path.steps, None, stats)
+    frontier = _eval_steps(index, path.steps, None, stats, _KERNEL)
     ids = frontier.tolist()
     if stats is not None:
         stats.selected += len(ids)
@@ -101,10 +154,12 @@ def _eval_steps(
     steps: tuple,
     frontier: Optional[np.ndarray],
     stats: Optional[EvalStats],
+    kernel: Kernel,
 ) -> np.ndarray:
-    """Run location steps over a frontier (``None`` = the document node)."""
+    """Run location steps over a frontier (``None`` = the document
+    node); an empty frontier after any step exits the chain early."""
     for step in steps:
-        frontier = _eval_step(index, step, frontier, stats)
+        frontier = kernel.step(index, step, frontier, stats)
         if frontier.size == 0:
             return _EMPTY
     return frontier if frontier is not None else _EMPTY
@@ -118,30 +173,33 @@ def _eval_step(
 ) -> np.ndarray:
     cand = _candidates(index, step.axis, step.test)
     if stats is not None:
-        stats.visited += int(cand.size)
         stats.jumps += 1
     if cand.size == 0:
         return _EMPTY
-    if frontier is None:
-        # The implicit document node: its only child is the root, its
-        # descendants are every node; it has no siblings or attributes.
-        if step.axis is Axis.CHILD:
-            out = cand[:1] if cand.size and cand[0] == 0 else _EMPTY
-        elif step.axis is Axis.DESCENDANT:
-            out = cand
-        else:
-            out = _EMPTY
-    elif step.axis in (Axis.CHILD, Axis.ATTRIBUTE):
-        parents = index.parent_array()[cand]
-        out = cand[_in_sorted(parents, frontier, stats)]
-    elif step.axis is Axis.DESCENDANT:
-        out = cand[_descendant_mask(index, cand, frontier, stats)]
-    elif step.axis is Axis.FOLLOWING_SIBLING:
-        out = cand[_following_sibling_mask(index, cand, frontier, stats)]
-    else:  # pragma: no cover - supports() excludes backward axes
-        raise AssertionError(step.axis)
+    if frontier is not None and step.axis is Axis.DESCENDANT:
+        out = _descendant_join(index, cand, frontier, stats)
+    else:
+        if stats is not None:
+            stats.visited += int(cand.size)
+        if frontier is None:
+            # The implicit document node: its only child is the root,
+            # its descendants are every node; it has no siblings or
+            # attributes.
+            if step.axis is Axis.CHILD:
+                out = cand[:1] if cand[0] == 0 else _EMPTY
+            elif step.axis is Axis.DESCENDANT:
+                out = cand
+            else:
+                out = _EMPTY
+        elif step.axis in (Axis.CHILD, Axis.ATTRIBUTE):
+            parents = index.parent_array()[cand]
+            out = cand[_in_sorted(parents, frontier, stats)]
+        elif step.axis is Axis.FOLLOWING_SIBLING:
+            out = cand[_following_sibling_mask(index, cand, frontier, stats)]
+        else:  # pragma: no cover - supports() excludes backward axes
+            raise AssertionError(step.axis)
     if step.predicate is not None and out.size:
-        out = out[_pred_mask(index, step.predicate, out, stats)]
+        out = out[_pred_mask(index, step.predicate, out, stats, _KERNEL)]
     return out
 
 
@@ -177,6 +235,84 @@ def _candidates(index: TreeIndex, axis: Axis, test: str) -> np.ndarray:
     if len(label_ids) == 1:
         return index.labels.nodes_array(index.tree.labels[label_ids[0]])
     return index.fused(label_ids).arr
+
+
+def _element_count(index: TreeIndex) -> int:
+    """Number of element nodes (the ``*`` test's candidate count)."""
+    cached = getattr(index, "_elem_count", None)
+    if cached is None:
+        tree = index.tree
+        encoded = sum(
+            index.labels.count(name)
+            for name in tree.labels
+            if name.startswith(("@", "#"))
+        )
+        cached = index._elem_count = tree.n - encoded
+    return cached
+
+
+def candidate_count(index: TreeIndex, axis: Axis, test: str) -> int:
+    """Length of :func:`_candidates`' array, from O(1) label counts --
+    nothing is merged or materialized to price a step."""
+    if axis is not Axis.ATTRIBUTE:
+        if test == "node()":
+            return index.tree.n
+        if test == "*":
+            return _element_count(index)
+    return sum(
+        index.labels.count(name)
+        for name in test_label_names(index.tree.labels, axis, test)
+    )
+
+
+def path_size(index: TreeIndex, steps: tuple) -> int:
+    """Summed candidate-array lengths of a predicate path, nested
+    predicates included: what its back-to-front construction touches.
+    The one sizing both the kernel's first-witness choice and the
+    planner's predicate price read."""
+    return sum(
+        candidate_count(index, step.axis, step.test)
+        + (pred_size(index, step.predicate) if step.predicate is not None else 0)
+        for step in steps
+    )
+
+
+def pred_size(
+    index: TreeIndex, pred: Pred, contexts: Optional[int] = None
+) -> int:
+    """:func:`path_size` summed over every path of a predicate; given a
+    context count, each relative path is capped at the price of its
+    first-witness searches -- the side :func:`_pred_mask` will run."""
+    if isinstance(pred, (PredAnd, PredOr)):
+        return pred_size(index, pred.left, contexts) + pred_size(
+            index, pred.right, contexts
+        )
+    if isinstance(pred, PredNot):
+        return pred_size(index, pred.inner, contexts)
+    path = pred.path
+    size = path_size(index, path.steps)
+    if (
+        contexts is not None
+        and not path.absolute
+        and _witness_budget(index, path.steps, contexts)
+    ):
+        size = min(size, _witness_price(contexts, path.steps))
+    return size
+
+
+def _witness_price(contexts: int, steps: tuple) -> int:
+    """First-witness searches from ``contexts`` nodes, each succeeding
+    in its first chunks: one expansion per step and context."""
+    return contexts * len(steps) * WITNESS_DISPATCH
+
+
+def _witness_budget(index: TreeIndex, steps: tuple, contexts: int) -> int:
+    """What first-witness searches from ``contexts`` nodes may spend on
+    a relative path -- its last step's candidates, the least the
+    back-to-front construction books -- or 0 where even their best case
+    costs more: the one comparison that chooses between the two."""
+    least = path_size(index, steps[-1:])
+    return least if _witness_price(contexts, steps) < least else 0
 
 
 # -- vectorized axis primitives ---------------------------------------------
@@ -219,20 +355,47 @@ def _staircase(
     return frontier[keep], ends[keep]
 
 
-def _descendant_mask(
+def _descendant_join(
     index: TreeIndex,
     cand: np.ndarray,
     frontier: np.ndarray,
     stats: Optional[EvalStats],
 ) -> np.ndarray:
-    """Which candidates are strict XML descendants of a frontier node."""
+    """The candidates that are strict XML descendants of a frontier
+    node, joined from the smaller side of the staircase-pruned frontier
+    and the candidate array.
+
+    Context side (the array form of ``dt``/``ft`` jumping): each range
+    ``(v, xml_end[v])`` is located in the candidates by its two bounds
+    and the slices between them are the answer -- already sorted and
+    disjoint because the ranges are.  Candidate side: each candidate is
+    located in (at most) one range.
+    """
     ctx, ctx_end = _staircase(index, frontier)
+    if ctx.size * CONTEXT_SIDE_FACTOR > cand.size:
+        if stats is not None:
+            stats.jumps += 1
+            stats.visited += int(cand.size)
+            stats.index_probes += int(cand.size)
+        j = np.searchsorted(ctx, cand, side="right") - 1
+        clipped = np.maximum(j, 0)
+        return cand[(j >= 0) & (cand > ctx[clipped]) & (cand < ctx_end[clipped])]
+    lo = np.searchsorted(cand, ctx, side="right")
+    hi = np.searchsorted(cand, ctx_end, side="left")
     if stats is not None:
         stats.jumps += 1
-        stats.index_probes += int(cand.size)
-    j = np.searchsorted(ctx, cand, side="right") - 1
-    clipped = np.maximum(j, 0)
-    return (j >= 0) & (cand > ctx[clipped]) & (cand < ctx_end[clipped])
+        stats.index_probes += 2 * int(ctx.size)
+    if ctx.size == 1:
+        return cand[lo[0] : hi[0]]
+    counts = hi - lo
+    total = int(counts.sum())
+    if stats is not None:
+        stats.visited += total
+    # Gather the slices: output position k of range r reads
+    # cand[lo[r] + k - (outputs before r)].
+    take = np.arange(total)
+    take += np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return cand[take]
 
 
 def _following_sibling_mask(
@@ -270,32 +433,99 @@ def _pred_mask(
     pred: Pred,
     nodes: np.ndarray,
     stats: Optional[EvalStats],
+    kernel: Kernel,
 ) -> np.ndarray:
     """Boolean mask over ``nodes``: which satisfy the predicate."""
-    if isinstance(pred, PredAnd):
-        left = _pred_mask(index, pred.left, nodes, stats)
-        return left & _pred_mask(index, pred.right, nodes, stats)
-    if isinstance(pred, PredOr):
-        left = _pred_mask(index, pred.left, nodes, stats)
-        return left | _pred_mask(index, pred.right, nodes, stats)
+    if isinstance(pred, (PredAnd, PredOr)):
+        # The right operand only sees the nodes the left one left open:
+        # its true ones under ``and``, its false ones under ``or``.
+        mask = _pred_mask(index, pred.left, nodes, stats, kernel)
+        undecided = mask if isinstance(pred, PredAnd) else ~mask
+        if undecided.any():
+            mask[undecided] = _pred_mask(
+                index, pred.right, nodes[undecided], stats, kernel
+            )
+        return mask
     if isinstance(pred, PredNot):
-        return ~_pred_mask(index, pred.inner, nodes, stats)
+        return ~_pred_mask(index, pred.inner, nodes, stats, kernel)
     if isinstance(pred, PredPath):
         path = pred.path
         if path.absolute:
-            result = _eval_steps(index, path.steps, None, stats)
+            result = _eval_steps(index, path.steps, None, stats, kernel)
             return np.full(nodes.size, bool(result.size), dtype=bool)
         if not path.steps:
             return np.ones(nodes.size, dtype=bool)  # '.' always exists
-        matches = _match_set(index, path.steps, stats)
-        return _has_successor_mask(
+        budget = _witness_budget(index, path.steps, nodes.size)
+        if budget:
+            mask = _first_witnesses(
+                index, path.steps, nodes, budget, stats, kernel
+            )
+            if mask is not None:
+                return mask
+        matches = _match_set(index, path.steps, stats, kernel)
+        return kernel.successor(
             index, path.steps[0].axis, nodes, matches, stats
         )
     raise AssertionError(pred)
 
 
+def _first_witnesses(
+    index: TreeIndex,
+    steps: tuple,
+    nodes: np.ndarray,
+    budget: int,
+    stats: Optional[EvalStats],
+    kernel: Kernel,
+) -> Optional[np.ndarray]:
+    """From which of the (few) ``nodes`` does the relative path match?
+    ``None`` once the searches have spent ``budget`` touches.
+
+    Front to back and depth first from each context node: level ``i`` of
+    the stack holds the nodes some chunk of level ``i - 1`` reaches
+    through ``steps[i - 1]``, and is itself expanded chunk by chunk,
+    each four times the last, until a chunk reaches the end of the path
+    (the first witness) or the level is spent.  An explicit stack, so a
+    path may be thousands of steps long.  Every expansion is charged
+    :data:`WITNESS_DISPATCH` plus what it books; the budget is the
+    least the back-to-front construction books, so giving up and
+    running that costs at most twice what it would have alone (plus the
+    one expansion that crossed the line).
+    """
+    if stats is None:
+        stats = EvalStats()  # the budget reads the counters
+    budget += stats.visited + stats.index_probes
+    last = len(steps) - 1
+    mask = np.zeros(nodes.size, dtype=bool)
+    for i in range(nodes.size):
+        stack = [[nodes[i : i + 1], 0, 1]]  # level: nodes, position, chunk
+        while stack:
+            level = stack[-1]
+            reached, pos, size = level
+            if pos >= reached.size:
+                stack.pop()
+                continue
+            budget -= WITNESS_DISPATCH
+            if stats.visited + stats.index_probes > budget:
+                return None
+            level[1] = pos + size
+            level[2] = size * 4
+            chunk = reached[pos : pos + size]
+            stats.visited += int(chunk.size)
+            depth = len(stack) - 1
+            reached = kernel.step(index, steps[depth], chunk, stats)
+            if reached.size:
+                if depth == last:
+                    mask[i] = True
+                    break
+                stack.append([reached, 0, _WITNESS_CHUNK])
+    return mask
+
+
 def _match_set(
-    index: TreeIndex, steps: tuple, stats: Optional[EvalStats]
+    index: TreeIndex,
+    steps: tuple,
+    stats: Optional[EvalStats],
+    kernel: Kernel,
 ) -> np.ndarray:
     """Nodes matching ``steps[0]`` from which ``steps[1:]`` matches.
 
@@ -312,12 +542,10 @@ def _match_set(
             stats.visited += int(cand.size)
             stats.jumps += 1
         if step.predicate is not None and cand.size:
-            cand = cand[_pred_mask(index, step.predicate, cand, stats)]
+            cand = cand[_pred_mask(index, step.predicate, cand, stats, kernel)]
         if matches is not None and cand.size:
             cand = cand[
-                _has_successor_mask(
-                    index, steps[i + 1].axis, cand, matches, stats
-                )
+                kernel.successor(index, steps[i + 1].axis, cand, matches, stats)
             ]
         matches = cand
         if matches.size == 0:
@@ -364,6 +592,9 @@ def _has_successor_mask(
         found = (pos < uniq.size) & (uniq[clipped] == pn)
         return found & (maxs[clipped] > nodes)
     raise AssertionError(axis)  # pragma: no cover - forward fragment only
+
+
+_KERNEL = Kernel(_eval_step, _has_successor_mask)
 
 
 @register_strategy

@@ -86,8 +86,8 @@ TRIAL_COST_CAP = 2e6
 #: window join touches on child / attribute / following-sibling steps:
 #: the join probes only the depth buckets adjacent to the frontier, so
 #: with labels spread over a handful of depths a quarter of the array is
-#: a deliberately conservative guess.  Descendant and backward steps pay
-#: the full array, like the vectorized evaluator.
+#: a deliberately conservative guess.  The other axes are priced by
+#: :func:`_set_at_a_time_touches`.
 WINDOW_DEPTH_FACTOR = 0.25
 
 
@@ -101,7 +101,10 @@ class QueryFeatures:
     ``step_candidates`` holds the candidate-array length per location
     step (the per-label id-array sizes, summed for wildcard tests);
     ``pred_candidates`` the total candidate elements its predicate
-    subtree touches.  Both come from O(1) ``LabelIndex`` lookups.
+    subtree touches back to front, ``pred_touches`` the same with every
+    path capped at its first-witness price from that step's candidates
+    (what a set-at-a-time kernel will run).  All come from O(1)
+    ``LabelIndex`` lookups.
     """
 
     n: int
@@ -114,6 +117,7 @@ class QueryFeatures:
     encoded: bool
     step_candidates: Tuple[int, ...]
     pred_candidates: Tuple[int, ...]
+    pred_touches: Tuple[int, ...]
     descendant_steps: int
     min_candidates: int
 
@@ -124,21 +128,6 @@ class QueryFeatures:
     @property
     def total_pred_candidates(self) -> int:
         return sum(self.pred_candidates)
-
-
-def _element_count(index: TreeIndex) -> int:
-    """Number of element nodes (the ``*`` test's candidate count)."""
-    cached = getattr(index, "_planner_elem_count", None)
-    if cached is None:
-        tree = index.tree
-        encoded = sum(
-            len(index.labels.nodes_array(name))
-            for name in tree.labels
-            if name.startswith(("@", "#"))
-        )
-        cached = tree.n - int(encoded)
-        index._planner_elem_count = cached
-    return cached
 
 
 def doc_height(index: TreeIndex) -> int:
@@ -158,52 +147,38 @@ def doc_height(index: TreeIndex) -> int:
     return cached
 
 
-def _test_candidates(index: TreeIndex, axis: Axis, test: str) -> int:
-    """Candidate-array length of one step, priced through the *same*
-    node-test resolution the vectorized evaluator executes
-    (:func:`repro.engine.frontier.test_label_names`)."""
-    from repro.engine.frontier import test_label_names
-
-    tree = index.tree
-    if test == "node()" and axis is not Axis.ATTRIBUTE:
-        return tree.n
-    if test == "*" and axis is not Axis.ATTRIBUTE:
-        return _element_count(index)
-    return sum(
-        index.labels.count(name)
-        for name in test_label_names(tree.labels, axis, test)
-    )
-
-
-def _pred_shape(
-    index: TreeIndex, pred: Pred, depth: int
-) -> Tuple[int, int, int]:
-    """(candidate elements, max nesting depth, path count) of a predicate."""
+def _pred_shape(pred: Pred, depth: int) -> Tuple[int, int]:
+    """(max nesting depth, path count) of a predicate."""
     if isinstance(pred, (PredAnd, PredOr)):
-        lc, ld, lp = _pred_shape(index, pred.left, depth)
-        rc, rd, rp = _pred_shape(index, pred.right, depth)
-        return lc + rc, max(ld, rd), lp + rp
+        ld, lp = _pred_shape(pred.left, depth)
+        rd, rp = _pred_shape(pred.right, depth)
+        return max(ld, rd), lp + rp
     if isinstance(pred, PredNot):
-        return _pred_shape(index, pred.inner, depth)
+        return _pred_shape(pred.inner, depth)
     if isinstance(pred, PredPath):
-        touched = 0
         nested_depth = depth
         nested_paths = 1
         for step in pred.path.steps:
-            touched += _test_candidates(index, step.axis, step.test)
             if step.predicate is not None:
-                c, d, p = _pred_shape(index, step.predicate, depth + 1)
-                touched += c
+                d, p = _pred_shape(step.predicate, depth + 1)
                 nested_depth = max(nested_depth, d)
                 nested_paths += p
-        return touched, nested_depth, nested_paths
+        return nested_depth, nested_paths
     raise AssertionError(pred)
 
 
 def extract_features(path: Path, index: TreeIndex) -> QueryFeatures:
-    """One-pass feature extraction for the cost model (O(query size))."""
+    """One-pass feature extraction for the cost model (O(query size)).
+
+    Candidate counts come from the evaluator's own sizing
+    (:func:`repro.engine.frontier.candidate_count` / ``pred_size``), so
+    what the planner prices and what the kernels choose their join side
+    by cannot drift."""
+    from repro.engine.frontier import candidate_count, pred_size
+
     step_candidates: List[int] = []
     pred_candidates: List[int] = []
+    pred_touches: List[int] = []
     axes: List[str] = []
     wildcards = 0
     pred_depth = 0
@@ -215,14 +190,18 @@ def extract_features(path: Path, index: TreeIndex) -> QueryFeatures:
             wildcards += 1
         if step.axis is Axis.DESCENDANT:
             descendants += 1
-        step_candidates.append(_test_candidates(index, step.axis, step.test))
+        step_candidates.append(candidate_count(index, step.axis, step.test))
         if step.predicate is not None:
-            c, d, p = _pred_shape(index, step.predicate, 1)
-            pred_candidates.append(c)
+            d, p = _pred_shape(step.predicate, 1)
+            pred_candidates.append(pred_size(index, step.predicate))
+            pred_touches.append(
+                pred_size(index, step.predicate, step_candidates[-1])
+            )
             pred_depth = max(pred_depth, d)
             pred_paths += p
         else:
             pred_candidates.append(0)
+            pred_touches.append(0)
     tree = index.tree
     return QueryFeatures(
         n=tree.n,
@@ -235,6 +214,7 @@ def extract_features(path: Path, index: TreeIndex) -> QueryFeatures:
         encoded=any(l.startswith(("@", "#")) for l in tree.labels),
         step_candidates=tuple(step_candidates),
         pred_candidates=tuple(pred_candidates),
+        pred_touches=tuple(pred_touches),
         descendant_steps=descendants,
         min_candidates=(
             min(step_candidates) if step_candidates else 0
@@ -245,15 +225,52 @@ def extract_features(path: Path, index: TreeIndex) -> QueryFeatures:
 # -- cost model --------------------------------------------------------------
 
 
+def _set_at_a_time_touches(
+    features: QueryFeatures, depth_factor: float
+) -> float:
+    """Array elements the steps and predicates of a set-at-a-time run
+    touch, each priced by the side the kernel will run it from.
+
+    The kernels choose by frontier size; before running, the frontier a
+    step meets is bounded by the previous step's candidate count.  A
+    descendant step that bound makes context-side costs its window
+    probes plus the copied output (at most the candidates; nothing for
+    one window, a view) instead of the candidate array -- the comparison
+    of :func:`repro.engine.frontier._descendant_join`; a predicate
+    costs ``pred_touches``, the comparison of ``_pred_mask``.  A parent
+    step (window only) reads the frontier, not the candidates.
+    ``depth_factor`` scales child / attribute / following-sibling steps
+    (the window strategy's depth buckets).
+    """
+    from repro.engine.frontier import CONTEXT_SIDE_FACTOR
+
+    touches = 0.0
+    ctx = 0  # the document node is not a join
+    for axis, cnt, pred in zip(
+        features.axes, features.step_candidates, features.pred_touches
+    ):
+        if axis in ("child", "attribute", "following-sibling"):
+            touches += cnt * depth_factor
+        elif axis == "descendant" and 0 < ctx * CONTEXT_SIDE_FACTOR <= cnt:
+            touches += 2 * ctx + (cnt if ctx > 1 else 0)
+        elif axis == "parent":
+            touches += ctx  # read off the frontier's parents
+        else:
+            touches += cnt
+        touches += pred
+        ctx = cnt
+    return touches
+
+
 def estimate_costs(path: Path, features: QueryFeatures) -> Dict[str, float]:
     """Estimated cost (weighted element touches) per candidate strategy.
 
-    Monotone in the obvious knobs: more candidate elements, more steps,
-    or more predicate work never *lowers* a strategy's estimate.
+    Monotone in the obvious knobs: more steps or more predicate work
+    never *lowers* a strategy's estimate, nor do more candidate elements
+    while each join keeps its side.
     """
     from repro.engine.frontier import is_vectorizable
 
-    touches = features.total_candidates + features.total_pred_candidates
     ops = features.steps + features.pred_paths
     costs: Dict[str, float] = {}
     # Vectorized: every touch costs 1, plus a fixed per-pass dispatch.
@@ -262,27 +279,21 @@ def estimate_costs(path: Path, features: QueryFeatures) -> Dict[str, float]:
     # the choice and the executing strategy out of sync (the feedback
     # loop keys observations by the *active* strategy's name).
     if is_vectorizable(path):
-        costs["vectorized"] = VEC_CALL * (3 * ops) + float(touches)
+        costs["vectorized"] = VEC_CALL * (3 * ops) + _set_at_a_time_touches(
+            features, 1.0
+        )
     # Window joins: child / attribute / following-sibling steps probe
     # only the depth buckets adjacent to the frontier (a fraction of the
-    # candidate array, WINDOW_DEPTH_FACTOR), descendant and backward
-    # steps pay the full array, and predicates cost their candidate
-    # arrays as in the vectorized match-set construction.  Priced inside
+    # candidate array, WINDOW_DEPTH_FACTOR); descendant steps and
+    # predicates are the shared kernels, priced alike; ancestor steps
+    # pay the full array, parent steps the frontier.  Priced inside
     # window's native fragment only, for the same feedback-keying reason
     # as vectorized.
     from repro.engine.window import is_window_evaluable
 
     if is_window_evaluable(path):
-        step_touches = sum(
-            cnt * WINDOW_DEPTH_FACTOR
-            if axis in ("child", "attribute", "following-sibling")
-            else float(cnt)
-            for axis, cnt in zip(features.axes, features.step_candidates)
-        )
-        costs["window"] = (
-            VEC_CALL * (3 * ops)
-            + step_touches
-            + float(features.total_pred_candidates)
+        costs["window"] = VEC_CALL * (3 * ops) + _set_at_a_time_touches(
+            features, WINDOW_DEPTH_FACTOR
         )
     # Node-at-a-time automaton run: jumping restricts the run to roughly
     # the same relevant elements, but each costs an interpreted step.
@@ -315,22 +326,25 @@ def estimate_costs(path: Path, features: QueryFeatures) -> Dict[str, float]:
     return costs
 
 
-def _actual_cost(stats) -> float:
+#: Strategies whose counters are array-element touches and whose
+#: ``jumps`` are array passes (hybrid's suffix collection and prefix
+#: check are numpy passes too); the rest count interpreted per-node steps.
+_ARRAY_STRATEGIES = frozenset({"vectorized", "window", "hybrid"})
+
+
+def _actual_cost(stats, strategy_name: str) -> float:
     """Observed cost of one execution, in the model's touch units.
 
-    The counters mean different things per strategy -- array-element
-    touches for the vectorized and hybrid evaluators (hybrid's suffix
-    collection and prefix check are numpy passes too), interpreted
-    per-node steps for the automaton engines -- so
-    :meth:`PlannerState.observe` re-weights them via
-    :data:`_OBSERVE_WEIGHT` before they are comparable.
+    The counters mean different things per strategy, so they are
+    re-weighted the way the estimates are built: an array strategy pays
+    1 per element touched and :data:`VEC_CALL` per pass -- without the
+    dispatch term a relevance-driven run that touches a few dozen
+    elements could never land near its estimate -- a node-at-a-time
+    strategy :data:`NODE_WEIGHT` per counted step.
     """
-    return float(stats.visited + stats.index_probes + stats.jumps)
-
-
-#: Weight of one counter unit per strategy, mapping observations into
-#: the cost model's touch units (default: an interpreted per-node step).
-_OBSERVE_WEIGHT = {"vectorized": 1.0, "hybrid": 1.0, "window": 1.0}
+    if strategy_name in _ARRAY_STRATEGIES:
+        return stats.visited + stats.index_probes + VEC_CALL * stats.jumps
+    return NODE_WEIGHT * (stats.visited + stats.index_probes + stats.jumps)
 
 
 @dataclass
@@ -435,7 +449,7 @@ class PlannerState:
 
         Returns the *new* strategy name when the observation pushed the
         plan to a different choice, else ``None``.  Observed costs are
-        re-weighted into model units (:data:`_OBSERVE_WEIGHT`) and
+        re-weighted into model units (:func:`_actual_cost`) and
         replace the estimates of strategies that have actually run.
         ``adapt=False`` records the observation without the re-choice
         side effects (the wall-clock trial phase books its runs this
@@ -443,8 +457,7 @@ class PlannerState:
         would show up as a spurious ``replans`` in ``plan explain``).
         """
         self.runs += 1
-        weight = _OBSERVE_WEIGHT.get(strategy_name, NODE_WEIGHT)
-        actual = _actual_cost(stats) * weight
+        actual = _actual_cost(stats, strategy_name)
         seen = self.observed.get(strategy_name)
         self.observed[strategy_name] = (
             actual if seen is None else min(seen, actual)

@@ -14,7 +14,10 @@ sorted-array interval join:
 - **descendant** is window containment after *staircase pruning*: the
   running maximum of ``xml_end`` drops context windows covered by an
   already-accepted ancestor window (the shrunken-window rule), leaving
-  pairwise-disjoint intervals that one batched binary search resolves;
+  pairwise-disjoint intervals joined from the smaller side -- few
+  windows search their bounds in the candidates and take the slices
+  between them, many are resolved by one batched binary search of the
+  candidates (:func:`repro.engine.frontier._descendant_join`, shared);
 - **child** is containment plus depth equality: frontier nodes of equal
   depth have pairwise-disjoint windows, so one searchsorted pass per
   frontier depth group -- probing only the candidate *depth bucket*
@@ -26,13 +29,17 @@ sorted-array interval join:
 - **ancestor** (a backward axis -- *outside* the vectorized fragment)
   inverts containment: a candidate qualifies iff the frontier has an
   element strictly inside its window, a two-sided ``searchsorted``
-  count; **parent** additionally pins the depth.
+  count; **parent** is read off the frontier instead -- its parents,
+  filtered by the label column -- and never touches the candidates.
 
-Empty windows exit each step early, and predicates reuse the
-back-to-front mask construction of :mod:`repro.engine.frontier` with
-window-count primitives -- two-sided ``searchsorted`` over depth buckets
--- instead of subtree re-enumeration, which also buys native backward
-axes (``ancestor::``/``parent::``) inside predicates.
+Empty windows exit each step early.  The step loop and the predicate
+logic (short-circuit ``and``/``or``, the per-context first-witness
+search, the back-to-front match sets) are those of
+:mod:`repro.engine.frontier`, run over this module's operators: the
+steps above and window-count successor probes -- two-sided
+``searchsorted`` over depth buckets -- instead of subtree
+re-enumeration, which also buys native backward axes
+(``ancestor::``/``parent::``) inside predicates, on either path.
 
 The per-document state (the ``post``/``depth`` columns plus an LRU of
 depth-bucketed candidate arrays keyed by label-id set) lives in a
@@ -44,8 +51,11 @@ corpora skip the derivation entirely.
 Counters follow the vectorized redefinition (see ``frontier.py``), with
 one refinement: ``visited`` counts the candidate elements a join
 actually touches -- a depth-bucketed child step books only its bucket
-slices, which is exactly the advantage the planner's feedback loop
-should see.
+slices, a context-side descendant join only the elements it copies
+(two ``index_probes`` per window; a single window is a view and copies
+nothing), a parent join the frontier's parents and no candidate at
+all, which is exactly the advantage the planner's feedback loop should
+see.
 """
 
 from __future__ import annotations
@@ -58,18 +68,17 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.counters import EvalStats
+from repro.engine.frontier import (
+    Kernel,
+    _descendant_join,
+    _eval_steps,
+    _in_sorted,
+    _pred_mask,
+    test_label_names,
+)
 from repro.engine.registry import StrategyBase, register_strategy
 from repro.index.jumping import TreeIndex
-from repro.xpath.ast import (
-    Axis,
-    Path,
-    Pred,
-    PredAnd,
-    PredNot,
-    PredOr,
-    PredPath,
-    Step,
-)
+from repro.xpath.ast import Axis, Path, Step
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -210,36 +219,20 @@ def evaluate(
             f"query {str(path)!r} is outside the window-join fragment "
             "(absolute paths only)"
         )
-    enc = get_encoding(index)
-    frontier = _eval_steps(enc, path.steps, None, stats)
+    frontier = _eval_steps(index, path.steps, None, stats, _KERNEL)
     ids = frontier.tolist()
     if stats is not None:
         stats.selected += len(ids)
     return bool(ids), ids
 
 
-def _eval_steps(
-    enc: WindowEncoding,
-    steps: tuple,
-    frontier: Optional[np.ndarray],
-    stats: Optional[EvalStats],
-) -> np.ndarray:
-    """Run location steps over a frontier (``None`` = the document node);
-    an empty window after any step exits the whole chain early."""
-    for step in steps:
-        frontier = _eval_step(enc, step, frontier, stats)
-        if frontier.size == 0:
-            return _EMPTY
-    return frontier if frontier is not None else _EMPTY
-
-
 def _eval_step(
-    enc: WindowEncoding,
+    index: TreeIndex,
     step: Step,
     frontier: Optional[np.ndarray],
     stats: Optional[EvalStats],
 ) -> np.ndarray:
-    index = enc.index
+    enc = get_encoding(index)
     cand, key = _candidates(index, step.axis, step.test)
     if stats is not None:
         stats.jumps += 1
@@ -260,17 +253,17 @@ def _eval_step(
     elif step.axis in (Axis.CHILD, Axis.ATTRIBUTE):
         out = _child_join(enc, key, cand, frontier, stats)
     elif step.axis is Axis.DESCENDANT:
-        out = _descendant_join(enc, cand, frontier, stats)
+        out = _descendant_join(index, cand, frontier, stats)
     elif step.axis is Axis.FOLLOWING_SIBLING:
         out = _sibling_join(enc, key, cand, frontier, stats)
     elif step.axis is Axis.ANCESTOR:
         out = _ancestor_join(enc, cand, frontier, stats)
     elif step.axis is Axis.PARENT:
-        out = _parent_join(enc, cand, frontier, stats)
+        out = _parent_join(index, key, frontier, stats)
     else:  # pragma: no cover - the Axis enum is exhausted above
         raise AssertionError(step.axis)
     if step.predicate is not None and out.size:
-        out = out[_pred_mask(enc, step.predicate, out, stats)]
+        out = out[_pred_mask(index, step.predicate, out, stats, _KERNEL)]
     return out
 
 
@@ -279,8 +272,6 @@ def _candidates(
 ) -> Tuple[np.ndarray, Tuple[int, ...]]:
     """Sorted candidate ids for a node test, plus the label-id cache key
     the depth-bucket LRU uses (same test resolution as ``frontier.py``)."""
-    from repro.engine.frontier import test_label_names
-
     names = test_label_names(index.tree.labels, axis, test)
     label_ids = index.label_ids(names)
     if not label_ids:
@@ -340,38 +331,6 @@ def _child_join(
         if ok.any():
             pieces.append(sub[ok])
     return _merge_pieces(pieces)
-
-
-def _descendant_join(
-    enc: WindowEncoding,
-    cand: np.ndarray,
-    frontier: np.ndarray,
-    stats: Optional[EvalStats],
-) -> np.ndarray:
-    """Window containment over staircase-pruned context windows.
-
-    The shrunken-window rule: a context window covered by an already-
-    accepted ancestor window contributes no new descendants, so the
-    running maximum of ``xml_end`` drops it; the survivors are disjoint
-    and one batched binary search locates every candidate.
-    """
-    xml_end = enc.index.xml_end_array()
-    ends = xml_end[frontier]
-    if frontier.size > 1:
-        keep = np.empty(frontier.size, dtype=bool)
-        keep[0] = True
-        np.greater_equal(
-            frontier[1:], np.maximum.accumulate(ends)[:-1], out=keep[1:]
-        )
-        frontier = frontier[keep]
-        ends = ends[keep]
-    if stats is not None:
-        stats.jumps += 1
-        stats.visited += int(cand.size)
-        stats.index_probes += int(cand.size)
-    j = np.searchsorted(frontier, cand, side="right") - 1
-    clipped = np.maximum(j, 0)
-    return cand[(j >= 0) & (cand > frontier[clipped]) & (cand < ends[clipped])]
 
 
 def _sibling_join(
@@ -447,95 +406,37 @@ def _ancestor_join(
 
 
 def _parent_join(
-    enc: WindowEncoding,
-    cand: np.ndarray,
+    index: TreeIndex,
+    key: Tuple[int, ...],
     frontier: np.ndarray,
     stats: Optional[EvalStats],
 ) -> np.ndarray:
-    """Ancestor containment pinned to one level: membership of the
-    candidates in the frontier's (deduplicated) parent set."""
-    parent = enc.index.parent_array()
-    ps = parent[frontier]
-    ps = np.unique(ps[ps >= 0])
-    if stats is not None:
-        stats.visited += int(cand.size)
-    return cand[_in_sorted(cand, ps, stats)]
-
-
-def _in_sorted(
-    values: np.ndarray,
-    sorted_arr: np.ndarray,
-    stats: Optional[EvalStats],
-) -> np.ndarray:
-    """Membership mask of ``values`` in a sorted duplicate-free array."""
+    """Ancestor containment pinned to one level, read off the frontier:
+    its parents, filtered by the label column against the node test,
+    sorted back into document order and deduplicated.  The candidate
+    array is never touched, whatever its size."""
+    ps = index.parent_array()[frontier]
+    ps = ps[ps >= 0]
     if stats is not None:
         stats.jumps += 1
-        stats.index_probes += int(values.size)
-    if sorted_arr.size == 0:
-        return np.zeros(values.size, dtype=bool)
-    pos = np.searchsorted(sorted_arr, values)
-    clipped = np.minimum(pos, sorted_arr.size - 1)
-    return (pos < sorted_arr.size) & (sorted_arr[clipped] == values)
+        stats.visited += int(ps.size)
+    ps = ps[np.isin(index.label_of_array()[ps], key)]
+    if ps.size <= 1:
+        return ps
+    # Sort + adjacent compare, not np.unique: its hash-based path is
+    # ~10x slower on these nearly sorted id arrays (numpy 2.4).
+    ps.sort()
+    keep = np.empty(ps.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(ps[1:], ps[:-1], out=keep[1:])
+    return ps[keep]
 
 
-# -- predicates as window counts ---------------------------------------------
+# -- predicate successor probes as window counts -----------------------------
 
 
-def _pred_mask(
-    enc: WindowEncoding,
-    pred: Pred,
-    nodes: np.ndarray,
-    stats: Optional[EvalStats],
-) -> np.ndarray:
-    """Boolean mask over ``nodes``: which satisfy the predicate."""
-    if isinstance(pred, PredAnd):
-        left = _pred_mask(enc, pred.left, nodes, stats)
-        return left & _pred_mask(enc, pred.right, nodes, stats)
-    if isinstance(pred, PredOr):
-        left = _pred_mask(enc, pred.left, nodes, stats)
-        return left | _pred_mask(enc, pred.right, nodes, stats)
-    if isinstance(pred, PredNot):
-        return ~_pred_mask(enc, pred.inner, nodes, stats)
-    if isinstance(pred, PredPath):
-        path = pred.path
-        if path.absolute:
-            result = _eval_steps(enc, path.steps, None, stats)
-            return np.full(nodes.size, bool(result.size), dtype=bool)
-        if not path.steps:
-            return np.ones(nodes.size, dtype=bool)  # '.' always exists
-        matches = _match_set(enc, path.steps, stats)
-        return _witness_mask(enc, path.steps[0].axis, nodes, matches, stats)
-    raise AssertionError(pred)
-
-
-def _match_set(
-    enc: WindowEncoding, steps: tuple, stats: Optional[EvalStats]
-) -> np.ndarray:
-    """Nodes matching ``steps[0]`` from which ``steps[1:]`` matches,
-    built back to front exactly as in ``frontier.py`` -- but each
-    successor probe is a window count, so backward axes inside
-    predicates stay native."""
-    matches: Optional[np.ndarray] = None
-    for i in range(len(steps) - 1, -1, -1):
-        step = steps[i]
-        cand, _key = _candidates(enc.index, step.axis, step.test)
-        if stats is not None:
-            stats.visited += int(cand.size)
-            stats.jumps += 1
-        if step.predicate is not None and cand.size:
-            cand = cand[_pred_mask(enc, step.predicate, cand, stats)]
-        if matches is not None and cand.size:
-            cand = cand[
-                _witness_mask(enc, steps[i + 1].axis, cand, matches, stats)
-            ]
-        matches = cand
-        if matches.size == 0:
-            return _EMPTY
-    return matches
-
-
-def _witness_mask(
-    enc: WindowEncoding,
+def _has_successor_mask(
+    index: TreeIndex,
     axis: Axis,
     nodes: np.ndarray,
     targets: np.ndarray,
@@ -545,7 +446,6 @@ def _witness_mask(
     as two-sided searchsorted window counts (no subtree re-enumeration)."""
     if targets.size == 0:
         return np.zeros(nodes.size, dtype=bool)
-    index = enc.index
     xml_end = index.xml_end_array()
     if axis is Axis.DESCENDANT:
         if stats is not None:
@@ -567,7 +467,7 @@ def _witness_mask(
         return before > closed
     if axis is Axis.PARENT:
         return _in_sorted(index.parent_array()[nodes], targets, stats)
-    depth = enc.depth
+    depth = get_encoding(index).depth
     nd = depth[nodes]
     tb = DepthBuckets(targets, depth)
     mask = np.zeros(nodes.size, dtype=bool)
@@ -606,6 +506,9 @@ def _witness_mask(
             mask[sel] = hi > lo
         return mask
     raise AssertionError(axis)  # pragma: no cover - the Axis enum is exhausted
+
+
+_KERNEL = Kernel(_eval_step, _has_successor_mask)
 
 
 @register_strategy

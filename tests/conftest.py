@@ -42,3 +42,10 @@ def xmark_tree():
 @pytest.fixture(scope="session")
 def xmark_index(xmark_tree):
     return TreeIndex(xmark_tree)
+
+
+@pytest.fixture(scope="session")
+def xmark_26k():
+    """XMark at scale 1 (26k nodes): large enough that the set-at-a-time
+    kernels take their context side and first-witness searches by size."""
+    return TreeIndex(XMarkGenerator(scale=1.0, seed=11).tree())

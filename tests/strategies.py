@@ -211,6 +211,21 @@ def random_core_query(
     return "".join(step(first=(i == 0)) for i in range(n_steps))
 
 
+def random_predicate(
+    rng: random.Random, *, window: bool = False, **query_kwargs
+) -> str:
+    """One predicate of the grammars here (``window=True``: of
+    :func:`random_window_query`), without its step -- for tests that put
+    it behind contexts of their own choosing."""
+    while True:
+        if window:
+            query = random_window_query(rng, max_steps=1)
+        else:
+            query = random_core_query(rng, max_steps=1, **query_kwargs)
+        if query.endswith("]"):
+            return query[query.index("[") + 1 : -1]
+
+
 def fuzz_corpus(
     seed: int,
     n_documents: int,

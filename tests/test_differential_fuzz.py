@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import registry
+from repro.engine import frontier, registry
 from repro.engine.api import Engine
 from repro.engine.plan import CompiledQueryCache
 from repro.index.jumping import TreeIndex
@@ -104,6 +104,33 @@ def test_strategy_matches_oracle_on_fuzz_corpus(corpus, encode, strategy):
             )
             cases += 1
     assert cases >= 48  # every corpus contributes a real batch of cases
+
+
+@pytest.mark.parametrize("corpus,encode", CORPORA)
+@pytest.mark.parametrize("strategy", ["vectorized", "window"])
+@pytest.mark.parametrize("context_side", [True, False])
+def test_both_sides_of_both_choices_match_oracle(
+    monkeypatch, corpus, encode, strategy, context_side
+):
+    """The set-at-a-time kernels pick a join side and a predicate
+    direction from array sizes, and the fuzz documents are too small to
+    reach the context side on their own: pin each side in turn -- every
+    descendant join context-side and every relative predicate a
+    first-witness search run to its end (a path sized beyond any budget),
+    then neither -- and hold both to the oracle."""
+    if context_side:
+        monkeypatch.setattr(frontier, "CONTEXT_SIDE_FACTOR", 0)
+        monkeypatch.setattr(
+            frontier, "_witness_budget", lambda index, steps, contexts: 10**12
+        )
+    else:
+        monkeypatch.setattr(frontier, "CONTEXT_SIDE_FACTOR", 10**9)
+        monkeypatch.setattr(frontier, "WITNESS_DISPATCH", 10**9)
+    for index, queries in _indexes(corpus, encode):
+        engine = Engine(index, strategy=strategy)
+        for query in queries:
+            expected = evaluate_reference(index.tree, parse_xpath(query))
+            assert engine.select(query) == expected, (strategy, query)
 
 
 def test_new_strategies_are_fuzzed():

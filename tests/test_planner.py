@@ -4,7 +4,7 @@ bounded caches it leans on (plan-cache and fused-cache LRUs)."""
 import pytest
 
 from repro.counters import EvalStats
-from repro.engine import planner, registry
+from repro.engine import frontier, planner, registry
 from repro.engine.api import Engine
 from repro.engine.planner import (
     AutoStrategy,
@@ -17,6 +17,7 @@ from repro.engine.workspace import Workspace
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.tree.parser import parse_xml
+from repro.xmark.queries import QUERIES
 from repro.xpath.parser import parse_xpath
 
 XML = (
@@ -407,3 +408,88 @@ class TestReplanFactorConfiguration:
         # Bind via the strategy's prepare hook directly.
         strategy.prepare(plan)
         assert plan.artifacts["planner"].replan_factor == 9.0
+
+
+#: Fig-4 Q01-Q15 plus five sibling / backward shapes: the query mix of
+#: the ``engine-mix`` benchmark workload.
+MIX20 = list(QUERIES.values()) + [
+    "//listitem/following-sibling::listitem",
+    "//keyword/ancestor::listitem",
+    "//keyword/parent::text",
+    "//keyword[ancestor::mail]",
+    "//item[mailbox/mail]/following-sibling::item",
+]
+
+
+@pytest.fixture()
+def xmark(xmark_26k):
+    return xmark_26k
+
+
+class TestRelevanceDrivenPricing:
+    """The planner prices each step and predicate by the side the
+    set-at-a-time kernels will run (26k-node XMark, the MIX20 shapes)."""
+
+    Q15 = "/site[ .//*//* ]//keyword"
+
+    def test_features_cap_a_predicate_at_its_first_witness_price(self, xmark):
+        f = extract_features(parse_xpath(self.Q15), xmark)
+        elements = f.step_candidates[0] + f.pred_candidates[0] // 2 - 1
+        assert f.pred_candidates == (2 * elements, 0)  # back to front
+        # One context (/site), two steps, one expansion each.
+        assert f.pred_touches == (2 * frontier.WITNESS_DISPATCH, 0)
+        # Thousands of contexts: back to front is what will run.
+        f = extract_features(parse_xpath("//item[ .//*//* ]"), xmark)
+        assert f.pred_touches == f.pred_candidates
+
+    def test_explain_costs_reflect_the_side_that_runs(self, xmark):
+        report = plan_explain(Engine(xmark, strategy="auto"), self.Q15)
+        costs = report["planner"]["costs"]
+        dispatch = planner.VEC_CALL * 3 * (2 + 1)  # two steps, one path
+        for name in ("vectorized", "window"):
+            # The two expansions of the search and a few probes: neither
+            # the predicate's two passes over every element nor the
+            # keyword array, which the one-window step only slices.
+            assert costs[name] - dispatch == pytest.approx(
+                2 * frontier.WITNESS_DISPATCH, abs=4
+            )
+        assert costs["optimized"] > xmark.tree.n  # node-at-a-time still walks
+
+    def test_parent_step_is_priced_by_the_frontier(self, xmark):
+        # Same frontier, a 2k- and a 26k-element candidate array.
+        text, anything = (
+            estimate_costs(p, extract_features(p, xmark))["window"]
+            for p in map(parse_xpath, ("//keyword/parent::text", "//keyword/parent::*"))
+        )
+        assert text == anything
+
+    def test_session_converges_in_band_without_extra_replans(
+        self, monkeypatch, xmark
+    ):
+        # No wall-clock trials: what is left of the planner is
+        # deterministic -- estimates, counters and the feedback band.
+        monkeypatch.setattr(planner, "TRIAL_FACTOR", 1.0)
+        engine = Engine(xmark, strategy="auto")
+        plans = [engine.prepare(q) for q in MIX20]
+        estimates = [p.artifacts["planner"].choice.estimate for p in plans]
+        for _ in range(10 + 10):
+            for plan in plans:
+                plan.execute()
+        states = [p.artifacts["planner"] for p in plans]
+        assert all(s.frozen for s in states)
+        # Two at the parent commit (Q05 and Q08, vectorized -> window).
+        assert sum(s.replans for s in states) <= 2
+        for query, estimate, state in zip(MIX20, estimates, states):
+            if state.replans or not state.observed:
+                continue  # re-priced, or frozen at prepare (one candidate)
+            observed = state.observed[state.choice.strategy]
+            assert estimate / 4 <= observed <= estimate * 4, query
+
+    @pytest.mark.parametrize("query", MIX20)
+    def test_fixed_strategies_answer_as_auto_does(self, xmark, query):
+        answers = {
+            name: list(Engine(xmark, strategy=name).prepare(query).execute().ids)
+            for name in ("auto", "vectorized", "window")
+        }
+        assert answers["vectorized"] == answers["window"] == answers["auto"]
+        assert answers["auto"] == Engine(xmark, strategy="optimized").select(query)
