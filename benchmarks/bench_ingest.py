@@ -142,10 +142,13 @@ def build_report(scale: float = SCALE, repeats: int = REPEATS) -> dict:
         3,
     )
 
-    # Generator-side: events straight into arrays vs the legacy
-    # materialize-then-convert path (--legacy-tree).
+    # Generator-side: events straight into arrays vs materializing the
+    # XMLNode document first and converting it.
     for mode, fn in (
-        ("legacy_tree", lambda: generator.tree(legacy=True)),
+        (
+            "legacy_tree",
+            lambda: BinaryTree.from_document(generator.document()),
+        ),
         ("streaming", lambda: generator.tree()),
     ):
         report["generator"][mode] = {

@@ -3,8 +3,8 @@
 Run:  python examples/parallel_batch.py [scale]
 
 The same batch is answered three ways -- serial workspace, sharded
-thread pool, sharded process pool -- and the three answers are
-asserted identical.  The equivalent one-shot CLI is::
+thread pool, persistent worker-process pool -- and the three answers
+are asserted identical.  The equivalent one-shot CLI is::
 
     python -m repro.cli batch --queries queries.txt --jobs 4 --xmark 0.2
 """
@@ -33,12 +33,12 @@ def main() -> None:
               f"  ~{100 * (shard.hi - shard.lo) / n:4.1f}%  starts <{root_child}>")
 
     print()
-    print("== one batch, three executors, one answer ==")
+    print("== one batch, serial and both executors, one answer ==")
     t0 = time.perf_counter()
     serial = ws.select_many(queries, document="auctions")
     serial_ms = (time.perf_counter() - t0) * 1000
     print(f"serial        {serial_ms:8.2f} ms")
-    for executor in ("thread", "process"):
+    for executor in ("thread", "pool"):
         service = ws.service(jobs=4, executor=executor)
         service.select_many(queries, document="auctions")  # warm the pool
         t0 = time.perf_counter()

@@ -28,7 +28,6 @@ from typing import List, Optional
 from repro.engine import registry
 from repro.engine.api import Engine
 from repro.tree.binary import BinaryTree
-from repro.tree.parser import parse_xml
 from repro.xmark.generator import XMarkGenerator
 from repro.xpath.parser import XPathSyntaxError
 
@@ -139,7 +138,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--executor",
-        choices=("thread", "process", "pool"),
+        choices=("thread", "pool"),
         default="thread",
         help=(
             "worker pool flavour (default: thread; 'pool' is the "
@@ -215,14 +214,6 @@ def build_store_parser() -> argparse.ArgumentParser:
         "--text",
         action="store_true",
         help="encode character data as #text children",
-    )
-    build.add_argument(
-        "--legacy-tree",
-        action="store_true",
-        help=(
-            "materialize the XMLNode tree before encoding instead of "
-            "streaming events into the arrays (memory/time baseline)"
-        ),
     )
 
     ls = sub.add_parser(
@@ -393,11 +384,8 @@ def store_main(argv: List[str], out) -> int:
                 source = {"kind": "xmark", "scale": args.xmark, "seed": args.seed}
                 # The generator is an event source: save_document streams
                 # it straight into the arrays (and reuses the BP bits).
-                document = (
-                    generator.document() if args.legacy_tree else generator
-                )
                 path = save_document(
-                    document,
+                    generator,
                     args.out,
                     encode_attributes=args.attributes,
                     encode_text=args.text,
@@ -410,9 +398,8 @@ def store_main(argv: List[str], out) -> int:
                     else sys.stdin.read()
                 )
                 source = {"kind": "xml", "file": args.file or "stdin"}
-                document = parse_xml(text) if args.legacy_tree else text
                 path = save_document(
-                    document,
+                    text,
                     args.out,
                     encode_attributes=args.attributes,
                     encode_text=args.text,

@@ -8,10 +8,9 @@ Every shard carries its own sliced label index (and, on demand, its own
 balanced-parentheses structure via :meth:`Shard.succinct`) plus the
 global preorder offset that maps local ids back to document ids.
 ``(shard, prepared-query)`` tasks fan out to a ``ThreadPoolExecutor`` by
-default, or to an opt-in process pool (``executor="process"``) whose
-workers rebuild engines from the picklable shard indexes; per-shard
-selected sets merge back into document order, byte-identical to serial
-execution.
+default, or to the persistent worker-process pool (``executor="pool"``);
+per-shard selected sets merge back into document order, byte-identical
+to serial execution.
 
 Correct sharding is a query rewrite, not just a data split.  For an
 absolute forward path ``s1/s2/.../sk`` every context chain touches the
@@ -39,16 +38,13 @@ Queries outside the rewrite's fragment -- backward axes, any
 paths inside predicates, or relative top-level paths -- are not sharded;
 they run as whole-document tasks on the pool, which still parallelizes
 them across the batch.  Degenerate documents (a bare root) have no
-shards and short-circuit to the root gate.
+shards and run whole-document too.
 
-Three executors, one contract (byte-identical to serial):
+Two executors, one contract (byte-identical to serial):
 
 - ``"thread"`` -- a ``ThreadPoolExecutor`` sharing shard engines and
   the workspace's compiled cache (best when evaluation releases the
   GIL or interleaves with I/O).
-- ``"process"`` -- a per-batch ``ProcessPoolExecutor`` whose workers
-  rebuild engines from pickled shard payloads (legacy; kept for
-  comparison).
 - ``"pool"`` -- the persistent shared-memory
   :class:`~repro.engine.pool.WorkerPool`: long-lived workers that
   reopen store bundles zero-copy via mmap, keep engines / compiled
@@ -72,7 +68,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.counters import EvalStats
 from repro.engine import registry
-from repro.engine.pool import LRUPathCache, PoolTask, WorkerPool
+from repro.engine.pool import PoolTask, WorkerPool
 from repro.engine.api import Engine
 from repro.engine.plan import ExecutionResult
 from repro.index.jumping import TreeIndex
@@ -96,7 +92,7 @@ Query = Union[str, Path]
 #: Documents below this node count run a shardable query as one
 #: whole-document pool task instead of splitting it by shard -- the
 #: split's rewrite/merge overhead only pays off on large inputs.
-POOL_SPLIT_NODES = int(os.environ.get("REPRO_POOL_SPLIT_NODES", "4096"))
+POOL_SPLIT_NODES = 4096
 
 _ROOT_STEP = Step(Axis.CHILD, "node()", None)
 """From the document node, ``child::node()`` selects exactly the root."""
@@ -149,8 +145,8 @@ def shard_document(index: TreeIndex, parts: Optional[int] = None) -> List[Shard]
     Consecutive top-level subtrees are grouped greedily so the shards
     have roughly equal node counts; ``parts=None`` gives one shard per
     top-level child.  A document whose root has no element children
-    returns no shards (the degenerate case the service resolves through
-    the root gate alone).
+    returns no shards (the degenerate case the service runs as one
+    whole-document task).
     """
     tree = index.tree
     children = list(tree.children(tree.root()))
@@ -309,8 +305,15 @@ def _sorted_union(parts: List[Sequence[int]]) -> List[int]:
 
 def _run_paths(
     engine: Engine, paths: Sequence[Path], offset: int
-) -> Tuple[List[int], EvalStats, bool]:
-    """Execute rewritten paths on one shard engine; global ids + counters."""
+) -> ExecutionResult:
+    """One task: execute ``paths`` on a shard (or whole-document) engine.
+
+    Ids come back global (shifted by the shard's ``offset``) and the
+    counters of every path are summed.
+    """
+    if len(paths) == 1 and not offset:
+        # Nothing to merge or shift: the engine's own result, uncopied.
+        return engine.execute(paths[0])
     stats = EvalStats()
     accepted = False
     parts: List[Sequence[int]] = []
@@ -323,95 +326,7 @@ def _run_paths(
     ids = _sorted_union(parts)
     if offset:
         ids = [v + offset for v in ids]
-    return ids, stats, accepted
-
-
-# -- process-pool worker side ----------------------------------------------
-
-_WORKER: dict = {}
-
-
-def _worker_init(docs: Dict[str, tuple], strategy: str) -> None:
-    """Process-pool initializer: receive the per-document payloads.
-
-    A payload entry is either ``("index", TreeIndex, [Shard, ...])`` --
-    the in-memory case, where under the ``fork`` start method the arrays
-    are inherited copy-on-write and under ``spawn`` they travel by
-    pickle (shard trees, label arrays, and fused caches are all plain
-    containers of ints/ndarrays) -- or ``("store", path, [(lo, hi),
-    ...])`` for store-backed documents, where only the bundle path and
-    the shard boundaries are pickled and each worker reopens the
-    memory-mapped arrays itself (the OS page cache shares the physical
-    pages across the whole pool).
-    """
-    _WORKER["docs"] = docs
-    _WORKER["strategy"] = strategy
-    _WORKER["engines"] = {}
-    _WORKER["indexes"] = {}
-
-
-def _worker_index(doc: str, ordinal: Optional[int]) -> TreeIndex:
-    """Resolve one payload entry to a (cached) full or shard index."""
-    indexes: dict = _WORKER["indexes"]
-    key = (doc, ordinal)
-    index = indexes.get(key)
-    if index is not None:
-        return index
-    entry = _WORKER["docs"][doc]
-    if entry[0] == "store":
-        _, path, ranges = entry
-        full = indexes.get((doc, None))
-        if full is None:
-            from repro.store import open_document
-
-            full = indexes[(doc, None)] = open_document(path).index
-        index = (
-            full if ordinal is None else full.shard_slice(*ranges[ordinal])
-        )
-    else:
-        _, full_index, shards = entry
-        index = full_index if ordinal is None else shards[ordinal].index
-    indexes[key] = index
-    return index
-
-
-def _worker_engine(doc: str, ordinal: Optional[int]) -> Engine:
-    engines: dict = _WORKER["engines"]
-    key = (doc, ordinal)
-    engine = engines.get(key)
-    if engine is None:
-        engine = Engine(
-            _worker_index(doc, ordinal), strategy=_WORKER["strategy"]
-        )
-        engines[key] = engine
-    return engine
-
-
-#: Worker-side compiled-path cache, keyed by query string: the same
-#: rewritten query arrives once per shard per batch, and re-running
-#: ``parse_xpath`` for each was pure repeated work in the hot loop.
-#: LRU-bounded (``REPRO_PATH_CACHE_SIZE``) -- a long-lived process
-#: worker under query churn must not grow one AST per distinct query
-#: forever; ``_WORKER_PATHS.cache_info()`` exposes the eviction count.
-_WORKER_PATHS = LRUPathCache()
-
-
-def _worker_path(path_str: str) -> Path:
-    path = _WORKER_PATHS.get(path_str)
-    if path is None:
-        path = parse_xpath(path_str)
-        _WORKER_PATHS.put(path_str, path)
-    return path
-
-
-def _worker_run(
-    doc: str, ordinal: Optional[int], offset: int, path_strs: Tuple[str, ...]
-) -> Tuple[List[int], dict, bool]:
-    """One pool task: run rewritten paths on a shard (or the whole doc)."""
-    engine = _worker_engine(doc, ordinal)
-    paths = [_worker_path(p) for p in path_strs]
-    ids, stats, accepted = _run_paths(engine, paths, offset)
-    return ids, stats.snapshot(), accepted
+    return ExecutionResult(accepted, tuple(ids), stats)
 
 
 # -- the service ------------------------------------------------------------
@@ -436,23 +351,22 @@ class QueryService:
         ``"thread"`` (default) shares shard engines and the workspace's
         compiled-query cache across pool threads -- the right choice
         when evaluation releases the GIL or tasks interleave with I/O.
-        ``"process"`` starts per-batch workers that rebuild engines
-        from the picklable shard indexes (legacy; kept for
-        comparison).  ``"pool"`` keeps a persistent
+        ``"pool"`` keeps a persistent
         :class:`~repro.engine.pool.WorkerPool` of shared-memory worker
         processes alive across batches: warm engines and compiled
         paths, zero-copy mmap reopens of store bundles, one shared
         task queue with steal accounting, and generation-versioned
         cache invalidation that survives store mutations without a
-        pool rebuild.  Unlike the others, ``"pool"`` uses its worker
+        pool rebuild.  Unlike ``"thread"``, ``"pool"`` uses its worker
         processes even at ``jobs=1`` (the persistence is the point).
     mp_start_method:
-        Start method for the process pool (``"fork"``, ``"spawn"``,
-        ``"forkserver"``); ``None`` uses the platform default --
-        forking a process that already runs threads is unsafe, so the
-        service never second-guesses the platform here.  Under spawn
-        the shard payload travels by pickle and workers re-import the
-        registry, so strategies registered at runtime need ``fork``.
+        Start method for the ``"pool"`` executor's worker processes
+        (``"fork"``, ``"spawn"``, ``"forkserver"``); ``None`` uses the
+        platform default -- forking a process that already runs threads
+        is unsafe, so the service never second-guesses the platform
+        here.  Under spawn the in-memory documents' payload travels by
+        pickle and workers re-import the registry, so strategies
+        registered at runtime need ``fork``.
 
     Results are byte-identical to the serial :class:`Workspace` paths:
     ``select_many``/``select_all`` return the same shapes, and
@@ -469,10 +383,9 @@ class QueryService:
         executor: str = "thread",
         mp_start_method: Optional[str] = None,
     ) -> None:
-        if executor not in ("thread", "process", "pool"):
+        if executor not in ("thread", "pool"):
             raise ValueError(
-                f"executor must be 'thread', 'process' or 'pool', "
-                f"got {executor!r}"
+                f"executor must be 'thread' or 'pool', got {executor!r}"
             )
         self.workspace = workspace
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
@@ -483,7 +396,6 @@ class QueryService:
         self._plans: Dict[str, ShardQueryPlan] = {}
         self._shard_engines: Dict[Tuple[str, int], Engine] = {}
         self._pool = None
-        self._pool_docs: Optional[Tuple[str, ...]] = None
         # Pool-executor state: which documents the persistent pool's
         # static payload covers, and a per-document version counter the
         # workers compare against (generation invalidation).
@@ -516,7 +428,6 @@ class QueryService:
         """
         with self._lock:
             pool, self._pool = self._pool, None
-            self._pool_docs = None
             self._pool_static = ()
         self._shutdown_pool(pool)
 
@@ -531,16 +442,15 @@ class QueryService:
 
         Called by :meth:`Workspace.add`/:meth:`Workspace.remove`/
         :meth:`Workspace.swap_stored` so a removed or re-registered
-        document can never be answered from stale shards.  Per-batch
-        process pools are torn down (their workers hold a copy of the
-        old shard payload); the thread pool keeps no document state and
-        survives.  The persistent ``pool`` executor survives *store*
-        mutations without a rebuild: the document's version counter is
-        bumped, every future task carries it, and each worker drops its
-        caches for that document (and reopens the bundle at its current
-        generation) on the first version mismatch -- unrelated
-        documents stay warm.  Only an in-memory document (part of the
-        pool's start-time payload) forces a pool rebuild.
+        document can never be answered from stale shards.  The thread
+        pool keeps no document state and survives.  The persistent
+        ``pool`` executor survives *store* mutations without a rebuild:
+        the document's version counter is bumped, every future task
+        carries it, and each worker drops its caches for that document
+        (and reopens the bundle at its current generation) on the first
+        version mismatch -- unrelated documents stay warm.  Only an
+        in-memory document (part of the pool's start-time payload)
+        forces a pool rebuild.
         """
         stale_pool = None
         with self._lock:
@@ -548,13 +458,9 @@ class QueryService:
             for key in [k for k in self._shard_engines if k[0] == name]:
                 del self._shard_engines[key]
             self._doc_versions[name] = self._doc_versions.get(name, 0) + 1
-            if self._pool is not None:
-                if self.executor == "process":
-                    stale_pool, self._pool = self._pool, None
-                    self._pool_docs = None
-                elif self.executor == "pool" and name in self._pool_static:
-                    stale_pool, self._pool = self._pool, None
-                    self._pool_static = ()
+            if self._pool is not None and name in self._pool_static:
+                stale_pool, self._pool = self._pool, None
+                self._pool_static = ()
         self._shutdown_pool(stale_pool)
 
     # -- sharding -----------------------------------------------------------
@@ -574,7 +480,7 @@ class QueryService:
         return shards
 
     def _plan(self, query: Query) -> ShardQueryPlan:
-        qkey = query if isinstance(query, str) else str(query)
+        qkey = self._qkey(query)
         with self._lock:
             plan = self._plans.get(qkey)
             if plan is None:
@@ -597,26 +503,6 @@ class QueryService:
 
     # -- pool ---------------------------------------------------------------
 
-    def _get_pool(self):
-        if self.executor == "thread":
-            with self._lock:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.jobs, thread_name_prefix="repro-qs"
-                    )
-                return self._pool
-        if self.executor == "pool":
-            return self._get_worker_pool()
-        docs = tuple(self.workspace.documents())
-        with self._lock:
-            if self._pool is not None and self._pool_docs != docs:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-            if self._pool is None:
-                self._pool = self._make_process_pool(docs)
-                self._pool_docs = docs
-            return self._pool
-
     def ensure_pool(self):
         """Build the worker pool eagerly (idempotent).
 
@@ -624,11 +510,18 @@ class QueryService:
         the process is still single-threaded -- forking workers before
         any event loop or request threads exist sidesteps the classic
         fork-after-threads hazards.  Returns the pool, or ``None`` when
-        this configuration runs inline.
+        this configuration runs inline (``thread`` at ``jobs=1``).
         """
-        if self.jobs > 1 or self.executor == "pool":
-            return self._get_pool()
-        return None
+        if self.executor == "pool":
+            return self._get_worker_pool()
+        if self.jobs == 1:
+            return None
+        with self._lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.jobs, thread_name_prefix="repro-qs"
+                )
+            return self._pool
 
     def pool_stats(self) -> Optional[dict]:
         """The persistent pool's health snapshot (``None`` otherwise)."""
@@ -638,16 +531,15 @@ class QueryService:
             return None
         return pool.stats()
 
-    def _is_static(self, name: str) -> bool:
-        """True when ``name`` has no bundle path to ship (in-memory)."""
-        index = self.workspace.engine(name).index
-        return getattr(index, "store_path", None) is None
+    def _store_path(self, name: str) -> Optional[str]:
+        """The bundle path pool tasks ship for ``name`` (in-memory: None)."""
+        return getattr(self.workspace.engine(name).index, "store_path", None)
 
     def _get_worker_pool(self):
         static = tuple(
             name
             for name in self.workspace.documents()
-            if self._is_static(name)
+            if self._store_path(name) is None
         )
         stale = None
         with self._lock:
@@ -683,8 +575,7 @@ class QueryService:
         In-memory documents were shipped at pool start and are named by
         version only.
         """
-        index = self.workspace.engine(name).index
-        store_path = getattr(index, "store_path", None)
+        store_path = self._store_path(name)
         with self._lock:
             version = self._doc_versions.get(name, 0)
             if store_path is not None:
@@ -696,36 +587,6 @@ class QueryService:
                     version,
                 )
         return ("static", version)
-
-    def _payload_entry(self, name: str) -> tuple:
-        """The picklable worker payload for one document.
-
-        Store-backed documents (opened via
-        :meth:`Workspace.open_store` / :func:`repro.store.open_document`)
-        ship only their bundle path plus the shard boundaries -- workers
-        reopen the memory-mapped arrays themselves, so the pickle is a
-        few bytes however large the document is.
-        """
-        index = self.workspace.engine(name).index
-        shards = self._shards_locked(name)
-        store_path = getattr(index, "store_path", None)
-        if store_path is not None:
-            return ("store", store_path, [(s.lo, s.hi) for s in shards])
-        return ("index", index, shards)
-
-    def _make_process_pool(self, docs: Tuple[str, ...]):
-        import multiprocessing
-
-        from concurrent.futures import ProcessPoolExecutor
-
-        payload = {name: self._payload_entry(name) for name in docs}
-        return ProcessPoolExecutor(
-            max_workers=self.jobs,
-            # None = the platform default start method; see __init__.
-            mp_context=multiprocessing.get_context(self.mp_start_method),
-            initializer=_worker_init,
-            initargs=(payload, self.workspace.strategy),
-        )
 
     # -- execution core ------------------------------------------------------
 
@@ -824,11 +685,7 @@ class QueryService:
         engines = {name: self.workspace.engine(name) for name in doc_names}
         if not qkeys:
             return {name: {} for name in doc_names}
-        pool = (
-            self._get_pool()
-            if (self.jobs > 1 or self.executor == "pool")
-            else None
-        )
+        pool = self.ensure_pool()
         # (doc, qkey) -> list of ordered parts; each part is either an
         # ExecutionResult or a pending task exposing .result().
         pending: Dict[Tuple[str, str], List[object]] = {}
@@ -836,14 +693,14 @@ class QueryService:
         # one submit_many call can chunk cheap queries *together* (fewer
         # IPC messages) before any worker starts pulling.
         sink: Optional[List[_DeferredPart]] = (
-            [] if self.executor == "pool" and pool is not None else None
+            [] if self.executor == "pool" else None
         )
         for name in doc_names:
             shards = self.doc_shards(name)
             for qkey in qkeys:
                 plan = self._plan(paths[qkey])
                 pending[(name, qkey)] = self._submit_query(
-                    pool, name, engines[name], shards, plan, sink
+                    pool, sink, name, engines[name], shards, plan
                 )
         if sink:
             futures = pool.submit_many([part.task for part in sink])
@@ -870,94 +727,85 @@ class QueryService:
     def _submit_query(
         self,
         pool,
+        sink: Optional[List["_DeferredPart"]],
         doc: str,
         engine: Engine,
         shards: List[Shard],
         plan: ShardQueryPlan,
-        sink: Optional[List["_DeferredPart"]] = None,
     ) -> List[object]:
-        """Submit one (document, query) to the pool; ordered result parts."""
+        """Submit one (document, query); its ordered result parts.
+
+        A shardable query on a document that has shards splits into the
+        root gate (resolved serially here) plus one task per shard;
+        everything else -- unshardable paths, bare-root documents -- is
+        one whole-document task.  The worker pool pays IPC per task, so
+        it splits only with a second worker to steal the pieces and at
+        least ``POOL_SPLIT_NODES`` nodes to split.
+        """
         resolved = registry.resolve(self.workspace.strategy, plan.path)
         if not getattr(resolved, "parallel_safe", True):
             # The strategy keeps run state on itself: run in this thread.
             return [engine.execute(plan.path)]
-        if sink is not None:
-            return self._submit_query_pool(doc, engine, shards, plan, sink)
-        if not plan.shardable or not shards:
-            if plan.shardable:
-                # Degenerate document (bare root): the root gate is the
-                # whole answer -- see the module docstring.
-                return [self._root_part(engine, plan)[1]]
-            return [self._submit_whole(pool, doc, engine, plan)]
-        gate, root_part = self._root_part(engine, plan)
-        shard_paths = plan.shard_paths(root_gate=gate)
-        parts: List[object] = [root_part]
-        if not shard_paths:
-            return parts
-        for shard in shards:
+        to_workers = sink is not None
+        split = plan.shardable and bool(shards)
+        if split and to_workers:
+            split = self.jobs > 1 and engine.index.tree.n >= POOL_SPLIT_NODES
+        parts: List[object] = []
+        targets: Sequence[Optional[Shard]] = (None,)
+        paths: Tuple[Path, ...] = (plan.path,)
+        path_strs: Tuple[str, ...] = (plan.query,)
+        if split:
+            gate, root_part = self._root_part(engine, plan)
+            parts.append(root_part)
+            paths = plan.shard_paths(root_gate=gate)
+            path_strs = tuple(str(p) for p in paths) if to_workers else ()
+            targets = shards if paths else ()
+        descriptor = self._pool_descriptor(doc) if to_workers else None
+        for shard in targets:
             parts.append(
-                self._submit_shard(pool, doc, shard, shard_paths)
+                self._submit(
+                    pool, sink, doc, engine, shard, paths, descriptor, path_strs
+                )
             )
         return parts
 
-    def _submit_query_pool(
+    def _submit(
         self,
+        pool,
+        sink: Optional[List["_DeferredPart"]],
         doc: str,
         engine: Engine,
-        shards: List[Shard],
-        plan: ShardQueryPlan,
-        sink: List["_DeferredPart"],
-    ) -> List[object]:
-        """Task-size-aware dispatch to the persistent worker pool.
+        shard: Optional[Shard],
+        paths: Tuple[Path, ...],
+        descriptor: Optional[tuple],
+        path_strs: Tuple[str, ...],
+    ) -> object:
+        """One task -- ``paths`` on ``shard`` (``None``: the whole document).
 
-        Cheap queries (small documents, unshardable paths, or a
-        single-worker pool) run as one whole-document task -- the pool
-        chunks several of them into one IPC message.  An expensive
-        shardable query on a large document (>= ``POOL_SPLIT_NODES``
-        nodes) splits by shard so idle workers can steal its pieces;
-        the root gate still resolves serially in the parent, exactly as
-        in the static executors.
+        Deferred to the worker pool's batch-wide ``sink``, handed to the
+        thread pool, or (``jobs=1``) run inline.
         """
-        split = (
-            plan.shardable
-            and bool(shards)
-            and self.jobs > 1
-            and engine.index.tree.n >= POOL_SPLIT_NODES
+        ordinal, offset = (
+            (None, 0) if shard is None else (shard.ordinal, shard.offset)
         )
-        if not split:
-            task = PoolTask(
-                doc,
-                self._pool_descriptor(doc),
-                None,
-                0,
-                (plan.query,),
-                cost=engine.index.tree.n,
+        if sink is not None:
+            part = _DeferredPart(
+                PoolTask(
+                    doc,
+                    descriptor,
+                    ordinal,
+                    offset,
+                    path_strs,
+                    cost=engine.index.tree.n if shard is None else len(shard),
+                )
             )
-            return [self._defer(sink, task)]
-        gate, root_part = self._root_part(engine, plan)
-        shard_paths = plan.shard_paths(root_gate=gate)
-        parts: List[object] = [root_part]
-        if not shard_paths:
-            return parts
-        descriptor = self._pool_descriptor(doc)
-        path_strs = tuple(str(p) for p in shard_paths)
-        for shard in shards:
-            task = PoolTask(
-                doc,
-                descriptor,
-                shard.ordinal,
-                shard.offset,
-                path_strs,
-                cost=len(shard),
-            )
-            parts.append(self._defer(sink, task))
-        return parts
-
-    @staticmethod
-    def _defer(sink: List["_DeferredPart"], task: PoolTask) -> "_DeferredPart":
-        part = _DeferredPart(task)
-        sink.append(part)
-        return part
+            sink.append(part)
+            return part
+        if shard is not None:
+            engine = self._shard_engine(doc, shard)
+        if pool is None:
+            return _run_paths(engine, paths, offset)
+        return pool.submit(_run_paths, engine, paths, offset)
 
     def _root_part(
         self, engine: Engine, plan: ShardQueryPlan
@@ -978,39 +826,6 @@ class QueryService:
             accepted=selected, ids=(0,) if selected else (), stats=probe.stats
         )
 
-    def _submit_whole(
-        self, pool, doc: str, engine: Engine, plan: ShardQueryPlan
-    ) -> object:
-        """A whole-document task (unshardable query): one pool slot."""
-        if pool is None:
-            return engine.execute(plan.path)
-        if self.executor == "thread":
-            return pool.submit(engine.execute, plan.path)
-        future = pool.submit(_worker_run, doc, None, 0, (plan.query,))
-        return _MappedFuture(future)
-
-    def _submit_shard(
-        self, pool, doc: str, shard: Shard, shard_paths: Tuple[Path, ...]
-    ) -> object:
-        if pool is None or self.executor == "thread":
-            engine = self._shard_engine(doc, shard)
-            if pool is None:
-                ids, stats, accepted = _run_paths(
-                    engine, shard_paths, shard.offset
-                )
-                return ExecutionResult(accepted, tuple(ids), stats)
-            return _MappedFuture(
-                pool.submit(_run_paths, engine, shard_paths, shard.offset)
-            )
-        future = pool.submit(
-            _worker_run,
-            doc,
-            shard.ordinal,
-            shard.offset,
-            tuple(str(p) for p in shard_paths),
-        )
-        return _MappedFuture(future)
-
 
 class _DeferredPart:
     """A pool task's slot in a query's ordered parts list.
@@ -1021,7 +836,7 @@ class _DeferredPart:
     submission is what lets the pool chunk cheap tasks from *different*
     queries into one IPC message.  Workers return
     ``(ids, stats-snapshot, accepted)``; an :class:`EvalStats` is
-    rebuilt here so the merge path is uniform with the other executors.
+    rebuilt here so the merge path is uniform with the thread executor.
     """
 
     __slots__ = ("task", "inner")
@@ -1032,32 +847,4 @@ class _DeferredPart:
 
     def result(self, timeout=None) -> ExecutionResult:
         ids, stats, accepted = self.inner.result(timeout)
-        if isinstance(stats, dict):
-            stats = EvalStats(**stats)
-        return ExecutionResult(accepted, tuple(ids), stats)
-
-
-class _MappedFuture:
-    """Adapts a worker future's raw tuple into an :class:`ExecutionResult`.
-
-    Deliberately *not* a :class:`concurrent.futures.Future` subclass --
-    a subclass would inherit ``done()``/``cancel()``/callback machinery
-    operating on its own never-completed state.  This wrapper exposes
-    exactly the one method the gather loop uses.
-
-    Process workers return ``(ids, stats-snapshot, accepted)`` (an
-    :class:`EvalStats` is rebuilt here so the merge path is uniform);
-    thread workers running :func:`_run_paths` return
-    ``(ids, EvalStats, accepted)`` directly.
-    """
-
-    __slots__ = ("_inner",)
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-
-    def result(self, timeout=None) -> ExecutionResult:
-        ids, stats, accepted = self._inner.result(timeout)
-        if isinstance(stats, dict):
-            stats = EvalStats(**stats)
-        return ExecutionResult(accepted, tuple(ids), stats)
+        return ExecutionResult(accepted, tuple(ids), EvalStats(**stats))

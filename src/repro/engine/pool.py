@@ -1,12 +1,11 @@
 """Persistent shared-memory worker pool with query-granularity stealing.
 
-:class:`WorkerPool` is the long-lived counterpart of the per-batch
-process pool in :mod:`repro.engine.parallel`: worker *processes* that
-survive across tasks, across batches, and across
+:class:`WorkerPool` is what ``executor="pool"`` of
+:class:`~repro.engine.parallel.QueryService` runs on: worker
+*processes* that survive across tasks, across batches, and across
 :meth:`~repro.engine.parallel.QueryService.select_many` calls, pulling
 work from one **shared task queue** instead of a static per-worker
-shard assignment.  Three properties make it fast where the per-batch
-pool was 0.65x serial:
+shard assignment.  Three properties keep its per-batch overhead small:
 
 - **Shared memory, not pickled payloads.**  Store-backed documents
   travel as ``(bundle path, shard ranges, generation)`` -- a few bytes
@@ -64,7 +63,6 @@ and unrelated documents stay warm across the swap.
 from __future__ import annotations
 
 import itertools
-import os
 import queue as _queue
 import threading
 import time
@@ -77,29 +75,26 @@ import numpy as np
 
 #: Minimum per-chunk cost (in node-count units) -- chunks smaller than
 #: this are IPC-bound, not compute-bound.
-CHUNK_MIN_COST = int(os.environ.get("REPRO_POOL_CHUNK_COST", "16384"))
+CHUNK_MIN_COST = 16384
 #: Target chunks per worker when work is plentiful: enough scheduling
 #: slack that one slow chunk cannot convoy the batch.
 CHUNK_SLACK = 4
 #: Liveness-poll interval of the collector thread, seconds.
 _POLL_S = 0.1
 
-#: Bound on worker-side compiled-path caches (the persistent pool's
-#: per-worker cache and the process executor's module-level cache) --
-#: the ``FUSED_CACHE_SIZE``-style env knob.  Under query churn an
+#: Bound on each worker's compiled-path cache.  Under query churn an
 #: unbounded cache grows one parsed AST per distinct rewritten query
 #: for the life of the worker.
-PATH_CACHE_SIZE = int(os.environ.get("REPRO_PATH_CACHE_SIZE", "256"))
+PATH_CACHE_SIZE = 256
 
 
 class LRUPathCache:
     """A tiny bounded mapping for worker-side compiled query paths.
 
     Plain OrderedDict recency tracking (the ``LabelIndex.fused`` idiom,
-    minus the lock -- each cache is confined to one worker process or
-    the process-executor's single initializer context).  Eviction and
-    hit/miss counts are kept so the parent can surface cache pressure
-    through :meth:`WorkerPool.stats` / ``pool_stats()``.
+    minus the lock -- each cache is confined to one worker process).
+    Eviction and hit/miss counts are kept so the parent can surface
+    cache pressure through :meth:`WorkerPool.stats` / ``pool_stats()``.
     """
 
     __slots__ = ("max_size", "_data", "hits", "misses", "evictions")
@@ -357,13 +352,13 @@ class _WorkerState:
                 self.paths.put(path_str, path)
             paths.append(path)
         faults.check("pool.task", document=doc, worker=self.wid)
-        ids, stats, accepted = _run_paths(engine, paths, offset)
+        result = _run_paths(engine, paths, offset)
         evictions = self.paths.evictions - self._evictions_reported
         self._evictions_reported = self.paths.evictions
         return (
-            np.asarray(ids, dtype=np.int64),
-            stats.snapshot(),
-            accepted,
+            np.asarray(result.ids, dtype=np.int64),
+            result.stats.snapshot(),
+            result.accepted,
             warm,
             evictions,
         )

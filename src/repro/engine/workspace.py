@@ -152,7 +152,7 @@ class Workspace:
 
     def _invalidate_services(self, name: str) -> None:
         """Drop any parallel-service state derived from document ``name``
-        (its shards, shard engines, and process-pool payloads) so a
+        (its shards, shard engines, and worker-pool payloads) so a
         removed or re-added document can never answer from stale data."""
         with self._services_lock:
             services = list(self._services.values())

@@ -14,7 +14,7 @@ list mirrors that the pure-Python inner loops index are materialized --
 no XML parsing, no label re-interning, no argsort, no BP directory
 reconstruction.  The resulting :class:`StoredDocument` plugs into
 :class:`~repro.engine.api.Engine` / `Workspace.add` directly, pickles as
-its path (cheap process-pool payloads), and rebuilds its
+its path (cheap worker-pool task descriptors), and rebuilds its
 :class:`~repro.index.succinct.SuccinctTree` lazily from the mapped BP
 state.
 """
@@ -153,7 +153,7 @@ class StoredDocument:
 
     Exposes the same surface every engine entry point consumes: ``index``
     (a ready :class:`TreeIndex`), ``tree``, and a lazy :meth:`succinct`
-    view.  Pickles as its bundle path, so shipping one to a process-pool
+    view.  Pickles as its bundle path, so shipping one to a pool
     worker costs a few bytes instead of the whole array payload.
     """
 
@@ -493,8 +493,8 @@ def open_document(path: str, *, mmap: bool = True) -> StoredDocument:
     if isinstance(stats, dict):
         index.doc_stats = stats
     if mmap:
-        # Advertise the bundle for cheap process-pool payloads (workers
-        # reopen the mapped file).  An mmap=False open is for bundles
+        # Advertise the bundle for cheap worker-pool task descriptors
+        # (workers reopen the mapped file).  An mmap=False open is for bundles
         # whose storage may go away, so its payloads ship the arrays
         # themselves instead of a path that may no longer resolve.
         index.store_path = os.path.abspath(path)

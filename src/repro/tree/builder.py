@@ -216,8 +216,8 @@ class XMLNodeBuilder:
     """Event sink materializing an :class:`XMLNode` tree.
 
     The optional pointer view of an event stream: :func:`parse_xml` is
-    this sink behind the scanner, the XMark generator's
-    ``--legacy-tree`` escape hatch replays its events here, and any
+    this sink behind the scanner, ``XMarkGenerator.document()``
+    replays the generator's events here, and any
     code wanting a serializable document object instead of arrays can
     do the same.  Character data is gathered per open element and
     joined once at its close.

@@ -14,8 +14,8 @@ order is a pure function of ``(scale, seed)``, so every consumer sees
 the identical document.  :meth:`XMarkGenerator.tree` feeds the events
 straight into a :class:`~repro.tree.builder.TreeBuilder` -- benchmark
 corpora are born as flat arrays, no per-element ``XMLNode`` is ever
-allocated (``tree(legacy=True)`` is the escape hatch that still
-materializes the pointer tree first).
+allocated (:meth:`XMarkGenerator.document` is the pointer-tree view of
+the same events).
 
 ``scale=1.0`` yields roughly 30k element nodes, and node counts grow
 linearly.  The paper's document has ~5.7M nodes; running the benchmarks
@@ -81,16 +81,9 @@ class XMarkGenerator:
         self.events(sink)
         return sink.document()
 
-    def tree(self, legacy: bool = False) -> BinaryTree:
-        """Generate and binary-encode in one call.
-
-        The default streams events into the array builder directly;
-        ``legacy=True`` keeps the old materialize-then-convert pipeline
-        (useful as a memory/time baseline -- see
-        ``benchmarks/bench_ingest.py``).
-        """
-        if legacy:
-            return BinaryTree.from_document(self.document())
+    def tree(self) -> BinaryTree:
+        """Generate and binary-encode in one call: the events stream
+        straight into the array builder."""
         builder = TreeBuilder()
         self.events(builder)
         return builder.finish()

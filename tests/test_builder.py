@@ -171,9 +171,11 @@ class TestXMarkEventStream:
             streaming = XMarkGenerator(
                 scale=0.05, seed=3, text_content=text_content
             ).tree()
-            legacy = XMarkGenerator(
-                scale=0.05, seed=3, text_content=text_content
-            ).tree(legacy=True)
+            legacy = BinaryTree.from_document(
+                XMarkGenerator(
+                    scale=0.05, seed=3, text_content=text_content
+                ).document()
+            )
             assert _arrays(streaming) == _arrays(legacy)
 
     def test_document_view_matches_event_stream(self):

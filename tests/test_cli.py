@@ -188,6 +188,14 @@ class TestBatchCLI:
             )
         assert exc.value.code == 2
 
+    def test_batch_removed_process_executor_is_a_usage_error(
+        self, xml_file, query_file
+    ):
+        argv = ["batch", "--queries", query_file, xml_file]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--executor", "process"])
+        assert exc.value.code == 2
+
     def test_batch_empty_query_file(self, xml_file, tmp_path):
         path = tmp_path / "q.txt"
         path.write_text("# nothing\n")
@@ -237,14 +245,6 @@ class TestStoreCLI:
         code, out = run(["store", "query", "//edge", str(root / "xm"), "--count"])
         assert code == 0
         assert int(out.strip()) > 0
-
-    def test_build_legacy_tree_matches_streaming(self, xml_file, tmp_path):
-        a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        assert run(["store", "build", a, xml_file])[0] == 0
-        assert run(["store", "build", b, xml_file, "--legacy-tree"])[0] == 0
-        assert run(["store", "query", "//b", a])[1] == run(
-            ["store", "query", "//b", b]
-        )[1]
 
     def test_build_attributes_encoding(self, xml_file, tmp_path):
         bundle = str(tmp_path / "attrs")

@@ -22,6 +22,7 @@ from repro.engine.parallel import (
     shard_document,
 )
 from repro.engine.plan import CompiledQueryCache, ExecutionResult
+from repro.engine.pool import PATH_CACHE_SIZE, LRUPathCache
 from repro.engine.registry import StrategyBase, register_strategy, unregister_strategy
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
@@ -223,17 +224,10 @@ class TestDeterminism:
         assert merged.accepted == serial.accepted
         assert merged.stats.selected == serial.stats.selected
 
-    def test_process_pool_identical(self, xmark_workspace):
-        pytest.importorskip("multiprocessing")
-        serial = xmark_workspace.select_many(FIG4_SUBSET, document="xm")
-        with QueryService(
-            xmark_workspace, jobs=2, shards=3, executor="process"
-        ) as service:
-            assert service.select_many(FIG4_SUBSET, document="xm") == serial
-
-    def test_process_pool_spawn_payload_is_picklable(self):
-        """Under the spawn start method the whole shard payload (trees,
-        label arrays, fused caches) travels by pickle -- prove it."""
+    def test_worker_pool_spawn_payload_is_picklable(self):
+        """Under the spawn start method the pool's static payload of an
+        in-memory document (trees, label arrays, fused caches) travels
+        by pickle -- prove it."""
         import multiprocessing
 
         if "spawn" not in multiprocessing.get_all_start_methods():
@@ -243,7 +237,7 @@ class TestDeterminism:
         queries = ["//keyword", "/site/regions", "/site[.//keyword]//keyword"]
         serial = ws.select_many(queries, document="xm")
         with QueryService(
-            ws, jobs=2, shards=2, executor="process", mp_start_method="spawn"
+            ws, jobs=2, shards=2, executor="pool", mp_start_method="spawn"
         ) as service:
             assert service.select_many(queries, document="xm") == serial
         ws.close()
@@ -461,6 +455,37 @@ class TestThreadSafety:
 # -- result merging and error paths ------------------------------------------
 
 
+class TestWorkerPathCache:
+    def test_lru_evicts_oldest_first_and_counts_it(self):
+        cache = LRUPathCache(max_size=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get("a") == 1  # "b" is now the least recently used
+        cache.put("c", 3)
+        assert cache.get("b") is None
+        assert cache.get("a") == 1 and cache.get("c") == 3
+        cache.put("d", 4)  # evicts "a": "c" was read after it
+        assert cache.get("a") is None
+        assert cache.cache_info() == {
+            "size": 2,
+            "max_size": 2,
+            "hits": 3,
+            "misses": 2,
+            "evictions": 2,
+        }
+
+    def test_pool_driven_past_the_bound_reports_evictions(self):
+        ws = Workspace()
+        ws.add("d", "<r><a/><a/></r>")
+        queries = [f"//a[not(x{i})]" for i in range(PATH_CACHE_SIZE + 8)]
+        serial = ws.select_many(queries, document="d")
+        with QueryService(ws, jobs=1, executor="pool") as service:
+            assert service.select_many(queries, document="d") == serial
+            stats = service.pool_stats()
+        assert stats["path_evictions"] == 8
+        ws.close()
+
+
 class TestExecutionResultMerge:
     @staticmethod
     def _result(ids, **counters):
@@ -539,6 +564,8 @@ class TestWorkspaceErrorPaths:
         ws = Workspace()
         with pytest.raises(ValueError, match="executor"):
             QueryService(ws, executor="goroutine")
+        with pytest.raises(ValueError, match="'thread' or 'pool'"):
+            QueryService(ws, executor="process")
 
     def test_remove_and_readd_invalidates_service_shards(self):
         """A re-registered name must never answer from the old shards."""
@@ -553,16 +580,6 @@ class TestWorkspaceErrorPaths:
         serial = ws.select_many(["//a", "//b"], document="d")
         assert serial == {"//a": [], "//b": [1, 2]}
         assert ws.select_many(["//a", "//b"], document="d", jobs=2) == serial
-        ws.close()
-
-    def test_remove_and_readd_invalidates_process_pool(self):
-        ws = Workspace()
-        ws.add("d", "<r><a/><a/></r>")
-        service = ws.service(jobs=2, executor="process")
-        assert service.select_many(["//a"], document="d") == {"//a": [1, 2]}
-        ws.remove("d")
-        ws.add("d", "<r><b/><a/></r>")
-        assert service.select_many(["//a"], document="d") == {"//a": [2]}
         ws.close()
 
     def test_remove_and_readd_invalidates_worker_pool(self):

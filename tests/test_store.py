@@ -242,10 +242,10 @@ class TestWorkspaceStore:
         with pytest.raises(ValueError, match="no document bundles"):
             Workspace().open_store(str(tmp_path / "empty"))
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["thread", "pool"])
     def test_parallel_service_on_store_backed_docs(self, tmp_path, executor):
-        """Sharded pools over reopened documents stay byte-identical; the
-        process payload ships bundle paths, not arrays."""
+        """Sharded pools over reopened documents stay byte-identical; a
+        pool task ships the bundle path, not arrays."""
         xml = XMarkGenerator(scale=0.05, seed=13).xml()
         ws = Workspace()
         ws.add("xmark", xml)
@@ -261,9 +261,9 @@ class TestWorkspaceStore:
             )
             assert parallel == serial
             service = served.service(jobs=2, executor=executor)
-            entry = service._payload_entry("xmark")
-            assert entry[0] == "store"
-            assert len(pickle.dumps(entry)) < 2000
+            descriptor = service._pool_descriptor("xmark")
+            assert descriptor[0] == "store"
+            assert len(pickle.dumps(descriptor)) < 2000
         finally:
             served.close()
 
@@ -307,8 +307,8 @@ class TestReviewRegressions:
         assert getattr(loaded.index, "store_path", None) is None
         ws = Workspace()
         ws.add("doc", loaded)
-        service = ws.service(jobs=2, executor="process")
-        assert service._payload_entry("doc")[0] == "index"
+        service = ws.service(jobs=2, executor="pool")
+        assert service._pool_descriptor("doc") == ("static", 0)
         shutil.rmtree(bundle)  # storage goes away; in-memory copy serves on
         try:
             assert ws.select_many(["//a"], document="doc", jobs=2) == {
