@@ -40,6 +40,18 @@ def _report_error(exc: Exception) -> None:
         print(f"error: {exc}", file=sys.stderr)
 
 
+def _print_selection(result, engine, args, out) -> None:
+    """One query's answer; ``--count`` prints it without materialising an id."""
+    if args.count:
+        print(len(result), file=out)
+    elif args.labels:
+        ids = result.nodes
+        for v, label in zip(ids, engine.labels_of(ids)):
+            print(f"{v}\t{label}", file=out)
+    else:
+        print(" ".join(map(str, result.nodes)), file=out)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -582,14 +594,7 @@ def store_main(argv: List[str], out) -> int:
     except (ValueError, StoreError, OSError) as exc:
         _report_error(exc)
         return 1
-    ids = list(result.ids)
-    if args.count:
-        print(len(ids), file=out)
-    elif args.labels:
-        for v, label in zip(ids, engine.labels_of(ids)):
-            print(f"{v}\t{label}", file=out)
-    else:
-        print(" ".join(map(str, ids)), file=out)
+    _print_selection(result, engine, args, out)
     if args.stats:
         snapshot = dict(
             result.stats.snapshot(),
@@ -1125,9 +1130,7 @@ def batch_main(argv: List[str], out) -> int:
         stats = {}
         for name, query in named:
             result = service.execute(query, "doc")
-            results[name] = (
-                len(result.ids) if args.count else list(result.ids)
-            )
+            results[name] = len(result) if args.count else result.nodes
             stats[name] = dict(result.stats.snapshot(), query=query)
     except ValueError as exc:
         _report_error(exc)
@@ -1218,14 +1221,7 @@ def _main(argv: Optional[List[str]] = None, out=None) -> int:
         _report_error(exc)
         return 1
 
-    ids = list(result.ids)
-    if args.count:
-        print(len(ids), file=out)
-    elif args.labels:
-        for v, label in zip(ids, engine.labels_of(ids)):
-            print(f"{v}\t{label}", file=out)
-    else:
-        print(" ".join(map(str, ids)), file=out)
+    _print_selection(result, engine, args, out)
 
     if args.stats:
         snapshot = dict(

@@ -232,7 +232,7 @@ class Engine:
         """
         result = self.execute(query)
         self.last_stats = result.stats
-        return result.accepted, list(result.ids)
+        return result.accepted, result.nodes
 
     def count(self, query: Union[str, Path]) -> int:
         """Number of selected nodes."""

@@ -139,14 +139,24 @@ def evaluate(
             f"query {str(path)!r} is outside the vectorized fragment "
             "(absolute forward paths only)"
         )
-    frontier = _eval_steps(index, path.steps, None, stats, _KERNEL)
-    ids = frontier.tolist()
-    if stats is not None:
-        stats.selected += len(ids)
-    return bool(ids), ids
+    accepted, frontier = run_kernel(path, index, stats, _KERNEL)
+    return accepted, frontier.tolist()
 
 
 # -- the frontier loop -------------------------------------------------------
+
+
+def run_kernel(
+    path: Path, index: TreeIndex, stats: Optional[EvalStats], kernel: Kernel
+) -> Tuple[bool, np.ndarray]:
+    """An absolute path through ``kernel``: ``(accepted, final frontier)``,
+    which is what the set-at-a-time strategies' ``execute`` returns --
+    the sorted, duplicate-free ``int64`` array itself (possibly a view of
+    an index array), never converted to Python ints."""
+    frontier = _eval_steps(index, path.steps, None, stats, kernel)
+    if stats is not None:
+        stats.selected += int(frontier.size)
+    return bool(frontier.size), frontier
 
 
 def _eval_steps(
@@ -610,4 +620,4 @@ class VectorizedStrategy(StrategyBase):
         return is_vectorizable(path)
 
     def execute(self, plan, index, stats):
-        return evaluate(plan.path, index, stats)
+        return run_kernel(plan.path, index, stats, _KERNEL)

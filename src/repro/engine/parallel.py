@@ -66,6 +66,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.counters import EvalStats
 from repro.engine import registry
 from repro.engine.pool import PoolTask, WorkerPool
@@ -280,29 +282,6 @@ def _describe_prepared(plan) -> dict:
     return out
 
 
-def _sorted_union(parts: List[Sequence[int]]) -> List[int]:
-    """Union of sorted duplicate-free id sequences, still sorted."""
-    if not parts:
-        return []
-    if len(parts) == 1:
-        return list(parts[0])
-    a, b = parts if len(parts) == 2 else (parts[0], _sorted_union(parts[1:]))
-    out: List[int] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        x, y = a[i], b[j]
-        if x <= y:
-            out.append(x)
-            i += 1
-            j += x == y
-        else:
-            out.append(y)
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
-
-
 def _run_paths(
     engine: Engine, paths: Sequence[Path], offset: int
 ) -> ExecutionResult:
@@ -316,17 +295,15 @@ def _run_paths(
         return engine.execute(paths[0])
     stats = EvalStats()
     accepted = False
-    parts: List[Sequence[int]] = []
+    parts: List[np.ndarray] = []
     for path in paths:
         result = engine.execute(path)
         stats.merge(result.stats)
         accepted = accepted or result.accepted
-        if result.ids:
-            parts.append(result.ids)
-    ids = _sorted_union(parts)
-    if offset:
-        ids = [v + offset for v in ids]
-    return ExecutionResult(accepted, tuple(ids), stats)
+        parts.append(result.ids_array)
+    # Sorted duplicate-free parts: ``unique`` (sort, drop equal neighbours) unites them.
+    ids = parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
+    return ExecutionResult(accepted, ids + offset, stats)
 
 
 # -- the service ------------------------------------------------------------
@@ -598,7 +575,7 @@ class QueryService:
 
     def select(self, query: Query, document: str) -> List[int]:
         """Selected node ids of ``query`` on the named document."""
-        return list(self.execute(query, document).ids)
+        return self.execute(query, document).nodes
 
     def select_many(
         self, queries: Iterable[Query], document: Optional[str] = None
@@ -607,24 +584,24 @@ class QueryService:
         queries = list(queries)
         if document is not None:
             results = self._run_batch([document], queries)[document]
-            return {k: list(r.ids) for k, r in results.items()}
+            return {k: r.nodes for k, r in results.items()}
         out = {}
         all_results = self._run_batch(self.workspace.documents(), queries)
         for name, results in all_results.items():
-            out[name] = {k: list(r.ids) for k, r in results.items()}
+            out[name] = {k: r.nodes for k, r in results.items()}
         return out
 
     def select_all(self, query: Query) -> Dict[str, List[int]]:
         """Parallel counterpart of :meth:`Workspace.select_all`."""
         results = self._run_batch(self.workspace.documents(), [query])
         qkey = self._qkey(query)
-        return {name: list(res[qkey].ids) for name, res in results.items()}
+        return {name: res[qkey].nodes for name, res in results.items()}
 
     def count_all(self, query: Query) -> Dict[str, int]:
         """Result cardinality per document, computed on the pool."""
         results = self._run_batch(self.workspace.documents(), [query])
         qkey = self._qkey(query)
-        return {name: len(res[qkey].ids) for name, res in results.items()}
+        return {name: len(res[qkey]) for name, res in results.items()}
 
     @staticmethod
     def _qkey(query: Query) -> str:
@@ -820,7 +797,7 @@ class QueryService:
         serial execution.
         """
         probe = engine.execute(plan.root_probe)
-        gate = bool(probe.ids)
+        gate = len(probe) > 0
         selected = gate and plan.include_root_if_gate
         return gate, ExecutionResult(
             accepted=selected, ids=(0,) if selected else (), stats=probe.stats
@@ -835,8 +812,8 @@ class _DeferredPart:
     the whole batch goes through one ``submit_many`` call -- batch-wide
     submission is what lets the pool chunk cheap tasks from *different*
     queries into one IPC message.  Workers return
-    ``(ids, stats-snapshot, accepted)``; an :class:`EvalStats` is
-    rebuilt here so the merge path is uniform with the thread executor.
+    ``(int64 id array, stats-snapshot, accepted)``; an :class:`EvalStats`
+    is rebuilt here so the merge path is uniform with the thread executor.
     """
 
     __slots__ = ("task", "inner")
@@ -847,4 +824,4 @@ class _DeferredPart:
 
     def result(self, timeout=None) -> ExecutionResult:
         ids, stats, accepted = self.inner.result(timeout)
-        return ExecutionResult(accepted, tuple(ids), EvalStats(**stats))
+        return ExecutionResult(accepted, ids, EvalStats(**stats))

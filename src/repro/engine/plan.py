@@ -19,8 +19,9 @@ share one compiled automaton per query.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.asta.automaton import ASTA
 from repro.counters import EvalStats
@@ -110,29 +111,84 @@ class CompiledQueryCache:
         return asta
 
 
-@dataclass(frozen=True)
 class ExecutionResult:
     """One execution's outcome: immutable, self-contained.
 
     ``stats`` belongs to this execution alone -- concurrent or repeated
     ``execute()`` calls never overwrite each other's counters (unlike the
     legacy ``Engine.last_stats``).
+
+    The selected ids stay in the form the strategy produced -- Python
+    ints or an ``int64`` array -- and convert to the other on demand:
+    :attr:`ids` (a tuple) and :attr:`ids_array` (a read-only array) each
+    cache their first conversion, ``len()`` converts nothing.  The
+    result owns its data: an array borrowing another buffer (a slice of
+    a label index's candidate array, an mmap-backed store column) is
+    copied on the way in, so no result pins an mmap or dies with its
+    document.  An array owning its buffer is taken as is -- an in-memory
+    index hands out its own per-label array for ``//label`` -- which is
+    why only read-only views ever leave here.
     """
 
-    accepted: bool
-    ids: Tuple[int, ...]
-    stats: EvalStats
+    __slots__ = ("accepted", "stats", "_ids", "_array")
 
-    def __len__(self) -> int:
-        return len(self.ids)
+    def __init__(
+        self,
+        accepted: bool,
+        ids: Union[Iterable[int], np.ndarray],
+        stats: EvalStats,
+    ) -> None:
+        is_array = isinstance(ids, np.ndarray)
+        init = object.__setattr__
+        init(self, "accepted", accepted)
+        init(self, "stats", stats)
+        init(self, "_ids", None if is_array else tuple(ids))
+        init(self, "_array", _owned_readonly(ids) if is_array else None)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.ids)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ExecutionResult is immutable (set {name!r})")
+
+    @property
+    def ids(self) -> Tuple[int, ...]:
+        """Selected node ids as a tuple of ints (document order)."""
+        if self._ids is None:
+            object.__setattr__(self, "_ids", tuple(self._array.tolist()))
+        return self._ids
+
+    @property
+    def ids_array(self) -> np.ndarray:
+        """Selected node ids as a read-only ``int64`` array."""
+        if self._array is None:
+            array = _owned_readonly(np.array(self._ids, dtype=np.int64))
+            object.__setattr__(self, "_array", array)
+        return self._array
 
     @property
     def nodes(self) -> List[int]:
         """Selected node ids as a list (document order)."""
-        return list(self.ids)
+        return list(self._ids) if self._ids is not None else self._array.tolist()
+
+    def __len__(self) -> int:
+        return len(self._ids if self._ids is not None else self._array)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExecutionResult):
+            return NotImplemented
+        mine, theirs = (self.accepted, self.ids), (other.accepted, other.ids)
+        return mine == theirs and self.stats == other.stats
+
+    def __repr__(self) -> str:
+        return (
+            f"ExecutionResult(accepted={self.accepted!r}, "
+            f"ids=<{len(self)} ids>, stats={self.stats!r})"
+        )
+
+    def __reduce__(self):
+        ids = self._array if self._array is not None else self._ids
+        return (ExecutionResult, (self.accepted, ids, self.stats))
 
     @classmethod
     def merge(cls, results: Iterable["ExecutionResult"]) -> "ExecutionResult":
@@ -140,24 +196,33 @@ class ExecutionResult:
 
         The parts must arrive in document order with pairwise-disjoint,
         ascending id ranges (shards are preorder slices, so the parallel
-        service guarantees this); ``ids`` then concatenate into document
-        order with a linear sweep, no sort.  Every counter in ``stats``
-        is summed across the parts; ``accepted`` is true when any part
-        accepted.
+        service guarantees this); the id arrays then concatenate into
+        document order, no sort.  Every counter in ``stats`` is summed
+        across the parts; ``accepted`` is true when any part accepted.
         """
         stats = EvalStats()
         accepted = False
-        ids: List[int] = []
+        arrays: List[np.ndarray] = []
         for part in results:
             accepted = accepted or part.accepted
-            if part.ids:
-                if ids and part.ids[0] <= ids[-1]:
+            if len(part):
+                array = part.ids_array
+                if arrays and array[0] <= arrays[-1][-1]:
                     raise ValueError(
                         "merge expects parts in disjoint ascending id ranges"
                     )
-                ids.extend(part.ids)
+                arrays.append(array)
             stats.merge(part.stats)
-        return cls(accepted, tuple(ids), stats)
+        return cls(accepted, np.concatenate(arrays) if arrays else (), stats)
+
+
+def _owned_readonly(array: np.ndarray) -> np.ndarray:
+    """A read-only ``int64`` view of ``array``'s data, copied first
+    unless ``array`` owns its buffer (views and mmaps do not)."""
+    owned = np.asarray(array, dtype=np.int64)
+    view = (owned if owned.flags.owndata else owned.copy()).view()
+    view.flags.writeable = False
+    return view
 
 
 class PreparedQuery:
@@ -245,11 +310,11 @@ class PreparedQuery:
             accepted, ids = self._execute_impl(
                 self, self.engine.index, stats
             )
-        return ExecutionResult(accepted, tuple(ids), stats)
+        return ExecutionResult(accepted, ids, stats)
 
     def select(self) -> List[int]:
         """Selected node ids, in document order (convenience)."""
-        return list(self.execute().ids)
+        return self.execute().nodes
 
     def explain(self) -> str:
         """Describe the resolved strategy, compiled automaton, and plan."""

@@ -71,8 +71,6 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 #: Minimum per-chunk cost (in node-count units) -- chunks smaller than
 #: this are IPC-bound, not compute-bound.
 CHUNK_MIN_COST = 16384
@@ -356,7 +354,7 @@ class _WorkerState:
         evictions = self.paths.evictions - self._evictions_reported
         self._evictions_reported = self.paths.evictions
         return (
-            np.asarray(result.ids, dtype=np.int64),
+            result.ids_array,
             result.stats.snapshot(),
             result.accepted,
             warm,
@@ -641,7 +639,7 @@ class WorkerPool:
         if kind == "done":
             for future, part in zip(chunk.futures, payload):
                 ids, stats, accepted, _warm, _evictions = part
-                future._set((ids.tolist(), stats, accepted))
+                future._set((ids, stats, accepted))
         else:
             exc = PoolTaskError(f"pool task failed in worker {wid}: {payload}")
             for future in chunk.futures:

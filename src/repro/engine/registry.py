@@ -37,9 +37,11 @@ the CLI (``--strategy mine``), and the registry conformance test suite.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from repro.counters import EvalStats
     from repro.engine.plan import QueryPlan
     from repro.index.jumping import TreeIndex
@@ -82,8 +84,11 @@ class Strategy(Protocol):
 
     def execute(
         self, plan: "QueryPlan", index: "TreeIndex", stats: "EvalStats"
-    ) -> Tuple[bool, List[int]]:
-        """Run the prepared plan; returns ``(accepted, selected ids)``."""
+    ) -> Tuple[bool, Union[Sequence[int], "np.ndarray"]]:
+        """Run the prepared plan; returns ``(accepted, selected ids)``: the
+        ids in document order, duplicate-free, as a sequence of ints or an
+        ``int64`` array (``vectorized``, ``window``) -- the
+        :class:`~repro.engine.plan.ExecutionResult` converts on demand."""
         ...
 
     def prepare(self, plan: "QueryPlan") -> None:

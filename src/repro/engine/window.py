@@ -71,9 +71,9 @@ from repro.counters import EvalStats
 from repro.engine.frontier import (
     Kernel,
     _descendant_join,
-    _eval_steps,
     _in_sorted,
     _pred_mask,
+    run_kernel,
     test_label_names,
 )
 from repro.engine.registry import StrategyBase, register_strategy
@@ -219,11 +219,8 @@ def evaluate(
             f"query {str(path)!r} is outside the window-join fragment "
             "(absolute paths only)"
         )
-    frontier = _eval_steps(index, path.steps, None, stats, _KERNEL)
-    ids = frontier.tolist()
-    if stats is not None:
-        stats.selected += len(ids)
-    return bool(ids), ids
+    accepted, frontier = run_kernel(path, index, stats, _KERNEL)
+    return accepted, frontier.tolist()
 
 
 def _eval_step(
@@ -524,4 +521,4 @@ class WindowStrategy(StrategyBase):
         return is_window_evaluable(path)
 
     def execute(self, plan, index, stats):
-        return evaluate(plan.path, index, stats)
+        return run_kernel(plan.path, index, stats, _KERNEL)

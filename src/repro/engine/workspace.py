@@ -237,7 +237,7 @@ class Workspace:
 
     def select(self, query: Query, document: str) -> List[int]:
         """Selected node ids of ``query`` on the named document."""
-        return list(self.execute(query, document).ids)
+        return self.execute(query, document).nodes
 
     def select_many(
         self,
@@ -270,11 +270,11 @@ class Workspace:
         if document is not None:
             engine = self.engine(document)
             return {
-                self._qkey(q): list(engine.execute(q).ids) for q in queries
+                self._qkey(q): engine.execute(q).nodes for q in queries
             }
         return {
             name: {
-                self._qkey(q): list(engine.execute(q).ids) for q in queries
+                self._qkey(q): engine.execute(q).nodes for q in queries
             }
             for name, engine in self._engines.items()
         }
@@ -298,7 +298,7 @@ class Workspace:
             service = self.service(jobs=jobs, executor=executor, shards=shards)
             return service.select_all(query)
         return {
-            name: list(engine.execute(query).ids)
+            name: engine.execute(query).nodes
             for name, engine in self._engines.items()
         }
 
@@ -367,7 +367,7 @@ class Workspace:
     def count_all(self, query: Query) -> Dict[str, int]:
         """Result cardinality per document (cheap fan-out analytics)."""
         return {
-            name: len(engine.execute(query).ids)
+            name: len(engine.execute(query))
             for name, engine in self._engines.items()
         }
 

@@ -126,7 +126,15 @@ from repro import faults
 from repro.engine import registry
 from repro.engine.planner import planner_fields
 from repro.engine.workspace import Workspace
-from repro.serve.http import HttpError, Request, read_request, send_response
+from repro.serve.http import (
+    Answer,
+    Body,
+    HttpError,
+    Request,
+    encode_answer,
+    read_request,
+    send_response,
+)
 from repro.store import (
     DocumentStore,
     StoreError,
@@ -159,6 +167,11 @@ POOL_WORKERS = int(os.environ.get("REPRO_SERVE_POOL_WORKERS", "0"))
 #: Documents at or above this node count route single ``/query``
 #: requests through the pool too (batches always use it when enabled).
 POOL_MIN_NODES = int(os.environ.get("REPRO_SERVE_POOL_MIN_NODES", "65536"))
+
+
+def _ms(start: float, end: float) -> float:
+    """A ``perf_counter`` interval as ``timing_ms`` reports it."""
+    return round((end - start) * 1000.0, 4)
 
 
 class QueryDaemon:
@@ -563,6 +576,40 @@ class QueryDaemon:
 
     # -- pool-side work ------------------------------------------------------
 
+    def _answer(
+        self,
+        query: str,
+        strategy: str,
+        result,
+        *,
+        count_only: bool,
+        plan=None,
+        with_labels: bool = False,
+        with_stats: bool = False,
+        **fields,
+    ) -> Answer:
+        """The one place a result becomes an answer: ``(envelope, ids)``.
+
+        ``fields`` are the envelope members only the caller knows
+        (``document``, ``timing_ms``, ``warm``, ``fallback``,
+        ``executor``; ``None`` means absent).  The ids stay the result's
+        own ``int64`` array until :func:`~repro.serve.http.encode_answer`
+        writes them; a count-only answer has ``None`` and never
+        materialises one.  Only the thread path has a ``plan``.
+        """
+        envelope = {"query": query, "strategy": strategy, "count": len(result)}
+        envelope.update((k, v) for k, v in fields.items() if v is not None)
+        if plan is not None:
+            envelope.update(planner_fields(plan))
+        if with_labels:
+            # The plan's own engine, not a fresh workspace lookup: a
+            # reload swap between execute and here must not label old-
+            # generation ids against the new generation's tree.
+            envelope["labels"] = plan.engine.labels_of(result.nodes)
+        if with_stats:
+            envelope["stats"] = result.stats.snapshot()
+        return envelope, None if count_only else result.ids_array
+
     def _evaluate(
         self,
         document: str,
@@ -570,9 +617,9 @@ class QueryDaemon:
         strategy: str,
         *,
         count_only: bool,
-        with_labels: bool,
-        with_stats: bool,
-    ) -> dict:
+        with_labels: bool = False,
+        with_stats: bool = False,
+    ) -> Answer:
         """One query, start to finish, on a worker thread.
 
         An unexpected exception from the chosen strategy is retried
@@ -582,6 +629,7 @@ class QueryDaemon:
         and structured HTTP errors pass straight through: they are the
         client's problem, not the document's.
         """
+        t0 = time.perf_counter()
         if (
             not with_labels
             and self._pool_routable(strategy)
@@ -590,21 +638,19 @@ class QueryDaemon:
             # An oversized document: let the pool shard it across worker
             # processes.  (Labelled requests stay on-thread -- labels
             # must come from the same engine that produced the ids.)
-            try:
-                return self._evaluate_query_pool(
-                    document,
+            results = self._pool_results(document, [query])
+            if results is not None:
+                return self._answer(
                     query,
+                    strategy,
+                    results[0],
                     count_only=count_only,
                     with_stats=with_stats,
+                    document=document,
+                    executor="pool",
+                    timing_ms={"total": _ms(t0, time.perf_counter())},
                 )
-            except (HttpError, XPathSyntaxError):
-                raise
-            except Exception:
-                # Pool trouble (worker died twice, pool closing mid-
-                # request) must degrade to the thread path, never fail
-                # the client.
-                self._bump("pool_fallbacks")
-        t0 = time.perf_counter()
+            t0 = time.perf_counter()
         plan, warm = self._prepared_plan(document, query, strategy)
         t1 = time.perf_counter()
         fallback = None
@@ -650,31 +696,23 @@ class QueryDaemon:
             fallback = FALLBACK_STRATEGY
         self._note_eval_success(document)
         t2 = time.perf_counter()
-        payload = {
-            "document": document,
-            "query": query,
-            "strategy": plan.strategy.name,
-            "count": len(result.ids),
-            "warm": warm,
-            "timing_ms": {
-                "prepare": round((t1 - t0) * 1000.0, 4),
-                "execute": round((t2 - t1) * 1000.0, 4),
-                "total": round((t2 - t0) * 1000.0, 4),
+        return self._answer(
+            query,
+            plan.strategy.name,
+            result,
+            count_only=count_only,
+            plan=plan,
+            with_labels=with_labels,
+            with_stats=with_stats,
+            document=document,
+            warm=warm,
+            fallback=fallback,
+            timing_ms={
+                "prepare": _ms(t0, t1),
+                "execute": _ms(t1, t2),
+                "total": _ms(t0, t2),
             },
-        }
-        if fallback is not None:
-            payload["fallback"] = fallback
-        payload.update(planner_fields(plan))
-        if not count_only:
-            payload["ids"] = list(result.ids)
-        if with_labels:
-            # The plan's own engine, not a fresh workspace lookup: a
-            # reload swap between execute and here must not label old-
-            # generation ids against the new generation's tree.
-            payload["labels"] = plan.engine.labels_of(list(result.ids))
-        if with_stats:
-            payload["stats"] = result.stats.snapshot()
-        return payload
+        )
 
     def _pool_routable(self, strategy: str) -> bool:
         """Whether this request may run on the shared-memory pool.
@@ -687,58 +725,21 @@ class QueryDaemon:
             and strategy == self.workspace.strategy
         )
 
-    def _evaluate_query_pool(
-        self, document: str, query: str, *, count_only: bool, with_stats: bool
-    ) -> dict:
-        """One oversized query on the worker pool (still one admission slot)."""
-        t0 = time.perf_counter()
-        result = self._pool_service.execute(query, document)
+    def _pool_results(self, document: str, queries: List[str]) -> Optional[list]:
+        """``queries`` on the worker pool (one submit, dynamic stealing):
+        their results in order, or ``None`` after pool trouble (worker
+        died twice, pool closing mid-request) -- which must degrade to
+        the caller's thread path, never fail the client."""
+        try:
+            batch = self._pool_service._run_batch([document], queries)[document]
+        except (HttpError, XPathSyntaxError):
+            raise
+        except Exception:
+            self._bump("pool_fallbacks")
+            return None
         self._note_eval_success(document)
-        self._bump("pool_queries")
-        payload = {
-            "document": document,
-            "query": query,
-            "strategy": self.workspace.strategy,
-            "count": len(result.ids),
-            "executor": "pool",
-            "timing_ms": {
-                "total": round((time.perf_counter() - t0) * 1000.0, 4)
-            },
-        }
-        if not count_only:
-            payload["ids"] = list(result.ids)
-        if with_stats:
-            payload["stats"] = result.stats.snapshot()
-        return payload
-
-    def _evaluate_batch_pool(
-        self, document: str, queries: List[str], *, count_only: bool
-    ) -> dict:
-        """A whole batch on the worker pool: one submit, dynamic stealing."""
-        t0 = time.perf_counter()
-        batch = self._pool_service._run_batch([document], queries)[document]
-        self._note_eval_success(document)
-        self._bump("pool_batches")
         self._bump("pool_queries", len(batch))
-        results = []
-        for query in queries:
-            result = batch[query]
-            entry = {
-                "query": query,
-                "strategy": self.workspace.strategy,
-                "count": len(result.ids),
-            }
-            if not count_only:
-                entry["ids"] = list(result.ids)
-            results.append(entry)
-        return {
-            "document": document,
-            "results": results,
-            "executor": "pool",
-            "timing_ms": {
-                "total": round((time.perf_counter() - t0) * 1000.0, 4)
-            },
-        }
+        return [batch[query] for query in queries]
 
     def _evaluate_batch(
         self,
@@ -747,37 +748,33 @@ class QueryDaemon:
         strategy: str,
         *,
         count_only: bool,
-    ) -> dict:
-        if self._pool_routable(strategy):
-            try:
-                return self._evaluate_batch_pool(
-                    document, queries, count_only=count_only
-                )
-            except (HttpError, XPathSyntaxError):
-                raise
-            except Exception:
-                self._bump("pool_fallbacks")
+    ) -> Tuple[dict, None, List[Answer]]:
+        """A whole batch as :func:`encode_answer` takes it: ``(envelope,
+        None, one answer per query)`` -- from the worker pool when
+        routable, else query by query right here."""
         t0 = time.perf_counter()
-        results = [
-            self._evaluate(
-                document,
-                query,
-                strategy,
-                count_only=count_only,
-                with_labels=False,
-                with_stats=False,
-            )
-            for query in queries
-        ]
-        for entry in results:
-            entry.pop("document", None)
-        return {
-            "document": document,
-            "results": results,
-            "timing_ms": {
-                "total": round((time.perf_counter() - t0) * 1000.0, 4)
-            },
-        }
+        envelope = {"document": document}
+        results = (
+            self._pool_results(document, queries)
+            if self._pool_routable(strategy)
+            else None
+        )
+        if results is not None:
+            self._bump("pool_batches")
+            envelope["executor"] = "pool"
+            answers = [
+                self._answer(query, strategy, result, count_only=count_only)
+                for query, result in zip(queries, results)
+            ]
+        else:
+            answers = [
+                self._evaluate(document, query, strategy, count_only=count_only)
+                for query in queries
+            ]
+            for entry, _ids in answers:
+                del entry["document"]
+        envelope["timing_ms"] = {"total": _ms(t0, time.perf_counter())}
+        return envelope, None, answers
 
     def _explain(self, document: str, query: str, strategy: str) -> dict:
         plan, warm = self._prepared_plan(document, query, strategy)
@@ -1076,7 +1073,7 @@ class QueryDaemon:
 
     # -- dispatch ------------------------------------------------------------
 
-    async def _dispatch(self, request: Request) -> Tuple[int, dict]:
+    async def _dispatch(self, request: Request) -> Tuple[int, Body]:
         path, method = request.path, request.method
         if path == "/healthz":
             self._require(method, "GET")
@@ -1114,23 +1111,19 @@ class QueryDaemon:
             name, _ = self._resolve_document(payload.get("document"))
             strategy = self._resolve_strategy(payload)
             query = self._query_field(payload)
-            count_only = self._flag(payload, "count")
-            with_labels = self._flag(payload, "labels")
-            with_stats = self._flag(payload, "stats")
+            flags = {
+                "count_only": self._flag(payload, "count"),
+                "with_labels": self._flag(payload, "labels"),
+                "with_stats": self._flag(payload, "stats"),
+            }
             timeout_s = self._resolve_timeout(payload)
             self._bump("queries")
-            out = await self._admit(
-                lambda: self._evaluate(
-                    name,
-                    query,
-                    strategy,
-                    count_only=count_only,
-                    with_labels=with_labels,
-                    with_stats=with_stats,
+            return 200, await self._admit(
+                lambda: encode_answer(
+                    *self._evaluate(name, query, strategy, **flags)
                 ),
                 timeout_s,
             )
-            return 200, out
         if path == "/batch":
             self._require(method, "POST")
             payload = request.json()
@@ -1151,13 +1144,14 @@ class QueryDaemon:
             timeout_s = self._resolve_timeout(payload)
             self._bump("batches")
             self._bump("batch_queries", len(queries))
-            out = await self._admit(
-                lambda: self._evaluate_batch(
-                    name, queries, strategy, count_only=count_only
+            return 200, await self._admit(
+                lambda: encode_answer(
+                    *self._evaluate_batch(
+                        name, queries, strategy, count_only=count_only
+                    )
                 ),
                 timeout_s,
             )
-            return 200, out
         if path == "/explain":
             self._require(method, "GET")
             params = request.params
@@ -1305,7 +1299,7 @@ class QueryDaemon:
                 # and its response leaving the process.
                 self._requests_open += 1
                 try:
-                    status, payload = await self._answer(request)
+                    status, payload = await self._respond(request)
                     keep_alive = request.keep_alive and not self._draining
                     await send_response(
                         writer, status, payload, keep_alive=keep_alive
@@ -1326,7 +1320,7 @@ class QueryDaemon:
                 # the transport is torn down with it either way.
                 pass
 
-    async def _answer(self, request: Request) -> Tuple[int, dict]:
+    async def _respond(self, request: Request) -> Tuple[int, Body]:
         """Dispatch one request; every failure becomes structured JSON."""
         try:
             return await self._dispatch(request)

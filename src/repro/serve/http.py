@@ -17,8 +17,10 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qsl, urlsplit
+
+import numpy as np
 
 #: Reason phrases for the statuses the daemon actually emits.
 REASONS = {
@@ -74,10 +76,16 @@ class Request:
     params: Dict[str, str] = field(default_factory=dict)
     headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    version: str = "HTTP/1.1"
 
     @property
     def keep_alive(self) -> bool:
-        return self.headers.get("connection", "").lower() != "close"
+        """Persistent by default in HTTP/1.1 (unless ``close``); opt-in
+        in HTTP/1.0 (only with ``Connection: keep-alive``)."""
+        connection = self.headers.get("connection", "").lower()
+        if self.version == "HTTP/1.0":
+            return connection == "keep-alive"
+        return connection != "close"
 
     def json(self) -> dict:
         """The request body as a JSON object (400 on anything else)."""
@@ -163,14 +171,112 @@ async def read_request(
         params=params,
         headers=headers,
         body=body,
+        version=version,
     )
 
 
+#: Below this many ids the fixed cost of the array encoder (~20 us)
+#: exceeds ``tolist`` + the C encoder (measured crossover on this host).
+_FAST_MIN_IDS = 256
+_DIGIT_BOUNDS = np.array([10**d for d in range(1, 9)], dtype=np.int64)
+
+
+def _decimal_lut(width: int) -> np.ndarray:
+    """Every ``width``-digit zero-padded decimal, one fixed-width item each."""
+    raw = b"".join(b"%0*d" % (width, k) for k in range(10**width))
+    return np.frombuffer(raw, dtype=("u1", "<u2", "V3", "<u4")[width - 1])
+
+
+#: 10 + 200 + 3000 + 40000 bytes of ASCII digits, built once at import.
+_LUTS = {width: _decimal_lut(width) for width in (1, 2, 3, 4)}
+
+
+def _record_dtype(digits: int) -> np.dtype:
+    """``digits`` ASCII digits (a high group above four) plus the comma."""
+    fields = [("lo", _LUTS[min(digits, 4)].dtype), ("comma", "u1")]
+    if digits > 4:
+        fields.insert(0, ("hi", _LUTS[digits - 4].dtype))
+    return np.dtype(fields)
+
+
+_RECORDS = {digits: _record_dtype(digits) for digits in range(1, 9)}
+
+
+def encode_ids(ids: Union[np.ndarray, Sequence[int]]) -> bytes:
+    """``json.dumps(ids, separators=(",", ":"))`` as bytes, from an array.
+
+    Byte-identical to the stdlib encoder for every input.  The fast path
+    needs what every answer has: a 1-D integer array, ascending, ids in
+    ``[0, 10**8)``.  Ids with the same digit count are then contiguous
+    runs; ``searchsorted`` cuts them, and each run is written as
+    fixed-width records -- digits gathered from decimal lookup tables
+    (``id // 10000`` and ``id % 10000`` above four digits), a comma --
+    and ``tobytes()``.  Each run is checked by its min and max, so input
+    outside the contract (unsorted, negative, too large), or too small
+    to repay the set-up, takes ``tolist`` + ``json.dumps``: never a
+    wrong byte.
+    """
+    array = np.asarray(ids)
+    if array.ndim == 1 and array.size >= _FAST_MIN_IDS and array.dtype.kind in "iu":
+        values = array.astype(np.int64, copy=False)
+        cuts = np.searchsorted(values, _DIGIT_BOUNDS).tolist()
+        parts = [b"["]
+        start, floor = 0, 0
+        for digits, stop in enumerate(cuts, 1):
+            if stop > start:
+                run = values[start:stop]
+                if run.min() < floor or run.max() >= 10**digits:
+                    break
+                records = np.empty(run.size, dtype=_RECORDS[digits])
+                if digits > 4:
+                    high, run = np.divmod(run, 10000)
+                    records["hi"] = _LUTS[digits - 4].take(high)
+                records["lo"] = _LUTS[min(digits, 4)].take(run)
+                records["comma"] = ord(",")
+                parts.append(records.tobytes())
+            start, floor = stop, 10**digits
+        else:
+            if start == values.size:
+                parts[-1] = parts[-1][:-1]  # the last record's comma
+                parts.append(b"]")
+                return b"".join(parts)
+    return json.dumps(array.tolist(), separators=(",", ":")).encode("ascii")
+
+
+#: One query's answer: its envelope and its id array (``None``: count only).
+Answer = Tuple[dict, Optional[np.ndarray]]
+#: A response payload: a dict, or a body :func:`encode_answer` already made.
+Body = Union[dict, bytes]
+
+
+def encode_answer(
+    envelope: dict,
+    ids: Optional[np.ndarray] = None,
+    results: Optional[Sequence[Answer]] = None,
+) -> bytes:
+    """One answer body: the envelope, then ``"results"``, then ``"ids"``.
+
+    Only the small envelope goes through ``json.dumps``; id arrays go
+    through :func:`encode_ids` and become the object's last members,
+    spliced in at the envelope's own closing brace -- its final byte,
+    whatever the strings inside contain.
+    """
+    members = [json.dumps(envelope, sort_keys=True).encode("utf-8")[1:-1]]
+    if results is not None:
+        entries = b", ".join(encode_answer(*entry) for entry in results)
+        members.append(b'"results": [' + entries + b"]")
+    if ids is not None:
+        members.append(b'"ids": ' + encode_ids(ids))
+    return b"{" + b", ".join(m for m in members if m) + b"}"
+
+
 def encode_response(
-    status: int, payload: dict, *, keep_alive: bool = True
+    status: int, payload: Body, *, keep_alive: bool = True
 ) -> bytes:
     """Serialize one JSON response, headers and all."""
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    body = payload
+    if not isinstance(body, bytes):
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
     head = (
         f"HTTP/1.1 {status} {REASONS.get(status, 'Unknown')}\r\n"
         f"Content-Type: application/json\r\n"
@@ -184,7 +290,7 @@ def encode_response(
 async def send_response(
     writer: asyncio.StreamWriter,
     status: int,
-    payload: dict,
+    payload: Body,
     *,
     keep_alive: bool = True,
 ) -> None:

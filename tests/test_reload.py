@@ -255,15 +255,19 @@ class TestReloadPolling:
                 (src / "doc.xml").write_text(XML_V2)
                 (src / "extra.xml").write_text(XML_V1)
                 store.sync(str(src))
+                # sync publishes the add before the replace, one generation
+                # each: a poll tick between the two mounts "extra" beside the
+                # old "doc", so wait for both effects, not the first.
                 deadline = time.monotonic() + 5.0
                 while time.monotonic() < deadline:
                     health = client.healthz()
-                    if sorted(health["documents"]) == ["doc", "extra"]:
+                    if sorted(health["documents"]) == ["doc", "extra"] and (
+                        client.query("//a/b", document="doc")["ids"] == [2, 3]
+                    ):
                         break
                     time.sleep(0.05)
                 else:
-                    pytest.fail("poller never mounted the synced document")
-                assert client.query("//a/b", document="doc")["ids"] == [2, 3]
+                    pytest.fail("poller never mounted the synced documents")
                 assert client.query("//a/b", document="extra")["ids"] == [2]
 
     def test_negative_poll_rejected(self, tmp_path):
