@@ -107,18 +107,17 @@ class SuccinctTree:
 
     @classmethod
     def from_binary(cls, tree: BinaryTree) -> "SuccinctTree":
-        """Re-encode an existing pointer tree (shares label interning order)."""
-        parens: list[int] = []
-        stack: list[tuple[int, int]] = [(0, 0)]
-        while stack:
-            v, phase = stack.pop()
-            if phase == 1:
-                parens.append(0)
-                continue
-            parens.append(1)
-            stack.append((v, 1))
-            for c in reversed(list(tree.children(v))):
-                stack.append((c, 0))
+        """Re-encode an existing pointer tree (shares label interning order).
+
+        Node ``v`` opens after the ``v`` opens of the nodes before it and
+        the closes of every subtree that ended by then, i.e. at
+        ``v + #{u : xml_end[u] <= v}``; every other position is a close.
+        """
+        n = tree.n
+        xml_end = np.asarray(tree.xml_end, dtype=np.int64)
+        closed_before = np.cumsum(np.bincount(xml_end, minlength=n + 1))[:n]
+        parens = np.zeros(2 * n, dtype=np.uint8)
+        parens[np.arange(n, dtype=np.int64) + closed_before] = 1
         return cls(parens, list(tree.label_of), list(tree.labels))
 
     @classmethod
@@ -158,6 +157,12 @@ class SuccinctTree:
             "block_max": self._block_max,
             "block_start_excess": self._block_start_excess,
         }
+
+    def height(self) -> int:
+        """Maximum depth over all nodes (the root has depth 0): the
+        largest excess of the parenthesis sequence, less the root's own."""
+        peaks = self._block_max + self._block_start_excess[:-1]
+        return int(peaks.max()) - 1
 
     def _build_excess_blocks(self, bits: np.ndarray) -> None:
         m = int(bits.size)

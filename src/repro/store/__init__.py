@@ -13,6 +13,7 @@ from repro.store.format import (
     FORMAT_NAME,
     FORMAT_VERSION,
     SUPPORTED_VERSIONS,
+    SourceEncodingError,
     StoreCorruptionError,
     StoreError,
     StoreFormatError,
@@ -70,6 +71,7 @@ __all__ = [
     "bundle_names",
     "is_bundle",
     "StoreError",
+    "SourceEncodingError",
     "StoreFormatError",
     "StoreCorruptionError",
     "FORMAT_NAME",

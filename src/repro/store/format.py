@@ -116,6 +116,22 @@ class StoreError(Exception):
     """Base class for document-store failures."""
 
 
+class SourceEncodingError(StoreError):
+    """A source file handed to ``sync`` is not valid UTF-8.
+
+    Structured: ``path`` is the source file, ``offset`` the first byte
+    that does not decode, ``reason`` the codec's own words.
+    """
+
+    def __init__(self, path: str, offset: int, reason: str) -> None:
+        super().__init__(
+            f"{path}: not valid UTF-8 ({reason} at byte {offset})"
+        )
+        self.path = path
+        self.offset = offset
+        self.reason = reason
+
+
 class StoreFormatError(StoreError):
     """The bundle on disk does not match the expected format/version."""
 

@@ -36,6 +36,7 @@ from repro.index.succinct import SuccinctTree
 from repro.store.format import (
     FORMAT_VERSION,
     HEADER_FILE,
+    SourceEncodingError,
     StoreCorruptionError,
     StoreError,
     StoreFormatError,
@@ -56,6 +57,7 @@ from repro.store.manifest import (
 )
 from repro.tree.binary import BinaryTree
 from repro.tree.document import XMLDocument
+from repro.tree.parser import XMLSyntaxError
 
 Document = Union[str, XMLDocument, BinaryTree, TreeIndex]
 
@@ -271,13 +273,14 @@ def resolve_document(document, encode_attributes: bool, encode_text: bool):
     XML text, an event source (``.events(sink)``), an
     :class:`XMLDocument`, a :class:`BinaryTree`, a :class:`TreeIndex`,
     or a :class:`StoredDocument` (anything carrying a ready ``.index``).
-    String and event input stream through a
-    :class:`~repro.tree.builder.TreeBuilder`; the second element of the
-    pair is then the accumulated BP parenthesis array (``None`` for the
-    other kinds).  Encode flags are validated here: already-encoded
+    String and event input go through
+    :func:`~repro.tree.builder.build_tree`; the second element of the
+    pair is then the BP parenthesis array the builder accumulated
+    (``None`` for the other kinds, and for the rare text it could not
+    stream).  Encode flags are validated here: already-encoded
     trees/indexes reject them instead of silently ignoring them.
     """
-    from repro.tree.builder import LateTextChild, TreeBuilder
+    from repro.tree.builder import build_tree
 
     stored_index = getattr(document, "index", None)
     if isinstance(stored_index, TreeIndex) and not isinstance(
@@ -306,25 +309,12 @@ def resolve_document(document, encode_attributes: bool, encode_text: bool):
             None,
         )
     if isinstance(document, str) or callable(getattr(document, "events", None)):
-        builder = TreeBuilder(
-            encode_attributes=encode_attributes, encode_text=encode_text
+        tree, parens = build_tree(
+            document,
+            encode_attributes=encode_attributes,
+            encode_text=encode_text,
         )
-        try:
-            if isinstance(document, str):
-                from repro.tree.parser import parse_events
-
-                parse_events(document, builder)
-            else:
-                document.events(builder)
-        except LateTextChild:
-            from repro.tree.parser import parse_xml
-
-            if not isinstance(document, str):
-                raise  # an event source cannot be replayed as XML text
-            return resolve_document(
-                parse_xml(document), encode_attributes, encode_text
-            )
-        return TreeIndex(builder.finish()), builder.parens_array()
+        return TreeIndex(tree), parens
     raise TypeError(
         f"cannot build a document index from {type(document).__name__}"
     )
@@ -401,7 +391,7 @@ def save_document(
         # Document statistics the cost-based planner reads on reopen --
         # computed once at build time so a memory-mapped open never pays
         # an O(n) sweep to price a query (repro.engine.planner).
-        "stats": {"height": tree.height()},
+        "stats": {"height": succinct.height()},
     }
     write_bundle(path, header, arrays, retire_to=retire_to)
     return path
@@ -744,24 +734,36 @@ class DocumentStore:
         if dry_run:
             report["generation"] = {"before": before, "after": before}
             return report
-        for op, names in (("add", plan["add"]), ("replace", plan["replace"])):
+        for publish, names in (
+            (self.add, plan["add"]),
+            (self.replace, plan["replace"]),
+        ):
             for name in names:
-                with open(sources[name], "rb") as handle:
+                source = os.path.abspath(sources[name])
+                with open(source, "rb") as handle:
                     data = handle.read()
-                kwargs = dict(
-                    fingerprint=bytes_fingerprint(data),
-                    source={
-                        "kind": "xml",
-                        "file": os.path.abspath(sources[name]),
-                    },
-                    encode_attributes=encode_attributes,
-                    encode_text=encode_text,
-                )
-                text = data.decode("utf-8")
-                if op == "add":
-                    self.add(name, text, **kwargs)
-                else:
-                    self.replace(name, text, **kwargs)
+                # A file that cannot be ingested stops the sync where it
+                # stands -- everything published before it stays -- and
+                # the error says which of the N sources it was.
+                try:
+                    text = data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise SourceEncodingError(
+                        source, exc.start, exc.reason
+                    ) from exc
+                try:
+                    publish(
+                        name,
+                        text,
+                        fingerprint=bytes_fingerprint(data),
+                        source={"kind": "xml", "file": source},
+                        encode_attributes=encode_attributes,
+                        encode_text=encode_text,
+                    )
+                except XMLSyntaxError as exc:
+                    raise XMLSyntaxError(
+                        f"{source}: {exc.message}", exc.position
+                    ) from exc
         for name in plan["remove"]:
             self.remove(name)
         report["generation"] = {"before": before, "after": self.generation()}

@@ -20,7 +20,7 @@ online: when an element's leading character data is all whitespace but
 *later* character data (after an element child) is not, the ``#text``
 child would have to be inserted before already-numbered siblings.  The
 builder then raises :class:`LateTextChild` and
-:func:`build_tree_from_xml` falls back to the materialized
+:func:`build_tree` falls back to the materialized
 :class:`XMLNode` path for that (rare, mixed-content) document, keeping
 the two pipelines byte-identical.
 """
@@ -43,6 +43,12 @@ class LateTextChild(Exception):
 
 class TreeBuilder:
     """SAX-style event sink producing :class:`BinaryTree` arrays directly.
+
+    An element costs one :meth:`start_element` and one
+    :meth:`end_element`, each a straight run of list appends.  Which link
+    a new node hangs from needs no per-element frame: it is the next
+    sibling of ``_closed``, the node closed since the last open, or else
+    the first child of the innermost open element.
 
     >>> b = TreeBuilder()
     >>> b.start_element("a", None); b.start_element("b", None)
@@ -68,97 +74,93 @@ class TreeBuilder:
         self.bparent: list[int] = []
         self.xml_end: list[int] = []
         self._parens = bytearray()
-        # Open-element frames: [node id, last child id, #text emitted?,
-        # element child seen?].  The text flags are only consulted when
-        # encode_text is on.
-        self._frames: list[list] = []
-        self._root: Optional[int] = None
+        self._open: list[int] = []  # ids of the open elements, outermost first
+        self._closed: Optional[int] = None
+        # The id the next node gets.  Kept as an object, not recomputed
+        # from len(label_of): every column then stores the same int
+        # object for one id (links, parents and the xml_end of the nodes
+        # closing just before it), which keeps the resident tree small.
+        self._next = 0
+        self._texted: set[int] = set()  # elements whose #text child exists
         self._done = False
 
     # -- event protocol ----------------------------------------------------
 
     def start_element(self, name: str, attrs: Optional[dict]) -> None:
-        if self._done:
-            raise ValueError("builder already finished")
-        if not self._frames and self._root is not None:
-            raise ValueError("document has more than one root element")
-        vid = self._emit(name)
-        if self._root is None:
-            self._root = vid
-        if self._frames:
-            self._frames[-1][3] = True
-        self._frames.append([vid, NIL, False, False])
-        if self.encode_attributes and attrs:
-            for attr in attrs:
-                self._emit_leaf("@" + attr)
-
-    def characters(self, data: str) -> None:
-        if not self.encode_text or not self._frames:
-            return
-        frame = self._frames[-1]
-        if frame[2] or not data.strip():
-            return
-        if frame[3]:
-            raise LateTextChild(
-                "non-whitespace text after an element child"
-            )
-        self._emit_leaf("#text")
-        frame[2] = True
-
-    def end_element(self, name: Optional[str] = None) -> None:
-        if not self._frames:
-            raise ValueError("end_element without a matching start_element")
-        vid = self._frames.pop()[0]
-        self.xml_end[vid] = len(self.label_of)
-        self._parens.append(0)
-
-    # -- array plumbing ----------------------------------------------------
-
-    def _intern(self, name: str) -> int:
+        vid = self._next
+        opened = self._open
+        if opened:
+            par = opened[-1]
+            prev = self._closed
+            if prev is None:
+                self.left[par] = vid
+                self.bparent.append(par)
+            else:
+                self.right[prev] = vid
+                self.bparent.append(prev)
+                self._closed = None
+            self.parent.append(par)
+        else:
+            if self._done:
+                raise ValueError("builder already finished")
+            if vid:
+                raise ValueError("document has more than one root element")
+            self.parent.append(NIL)
+            self.bparent.append(NIL)
         lab = self._label_ids.get(name)
         if lab is None:
             lab = self._label_ids[name] = len(self.labels)
             self.labels.append(name)
-        return lab
-
-    def _emit(self, name: str) -> int:
-        """Append one node: wire parent/first-child/next-sibling links."""
-        vid = len(self.label_of)
-        self.label_of.append(self._intern(name))
+        self.label_of.append(lab)
         self.left.append(NIL)
         self.right.append(NIL)
-        self.xml_end.append(vid + 1)
-        if self._frames:
-            frame = self._frames[-1]
-            par, last = frame[0], frame[1]
-            self.parent.append(par)
-            if last == NIL:
-                self.left[par] = vid
-                self.bparent.append(par)
-            else:
-                self.right[last] = vid
-                self.bparent.append(last)
-            frame[1] = vid
-        else:
-            self.parent.append(NIL)
-            self.bparent.append(NIL)
+        self.xml_end.append(NIL)  # folded in by end_element
         self._parens.append(1)
-        return vid
+        opened.append(vid)
+        self._next = vid + 1
+        if attrs and self.encode_attributes:
+            for attr in attrs:
+                self._leaf("@" + attr)
 
-    def _emit_leaf(self, name: str) -> None:
-        """An ``@attr`` / ``#text`` encoded child: open and close at once."""
-        self._emit(name)
+    def characters(self, data: str) -> None:
+        if not self.encode_text or not self._open:
+            return
+        element = self._open[-1]
+        if element in self._texted or not data.strip():
+            return
+        child = self._closed  # the last child so far, if there is one
+        if child is not None and self.labels[self.label_of[child]][0] != "@":
+            raise LateTextChild(
+                "non-whitespace text after an element child"
+            )
+        self._texted.add(element)
+        self._leaf("#text")
+
+    def end_element(self, name: Optional[str] = None) -> None:
+        try:
+            vid = self._open.pop()
+        except IndexError:
+            raise ValueError(
+                "end_element without a matching start_element"
+            ) from None
+        self.xml_end[vid] = self._next
+        self._closed = vid
         self._parens.append(0)
+
+    def _leaf(self, name: str) -> None:
+        """An ``@attr`` / ``#text`` encoded child: open and close at once."""
+        self.start_element(name, None)
+        self.end_element()
 
     # -- outputs -----------------------------------------------------------
 
     def finish(self) -> BinaryTree:
         """Seal the builder and return the array-backed tree."""
-        if self._frames:
+        if self._open:
             raise ValueError(
-                f"{len(self._frames)} element(s) still open at finish()"
+                f"{len(self._open)} element(s) still open at finish()"
             )
-        if self._root is None:
+        if not self.label_of:
             raise ValueError("no document element")
         self._done = True
         return BinaryTree(
@@ -182,19 +184,22 @@ class TreeBuilder:
         return np.frombuffer(bytes(self._parens), dtype=np.uint8)
 
 
-def build_tree_from_xml(
-    text: str,
+def build_tree(
+    document,
     *,
     encode_attributes: bool = False,
     encode_text: bool = False,
-) -> BinaryTree:
-    """Parse an XML string straight into a :class:`BinaryTree`.
+) -> tuple[BinaryTree, Optional[np.ndarray]]:
+    """XML text or an event source -> ``(tree, BP parentheses)``.
 
-    This is the streaming pipeline: scanner events feed a
+    The one spelling of the streaming pipeline: tokenizer events (or the
+    events of anything with an ``events(sink)`` method) feed a
     :class:`TreeBuilder`, so no per-element ``XMLNode`` is allocated.
     The only exception is the :class:`LateTextChild` mixed-content shape
-    (see the module docstring), which falls back to the materialized
-    path to keep encodings byte-identical.
+    (see the module docstring), where XML text falls back to the
+    materialized path to keep encodings byte-identical; the parentheses
+    are then ``None``.  An event source cannot be replayed as text, so
+    there the exception propagates.
     """
     from repro.tree.parser import parse_events, parse_xml
 
@@ -202,14 +207,33 @@ def build_tree_from_xml(
         encode_attributes=encode_attributes, encode_text=encode_text
     )
     try:
-        parse_events(text, builder)
+        if isinstance(document, str):
+            parse_events(document, builder)
+        else:
+            document.events(builder)
     except LateTextChild:
-        return BinaryTree.from_document(
-            parse_xml(text),
+        if not isinstance(document, str):
+            raise
+        tree = BinaryTree.from_document(
+            parse_xml(document),
             encode_attributes=encode_attributes,
             encode_text=encode_text,
         )
-    return builder.finish()
+        return tree, None
+    return builder.finish(), builder.parens_array()
+
+
+def build_tree_from_xml(
+    text: str,
+    *,
+    encode_attributes: bool = False,
+    encode_text: bool = False,
+) -> BinaryTree:
+    """Parse an XML string straight into a :class:`BinaryTree`
+    (:func:`build_tree` without the parentheses)."""
+    return build_tree(
+        text, encode_attributes=encode_attributes, encode_text=encode_text
+    )[0]
 
 
 class XMLNodeBuilder:

@@ -5,7 +5,7 @@ attributes, character data, comments, CDATA, processing instructions, an
 optional XML declaration and DOCTYPE (both skipped), and the five standard
 entities.  Namespaces are treated textually (prefix kept in the label).
 
-The scanner is an *event emitter*: :func:`parse_events` walks the input
+The tokenizer is an *event emitter*: :func:`parse_events` walks the input
 once and calls ``start_element`` / ``characters`` / ``end_element`` on a
 handler object (the :class:`EventHandler` protocol).  Everything else is a
 handler:
@@ -16,23 +16,54 @@ handler:
   arrays of :class:`repro.tree.binary.BinaryTree` -- the streaming
   ingestion hot path, which never allocates an ``XMLNode``.
 
-This is deliberately a single-pass scanner over one string with an
-explicit element stack; it handles megabyte-scale documents without
-recursion-depth issues.
+One precompiled pattern, :data:`_TOKEN`, matches *a text run and the
+markup that ends it* per step, so an element costs one or two regex
+matches and no per-character Python.  No quantifier in it can re-split
+what it matched, and the pattern matches at every position -- a ``<``
+that nothing else accepts takes the empty last alternative and is
+diagnosed by :func:`_bad_markup`, the end of input takes ``\\Z`` -- so the
+regex engine never searches ahead and hostile input stays linear.
+Comment, CDATA and PI bodies are skipped with ``str.find``: their
+terminators are multi-character, and a pattern for "anything up to
+``-->``" either backtracks or walks the body twice.  Nesting is an
+explicit stack, so depth is bounded by memory only.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional, Protocol
 
 from repro.tree.document import XMLDocument
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
 
-_NAME_START = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:"
+_NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*"
+_S = r"[ \t\r\n]"
+_TOKEN = re.compile(
+    rf"""([^<]*)                                          # 1 text run
+    (?: < (?: ({_NAME})                                   # 2 start-tag name
+              ((?:{_S}+{_NAME}{_S}*={_S}*(?:"[^"]*"|'[^']*'))*)  # 3 attributes
+              {_S}*(/?)>                                  # 4 empty-element /
+            | /({_NAME}){_S}*>                            # 5 end-tag name
+            | (!--|!\[CDATA\[|\?)                         # 6 section opener
+            | ()                                          # 7 not markup
+          )
+      | \Z )""",
+    re.VERBOSE,
 )
-_NAME_CHARS = _NAME_START | set("0123456789.-")
+_ATTRIBUTE = re.compile(
+    rf"""{_S}+({_NAME}){_S}*={_S}*(?:"([^"]*)"|'([^']*)')"""
+)
+_NAME_AT = re.compile(_NAME).match
+_SPACE_AT = re.compile(rf"{_S}*").match
+_DOCTYPE_MARK = re.compile(r"[\[\]>]")
+# Section opener (group 6 of _TOKEN) -> (terminator, what to call it).
+_SECTIONS = {
+    "!--": ("-->", "comment"),
+    "![CDATA[": ("]]>", "CDATA section"),
+    "?": ("?>", "processing instruction"),
+}
 
 
 class XMLSyntaxError(ValueError):
@@ -40,11 +71,12 @@ class XMLSyntaxError(ValueError):
 
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} (at offset {position})")
+        self.message = message
         self.position = position
 
 
 class EventHandler(Protocol):
-    """What the scanner calls while walking a document."""
+    """What the tokenizer calls while walking a document."""
 
     def start_element(self, name: str, attrs: Optional[dict]) -> None: ...
 
@@ -83,227 +115,185 @@ def _char_ref(name: str, position: int) -> str:
 
 
 def _decode_entities(text: str, base: int) -> str:
-    """Replace &name; and &#N; references in ``text``."""
-    if "&" not in text:
-        return text
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        end = text.find(";", i + 1)
-        if end == -1:
-            raise XMLSyntaxError("unterminated entity reference", base + i)
-        name = text[i + 1 : end]
+    """Replace &name; and &#N; references in ``text`` (which has some)."""
+    head, *pieces = text.split("&")
+    out = [head]
+    position = base + len(head)  # of the "&" that starts the next piece
+    for piece in pieces:
+        name, semicolon, rest = piece.partition(";")
+        if not semicolon:
+            raise XMLSyntaxError("unterminated entity reference", position)
         if name.startswith("#"):
-            out.append(_char_ref(name, base + i))
+            out.append(_char_ref(name, position))
         elif name in _ENTITIES:
             out.append(_ENTITIES[name])
         else:
-            raise XMLSyntaxError(f"unknown entity &{name};", base + i)
-        i = end + 1
+            raise XMLSyntaxError(f"unknown entity &{name};", position)
+        out.append(rest)
+        position += len(piece) + 1
     return "".join(out)
 
 
-class _Scanner:
-    """Single-pass XML scanner emitting events to a handler."""
+def _section_end(text: str, body: int, opener: str) -> int:
+    """Just past the terminator of the section whose body starts at
+    ``body`` (right after ``<`` + ``opener``)."""
+    terminator, what = _SECTIONS[opener]
+    end = text.find(terminator, body)
+    if end == -1:
+        raise XMLSyntaxError(f"unterminated {what}", body - len(opener) - 1)
+    return end + len(terminator)
 
-    def __init__(self, text: str, handler: EventHandler) -> None:
-        self.text = text
-        self.pos = 0
-        self.n = len(text)
-        self.handler = handler
 
-    # -- low-level helpers -------------------------------------------------
+def _skip_misc(text: str, pos: int) -> int:
+    """Skip whitespace, comments, PIs, declarations between nodes."""
+    while True:
+        pos = _SPACE_AT(text, pos).end()
+        if text.startswith("<!--", pos):
+            pos = _section_end(text, pos + 4, "!--")
+        elif text.startswith("<?", pos):
+            pos = _section_end(text, pos + 2, "?")
+        elif text.startswith("<!DOCTYPE", pos):
+            pos = _doctype_end(text, pos)
+        else:
+            return pos
 
-    def _error(self, message: str) -> XMLSyntaxError:
-        return XMLSyntaxError(message, self.pos)
 
-    def _skip_ws(self) -> None:
-        text, n = self.text, self.n
-        i = self.pos
-        while i < n and text[i] in " \t\r\n":
-            i += 1
-        self.pos = i
+def _doctype_end(text: str, pos: int) -> int:
+    """Just past the ``>`` that closes the DOCTYPE at ``pos``: the first
+    one outside the brackets of an internal subset."""
+    depth = 0
+    for mark in _DOCTYPE_MARK.finditer(text, pos):
+        if mark[0] == "[":
+            depth += 1
+        elif mark[0] == "]":
+            depth -= 1
+        elif depth == 0:
+            return mark.end()
+    raise XMLSyntaxError("unterminated DOCTYPE", pos)
 
-    def _expect(self, literal: str) -> None:
-        if not self.text.startswith(literal, self.pos):
-            raise self._error(f"expected {literal!r}")
-        self.pos += len(literal)
 
-    def _read_name(self) -> str:
-        text, n = self.text, self.n
-        start = self.pos
-        if start >= n or text[start] not in _NAME_START:
-            raise self._error("expected a name")
-        i = start + 1
-        while i < n and text[i] in _NAME_CHARS:
-            i += 1
-        self.pos = i
-        return text[start:i]
+def _attributes(text: str, start: int, end: int) -> dict[str, str]:
+    """The attributes of one start tag, from its blob ``text[start:end]``."""
+    attrs: dict[str, str] = {}
+    for match in _ATTRIBUTE.finditer(text, start, end):
+        name = match[1]
+        if name in attrs:
+            raise XMLSyntaxError(
+                f"duplicate attribute {name!r}", match.start(1)
+            )
+        quoted = match.lastindex  # 2: a "..." value matched, 3: '...'
+        value = match[quoted]
+        if "&" in value:
+            value = _decode_entities(value, match.start(quoted))
+        attrs[name] = value
+    return attrs
 
-    def _read_attributes(self) -> Optional[dict[str, str]]:
-        attrs: Optional[dict[str, str]] = None
-        while True:
-            self._skip_ws()
-            if self.pos >= self.n:
-                raise self._error("unterminated start tag")
-            ch = self.text[self.pos]
-            if ch in "/>":
-                return attrs
-            name = self._read_name()
-            self._skip_ws()
-            self._expect("=")
-            self._skip_ws()
-            quote = self.text[self.pos : self.pos + 1]
-            if quote not in ("'", '"'):
-                raise self._error("expected quoted attribute value")
-            end = self.text.find(quote, self.pos + 1)
-            if end == -1:
-                raise self._error("unterminated attribute value")
-            raw = self.text[self.pos + 1 : end]
-            if attrs is None:
-                attrs = {}
-            attrs[name] = _decode_entities(raw, self.pos + 1)
-            self.pos = end + 1
 
-    def _skip_misc(self) -> None:
-        """Skip whitespace, comments, PIs, declarations between nodes."""
-        while True:
-            self._skip_ws()
-            if self.text.startswith("<!--", self.pos):
-                end = self.text.find("-->", self.pos + 4)
-                if end == -1:
-                    raise self._error("unterminated comment")
-                self.pos = end + 3
-            elif self.text.startswith("<?", self.pos):
-                end = self.text.find("?>", self.pos + 2)
-                if end == -1:
-                    raise self._error("unterminated processing instruction")
-                self.pos = end + 2
-            elif self.text.startswith("<!DOCTYPE", self.pos):
-                depth = 0
-                i = self.pos
-                while i < self.n:
-                    if self.text[i] == "[":
-                        depth += 1
-                    elif self.text[i] == "]":
-                        depth -= 1
-                    elif self.text[i] == ">" and depth == 0:
-                        break
-                    i += 1
-                if i >= self.n:
-                    raise self._error("unterminated DOCTYPE")
-                self.pos = i + 1
-            else:
-                return
+def _bad_markup(text: str, pos: int) -> XMLSyntaxError:
+    """Why the ``<`` just before ``pos`` starts no tag.
 
-    # -- document scanning -------------------------------------------------
+    Runs at most once per document (its result is raised): it walks the
+    tag piece by piece to name the first thing that is wrong, and where.
+    """
+    closing = text.startswith("/", pos)
+    name = _NAME_AT(text, pos + closing)
+    if name is None:
+        return XMLSyntaxError("expected a name", pos + closing)
+    pos = name.end()
+    while True:
+        spaced = _SPACE_AT(text, pos).end()
+        if closing or text.startswith("/", spaced):
+            return XMLSyntaxError("expected '>'", spaced)
+        if spaced == len(text):
+            return XMLSyntaxError("unterminated start tag", spaced)
+        name = _NAME_AT(text, spaced)
+        if name is None:
+            return XMLSyntaxError("expected a name", spaced)
+        if spaced == pos:
+            return XMLSyntaxError(
+                "expected whitespace before an attribute", pos
+            )
+        pos = _SPACE_AT(text, name.end()).end()
+        if not text.startswith("=", pos):
+            return XMLSyntaxError("expected '='", pos)
+        pos = _SPACE_AT(text, pos + 1).end()
+        quote = text[pos : pos + 1]
+        if quote not in ("'", '"'):
+            return XMLSyntaxError("expected quoted attribute value", pos)
+        end = text.find(quote, pos + 1)
+        if end == -1:
+            return XMLSyntaxError("unterminated attribute value", pos)
+        pos = end + 1
 
-    def parse(self) -> None:
-        self._skip_misc()
-        self._scan_element_tree()
-        self._skip_misc()
-        if self.pos != self.n:
-            raise self._error("content after document element")
 
-    def _scan_element_tree(self) -> None:
-        """Scan one element and its content iteratively (explicit stack)."""
-        handler = self.handler
-        root = self._scan_open_tag()
-        if root is None:
-            raise self._error("expected an element")
-        name, empty = root
-        if empty:
-            handler.end_element(name)
-            return
-        stack: list[str] = [name]
-        while stack:
-            self._scan_text()
-            if self.text.startswith("</", self.pos):
-                self.pos += 2
-                name = self._read_name()
-                if name != stack[-1]:
-                    raise self._error(
-                        f"mismatched end tag </{name}> for <{stack[-1]}>"
+def _scan_element(text: str, pos: int, handler: EventHandler) -> int:
+    """Emit the events of the element whose ``<`` is at ``pos``; return
+    the offset just past its end tag."""
+    start_element = handler.start_element
+    characters = handler.characters
+    end_element = handler.end_element
+    stack: list[str] = []
+    push, pop = stack.append, stack.pop
+    while True:
+        # _TOKEN matches at every offset (see the module docstring), so
+        # the matches are contiguous and the loop is only ever left by
+        # the break below, a return or a raise.
+        for match in _TOKEN.finditer(text, pos):
+            chars, name, blob, empty, closed, section, bad = match.groups()
+            if chars:
+                if "&" in chars:
+                    chars = _decode_entities(chars, match.start())
+                characters(chars)
+            if name is not None:
+                if blob:
+                    start_element(
+                        name, _attributes(text, match.start(3), match.end(3))
                     )
-                self._skip_ws()
-                self._expect(">")
-                handler.end_element(name)
-                stack.pop()
-                continue
-            opened = self._scan_open_tag()
-            if opened is None:
-                raise self._error("unexpected content in element")
-            child, empty = opened
-            if empty:
-                handler.end_element(child)
+                else:
+                    start_element(name, None)
+                if not empty:
+                    push(name)
+                    continue
+                end_element(name)
+            elif closed is not None:
+                name = pop()
+                if closed != name:
+                    raise XMLSyntaxError(
+                        f"mismatched end tag </{closed}> for <{name}>",
+                        match.end(5),
+                    )
+                end_element(closed)
+            elif section is not None:
+                break
+            elif bad is not None:
+                raise _bad_markup(text, match.end())
             else:
-                stack.append(child)
-
-    def _scan_text(self) -> None:
-        """Emit character data / CDATA runs until the next tag."""
-        handler = self.handler
-        while True:
-            if self.pos >= self.n:
-                raise self._error("unexpected end of input inside element")
-            if self.text.startswith("<![CDATA[", self.pos):
-                end = self.text.find("]]>", self.pos + 9)
-                if end == -1:
-                    raise self._error("unterminated CDATA section")
-                handler.characters(self.text[self.pos + 9 : end])
-                self.pos = end + 3
-                continue
-            if self.text.startswith("<!--", self.pos):
-                end = self.text.find("-->", self.pos + 4)
-                if end == -1:
-                    raise self._error("unterminated comment")
-                self.pos = end + 3
-                continue
-            if self.text.startswith("<?", self.pos):
-                end = self.text.find("?>", self.pos + 2)
-                if end == -1:
-                    raise self._error("unterminated processing instruction")
-                self.pos = end + 2
-                continue
-            nxt = self.text.find("<", self.pos)
-            if nxt == -1:
-                raise self._error("unexpected end of input inside element")
-            if nxt > self.pos:
-                raw = self.text[self.pos : nxt]
-                handler.characters(_decode_entities(raw, self.pos))
-                self.pos = nxt
-                continue
-            return
-
-    def _scan_open_tag(self) -> Optional[tuple[str, bool]]:
-        """Scan ``<name attrs>`` or ``<name attrs/>`` and emit the start.
-
-        Returns ``(name, is_empty)`` or None if not at a start tag.
-        """
-        if not self.text.startswith("<", self.pos):
-            return None
-        if self.text.startswith("</", self.pos):
-            return None
-        self.pos += 1
-        name = self._read_name()
-        attrs = self._read_attributes()
-        if self.text.startswith("/>", self.pos):
-            self.pos += 2
-            self.handler.start_element(name, attrs)
-            return name, True
-        self._expect(">")
-        self.handler.start_element(name, attrs)
-        return name, False
+                raise XMLSyntaxError(
+                    "unexpected end of input inside element", match.start()
+                )
+            if not stack:
+                return match.end()
+        body = match.end()
+        if not stack:  # "<![CDATA[" where the document element should be
+            raise XMLSyntaxError("expected a name", body - len(section))
+        pos = _section_end(text, body, section)
+        if section == "![CDATA[":
+            characters(text[body : pos - 3])
 
 
 def parse_events(text: str, handler: EventHandler) -> None:
-    """Scan ``text`` once, emitting SAX-style events to ``handler``."""
-    _Scanner(text, handler).parse()
+    """Scan ``text`` once, emitting SAX-style events to ``handler``.
+
+    One leading U+FEFF (what decoding a UTF-8 file that starts with a
+    byte-order mark leaves behind) is skipped; reported offsets stay
+    relative to ``text``.
+    """
+    pos = _skip_misc(text, 1 if text.startswith("\ufeff") else 0)
+    if not text.startswith("<", pos) or text.startswith("</", pos):
+        raise XMLSyntaxError("expected an element", pos)
+    pos = _skip_misc(text, _scan_element(text, pos, handler))
+    if pos != len(text):
+        raise XMLSyntaxError("content after document element", pos)
 
 
 def parse_xml(text: str) -> XMLDocument:

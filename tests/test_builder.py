@@ -123,17 +123,49 @@ class TestHotPathPurity:
         assert created == []
 
 
+def loop_parens(tree: BinaryTree) -> list:
+    """The DFS ``SuccinctTree.from_binary`` used to run, kept as the
+    reference for its vectorised replacement."""
+    parens = []
+    stack = [(0, 0)]
+    while stack:
+        v, phase = stack.pop()
+        if phase == 1:
+            parens.append(0)
+            continue
+        parens.append(1)
+        stack.append((v, 1))
+        for c in reversed(list(tree.children(v))):
+            stack.append((c, 0))
+    return parens
+
+
 class TestBuilderOutputs:
-    def test_parens_match_succinct_from_binary(self):
-        for xml in HAND_DOCS:
-            builder = TreeBuilder()
-            parse_events(xml, builder)
-            tree = builder.finish()
-            direct = SuccinctTree(
-                builder.parens_array(), list(tree.label_of), list(tree.labels)
-            )
-            rebuilt = SuccinctTree.from_binary(tree)
-            assert direct.bv._bytes == rebuilt.bv._bytes, xml
+    def test_streamed_parens_match_from_binary(self):
+        """The parentheses the builder streams, the ones from_binary
+        derives from xml_end with numpy, and the reference loop agree --
+        as do the height read off the BP excess and the tree's own."""
+        rng = random.Random(20260928)
+        documents = HAND_DOCS + [
+            random_document(rng, attributes=True, text=True)
+            for _ in range(100)
+        ]
+        documents.append(XMarkGenerator(scale=0.1, seed=5).xml())
+        for xml in documents:
+            for encode in (False, True):
+                builder = TreeBuilder(
+                    encode_attributes=encode, encode_text=False
+                )
+                parse_events(xml, builder)
+                tree = builder.finish()
+                streamed = builder.parens_array()
+                assert streamed.tolist() == loop_parens(tree), xml
+                direct = SuccinctTree(
+                    streamed, list(tree.label_of), list(tree.labels)
+                )
+                rebuilt = SuccinctTree.from_binary(tree)
+                assert direct.bv._bytes == rebuilt.bv._bytes, xml
+                assert rebuilt.height() == tree.height(), xml
 
     def test_finish_requires_balanced_events(self):
         builder = TreeBuilder()
