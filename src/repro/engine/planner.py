@@ -664,6 +664,13 @@ def planner_fields(plan) -> dict:
     return {}
 
 
+def trials_pending(plan) -> bool:
+    """Whether the plan's next execution is a wall-clock trial -- a run
+    of whichever near-tie candidate is queued, so its cost says nothing
+    about the last one's."""
+    return bool(getattr(plan.artifacts.get("planner"), "pending_trials", None))
+
+
 def plan_explain(engine, query) -> dict:
     """The planner's verdict for ``query`` on ``engine``'s document.
 

@@ -225,6 +225,11 @@ def check(site: str, **ctx) -> None:
         plan.check(site, **ctx)
 
 
+def armed() -> bool:
+    """Whether a fault plan is installed (any site may fire)."""
+    return _active is not None
+
+
 @contextmanager
 def active(plan: FaultPlan):
     """Install ``plan`` for the duration of the block (no nesting)."""

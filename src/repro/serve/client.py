@@ -1,9 +1,14 @@
 """Stdlib client for the query daemon (and the ``repro client`` CLI).
 
 :class:`ServeClient` speaks the daemon's HTTP/JSON protocol over a
-persistent keep-alive :class:`http.client.HTTPConnection`.  Error
-responses raise :class:`ServeError` carrying the daemon's structured
-payload.
+persistent keep-alive socket of its own (``TCP_NODELAY``, one
+``sendall`` per request); the wire format in both directions is
+:mod:`repro.serve.http`'s -- :func:`~repro.serve.http.encode_request`
+out, :func:`~repro.serve.http.read_response` in.  At the daemon's
+sub-millisecond answers a general-purpose HTTP library's request
+assembly and header parsing were a third of the round trip (see
+DESIGN.md "Serving").  Error responses raise :class:`ServeError`
+carrying the daemon's structured payload.
 
 Retry policy
 ------------
@@ -27,13 +32,15 @@ subcommand.
 from __future__ import annotations
 
 import csv
-import http.client
 import io
 import json
 import random
+import socket
 import time
 from typing import Any, Dict, List, Optional
 from urllib.parse import urlencode
+
+from repro.serve.http import encode_request, read_response
 
 #: HTTP statuses worth retrying for an idempotent request: transient
 #: overload/unavailability, not client or evaluation errors.
@@ -77,7 +84,9 @@ class ServeClient:
         self._rng = random.Random(
             retry_seed if retry_seed is not None else hash((host, port))
         )
-        self._conn: Optional[http.client.HTTPConnection] = None
+        self._sock: Optional[socket.socket] = None
+        #: Bytes read past the last response (a peer may coalesce two).
+        self._surplus = b""
         #: Seam for tests (and callers embedding the client in an event
         #: loop) to observe or replace the backoff sleeps.
         self._sleep = time.sleep
@@ -90,9 +99,17 @@ class ServeClient:
         return base * (0.5 + self._rng.random())
 
     def close(self) -> None:
-        conn, self._conn = self._conn, None
-        if conn is not None:
-            conn.close()
+        sock, self._sock = self._sock, None
+        self._surplus = b""
+        if sock is not None:
+            sock.close()
+
+    def _connect(self) -> socket.socket:
+        sock = socket.create_connection(
+            (self.host, self.port), timeout=self.timeout
+        )
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -111,35 +128,38 @@ class ServeClient:
     ) -> dict:
         if params:
             path = f"{path}?{urlencode(params)}"
-        data = None
-        headers = {}
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
+        request = encode_request(
+            method,
+            path,
+            f"{self.host}:{self.port}",
+            None if body is None else json.dumps(body).encode("utf-8"),
+        )
         attempts = (self.retries + 1) if idempotent else 1
         last_error: Optional[Exception] = None
         for attempt in range(attempts):
             if attempt:
                 self._sleep(self._backoff(attempt - 1))
-            if self._conn is None:
-                self._conn = http.client.HTTPConnection(
-                    self.host, self.port, timeout=self.timeout
-                )
             try:
-                self._conn.request(method, path, body=data, headers=headers)
-                response = self._conn.getresponse()
-                raw = response.read()
-            except (ConnectionError, http.client.HTTPException, OSError) as exc:
-                # Daemon unreachable, restarting, or it dropped the
+                if self._sock is None:
+                    self._sock = self._connect()
+                self._sock.sendall(request)
+                status, keep_alive, raw, self._surplus = read_response(
+                    self._sock, self._surplus
+                )
+            except OSError as exc:
+                # Daemon unreachable, restarting, silent past the
+                # timeout, not speaking HTTP, or it dropped the
                 # keep-alive socket: reconnect and (maybe) retry.
                 self.close()
                 last_error = exc
                 continue
+            if not keep_alive:
+                self.close()
             try:
                 payload = json.loads(raw)
             except ValueError:
                 raise ServeError(
-                    response.status,
+                    status,
                     {
                         "error": {
                             "kind": "protocol",
@@ -147,11 +167,11 @@ class ServeClient:
                         }
                     },
                 ) from None
-            if response.status in RETRY_STATUSES and attempt < attempts - 1:
-                last_error = ServeError(response.status, payload)
+            if status in RETRY_STATUSES and attempt < attempts - 1:
+                last_error = ServeError(status, payload)
                 continue
-            if response.status >= 400:
-                raise ServeError(response.status, payload)
+            if status >= 400:
+                raise ServeError(status, payload)
             return payload
         if isinstance(last_error, ServeError):
             raise last_error

@@ -19,18 +19,39 @@ Concurrency model
 -----------------
 
 One asyncio event loop owns the sockets and all admission bookkeeping
-(single-threaded, so the in-flight counter needs no lock); query
-evaluation -- pure CPU work -- runs on a bounded
-:class:`~concurrent.futures.ThreadPoolExecutor` of ``workers`` threads.
-Admission control is a hard cap of ``workers + queue_depth`` pool-bound
-requests in flight: request ``workers + queue_depth + 1`` is answered
+(single-threaded, so the in-flight counter needs no lock).  Query
+evaluation -- pure CPU work -- runs in one of two places, and every
+``/query`` response says which (``"executor"``):
+
+- ``"thread"``: on a bounded
+  :class:`~concurrent.futures.ThreadPoolExecutor` of ``workers``
+  threads.  This is where every ``/batch`` and ``/explain``, every cold
+  plan and everything not known to be cheap runs.  The hop costs two
+  context switches and two extra loop iterations, 0.1-0.2 ms of a
+  round trip; its first half (admission to function start) is reported
+  as ``timing_ms.queue``.
+- ``"inline"``: on the event loop itself, with no hop, when the daemon
+  has *measured* this plan's whole worker-side function (evaluate +
+  encode, for this answer mode) at under :data:`INLINE_MAX_S` the last
+  time it ran.  The measurement lives with the plan in the prepared map,
+  so a reload, a version bump or an LRU eviction forgets it and the
+  next request takes the thread path again; so does any request while
+  the plan's planner still has trials queued, while a fault plan is
+  armed, whose own ``timeout_s`` is below the measurement, or that the
+  worker pool could take.  An inline run that comes out slow records
+  that, and the plan goes back to the executor.
+
+Admission control covers both: a hard cap of ``workers + queue_depth``
+requests in flight, request ``workers + queue_depth + 1`` answered
 ``429`` immediately instead of queueing without bound (degrading every
-other client's latency).  Each pool-bound request runs under
+other client's latency).  Each thread-bound request runs under
 ``asyncio.wait_for``: on timeout the client gets a structured ``504``
 and the task is cancelled -- a still-queued task is truly cancelled and
 never runs; a task already on a worker thread finishes and its result is
-discarded (the admission slot is released either way).  Executions of
-one prepared plan are serialized by the plan's own lock
+discarded (the admission slot is released either way).  An inline run
+cannot be interrupted, only bounded in advance by its measurement; one
+that overruns its budget anyway still answers the ``504``.  Executions
+of one prepared plan are serialized by the plan's own lock
 (:meth:`~repro.engine.plan.PreparedQuery.execute`), so concurrent
 identical queries stay correct; distinct queries run concurrently.
 
@@ -124,7 +145,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import faults
 from repro.engine import registry
-from repro.engine.planner import planner_fields
+from repro.engine.planner import planner_fields, trials_pending
 from repro.engine.workspace import Workspace
 from repro.serve.http import (
     Answer,
@@ -167,11 +188,32 @@ POOL_WORKERS = int(os.environ.get("REPRO_SERVE_POOL_WORKERS", "0"))
 #: Documents at or above this node count route single ``/query``
 #: requests through the pool too (batches always use it when enabled).
 POOL_MIN_NODES = int(os.environ.get("REPRO_SERVE_POOL_MIN_NODES", "65536"))
+#: A ``/query`` whose worker-side function last took less than this many
+#: seconds runs on the event loop instead of hopping to a worker thread.
+#: A constant, not an option: it is not a preference but a bound on how
+#: long the loop may be held, and the interpreter already sets the scale
+#: -- a worker thread running Python code keeps the GIL, and so holds the
+#: loop off, for up to the 5 ms switch interval.  1 ms stays well inside
+#: what every connection already tolerates, while the hop it saves
+#: (0.1-0.2 ms) is a third of a request this cheap.
+INLINE_MAX_S = 0.001
 
 
 def _ms(start: float, end: float) -> float:
     """A ``perf_counter`` interval as ``timing_ms`` reports it."""
     return round((end - start) * 1000.0, 4)
+
+
+class _Prepared:
+    """One entry of the daemon's plan map: the plan, and what its
+    ``/query`` worker-side function last cost (seconds) per answer mode
+    -- dropped together, so no measurement outlives its plan."""
+
+    __slots__ = ("plan", "cost_s")
+
+    def __init__(self, plan) -> None:
+        self.plan = plan
+        self.cost_s: Dict[tuple, float] = {}
 
 
 class QueryDaemon:
@@ -352,9 +394,7 @@ class QueryDaemon:
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve"
         )
-        self._prepared: "OrderedDict[Tuple[str, str, str], object]" = (
-            OrderedDict()
-        )
+        self._prepared: "OrderedDict[tuple, _Prepared]" = OrderedDict()
         self._prepared_lock = threading.Lock()
         # Per-document version counter, bumped on every reload swap.
         # Prepared-plan keys embed it, so a worker thread that resolved
@@ -410,6 +450,8 @@ class QueryDaemon:
             "pool_batches": 0,
             "pool_queries": 0,
             "pool_fallbacks": 0,
+            "inline": 0,
+            "threaded": 0,
         }
 
     # -- bookkeeping ---------------------------------------------------------
@@ -548,23 +590,54 @@ class QueryDaemon:
         both synchronous on the event loop) therefore can never let an
         old-engine plan land under the new version's key.
         """
-        version = self._doc_versions.get(document, 0)
-        key = (document, version, query, strategy)
+        key = self._plan_key(document, query, strategy)
         with self._prepared_lock:
-            plan = self._prepared.get(key)
-            if plan is not None:
+            entry = self._prepared.get(key)
+            if entry is not None:
                 self._prepared.move_to_end(key)
-        if plan is not None:
+        if entry is not None:
             self._bump("warm_hits")
-            return plan, True
+            return entry.plan, True
         engine = self.workspace.engine(document)
         plan = engine.prepare(query, strategy=strategy)
         with self._prepared_lock:
-            self._prepared[key] = plan
+            self._prepared[key] = _Prepared(plan)
             while len(self._prepared) > self.prepared_cache_size:
                 self._prepared.popitem(last=False)
         self._bump("cold_misses")
         return plan, False
+
+    def _plan_key(self, document: str, query: str, strategy: str) -> tuple:
+        return (document, self._doc_versions.get(document, 0), query, strategy)
+
+    def _runs_inline(
+        self,
+        document: str,
+        query: str,
+        strategy: str,
+        mode: tuple,
+        timeout_s: float,
+    ) -> bool:
+        """Whether this ``/query`` may skip the thread hop (see the
+        module docstring): its plan is cached, its last run in this
+        answer ``mode`` was measured under :data:`INLINE_MAX_S` and
+        under the request's own budget, and nothing is in play that
+        could make the next run unlike the last."""
+        if faults.armed() or self._pool_routable(strategy):
+            return False
+        with self._prepared_lock:
+            entry = self._prepared.get(
+                self._plan_key(document, query, strategy)
+            )
+        if entry is None:
+            return False
+        cost = entry.cost_s.get(mode)
+        return (
+            cost is not None
+            and cost < INLINE_MAX_S
+            and cost < timeout_s
+            and not trials_pending(entry.plan)
+        )
 
     def _purge_prepared(self, document: str) -> int:
         """Drop every cached plan for ``document`` (any version)."""
@@ -619,8 +692,13 @@ class QueryDaemon:
         count_only: bool,
         with_labels: bool = False,
         with_stats: bool = False,
+        executor: Optional[str] = None,
+        queue_ms: Optional[float] = None,
     ) -> Answer:
-        """One query, start to finish, on a worker thread.
+        """One query, start to finish, wherever the caller runs it.
+
+        ``executor`` and ``queue_ms`` are what only the caller knows of
+        the request's way here; they are reported, not acted on.
 
         An unexpected exception from the chosen strategy is retried
         exactly once on the ``naive`` reference path (the correctness
@@ -648,7 +726,9 @@ class QueryDaemon:
                     with_stats=with_stats,
                     document=document,
                     executor="pool",
-                    timing_ms={"total": _ms(t0, time.perf_counter())},
+                    timing_ms=self._timing(
+                        queue_ms, total=_ms(t0, time.perf_counter())
+                    ),
                 )
             t0 = time.perf_counter()
         plan, warm = self._prepared_plan(document, query, strategy)
@@ -707,12 +787,59 @@ class QueryDaemon:
             document=document,
             warm=warm,
             fallback=fallback,
-            timing_ms={
-                "prepare": _ms(t0, t1),
-                "execute": _ms(t1, t2),
-                "total": _ms(t0, t2),
-            },
+            executor=executor,
+            timing_ms=self._timing(
+                queue_ms,
+                prepare=_ms(t0, t1),
+                execute=_ms(t1, t2),
+                total=_ms(t0, t2),
+            ),
         )
+
+    @staticmethod
+    def _timing(queue_ms: Optional[float], **timing: float) -> dict:
+        """``timing_ms``, with ``queue`` where the caller measured one."""
+        if queue_ms is not None:
+            timing["queue"] = queue_ms
+        return timing
+
+    def _query_body(
+        self,
+        document: str,
+        query: str,
+        strategy: str,
+        flags: Dict[str, bool],
+        admitted: Optional[float] = None,
+    ) -> bytes:
+        """The worker-side function of ``/query``: evaluate, encode.
+
+        ``admitted`` is when the request passed admission if it then
+        hopped to a worker thread, ``None`` when it runs inline.  The
+        function times itself and leaves the result with the plan --
+        also when it fails, or ran the slow reference path -- which is
+        all :meth:`_runs_inline` goes by next time.
+        """
+        start = time.perf_counter()
+        inline = admitted is None
+        try:
+            return encode_answer(
+                *self._evaluate(
+                    document,
+                    query,
+                    strategy,
+                    executor="inline" if inline else "thread",
+                    queue_ms=0.0 if inline else _ms(admitted, start),
+                    **flags,
+                )
+            )
+        finally:
+            cost = time.perf_counter() - start
+            with self._prepared_lock:
+                entry = self._prepared.get(
+                    self._plan_key(document, query, strategy)
+                )
+            if entry is not None:
+                entry.cost_s[tuple(flags.values())] = cost
 
     def _pool_routable(self, strategy: str) -> bool:
         """Whether this request may run on the shared-memory pool.
@@ -790,8 +917,9 @@ class QueryDaemon:
 
     # -- admission + timeout -------------------------------------------------
 
-    async def _admit(self, fn, timeout_s: float):
-        """Run ``fn`` on the pool under admission control and a deadline.
+    async def _admit(self, fn, timeout_s: float, *, inline: bool = False):
+        """Run ``fn`` under admission control and a deadline: on the
+        pool, or -- ``inline`` -- right here.
 
         Runs on the event loop, whose single thread makes the
         check-then-increment on :attr:`_in_flight` race-free without a
@@ -813,21 +941,30 @@ class QueryDaemon:
         epoch = self._epoch
         self._epoch_inflight[epoch] = self._epoch_inflight.get(epoch, 0) + 1
         try:
-            loop = asyncio.get_running_loop()
-            future = loop.run_in_executor(self._pool, fn)
-            try:
-                return await asyncio.wait_for(future, timeout_s)
-            except asyncio.TimeoutError:
-                # wait_for already cancelled the future: a still-queued
-                # task never runs; one mid-execution finishes on its
-                # worker thread and the result is dropped.
-                self._bump("timeouts")
-                raise HttpError(
-                    504,
-                    "timeout",
-                    f"request exceeded its {timeout_s}s budget",
-                    {"timeout_s": timeout_s},
-                ) from None
+            if inline:
+                start = time.perf_counter()
+                result = fn()
+                if time.perf_counter() - start <= timeout_s:
+                    return result
+                # Too late to be an answer; fn recorded its cost, so
+                # the next request for this plan takes the thread path.
+            else:
+                loop = asyncio.get_running_loop()
+                future = loop.run_in_executor(self._pool, fn)
+                try:
+                    return await asyncio.wait_for(future, timeout_s)
+                except asyncio.TimeoutError:
+                    # wait_for already cancelled the future: a still-
+                    # queued task never runs; one mid-execution finishes
+                    # on its worker thread and the result is dropped.
+                    pass
+            self._bump("timeouts")
+            raise HttpError(
+                504,
+                "timeout",
+                f"request exceeded its {timeout_s}s budget",
+                {"timeout_s": timeout_s},
+            )
         finally:
             self._in_flight -= 1
             left = self._epoch_inflight.get(epoch, 1) - 1
@@ -1118,12 +1255,21 @@ class QueryDaemon:
             }
             timeout_s = self._resolve_timeout(payload)
             self._bump("queries")
-            return 200, await self._admit(
-                lambda: encode_answer(
-                    *self._evaluate(name, query, strategy, **flags)
+            inline = self._runs_inline(
+                name, query, strategy, tuple(flags.values()), timeout_s
+            )
+            admitted = None if inline else time.perf_counter()
+            body = await self._admit(
+                lambda: self._query_body(
+                    name, query, strategy, flags, admitted
                 ),
                 timeout_s,
+                inline=inline,
             )
+            # "threaded": took the hop -- pool-routed answers included,
+            # which the pool's own counters tell apart.
+            self._bump("inline" if inline else "threaded")
+            return 200, body
         if path == "/batch":
             self._require(method, "POST")
             payload = request.json()
@@ -1281,7 +1427,7 @@ class QueryDaemon:
             while True:
                 try:
                     request = await read_request(
-                        reader, max_body=self.max_body
+                        reader, max_body=self.max_body, writer=writer
                     )
                 except HttpError as exc:
                     # The stream is unparseable past this point: answer
@@ -1424,8 +1570,7 @@ class QueryDaemon:
 class DaemonThread:
     """Run a :class:`QueryDaemon` on a background thread.
 
-    The harness tests and the load-generator benchmark use this to get a
-    live daemon inside one process::
+    The tests use this to get a live daemon inside one process::
 
         with DaemonThread(QueryDaemon(store_dir)) as handle:
             client = ServeClient(port=handle.port)

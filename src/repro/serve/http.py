@@ -5,6 +5,10 @@ headers + ``Content-Length`` bodies in, JSON responses out, with
 keep-alive -- on plain :mod:`asyncio` streams.  No routing framework,
 no chunked encoding, no external dependencies; the daemon
 (:mod:`repro.serve.daemon`) does its own dispatch on ``(method, path)``.
+Both directions of the wire format live here: :func:`read_request` /
+:func:`encode_response` are the daemon's side,
+:func:`encode_request` / :func:`read_response` the blocking mirror
+:class:`~repro.serve.client.ServeClient` drives over a plain socket.
 
 Every error path surfaces as :class:`HttpError`, whose
 :meth:`~HttpError.to_payload` is the one structured-error JSON shape the
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qsl, urlsplit
@@ -105,13 +110,21 @@ class Request:
 
 
 async def read_request(
-    reader: asyncio.StreamReader, *, max_body: int = 8 * 1024 * 1024
+    reader: asyncio.StreamReader,
+    *,
+    max_body: int = 8 * 1024 * 1024,
+    writer: Optional[asyncio.StreamWriter] = None,
 ) -> Optional[Request]:
     """Read one request off the stream; ``None`` on clean EOF.
 
     Raises :class:`HttpError` on malformed input or oversize
     headers/body -- callers should answer with the error payload and
     close the connection (the stream position is unrecoverable).
+
+    A client that announced its body with ``Expect: 100-continue`` is
+    waiting for permission to send it: given a ``writer``, the interim
+    ``100 Continue`` goes out as soon as ``Content-Length`` has passed
+    the ``max_body`` check (an oversize body is refused unread).
     """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
@@ -154,6 +167,13 @@ async def read_request(
             raise HttpError(
                 413, "bad_request", f"body exceeds {max_body} bytes"
             )
+        if (
+            writer is not None
+            and length
+            and version != "HTTP/1.0"
+            and headers.get("expect", "").lower() == "100-continue"
+        ):
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         try:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError:
@@ -285,6 +305,89 @@ def encode_response(
         f"\r\n"
     )
     return head.encode("latin-1") + body
+
+
+def encode_request(
+    method: str, target: str, host: str, body: Optional[bytes] = None
+) -> bytes:
+    """Serialize one client request: the mirror of :func:`read_request`."""
+    head = f"{method} {target} HTTP/1.1\r\nHost: {host}\r\n"
+    if body is None:
+        return (head + "\r\n").encode("latin-1")
+    head += (
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    )
+    return head.encode("latin-1") + body
+
+
+def read_response(
+    sock: socket.socket, pending: bytes = b""
+) -> Tuple[int, bool, Union[bytes, bytearray], bytes]:
+    """Read one :func:`encode_response` off a blocking socket.
+
+    The client-side mirror of :func:`read_request`, under the same
+    ``MAX_HEADER_BYTES`` / ``MAX_HEADERS`` caps: the head ends at the
+    first blank line, the body is ``Content-Length`` bytes.  ``pending``
+    is what the previous call read past its own response; returns
+    ``(status, keep_alive, body, surplus)``.  Anything else a peer can
+    do -- close early, send no or a malformed length, send something
+    that is not HTTP/1.x -- raises :class:`ConnectionError`; the
+    socket's own timeout raises :class:`TimeoutError`.  Both are
+    :class:`OSError`, and either way the stream position is lost: the
+    caller must drop the connection.
+    """
+    buf = pending
+    scanned = 0
+    while True:
+        end = buf.find(b"\r\n\r\n", scanned)
+        if end >= 0:
+            break
+        if len(buf) > MAX_HEADER_BYTES:
+            raise ConnectionError("response head too large")
+        scanned = max(0, len(buf) - 3)
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ConnectionError(
+                "connection closed inside the response head"
+                if buf
+                else "connection closed before the response"
+            )
+        buf += chunk
+    if end + 4 > MAX_HEADER_BYTES:
+        raise ConnectionError("response head too large")
+    lines = buf[:end].split(b"\r\n")
+    if len(lines) - 1 > MAX_HEADERS:
+        raise ConnectionError("too many response headers")
+    version, _, rest = lines[0].partition(b" ")
+    code = rest[:3]
+    if not version.startswith(b"HTTP/1.") or len(code) != 3 or not code.isdigit():
+        raise ConnectionError(f"malformed status line {lines[0][:80]!r}")
+    length = None
+    keep_alive = version != b"HTTP/1.0"
+    for line in lines[1:]:
+        name, _, value = line.partition(b":")
+        name = name.strip().lower()
+        if name == b"content-length":
+            length = value.strip()
+        elif name == b"connection":
+            keep_alive = value.strip().lower() != b"close"
+    if length is None or not length.isdigit():
+        raise ConnectionError(f"missing or malformed Content-Length {length!r}")
+    length = int(length)
+    have = buf[end + 4 :]
+    if len(have) >= length:
+        return int(code), keep_alive, have[:length], have[length:]
+    # A long body: one allocation, filled in place (no quadratic +=).
+    body = bytearray(length)
+    body[: len(have)] = have
+    view = memoryview(body)[len(have) :]
+    while view:
+        got = sock.recv_into(view)
+        if not got:
+            raise ConnectionError("connection closed inside the response body")
+        view = view[got:]
+    return int(code), keep_alive, body, b""
 
 
 async def send_response(

@@ -191,6 +191,67 @@ class TestStructuredErrors:
             assert b"close" in response.lower()
 
 
+class TestExpectContinue:
+    """``Expect: 100-continue``: curl sends it for large bodies, several
+    HTTP libraries for every POST, and then wait for the interim line."""
+
+    BODY = json.dumps({"query": "//a/b", "document": "tiny"}).encode()
+
+    def head(self, length):
+        return (
+            b"POST /query HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+            b"Content-Length: %d\r\n\r\n" % length
+        )
+
+    def test_interim_response_arrives_before_the_body_is_sent(
+        self, corpus, daemon
+    ):
+        _, oracle = corpus
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.settimeout(5)
+            t0 = time.perf_counter()
+            sock.sendall(self.head(len(self.BODY)))
+            interim = sock.recv(65536)
+            assert time.perf_counter() - t0 < 0.1
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(self.BODY)
+            final = sock.recv(65536)
+            # The connection is still in step: a plain request follows.
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200 OK")
+        head, _, body = final.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK")
+        reply = json.loads(body)
+        assert reply["ids"] == oracle[("tiny", "//a/b")]
+        with ServeClient(port=daemon.port) as plain:
+            expected = plain.query("//a/b", document="tiny")
+        same = ("query", "document", "strategy", "count", "ids")
+        assert [reply[k] for k in same] == [expected[k] for k in same]
+
+    def test_oversize_body_is_refused_unread_with_no_interim(self, daemon):
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.settimeout(5)
+            sock.sendall(self.head(daemon.max_body + 1))
+            response = sock.recv(65536)
+        assert response.startswith(b"HTTP/1.1 413 ")
+        assert b"100 Continue" not in response
+
+    def test_bodyless_and_http_1_0_requests_get_no_interim(self, daemon):
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.settimeout(5)
+            sock.sendall(
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                b"Expect: 100-continue\r\n\r\n"
+            )
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200 OK")
+            # HTTP/1.0 has no interim responses: send the body unasked.
+            sock.sendall(
+                self.head(len(self.BODY)).replace(b"HTTP/1.1", b"HTTP/1.0")
+                + self.BODY
+            )
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200 OK")
+
+
 class TestConcurrency:
     def test_sixteen_parallel_clients_identical_results(self, corpus, daemon):
         _, oracle = corpus
@@ -373,7 +434,7 @@ class TestPooledDaemon:
         # warm thread path.
         assert out["executor"] == "pool"
         assert out["ids"] == oracle[("xmark", QUERY_MIX[0])]
-        assert "executor" not in tiny
+        assert tiny["executor"] == "thread"
         assert tiny["ids"] == oracle[("tiny", "//a/b")]
 
     def test_strategy_override_keeps_thread_path(self, corpus, pooled):
