@@ -63,8 +63,7 @@ def main() -> None:
 
     print()
     print("== rule engine internals ==")
-    engine.select("//person[creditcard]/emailaddress")
-    stats = engine.last_stats
+    stats = engine.execute("//person[creditcard]/emailaddress").stats
     print(f"deny-rule evaluation visited {stats.visited} nodes "
           f"({stats.jumps} jumps) out of {len(engine.tree)}")
 

@@ -27,7 +27,6 @@ from typing import List, Optional
 
 from repro.engine import registry
 from repro.engine.api import Engine
-from repro.tree.binary import BinaryTree
 from repro.xmark.generator import XMarkGenerator
 from repro.xpath.parser import XPathSyntaxError
 
@@ -52,6 +51,45 @@ def _print_selection(result, engine, args, out) -> None:
         print(" ".join(map(str, result.nodes)), file=out)
 
 
+def _add_document_arguments(parser) -> None:
+    """``[file] | stdin | --xmark SCALE [--seed N]``: the one way every
+    command that reads a document names it (see :func:`_load_document`)."""
+    parser.add_argument(
+        "file",
+        nargs="?",
+        help="XML document (default: stdin, unless --xmark is given)",
+    )
+    parser.add_argument(
+        "--xmark",
+        type=float,
+        metavar="SCALE",
+        help="use a generated XMark document of the given scale instead of a file",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=42, help="seed for --xmark (default 42)"
+    )
+
+
+def _load_document(args, parser):
+    """The document ``args`` names, in a form :class:`Engine` and
+    ``save_document`` stream straight into the arrays: an
+    :class:`XMarkGenerator` (an event source) or the XML text.  A file
+    that is missing, unreadable or not UTF-8 raises ``OSError`` /
+    ``ValueError``, which every caller reports as ``error: ...``."""
+    if args.file and args.xmark is not None:
+        parser.error("give either a document file or --xmark, not both")
+    if args.xmark is not None:
+        return XMarkGenerator(
+            scale=args.xmark,
+            seed=args.seed,
+            text_content=getattr(args, "text_content", False),
+        )
+    if args.file:
+        with open(args.file, "r", encoding="utf-8") as handle:
+            return handle.read()
+    return sys.stdin.read()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -65,17 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         help="an XPath query in the forward Core fragment",
     )
-    parser.add_argument(
-        "file",
-        nargs="?",
-        help="XML document (default: stdin, unless --xmark is given)",
-    )
-    parser.add_argument(
-        "--xmark",
-        type=float,
-        metavar="SCALE",
-        help="query a generated XMark document of the given scale instead of a file",
-    )
+    _add_document_arguments(parser)
     parser.add_argument(
         "--strategy",
         choices=registry.strategy_names(),
@@ -108,9 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="encode attributes as @name children (enables the attribute axis)",
     )
-    parser.add_argument(
-        "--seed", type=int, default=42, help="seed for --xmark (default 42)"
-    )
     return parser
 
 
@@ -122,11 +147,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
             "worker pool (repro.engine.parallel.QueryService)"
         ),
     )
-    parser.add_argument(
-        "file",
-        nargs="?",
-        help="XML document (default: stdin, unless --xmark is given)",
-    )
+    _add_document_arguments(parser)
     parser.add_argument(
         "--queries",
         required=True,
@@ -158,12 +179,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--xmark",
-        type=float,
-        metavar="SCALE",
-        help="query a generated XMark document instead of a file",
-    )
-    parser.add_argument(
         "--strategy",
         choices=registry.strategy_names(),
         default="auto",
@@ -176,9 +191,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="emit aggregated per-query counters as JSON on stderr",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=42, help="seed for --xmark (default 42)"
     )
     return parser
 
@@ -198,20 +210,7 @@ def build_store_parser() -> argparse.ArgumentParser:
         "build", help="compile a document into a bundle directory"
     )
     build.add_argument("out", help="bundle directory to create/overwrite")
-    build.add_argument(
-        "file",
-        nargs="?",
-        help="XML document (default: stdin, unless --xmark is given)",
-    )
-    build.add_argument(
-        "--xmark",
-        type=float,
-        metavar="SCALE",
-        help="compile a generated XMark document of the given scale",
-    )
-    build.add_argument(
-        "--seed", type=int, default=42, help="seed for --xmark (default 42)"
-    )
+    _add_document_arguments(build)
     build.add_argument(
         "--text-content",
         action="store_true",
@@ -384,39 +383,18 @@ def store_main(argv: List[str], out) -> int:
     args = parser.parse_args(argv)
 
     if args.cmd == "build":
-        if args.file and args.xmark is not None:
-            parser.error("give either a document file or --xmark, not both")
+        if args.xmark is not None:
+            source = {"kind": "xmark", "scale": args.xmark, "seed": args.seed}
+        else:
+            source = {"kind": "xml", "file": args.file or "stdin"}
         try:
-            if args.xmark is not None:
-                generator = XMarkGenerator(
-                    scale=args.xmark,
-                    seed=args.seed,
-                    text_content=args.text_content,
-                )
-                source = {"kind": "xmark", "scale": args.xmark, "seed": args.seed}
-                # The generator is an event source: save_document streams
-                # it straight into the arrays (and reuses the BP bits).
-                path = save_document(
-                    generator,
-                    args.out,
-                    encode_attributes=args.attributes,
-                    encode_text=args.text,
-                    source=source,
-                )
-            else:
-                text = (
-                    open(args.file, "r", encoding="utf-8").read()
-                    if args.file
-                    else sys.stdin.read()
-                )
-                source = {"kind": "xml", "file": args.file or "stdin"}
-                path = save_document(
-                    text,
-                    args.out,
-                    encode_attributes=args.attributes,
-                    encode_text=args.text,
-                    source=source,
-                )
+            path = save_document(
+                _load_document(args, parser),
+                args.out,
+                encode_attributes=args.attributes,
+                encode_text=args.text,
+                source=source,
+            )
         except (ValueError, StoreError, OSError) as exc:
             _report_error(exc)
             return 1
@@ -562,10 +540,7 @@ def store_main(argv: List[str], out) -> int:
             for entry in reports:
                 if entry["ok"]:
                     size = sum(a["bytes"] for a in entry["arrays"].values())
-                    detail = (
-                        f"{len(entry['arrays'])} arrays, {size} bytes"
-                        f"{'' if entry['checksums'] else ', no digests (v1)'}"
-                    )
+                    detail = f"{len(entry['arrays'])} arrays, {size} bytes"
                     print(f"{entry['name'] or entry['path']}: ok "
                           f"[{entry['mode']}] ({detail})", file=out)
                 else:
@@ -622,20 +597,7 @@ def build_plan_parser() -> argparse.ArgumentParser:
         help="show the chosen strategy, cost estimates, and features",
     )
     explain.add_argument("query", help="an XPath query")
-    explain.add_argument(
-        "file",
-        nargs="?",
-        help="XML document (default: stdin, unless --xmark is given)",
-    )
-    explain.add_argument(
-        "--xmark",
-        type=float,
-        metavar="SCALE",
-        help="plan against a generated XMark document instead of a file",
-    )
-    explain.add_argument(
-        "--seed", type=int, default=42, help="seed for --xmark (default 42)"
-    )
+    _add_document_arguments(explain)
     explain.add_argument(
         "--attributes",
         action="store_true",
@@ -654,21 +616,11 @@ def plan_main(argv: List[str], out) -> int:
 
     parser = build_plan_parser()
     args = parser.parse_args(argv)
-    if args.file and args.xmark is not None:
-        parser.error("give either a document file or --xmark, not both")
     try:
-        if args.xmark is not None:
-            generator = XMarkGenerator(scale=args.xmark, seed=args.seed)
-            doc = (
-                generator.document() if args.attributes else generator.tree()
-            )
-        elif args.file:
-            with open(args.file, "r", encoding="utf-8") as f:
-                doc = f.read()
-        else:
-            doc = sys.stdin.read()
         engine = Engine(
-            doc, strategy="auto", encode_attributes=args.attributes
+            _load_document(args, parser),
+            strategy="auto",
+            encode_attributes=args.attributes,
         )
         if args.json:
             print(
@@ -684,7 +636,14 @@ def plan_main(argv: List[str], out) -> int:
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
-    from repro.serve.daemon import QUEUE_DEPTH, TIMEOUT_S
+    from repro.serve.daemon import (
+        FAIL_THRESHOLD,
+        POOL_MIN_NODES,
+        POOL_WORKERS,
+        QUEUE_DEPTH,
+        RELOAD_POLL_S,
+        TIMEOUT_S,
+    )
 
     parser = argparse.ArgumentParser(
         prog="repro serve",
@@ -744,46 +703,43 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fail-threshold",
         type=int,
-        default=None,
+        default=FAIL_THRESHOLD,
         metavar="N",
         help=(
             "quarantine a document after N consecutive failed "
-            "evaluations, 0 disables (default: "
-            "$REPRO_SERVE_FAIL_THRESHOLD or 3)"
+            f"evaluations, 0 disables (default {FAIL_THRESHOLD})"
         ),
     )
     parser.add_argument(
         "--reload-poll",
         type=float,
-        default=None,
+        default=RELOAD_POLL_S,
         metavar="SECONDS",
         help=(
             "poll each corpus' change stamp every SECONDS and hot-"
-            "reload when it moves; 0 disables polling (default: "
-            "$REPRO_SERVE_RELOAD_POLL or 0; POST /reload always works)"
+            "reload when it moves; 0 disables polling (default "
+            f"{RELOAD_POLL_S:g}; POST /reload always works)"
         ),
     )
     parser.add_argument(
         "--pool-workers",
         type=int,
-        default=None,
+        default=POOL_WORKERS,
         metavar="N",
         help=(
             "persistent shared-memory worker processes; /batch (and "
             "/query on large documents) runs on the pool with warm "
-            "caches and work stealing; 0 disables (default: "
-            "$REPRO_SERVE_POOL_WORKERS or 0)"
+            f"caches and work stealing; 0 disables (default {POOL_WORKERS})"
         ),
     )
     parser.add_argument(
         "--pool-min-nodes",
         type=int,
-        default=None,
+        default=POOL_MIN_NODES,
         metavar="NODES",
         help=(
             "route single /query requests through the pool only for "
-            "documents of at least NODES nodes (default: "
-            "$REPRO_SERVE_POOL_MIN_NODES or 65536)"
+            f"documents of at least NODES nodes (default {POOL_MIN_NODES})"
         ),
     )
     return parser
@@ -805,26 +761,10 @@ def serve_main(argv: List[str], out) -> int:
             host=args.host,
             port=args.port,
             mmap=not args.no_mmap,
-            **(
-                {"fail_threshold": args.fail_threshold}
-                if args.fail_threshold is not None
-                else {}
-            ),
-            **(
-                {"reload_poll": args.reload_poll}
-                if args.reload_poll is not None
-                else {}
-            ),
-            **(
-                {"pool_workers": args.pool_workers}
-                if args.pool_workers is not None
-                else {}
-            ),
-            **(
-                {"pool_min_nodes": args.pool_min_nodes}
-                if args.pool_min_nodes is not None
-                else {}
-            ),
+            fail_threshold=args.fail_threshold,
+            reload_poll=args.reload_poll,
+            pool_workers=args.pool_workers,
+            pool_min_nodes=args.pool_min_nodes,
         )
     except (ValueError, StoreError, OSError) as exc:
         _report_error(exc)
@@ -1094,35 +1034,12 @@ def batch_main(argv: List[str], out) -> int:
 
     parser = build_batch_parser()
     args = parser.parse_args(argv)
-    if args.file and args.xmark is not None:
-        parser.error("give either a document file or --xmark, not both")
+    workspace = Workspace(strategy=args.strategy)
     try:
         named = _read_queries(args.queries)
-    except ValueError as exc:
-        _report_error(exc)
-        return 1
-    if not named:
-        print(f"error: no queries in {args.queries}", file=sys.stderr)
-        return 1
-
-    if args.xmark is not None:
-        doc = XMarkGenerator(scale=args.xmark, seed=args.seed).tree()
-    else:
-        text = (
-            open(args.file, "r", encoding="utf-8").read()
-            if args.file
-            else sys.stdin.read()
-        )
-        try:
-            # Streaming build: events append straight into the arrays.
-            doc = BinaryTree.from_xml(text)
-        except ValueError as exc:
-            _report_error(exc)
-            return 1
-
-    workspace = Workspace(strategy=args.strategy)
-    workspace.add("doc", doc)
-    try:
+        if not named:
+            raise ValueError(f"no queries in {args.queries}")
+        workspace.add("doc", _load_document(args, parser))
         service = workspace.service(
             jobs=args.jobs, executor=args.executor, shards=args.shards
         )
@@ -1132,7 +1049,7 @@ def batch_main(argv: List[str], out) -> int:
             result = service.execute(query, "doc")
             results[name] = len(result) if args.count else result.nodes
             stats[name] = dict(result.stats.snapshot(), query=query)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         _report_error(exc)
         return 1
     finally:
@@ -1190,24 +1107,13 @@ def _main(argv: Optional[List[str]] = None, out=None) -> int:
     if args.query is None:
         parser.error("query is required unless --list-strategies is given")
 
-    if args.xmark is not None:
-        generator = XMarkGenerator(scale=args.xmark, seed=args.seed)
-        # Streaming array build unless the encoding needs a document view.
-        doc = generator.document() if args.attributes else generator.tree()
-    else:
-        # The raw text goes straight to the engine: scanner events feed
-        # the array builder, with no intermediate XMLNode tree.
-        if args.file:
-            with open(args.file, "r", encoding="utf-8") as f:
-                doc = f.read()
-        else:
-            doc = sys.stdin.read()
-
     try:
         engine = Engine(
-            doc, strategy=args.strategy, encode_attributes=args.attributes
+            _load_document(args, parser),
+            strategy=args.strategy,
+            encode_attributes=args.attributes,
         )
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         _report_error(exc)
         return 1
 

@@ -20,16 +20,13 @@ for many documents sharing one compiled-query cache use
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.asta.automaton import ASTA
-from repro.counters import EvalStats
 from repro.engine import registry
 from repro.engine.plan import CompiledQueryCache, ExecutionResult, PreparedQuery
 from repro.index.jumping import TreeIndex
+from repro.lru import LRUCache
 from repro.tree.binary import BinaryTree
 from repro.tree.document import XMLDocument
 from repro.xpath.ast import Path
@@ -38,7 +35,7 @@ from repro.xpath.parser import parse_xpath
 #: Default LRU capacity of the per-engine prepared-plan cache.  A
 #: long-lived service streaming distinct query strings past one document
 #: would otherwise hold every plan (and its warmed tables) forever.
-PLAN_CACHE_SIZE = int(os.environ.get("REPRO_PLAN_CACHE_SIZE", "256"))
+PLAN_CACHE_SIZE = 256
 
 
 class Engine:
@@ -93,16 +90,10 @@ class Engine:
         )
         self.tree = self.index.tree
         self.cache = cache if cache is not None else CompiledQueryCache()
-        self._plans: "OrderedDict[Tuple[str, str], PreparedQuery]" = (
-            OrderedDict()
-        )
-        self._plan_hits = 0
-        self._plan_misses = 0
-        self._plan_evictions = 0
-        self._plans_lock = threading.Lock()
+        # (query, strategy) -> PreparedQuery
+        self._plans = LRUCache(PLAN_CACHE_SIZE, lock=True)
         self._plans_generation = registry.generation()
         self.set_strategy(strategy)
-        self.last_stats: Optional[EvalStats] = None
 
     def set_strategy(self, strategy: str) -> None:
         """Set the default strategy for subsequent queries (validated
@@ -144,29 +135,31 @@ class Engine:
         duplicating plans or racing the generation check.
         """
         name = strategy if strategy is not None else self.strategy
-        with self._plans_lock:
+        plans = self._plans
+        with plans.lock:
             if self._plans_generation != registry.generation():
                 # A strategy was (re/un)registered: cached resolutions and
                 # strategy objects may be stale.
-                self._plans.clear()
+                plans.data.clear()
                 self._plans_generation = registry.generation()
             key = (query if isinstance(query, str) else str(query), name)
-            plan = self._plans.get(key)
+            plan = plans.get(key)
             if plan is None:
                 path = parse_xpath(query) if isinstance(query, str) else query
                 resolved = registry.resolve(name, path)
                 plan = PreparedQuery(self, query, path, resolved)
-                self._plans[key] = plan
-                self._plan_misses += 1
-                while len(self._plans) > self.plan_cache_size:
-                    self._plans.popitem(last=False)
-                    self._plan_evictions += 1
-            else:
-                self._plans.move_to_end(key)
-                self._plan_hits += 1
+                plans.put(key, plan)
         return plan
 
-    plan_cache_size: int = PLAN_CACHE_SIZE
+    @property
+    def plan_cache_size(self) -> int:
+        """Bound of the prepared-plan LRU (default
+        :data:`PLAN_CACHE_SIZE`); assignable."""
+        return self._plans.maxsize
+
+    @plan_cache_size.setter
+    def plan_cache_size(self, size: int) -> None:
+        self._plans.maxsize = size
 
     def refresh_planner(self, doc_stats: Optional[dict] = None) -> int:
         """Re-plan every cached ``auto`` plan against current statistics.
@@ -189,8 +182,8 @@ class Engine:
 
         if doc_stats is not None:
             self.index.doc_stats = dict(doc_stats)
-        with self._plans_lock:
-            plans = list(self._plans.values())
+        with self._plans.lock:
+            plans = list(self._plans.data.values())
         return sum(1 for plan in plans if planner_mod.refresh_state(plan))
 
     def cache_info(self) -> dict:
@@ -202,14 +195,8 @@ class Engine:
         ``--stats`` so a long-lived service can watch its memory-relevant
         caches stay bounded.
         """
-        with self._plans_lock:
-            plans = {
-                "size": len(self._plans),
-                "maxsize": self.plan_cache_size,
-                "hits": self._plan_hits,
-                "misses": self._plan_misses,
-                "evictions": self._plan_evictions,
-            }
+        with self._plans.lock:
+            plans = self._plans.cache_info()
         return {
             "plans": plans,
             "fused": self.index.labels.cache_info(),
@@ -225,18 +212,13 @@ class Engine:
         return self.run(query)[1]
 
     def run(self, query: Union[str, Path]) -> Tuple[bool, List[int]]:
-        """(accepted, selected ids); also records :attr:`last_stats`.
-
-        Legacy shape -- new code should prefer :meth:`execute`, whose
-        :class:`ExecutionResult` carries its own immutable stats.
-        """
+        """(accepted, selected ids) of one :meth:`execute`."""
         result = self.execute(query)
-        self.last_stats = result.stats
         return result.accepted, result.nodes
 
     def count(self, query: Union[str, Path]) -> int:
         """Number of selected nodes."""
-        return len(self.select(query))
+        return len(self.execute(query))
 
     def labels_of(self, ids: List[int]) -> List[str]:
         """Element names of a result list (convenience for examples)."""

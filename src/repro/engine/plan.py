@@ -6,7 +6,7 @@ holds the parsed :class:`~repro.xpath.ast.Path`, the compiled
 one), and the strategy resolved through the registry's fallback chain.
 ``execute()`` allocates a fresh :class:`~repro.counters.EvalStats` per
 call and returns an immutable :class:`ExecutionResult` -- there is no
-shared mutable ``last_stats`` to race on.
+shared mutable stats object to race on.
 
 :class:`CompiledQueryCache` is the compiled-automaton cache shared by a
 :class:`~repro.engine.workspace.Workspace` across documents.  Wildcard
@@ -25,11 +25,20 @@ import numpy as np
 
 from repro.asta.automaton import ASTA
 from repro.counters import EvalStats
+from repro.lru import LRUCache
 from repro.xpath.ast import Path
 from repro.xpath.compiler import compile_xpath
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.registry import Strategy
+
+
+#: Bound on a :class:`CompiledQueryCache`.  A workspace shares one
+#: cache between all of its documents, so it holds a few engines' worth
+#: of distinct queries (``api.PLAN_CACHE_SIZE`` each) -- as many as the
+#: daemon's warm plan map; an evicted query recompiles on its next
+#: prepare.
+COMPILED_CACHE_SIZE = 1024
 
 
 class CompiledQueryCache:
@@ -48,19 +57,16 @@ class CompiledQueryCache:
     """
 
     def __init__(self) -> None:
-        self._astas: Dict[Tuple[str, Optional[Tuple[str, ...]]], ASTA] = {}
-        self._lock = threading.Lock()
-        self.compilations = 0
-        self.hits = 0
+        # (query, label inventory) -> ASTA
+        self._astas = LRUCache(COMPILED_CACHE_SIZE, lock=True)
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]  # locks are not picklable; workers get a fresh one
-        return state
+    @property
+    def compilations(self) -> int:
+        return self._astas.misses
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
+    @property
+    def hits(self) -> int:
+        return self._astas.hits
 
     def __len__(self) -> int:
         return len(self._astas)
@@ -69,11 +75,10 @@ class CompiledQueryCache:
         """Compiled-cache statistics (the one shared stats literal that
         :meth:`Engine.cache_info` and :meth:`Workspace.cache_info`
         both surface)."""
-        return {
-            "size": len(self._astas),
-            "compilations": self.compilations,
-            "hits": self.hits,
-        }
+        with self._astas.lock:
+            info = self._astas.cache_info()
+        info["compilations"] = info.pop("misses")
+        return info
 
     @staticmethod
     def _key(
@@ -99,15 +104,13 @@ class CompiledQueryCache:
         not re-parse the query string.
         """
         key = self._key(query, wildcard_labels)
-        with self._lock:
-            asta = self._astas.get(key)
+        astas = self._astas
+        with astas.lock:
+            asta = astas.get(key)
             if asta is None:
                 source = parsed if parsed is not None else query
                 asta = compile_xpath(source, wildcard_labels=wildcard_labels)
-                self._astas[key] = asta
-                self.compilations += 1
-            else:
-                self.hits += 1
+                astas.put(key, asta)
         return asta
 
 
@@ -115,8 +118,7 @@ class ExecutionResult:
     """One execution's outcome: immutable, self-contained.
 
     ``stats`` belongs to this execution alone -- concurrent or repeated
-    ``execute()`` calls never overwrite each other's counters (unlike the
-    legacy ``Engine.last_stats``).
+    ``execute()`` calls never overwrite each other's counters.
 
     The selected ids stay in the form the strategy produced -- Python
     ints or an ``int64`` array -- and convert to the other on demand:

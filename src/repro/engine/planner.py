@@ -12,11 +12,11 @@ and binds the cheapest one to the prepared plan.
 The model is deliberately coarse; what keeps it honest is the *feedback
 loop*: every execution's actual counters are folded back into the plan's
 :class:`PlannerState`.  When the observed cost strays from the estimate
-by more than :data:`REPLAN_FACTOR` (env ``REPRO_PLANNER_REPLAN_FACTOR``),
-the plan is re-priced with observations overriding estimates, so a
-mis-planned query converges onto the strategy that is actually cheapest
-for *this* document -- the classic adaptive re-optimization loop, at
-plan-cache granularity.  Candidates the model cannot separate (within
+by more than :data:`REPLAN_FACTOR`, the plan is re-priced with
+observations overriding estimates, so a mis-planned query converges
+onto the strategy that is actually cheapest for *this* document -- the
+classic adaptive re-optimization loop, at plan-cache granularity.
+Candidates the model cannot separate (within
 :data:`TRIAL_FACTOR` of each other) are resolved empirically instead: a
 repeatedly-executed plan runs each near-tie a couple of times
 (*wall-clock trials*) and commits to the measured winner.  Once a plan
@@ -32,7 +32,6 @@ tiny documents).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -62,7 +61,7 @@ NODE_WEIGHT = 24.0
 VEC_CALL = 220.0
 
 #: Re-plan when |observed / estimated| leaves [1/f, f].
-REPLAN_FACTOR = float(os.environ.get("REPRO_PLANNER_REPLAN_FACTOR", "4.0"))
+REPLAN_FACTOR = 4.0
 
 #: Freeze a plan (stop feedback bookkeeping) after this many consecutive
 #: executions without a strategy switch -- keeps the planner's per-call

@@ -71,6 +71,8 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.lru import LRUCache
+
 #: Minimum per-chunk cost (in node-count units) -- chunks smaller than
 #: this are IPC-bound, not compute-bound.
 CHUNK_MIN_COST = 16384
@@ -84,56 +86,6 @@ _POLL_S = 0.1
 #: unbounded cache grows one parsed AST per distinct rewritten query
 #: for the life of the worker.
 PATH_CACHE_SIZE = 256
-
-
-class LRUPathCache:
-    """A tiny bounded mapping for worker-side compiled query paths.
-
-    Plain OrderedDict recency tracking (the ``LabelIndex.fused`` idiom,
-    minus the lock -- each cache is confined to one worker process).
-    Eviction and hit/miss counts are kept so the parent can surface
-    cache pressure through :meth:`WorkerPool.stats` / ``pool_stats()``.
-    """
-
-    __slots__ = ("max_size", "_data", "hits", "misses", "evictions")
-
-    def __init__(self, max_size: Optional[int] = None) -> None:
-        from collections import OrderedDict
-
-        self.max_size = PATH_CACHE_SIZE if max_size is None else max_size
-        self._data: "OrderedDict" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def get(self, key):
-        value = self._data.get(key)
-        if value is not None:
-            self._data.move_to_end(key)
-            self.hits += 1
-        else:
-            self.misses += 1
-        return value
-
-    def put(self, key, value) -> None:
-        data = self._data
-        data[key] = value
-        data.move_to_end(key)
-        while len(data) > self.max_size:
-            data.popitem(last=False)
-            self.evictions += 1
-
-    def cache_info(self) -> dict:
-        return {
-            "size": len(self._data),
-            "max_size": self.max_size,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
 
 
 class PoolError(RuntimeError):
@@ -277,7 +229,7 @@ class _WorkerState:
         self.indexes: dict = {}
         self.engines: dict = {}
         self.stored: dict = {}
-        self.paths = LRUPathCache()
+        self.paths = LRUCache(PATH_CACHE_SIZE)
         self._evictions_reported = 0
 
     def _purge_doc(self, doc: str) -> None:

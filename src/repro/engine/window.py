@@ -60,9 +60,6 @@ see.
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -78,13 +75,13 @@ from repro.engine.frontier import (
 )
 from repro.engine.registry import StrategyBase, register_strategy
 from repro.index.jumping import TreeIndex
+from repro.lru import LRUCache
 from repro.xpath.ast import Axis, Path, Step
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-#: Bound on cached depth-bucket partitions per document (the same
-#: env-knob idiom as ``REPRO_FUSED_CACHE_SIZE``).
-BUCKET_CACHE_SIZE = int(os.environ.get("REPRO_WINDOW_BUCKET_CACHE_SIZE", "256"))
+#: Bound on cached depth-bucket partitions per document.
+BUCKET_CACHE_SIZE = 256
 
 
 def is_window_evaluable(path: Path) -> bool:
@@ -134,55 +131,28 @@ class WindowEncoding:
     an LRU of :class:`DepthBuckets` keyed by the label-id set of a
     step's node test -- repeated executions of a prepared plan touch
     only the relevant depth slices, never re-partitioning.  Thread-safe
-    for the parallel service's pool threads; the lock is dropped on
-    pickling (process workers rebuild their own encoding).
+    for the parallel service's pool threads.
     """
 
     def __init__(self, index: TreeIndex) -> None:
         self.index = index
         self.post = index.post_array()
         self.depth = index.depth_array()
-        self._buckets: "OrderedDict[Tuple[int, ...], DepthBuckets]" = (
-            OrderedDict()
-        )
-        self._lock = threading.Lock()
-        self.bucket_hits = 0
-        self.bucket_misses = 0
-        self.bucket_evictions = 0
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
+        # label-id tuple of a node test -> DepthBuckets
+        self._buckets = LRUCache(BUCKET_CACHE_SIZE, lock=True)
 
     def cache_info(self) -> dict:
-        return {
-            "size": len(self._buckets),
-            "max_size": BUCKET_CACHE_SIZE,
-            "hits": self.bucket_hits,
-            "misses": self.bucket_misses,
-            "evictions": self.bucket_evictions,
-        }
+        return self._buckets.cache_info()
 
     def buckets(self, key: Tuple[int, ...], cand: np.ndarray) -> DepthBuckets:
         """The depth partition of one candidate array (LRU-cached)."""
-        with self._lock:
-            b = self._buckets.get(key)
-            if b is not None:
-                self._buckets.move_to_end(key)
-                self.bucket_hits += 1
-                return b
-        b = DepthBuckets(cand, self.depth)
-        with self._lock:
-            self.bucket_misses += 1
-            self._buckets[key] = b
-            while len(self._buckets) > BUCKET_CACHE_SIZE:
-                self._buckets.popitem(last=False)
-                self.bucket_evictions += 1
+        cache = self._buckets
+        with cache.lock:
+            b = cache.get(key)
+        if b is None:
+            b = DepthBuckets(cand, self.depth)
+            with cache.lock:
+                cache.put(key, b)
         return b
 
 

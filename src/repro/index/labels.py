@@ -23,18 +23,17 @@ and :meth:`LabelIndex.cache_info` reports hits/misses/evictions.
 
 from __future__ import annotations
 
-import os
-import threading
 from bisect import bisect_left
-from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence
 
 import numpy as np
 
+from repro.lru import LRUCache
+
 #: Default LRU capacity of the per-index fused-union cache (entries,
 #: counting the as-given-ordering aliases).  Override per index via the
-#: ``fused_cache_size`` attribute or globally via the environment.
-FUSED_CACHE_SIZE = int(os.environ.get("REPRO_FUSED_CACHE_SIZE", "256"))
+#: ``fused_cache_size`` attribute.
+FUSED_CACHE_SIZE = 256
 
 
 class _LabelledTree(Protocol):
@@ -92,32 +91,17 @@ class LabelIndex:
             for lab in range(len(tree.labels))
         ]
         self._lists: List[List[int]] = [a.tolist() for a in self._arrays]
-        self._init_fused_cache()
+        self._fused = LRUCache(FUSED_CACHE_SIZE, lock=True)
 
-    fused_cache_size: int = FUSED_CACHE_SIZE
+    @property
+    def fused_cache_size(self) -> int:
+        """Bound of the fused-union LRU (default
+        :data:`FUSED_CACHE_SIZE`); assignable."""
+        return self._fused.maxsize
 
-    def _init_fused_cache(self) -> None:
-        self._fused: "OrderedDict[Tuple[int, ...], FusedLabels]" = (
-            OrderedDict()
-        )
-        self._fused_hits = 0
-        self._fused_misses = 0
-        self._fused_evictions = 0
-        # The LRU mutates on every lookup (move_to_end / eviction), and
-        # pool threads of a QueryService drive one shard engine's index
-        # concurrently -- unlike the old append-only dict, this needs a
-        # lock.  Uncontended acquisition costs nanoseconds against the
-        # merge/bisect work per call.
-        self._fused_lock = threading.Lock()
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_fused_lock"]  # locks are not picklable; workers get a fresh one
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._fused_lock = threading.Lock()
+    @fused_cache_size.setter
+    def fused_cache_size(self, size: int) -> None:
+        self._fused.maxsize = size
 
     @classmethod
     def sliced(
@@ -150,7 +134,7 @@ class LabelIndex:
             arrays.append(local)
         self._arrays = arrays
         self._lists = [a.tolist() for a in arrays]
-        self._init_fused_cache()
+        self._fused = LRUCache(FUSED_CACHE_SIZE, lock=True)
         return self
 
     @classmethod
@@ -181,7 +165,7 @@ class LabelIndex:
             for lab in range(len(tree.labels))
         ]
         self._lists = [a.tolist() for a in self._arrays]
-        self._init_fused_cache()
+        self._fused = LRUCache(FUSED_CACHE_SIZE, lock=True)
         return self
 
     def state(self) -> tuple[np.ndarray, np.ndarray]:
@@ -223,47 +207,37 @@ class LabelIndex:
         cache without re-sorting.
         """
         key = tuple(label_ids)
-        with self._fused_lock:
-            cache = self._fused
+        cache = self._fused
+        # Pool threads of a QueryService drive one shard engine's index
+        # concurrently and the LRU mutates on every lookup, hence the
+        # lock; uncontended it costs nanoseconds against the bisect work.
+        with cache.lock:
             hit = cache.get(key)
-            if hit is not None:
-                cache.move_to_end(key)
-                self._fused_hits += 1
-                return hit
-            canonical = tuple(sorted(key))
-            hit = cache.get(canonical) if canonical != key else None
             if hit is None:
-                if not canonical:
-                    merged = np.empty(0, dtype=np.int64)
-                elif len(canonical) == 1:
-                    merged = self._arrays[canonical[0]]
-                else:
-                    parts = [self._arrays[lab] for lab in canonical]
-                    merged = np.sort(
-                        np.concatenate(parts), kind="mergesort"
-                    )
-                hit = cache[canonical] = FusedLabels(merged)
-                self._fused_misses += 1
-            else:
-                cache.move_to_end(canonical)
-                self._fused_hits += 1
-            if key != canonical:
-                cache[key] = hit
-            while len(cache) > self.fused_cache_size:
-                cache.popitem(last=False)
-                self._fused_evictions += 1
+                canonical = tuple(sorted(key))
+                hit = cache.data.get(canonical)
+                if hit is None:
+                    if not canonical:
+                        merged = np.empty(0, dtype=np.int64)
+                    elif len(canonical) == 1:
+                        merged = self._arrays[canonical[0]]
+                    else:
+                        parts = [self._arrays[lab] for lab in canonical]
+                        merged = np.sort(
+                            np.concatenate(parts), kind="mergesort"
+                        )
+                    hit = FusedLabels(merged)
+                cache.put(canonical, hit)
+                if key != canonical:
+                    cache.put(key, hit)
             return hit
 
     def cache_info(self) -> dict:
-        """Fused-union cache statistics (LRU-bounded; see module docs)."""
-        with self._fused_lock:
-            return {
-                "size": len(self._fused),
-                "maxsize": self.fused_cache_size,
-                "hits": self._fused_hits,
-                "misses": self._fused_misses,
-                "evictions": self._fused_evictions,
-            }
+        """Fused-union cache statistics (LRU-bounded; see module docs).
+        A miss is a lookup whose as-given id tuple was not cached, even
+        when its sorted alias was and no merge ran."""
+        with self._fused.lock:
+            return self._fused.cache_info()
 
     def first_in_range(self, label_ids: Iterable[int], lo: int, hi: int) -> int:
         """Smallest node id in ``[lo, hi)`` whose label id is in the set.

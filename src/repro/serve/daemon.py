@@ -85,8 +85,8 @@ Hot reload
 Mutable corpora (``DocumentStore.add/replace/remove``, ``repro store
 sync``) publish new bundle generations while a daemon serves the old
 one.  ``POST /reload`` -- or the optional change-stamp poller
-(``reload_poll`` / ``REPRO_SERVE_RELOAD_POLL``) -- picks them up without
-a restart and without failing a single in-flight request: bundle opens
+(``reload_poll``) -- picks them up without a restart and without
+failing a single in-flight request: bundle opens
 happen off-loop against the new generation, the engine/mount swap is
 one synchronous step on the event loop, prepared plans and planner
 state are invalidated *per changed document only* (version-stamped
@@ -139,7 +139,6 @@ import sys
 import threading
 import time
 import traceback
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -147,6 +146,7 @@ from repro import faults
 from repro.engine import registry
 from repro.engine.planner import planner_fields, trials_pending
 from repro.engine.workspace import Workspace
+from repro.lru import LRUCache
 from repro.serve.http import (
     Answer,
     Body,
@@ -166,28 +166,28 @@ from repro.store import (
 from repro.xpath.parser import XPathSyntaxError
 
 #: Default admission queue depth beyond the worker threads.
-QUEUE_DEPTH = int(os.environ.get("REPRO_SERVE_QUEUE_DEPTH", "16"))
+QUEUE_DEPTH = 16
 #: Default per-request timeout in seconds.
-TIMEOUT_S = float(os.environ.get("REPRO_SERVE_TIMEOUT_S", "30"))
+TIMEOUT_S = 30.0
 #: Bound on the daemon's (document, query, strategy) -> plan map.
-PREPARED_CACHE_SIZE = int(os.environ.get("REPRO_SERVE_PREPARED_CACHE", "1024"))
+PREPARED_CACHE_SIZE = 1024
 #: Consecutive ultimately-failed evaluations before a document is
 #: quarantined (0 disables quarantine).
-FAIL_THRESHOLD = int(os.environ.get("REPRO_SERVE_FAIL_THRESHOLD", "3"))
+FAIL_THRESHOLD = 3
 #: The strategy a failed evaluation is retried on, once, before giving
 #: up -- the reference oracle every fast path is differential-tested
 #: against.
 FALLBACK_STRATEGY = "naive"
 #: Seconds between corpus change-stamp polls (0 disables polling; the
 #: explicit ``POST /reload`` endpoint always works).
-RELOAD_POLL_S = float(os.environ.get("REPRO_SERVE_RELOAD_POLL", "0"))
+RELOAD_POLL_S = 0.0
 #: Worker *processes* for the persistent shared-memory pool
 #: (:class:`repro.engine.pool.WorkerPool`); 0 disables the pool and
 #: every request runs on the thread executor as before.
-POOL_WORKERS = int(os.environ.get("REPRO_SERVE_POOL_WORKERS", "0"))
+POOL_WORKERS = 0
 #: Documents at or above this node count route single ``/query``
 #: requests through the pool too (batches always use it when enabled).
-POOL_MIN_NODES = int(os.environ.get("REPRO_SERVE_POOL_MIN_NODES", "65536"))
+POOL_MIN_NODES = 65536
 #: A ``/query`` whose worker-side function last took less than this many
 #: seconds runs on the event loop instead of hopping to a worker thread.
 #: A constant, not an option: it is not a preference but a bound on how
@@ -283,7 +283,7 @@ class QueryDaemon:
         prepared_cache_size: int = PREPARED_CACHE_SIZE,
         fail_threshold: int = FAIL_THRESHOLD,
         reload_poll: float = RELOAD_POLL_S,
-        pool_workers: Optional[int] = None,
+        pool_workers: int = POOL_WORKERS,
         pool_min_nodes: int = POOL_MIN_NODES,
     ) -> None:
         if isinstance(stores, str):
@@ -305,18 +305,13 @@ class QueryDaemon:
                 f"fail_threshold must be >= 0, got {fail_threshold}"
             )
         self.max_body = max_body
-        self.prepared_cache_size = prepared_cache_size
         self.fail_threshold = fail_threshold
         if reload_poll < 0:
             raise ValueError(f"reload_poll must be >= 0, got {reload_poll}")
         self.reload_poll = reload_poll
-        self.pool_workers = (
-            pool_workers if pool_workers is not None else POOL_WORKERS
-        )
-        if self.pool_workers < 0:
-            raise ValueError(
-                f"pool_workers must be >= 0, got {self.pool_workers}"
-            )
+        if pool_workers < 0:
+            raise ValueError(f"pool_workers must be >= 0, got {pool_workers}")
+        self.pool_workers = pool_workers
         self.pool_min_nodes = pool_min_nodes
         self.mmap = mmap
         self.workspace = Workspace(strategy=strategy)
@@ -394,8 +389,8 @@ class QueryDaemon:
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve"
         )
-        self._prepared: "OrderedDict[tuple, _Prepared]" = OrderedDict()
-        self._prepared_lock = threading.Lock()
+        # _plan_key(...) -> _Prepared
+        self._prepared = LRUCache(prepared_cache_size, lock=True)
         # Per-document version counter, bumped on every reload swap.
         # Prepared-plan keys embed it, so a worker thread that resolved
         # the *old* engine and finishes building its plan after the swap
@@ -591,19 +586,15 @@ class QueryDaemon:
         old-engine plan land under the new version's key.
         """
         key = self._plan_key(document, query, strategy)
-        with self._prepared_lock:
+        with self._prepared.lock:
             entry = self._prepared.get(key)
-            if entry is not None:
-                self._prepared.move_to_end(key)
         if entry is not None:
             self._bump("warm_hits")
             return entry.plan, True
         engine = self.workspace.engine(document)
         plan = engine.prepare(query, strategy=strategy)
-        with self._prepared_lock:
-            self._prepared[key] = _Prepared(plan)
-            while len(self._prepared) > self.prepared_cache_size:
-                self._prepared.popitem(last=False)
+        with self._prepared.lock:
+            self._prepared.put(key, _Prepared(plan))
         self._bump("cold_misses")
         return plan, False
 
@@ -625,8 +616,8 @@ class QueryDaemon:
         could make the next run unlike the last."""
         if faults.armed() or self._pool_routable(strategy):
             return False
-        with self._prepared_lock:
-            entry = self._prepared.get(
+        with self._prepared.lock:
+            entry = self._prepared.data.get(
                 self._plan_key(document, query, strategy)
             )
         if entry is None:
@@ -641,10 +632,11 @@ class QueryDaemon:
 
     def _purge_prepared(self, document: str) -> int:
         """Drop every cached plan for ``document`` (any version)."""
-        with self._prepared_lock:
-            stale = [k for k in self._prepared if k[0] == document]
+        with self._prepared.lock:
+            plans = self._prepared.data
+            stale = [k for k in plans if k[0] == document]
             for k in stale:
-                del self._prepared[k]
+                del plans[k]
         return len(stale)
 
     # -- pool-side work ------------------------------------------------------
@@ -834,8 +826,8 @@ class QueryDaemon:
             )
         finally:
             cost = time.perf_counter() - start
-            with self._prepared_lock:
-                entry = self._prepared.get(
+            with self._prepared.lock:
+                entry = self._prepared.data.get(
                     self._plan_key(document, query, strategy)
                 )
             if entry is not None:
@@ -1340,11 +1332,8 @@ class QueryDaemon:
                 name: dict(info) for name, info in self._quarantined.items()
             }
             failure_streaks = dict(self._doc_failures)
-        with self._prepared_lock:
-            prepared = {
-                "size": len(self._prepared),
-                "maxsize": self.prepared_cache_size,
-            }
+        with self._prepared.lock:
+            prepared = self._prepared.cache_info()
         answered = max(
             1, counters["queries"] + counters["batch_queries"]
         )

@@ -12,7 +12,6 @@ document store") for how the pieces compose.
 from repro.store.format import (
     FORMAT_NAME,
     FORMAT_VERSION,
-    SUPPORTED_VERSIONS,
     SourceEncodingError,
     StoreCorruptionError,
     StoreError,
@@ -76,5 +75,4 @@ __all__ = [
     "StoreCorruptionError",
     "FORMAT_NAME",
     "FORMAT_VERSION",
-    "SUPPORTED_VERSIONS",
 ]

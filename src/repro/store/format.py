@@ -54,11 +54,9 @@ recognizably incomplete.
 Invalidation rules
 ------------------
 ``version`` is bumped on **any** change to the array set, an array's
-dtype/meaning, or the id scheme; readers accept the versions named in
-``SUPPORTED_VERSIONS`` and hard-fail otherwise (no silent migration --
-rebuilding from source XML is always safe and cheap relative to
-serving).  v1 bundles (no digests) still open; ``deep`` verification
-degrades to ``fast`` for them and says so in its report.
+dtype/meaning, or the id scheme; a reader opens ``FORMAT_VERSION`` and
+hard-fails on any other (no silent migration -- rebuilding from source
+XML is always safe and cheap relative to serving).
 """
 
 from __future__ import annotations
@@ -75,8 +73,6 @@ from repro import faults
 
 FORMAT_NAME = "repro-document-store"
 FORMAT_VERSION = 2
-#: Versions this reader still opens (v1 predates per-array digests).
-SUPPORTED_VERSIONS = (1, 2)
 HEADER_FILE = "header.json"
 
 #: Every array a bundle must contain, with its expected dtype.
@@ -333,11 +329,11 @@ def read_header(bundle: str) -> dict:
         raise StoreFormatError(
             f"{bundle!r}: unknown format {header.get('format')!r}"
         )
-    if header.get("version") not in SUPPORTED_VERSIONS:
+    if header.get("version") != FORMAT_VERSION:
         raise StoreFormatError(
             f"{bundle!r}: format version {header.get('version')!r} "
-            f"(this reader understands {SUPPORTED_VERSIONS}; rebuild the "
-            "bundle from its source document)"
+            f"(this reader understands version {FORMAT_VERSION}; rebuild "
+            "the bundle from its source document)"
         )
     manifest = header.get("arrays")
     if not isinstance(manifest, dict):
@@ -353,7 +349,7 @@ def load_array(bundle: str, name: str, manifest: dict, mmap: bool) -> np.ndarray
     """Load one manifest array, checking it against the header.
 
     Serving-path integrity is deliberately cheap: a byte-size check
-    (when the manifest records one -- v2) plus the dtype/shape check
+    plus the dtype/shape check
     against the parsed ``.npy`` header.  Damage that preserves sizes is
     :func:`verify_bundle`'s ``deep`` job.  Every failure mode --
     missing file, size mismatch, an ``.npy`` numpy refuses to parse --
@@ -407,28 +403,25 @@ def verify_bundle(bundle: str, *, deep: bool = False) -> dict:
     ``fast`` mode (the default) validates the header, then every
     array's presence, recorded byte size, and ``.npy`` dtype/shape --
     metadata only, no array data is read.  ``deep`` mode additionally
-    recomputes each file's CRC32 against the v2 manifest digest,
-    catching size-preserving damage (bit flips) with certainty.
+    recomputes each file's CRC32 against the manifest digest, catching
+    size-preserving damage (bit flips) with certainty; a manifest entry
+    without a digest is itself corruption.
 
     Returns a JSON-ready report::
 
-        {"path", "version", "mode", "checksums", "n",
+        {"path", "version", "mode", "n",
          "arrays": {name: {"bytes", "crc32"?}}, "ok": True}
 
-    ``checksums`` is ``False`` for v1 bundles, whose manifests predate
-    digests: ``deep`` then degrades to ``fast`` and the report says so.
     On the first failure a :class:`StoreCorruptionError` (or
     :class:`StoreFormatError` for header-level trouble) is raised
     instead of a report.
     """
     header = read_header(bundle)
     manifest = header["arrays"]
-    has_digests = all("crc32" in meta for meta in manifest.values())
     report = {
         "path": os.path.abspath(bundle),
         "version": header["version"],
         "mode": "deep" if deep else "fast",
-        "checksums": has_digests,
         "n": header.get("n"),
         "arrays": {},
         "ok": True,
@@ -438,7 +431,11 @@ def verify_bundle(bundle: str, *, deep: bool = False) -> dict:
         arr = load_array(bundle, name, manifest, True)
         del arr  # header checks only; drop the mapping immediately
         entry = {"bytes": os.path.getsize(array_path(bundle, name))}
-        if deep and has_digests:
+        if deep:
+            if "crc32" not in meta:
+                raise StoreCorruptionError(
+                    bundle, name, "manifest records no crc32 digest"
+                )
             actual = file_crc32(array_path(bundle, name))
             if actual != meta["crc32"]:
                 raise StoreCorruptionError(

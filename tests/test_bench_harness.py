@@ -1,5 +1,8 @@
 """Bench harness and experiment drivers (smoke level)."""
 
+import pathlib
+
+import repro
 from repro.bench.harness import Timer, format_table, time_prepared
 from repro.bench.experiments import (
     ablation_storage,
@@ -75,6 +78,18 @@ class TestDrivers:
 
     def test_main_rejects_unknown(self, capsys):
         assert main(["nope"]) == 2
+
+
+def test_only_the_experiment_drivers_read_the_environment():
+    """``REPRO_BENCH_SCALE`` / ``_FRACTION`` size the paper-record runs;
+    nothing else in the package is configured from the environment."""
+    root = pathlib.Path(repro.__file__).parent
+    readers = [
+        path.relative_to(root).as_posix()
+        for path in sorted(root.rglob("*.py"))
+        if "os.environ" in path.read_text() or "getenv" in path.read_text()
+    ]
+    assert readers == ["bench/experiments.py"]
 
 
 class TestSweep:

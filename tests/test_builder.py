@@ -1,6 +1,7 @@
 """Streaming array-native builder: equivalence, hot-path purity, events."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -121,6 +122,24 @@ class TestHotPathPurity:
         tree = XMarkGenerator(scale=0.05, seed=7).tree()
         assert tree.n > 500
         assert created == []
+
+    def test_from_xml_peaks_below_the_xmlnode_pipeline(self):
+        """What allocating no XMLNode buys: the traced-allocation peak
+        (deterministic, unlike RSS) of streaming into the arrays stays
+        under that of parsing to a node tree and converting it."""
+
+        def peak(build):
+            tracemalloc.start()
+            try:
+                build()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        xml = XMarkGenerator(scale=0.05, seed=11, text_content=True).xml()
+        streaming = peak(lambda: BinaryTree.from_xml(xml))
+        legacy = peak(lambda: BinaryTree.from_document(parse_xml(xml)))
+        assert streaming < legacy
 
 
 def loop_parens(tree: BinaryTree) -> list:

@@ -288,6 +288,33 @@ class TestStructuredSyntaxErrors:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["//a", "MISSING.xml"],
+            ["//a", "LATIN1.xml"],
+            ["batch", "--queries", "QUERIES.txt", "MISSING.xml"],
+            ["batch", "--queries", "MISSING.txt", "--xmark", "0.01"],
+            ["batch", "--queries", "LATIN1.xml", "--xmark", "0.01"],
+            ["plan", "explain", "//a", "MISSING.xml"],
+            ["store", "build", "OUT", "MISSING.xml"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_unreadable_input_is_one_error_line(self, argv, tmp_path, capsys):
+        """A document or query file that is missing or not UTF-8 ends
+        every command that reads one the same way: exit 1, one
+        ``error:`` line, no traceback."""
+        (tmp_path / "QUERIES.txt").write_text("//a\n")
+        (tmp_path / "LATIN1.xml").write_bytes("<r>caf\xe9</r>".encode("latin-1"))
+        names = ("MISSING.xml", "MISSING.txt", "LATIN1.xml", "QUERIES.txt", "OUT")
+        argv = [str(tmp_path / a) if a in names else a for a in argv]
+        code, out = run(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_batch_surfaces_caret_too(self, xml_file, tmp_path, capsys):
         queries = tmp_path / "queries.txt"
         queries.write_text("//a[\n")

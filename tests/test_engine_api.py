@@ -51,12 +51,10 @@ class TestQuerying:
         a2 = engine.compile("//a//b")
         assert a1 is a2
 
-    def test_last_stats_populated(self):
-        engine = Engine(XML)
-        engine.select("//a//b")
-        assert engine.last_stats is not None
-        assert engine.last_stats.selected == 2
-        assert engine.last_stats.visited >= 2
+    def test_execute_carries_its_own_stats(self):
+        stats = Engine(XML).execute("//a//b").stats
+        assert stats.selected == 2
+        assert stats.visited >= 2
 
     def test_parsed_path_accepted(self):
         from repro.xpath.parser import parse_xpath

@@ -211,7 +211,6 @@ class TestCorruptionRecall:
         report = verify_document(bundle, deep=True)
         assert report["ok"] is True
         assert report["mode"] == "deep"
-        assert report["checksums"] is True
         assert set(report["arrays"]) == set(ALL_ARRAYS)
         for entry in report["arrays"].values():
             assert entry["bytes"] > 0
@@ -234,24 +233,19 @@ class TestCorruptionRecall:
             store.verify("bad", deep=True)
 
 
-class TestV1BackCompat:
-    def test_v1_bundle_opens_and_deep_degrades(self, bundle):
-        # Rewrite the header as a v1 manifest: no byte sizes, no digests.
+class TestManifestWithoutDigests:
+    def test_deep_verify_refuses_it(self, bundle):
         header_path = os.path.join(bundle, HEADER_FILE)
         with open(header_path) as handle:
             header = json.load(handle)
-        header["version"] = 1
-        header["arrays"] = {
-            name: {"dtype": meta["dtype"], "shape": meta["shape"]}
-            for name, meta in header["arrays"].items()
-        }
+        del header["arrays"]["parent"]["crc32"]
         with open(header_path, "w") as handle:
             json.dump(header, handle)
-        assert Engine(open_document(bundle)).select("//a/b") == AB_IDS
-        report = verify_document(bundle, deep=True)
-        assert report["ok"] is True
-        assert report["version"] == 1
-        assert report["checksums"] is False  # deep degraded to fast
+        assert verify_document(bundle, deep=False)["ok"] is True
+        with pytest.raises(StoreCorruptionError) as exc:
+            verify_document(bundle, deep=True)
+        assert exc.value.array == "parent"
+        assert "crc32" in exc.value.reason
 
 
 # -- crash-safe builds --------------------------------------------------------

@@ -22,9 +22,10 @@ from repro.engine.parallel import (
     shard_document,
 )
 from repro.engine.plan import CompiledQueryCache, ExecutionResult
-from repro.engine.pool import PATH_CACHE_SIZE, LRUPathCache
+from repro.engine.pool import PATH_CACHE_SIZE
 from repro.engine.registry import StrategyBase, register_strategy, unregister_strategy
 from repro.index.jumping import TreeIndex
+from repro.lru import LRUCache
 from repro.tree.binary import BinaryTree
 from repro.xmark.generator import XMarkGenerator
 from strategies import fuzz_corpus, random_core_query, random_document
@@ -457,7 +458,7 @@ class TestThreadSafety:
 
 class TestWorkerPathCache:
     def test_lru_evicts_oldest_first_and_counts_it(self):
-        cache = LRUPathCache(max_size=2)
+        cache = LRUCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1  # "b" is now the least recently used
@@ -468,7 +469,7 @@ class TestWorkerPathCache:
         assert cache.get("a") is None
         assert cache.cache_info() == {
             "size": 2,
-            "max_size": 2,
+            "maxsize": 2,
             "hits": 3,
             "misses": 2,
             "evictions": 2,

@@ -157,6 +157,14 @@ class TestPlannerStrategy:
         assert state.choice.strategy == "vectorized"
         assert state.active.name == "vectorized"
 
+    @pytest.mark.parametrize("qid", ["Q05", "Q11"])
+    def test_wide_descendant_queries_stay_set_at_a_time(self, xmark_index, qid):
+        # The forward queries with the widest candidate sets of the
+        # fig-4 mix: whichever set-at-a-time evaluator prices lower, the
+        # cost model must not hand them to a step-at-a-time strategy.
+        verdict = plan_explain(Engine(xmark_index, strategy="auto"), QUERIES[qid])
+        assert verdict["planner"]["strategy"] in ("vectorized", "window"), verdict
+
     def test_backward_axes_plan_onto_window(self, index):
         # Backward axes used to bypass the planner (mixed fallback); the
         # window strategy evaluates them natively, so they now plan with
@@ -288,6 +296,23 @@ class TestPlanCacheEviction:
         engine.prepare("//a")  # refresh 'a'
         engine.prepare("//c")  # evicts '//b', not '//a'
         assert engine.prepare("//a") is a
+
+    def test_compiled_cache_is_bounded_and_eviction_is_transparent(self, index):
+        from repro.engine.plan import COMPILED_CACHE_SIZE
+
+        engine = Engine(index)
+        queries = [f"//a[not(x{i})]//b" for i in range(2000)]
+        first = engine.select(queries[0])
+        for query in queries[1:]:
+            engine.prepare(query)
+        info = engine.cache_info()
+        assert info["plans"]["size"] == engine.plan_cache_size
+        assert info["compiled"]["size"] == COMPILED_CACHE_SIZE
+        assert info["compiled"]["maxsize"] == COMPILED_CACHE_SIZE
+        assert info["compiled"]["evictions"] == 2000 - COMPILED_CACHE_SIZE
+        # The evicted query recompiles and answers as before.
+        assert engine.select(queries[0]) == first
+        assert engine.cache.compilations == 2001
 
     def test_fused_cache_is_lru_bounded(self, index):
         labels = index.labels

@@ -90,7 +90,7 @@ def until_inline(client, query, **kwargs):
 
 
 def entry_of(daemon, document, query, strategy="auto"):
-    return daemon._prepared[daemon._plan_key(document, query, strategy)]
+    return daemon._prepared.data[daemon._plan_key(document, query, strategy)]
 
 
 class SlowedPlan:

@@ -22,6 +22,7 @@ from repro.store import (
 )
 from repro.tree.binary import BinaryTree
 from repro.xmark.generator import XMarkGenerator
+from repro.xmark.queries import QUERIES
 
 from strategies import random_core_query, random_document
 
@@ -125,8 +126,13 @@ class TestRoundTripEquivalence:
         stored = _roundtrip(tmp_path, xml, name="xmark")
         fresh = Engine(xml)
         reopened = Engine(stored)
-        for query in ("//keyword", "/site/regions//item[mailbox]", "//emph"):
-            assert fresh.select(query) == reopened.select(query)
+        for query in (
+            "//keyword",
+            "/site/regions//item[mailbox]",
+            "//emph",
+            *QUERIES.values(),
+        ):
+            assert fresh.select(query) == reopened.select(query), query
 
 
 class TestStoredDocument:
@@ -165,13 +171,14 @@ class TestStoredDocument:
 
 
 class TestFormatValidation:
-    def test_version_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 999])
+    def test_version_mismatch_rejected(self, tmp_path, version):
         stored = _roundtrip(tmp_path, "<r/>")
         path = os.path.join(stored.path, "header.json")
         header = json.load(open(path))
-        header["version"] = 999
+        header["version"] = version
         json.dump(header, open(path, "w"))
-        with pytest.raises(StoreFormatError, match="version"):
+        with pytest.raises(StoreFormatError, match="version.*rebuild"):
             open_document(stored.path)
 
     def test_missing_array_rejected(self, tmp_path):
