@@ -14,7 +14,22 @@ from dataclasses import dataclass, field
 
 @dataclass
 class EvalStats:
-    """Counters matching the rows of Figure 3 / Figure 5."""
+    """Counters matching the rows of Figure 3 / Figure 5.
+
+    The node-at-a-time engines count nodes and index calls one by one.
+    The set-at-a-time strategies (``vectorized`` / ``window``) move whole
+    arrays, and book per array pass (:mod:`repro.engine.joins`):
+    ``jumps`` one per pass; ``visited`` the elements the pass reads to
+    set marks or copies into its result (a CSR gather books the children
+    it copies, a context-side descendant join the slices it copies --
+    nothing for a single range, a view -- an ad-hoc rank column its
+    ``n`` slots), plus every node a first-witness search expands;
+    ``index_probes`` the probe elements: one per element looked up in a
+    mark bitmap, two per element located by rank column or binary search
+    (both bounds of its range, or its slot and that range's end), two
+    per context node whose range is looked up.  ``visited +
+    index_probes`` is what the planner's estimates are held against.
+    """
 
     visited: int = 0
     """Nodes whose transitions were evaluated (Figure 3 lines 2/3)."""

@@ -1,69 +1,46 @@
-"""Set-at-a-time vectorized evaluation: whole frontiers per step.
+"""Set-at-a-time evaluation: whole frontiers per step.
 
-Every other strategy in this library -- including the PR 2 interned hot
-path -- advances *one node per Python-level step*.  This module is the
-column-store counterpart: the run state is a sorted ``np.int64`` array of
-node ids (the *frontier*), and each location step of the query moves the
-whole frontier at once:
+Every other strategy in this library advances *one node per Python-level
+step*.  Here the run state is a sorted ``np.int64`` array of node ids
+(the *frontier*), and each location step moves the whole frontier at
+once through one physical operator of
+:data:`repro.engine.joins.OPERATORS`, picked per step from the sizes of
+the two arrays it joins.  This module is the driver around those joins,
+written once for the ``vectorized`` and ``window`` strategies (one
+kernel; the names pin the forward-only and the all-axes fragment):
 
-- child / attribute transitions are one vectorized membership test of
-  ``parent[candidates]`` against the frontier
-  (:func:`numpy.searchsorted` over the sorted frontier);
-- descendant transitions are subtree-interval arithmetic: the frontier
-  is staircase-pruned to disjoint top-most ``[v, xml_end[v])`` ranges,
-  and the join runs from its *smaller side* -- a frontier much smaller
-  than the candidate array binary-searches its range bounds *into the
-  candidates* and returns the slices between them (one range: a
-  zero-copy view), a large one locates every candidate in (at most) one
-  range with a single batched binary search;
-- following-sibling transitions reduce to a per-parent minimum over the
-  frontier plus one membership probe per candidate;
-- predicates become boolean masks over the frontier and cost no more
-  than they must: ``and``/``or`` evaluate their right operand only on
-  the nodes the left one left undecided; an existence path over *few*
-  context nodes is searched front to back from each of them, in
-  geometrically growing chunks that stop at the first witness; over
-  many context nodes it is computed *back to front* -- the match sets
-  ``M_k ... M_1`` (nodes from which the path suffix matches) are built
-  with the same vectorized primitives, a few array passes instead of a
-  per-node automaton run.
+- the step loop, which exits on the first empty frontier and tells each
+  step when its frontier is a whole label set (its rank column is
+  cached).  Candidates are the :class:`~repro.index.labels.LabelIndex`
+  arrays themselves -- per label for named tests, the cached fused union
+  for wildcard / ``node()`` tests -- and every operator returns a sorted
+  duplicate-free array, so results are byte-identical to the reference
+  oracle with no final sort and no dedup pass;
+- predicates as boolean masks that cost no more than they must:
+  ``and``/``or`` evaluate their right operand only on the nodes the left
+  one left undecided; an existence path over *few* context nodes is
+  searched front to back from each, in geometrically growing chunks that
+  stop at the first witness; over many it is computed *back to front*,
+  the match sets ``M_k ... M_1`` (nodes from which the path suffix
+  matches) built with the same operators (:data:`WITNESS_DISPATCH`
+  decides, from sizes known before the work starts);
+- the sizing the planner prices predicates with.
 
-Both choices are made from sizes known before the work starts
-(:data:`CONTEXT_SIDE_FACTOR`, :data:`WITNESS_DISPATCH`).  The loops and
-predicate logic here are shared with :mod:`repro.engine.window`, which
-plugs its own physical operators in through a :class:`Kernel`.
-
-Candidate arrays come straight from the
-:class:`~repro.index.labels.LabelIndex`: per-label sorted id arrays for
-named tests, and :meth:`LabelIndex.fused` merged unions for wildcard /
-``node()`` / multi-label tests (the same cached unions the tda jump
-machinery uses).  Because node ids are document order and every mask
-selects a subset of a sorted duplicate-free candidate array, results are
-produced sorted and duplicate-free -- byte-identical to the reference
-oracle with no sort and no dedup pass.
-
-Counters are *redefined* for this strategy (see ``EvalStats``): a node
-is "visited" when its array element is touched by a vectorized pass, a
-"jump" is one batched index operation (a searchsorted / membership
-pass over a whole frontier), and ``index_probes`` counts the probe
-elements of those batches.  A context-side descendant join books what
-it touches, not what it could have: two ``index_probes`` per context
-range (its bounds, searched in the candidates) and as ``visited`` the
-elements it copies into the result -- none for a single range, whose
-result is a view of the candidate array.  A first-witness search books
-every node it expands (its chunks) as ``visited``, plus whatever the
-steps it runs over them book.  Totals stay comparable to the
-node-at-a-time engines -- the same relevant elements are touched, just
-many per operation instead of one.
+Counters are *redefined* for these strategies (see ``EvalStats``): array
+elements read or copied are ``visited``, probe elements
+``index_probes``, passes ``jumps``; a first-witness search also books
+every node it expands.  Totals stay comparable to the node-at-a-time
+engines -- the same relevant elements, many per operation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.counters import EvalStats
+from repro.engine.joins import Key, join, successor_mask
 from repro.engine.registry import StrategyBase, register_strategy
 from repro.index.jumping import TreeIndex
 from repro.xpath.ast import (
@@ -78,13 +55,6 @@ from repro.xpath.ast import (
 )
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-#: A descendant step joins from the context side when the pruned
-#: frontier is at most this fraction (1/x) of the candidate array: two
-#: binary searches per range plus a gather of the output beat one
-#: binary search per candidate up to about a quarter (measured on 2k-
-#: to 100k-element arrays).
-CONTEXT_SIDE_FACTOR = 4
 
 #: Price, in array-element touches, of one expansion of a first-witness
 #: search: one location step over one small chunk, a handful of array
@@ -103,43 +73,36 @@ WITNESS_DISPATCH = 512
 _WITNESS_CHUNK = 16
 
 
-class Kernel(NamedTuple):
-    """The physical operators one set-at-a-time strategy supplies; the
-    step loop and the predicate logic around them are written once."""
-
-    #: ``(index, step, frontier, stats) -> sorted ids`` -- one location
-    #: step (predicate included) over a frontier (``None``: document node).
-    step: Callable
-    #: ``(index, axis, nodes, targets, stats) -> bool mask`` -- which of
-    #: ``nodes`` have an ``axis``-successor inside ``targets``.
-    successor: Callable
-
-
 def is_vectorizable(path: Path) -> bool:
-    """The fragment this evaluator covers natively: absolute forward
+    """The fragment the ``vectorized`` name covers: absolute forward
     paths (backward axes route through the mixed pipeline, relative
     top-level paths through the automaton engines)."""
     return path.absolute and bool(path.steps) and not path.has_backward_axes()
 
 
 def evaluate(
-    query: "str | Path",
-    index: TreeIndex,
-    stats: Optional[EvalStats] = None,
+    query: "str | Path", index: TreeIndex, stats: Optional[EvalStats] = None
 ) -> Tuple[bool, List[int]]:
     """Evaluate set-at-a-time; returns ``(accepted, selected ids)``."""
+    return evaluate_within(
+        is_vectorizable,
+        "vectorized fragment (absolute forward paths only)",
+        query,
+        index,
+        stats,
+    )
+
+
+def evaluate_within(fragment, named, query, index, stats):
+    """``evaluate`` for one registry name: refuse what its fragment
+    (a predicate over paths) does not hold, run the kernel on the rest."""
     if isinstance(query, str):
         from repro.xpath.parser import parse_xpath
 
-        path = parse_xpath(query)
-    else:
-        path = query
-    if not is_vectorizable(path):
-        raise ValueError(
-            f"query {str(path)!r} is outside the vectorized fragment "
-            "(absolute forward paths only)"
-        )
-    accepted, frontier = run_kernel(path, index, stats, _KERNEL)
+        query = parse_xpath(query)
+    if not fragment(query):
+        raise ValueError(f"query {str(query)!r} is outside the {named}")
+    accepted, frontier = run_kernel(query, index, stats)
     return accepted, frontier.tolist()
 
 
@@ -147,70 +110,58 @@ def evaluate(
 
 
 def run_kernel(
-    path: Path, index: TreeIndex, stats: Optional[EvalStats], kernel: Kernel
+    path: Path, index: TreeIndex, stats: Optional[EvalStats]
 ) -> Tuple[bool, np.ndarray]:
-    """An absolute path through ``kernel``: ``(accepted, final frontier)``,
-    which is what the set-at-a-time strategies' ``execute`` returns --
-    the sorted, duplicate-free ``int64`` array itself (possibly a view of
-    an index array), never converted to Python ints."""
-    frontier = _eval_steps(index, path.steps, None, stats, kernel)
+    """An absolute path, any axis: ``(accepted, final frontier)``, which
+    is what the set-at-a-time strategies' ``execute`` returns -- the
+    sorted, duplicate-free ``int64`` array itself (possibly a view of an
+    index array), never converted to Python ints."""
+    frontier = _eval_steps(index, path.steps, None, stats)
     if stats is not None:
         stats.selected += int(frontier.size)
     return bool(frontier.size), frontier
 
 
-def _eval_steps(
-    index: TreeIndex,
-    steps: tuple,
-    frontier: Optional[np.ndarray],
-    stats: Optional[EvalStats],
-    kernel: Kernel,
-) -> np.ndarray:
+def _eval_steps(index, steps: tuple, frontier, stats) -> np.ndarray:
     """Run location steps over a frontier (``None`` = the document
     node); an empty frontier after any step exits the chain early."""
+    src = None
     for step in steps:
-        frontier = kernel.step(index, step, frontier, stats)
+        frontier, src = _eval_step(index, step, frontier, src, stats)
         if frontier.size == 0:
             return _EMPTY
     return frontier if frontier is not None else _EMPTY
 
 
 def _eval_step(
-    index: TreeIndex,
-    step: Step,
-    frontier: Optional[np.ndarray],
-    stats: Optional[EvalStats],
-) -> np.ndarray:
-    cand = _candidates(index, step.axis, step.test)
+    index, step: Step, frontier, src: Optional[Key], stats
+) -> Tuple[np.ndarray, Optional[Key]]:
+    """One location step, predicate included.  ``src`` names the label
+    set the frontier is *all* of, if it is; the result comes with its
+    own such key (a subset of the candidates as large as they are is
+    the candidates)."""
+    cand, key = _candidates(index, step.axis, step.test)
     if stats is not None:
         stats.jumps += 1
     if cand.size == 0:
-        return _EMPTY
-    if frontier is not None and step.axis is Axis.DESCENDANT:
-        out = _descendant_join(index, cand, frontier, stats)
-    else:
+        return _EMPTY, None
+    if frontier is None:
+        # The implicit document node: its only child is the root, its
+        # descendants are every node; it has no siblings, attributes,
+        # parent or ancestors.
+        if step.axis is Axis.CHILD:
+            out = cand[:1] if cand[0] == 0 else _EMPTY
+        elif step.axis is Axis.DESCENDANT:
+            out = cand
+        else:
+            out = _EMPTY
         if stats is not None:
-            stats.visited += int(cand.size)
-        if frontier is None:
-            # The implicit document node: its only child is the root,
-            # its descendants are every node; it has no siblings or
-            # attributes.
-            if step.axis is Axis.CHILD:
-                out = cand[:1] if cand[0] == 0 else _EMPTY
-            elif step.axis is Axis.DESCENDANT:
-                out = cand
-            else:
-                out = _EMPTY
-        elif step.axis in (Axis.CHILD, Axis.ATTRIBUTE):
-            parents = index.parent_array()[cand]
-            out = cand[_in_sorted(parents, frontier, stats)]
-        elif step.axis is Axis.FOLLOWING_SIBLING:
-            out = cand[_following_sibling_mask(index, cand, frontier, stats)]
-        else:  # pragma: no cover - supports() excludes backward axes
-            raise AssertionError(step.axis)
+            stats.visited += int(out.size)
+    else:
+        out = join(index, step.axis, cand, key, frontier, src, stats)
     if step.predicate is not None and out.size:
-        out = out[_pred_mask(index, step.predicate, out, stats, _KERNEL)]
-    return out
+        out = out.compress(_pred_mask(index, step.predicate, out, stats))
+    return out, key if out.size == cand.size else None
 
 
 def test_label_names(labels: List[str], axis: Axis, test: str) -> List[str]:
@@ -230,8 +181,11 @@ def test_label_names(labels: List[str], axis: Axis, test: str) -> List[str]:
     return [test]
 
 
-def _candidates(index: TreeIndex, axis: Axis, test: str) -> np.ndarray:
-    """Sorted ids of every node the step's node test can match.
+def _candidates(
+    index: TreeIndex, axis: Axis, test: str
+) -> Tuple[np.ndarray, Key]:
+    """Sorted ids of every node the step's node test can match, and the
+    sorted label-id tuple that names the set (the rank-column key).
 
     Named tests hit the per-label array directly (no lock, no LRU slot
     -- trivial single-label wrappers would otherwise compete with the
@@ -241,10 +195,11 @@ def _candidates(index: TreeIndex, axis: Axis, test: str) -> np.ndarray:
     names = test_label_names(index.tree.labels, axis, test)
     label_ids = index.label_ids(names)
     if not label_ids:
-        return _EMPTY
+        return _EMPTY, ()
     if len(label_ids) == 1:
-        return index.labels.nodes_array(index.tree.labels[label_ids[0]])
-    return index.fused(label_ids).arr
+        lab = label_ids[0]
+        return index.labels.nodes_array(index.tree.labels[lab]), (lab,)
+    return index.fused(label_ids).arr, tuple(sorted(label_ids))
 
 
 def _element_count(index: TreeIndex) -> int:
@@ -325,167 +280,44 @@ def _witness_budget(index: TreeIndex, steps: tuple, contexts: int) -> int:
     return least if _witness_price(contexts, steps) < least else 0
 
 
-# -- vectorized axis primitives ---------------------------------------------
-
-
-def _in_sorted(
-    values: np.ndarray,
-    sorted_arr: np.ndarray,
-    stats: Optional[EvalStats],
-) -> np.ndarray:
-    """Membership mask of ``values`` in a sorted duplicate-free array."""
-    if stats is not None:
-        stats.jumps += 1
-        stats.index_probes += int(values.size)
-    if sorted_arr.size == 0:
-        return np.zeros(values.size, dtype=bool)
-    pos = np.searchsorted(sorted_arr, values)
-    clipped = np.minimum(pos, sorted_arr.size - 1)
-    return (pos < sorted_arr.size) & (sorted_arr[clipped] == values)
-
-
-def _staircase(
-    index: TreeIndex, frontier: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Prune the frontier to top-most nodes: disjoint subtree ranges.
-
-    Nested context subtrees are redundant for the descendant axis; the
-    running maximum of ``xml_end`` drops them in one pass (subtree
-    ranges either nest or are disjoint, so the survivors are pairwise
-    disjoint and every candidate lies in at most one of them).
-    """
-    ends = index.xml_end_array()[frontier]
-    if frontier.size <= 1:
-        return frontier, ends
-    keep = np.empty(frontier.size, dtype=bool)
-    keep[0] = True
-    np.greater_equal(
-        frontier[1:], np.maximum.accumulate(ends)[:-1], out=keep[1:]
-    )
-    return frontier[keep], ends[keep]
-
-
-def _descendant_join(
-    index: TreeIndex,
-    cand: np.ndarray,
-    frontier: np.ndarray,
-    stats: Optional[EvalStats],
-) -> np.ndarray:
-    """The candidates that are strict XML descendants of a frontier
-    node, joined from the smaller side of the staircase-pruned frontier
-    and the candidate array.
-
-    Context side (the array form of ``dt``/``ft`` jumping): each range
-    ``(v, xml_end[v])`` is located in the candidates by its two bounds
-    and the slices between them are the answer -- already sorted and
-    disjoint because the ranges are.  Candidate side: each candidate is
-    located in (at most) one range.
-    """
-    ctx, ctx_end = _staircase(index, frontier)
-    if ctx.size * CONTEXT_SIDE_FACTOR > cand.size:
-        if stats is not None:
-            stats.jumps += 1
-            stats.visited += int(cand.size)
-            stats.index_probes += int(cand.size)
-        j = np.searchsorted(ctx, cand, side="right") - 1
-        clipped = np.maximum(j, 0)
-        return cand[(j >= 0) & (cand > ctx[clipped]) & (cand < ctx_end[clipped])]
-    lo = np.searchsorted(cand, ctx, side="right")
-    hi = np.searchsorted(cand, ctx_end, side="left")
-    if stats is not None:
-        stats.jumps += 1
-        stats.index_probes += 2 * int(ctx.size)
-    if ctx.size == 1:
-        return cand[lo[0] : hi[0]]
-    counts = hi - lo
-    total = int(counts.sum())
-    if stats is not None:
-        stats.visited += total
-    # Gather the slices: output position k of range r reads
-    # cand[lo[r] + k - (outputs before r)].
-    take = np.arange(total)
-    take += np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return cand[take]
-
-
-def _following_sibling_mask(
-    index: TreeIndex,
-    cand: np.ndarray,
-    frontier: np.ndarray,
-    stats: Optional[EvalStats],
-) -> np.ndarray:
-    """Which candidates follow a frontier node among its siblings.
-
-    ``c`` qualifies iff some frontier node shares ``parent[c]`` and
-    precedes ``c`` -- i.e. ``c`` exceeds the *minimum* frontier id under
-    its parent.  The frontier is ascending, so ``np.unique``'s
-    first-occurrence indexes are exactly those minima.
-    """
-    parent = index.parent_array()
-    fp = parent[frontier]
-    uniq, first = np.unique(fp, return_index=True)
-    mins = frontier[first]
-    pc = parent[cand]
-    if stats is not None:
-        stats.jumps += 1
-        stats.index_probes += int(cand.size)
-    pos = np.searchsorted(uniq, pc)
-    clipped = np.minimum(pos, uniq.size - 1)
-    found = (pos < uniq.size) & (uniq[clipped] == pc)
-    return found & (cand > mins[clipped])
-
-
 # -- predicates as masks -----------------------------------------------------
 
 
-def _pred_mask(
-    index: TreeIndex,
-    pred: Pred,
-    nodes: np.ndarray,
-    stats: Optional[EvalStats],
-    kernel: Kernel,
-) -> np.ndarray:
+def _pred_mask(index, pred: Pred, nodes: np.ndarray, stats) -> np.ndarray:
     """Boolean mask over ``nodes``: which satisfy the predicate."""
     if isinstance(pred, (PredAnd, PredOr)):
         # The right operand only sees the nodes the left one left open:
         # its true ones under ``and``, its false ones under ``or``.
-        mask = _pred_mask(index, pred.left, nodes, stats, kernel)
-        undecided = mask if isinstance(pred, PredAnd) else ~mask
-        if undecided.any():
+        mask = _pred_mask(index, pred.left, nodes, stats)
+        undecided = np.flatnonzero(mask if isinstance(pred, PredAnd) else ~mask)
+        if undecided.size:
             mask[undecided] = _pred_mask(
-                index, pred.right, nodes[undecided], stats, kernel
+                index, pred.right, nodes[undecided], stats
             )
         return mask
     if isinstance(pred, PredNot):
-        return ~_pred_mask(index, pred.inner, nodes, stats, kernel)
+        return ~_pred_mask(index, pred.inner, nodes, stats)
     if isinstance(pred, PredPath):
         path = pred.path
         if path.absolute:
-            result = _eval_steps(index, path.steps, None, stats, kernel)
+            result = _eval_steps(index, path.steps, None, stats)
             return np.full(nodes.size, bool(result.size), dtype=bool)
         if not path.steps:
             return np.ones(nodes.size, dtype=bool)  # '.' always exists
         budget = _witness_budget(index, path.steps, nodes.size)
         if budget:
-            mask = _first_witnesses(
-                index, path.steps, nodes, budget, stats, kernel
-            )
+            mask = _first_witnesses(index, path.steps, nodes, budget, stats)
             if mask is not None:
                 return mask
-        matches = _match_set(index, path.steps, stats, kernel)
-        return kernel.successor(
-            index, path.steps[0].axis, nodes, matches, stats
+        matches, key = _match_set(index, path.steps, stats)
+        return successor_mask(
+            index, path.steps[0].axis, nodes, matches, key, stats
         )
     raise AssertionError(pred)
 
 
 def _first_witnesses(
-    index: TreeIndex,
-    steps: tuple,
-    nodes: np.ndarray,
-    budget: int,
-    stats: Optional[EvalStats],
-    kernel: Kernel,
+    index, steps: tuple, nodes: np.ndarray, budget: int, stats
 ) -> Optional[np.ndarray]:
     """From which of the (few) ``nodes`` does the relative path match?
     ``None`` once the searches have spent ``budget`` touches.
@@ -522,7 +354,7 @@ def _first_witnesses(
             chunk = reached[pos : pos + size]
             stats.visited += int(chunk.size)
             depth = len(stack) - 1
-            reached = kernel.step(index, steps[depth], chunk, stats)
+            reached, _ = _eval_step(index, steps[depth], chunk, None, stats)
             if reached.size:
                 if depth == last:
                     mask[i] = True
@@ -531,13 +363,9 @@ def _first_witnesses(
     return mask
 
 
-def _match_set(
-    index: TreeIndex,
-    steps: tuple,
-    stats: Optional[EvalStats],
-    kernel: Kernel,
-) -> np.ndarray:
-    """Nodes matching ``steps[0]`` from which ``steps[1:]`` matches.
+def _match_set(index, steps: tuple, stats) -> Tuple[np.ndarray, Optional[Key]]:
+    """Nodes matching ``steps[0]`` from which ``steps[1:]`` matches, and
+    their label key if they are all of that label set.
 
     Built back to front: ``M_k`` is the last step's test+predicate set,
     and ``M_i`` keeps the nodes of step ``i``'s set with a step-``i+1``
@@ -545,66 +373,26 @@ def _match_set(
     a context node is then one successor probe against ``M_1``.
     """
     matches: Optional[np.ndarray] = None
+    src: Optional[Key] = None
     for i in range(len(steps) - 1, -1, -1):
         step = steps[i]
-        cand = _candidates(index, step.axis, step.test)
+        cand, key = _candidates(index, step.axis, step.test)
+        full = cand.size
         if stats is not None:
-            stats.visited += int(cand.size)
+            stats.visited += full
             stats.jumps += 1
         if step.predicate is not None and cand.size:
-            cand = cand[_pred_mask(index, step.predicate, cand, stats, kernel)]
+            cand = cand.compress(_pred_mask(index, step.predicate, cand, stats))
         if matches is not None and cand.size:
-            cand = cand[
-                kernel.successor(index, steps[i + 1].axis, cand, matches, stats)
-            ]
-        matches = cand
+            cand = cand.compress(
+                successor_mask(
+                    index, steps[i + 1].axis, cand, matches, src, stats
+                )
+            )
+        matches, src = cand, key if cand.size == full else None
         if matches.size == 0:
-            return _EMPTY
-    return matches
-
-
-def _has_successor_mask(
-    index: TreeIndex,
-    axis: Axis,
-    nodes: np.ndarray,
-    targets: np.ndarray,
-    stats: Optional[EvalStats],
-) -> np.ndarray:
-    """Which of ``nodes`` have an ``axis``-successor inside ``targets``."""
-    if targets.size == 0:
-        return np.zeros(nodes.size, dtype=bool)
-    parent = index.parent_array()
-    if axis in (Axis.CHILD, Axis.ATTRIBUTE):
-        parents = parent[targets]
-        parents = np.unique(parents[parents >= 0])
-        return _in_sorted(nodes, parents, stats)
-    if axis is Axis.DESCENDANT:
-        if stats is not None:
-            stats.jumps += 1
-            stats.index_probes += int(nodes.size)
-        lo = np.searchsorted(targets, nodes, side="right")
-        hi = np.searchsorted(
-            targets, index.xml_end_array()[nodes], side="left"
-        )
-        return hi > lo
-    if axis is Axis.FOLLOWING_SIBLING:
-        # Per-parent *maximum* of the target set: reverse the ascending
-        # array so unique's first occurrences are the maxima.
-        tp = parent[targets][::-1]
-        uniq, first = np.unique(tp, return_index=True)
-        maxs = targets[::-1][first]
-        if stats is not None:
-            stats.jumps += 1
-            stats.index_probes += int(nodes.size)
-        pn = parent[nodes]
-        pos = np.searchsorted(uniq, pn)
-        clipped = np.minimum(pos, uniq.size - 1)
-        found = (pos < uniq.size) & (uniq[clipped] == pn)
-        return found & (maxs[clipped] > nodes)
-    raise AssertionError(axis)  # pragma: no cover - forward fragment only
-
-
-_KERNEL = Kernel(_eval_step, _has_successor_mask)
+            return _EMPTY, None
+    return matches, src
 
 
 @register_strategy
@@ -620,4 +408,4 @@ class VectorizedStrategy(StrategyBase):
         return is_vectorizable(path)
 
     def execute(self, plan, index, stats):
-        return run_kernel(plan.path, index, stats, _KERNEL)
+        return run_kernel(plan.path, index, stats)

@@ -72,6 +72,7 @@ from repro.counters import EvalStats
 from repro.engine import registry
 from repro.engine.pool import PoolTask, WorkerPool
 from repro.engine.api import Engine
+from repro.engine.joins import sorted_unique
 from repro.engine.plan import ExecutionResult
 from repro.index.jumping import TreeIndex
 from repro.xpath.ast import (
@@ -301,8 +302,9 @@ def _run_paths(
         stats.merge(result.stats)
         accepted = accepted or result.accepted
         parts.append(result.ids_array)
-    # Sorted duplicate-free parts: ``unique`` (sort, drop equal neighbours) unites them.
-    ids = parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
+    # Sorted duplicate-free parts: a stable sort merges the runs, an
+    # adjacent compare drops what two paths both selected.
+    ids = parts[0] if len(parts) == 1 else sorted_unique(np.concatenate(parts))
     return ExecutionResult(accepted, ids + offset, stats)
 
 

@@ -320,7 +320,7 @@ class PreparedQuery:
 
     def explain(self) -> str:
         """Describe the resolved strategy, compiled automaton, and plan."""
-        from repro.engine import hybrid
+        from repro.engine import hybrid, planner
         from repro.engine.mixed import forward_prefix_length
 
         lines = [f"strategy: {self.strategy.name}"]
@@ -328,9 +328,16 @@ class PreparedQuery:
         if planner_state is not None and hasattr(planner_state, "choice"):
             lines.append(planner_state.choice.describe())
         path = self.path
+        active = getattr(planner_state, "active", None)
+        executes_as = getattr(active, "name", self.strategy.name)
+        if executes_as in planner.SET_AT_A_TIME:
+            features = (
+                planner_state.choice.features
+                if hasattr(planner_state, "choice")
+                else planner.extract_features(path, self.engine.index)
+            )
+            lines += planner.describe_operators(path, features)
         if path.has_backward_axes():
-            active = getattr(planner_state, "active", None)
-            executes_as = getattr(active, "name", self.strategy.name)
             if executes_as != "mixed":
                 # The window strategy runs backward axes natively as
                 # reverse containment -- no pipeline split, no automaton.

@@ -51,8 +51,13 @@ from repro.xpath.ast import (
 
 #: Strategies the planner prices against each other.  All accept the
 #: whole forward fragment through their fallback chains, so the chosen
-#: name is always executable.
+#: name is always executable.  ``vectorized`` and ``window`` run the same
+#: kernel: a path is priced under the one whose fragment is the
+#: narrowest that holds it (see :func:`estimate_costs`).
 CANDIDATES: Tuple[str, ...] = ("vectorized", "window", "optimized", "hybrid")
+
+#: The two registry names of the set-at-a-time kernel.
+SET_AT_A_TIME: Tuple[str, ...] = ("vectorized", "window")
 
 #: Interpreted per-node work, in units of one numpy array-element touch.
 NODE_WEIGHT = 24.0
@@ -81,15 +86,6 @@ TRIAL_RUNS = 2
 #: units -- probing a catastrophically-priced strategy is not worth it.
 TRIAL_COST_CAP = 2e6
 
-#: Coarse prior on the fraction of a candidate array a depth-bucketed
-#: window join touches on child / attribute / following-sibling steps:
-#: the join probes only the depth buckets adjacent to the frontier, so
-#: with labels spread over a handful of depths a quarter of the array is
-#: a deliberately conservative guess.  The other axes are priced by
-#: :func:`_set_at_a_time_touches`.
-WINDOW_DEPTH_FACTOR = 0.25
-
-
 # -- feature extraction ------------------------------------------------------
 
 
@@ -99,6 +95,7 @@ class QueryFeatures:
 
     ``step_candidates`` holds the candidate-array length per location
     step (the per-label id-array sizes, summed for wildcard tests);
+    ``fanout`` the document's mean number of children per inner node;
     ``pred_candidates`` the total candidate elements its predicate
     subtree touches back to front, ``pred_touches`` the same with every
     path capped at its first-witness price from that step's candidates
@@ -119,6 +116,7 @@ class QueryFeatures:
     pred_touches: Tuple[int, ...]
     descendant_steps: int
     min_candidates: int
+    fanout: float = 1.0
 
     @property
     def total_candidates(self) -> int:
@@ -143,6 +141,20 @@ def doc_height(index: TreeIndex) -> int:
     if cached is None:
         cached = index.tree.height()
         index._planner_height = cached
+    return cached
+
+
+def mean_fanout(index: TreeIndex) -> float:
+    """Children per inner node, the planner's prior for what a
+    context-side child join gathers per frontier node (one vectorized
+    pass over ``xml_end``, cached on the index)."""
+    cached = getattr(index, "_planner_fanout", None)
+    if cached is None:
+        import numpy as np
+
+        ends = index.xml_end_array()
+        inner = int(np.count_nonzero(ends > np.arange(1, ends.size + 1)))
+        cached = index._planner_fanout = (ends.size - 1) / max(1, inner)
     return cached
 
 
@@ -218,47 +230,68 @@ def extract_features(path: Path, index: TreeIndex) -> QueryFeatures:
         min_candidates=(
             min(step_candidates) if step_candidates else 0
         ),
+        fanout=mean_fanout(index),
     )
 
 
 # -- cost model --------------------------------------------------------------
 
 
-def _set_at_a_time_touches(
-    features: QueryFeatures, depth_factor: float
-) -> float:
-    """Array elements the steps and predicates of a set-at-a-time run
-    touch, each priced by the side the kernel will run it from.
+def step_operators(features: QueryFeatures) -> List[Tuple[str, float]]:
+    """Per location step, the physical operator a set-at-a-time run will
+    pick and the array elements it states it touches.
 
-    The kernels choose by frontier size; before running, the frontier a
-    step meets is bounded by the previous step's candidate count.  A
-    descendant step that bound makes context-side costs its window
-    probes plus the copied output (at most the candidates; nothing for
-    one window, a view) instead of the candidate array -- the comparison
-    of :func:`repro.engine.frontier._descendant_join`; a predicate
-    costs ``pred_touches``, the comparison of ``_pred_mask``.  A parent
-    step (window only) reads the frontier, not the candidates.
-    ``depth_factor`` scales child / attribute / following-sibling steps
-    (the window strategy's depth buckets).
+    The kernel picks from the sizes in hand
+    (:func:`repro.engine.joins.join`); before running, the frontier a
+    step meets is bounded by the previous step's candidate count and,
+    below a child / sibling step, by the children the frontier before it
+    has (``fanout`` each).  The same rule applied to that bound
+    (:func:`joins.plan_operator`) names the operator priced here.  The
+    first step joins nothing: the document node's only child is the
+    root, its descendants are the candidates.
     """
-    from repro.engine.frontier import CONTEXT_SIDE_FACTOR
+    from repro.engine.joins import plan_operator
 
-    touches = 0.0
-    ctx = 0  # the document node is not a join
-    for axis, cnt, pred in zip(
-        features.axes, features.step_candidates, features.pred_touches
-    ):
-        if axis in ("child", "attribute", "following-sibling"):
-            touches += cnt * depth_factor
-        elif axis == "descendant" and 0 < ctx * CONTEXT_SIDE_FACTOR <= cnt:
-            touches += 2 * ctx + (cnt if ctx > 1 else 0)
-        elif axis == "parent":
-            touches += ctx  # read off the frontier's parents
+    out: List[Tuple[str, float]] = []
+    ctx = 0
+    for axis, cnt in zip(features.axes, features.step_candidates):
+        if ctx == 0:
+            reach = cnt if axis == "descendant" else min(cnt, 1)
+            out.append(("document", float(reach)))
         else:
-            touches += cnt
-        touches += pred
-        ctx = cnt
-    return touches
+            op, touches = plan_operator(
+                Axis(axis), ctx, cnt, features.n, features.fanout
+            )
+            out.append((op.name, touches))
+            if axis in ("child", "attribute", "following-sibling"):
+                reach = ctx * features.fanout
+            else:
+                reach = ctx if axis == "parent" else cnt
+        ctx = max(1, int(min(cnt, reach)))
+    return out
+
+
+def describe_operators(path: Path, features: QueryFeatures) -> List[str]:
+    """The ``explain`` lines of :func:`step_operators`: one per location
+    step, the operator the kernel is expected to run and its touches."""
+    lines = ["set-at-a-time steps (operator priced from candidate counts):"]
+    for i, (step, (name, touches)) in enumerate(
+        zip(path.steps, step_operators(features)), 1
+    ):
+        lines.append(
+            f"  {i}. {step.axis.value + '::' + step.test:<34s} {name:<24s}"
+            f"~{touches:,.0f} touches"
+        )
+    return lines
+
+
+def _set_at_a_time_touches(features: QueryFeatures) -> float:
+    """Array elements the steps and predicates of a set-at-a-time run
+    touch: each step the term its operator states, each predicate
+    ``pred_touches`` (the comparison of ``frontier._pred_mask``)."""
+    return sum(t for _, t in step_operators(features)) + sum(
+        features.pred_touches
+    )
 
 
 def estimate_costs(path: Path, features: QueryFeatures) -> Dict[str, float]:
@@ -269,31 +302,21 @@ def estimate_costs(path: Path, features: QueryFeatures) -> Dict[str, float]:
     while each join keeps its side.
     """
     from repro.engine.frontier import is_vectorizable
+    from repro.engine.window import is_window_evaluable
 
     ops = features.steps + features.pred_paths
     costs: Dict[str, float] = {}
-    # Vectorized: every touch costs 1, plus a fixed per-pass dispatch.
-    # Priced only inside its native fragment -- estimating a strategy
-    # that would resolve away through its fallback chain would leave
-    # the choice and the executing strategy out of sync (the feedback
-    # loop keys observations by the *active* strategy's name).
-    if is_vectorizable(path):
-        costs["vectorized"] = VEC_CALL * (3 * ops) + _set_at_a_time_touches(
-            features, 1.0
-        )
-    # Window joins: child / attribute / following-sibling steps probe
-    # only the depth buckets adjacent to the frontier (a fraction of the
-    # candidate array, WINDOW_DEPTH_FACTOR); descendant steps and
-    # predicates are the shared kernels, priced alike; ancestor steps
-    # pay the full array, parent steps the frontier.  Priced inside
-    # window's native fragment only, for the same feedback-keying reason
-    # as vectorized.
-    from repro.engine.window import is_window_evaluable
-
+    # Set-at-a-time: every touch costs 1, plus a fixed per-pass dispatch.
+    # ``vectorized`` and ``window`` are one kernel under two fragments,
+    # so one of them is priced -- the narrower name where it applies,
+    # ``window`` for paths with backward axes.  Priced only inside its
+    # native fragment: estimating a strategy that would resolve away
+    # through its fallback chain would leave the choice and the
+    # executing strategy out of sync (the feedback loop keys
+    # observations by the *active* strategy's name).
     if is_window_evaluable(path):
-        costs["window"] = VEC_CALL * (3 * ops) + _set_at_a_time_touches(
-            features, WINDOW_DEPTH_FACTOR
-        )
+        name = "vectorized" if is_vectorizable(path) else "window"
+        costs[name] = VEC_CALL * (3 * ops) + _set_at_a_time_touches(features)
     # Node-at-a-time automaton run: jumping restricts the run to roughly
     # the same relevant elements, but each costs an interpreted step.
     # Existence predicates short-circuit on the first witness, bounded
@@ -494,6 +517,11 @@ class PlannerState:
             "costs": {
                 k: round(v, 1) for k, v in self.choice.costs.items()
             },
+            "operators": [
+                name for name, _ in step_operators(self.choice.features)
+            ]
+            if self.choice.strategy in SET_AT_A_TIME
+            else [],
             "runs": self.runs,
             "replans": self.replans,
             "frozen": self.frozen,

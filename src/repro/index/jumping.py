@@ -22,10 +22,16 @@ from bisect import bisect_left
 from typing import Iterable, Optional
 
 from repro.index.labels import FusedLabels, LabelIndex
+from repro.lru import LRUCache
 from repro.tree.binary import NIL, BinaryTree
 
 OMEGA = -2
 """The error node Ω of Definition 3.2 (distinct from the # sentinel)."""
+
+#: Bound on cached rank columns per index.  A column is ``4 * (n + 2)``
+#: bytes (0.85 MB at 212k nodes), so a full cache stays under 5% of the
+#: resident size of a document that large.
+RANK_CACHE_SIZE = 8
 
 
 def postorder_from_xml_end(xml_end):
@@ -52,12 +58,30 @@ def postorder_from_xml_end(xml_end):
     return post
 
 
+def rank_column(ids, n):
+    """``rank[p]`` = number of ``ids`` (sorted, duplicate-free, all below
+    ``n``) that are ``< p``, for ``p`` in ``[0, n + 2)``: each count is
+    repeated over the gap up to the next id, one ``np.repeat``."""
+    import numpy as np
+
+    edges = np.empty(ids.size + 2, dtype=np.int64)
+    edges[0] = 0
+    edges[1:-1] = ids
+    edges[1:-1] += 1
+    edges[-1] = n + 2
+    return np.repeat(
+        np.arange(ids.size + 1, dtype=np.int32), np.diff(edges)
+    )
+
+
 class TreeIndex:
     """Bundles a :class:`BinaryTree` with its label index and jump functions."""
 
     def __init__(self, tree: BinaryTree, labels: Optional[LabelIndex] = None) -> None:
         self.tree = tree
         self.labels = labels if labels is not None else LabelIndex(tree)
+        # label-id key -> rank column; its lock also guards the CSR build.
+        self._ranks = LRUCache(RANK_CACHE_SIZE, lock=True)
 
     def fused(self, label_ids: Iterable[int]) -> FusedLabels:
         """The cached merged node array of a label-id set (see
@@ -143,13 +167,13 @@ class TreeIndex:
 
         Together with the preorder id this is the classic XPath-
         accelerator pre/post plane: ``u`` is an ancestor of ``v`` iff
-        ``pre(u) < pre(v)`` and ``post(u) > post(v)``.  Store bundles
-        persist this column as an optional array
-        (:data:`repro.store.format.OPTIONAL_ARRAY_DTYPES`), in which case
-        :func:`repro.store.store.open_document` seeds ``_post_arr`` and
-        the rebuild below never runs; bundles written before the column
-        existed (or freshly parsed documents) derive it lazily in one
-        ``np.lexsort`` pass.
+        ``pre(u) < pre(v)`` and ``post(u) > post(v)``.  The join kernels
+        read ``xml_end`` instead (the same window, projected on the
+        preorder axis), so nothing in the engine needs this column any
+        more; store bundles still persist it as an optional array
+        (:data:`repro.store.format.OPTIONAL_ARRAY_DTYPES`), which
+        :func:`repro.store.store.open_document` seeds ``_post_arr``
+        from, and one ``np.lexsort`` pass derives it where absent.
         """
         arr = getattr(self, "_post_arr", None)
         if arr is None:
@@ -158,19 +182,58 @@ class TreeIndex:
             )
         return arr
 
-    def depth_array(self):
-        """Node depth (root = 0) as a cached ``np.int64`` array.
+    # -- dense columns of the set-at-a-time join kernels ------------------------
 
-        Free given the postorder column: ``post = pre + size - 1 - depth``
-        and ``size = xml_end - pre``, hence ``depth = xml_end - 1 - post``
-        -- one vectorized subtraction, no tree walk.
-        """
-        arr = getattr(self, "_depth_arr", None)
-        if arr is None:
-            arr = self._depth_arr = (
-                self.xml_end_array() - 1 - self.post_array()
-            )
-        return arr
+    def mark(self, ids):
+        """A fresh mark bitmap, ``bool[n + 2]`` with ``ids`` set: every
+        membership test of the join kernels is one gather from it.  The
+        last slot is never set and absorbs ``parent == -1``.  Built per
+        call (a ``calloc`` plus one scatter), so concurrent plans on one
+        index share nothing."""
+        import numpy as np
+
+        bitmap = np.zeros(self.tree.n + 2, dtype=bool)
+        bitmap[ids] = True
+        return bitmap
+
+    def rank(self, key, cand):
+        """The rank column of one label-id set: ``int32[n + 2]`` with
+        ``rank[p]`` = how many of its nodes (``cand``, sorted) precede
+        ``p``, so the count inside any id range is two gathers.  LRU-
+        cached per sorted label-id tuple (:data:`RANK_CACHE_SIZE`), built
+        under the cache's lock like :meth:`LabelIndex.fused`; eviction
+        is transparent, a re-requested column is rebuilt."""
+        cache = self._ranks
+        with cache.lock:
+            column = cache.get(key)
+            if column is None:
+                column = rank_column(cand, self.tree.n)
+                cache.put(key, column)
+        return column
+
+    def child_csr(self):
+        """The child lists in CSR form, ``(child_order, child_start)``:
+        the children of ``p``, in document order, are
+        ``child_order[child_start[p] : child_start[p + 1]]``.  One stable
+        argsort of the parent column, built once on first use."""
+        csr = getattr(self, "_child_csr", None)
+        if csr is None:
+            import numpy as np
+
+            with self._ranks.lock:
+                csr = getattr(self, "_child_csr", None)
+                if csr is None:
+                    parent = self.parent_array()
+                    start = np.zeros(parent.size + 2, dtype=np.int32)
+                    np.cumsum(
+                        np.bincount(parent + 1, minlength=parent.size + 1),
+                        out=start[1:],
+                    )
+                    # Slot 0 of ``start`` counts the parentless root(s),
+                    # which sort first and are no one's children.
+                    order = np.argsort(parent, kind="stable")[start[1] :]
+                    csr = self._child_csr = (order, start[1:] - start[1])
+        return csr
 
     def label_of_array(self):
         """``tree.label_of`` as a cached ``np.int64`` array."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import frontier, registry
+from repro.engine import frontier, joins, registry
 from repro.engine.api import Engine
 from repro.engine.plan import CompiledQueryCache
 from repro.index.jumping import TreeIndex
@@ -108,29 +108,39 @@ def test_strategy_matches_oracle_on_fuzz_corpus(corpus, encode, strategy):
 
 @pytest.mark.parametrize("corpus,encode", CORPORA)
 @pytest.mark.parametrize("strategy", ["vectorized", "window"])
-@pytest.mark.parametrize("context_side", [True, False])
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("first_witness", [True, False])
 def test_both_sides_of_both_choices_match_oracle(
-    monkeypatch, corpus, encode, strategy, context_side
+    monkeypatch, corpus, encode, strategy, position, first_witness
 ):
-    """The set-at-a-time kernels pick a join side and a predicate
-    direction from array sizes, and the fuzz documents are too small to
-    reach the context side on their own: pin each side in turn -- every
-    descendant join context-side and every relative predicate a
-    first-witness search run to its end (a path sized beyond any budget),
-    then neither -- and hold both to the oracle."""
-    if context_side:
-        monkeypatch.setattr(frontier, "CONTEXT_SIDE_FACTOR", 0)
+    """The set-at-a-time kernels pick a physical operator and a
+    predicate direction from array sizes, and the fuzz documents are too
+    small to reach most of them on their own.  Pin every row of the
+    operator table to one position in turn -- 0: the candidate side of
+    every axis (mark bitmaps, rank columns), 1: the context side of
+    child / sibling / parent (CSR, gather) and the binary-search form of
+    descendant / ancestor, 2: the descendant ranges -- with the
+    predicates' probes ranked at position 0 and searched otherwise, and
+    every relative predicate either a first-witness search run to its
+    end (a path sized beyond any budget) or built back to front; hold
+    each combination to the oracle."""
+    for axis, row in joins.OPERATORS.items():
+        pinned = min(position, len(row.ops) - 1)
+        monkeypatch.setitem(
+            joins.OPERATORS, axis, row._replace(choose=lambda *_, p=pinned: p)
+        )
+    monkeypatch.setattr(joins, "RANK_FACTOR", 0 if position else 10**9)
+    if first_witness:
         monkeypatch.setattr(
             frontier, "_witness_budget", lambda index, steps, contexts: 10**12
         )
     else:
-        monkeypatch.setattr(frontier, "CONTEXT_SIDE_FACTOR", 10**9)
         monkeypatch.setattr(frontier, "WITNESS_DISPATCH", 10**9)
     for index, queries in _indexes(corpus, encode):
         engine = Engine(index, strategy=strategy)
         for query in queries:
             expected = evaluate_reference(index.tree, parse_xpath(query))
-            assert engine.select(query) == expected, (strategy, query)
+            assert engine.select(query) == expected, (strategy, position, query)
 
 
 def test_new_strategies_are_fuzzed():

@@ -1,6 +1,6 @@
 """Relevance-driven kernels of the set-at-a-time strategies: the
-context-side descendant join and first-witness predicates
-(``repro.engine.frontier``, shared with ``repro.engine.window``).
+context-side joins (``repro.engine.joins``) and first-witness predicates
+(``repro.engine.frontier``), one kernel under both registry names.
 
 Both are chosen from array sizes, so the tests here run at sizes where
 each side is actually taken -- a 30k-node synthetic document for the
@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from repro.counters import EvalStats
-from repro.engine import frontier, window
+from repro.engine import frontier, joins, window
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
+from repro.xpath.ast import Axis
 from repro.xpath.parser import parse_xpath
 from repro.xpath.reference import evaluate_reference
 from strategies import random_document, random_predicate
@@ -149,12 +150,11 @@ class TestLongPaths:
         assert module.evaluate(path, index)[1] == expected
         assert calls == [("witness", 1)]
 
+    @pytest.mark.parametrize("module", STRATEGIES)
     @pytest.mark.parametrize("missing", [0, 1])
-    def test_back_to_front(self, calls, missing):
-        # (window answers too, as before, but takes a minute: its child
-        # probe loops over every depth, for every step.)
+    def test_back_to_front(self, calls, module, missing):
         path, index, expected = self._case(missing)
-        assert frontier.evaluate(path, index)[1] == expected
+        assert module.evaluate(path, index)[1] == expected
         assert calls == [("back to front", None)]
 
 
@@ -171,16 +171,14 @@ class TestShortCircuit:
     ):
         index = TreeIndex(BinaryTree.from_xml(self.XML))
         seen = {}
-        successor = module._KERNEL.successor
+        successor = frontier.successor_mask
 
-        def spy(index_, axis, nodes, targets, stats):
+        def spy(index_, axis, nodes, targets, key, stats):
             if targets.size:
                 seen[index_.tree.label(int(targets[0]))] = nodes.size
-            return successor(index_, axis, nodes, targets, stats)
+            return successor(index_, axis, nodes, targets, key, stats)
 
-        monkeypatch.setattr(
-            module, "_KERNEL", module._KERNEL._replace(successor=spy)
-        )
+        monkeypatch.setattr(frontier, "successor_mask", spy)
         _, ids = module.evaluate(parse_xpath(query), index)
         assert len(ids) == selected
         assert seen.get("c") == open_nodes  # None: never evaluated
@@ -234,28 +232,30 @@ class TestCounters:
 
     def test_context_side_join_books_what_it_copies(self, xmark):
         stats = EvalStats()
-        regions = frontier._candidates(xmark, parse_xpath("/x").steps[0].axis, "regions")
+        regions, _ = frontier._candidates(xmark, Axis.CHILD, "regions")
         continents = xmark.parent_array()
         continents = np.flatnonzero(continents == regions[0])
-        cand = xmark.labels.nodes_array("keyword")
-        out = frontier._descendant_join(xmark, cand, continents, stats)
+        cand, key = frontier._candidates(xmark, Axis.DESCENDANT, "keyword")
+        out = joins.join(xmark, Axis.DESCENDANT, cand, key, continents, None, stats)
         assert continents.size == 6 and out.size
         assert stats.index_probes == 12
         assert stats.visited == out.size
 
     def test_candidate_side_join_books_the_candidates(self, xmark):
         stats = EvalStats()
-        items = xmark.labels.nodes_array("item")
-        cand = xmark.labels.nodes_array("mailbox")
-        out = frontier._descendant_join(xmark, cand, items, stats)
-        assert out.size == cand.size  # every item has one
-        assert stats.visited == stats.index_probes == cand.size
+        texts, src = frontier._candidates(xmark, Axis.DESCENDANT, "text")
+        cand, key = frontier._candidates(xmark, Axis.DESCENDANT, "keyword")
+        out = joins.join(xmark, Axis.DESCENDANT, cand, key, texts, src, stats)
+        assert out.size == cand.size  # keywords only occur in running text
+        # Every candidate read, each located in the texts' (cached) rank
+        # column and held against that one text's range end.
+        assert stats.visited == cand.size
+        assert stats.index_probes == 2 * cand.size
 
 
 def test_searches_stop_at_their_budget(xmark):
     steps = parse_xpath("/x[.//keyword//item]").steps[0].predicate.path.steps
     site = np.zeros(1, dtype=np.int64)
-    kernel = frontier._KERNEL
-    assert frontier._first_witnesses(xmark, steps, site, 0, None, kernel) is None
-    mask = frontier._first_witnesses(xmark, steps, site, 10**9, None, kernel)
+    assert frontier._first_witnesses(xmark, steps, site, 0, None) is None
+    mask = frontier._first_witnesses(xmark, steps, site, 10**9, None)
     assert mask.tolist() == [False]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import frontier
+from repro.engine import frontier, joins
 from repro.engine.api import Engine
 from repro.engine.registry import get_strategy, resolve
 from repro.counters import EvalStats
@@ -151,18 +151,14 @@ class TestCounters:
 class TestVectorizedPrimitives:
     def test_staircase_prunes_nested_ranges(self, index):
         fr = np.asarray([1, 3, 4], dtype=np.int64)  # 3,4 nested under... check
-        ctx, ends = frontier._staircase(index, fr)
         # node 1 subtree is [1,7): nodes 3 and 4 are nested, pruned.
-        assert ctx.tolist() == [1]
-        assert ends.tolist() == [int(index.tree.xml_end[1])]
+        assert joins.staircase(index, fr).tolist() == [1]
 
-    def test_in_sorted_empty(self):
-        mask = frontier._in_sorted(
-            np.asarray([1, 2], dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            None,
-        )
-        assert mask.tolist() == [False, False]
+    def test_empty_mark_bitmap_has_no_members(self, index):
+        bitmap = index.mark(np.empty(0, dtype=np.int64))
+        assert bitmap.size == index.tree.n + 2 and not bitmap.any()
+        # parent == -1 reads the spare last slot, never set.
+        assert not index.mark(np.arange(index.tree.n))[-1]
 
     def test_candidates_wildcard_excludes_encoded(self):
         tree = BinaryTree.from_document(
@@ -173,7 +169,7 @@ class TestVectorizedPrimitives:
         index = TreeIndex(tree)
         from repro.xpath.ast import Axis
 
-        star = frontier._candidates(index, Axis.CHILD, "*")
-        everything = frontier._candidates(index, Axis.CHILD, "node()")
+        star, _ = frontier._candidates(index, Axis.CHILD, "*")
+        everything, _ = frontier._candidates(index, Axis.CHILD, "node()")
         assert star.tolist() == [0]
         assert everything.tolist() == [0, 1, 2]

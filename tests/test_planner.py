@@ -471,13 +471,15 @@ class TestRelevanceDrivenPricing:
         report = plan_explain(Engine(xmark, strategy="auto"), self.Q15)
         costs = report["planner"]["costs"]
         dispatch = planner.VEC_CALL * 3 * (2 + 1)  # two steps, one path
-        for name in ("vectorized", "window"):
-            # The two expansions of the search and a few probes: neither
-            # the predicate's two passes over every element nor the
-            # keyword array, which the one-window step only slices.
-            assert costs[name] - dispatch == pytest.approx(
-                2 * frontier.WITNESS_DISPATCH, abs=4
-            )
+        # The two expansions of the search and a few probes: neither
+        # the predicate's two passes over every element nor the
+        # keyword array, which the one-window step only slices.
+        assert costs["vectorized"] - dispatch == pytest.approx(
+            2 * frontier.WITNESS_DISPATCH, abs=4
+        )
+        # One kernel under two names: a forward path is priced once.
+        assert "window" not in costs
+        assert report["planner"]["operators"] == ["document", "descendant/ranges"]
         assert costs["optimized"] > xmark.tree.n  # node-at-a-time still walks
 
     def test_parent_step_is_priced_by_the_frontier(self, xmark):

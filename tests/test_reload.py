@@ -334,6 +334,7 @@ class TestPlannerRefresh:
                 for _ in range(4):  # warm both plans
                     client.query("//a/b", document="doc")
                     client.query("//a/b", document="stable")
+                warmed = client.explain("//a/b", document="stable")
                 store.replace("doc", XML_V2)
                 client.reload()
                 after = client.explain("//a/b", document="doc")
@@ -347,7 +348,7 @@ class TestPlannerRefresh:
                 # The untouched document's plan survived the reload warm.
                 stable = client.explain("//a/b", document="stable")
                 assert stable["warm"] is True
-                assert stable["planner"]["costs"] == before["planner"]["costs"]
+                assert stable["planner"] == warmed["planner"]
 
 
 class TestWorkspaceSwap:

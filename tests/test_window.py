@@ -1,10 +1,11 @@
 """The window-join strategy (repro.engine.window): XPath accelerator.
 
-Pins the pre/post encoding identities, each axis join against the
+Pins the pre/post encoding identity, each axis join against the
 reference evaluator, native backward axes, predicate window counts, the
 optional ``post`` store column (round trip + legacy bundles), sharded /
-pooled execution identity, planner integration, and the depth-bucket
-LRU's bound.
+pooled execution identity, planner integration, and the dense columns
+the joins gather from (rank-column LRU bound, child CSR, shard-local
+columns).
 """
 
 import json
@@ -14,18 +15,14 @@ import numpy as np
 import pytest
 
 from repro.counters import EvalStats
-from repro.engine import window
+from repro.engine import joins, window
 from repro.engine.api import Engine
 from repro.engine.parallel import QueryService
 from repro.engine.registry import get_strategy, resolve
-from repro.engine.window import (
-    DepthBuckets,
-    WindowEncoding,
-    get_encoding,
-    is_window_evaluable,
-)
+from repro.engine.window import is_window_evaluable
 from repro.engine.workspace import Workspace
-from repro.index.jumping import TreeIndex, postorder_from_xml_end
+from repro.index import jumping
+from repro.index.jumping import TreeIndex, postorder_from_xml_end, rank_column
 from repro.store import open_document, save_document
 from repro.tree.binary import BinaryTree
 from repro.tree.parser import parse_xml
@@ -102,21 +99,11 @@ class TestEncoding:
         derived = postorder_from_xml_end(index.xml_end_array())
         assert derived.tolist() == post.tolist()
 
-    def test_depth_identity(self, index):
-        tree = index.tree
-        enc = get_encoding(index)
-        for v in range(tree.n):
-            d, u = 0, v
-            while tree.parent[u] != -1:
-                u = tree.parent[u]
-                d += 1
-            assert int(enc.depth[v]) == d
-
     def test_ancestor_iff_window_dominates(self, index):
         """The defining property: u is a proper ancestor of v iff
         pre(u) < pre(v) and post(u) > post(v)."""
         tree = index.tree
-        enc = get_encoding(index)
+        post = index.post_array()
 
         def is_ancestor(u, v):
             while tree.parent[v] != -1:
@@ -127,24 +114,8 @@ class TestEncoding:
 
         for u in range(tree.n):
             for v in range(tree.n):
-                window_says = u < v and enc.post[u] > enc.post[v]
+                window_says = u < v and post[u] > post[v]
                 assert window_says == is_ancestor(u, v), (u, v)
-
-    def test_depth_buckets_partition(self, index):
-        enc = get_encoding(index)
-        cand = np.arange(index.tree.n, dtype=np.int64)
-        buckets = DepthBuckets(cand, enc.depth)
-        seen = []
-        for d in buckets.depths:
-            sub = buckets.at(int(d))
-            assert (enc.depth[sub] == d).all()
-            assert (np.diff(sub) > 0).all()  # preorder-sorted
-            seen.extend(sub.tolist())
-        assert sorted(seen) == cand.tolist()
-        assert buckets.at(999).size == 0
-
-    def test_encoding_cached_on_index(self, index):
-        assert get_encoding(index) is get_encoding(index)
 
 
 class TestOracleIdentity:
@@ -356,7 +327,7 @@ class TestPlannerIntegration:
         from repro.engine.planner import CANDIDATES, PlannerState
 
         assert "window" in CANDIDATES
-        state = PlannerState.plan(parse_xpath("//a/b"), index)
+        state = PlannerState.plan(parse_xpath("//a/parent::b"), index)
         assert "window" in state.choice.costs
 
     def test_auto_runs_backward_paths_on_window(self, index):
@@ -377,59 +348,114 @@ class TestPlannerIntegration:
         state = PlannerState.plan(parse_xpath("//b/ancestor::a"), index)
         assert "optimized" not in state.choice.costs
 
-    def test_forward_paths_price_all_candidates(self, index):
+    def test_forward_paths_price_the_kernel_once(self, index):
+        # ``vectorized`` and ``window`` run one kernel: a forward path is
+        # priced under the narrower name, not trialed against itself.
         from repro.engine.planner import PlannerState
 
         state = PlannerState.plan(parse_xpath("//a/b[c]"), index)
-        assert {"vectorized", "window", "optimized"} <= set(
-            state.choice.costs
-        )
+        assert {"vectorized", "optimized"} <= set(state.choice.costs)
+        assert "window" not in state.choice.costs
 
 
-class TestBucketCache:
-    def test_lru_bound_and_counters(self, monkeypatch):
-        monkeypatch.setattr(window, "BUCKET_CACHE_SIZE", 2)
-        index = TreeIndex(BinaryTree.from_document(parse_xml(XML)))
-        enc = WindowEncoding(index)
-        cand = np.arange(index.tree.n, dtype=np.int64)
-        for key in ((1,), (2,), (3,)):
-            enc.buckets(key, cand)
-        assert enc.cache_info()["size"] == 2
-        assert enc.cache_info()["evictions"] == 1
-        assert enc.cache_info()["misses"] == 3
-        enc.buckets((3,), cand)  # still resident
-        assert enc.cache_info()["hits"] == 1
+class TestDenseColumns:
+    """The rank-column LRU, the child CSR and their shard-local copies
+    (``TreeIndex.rank`` / ``child_csr``; the joins read nothing else)."""
 
-    def test_repeated_execution_hits_cache(self, index):
-        index = TreeIndex(
-            BinaryTree.from_document(parse_xml(XML))
-        )  # fresh: no shared encoding state
-        engine = Engine(index, strategy="window")
-        plan = engine.prepare("//a/b")
+    def fresh(self):
+        return TreeIndex(BinaryTree.from_document(parse_xml(XML)))
+
+    def test_rank_column_counts_members_below(self, index):
+        cand = index.labels.nodes_array("b")
+        rank = rank_column(cand, index.tree.n)
+        assert rank.dtype == np.int32 and rank.size == index.tree.n + 2
+        for p in range(index.tree.n + 2):
+            assert rank[p] == sum(1 for c in cand if c < p)
+
+    def test_child_csr_lists_children_in_document_order(self, index):
+        order, start = index.child_csr()
+        tree = index.tree
+        assert order.dtype == np.int64 and start.size == tree.n + 1
+        for p in range(tree.n):
+            kids = [c for c in range(tree.n) if tree.parent[c] == p]
+            assert order[start[p] : start[p + 1]].tolist() == kids
+        assert index.child_csr() is index.child_csr()  # built once
+
+    def test_rank_cache_is_bounded_and_counted(self, monkeypatch):
+        index = self.fresh()
+        index._ranks.maxsize = 2
+        labels = ["a", "b", "keyword"]
+        for name in labels:
+            key = (index.tree.label_ids[name],)
+            index.rank(key, index.labels.nodes_array(name))
+        info = index._ranks.cache_info()
+        assert (info["size"], info["evictions"], info["misses"]) == (2, 1, 3)
+        key = (index.tree.label_ids["keyword"],)
+        index.rank(key, index.labels.nodes_array("keyword"))  # resident
+        assert index._ranks.cache_info()["hits"] == 1
+        assert jumping.RANK_CACHE_SIZE == 8  # a constant, < 5% of RSS at 212k
+
+    def test_evicted_column_rebuilds_to_identical_answers(self, monkeypatch):
+        # Every whole-label-set probe ranked, one cache slot: each of the
+        # two predicates evicts the other's column, every time.
+        monkeypatch.setattr(joins, "RANK_FACTOR", 10**9)
+        index = self.fresh()
+        index._ranks.maxsize = 1
+        query = "//a[.//b and .//d]"
+        expected = evaluate_reference(index.tree, parse_xpath(query))
+        for _ in range(3):
+            assert window.evaluate(parse_xpath(query), index)[1] == expected
+        info = index._ranks.cache_info()
+        assert info["size"] == 1 and info["evictions"] >= 4
+
+    def test_repeated_execution_hits_the_rank_cache(self, monkeypatch):
+        monkeypatch.setattr(joins, "RANK_FACTOR", 10**9)
+        index = self.fresh()
+        plan = Engine(index, strategy="window").prepare("//a[.//b]")
         plan.execute()
-        enc = get_encoding(index)
-        misses = enc.cache_info()["misses"]
+        misses = index._ranks.cache_info()["misses"]
+        assert misses >= 1
         plan.execute()
-        info = enc.cache_info()
-        assert info["misses"] == misses  # no re-partitioning
-        assert info["hits"] > 0
+        info = index._ranks.cache_info()
+        assert info["misses"] == misses and info["hits"] >= 1  # no rebuild
 
-    def test_encoding_survives_pickling(self, index):
+    def test_shard_slices_build_their_own_columns(self, monkeypatch):
+        monkeypatch.setattr(joins, "RANK_FACTOR", 10**9)
+        index = self.fresh()
+        window.evaluate(parse_xpath("//site[.//b]/a/b"), index)
+        lo = 1
+        hi = int(index.tree.xml_end[lo])
+        shard = index.shard_slice(lo, hi)
+        assert len(shard._ranks) == 0 and not hasattr(shard, "_child_csr")
+        assert shard._ranks is not index._ranks
+        for query in ("//a[.//b]/c/b", "//b/ancestor::a"):
+            path = parse_xpath(query)
+            assert window.evaluate(path, shard)[1] == evaluate_reference(
+                shard.tree, path
+            )
+        assert shard.child_csr()[1].size == shard.tree.n + 1  # local coordinates
+
+    def test_index_with_columns_survives_pickling(self, index):
         import pickle
 
-        enc = get_encoding(index)
-        clone = pickle.loads(pickle.dumps(enc))
-        assert clone.post.tolist() == enc.post.tolist()
-        clone.buckets((1,), np.arange(3, dtype=np.int64))  # lock works
+        index.child_csr()
+        key = (index.tree.label_ids["b"],)
+        index.rank(key, index.labels.nodes_array("b"))
+        clone = pickle.loads(pickle.dumps(index))
+        clone.rank(key, clone.labels.nodes_array("b"))  # the lock works
+        path = parse_xpath("//b/ancestor::a")
+        assert window.evaluate(path, clone) == window.evaluate(path, index)
 
 
 class TestCounters:
-    def test_child_join_books_bucket_slices_only(self, index):
+    def test_child_join_books_what_it_gathers(self, index):
         stats = EvalStats()
         window.evaluate(parse_xpath("/site/a"), index, stats)
-        # The child join touches only the depth-1 slice of the 'a'
-        # candidates, not the whole array.
-        assert stats.visited <= index.labels.count("a") + 1
+        # The root has more children than there are 'a' nodes, so the
+        # join runs from the candidates: the root read once per step (it
+        # is selected, then marked), each 'a' probed in the bitmap.
+        assert stats.visited == 1 + 1
+        assert stats.index_probes == index.labels.count("a")
         assert stats.selected == 1
         assert stats.jumps >= 1
 
