@@ -779,7 +779,7 @@ def serve_main(argv: List[str], out) -> int:
                     "strategy": d.workspace.strategy,
                     "workers": d.workers,
                     "pool_workers": d.pool_workers,
-                    "admission_limit": d.admission_limit,
+                    "admission_limit": d.admission.limit,
                     "timeout_s": d.timeout,
                 },
                 sort_keys=True,

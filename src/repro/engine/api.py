@@ -134,22 +134,39 @@ class Engine:
         different queries on one shard engine concurrently without
         duplicating plans or racing the generation check.
         """
-        name = strategy if strategy is not None else self.strategy
-        plans = self._plans
-        with plans.lock:
-            if self._plans_generation != registry.generation():
-                # A strategy was (re/un)registered: cached resolutions and
-                # strategy objects may be stale.
-                plans.data.clear()
-                self._plans_generation = registry.generation()
-            key = (query if isinstance(query, str) else str(query), name)
-            plan = plans.get(key)
+        with self._plans.lock:
+            key, plan = self._lookup(query, strategy)
             if plan is None:
                 path = parse_xpath(query) if isinstance(query, str) else query
-                resolved = registry.resolve(name, path)
+                resolved = registry.resolve(key[1], path)
                 plan = PreparedQuery(self, query, path, resolved)
-                plans.put(key, plan)
+                self._plans.put(key, plan)
         return plan
+
+    def cached_plan(
+        self, query: Union[str, Path], strategy: Optional[str] = None
+    ) -> Optional[PreparedQuery]:
+        """The non-building half of :meth:`prepare`: the cached plan
+        (now the most recently used), or ``None`` -- nothing is parsed,
+        compiled or resolved.  A caller that must not block (the serve
+        daemon's event loop) looks here and leaves the build to a worker.
+        """
+        with self._plans.lock:
+            return self._lookup(query, strategy)[1]
+
+    def _lookup(self, query: Union[str, Path], strategy: Optional[str]):
+        """``(key, cached plan or None)``; the cache's lock must be held."""
+        plans = self._plans
+        if self._plans_generation != registry.generation():
+            # A strategy was (re/un)registered: cached resolutions and
+            # strategy objects may be stale.
+            plans.data.clear()
+            self._plans_generation = registry.generation()
+        key = (
+            query if isinstance(query, str) else str(query),
+            strategy if strategy is not None else self.strategy,
+        )
+        return key, plans.get(key)
 
     @property
     def plan_cache_size(self) -> int:

@@ -71,10 +71,11 @@ import numpy as np
 from repro.counters import EvalStats
 from repro.engine import registry
 from repro.engine.pool import PoolTask, WorkerPool
-from repro.engine.api import Engine
+from repro.engine.api import PLAN_CACHE_SIZE, Engine
 from repro.engine.joins import sorted_unique
 from repro.engine.plan import ExecutionResult
 from repro.index.jumping import TreeIndex
+from repro.lru import LRUCache
 from repro.xpath.ast import (
     Axis,
     Path,
@@ -372,7 +373,8 @@ class QueryService:
         self.executor = executor
         self.mp_start_method = mp_start_method
         self._shards: Dict[str, List[Shard]] = {}
-        self._plans: Dict[str, ShardQueryPlan] = {}
+        # query string -> ShardQueryPlan, under the service lock
+        self._plans = LRUCache(PLAN_CACHE_SIZE)
         self._shard_engines: Dict[Tuple[str, int], Engine] = {}
         self._pool = None
         # Pool-executor state: which documents the persistent pool's
@@ -464,7 +466,7 @@ class QueryService:
             plan = self._plans.get(qkey)
             if plan is None:
                 plan = plan_shard_query(query)
-                self._plans[qkey] = plan
+                self._plans.put(qkey, plan)
         return plan
 
     def _shard_engine(self, doc: str, shard: Shard) -> Engine:

@@ -5,8 +5,9 @@ the life of a process is an :class:`LRUCache` -- prepared plans
 (:class:`~repro.engine.api.Engine`), compiled automata
 (:class:`~repro.engine.plan.CompiledQueryCache`), fused label unions and
 rank columns (:class:`~repro.index.labels.LabelIndex`,
-:class:`~repro.index.jumping.TreeIndex`), the daemon's warm plan map and
-each pool worker's parsed paths -- so each reports the same
+:class:`~repro.index.jumping.TreeIndex`), the parallel service's shard
+plans (:class:`~repro.engine.parallel.QueryService`) and each pool
+worker's parsed paths -- so each reports the same
 ``cache_info()`` fields and a bound spelled ``maxsize``.
 """
 

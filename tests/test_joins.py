@@ -203,3 +203,35 @@ def test_kernel_line_budget():
 
     assert lines("frontier.py", "window.py") <= 800
     assert lines("frontier.py", "window.py", "joins.py") <= 950
+
+
+def test_serve_line_budget():
+    """The daemon was split by owner, not by moving text: ``daemon.py``
+    alone held 702 logical lines before; now it, ``admission.py`` and
+    ``mounts.py`` together stay under 640 and ``daemon.py`` under 470.
+    A logical line is one line of the module re-rendered from its syntax
+    tree without docstrings, so comments and formatting neither help nor
+    hurt."""
+    serve_dir = os.path.join(os.path.dirname(ENGINE_DIR), "serve")
+
+    def logical_lines(module):
+        with open(os.path.join(serve_dir, module)) as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if not isinstance(
+                node,
+                (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+            ):
+                continue
+            first = node.body[0]
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                node.body = node.body[1:] or [ast.Pass()]
+        return len(ast.unparse(tree).splitlines())
+
+    daemon = logical_lines("daemon.py")
+    assert daemon <= 470
+    assert daemon + logical_lines("admission.py") + logical_lines("mounts.py") <= 640

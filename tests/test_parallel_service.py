@@ -15,6 +15,7 @@ import pytest
 
 from repro import Workspace
 from repro.counters import EvalStats
+from repro.engine.api import PLAN_CACHE_SIZE
 from repro.engine.parallel import (
     QueryService,
     Shard,
@@ -484,6 +485,26 @@ class TestWorkerPathCache:
             assert service.select_many(queries, document="d") == serial
             stats = service.pool_stats()
         assert stats["path_evictions"] == 8
+        ws.close()
+
+
+class TestServicePlanCache:
+    def test_a_stream_of_distinct_queries_stays_at_the_bound(self):
+        """One ``ShardQueryPlan`` per distinct query string used to stay
+        for the life of the service."""
+        ws = Workspace()
+        ws.add("d", "<r><a><b/></a><a/></r>")
+        queries = [f"//a[not(x{i})]" for i in range(PLAN_CACHE_SIZE + 8)]
+        with QueryService(ws, jobs=2) as service:
+            first = service.select(queries[0], "d")
+            for query in queries[1:]:
+                assert service.select(query, "d") == first
+            assert len(service._plans) == PLAN_CACHE_SIZE
+            assert service._plans.maxsize == PLAN_CACHE_SIZE
+            assert service._plans.evictions == 8
+            assert queries[0] not in service._plans.data
+            # An evicted query is planned again and answers the same.
+            assert service.select(queries[0], "d") == first == ws.select(queries[0], "d")
         ws.close()
 
 

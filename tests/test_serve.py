@@ -148,21 +148,31 @@ class TestStructuredErrors:
             {"query": "//a", "document": "tiny", "count": "yes"},
             {"query": "//a", "document": "tiny", "timeout_s": -1},
             {"query": "//a", "document": "tiny", "timeout_s": True},
+            {"query": "//a", "document": "tiny", "timeout_s": float("nan")},
+            {"query": "//a", "document": "tiny", "timeout_s": float("inf")},
             {"query": "//a", "document": "tiny", "strategy": "bogus"},
         ):
             with pytest.raises(ServeError) as excinfo:
                 client._request("POST", "/query", body=body)
             assert excinfo.value.status == 400, body
+            assert excinfo.value.kind == "bad_request", body
 
     def test_bad_batch_payloads(self, client):
-        for queries in (None, [], ["//a", 3], "nope"):
+        for queries, extra in (
+            (None, {}),
+            ([], {}),
+            (["//a", 3], {}),
+            ("nope", {}),
+            (["//a"], {"timeout_s": float("nan")}),
+        ):
             with pytest.raises(ServeError) as excinfo:
                 client._request(
                     "POST",
                     "/batch",
-                    body={"document": "tiny", "queries": queries},
+                    body={"document": "tiny", "queries": queries, **extra},
                 )
-            assert excinfo.value.status == 400, queries
+            assert excinfo.value.status == 400, (queries, extra)
+            assert excinfo.value.kind == "bad_request", (queries, extra)
 
     def test_unknown_route_and_method(self, client):
         with pytest.raises(ServeError) as excinfo:

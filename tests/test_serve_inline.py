@@ -9,12 +9,14 @@ import socket
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro import faults
 from repro.engine.workspace import Workspace
 from repro.faults import FaultPlan
+from repro.lru import LRUCache
 from repro.serve import DaemonThread, QueryDaemon, ServeClient, ServeError
 from repro.serve import daemon as daemon_module
 from repro.serve.http import HttpError, Request, encode_request, read_response
@@ -90,7 +92,9 @@ def until_inline(client, query, **kwargs):
 
 
 def entry_of(daemon, document, query, strategy="auto"):
-    return daemon._prepared.data[daemon._plan_key(document, query, strategy)]
+    """A cached plan and its live ``/query`` cost record."""
+    plan = daemon.workspace.engine(document).cached_plan(query, strategy)
+    return SimpleNamespace(plan=plan, cost_s=plan.artifacts[daemon_module.COST_KEY])
 
 
 class SlowedPlan:
@@ -197,6 +201,24 @@ class TestSelection:
         assert client.query(query, **kwargs)["executor"] == "thread"
         assert client.query(query, **kwargs)["executor"] == "inline"
 
+    def test_a_warm_inline_query_looks_its_plan_up_once(
+        self, daemon, client, monkeypatch
+    ):
+        until_inline(client, "//a/b", document="tiny")
+        plans = daemon.workspace.engine("tiny")._plans
+        lookups = []
+        get = LRUCache.get
+
+        def spy(cache, key):
+            if cache is plans:
+                lookups.append(key)
+            return get(cache, key)
+
+        monkeypatch.setattr(LRUCache, "get", spy)
+        reply = client.query("//a/b", document="tiny")
+        assert reply["executor"] == "inline" and reply["warm"] is True
+        assert lookups == [("//a/b", "auto")]
+
     def test_exactly_the_cut_is_not_under_it(self, daemon, client, monkeypatch):
         until_inline(client, "//a/b", document="tiny")
         monkeypatch.setattr(daemon_module, "INLINE_MAX_S", 0.0)
@@ -221,7 +243,8 @@ class TestSelection:
         )
 
     def test_lru_eviction_forgets_the_measurement(self, corpus):
-        small = QueryDaemon(corpus, workers=1, prepared_cache_size=2)
+        small = QueryDaemon(corpus, workers=1)
+        small.workspace.engine("tiny").plan_cache_size = 2
         with DaemonThread(small) as handle:
             with ServeClient(port=handle.port, retries=0) as c:
                 until_inline(c, "//a/b", document="tiny")
@@ -280,7 +303,7 @@ class TestGuardRailsOnTheInlinePath:
         assert excinfo.value.status == 504 and excinfo.value.kind == "timeout"
         assert excinfo.value.payload["error"]["timeout_s"] == 0.1
         assert daemon.counters["timeouts"] == timeouts + 1
-        assert daemon._in_flight == 0 and not daemon._epoch_inflight
+        assert daemon._in_flight == 0 and not daemon.admission._tagged
         assert client.query(query, **kwargs)["executor"] == "thread"
         assert len(hops) == before + 1
         assert client.healthz()["ok"] is True
