@@ -178,31 +178,6 @@ class Engine:
     def plan_cache_size(self, size: int) -> None:
         self._plans.maxsize = size
 
-    def refresh_planner(self, doc_stats: Optional[dict] = None) -> int:
-        """Re-plan every cached ``auto`` plan against current statistics.
-
-        The cost-based planner snapshots document statistics
-        (``index.doc_stats``) at prepare time and, once a plan converges,
-        freezes its delegate so executions bypass the planner entirely.
-        When the underlying document's statistics change -- a daemon
-        hot-reload swapping in a regenerated corpus, or a future
-        in-place delta update -- frozen verdicts can go stale: a plan
-        that froze on ``vectorized`` for a then-selective step keeps
-        running it long after the step stopped being selective.
-
-        ``doc_stats`` (optional) replaces :attr:`index.doc_stats` before
-        re-planning; omit it to re-plan against whatever the index
-        currently reports.  Returns the number of plans whose planner
-        state was rebuilt (non-``auto`` plans are left untouched).
-        """
-        from repro.engine import planner as planner_mod
-
-        if doc_stats is not None:
-            self.index.doc_stats = dict(doc_stats)
-        with self._plans.lock:
-            plans = list(self._plans.data.values())
-        return sum(1 for plan in plans if planner_mod.refresh_state(plan))
-
     def cache_info(self) -> dict:
         """Statistics of every bounded cache this engine touches.
 

@@ -28,7 +28,7 @@ from repro.counters import EvalStats
 from repro.engine import optimized
 from repro.engine.registry import StrategyBase, register_strategy
 from repro.index.jumping import TreeIndex
-from repro.xpath.ast import Axis, Path
+from repro.xpath.ast import Axis, Path, pred_has_backward
 from repro.xpath.compiler import compile_xpath
 from repro.xpath.parser import parse_xpath
 
@@ -47,15 +47,7 @@ def is_hybrid_applicable(path: Path) -> bool:
     last = path.steps[-1]
     if last.axis is not Axis.DESCENDANT or last.test_matches_any():
         return False
-    if last.predicate is not None and _pred_backward(last.predicate):
-        return False
-    return True
-
-
-def _pred_backward(pred) -> bool:
-    from repro.engine.mixed import _pred_has_backward
-
-    return _pred_has_backward(pred)
+    return not pred_has_backward(last.predicate)
 
 
 def plan_pivot(path: Path, index: TreeIndex) -> int:

@@ -28,7 +28,7 @@ from repro.counters import EvalStats
 from repro.engine import optimized
 from repro.engine.registry import StrategyBase, register_strategy
 from repro.index.jumping import TreeIndex
-from repro.xpath.ast import Axis, Path, Pred, PredAnd, PredNot, PredOr, PredPath, Step
+from repro.xpath.ast import Path, pred_has_backward
 from repro.xpath.compiler import compile_xpath
 from repro.xpath.parser import parse_xpath
 
@@ -37,25 +37,10 @@ def forward_prefix_length(path: Path) -> int:
     """Number of leading steps fully inside the forward fragment."""
     n = 0
     for step in path.steps:
-        if step.axis.is_backward or _pred_has_backward(step.predicate):
+        if step.axis.is_backward or pred_has_backward(step.predicate):
             break
         n += 1
     return n
-
-
-def _pred_has_backward(pred: Optional[Pred]) -> bool:
-    if pred is None:
-        return False
-    if isinstance(pred, (PredAnd, PredOr)):
-        return _pred_has_backward(pred.left) or _pred_has_backward(pred.right)
-    if isinstance(pred, PredNot):
-        return _pred_has_backward(pred.inner)
-    if isinstance(pred, PredPath):
-        return any(
-            s.axis.is_backward or _pred_has_backward(s.predicate)
-            for s in pred.path.steps
-        )
-    raise AssertionError(pred)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,13 @@ loop*: every execution's actual counters are folded back into the plan's
 by more than :data:`REPLAN_FACTOR`, the plan is re-priced with
 observations overriding estimates, so a mis-planned query converges
 onto the strategy that is actually cheapest for *this* document -- the
-classic adaptive re-optimization loop, at plan-cache granularity.
-Candidates the model cannot separate (within
-:data:`TRIAL_FACTOR` of each other) are resolved empirically instead: a
-repeatedly-executed plan runs each near-tie a couple of times
-(*wall-clock trials*) and commits to the measured winner.  Once a plan
-has converged it *freezes* -- dispatch is handed straight to the winning
-strategy, so a steady-state execution pays zero planner overhead.
+classic adaptive re-optimization loop, at plan-cache granularity.  A
+strategy runs only when the model or a counter observation says it is
+cheapest: nothing is executed to be measured, and nothing reads a
+clock, so the verdict is a function of the document and the query.
+Once a plan has converged it *freezes* -- dispatch is handed straight
+to the winning strategy, so a steady-state execution pays zero planner
+overhead.
 
 Cost units are "weighted element touches": one numpy array element
 costs 1, one interpreted per-node automaton step costs
@@ -32,8 +32,8 @@ tiny documents).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine import registry
@@ -72,19 +72,6 @@ REPLAN_FACTOR = 4.0
 #: executions without a strategy switch -- keeps the planner's per-call
 #: overhead off the hot path of converged micro-queries.
 CONVERGED_RUNS = 3
-
-#: Candidates whose estimate is within this factor of the cheapest one
-#: are *near-ties*: the model cannot be trusted to separate them, so a
-#: repeatedly-executed plan measures each (wall clock) before committing.
-TRIAL_FACTOR = 64.0
-
-#: Executions per trialed candidate (the first warms its caches; the
-#: minimum is what competes).
-TRIAL_RUNS = 2
-
-#: Never trial a candidate whose estimated cost exceeds this many touch
-#: units -- probing a catastrophically-priced strategy is not worth it.
-TRIAL_COST_CAP = 2e6
 
 # -- feature extraction ------------------------------------------------------
 
@@ -125,6 +112,12 @@ class QueryFeatures:
     @property
     def total_pred_candidates(self) -> int:
         return sum(self.pred_candidates)
+
+    @cached_property
+    def operators(self) -> Tuple[Tuple[str, float], ...]:
+        """:func:`step_operators` of these features, computed once: the
+        cost model, ``explain`` and every snapshot read the same list."""
+        return tuple(step_operators(self))
 
 
 def doc_height(index: TreeIndex) -> int:
@@ -276,7 +269,7 @@ def describe_operators(path: Path, features: QueryFeatures) -> List[str]:
     step, the operator the kernel is expected to run and its touches."""
     lines = ["set-at-a-time steps (operator priced from candidate counts):"]
     for i, (step, (name, touches)) in enumerate(
-        zip(path.steps, step_operators(features)), 1
+        zip(path.steps, features.operators), 1
     ):
         lines.append(
             f"  {i}. {step.axis.value + '::' + step.test:<34s} {name:<24s}"
@@ -289,7 +282,7 @@ def _set_at_a_time_touches(features: QueryFeatures) -> float:
     """Array elements the steps and predicates of a set-at-a-time run
     touch: each step the term its operator states, each predicate
     ``pred_touches`` (the comparison of ``frontier._pred_mask``)."""
-    return sum(t for _, t in step_operators(features)) + sum(
+    return sum(t for _, t in features.operators) + sum(
         features.pred_touches
     )
 
@@ -403,80 +396,27 @@ class PlannerState:
     """Per-plan adaptive state: the choice plus the feedback record."""
 
     choice: PlanChoice
-    replan_factor: float = REPLAN_FACTOR
     runs: int = 0
     replans: int = 0
     observed: Dict[str, float] = field(default_factory=dict)
     active: object = None  # the bound Strategy instance
     frozen: bool = False
-    wall: Dict[str, float] = field(default_factory=dict)
-    pending_trials: List[str] = field(default_factory=list)
-    explored: bool = True
     _stable_runs: int = 0
 
     @classmethod
-    def plan(
-        cls,
-        path: Path,
-        index: TreeIndex,
-        replan_factor: float = REPLAN_FACTOR,
-    ) -> "PlannerState":
+    def plan(cls, path: Path, index: TreeIndex) -> "PlannerState":
         features = extract_features(path, index)
         costs = estimate_costs(path, features)
         name = min(costs, key=costs.get)
-        state = cls(
-            choice=PlanChoice(name, costs[name], costs, features),
-            replan_factor=replan_factor,
-        )
-        # Schedule wall-clock trials for near-tie candidates: the model
-        # separates strategies that differ by orders of magnitude, but a
-        # few-x gap is within its error bars -- measure those instead.
-        ties = [
-            n
-            for n in sorted(costs, key=costs.get)
-            if costs[n] <= costs[name] * TRIAL_FACTOR
-            and costs[n] <= TRIAL_COST_CAP
-        ]
-        if len(ties) > 1:
-            state.pending_trials = [n for n in ties for _ in range(TRIAL_RUNS)]
-            state.explored = False
-        return state
+        return cls(choice=PlanChoice(name, costs[name], costs, features))
 
-    def record_wall(self, strategy_name: str, elapsed: float) -> None:
-        prev = self.wall.get(strategy_name)
-        if prev is None or elapsed < prev:
-            self.wall[strategy_name] = elapsed
-
-    def decide_from_trials(self) -> str:
-        """Commit to the wall-clock winner once every trial has run.
-
-        The winner's counter-observations replace its estimate in the
-        cost table so the counter-feedback backstop starts in band
-        (otherwise a deliberately-coarse estimate could immediately
-        un-do the measured decision).
-        """
-        self.explored = True
-        winner = min(self.wall, key=self.wall.get)
-        costs = dict(self.choice.costs)
-        costs.update(self.observed)
-        self.choice = PlanChoice(
-            winner, costs.get(winner, 1.0), costs, self.choice.features
-        )
-        return winner
-
-    def observe(
-        self, strategy_name: str, stats, adapt: bool = True
-    ) -> Optional[str]:
+    def observe(self, strategy_name: str, stats) -> Optional[str]:
         """Fold one execution's counters back in; maybe re-choose.
 
         Returns the *new* strategy name when the observation pushed the
         plan to a different choice, else ``None``.  Observed costs are
         re-weighted into model units (:func:`_actual_cost`) and
         replace the estimates of strategies that have actually run.
-        ``adapt=False`` records the observation without the re-choice
-        side effects (the wall-clock trial phase books its runs this
-        way -- trials decide by measurement, and a transient re-choice
-        would show up as a spurious ``replans`` in ``plan explain``).
         """
         self.runs += 1
         actual = _actual_cost(stats, strategy_name)
@@ -484,13 +424,14 @@ class PlannerState:
         self.observed[strategy_name] = (
             actual if seen is None else min(seen, actual)
         )
-        if not adapt:
-            return None
         estimate = self.choice.costs.get(strategy_name)
         if estimate is None or strategy_name != self.choice.strategy:
             return None
-        factor = self.replan_factor
-        in_band = estimate / factor <= max(actual, 1.0) <= estimate * factor
+        in_band = (
+            estimate / REPLAN_FACTOR
+            <= max(actual, 1.0)
+            <= estimate * REPLAN_FACTOR
+        )
         if in_band:
             self._stable_runs += 1
             if self._stable_runs >= CONVERGED_RUNS:
@@ -518,20 +459,15 @@ class PlannerState:
                 k: round(v, 1) for k, v in self.choice.costs.items()
             },
             "operators": [
-                name for name, _ in step_operators(self.choice.features)
+                name for name, _ in self.choice.features.operators
             ]
             if self.choice.strategy in SET_AT_A_TIME
             else [],
             "runs": self.runs,
             "replans": self.replans,
             "frozen": self.frozen,
-            "explored": self.explored,
-            "trials_pending": len(self.pending_trials),
             "observed": {
                 k: round(v, 1) for k, v in self.observed.items()
-            },
-            "wall_ms": {
-                k: round(v * 1000, 4) for k, v in self.wall.items()
             },
         }
 
@@ -547,7 +483,6 @@ class AutoStrategy(StrategyBase):
     fallback = "mixed"  # relative backward paths: route directly
     needs_asta = False
     parallel_safe = True
-    replan_factor = REPLAN_FACTOR
 
     def supports(self, path: Path) -> bool:
         # Forward paths are planned across the full candidate set;
@@ -560,9 +495,7 @@ class AutoStrategy(StrategyBase):
         return not path.has_backward_axes() or is_window_evaluable(path)
 
     def prepare(self, plan) -> None:
-        state = PlannerState.plan(
-            plan.path, plan.engine.index, replan_factor=self.replan_factor
-        )
+        state = PlannerState.plan(plan.path, plan.engine.index)
         plan.artifacts["planner"] = state
         self._bind(plan, state, state.choice.strategy)
         self._freeze_if_sole_candidate(plan, state)
@@ -570,7 +503,7 @@ class AutoStrategy(StrategyBase):
     @staticmethod
     def _freeze_if_sole_candidate(plan, state: PlannerState) -> None:
         """A one-entry cost table (backward paths price ``window``
-        alone) has nothing to trial or adapt: freeze at prepare time so
+        alone) has nothing to adapt: freeze at prepare time so
         every execution skips the planner wrapper entirely.  Left
         unfrozen, such a plan could *never* converge -- an estimate
         persistently out of the feedback band keeps resetting the
@@ -594,46 +527,10 @@ class AutoStrategy(StrategyBase):
         if hook is not None:
             hook(plan)
 
-    def _state(self, plan) -> PlannerState:
-        state = plan.artifacts.get("planner")
-        if not isinstance(state, PlannerState):
-            # A plan constructed without the prepare hook (duck-typed
-            # callers): plan on first execution.
-            self.prepare(plan)
-            state = plan.artifacts["planner"]
-        return state
-
     def execute(self, plan, index, stats):
-        state = self._state(plan)
-        if state.pending_trials:
-            # Exploration: bind the next trial slot *before* running,
-            # so each near-tie candidate executes exactly TRIAL_RUNS
-            # times (the queue's first slots belong to the model's own
-            # pick -- its first run doubles as the cache warm-up).
-            nxt = state.pending_trials.pop(0)
-            if nxt != state.active.name:
-                self._bind(plan, state, nxt)
-        t0 = time.perf_counter()
+        state = plan.artifacts["planner"]  # set by ``prepare``
         result = state.active.execute(plan, index, stats)
-        elapsed = time.perf_counter() - t0
-        name = state.active.name
-        state.record_wall(name, elapsed)
-        if state.pending_trials:
-            state.observe(name, stats, adapt=False)
-            return result
-        if not state.explored:
-            state.observe(name, stats, adapt=False)
-            planned = state.choice.strategy  # the model's pre-trial pick
-            winner = state.decide_from_trials()
-            if winner != planned:
-                # Count only decisions that overturned the model -- the
-                # rotation back from the last trialed strategy is not a
-                # re-plan.
-                state.replans += 1
-            if winner != name:
-                self._bind(plan, state, winner)
-            return result
-        switched = state.observe(name, stats)
+        switched = state.observe(state.active.name, stats)
         if switched is not None:
             self._bind(plan, state, switched)
         elif state.frozen:
@@ -643,38 +540,6 @@ class AutoStrategy(StrategyBase):
             # frozen state takes no further observations anyway).
             plan._execute_impl = state.active.execute
         return result
-
-
-def refresh_state(plan) -> bool:
-    """Re-plan one prepared ``auto`` plan against *current* document
-    statistics, discarding frozen dispatch and stale observations.
-
-    A plan that converged against one generation of a document carries
-    per-label selectivities (and possibly a frozen ``_execute_impl``
-    delegate) that no longer describe the document after a store swap or
-    an in-place mutation.  This rebuilds the :class:`PlannerState` from
-    a fresh feature extraction, restores the planner wrapper as the
-    plan's dispatch target, and re-binds the newly cheapest strategy --
-    the warm compiled artifacts (ASTA, run tables) stay, only the
-    adaptive state restarts.  Returns ``True`` when the plan carried a
-    planner state (i.e. was prepared under ``auto``).
-    """
-    state = plan.artifacts.get("planner")
-    if not isinstance(state, PlannerState):
-        return False
-    auto = plan.strategy
-    if not isinstance(auto, AutoStrategy):
-        auto = registry.get_strategy("auto")
-    fresh = PlannerState.plan(
-        plan.path,
-        plan.engine.index,
-        replan_factor=getattr(auto, "replan_factor", REPLAN_FACTOR),
-    )
-    plan.artifacts["planner"] = fresh
-    plan._execute_impl = plan.strategy.execute  # undo a frozen delegate
-    auto._bind(plan, fresh, fresh.choice.strategy)
-    AutoStrategy._freeze_if_sole_candidate(plan, fresh)
-    return True
 
 
 def planner_fields(plan) -> dict:
@@ -689,13 +554,6 @@ def planner_fields(plan) -> dict:
             "executes_as": getattr(state.active, "name", None),
         }
     return {}
-
-
-def trials_pending(plan) -> bool:
-    """Whether the plan's next execution is a wall-clock trial -- a run
-    of whichever near-tie candidate is queued, so its cost says nothing
-    about the last one's."""
-    return bool(getattr(plan.artifacts.get("planner"), "pending_trials", None))
 
 
 def plan_explain(engine, query) -> dict:

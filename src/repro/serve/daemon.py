@@ -43,10 +43,9 @@ Where a ``/query`` runs -- every response says (``"executor"``):
   (``plan.artifacts``), so whatever forgets the plan -- a reload
   swapping the engine, an LRU eviction, a registry change -- forgets it
   too and the next request takes the thread again; so does any request
-  while the plan's planner still has trials queued, while a fault plan
-  is armed, whose own ``timeout_s`` is below the measurement, or that
-  the worker pool could take.  An inline run that comes out slow
-  records that, and the plan goes back to the executor.
+  while a fault plan is armed, whose own ``timeout_s`` is below the
+  measurement, or that the worker pool could take.  An inline run that
+  comes out slow records that, and the plan goes back to the executor.
 - ``"pool"``: with ``pool_workers > 0``, ``/batch`` requests -- and
   ``/query`` on documents of at least ``pool_min_nodes`` nodes -- still
   occupy one slot and one executor thread, but that thread only waits:
@@ -91,7 +90,7 @@ from repro import faults
 from repro.engine import registry
 from repro.engine.api import Engine
 from repro.engine.plan import PreparedQuery
-from repro.engine.planner import planner_fields, trials_pending
+from repro.engine.planner import planner_fields
 from repro.engine.workspace import Workspace
 from repro.serve.admission import Admission
 from repro.serve.http import (
@@ -467,12 +466,7 @@ class QueryDaemon:
         if plan is None or faults.armed() or self._pool_routable(strategy):
             return False
         cost = plan.artifacts.get(COST_KEY, {}).get(mode)
-        return (
-            cost is not None
-            and cost < INLINE_MAX_S
-            and cost < timeout_s
-            and not trials_pending(plan)
-        )
+        return cost is not None and cost < INLINE_MAX_S and cost < timeout_s
 
     # -- worker-side work ----------------------------------------------------
 

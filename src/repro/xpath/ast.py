@@ -132,18 +132,21 @@ class Path:
 
     def has_backward_axes(self) -> bool:
         """True when any step (or nested predicate path) moves upward."""
-        def step_backward(step: Step) -> bool:
-            if step.axis.is_backward:
-                return True
-            return step.predicate is not None and pred_backward(step.predicate)
+        return any(
+            s.axis.is_backward or pred_has_backward(s.predicate)
+            for s in self.steps
+        )
 
-        def pred_backward(pred: Pred) -> bool:
-            if isinstance(pred, (PredAnd, PredOr)):
-                return pred_backward(pred.left) or pred_backward(pred.right)
-            if isinstance(pred, PredNot):
-                return pred_backward(pred.inner)
-            if isinstance(pred, PredPath):
-                return any(step_backward(s) for s in pred.path.steps)
-            return False
 
-        return any(step_backward(s) for s in self.steps)
+def pred_has_backward(pred: Optional[Pred]) -> bool:
+    """True when a path nested anywhere in ``pred`` moves upward
+    (``None``, a step without a predicate, does not)."""
+    if pred is None:
+        return False
+    if isinstance(pred, (PredAnd, PredOr)):
+        return pred_has_backward(pred.left) or pred_has_backward(pred.right)
+    if isinstance(pred, PredNot):
+        return pred_has_backward(pred.inner)
+    if isinstance(pred, PredPath):
+        return pred.path.has_backward_axes()
+    raise AssertionError(pred)

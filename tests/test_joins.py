@@ -205,33 +205,52 @@ def test_kernel_line_budget():
     assert lines("frontier.py", "window.py", "joins.py") <= 950
 
 
+def _logical_lines(path):
+    """Lines of a module re-rendered from its syntax tree without
+    docstrings, so comments and formatting neither help nor hurt."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read())
+    for node in ast.walk(tree):
+        if not isinstance(
+            node,
+            (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+        ):
+            continue
+        first = node.body[0]
+        if (
+            isinstance(first, ast.Expr)
+            and isinstance(first.value, ast.Constant)
+            and isinstance(first.value.value, str)
+        ):
+            node.body = node.body[1:] or [ast.Pass()]
+    return len(ast.unparse(tree).splitlines())
+
+
 def test_serve_line_budget():
     """The daemon was split by owner, not by moving text: ``daemon.py``
     alone held 702 logical lines before; now it, ``admission.py`` and
-    ``mounts.py`` together stay under 640 and ``daemon.py`` under 470.
-    A logical line is one line of the module re-rendered from its syntax
-    tree without docstrings, so comments and formatting neither help nor
-    hurt."""
+    ``mounts.py`` together stay under 640 and ``daemon.py`` under 470."""
     serve_dir = os.path.join(os.path.dirname(ENGINE_DIR), "serve")
-
-    def logical_lines(module):
-        with open(os.path.join(serve_dir, module)) as handle:
-            tree = ast.parse(handle.read())
-        for node in ast.walk(tree):
-            if not isinstance(
-                node,
-                (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
-            ):
-                continue
-            first = node.body[0]
-            if (
-                isinstance(first, ast.Expr)
-                and isinstance(first.value, ast.Constant)
-                and isinstance(first.value.value, str)
-            ):
-                node.body = node.body[1:] or [ast.Pass()]
-        return len(ast.unparse(tree).splitlines())
-
-    daemon = logical_lines("daemon.py")
+    daemon, admission, mounts = (
+        _logical_lines(os.path.join(serve_dir, module))
+        for module in ("daemon.py", "admission.py", "mounts.py")
+    )
     assert daemon <= 470
-    assert daemon + logical_lines("admission.py") + logical_lines("mounts.py") <= 640
+    assert daemon + admission + mounts <= 640
+
+
+def test_planner_line_budget():
+    """``auto`` is one decision path -- price, bind, correct by counters,
+    freeze: ``planner.py`` held 347 logical lines with the wall-clock
+    trials and stays under 290, and it cannot read a clock."""
+    path = os.path.join(ENGINE_DIR, "planner.py")
+    assert _logical_lines(path) <= 290
+    with open(path) as handle:
+        imports = [
+            node
+            for node in ast.walk(ast.parse(handle.read()))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+    imported = {alias.name for node in imports for alias in node.names}
+    imported |= {getattr(node, "module", None) for node in imports}
+    assert not imported & {"time", "perf_counter"}

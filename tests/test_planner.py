@@ -4,14 +4,14 @@ bounded caches it leans on (plan-cache and fused-cache LRUs)."""
 import pytest
 
 from repro.counters import EvalStats
-from repro.engine import frontier, planner, registry
+from repro.engine import frontier, joins, planner, registry
 from repro.engine.api import Engine
 from repro.engine.planner import (
-    AutoStrategy,
     PlannerState,
     estimate_costs,
     extract_features,
     plan_explain,
+    planner_fields,
 )
 from repro.engine.workspace import Workspace
 from repro.index.jumping import TreeIndex
@@ -199,8 +199,8 @@ class TestPlannerStrategy:
 
 
 class TestFeedbackLoop:
-    def _state(self, index, query="//a//b", factor=4.0):
-        return PlannerState.plan(parse_xpath(query), index, replan_factor=factor)
+    def _state(self, index, query="//a//b"):
+        return PlannerState.plan(parse_xpath(query), index)
 
     def test_in_band_observation_keeps_choice_and_freezes(self, index):
         state = self._state(index)
@@ -216,7 +216,7 @@ class TestFeedbackLoop:
         assert state.frozen
 
     def test_wild_observation_replans_to_observed_best(self, index):
-        state = self._state(index, factor=2.0)
+        state = self._state(index)
         chosen = state.choice.strategy
         # Fabricate an execution 100x the estimate: far out of band.
         stats = EvalStats()
@@ -424,17 +424,6 @@ class TestWorkspaceAndParallelPlanning:
         ws.close()
 
 
-class TestReplanFactorConfiguration:
-    def test_replan_factor_env_override(self, monkeypatch, index):
-        strategy = AutoStrategy()
-        strategy.replan_factor = 9.0
-        engine = Engine(index, strategy="naive")  # any engine works
-        plan = engine.prepare("//a//b", strategy="naive")
-        # Bind via the strategy's prepare hook directly.
-        strategy.prepare(plan)
-        assert plan.artifacts["planner"].replan_factor == 9.0
-
-
 #: Fig-4 Q01-Q15 plus five sibling / backward shapes: the query mix of
 #: the ``engine-mix`` benchmark workload.
 MIX20 = list(QUERIES.values()) + [
@@ -490,12 +479,7 @@ class TestRelevanceDrivenPricing:
         )
         assert text == anything
 
-    def test_session_converges_in_band_without_extra_replans(
-        self, monkeypatch, xmark
-    ):
-        # No wall-clock trials: what is left of the planner is
-        # deterministic -- estimates, counters and the feedback band.
-        monkeypatch.setattr(planner, "TRIAL_FACTOR", 1.0)
+    def test_session_converges_in_band_without_extra_replans(self, xmark):
         engine = Engine(xmark, strategy="auto")
         plans = [engine.prepare(q) for q in MIX20]
         estimates = [p.artifacts["planner"].choice.estimate for p in plans]
@@ -520,3 +504,55 @@ class TestRelevanceDrivenPricing:
         }
         assert answers["vectorized"] == answers["window"] == answers["auto"]
         assert answers["auto"] == Engine(xmark, strategy="optimized").select(query)
+
+
+class TestOneDecisionPath:
+    """``auto`` prices at prepare, binds the cheapest, corrects by
+    counters and freezes: nothing runs to be measured, nothing reads a
+    clock."""
+
+    def test_two_sessions_decide_alike_pass_by_pass(self, xmark):
+        def session():
+            engine = Engine(xmark, "auto")
+            plans = [engine.prepare(q) for q in MIX20]
+            for _ in range(6):
+                for plan in plans:
+                    plan.execute()
+                yield [planner_fields(plan) for plan in plans]
+
+        for first, second in zip(session(), session()):
+            assert first == second
+
+    def test_every_mix20_plan_freezes_within_five_executions(self, xmark):
+        engine = Engine(xmark, "auto")
+        for query in MIX20:
+            plan = engine.prepare(query)
+            for _ in range(5):
+                plan.execute()
+            assert plan.artifacts["planner"].frozen, query
+
+    @pytest.mark.parametrize(
+        "query", ["/site[.//bidder or .//mailbox]", "//africa[not(.//parlist)]"]
+    )
+    def test_one_counter_observation_repairs_a_mispick(self, xmark, query):
+        expected = Engine(xmark, "naive").select(query)
+        plan = Engine(xmark, "auto").prepare(query)
+        ran_as = []
+        for _ in range(5):
+            ran_as.append(planner_fields(plan)["executes_as"])
+            assert list(plan.execute().ids) == expected
+        assert ran_as == ["optimized"] + ["vectorized"] * 4
+        state = plan.artifacts["planner"]
+        assert state.replans == 1 and state.frozen
+
+    def test_describing_a_plan_prices_no_operator(self, monkeypatch, xmark):
+        plan = Engine(xmark, "auto").prepare("//listitem//keyword")
+        calls = []
+        monkeypatch.setattr(
+            joins, "plan_operator", lambda *args: calls.append(args)
+        )
+        assert planner_fields(plan)["planner"]["operators"] == [
+            "document",
+            "descendant/rank",
+        ]
+        assert calls == []

@@ -277,50 +277,9 @@ class TestReloadPolling:
 
 
 class TestPlannerRefresh:
-    """Planner doc-stats staleness across reloads (and future in-place
-    updates): ``Engine.refresh_planner`` rebuilds every cached ``auto``
-    plan's :class:`~repro.engine.planner.PlannerState` from the index's
-    *current* statistics, discarding frozen dispatch."""
-
-    FREEZE_XML = "<r>" + "<a><b/><b/></a>" * 20 + "<c/>" * 5 + "</r>"
-
-    def test_refresh_planner_unfreezes_and_replans(self):
-        eng = Engine(self.FREEZE_XML, strategy="auto")
-        plan = eng.prepare("//a/b")
-        oracle = plan.select()
-        for _ in range(24):  # trials + convergence runs
-            plan.execute()
-        state = plan.artifacts["planner"]
-        assert state.frozen, "plan never converged; test premise broken"
-        assert eng.refresh_planner(doc_stats={"height": 3}) == 1
-        fresh = plan.artifacts["planner"]
-        assert fresh is not state
-        assert fresh.frozen is False and fresh.runs == 0
-        # The frozen fast-path delegate is undone: execution routes
-        # through the auto strategy (and its feedback loop) again.
-        assert plan._execute_impl == plan.strategy.execute
-        # The doctored statistics landed on the index.
-        assert eng.index.doc_stats == {"height": 3}
-        # And the refreshed plan still answers correctly.
-        assert plan.select() == oracle
-
-    def test_refresh_planner_skips_non_auto_plans(self):
-        eng = Engine(self.FREEZE_XML, strategy="auto")
-        eng.prepare("//a/b")
-        eng.prepare("//c", strategy="vectorized")
-        eng.prepare("//a", strategy="optimized")
-        assert eng.refresh_planner() == 1
-
-    def test_refresh_planner_reprices_against_new_stats(self):
-        """The refresh is not a cosmetic unfreeze: the rebuilt state
-        re-extracts features, so its cost table reflects whatever the
-        document reports *now*."""
-        eng = Engine(self.FREEZE_XML, strategy="auto")
-        plan = eng.prepare("//a/b")
-        before = plan.artifacts["planner"].choice.costs
-        eng.refresh_planner()
-        after = plan.artifacts["planner"].choice.costs
-        assert after == before  # same document -> same pricing
+    """Planner doc-stats staleness across reloads: a reload swaps in a
+    fresh engine, so the replaced document's ``auto`` plans are priced
+    again from the new bundle's statistics."""
 
     def test_reload_replans_changed_document(self, tmp_path):
         """Daemon-level pin: after a reload, the replaced document's

@@ -35,7 +35,7 @@ MIX20 = list(QUERIES.values()) + [
     "//item[mailbox/mail]/following-sibling::item",
 ]
 FUZZ = fuzz_corpus(0xC0FFEE + 1, 4, 12, backward=True, following=True)
-MAX_WARMUP = 40  # requests; trials + cost record settle in under ten
+MAX_WARMUP = 40  # requests; freeze + cost record settle in under six
 
 
 @pytest.fixture(scope="module")
@@ -129,12 +129,6 @@ class TestSelection:
         assert first["timing_ms"]["queue"] > 0
         assert len(replies) >= 2  # never on a cold plan
         assert len(hops) == len(replies) - 1
-        # No run was inline while the planner still had a trial queued:
-        # what a reply's snapshot says is the state the next run found.
-        for before, reply in zip(replies, replies[1:]):
-            if before["planner"]["trials_pending"]:
-                assert reply["executor"] == "thread"
-        assert replies[-2]["planner"]["trials_pending"] == 0
         for _ in range(5):
             reply = client.query(query, document="xmark", count=True)
             assert reply["executor"] == "inline" and reply["warm"] is True
@@ -145,17 +139,6 @@ class TestSelection:
         assert counters["inline"] == 6
         assert counters["threaded"] == len(replies) - 1
         assert counters["inline"] + counters["threaded"] == counters["queries"]
-
-    def test_trials_keep_a_plan_on_the_thread(self, daemon, client):
-        # A near-tie plan runs each candidate TRIAL_RUNS times first.
-        seen = []
-        for query in MIX20:
-            replies = until_inline(client, query, document="xmark", count=True)
-            seen.append(max(r["planner"]["trials_pending"] for r in replies))
-            for before, reply in zip(replies, replies[1:]):
-                if before["planner"]["trials_pending"]:
-                    assert reply["executor"] == "thread", query
-        assert max(seen) > 0  # the mix does exercise the rule
 
     def test_each_answer_mode_is_measured_on_its_own(self, client, hops):
         until_inline(client, "//a/b", document="tiny", count=True)
@@ -455,13 +438,9 @@ class TestSameAnswerEitherWay:
         return False
 
     def test_mix20_under_the_planner(self, daemon):
-        frozen = 0
         for query in MIX20:
-            if not self.settle(daemon, "xmark", query):
-                continue
-            frozen += 1
+            assert self.settle(daemon, "xmark", query), query
             assert self.bodies(daemon, "xmark", query, "auto")
-        assert frozen >= 15  # a plan priced far off its cost never freezes
 
     @pytest.mark.parametrize("strategy", ["vectorized", "optimized"])
     def test_mix20_and_a_fuzz_corpus_without_one(self, daemon, strategy):
