@@ -39,15 +39,18 @@ def is_hybrid_applicable(path: Path) -> bool:
     its hybrid strategy was designed for)."""
     if not path.absolute or not path.steps:
         return False
-    for step in path.steps[:-1]:
-        if step.axis is not Axis.DESCENDANT or step.predicate is not None:
+    for step in path.steps:
+        # The chain is walked by label name: a wildcard has none, and
+        # text() means the '#text' encoding, not a label "text()".
+        if (
+            step.axis is not Axis.DESCENDANT
+            or step.test_matches_any()
+            or step.test == "text()"
+        ):
             return False
-        if step.test_matches_any():
-            return False
-    last = path.steps[-1]
-    if last.axis is not Axis.DESCENDANT or last.test_matches_any():
+    if any(step.predicate is not None for step in path.steps[:-1]):
         return False
-    return not pred_has_backward(last.predicate)
+    return not pred_has_backward(path.steps[-1].predicate)
 
 
 def plan_pivot(path: Path, index: TreeIndex) -> int:
