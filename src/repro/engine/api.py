@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.asta.automaton import ASTA
 from repro.engine import registry
 from repro.engine.plan import CompiledQueryCache, ExecutionResult, PreparedQuery
@@ -214,7 +216,9 @@ class Engine:
 
     def labels_of(self, ids: List[int]) -> List[str]:
         """Element names of a result list (convenience for examples)."""
-        return [self.tree.label(v) for v in ids]
+        labels = self.tree.labels
+        picked = self.index.label_of_array()[np.asarray(ids, dtype=np.int64)]
+        return [labels[lab] for lab in picked.tolist()]
 
     def extract(self, query: Union[str, Path], indent: int = 0) -> List[str]:
         """Serialized XML subtrees of the selected nodes."""

@@ -152,33 +152,33 @@ def shard_document(index: TreeIndex, parts: Optional[int] = None) -> List[Shard]
     returns no shards (the degenerate case the service runs as one
     whole-document task).
     """
-    tree = index.tree
-    children = list(tree.children(tree.root()))
+    order, start = index.child_csr()
+    children = order[start[0] : start[1]].tolist()  # of the root
     if not children:
         return []
     if parts is not None and parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
+    ends = index.xml_end_array()[children].tolist()
     groups: List[Tuple[int, int]] = []
     if parts is None or parts >= len(children):
-        groups = [(c, tree.xml_end[c]) for c in children]
+        groups = list(zip(children, ends))
     else:
-        total = sum(tree.xml_end[c] - c for c in children)
-        target = total / parts
+        target = (ends[-1] - children[0]) / parts
         acc = 0
-        start = children[0]
-        for i, c in enumerate(children):
-            acc += tree.xml_end[c] - c
+        start_id = children[0]
+        for i, (c, end) in enumerate(zip(children, ends)):
+            acc += end - c
             remaining_groups = parts - len(groups) - 1
             remaining_children = len(children) - i - 1
             if (acc >= target and remaining_groups > 0) or (
                 remaining_children <= remaining_groups
             ):
-                groups.append((start, tree.xml_end[c]))
+                groups.append((start_id, end))
                 acc = 0
                 if i + 1 < len(children):
-                    start = children[i + 1]
+                    start_id = children[i + 1]
         if acc > 0:
-            groups.append((start, tree.xml_end[children[-1]]))
+            groups.append((start_id, ends[-1]))
     return [
         Shard(ordinal, lo, hi, index.shard_slice(lo, hi))
         for ordinal, (lo, hi) in enumerate(groups)

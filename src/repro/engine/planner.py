@@ -124,17 +124,13 @@ def doc_height(index: TreeIndex) -> int:
     """The document height, from persisted store stats when available.
 
     A :mod:`repro.store` bundle records ``stats.height`` in its header
-    at build time; a freshly parsed document pays one O(n) sweep, cached
-    on the index.
+    at build time; a parsed document's tree carries the height its
+    derivation found (:meth:`repro.tree.binary.BinaryTree.height`).
     """
     stats = getattr(index, "doc_stats", None)
     if isinstance(stats, dict) and isinstance(stats.get("height"), int):
         return stats["height"]
-    cached = getattr(index, "_planner_height", None)
-    if cached is None:
-        cached = index.tree.height()
-        index._planner_height = cached
-    return cached
+    return index.tree.height()
 
 
 def mean_fanout(index: TreeIndex) -> float:

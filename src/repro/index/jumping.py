@@ -107,60 +107,60 @@ class TreeIndex:
         tree = self.tree
         if not isinstance(tree, BinaryTree):
             tree = tree.to_binary()
-        root = 0
+        columns = tree._columns
+        parent = columns["parent"]
         if not 0 < lo < hi <= tree.n:
             raise ValueError(f"invalid shard range [{lo}, {hi}) for n={tree.n}")
-        if tree.parent[lo] != root or (hi < tree.n and tree.parent[hi] != root):
+        if parent[lo] != 0 or (hi < tree.n and parent[hi] != 0):
             raise ValueError(
                 f"shard range [{lo}, {hi}) is not a union of whole "
                 "top-level subtrees"
             )
         off = lo - 1
         m = hi - lo + 1
-        label_of = [tree.label_of[0]] + tree.label_of[lo:hi]
-        par = np.asarray(tree.parent[lo:hi], dtype=np.int64)
-        par = np.where(par == root, 0, par - off)
-        xml_end = np.asarray(tree.xml_end[lo:hi], dtype=np.int64) - off
-        left = np.asarray(tree.left[lo:hi], dtype=np.int64)
-        left = np.where(left == NIL, NIL, left - off)
-        right = np.asarray(tree.right[lo:hi], dtype=np.int64)
+
+        def local(name: str, root_value: int, floor: int) -> "np.ndarray":
+            """Column ``name`` of the slice in shard-local ids, under the
+            root copy's ``root_value``.  Whatever shifts below ``floor``
+            pointed at NIL or out of the slice and becomes ``floor``."""
+            column = np.empty(m, dtype=np.int64)
+            column[0] = root_value
+            np.subtract(columns[name][lo:hi], off, out=column[1:])
+            np.maximum(column[1:], floor, out=column[1:])
+            return column
+
+        right = local("right", NIL, NIL)
         # The last top-level child's next sibling lies outside the slice.
-        right = np.where((right == NIL) | (right >= hi), NIL, right - off)
-        shard_tree = BinaryTree(
+        right[right >= m] = NIL
+        root_label = int(columns["label_of"][0])
+        shard_tree = BinaryTree._from_columns(
             tree.labels,
-            label_of,
-            [1] + left.tolist(),
-            [NIL] + right.tolist(),
-            [NIL] + par.tolist(),
-            [m] + xml_end.tolist(),
+            {
+                "label_of": np.concatenate(
+                    ([root_label], columns["label_of"][lo:hi])
+                ),
+                "left": local("left", 1, NIL),
+                "right": right,
+                # Top-level nodes hang off the root copy, and so does
+                # the binary parent of the slice's first node.
+                "parent": local("parent", NIL, 0),
+                "bparent": local("bparent", NIL, 0),
+                "xml_end": local("xml_end", m, NIL),
+            },
         )
         labels = LabelIndex.sliced(
-            self.labels, shard_tree, lo, hi, off, tree.label_of[0]
+            self.labels, shard_tree, lo, hi, off, root_label
         )
         return TreeIndex(shard_tree, labels)
 
     def xml_end_array(self):
-        """``tree.xml_end`` as a cached ``np.int64`` array (for
-        vectorized subtree-range slicing)."""
-        arr = getattr(self, "_xml_end_arr", None)
-        if arr is None:
-            import numpy as np
-
-            arr = self._xml_end_arr = np.asarray(
-                self.tree.xml_end, dtype=np.int64
-            )
-        return arr
+        """The tree's ``xml_end`` column (``np.int64``; the mapped bundle
+        file itself for a store-backed document)."""
+        return self.tree._columns["xml_end"]
 
     def parent_array(self):
-        """``tree.parent`` as a cached ``np.int64`` array."""
-        arr = getattr(self, "_parent_arr", None)
-        if arr is None:
-            import numpy as np
-
-            arr = self._parent_arr = np.asarray(
-                self.tree.parent, dtype=np.int64
-            )
-        return arr
+        """The tree's ``parent`` column."""
+        return self.tree._columns["parent"]
 
     def post_array(self):
         """Postorder rank per node as a cached ``np.int64`` array.
@@ -236,15 +236,8 @@ class TreeIndex:
         return csr
 
     def label_of_array(self):
-        """``tree.label_of`` as a cached ``np.int64`` array."""
-        arr = getattr(self, "_label_of_arr", None)
-        if arr is None:
-            import numpy as np
-
-            arr = self._label_of_arr = np.asarray(
-                self.tree.label_of, dtype=np.int64
-            )
-        return arr
+        """The tree's ``label_of`` column."""
+        return self.tree._columns["label_of"]
 
     # -- label helpers -------------------------------------------------------
 

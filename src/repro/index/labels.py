@@ -44,30 +44,67 @@ class _LabelledTree(Protocol):
     def label_id(self, name: str) -> Optional[int]: ...
 
 
+class _ListOnFirstRead:
+    """``fused.lst``, a non-data descriptor: the first read builds the
+    list and sets it on the instance, where it shadows this descriptor."""
+
+    def __get__(self, fused, owner=None):
+        if fused is None:
+            return self
+        fused.lst = lst = fused.arr.tolist()
+        return lst
+
+
 class FusedLabels:
     """The merged sorted node ids of one label-id set.
 
     ``arr`` is the fused ``np.int64`` array (for vectorized range slicing);
-    ``lst`` is its plain-list mirror, which the evaluator's inner loop
-    probes with :func:`bisect.bisect_left` (a C scalar search without the
-    per-call ufunc overhead of ``np.searchsorted``).
+    ``lst`` is its plain-list mirror, which the node-at-a-time
+    evaluator's inner loop probes with :func:`bisect.bisect_left` (a C
+    scalar search without the per-call ufunc overhead of
+    ``np.searchsorted``).  The mirror is built by the first scalar probe:
+    the set-at-a-time kernels read ``arr`` only and never pay for it.
     """
-
-    __slots__ = ("arr", "lst", "size")
 
     def __init__(self, arr: np.ndarray) -> None:
         self.arr = arr
-        self.lst: List[int] = arr.tolist()
-        self.size = len(self.lst)
+        self.size = len(arr)
+
+    lst = _ListOnFirstRead()
+
+    def __reduce__(self):
+        return (FusedLabels, (self.arr,))
 
     def first_at_or_after(self, lo: int, hi: int) -> int:
         """Smallest fused id in ``[lo, hi)``, or ``-1``."""
-        i = bisect_left(self.lst, lo)
+        lst = self.lst
+        i = bisect_left(lst, lo)
         if i < self.size:
-            v = self.lst[i]
+            v = lst[i]
             if v < hi:
                 return v
         return -1
+
+
+class _ListMirrors:
+    """``mirrors[lab]``: the plain-list mirror of ``arrays[lab]``, built
+    the first time it is asked for (by :meth:`LabelIndex.nodes`, the
+    scalar bisects of the baselines and the hybrid strategy)."""
+
+    __slots__ = ("_arrays", "_built")
+
+    def __init__(self, arrays: List[np.ndarray]) -> None:
+        self._arrays = arrays
+        self._built: Dict[int, List[int]] = {}
+
+    def __getitem__(self, lab: int) -> List[int]:
+        mirror = self._built.get(lab)
+        if mirror is None:
+            mirror = self._built[lab] = self._arrays[lab].tolist()
+        return mirror
+
+    def __reduce__(self):
+        return (_ListMirrors, (self._arrays,))
 
 
 class LabelIndex:
@@ -78,19 +115,22 @@ class LabelIndex:
     """
 
     def __init__(self, tree: _LabelledTree) -> None:
-        self.tree = tree
-        label_of = np.asarray(tree.label_of, dtype=np.int64)
-        order = np.argsort(label_of, kind="stable")
-        sorted_labels = label_of[order]
-        boundaries = np.searchsorted(
-            sorted_labels, np.arange(len(tree.labels) + 1)
+        # A BinaryTree is asked for its column, not for the list mirror.
+        columns = getattr(tree, "_columns", None)
+        label_of = np.asarray(
+            tree.label_of if columns is None else columns["label_of"],
+            dtype=np.int64,
         )
-        ids = np.arange(tree.n, dtype=np.int64)[order]
-        self._arrays: List[np.ndarray] = [
-            ids[boundaries[lab] : boundaries[lab + 1]]
-            for lab in range(len(tree.labels))
-        ]
-        self._lists: List[List[int]] = [a.tolist() for a in self._arrays]
+        ids = np.argsort(label_of, kind="stable")  # node ids, by label
+        bounds = np.searchsorted(
+            label_of[ids], np.arange(len(tree.labels) + 1)
+        ).tolist()
+        self._adopt(tree, [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
+
+    def _adopt(self, tree: _LabelledTree, arrays: List[np.ndarray]) -> None:
+        self.tree = tree
+        self._arrays = arrays
+        self._lists = _ListMirrors(arrays)
         self._fused = LRUCache(FUSED_CACHE_SIZE, lock=True)
 
     @property
@@ -123,7 +163,6 @@ class LabelIndex:
         + m) total instead of the O(m log m) argsort of a fresh build.
         """
         self = cls.__new__(cls)
-        self.tree = tree
         arrays: List[np.ndarray] = []
         root_arr = np.zeros(1, dtype=np.int64)
         for lab, arr in enumerate(parent._arrays):
@@ -132,9 +171,7 @@ class LabelIndex:
             if lab == root_label:
                 local = np.concatenate([root_arr, local])
             arrays.append(local)
-        self._arrays = arrays
-        self._lists = [a.tolist() for a in arrays]
-        self._fused = LRUCache(FUSED_CACHE_SIZE, lock=True)
+        self._adopt(tree, arrays)
         return self
 
     @classmethod
@@ -149,23 +186,21 @@ class LabelIndex:
         ``ids`` is the concatenation of every label's sorted node-id
         array; ``boundaries[lab] : boundaries[lab + 1]`` delimits label
         ``lab``.  Per-label arrays become zero-copy views of ``ids`` (a
-        memory-mapped store array stays mapped); only the plain-list
-        mirrors used by the evaluator's scalar bisects are materialized.
-        No argsort runs -- the sort was paid once at store-build time.
+        memory-mapped store array stays mapped) and nothing is copied:
+        no argsort runs -- the sort was paid once at store-build time --
+        and the list mirrors wait for a scalar reader.
         """
         self = cls.__new__(cls)
-        self.tree = tree
         if len(boundaries) != len(tree.labels) + 1:
             raise ValueError(
                 f"label index has {len(boundaries) - 1} labels, "
                 f"tree has {len(tree.labels)}"
             )
-        self._arrays = [
-            ids[int(boundaries[lab]) : int(boundaries[lab + 1])]
-            for lab in range(len(tree.labels))
-        ]
-        self._lists = [a.tolist() for a in self._arrays]
-        self._fused = LRUCache(FUSED_CACHE_SIZE, lock=True)
+        bounds = boundaries.tolist()
+        self._adopt(
+            tree,
+            [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+        )
         return self
 
     def state(self) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +217,7 @@ class LabelIndex:
     def count(self, label: str) -> int:
         """Global number of nodes with this element name (O(1))."""
         lab = _label_id(self.tree, label)
-        return 0 if lab is None else len(self._lists[lab])
+        return 0 if lab is None else len(self._arrays[lab])
 
     def nodes(self, label: str) -> list[int]:
         """All nodes with this label, in document order."""

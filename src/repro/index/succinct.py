@@ -69,7 +69,7 @@ del _b, _e, _mn, _k, _s, _mns, _mxs
 class SuccinctTree:
     """BP-encoded ordinal tree with firstChild/nextSibling/parent/subtree ops."""
 
-    def __init__(self, parens, label_of: list[int], labels: list[str]) -> None:
+    def __init__(self, parens, label_of, labels: list[str]) -> None:
         bits = np.asarray(parens, dtype=np.uint8)
         if int(bits.size) != 2 * len(label_of):
             raise ValueError("parenthesis sequence length must be 2 * #nodes")
@@ -85,25 +85,7 @@ class SuccinctTree:
     @classmethod
     def from_document(cls, doc: XMLDocument) -> "SuccinctTree":
         """Encode an XML document's element skeleton."""
-        parens: list[int] = []
-        labels: list[str] = []
-        label_ids: dict[str, int] = {}
-        label_of: list[int] = []
-        stack = [(doc.root, 0)]
-        while stack:
-            node, phase = stack.pop()
-            if phase == 1:
-                parens.append(0)
-                continue
-            parens.append(1)
-            lab = label_ids.get(node.label)
-            if lab is None:
-                lab = label_ids[node.label] = len(labels)
-                labels.append(node.label)
-            label_of.append(lab)
-            stack.append((node, 1))
-            stack.extend((c, 0) for c in reversed(node.children))
-        return cls(parens, label_of, labels)
+        return cls.from_binary(BinaryTree.from_document(doc))
 
     @classmethod
     def from_binary(cls, tree: BinaryTree) -> "SuccinctTree":
@@ -114,11 +96,11 @@ class SuccinctTree:
         ``v + #{u : xml_end[u] <= v}``; every other position is a close.
         """
         n = tree.n
-        xml_end = np.asarray(tree.xml_end, dtype=np.int64)
+        xml_end = tree._columns["xml_end"]
         closed_before = np.cumsum(np.bincount(xml_end, minlength=n + 1))[:n]
         parens = np.zeros(2 * n, dtype=np.uint8)
         parens[np.arange(n, dtype=np.int64) + closed_before] = 1
-        return cls(parens, list(tree.label_of), list(tree.labels))
+        return cls(parens, tree._columns["label_of"], list(tree.labels))
 
     @classmethod
     def from_state(
@@ -372,34 +354,13 @@ class SuccinctTree:
         The engines' hot loops index pointer arrays; this adapter lets a
         document stored succinctly be queried by them, demonstrating that
         the two backends are interchangeable (and what the pointer
-        blow-up buys).  One linear pass over the parenthesis sequence
-        with an explicit stack -- O(n), not O(n * depth).
+        blow-up buys).  The parenthesis sequence is unpacked and the
+        tree derives its columns from it, as every constructor does.
         """
-        n = self.n
-        left = [NIL] * n
-        right = [NIL] * n
-        parent = [NIL] * n
-        xml_end = [0] * n
-        bts = self.bv._bytes
-        stack: list[list[int]] = []  # [node, last child seen]
-        nid = -1
-        for pos in range(self._m):
-            if (bts[pos >> 3] >> (pos & 7)) & 1:
-                nid += 1
-                if stack:
-                    top = stack[-1]
-                    parent[nid] = top[0]
-                    if top[1] == NIL:
-                        left[top[0]] = nid
-                    else:
-                        right[top[1]] = nid
-                    top[1] = nid
-                stack.append([nid, NIL])
-            else:
-                xml_end[stack.pop()[0]] = nid + 1
-        return BinaryTree(
-            list(self.labels), list(self.label_of), left, right, parent, xml_end
+        parens = np.unpackbits(
+            self.bv._words.view(np.uint8), count=self._m, bitorder="little"
         )
+        return BinaryTree(list(self.labels), self.label_of, parens)
 
     def __len__(self) -> int:
         return self.n
@@ -424,7 +385,13 @@ class SuccinctTree:
 
     @staticmethod
     def pointer_memory_bytes(tree: BinaryTree) -> int:
-        """Approximate bytes of the pointer representation, for contrast."""
-        per_list = sys.getsizeof(tree.left) + 8 * tree.n  # CPython int refs
-        # left, right, parent, bparent, xml_end, label_of
-        return 6 * per_list
+        """Approximate bytes of the pointer representation, for contrast:
+        the six plain-``int`` list mirrors an automaton strategy indexes
+        (left, right, parent, bparent, xml_end, label_of) at one CPython
+        reference per cell, plus the one pool of ``int`` objects they
+        share.  The numpy columns under them are another ``6 * 8n`` bytes
+        (mapped from the bundle file when store-backed) and are all a
+        kernel-only reader ever holds."""
+        lists = 6 * (sys.getsizeof([]) + 8 * tree.n)
+        pool = (tree.n + 2) * (8 + sys.getsizeof(1 << 20))
+        return lists + pool

@@ -7,12 +7,13 @@ sorted id arrays, and the balanced-parentheses bitvector with its
 rank/select directories and excess tables -- and writes them as a
 versioned bundle (:mod:`repro.store.format`).
 
-:func:`open_document` is the O(1)-startup path: every numpy-side array
-is reopened as a read-only ``np.load(mmap_mode="r")`` view (zero copy,
-shared across processes by the page cache), and only the plain-``int``
-list mirrors that the pure-Python inner loops index are materialized --
-no XML parsing, no label re-interning, no argsort, no BP directory
-reconstruction.  The resulting :class:`StoredDocument` plugs into
+:func:`open_document` is the O(1)-startup path: every array is
+reopened as a read-only ``np.load(mmap_mode="r")`` view (zero copy,
+shared across processes by the page cache) and the six tree columns
+*are* the :class:`~repro.tree.binary.BinaryTree` -- no XML parsing, no
+label re-interning, no argsort, no BP directory reconstruction, and no
+per-node Python object until an automaton strategy asks the tree for a
+list mirror.  The resulting :class:`StoredDocument` plugs into
 :class:`~repro.engine.api.Engine` / `Workspace.add` directly, pickles as
 its path (cheap worker-pool task descriptors), and rebuilds its
 :class:`~repro.index.succinct.SuccinctTree` lazily from the mapped BP
@@ -212,11 +213,10 @@ class StoredDocument:
                 load("bp_word_prefix"),
                 load("bp_zero_word_prefix"),
             )
-            tree = self.index.tree
             self._succinct = SuccinctTree.from_state(
                 bv,
-                tree.label_of,
-                tree.labels,
+                self.index.label_of_array(),
+                self.index.tree.labels,
                 load("bp_block_total"),
                 load("bp_block_min"),
                 load("bp_block_max"),
@@ -352,19 +352,14 @@ def save_document(
     if not isinstance(tree, BinaryTree):
         raise TypeError("store bundles require a BinaryTree-backed index")
     if parens is not None:
-        succinct = SuccinctTree(parens, tree.label_of, tree.labels)
+        succinct = SuccinctTree(parens, index.label_of_array(), tree.labels)
     else:
         succinct = SuccinctTree.from_binary(tree)
     bv_state = succinct.bv.state()
     bp_state = succinct.state()
     label_ids, label_bounds = index.labels.state()
     arrays = {
-        "label_of": np.asarray(tree.label_of, dtype=np.int64),
-        "left": np.asarray(tree.left, dtype=np.int64),
-        "right": np.asarray(tree.right, dtype=np.int64),
-        "parent": np.asarray(tree.parent, dtype=np.int64),
-        "bparent": np.asarray(tree.bparent, dtype=np.int64),
-        "xml_end": np.asarray(tree.xml_end, dtype=np.int64),
+        **tree._columns,  # the six columns, as the tree holds them
         "label_ids": label_ids,
         "label_bounds": label_bounds,
         "bp_packed": bv_state["packed"],
@@ -433,50 +428,32 @@ def open_document(path: str, *, mmap: bool = True) -> StoredDocument:
     # fine) must not leak the handles already opened.
     try:
         labels = list(header["labels"])
-        label_of_arr = load("label_of")
-        left_arr = load("left")
-        right_arr = load("right")
-        parent_arr = load("parent")
-        bparent_arr = load("bparent")
-        xml_end_arr = load("xml_end")
+        columns = {
+            name: load(name)
+            for name in (
+                "label_of", "left", "right", "parent", "bparent", "xml_end"
+            )
+        }
         n = int(header["n"])
-        if label_of_arr.shape != (n,):
+        if columns["label_of"].shape != (n,):
             raise StoreFormatError(
                 f"{path!r}: header n={n} but label_of has shape "
-                f"{label_of_arr.shape}"
+                f"{columns['label_of'].shape}"
             )
-        # The scalar inner loops of the evaluator index these per node;
-        # the plain-list mirrors keep every id a Python int (and keep
-        # list indexing speed), while the numpy views stay zero-copy.
-        tree = BinaryTree.from_arrays(
-            labels,
-            label_of_arr.tolist(),
-            left_arr.tolist(),
-            right_arr.tolist(),
-            parent_arr.tolist(),
-            xml_end_arr.tolist(),
-            bparent=bparent_arr.tolist(),
-        )
+        # The mapped files are the tree: nothing is copied or converted,
+        # whatever the document's size.
+        tree = BinaryTree._from_columns(labels, columns)
         label_index = LabelIndex.from_state(
             tree, load("label_ids"), load("label_bounds")
         )
+        index = TreeIndex(tree, labels=label_index)
+        # Optional column (additive; absent from older bundles, in which
+        # case TreeIndex.post_array() re-derives it on demand).
+        if "post" in manifest:
+            index._post_arr = load("post")
     except BaseException:
         _release_mapped(mapped)
         raise
-    index = TreeIndex(tree, labels=label_index)
-    # Seed the vectorized-path caches with the mapped arrays directly --
-    # the hybrid/fused strategies then slice the store file itself.
-    index._xml_end_arr = xml_end_arr
-    index._parent_arr = parent_arr
-    index._label_of_arr = label_of_arr
-    # Optional window-join column (additive; absent from older bundles,
-    # in which case TreeIndex.post_array() re-derives it on demand).
-    if "post" in manifest:
-        try:
-            index._post_arr = load("post")
-        except BaseException:
-            _release_mapped(mapped)
-            raise
     # Build-time document statistics (absent from pre-planner bundles;
     # the planner then falls back to a one-off computed sweep).
     stats = header.get("stats")

@@ -9,9 +9,9 @@ provides:
 - :func:`~repro.tree.parser.parse_xml` / :func:`~repro.tree.parser.parse_events`
   -- a small dependency-free, event-driven XML parser,
 - :class:`~repro.tree.builder.TreeBuilder` -- the streaming event sink
-  that appends parser events directly into binary-tree arrays,
-- :class:`~repro.tree.binary.BinaryTree` -- the array-backed fcns encoding
-  that all automata run over.
+  that records parser events as label ids and parentheses,
+- :class:`~repro.tree.binary.BinaryTree` -- the column-backed fcns encoding
+  that all automata and kernels run over.
 """
 
 from repro.tree.document import XMLDocument, XMLNode

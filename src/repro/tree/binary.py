@@ -23,7 +23,10 @@ Key id-range facts used throughout the library:
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Union
+import threading
+from typing import Iterator, Optional, Union
+
+import numpy as np
 
 from repro.tree.document import XMLDocument, XMLNode
 
@@ -34,50 +37,161 @@ TreeSpec = Union[str, tuple]
 """Lightweight literal tree syntax: ``"a"`` or ``("a", child, child...)``."""
 
 
-class BinaryTree:
-    """Array-backed fcns-encoded document tree.
+def _derive_columns(parens: np.ndarray) -> tuple[dict, int]:
+    """The five navigation columns and the height of the tree whose
+    balanced parentheses (``1`` open, ``0`` close, one pair per node in
+    document order) are ``parens``: one numpy pass, no per-node Python.
 
-    Construct via :meth:`from_document`, :meth:`from_spec` or
-    :meth:`from_xml`.  All per-node data lives in parallel Python lists
-    indexed by node id; this is the pointer-structure representation the
-    paper contrasts with succinct trees (see
-    :mod:`repro.index.succinct` for the succinct counterpart).
+    Two identities carry it.  The *nesting level* of a parenthesis is
+    the excess after an open and before a close, so at one level opens
+    and closes alternate and **matching parentheses are consecutive in a
+    stable argsort by nesting level**: its even entries are the opens --
+    the nodes in level-major order -- its odd entries their closes, and
+    ``xml_end`` is the number of opens before the close.  In that order
+    a level's nodes are grouped by parent and a group starts at a first
+    child (a node whose open directly follows another open), so **the
+    parent is the predecessor one level up**: ``v - 1`` for a first
+    child, carried forward over the rest of its group; the next sibling
+    is the next entry unless that entry starts a group.
+    """
+    n = parens.size // 2
+    opened = np.cumsum(parens, dtype=np.int64)
+    level = 2 * opened - np.arange(parens.size, dtype=np.int64) - parens
+    height = int(level.max()) - 1
+    if height < 0xFFFF:
+        level = level.astype(np.uint16)  # numpy radix-sorts 16-bit keys
+    order = np.argsort(level, kind="stable")
+    opens, closes = order[0::2], order[1::2]
+    nodes = opened[opens] - 1  # level-major
+    first = parens[opens - 1].astype(bool)  # root: the last close, False
+    xml_end = np.empty(n, dtype=np.int64)
+    xml_end[nodes] = opened[closes]
+    group = np.maximum.accumulate(np.where(first, np.arange(n), 0))
+    parent = np.empty(n, dtype=np.int64)
+    parent[nodes] = (nodes - 1)[group]
+    right = np.full(n, NIL, dtype=np.int64)
+    right[nodes[:-1]] = np.where(first[1:], NIL, nodes[1:])
+    bparent = np.full(n, NIL, dtype=np.int64)
+    bparent[nodes[1:]] = np.where(first[1:], nodes[1:] - 1, nodes[:-1])
+    left = np.full(n, NIL, dtype=np.int64)
+    first_children = nodes[first]
+    left[first_children - 1] = first_children
+    columns = {
+        "left": left,
+        "right": right,
+        "parent": parent,
+        "bparent": bparent,
+        "xml_end": xml_end,
+    }
+    return columns, height
+
+
+class _Mirror:
+    """``tree.<column>``: the plain-``int`` list mirror of one column.
+
+    A non-data descriptor: the first read builds the list and sets it
+    as an instance attribute of the same name, which shadows the
+    descriptor, so every later read is an ordinary attribute load.
     """
 
-    __slots__ = (
-        "labels",
-        "label_ids",
-        "label_of",
-        "left",
-        "right",
-        "parent",
-        "bparent",
-        "xml_end",
-        "n",
-    )
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
 
-    def __init__(
-        self,
-        labels: list[str],
-        label_of: list[int],
-        left: list[int],
-        right: list[int],
-        parent: list[int],
-        xml_end: list[int],
-        bparent: Optional[list[int]] = None,
-    ) -> None:
+    def __get__(self, tree, owner=None):
+        return self if tree is None else tree._publish(self.name)
+
+
+class BinaryTree:
+    """The fcns-encoded document tree: six ``int64`` numpy columns.
+
+    ``label_of / left / right / parent / bparent / xml_end``, one entry
+    per node id, are the tree -- the arrays a store bundle holds, and the
+    memory-mapped bundle files themselves when reopened from one.  The
+    set-at-a-time kernels and the index read the columns
+    (:meth:`repro.index.jumping.TreeIndex.parent_array` and friends) and
+    nothing else.
+
+    ``tree.left[v]`` ... ``tree.xml_end[v]`` remain the element-wise API
+    of the node-at-a-time code (the automaton strategies, the reference
+    evaluator, the baselines): each attribute is a plain-``int`` list
+    *mirror* of its column, built the first time it is read and kept.
+    Mirrors go through one shared pool of ``int`` objects, so the same
+    id is the same object in every column (a ``.tolist()`` per column
+    would allocate it up to five times).  A tree nobody indexes
+    element-wise -- every document served by the kernels -- never holds
+    one; :meth:`resident_mirrors` says which exist.  This is the pointer
+    representation the paper contrasts with succinct trees (see
+    :mod:`repro.index.succinct` for the succinct counterpart).
+
+    Construct via :meth:`from_document`, :meth:`from_spec` or
+    :meth:`from_xml`, or from label ids plus balanced parentheses.
+    """
+
+    def __init__(self, labels: list[str], label_of, parens) -> None:
+        """``label_of[v]`` indexes ``labels``; ``parens`` is the 0/1
+        balanced-parentheses sequence of the document
+        (:func:`_derive_columns` turns it into the navigation columns)."""
+        label_of = np.asarray(label_of, dtype=np.int64)
+        parens = np.asarray(parens, dtype=np.uint8)
+        if parens.size != 2 * label_of.size or not label_of.size:
+            raise ValueError("need one parenthesis pair per node, >= 1 node")
+        columns, height = _derive_columns(parens)
+        self._adopt(labels, {"label_of": label_of, **columns}, height)
+
+    @classmethod
+    def _from_columns(
+        cls, labels: list[str], columns: dict, height: Optional[int] = None
+    ) -> "BinaryTree":
+        """A tree over columns that already exist (a reopened bundle, a
+        shard slice); ``height`` where the caller knows it."""
+        self = cls.__new__(cls)
+        self._adopt(labels, columns, height)
+        return self
+
+    def _adopt(self, labels, columns: dict, height: Optional[int]) -> None:
         self.labels = labels
         self.label_ids = {name: i for i, name in enumerate(labels)}
-        self.label_of = label_of
-        self.left = left
-        self.right = right
-        self.parent = parent
-        self.xml_end = xml_end
-        self.n = len(label_of)
-        # A streaming builder (or a reopened store bundle) supplies the
-        # binary-parent array it already computed; otherwise derive it.
-        self.bparent = (
-            bparent if bparent is not None else self._compute_binary_parents()
+        self.n = len(columns["label_of"])
+        self._columns = columns
+        self._height = height
+        # Which mirrors exist; kept beside the instance attributes so
+        # nothing reads ``__dict__`` (that un-inlines the attributes and
+        # slows every later load on the instance).
+        self._mirrors: dict = {}
+        self._pool = None
+        self._lock = threading.Lock()
+
+    label_of = _Mirror()
+    left = _Mirror()
+    right = _Mirror()
+    parent = _Mirror()
+    bparent = _Mirror()
+    xml_end = _Mirror()
+
+    def _publish(self, name: str) -> list[int]:
+        """Build (once, whoever asks first) the list mirror of a column."""
+        with self._lock:
+            mirror = self._mirrors.get(name)  # published while we waited
+            if mirror is None:
+                if self._pool is None:
+                    # Every value a column holds: NIL, node ids, n, and
+                    # label ids (a shard shares its document's table).
+                    top = max(self.n, len(self.labels))
+                    self._pool = np.arange(NIL, top + 1).astype(object)
+                mirror = self._pool[self._columns[name] + 1].tolist()
+                self._mirrors[name] = mirror
+                setattr(self, name, mirror)  # shadows the descriptor
+        return mirror
+
+    def resident_mirrors(self) -> tuple:
+        """Names of the columns whose list mirror has been built."""
+        return tuple(name for name in self._columns if name in self._mirrors)
+
+    def __reduce__(self):
+        # Columns travel, mirrors (and the lock) never do.
+        return (
+            BinaryTree._from_columns,
+            (self.labels, self._columns, self._height),
         )
 
     # -- construction ------------------------------------------------------
@@ -100,60 +214,24 @@ class BinaryTree:
         - ``encode_text``: non-whitespace character data becomes a
           ``#text`` child element (enables the ``text()`` node test).
         """
-        labels: list[str] = []
-        label_ids: dict[str, int] = {}
-        label_of: list[int] = []
-        left: list[int] = []
-        right: list[int] = []
-        parent: list[int] = []
-        xml_end: list[int] = []
+        from repro.tree.builder import TreeBuilder
 
-        def intern(name: str) -> int:
-            lab = label_ids.get(name)
-            if lab is None:
-                lab = label_ids[name] = len(labels)
-                labels.append(name)
-            return lab
-
-        def emit(name: str, par: int) -> int:
-            vid = len(label_of)
-            label_of.append(intern(name))
-            left.append(NIL)
-            right.append(NIL)
-            parent.append(par)
-            xml_end.append(vid + 1)
-            return vid
-
-        # Iterative preorder assigning ids in document order.
-        stack: list[tuple[XMLNode, int]] = [(doc.root, NIL)]
-        while stack:
-            node, par = stack.pop()
-            vid = emit(node.label, par)
-            if encode_attributes:
-                for name in node.attributes:
-                    emit("@" + name, vid)
+        # The node's whole text is at hand, so the #text child is placed
+        # here (no LateTextChild); the builder does the @name children.
+        builder = TreeBuilder(encode_attributes=encode_attributes)
+        stack: list[Optional[XMLNode]] = [doc.root]
+        while stack:  # document order; None closes the node above
+            node = stack.pop()
+            if node is None:
+                builder.end_element()
+                continue
+            builder.start_element(node.label, node.attributes)
             if encode_text and node.text.strip():
-                emit("#text", vid)
-            stack.extend((c, vid) for c in reversed(node.children))
-
-        n = len(label_of)
-        # Second pass: fold subtree ends into parents.  Children have
-        # larger ids than their parent, so a backwards sweep sees every
-        # node after all of its descendants.
-        for v in range(n - 1, 0, -1):
-            p = parent[v]
-            if xml_end[v] > xml_end[p]:
-                xml_end[p] = xml_end[v]
-        # left = first child: the node v+1 iff parent[v+1] == v.
-        for v in range(n - 1):
-            if parent[v + 1] == v:
-                left[v] = v + 1
-        # right = next sibling: node at xml_end[v] iff same parent.
-        for v in range(n):
-            e = xml_end[v]
-            if e < n and parent[e] == parent[v]:
-                right[v] = e
-        return cls(labels, label_of, left, right, parent, xml_end)
+                builder.start_element("#text", None)
+                builder.end_element()
+            stack.append(None)
+            stack.extend(reversed(node.children))
+        return builder.finish()
 
     @classmethod
     def from_spec(cls, spec: TreeSpec) -> "BinaryTree":
@@ -175,7 +253,7 @@ class BinaryTree:
         """Parse an XML string and encode it -- streaming.
 
         Scanner events feed a :class:`repro.tree.builder.TreeBuilder`
-        that appends straight into this class's arrays; no intermediate
+        that records label ids and parentheses only; no intermediate
         :class:`XMLNode` tree is materialized.
         """
         from repro.tree.builder import build_tree_from_xml
@@ -185,32 +263,6 @@ class BinaryTree:
             encode_attributes=encode_attributes,
             encode_text=encode_text,
         )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        labels: list[str],
-        label_of: list[int],
-        left: list[int],
-        right: list[int],
-        parent: list[int],
-        xml_end: list[int],
-        bparent: Optional[list[int]] = None,
-    ) -> "BinaryTree":
-        """Rehydrate from precompiled arrays (a reopened store bundle)."""
-        return cls(labels, label_of, left, right, parent, xml_end, bparent)
-
-    def _compute_binary_parents(self) -> list[int]:
-        """Binary parent: the node whose left *or* right child this is."""
-        bparent = [NIL] * self.n
-        for v in range(self.n):
-            lc = self.left[v]
-            if lc != NIL:
-                bparent[lc] = v
-            rc = self.right[v]
-            if rc != NIL:
-                bparent[rc] = v
-        return bparent
 
     # -- basic accessors ----------------------------------------------------
 
@@ -273,22 +325,23 @@ class BinaryTree:
         return d
 
     def height(self) -> int:
-        """Maximum XML depth over all nodes."""
-        depth = [0] * self.n
-        best = 0
-        for v in range(1, self.n):
-            d = depth[self.parent[v]] + 1
-            depth[v] = d
-            if d > best:
-                best = d
-        return best
+        """Maximum XML depth over all nodes.  The parentheses a tree is
+        derived from give it outright; a tree adopted without it counts,
+        per node, the subtrees that closed before it (its depth is its
+        id less that count)."""
+        if self._height is None:
+            n = self.n
+            ends = np.bincount(self._columns["xml_end"], minlength=n + 1)
+            depth = np.arange(n) - np.cumsum(ends)[:n]
+            self._height = int(depth.max())
+        return self._height
 
     def label_histogram(self) -> dict[str, int]:
         """Element-name histogram (used by the hybrid engine's planner)."""
-        counts = [0] * len(self.labels)
-        for lab in self.label_of:
-            counts[lab] += 1
-        return {name: counts[i] for i, name in enumerate(self.labels)}
+        counts = np.bincount(
+            self._columns["label_of"], minlength=len(self.labels)
+        )
+        return dict(zip(self.labels, counts.tolist()))
 
     def __len__(self) -> int:
         return self.n

@@ -1,12 +1,14 @@
 """Streaming array-native document builder (the ingestion hot path).
 
 :class:`TreeBuilder` is an event handler (the
-:class:`~repro.tree.parser.EventHandler` protocol) that appends directly
-into the flat parallel arrays a :class:`~repro.tree.binary.BinaryTree`
-is made of -- element labels interned on the fly, ``parent`` /
-first-child (``left``) / next-sibling (``right``) wired per event,
-``xml_end`` folded at close time, and the balanced-parentheses bit of
-every open/close accumulated for the succinct index.  No intermediate
+:class:`~repro.tree.parser.EventHandler` protocol) that records, per
+event, only what the document *is*: the interned label id of every
+opened node and one balanced-parentheses bit per open / close.
+:meth:`TreeBuilder.finish` hands both to
+:class:`~repro.tree.binary.BinaryTree`, which derives ``parent`` /
+first-child (``left``) / next-sibling (``right``) / ``bparent`` /
+``xml_end`` and the height in one numpy pass; the parentheses double as
+the succinct index's input.  No intermediate
 :class:`~repro.tree.document.XMLNode` graph is ever materialized, which
 removes the dominant memory and startup cost of the legacy
 parse-then-convert pipeline (one Python object + dict + list per
@@ -31,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.tree.binary import NIL, BinaryTree
+from repro.tree.binary import BinaryTree
 from repro.tree.document import XMLDocument, XMLNode
 
 
@@ -42,13 +44,14 @@ class LateTextChild(Exception):
 
 
 class TreeBuilder:
-    """SAX-style event sink producing :class:`BinaryTree` arrays directly.
+    """SAX-style event sink recording label ids and parentheses.
 
     An element costs one :meth:`start_element` and one
-    :meth:`end_element`, each a straight run of list appends.  Which link
-    a new node hangs from needs no per-element frame: it is the next
-    sibling of ``_closed``, the node closed since the last open, or else
-    the first child of the innermost open element.
+    :meth:`end_element`: a label-id append and a parenthesis each way.
+    Only the ``#text`` encoding needs to know *where* in the tree an
+    event falls (which element is innermost, whether a child closed
+    since), so only ``encode_text`` keeps the stack of open elements;
+    otherwise a depth counter polices balance.
 
     >>> b = TreeBuilder()
     >>> b.start_element("a", None); b.start_element("b", None)
@@ -67,57 +70,35 @@ class TreeBuilder:
         self.encode_text = encode_text
         self.labels: list[str] = []
         self._label_ids: dict[str, int] = {}
-        self.label_of: list[int] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.parent: list[int] = []
-        self.bparent: list[int] = []
-        self.xml_end: list[int] = []
+        self._label_of: list[int] = []
         self._parens = bytearray()
-        self._open: list[int] = []  # ids of the open elements, outermost first
+        self._depth = 0
+        # encode_text only: ids of the open elements (outermost first),
+        # the node closed since the last open, and the elements whose
+        # #text child exists.
+        self._open: list[int] = []
         self._closed: Optional[int] = None
-        # The id the next node gets.  Kept as an object, not recomputed
-        # from len(label_of): every column then stores the same int
-        # object for one id (links, parents and the xml_end of the nodes
-        # closing just before it), which keeps the resident tree small.
-        self._next = 0
-        self._texted: set[int] = set()  # elements whose #text child exists
+        self._texted: set[int] = set()
         self._done = False
 
     # -- event protocol ----------------------------------------------------
 
     def start_element(self, name: str, attrs: Optional[dict]) -> None:
-        vid = self._next
-        opened = self._open
-        if opened:
-            par = opened[-1]
-            prev = self._closed
-            if prev is None:
-                self.left[par] = vid
-                self.bparent.append(par)
-            else:
-                self.right[prev] = vid
-                self.bparent.append(prev)
-                self._closed = None
-            self.parent.append(par)
-        else:
+        if not self._depth:
             if self._done:
                 raise ValueError("builder already finished")
-            if vid:
+            if self._label_of:
                 raise ValueError("document has more than one root element")
-            self.parent.append(NIL)
-            self.bparent.append(NIL)
         lab = self._label_ids.get(name)
         if lab is None:
             lab = self._label_ids[name] = len(self.labels)
             self.labels.append(name)
-        self.label_of.append(lab)
-        self.left.append(NIL)
-        self.right.append(NIL)
-        self.xml_end.append(NIL)  # folded in by end_element
+        if self.encode_text:
+            self._open.append(len(self._label_of))
+            self._closed = None
+        self._label_of.append(lab)
         self._parens.append(1)
-        opened.append(vid)
-        self._next = vid + 1
+        self._depth += 1
         if attrs and self.encode_attributes:
             for attr in attrs:
                 self._leaf("@" + attr)
@@ -129,7 +110,7 @@ class TreeBuilder:
         if element in self._texted or not data.strip():
             return
         child = self._closed  # the last child so far, if there is one
-        if child is not None and self.labels[self.label_of[child]][0] != "@":
+        if child is not None and self.labels[self._label_of[child]][0] != "@":
             raise LateTextChild(
                 "non-whitespace text after an element child"
             )
@@ -137,14 +118,11 @@ class TreeBuilder:
         self._leaf("#text")
 
     def end_element(self, name: Optional[str] = None) -> None:
-        try:
-            vid = self._open.pop()
-        except IndexError:
-            raise ValueError(
-                "end_element without a matching start_element"
-            ) from None
-        self.xml_end[vid] = self._next
-        self._closed = vid
+        if not self._depth:
+            raise ValueError("end_element without a matching start_element")
+        self._depth -= 1
+        if self.encode_text:
+            self._closed = self._open.pop()
         self._parens.append(0)
 
     def _leaf(self, name: str) -> None:
@@ -155,23 +133,15 @@ class TreeBuilder:
     # -- outputs -----------------------------------------------------------
 
     def finish(self) -> BinaryTree:
-        """Seal the builder and return the array-backed tree."""
-        if self._open:
+        """Seal the builder and return the tree its events describe."""
+        if self._depth:
             raise ValueError(
-                f"{len(self._open)} element(s) still open at finish()"
+                f"{self._depth} element(s) still open at finish()"
             )
-        if not self.label_of:
+        if not self._label_of:
             raise ValueError("no document element")
         self._done = True
-        return BinaryTree(
-            self.labels,
-            self.label_of,
-            self.left,
-            self.right,
-            self.parent,
-            self.xml_end,
-            bparent=self.bparent,
-        )
+        return BinaryTree(self.labels, self._label_of, self.parens_array())
 
     def parens_array(self) -> np.ndarray:
         """The balanced-parentheses sequence as a ``uint8`` 0/1 array.

@@ -12,9 +12,10 @@ handler:
 
 - :func:`parse_xml` materializes an :class:`XMLNode` tree (the legacy
   pointer view, still used by tests and serialization);
-- :class:`repro.tree.builder.TreeBuilder` appends directly into the flat
-  arrays of :class:`repro.tree.binary.BinaryTree` -- the streaming
-  ingestion hot path, which never allocates an ``XMLNode``.
+- :class:`repro.tree.builder.TreeBuilder` records the label id and the
+  parenthesis of every event, from which
+  :class:`repro.tree.binary.BinaryTree` derives its columns -- the
+  streaming ingestion hot path, which never allocates an ``XMLNode``.
 
 One precompiled pattern, :data:`_TOKEN`, matches *a text run and the
 markup that ends it* per step, so an element costs one or two regex

@@ -159,6 +159,42 @@ def loop_parens(tree: BinaryTree) -> list:
     return parens
 
 
+def loop_columns(parens) -> dict:
+    """The per-event wiring ``TreeBuilder`` used to do -- ``parent`` and
+    the ``left`` / ``right`` link (with its ``bparent``) at every open,
+    ``xml_end`` at every close -- replayed over a parenthesis sequence:
+    the reference for the bulk derivation in ``tree/binary.py``."""
+    left, right, parent, bparent, xml_end = [], [], [], [], []
+    opened, closed, height = [], None, 0
+    for bit in parens:
+        if not bit:
+            closed = opened.pop()
+            xml_end[closed] = len(left)
+            continue
+        vid = len(left)
+        if not opened:
+            parent.append(-1)
+            bparent.append(-1)
+        elif closed is None:
+            left[opened[-1]] = vid
+            bparent.append(opened[-1])
+            parent.append(opened[-1])
+        else:
+            right[closed] = vid
+            bparent.append(closed)
+            parent.append(opened[-1])
+            closed = None
+        left.append(-1)
+        right.append(-1)
+        xml_end.append(-1)
+        opened.append(vid)
+        height = max(height, len(opened) - 1)
+    return {
+        "left": left, "right": right, "parent": parent,
+        "bparent": bparent, "xml_end": xml_end, "height": height,
+    }
+
+
 class TestBuilderOutputs:
     def test_streamed_parens_match_from_binary(self):
         """The parentheses the builder streams, the ones from_binary

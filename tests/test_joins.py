@@ -205,6 +205,45 @@ def test_kernel_line_budget():
     assert lines("frontier.py", "window.py", "joins.py") <= 950
 
 
+SERVE_DIR = os.path.join(os.path.dirname(ENGINE_DIR), "serve")
+TREE_COLUMNS = {"label_of", "left", "right", "parent", "bparent", "xml_end"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        os.path.join(ENGINE_DIR, name)
+        for name in ("frontier.py", "joins.py", "planner.py", "window.py")
+    ]
+    + sorted(
+        os.path.join(SERVE_DIR, name)
+        for name in os.listdir(SERVE_DIR)
+        if name.endswith(".py")
+    ),
+    ids=os.path.basename,
+)
+def test_kernel_and_daemon_never_ask_for_a_list_mirror(path):
+    """``tree.<column>`` builds that column's plain-int list mirror and
+    ``.lst`` / ``.nodes(`` a label list: the kernel and the daemon read
+    numpy columns only, so neither may appear in them (predicate ASTs
+    keep their own ``pred.left`` / ``pred.right``)."""
+    with open(path) as handle:
+        module = ast.parse(handle.read())
+    asked = []
+    for node in ast.walk(module):
+        if isinstance(node, ast.Call):
+            node = node.func
+            if isinstance(node, ast.Attribute) and node.attr == "nodes":
+                asked.append((node.lineno, ".nodes("))
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            if isinstance(owner, (ast.Name, ast.Attribute)):
+                owner = getattr(owner, "id", None) or owner.attr
+            if node.attr == "lst" or (node.attr in TREE_COLUMNS and owner == "tree"):
+                asked.append((node.lineno, f"{owner}.{node.attr}"))
+    assert asked == []
+
+
 def _logical_lines(path):
     """Lines of a module re-rendered from its syntax tree without
     docstrings, so comments and formatting neither help nor hurt."""

@@ -79,8 +79,9 @@ class TestFeatureExtraction:
 
     def test_height_computed_and_cached_without_stats(self, index):
         h = planner.doc_height(index)
-        assert h == index.tree.height()
-        assert index._planner_height == h
+        assert h == index.tree.height() == index.tree._height
+        by_loop = max(index.tree.depth(v) for v in range(index.tree.n))
+        assert h == by_loop
 
 
 class TestCostModel:
