@@ -7,9 +7,9 @@ provides:
 - :class:`~repro.tree.document.XMLNode` / :class:`~repro.tree.document.XMLDocument`
   -- an ordered labelled tree with document-order numbering,
 - :func:`~repro.tree.parser.parse_xml` / :func:`~repro.tree.parser.parse_events`
-  -- a small dependency-free, event-driven XML parser,
-- :class:`~repro.tree.builder.TreeBuilder` -- the streaming event sink
-  that records parser events as label ids and parentheses,
+  -- a small dependency-free XML parser: one bulk scan, events on demand,
+- :class:`~repro.tree.builder.TreeBuilder` -- the event sink that
+  records events as label ids and parentheses,
 - :class:`~repro.tree.binary.BinaryTree` -- the column-backed fcns encoding
   that all automata and kernels run over.
 """

@@ -37,30 +37,41 @@ TreeSpec = Union[str, tuple]
 """Lightweight literal tree syntax: ``"a"`` or ``("a", child, child...)``."""
 
 
-def _derive_columns(parens: np.ndarray) -> tuple[dict, int]:
-    """The five navigation columns and the height of the tree whose
-    balanced parentheses (``1`` open, ``0`` close, one pair per node in
-    document order) are ``parens``: one numpy pass, no per-node Python.
-
-    Two identities carry it.  The *nesting level* of a parenthesis is
+def match_parens(parens: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(opened, order, height)`` of a parenthesis sequence (``1`` open,
+    ``0`` close): the opens up to each position, a stable argsort by
+    nesting level, the deepest level less one.  The *nesting level* is
     the excess after an open and before a close, so at one level opens
-    and closes alternate and **matching parentheses are consecutive in a
-    stable argsort by nesting level**: its even entries are the opens --
-    the nodes in level-major order -- its odd entries their closes, and
-    ``xml_end`` is the number of opens before the close.  In that order
-    a level's nodes are grouped by parent and a group starts at a first
-    child (a node whose open directly follows another open), so **the
-    parent is the predecessor one level up**: ``v - 1`` for a first
-    child, carried forward over the rest of its group; the next sibling
-    is the next entry unless that entry starts a group.
+    and closes alternate and **in that order a close directly follows
+    its open** -- how the parser checks end-tag names, even on an
+    unbalanced prefix, before :func:`_derive_columns` reuses the sort.
     """
-    n = parens.size // 2
     opened = np.cumsum(parens, dtype=np.int64)
     level = 2 * opened - np.arange(parens.size, dtype=np.int64) - parens
     height = int(level.max()) - 1
     if height < 0xFFFF:
         level = level.astype(np.uint16)  # numpy radix-sorts 16-bit keys
-    order = np.argsort(level, kind="stable")
+    return opened, np.argsort(level, kind="stable"), height
+
+
+def _derive_columns(parens: np.ndarray, matching=None) -> tuple[dict, int]:
+    """The five navigation columns and the height of the tree whose
+    balanced parentheses (one pair per node in document order) are
+    ``parens``, from :func:`match_parens` of them (``matching``, if the
+    caller has it): one numpy pass, no per-node Python.
+
+    Two identities carry it.  In the level sort of a balanced sequence
+    **matching parentheses are consecutive**: its even entries are the
+    opens -- the nodes in level-major order -- its odd entries their
+    closes, and ``xml_end`` is the number of opens before the close.  In
+    that order a level's nodes are grouped by parent and a group starts
+    at a first child (a node whose open directly follows another open),
+    so **the parent is the predecessor one level up**: ``v - 1`` for a
+    first child, carried forward over the rest of its group; the next
+    sibling is the next entry unless that entry starts a group.
+    """
+    n = parens.size // 2
+    opened, order, height = matching or match_parens(parens)
     opens, closes = order[0::2], order[1::2]
     nodes = opened[opens] - 1  # level-major
     first = parens[opens - 1].astype(bool)  # root: the last close, False
@@ -127,15 +138,16 @@ class BinaryTree:
     :meth:`from_xml`, or from label ids plus balanced parentheses.
     """
 
-    def __init__(self, labels: list[str], label_of, parens) -> None:
+    def __init__(self, labels, label_of, parens, matching=None) -> None:
         """``label_of[v]`` indexes ``labels``; ``parens`` is the 0/1
-        balanced-parentheses sequence of the document
-        (:func:`_derive_columns` turns it into the navigation columns)."""
+        balanced-parentheses sequence of the document (``matching`` its
+        :func:`match_parens`, if at hand), which :func:`_derive_columns`
+        turns into the navigation columns."""
         label_of = np.asarray(label_of, dtype=np.int64)
         parens = np.asarray(parens, dtype=np.uint8)
         if parens.size != 2 * label_of.size or not label_of.size:
             raise ValueError("need one parenthesis pair per node, >= 1 node")
-        columns, height = _derive_columns(parens)
+        columns, height = _derive_columns(parens, matching)
         self._adopt(labels, {"label_of": label_of, **columns}, height)
 
     @classmethod
@@ -250,11 +262,10 @@ class BinaryTree:
         encode_attributes: bool = False,
         encode_text: bool = False,
     ) -> "BinaryTree":
-        """Parse an XML string and encode it -- streaming.
-
-        Scanner events feed a :class:`repro.tree.builder.TreeBuilder`
-        that records label ids and parentheses only; no intermediate
-        :class:`XMLNode` tree is materialized.
+        """Parse an XML string and encode it: the parser's bulk scan, or
+        with an encoding its events into a
+        :class:`repro.tree.builder.TreeBuilder`; either way label ids
+        and parentheses only, no :class:`XMLNode` tree is materialized.
         """
         from repro.tree.builder import build_tree_from_xml
 

@@ -1,18 +1,17 @@
-"""Streaming array-native document builder (the ingestion hot path).
+"""Array-native document builders (the ingestion hot path).
 
-:class:`TreeBuilder` is an event handler (the
-:class:`~repro.tree.parser.EventHandler` protocol) that records, per
-event, only what the document *is*: the interned label id of every
-opened node and one balanced-parentheses bit per open / close.
-:meth:`TreeBuilder.finish` hands both to
-:class:`~repro.tree.binary.BinaryTree`, which derives ``parent`` /
-first-child (``left``) / next-sibling (``right``) / ``bparent`` /
-``xml_end`` and the height in one numpy pass; the parentheses double as
-the succinct index's input.  No intermediate
-:class:`~repro.tree.document.XMLNode` graph is ever materialized, which
-removes the dominant memory and startup cost of the legacy
-parse-then-convert pipeline (one Python object + dict + list per
-element).
+XML text with no ``@attr`` / ``#text`` encoding never gets here event by
+event: :func:`build_tree` hands it to the parser's bulk scan
+(:func:`~repro.tree.parser.scan_arrays`), which returns label ids and
+balanced parentheses directly.  :class:`TreeBuilder` is the event handler
+(the :class:`~repro.tree.parser.EventHandler` protocol) that records the
+same two things per event -- the interned label id of every opened node
+and one parenthesis per open / close -- for event sources (the XMark
+generator, ``BinaryTree.from_document``) and for the encodings.  Either
+way :class:`~repro.tree.binary.BinaryTree` derives ``parent`` / ``left``
+/ ``right`` / ``bparent`` / ``xml_end`` and the height in one numpy
+pass, the parentheses double as the succinct index's input, and no
+:class:`~repro.tree.document.XMLNode` graph is ever materialized.
 
 The attribute/text "straightforward encoding" of the paper is supported
 streaming: ``@name`` children are emitted as soon as a start tag is
@@ -162,8 +161,9 @@ def build_tree(
 ) -> tuple[BinaryTree, Optional[np.ndarray]]:
     """XML text or an event source -> ``(tree, BP parentheses)``.
 
-    The one spelling of the streaming pipeline: tokenizer events (or the
-    events of anything with an ``events(sink)`` method) feed a
+    The one spelling of the ingestion pipeline: plain XML text goes
+    through the parser's bulk scan, everything else -- an encoding, or
+    anything with an ``events(sink)`` method -- feeds a
     :class:`TreeBuilder`, so no per-element ``XMLNode`` is allocated.
     The only exception is the :class:`LateTextChild` mixed-content shape
     (see the module docstring), where XML text falls back to the
@@ -171,8 +171,11 @@ def build_tree(
     are then ``None``.  An event source cannot be replayed as text, so
     there the exception propagates.
     """
-    from repro.tree.parser import parse_events, parse_xml
+    from repro.tree.parser import parse_events, parse_xml, scan_arrays
 
+    if isinstance(document, str) and not (encode_attributes or encode_text):
+        labels, label_of, parens, matching = scan_arrays(document)
+        return BinaryTree(labels, label_of, parens, matching), parens
     builder = TreeBuilder(
         encode_attributes=encode_attributes, encode_text=encode_text
     )

@@ -3,6 +3,8 @@ that do not share its code: bundle digests pinned before it existed, the
 stdlib's expat, and a clock."""
 
 import os
+import subprocess
+import sys
 import time
 from xml.parsers import expat
 
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 
 from repro.store import DocumentStore, SourceEncodingError, save_document
 from repro.store.format import file_crc32
+from repro.tree import parser
 from repro.tree.binary import BinaryTree
+from repro.tree.builder import LateTextChild, TreeBuilder, build_tree
 from repro.tree.parser import XMLSyntaxError, parse_events, parse_xml
 from repro.xmark.generator import XMarkGenerator
 
@@ -269,6 +273,28 @@ HOSTILE = {
     "nesting": (100_000, True, lambda n: "<d>" * n + "</d>" * n),
     "nesting, never closed": (100_000, False, lambda n: "<d>" * n),
     "siblings": (100_000, True, lambda n: "<r>" + "<s/>" * n + "</r>"),
+    # The bulk scan classifies each *distinct* piece once and settles a
+    # section whose body holds a "<" per occurrence: inputs where every
+    # piece is distinct, or every section is cut by the split.
+    "distinct tag names": (
+        100_000, True,
+        lambda n: "<r>" + "".join(f"<t{i}/>" for i in range(n)) + "</r>",
+    ),
+    "distinct attribute values": (
+        100_000, True,
+        lambda n: "<r>" + "".join(f'<t v="{i}"/>' for i in range(n)) + "</r>",
+    ),
+    "comments holding markup": (
+        100_000, True, lambda n: "<r>" + "<!-- < > -->" * n + "</r>"
+    ),
+    "CDATA holding a tag": (
+        100_000, True, lambda n: "<r>" + "<![CDATA[<a>]]>" * n + "</r>"
+    ),
+    "text holding >": (1 << 20, True, lambda n: "<r>" + ">" * n + "</r>"),
+    "text runs with an entity": (
+        100_000, True,
+        lambda n: "<r>" + "".join(f"<t/>x{i}&amp;" for i in range(n)) + "</r>",
+    ),
 }
 
 
@@ -378,3 +404,227 @@ class TestSyncErrorsNameTheFile:
         with open(bad, "wb") as handle:
             handle.write("<r>caf\u00e9</r>".encode("utf-8"))
         assert store.sync(src)["added"] == ["b", "c"]
+
+
+# -- the bulk scan: slices, error order, memory, and no per-element Python ----
+
+FLAGS = [
+    {"encode_attributes": a, "encode_text": t}
+    for a in (False, True)
+    for t in (False, True)
+]
+
+
+def columns(tree):
+    return tree.labels, {k: v.tolist() for k, v in tree._columns.items()}
+
+
+def replayed_tree(text, **flags):
+    """The tree ``TreeBuilder`` makes of the replayed events: the
+    per-event reference for the arrays of the bulk scan."""
+    builder = TreeBuilder(**flags)
+    try:
+        parse_events(text, builder)
+    except LateTextChild:
+        return BinaryTree.from_document(parse_xml(text), **flags)
+    return builder.finish()
+
+
+class TestBulkScanAgainstReplayedEvents:
+    @settings(max_examples=150, deadline=None)
+    @given(documents())
+    def test_same_arrays_under_every_encoding(self, text):
+        for flags in FLAGS:
+            tree, _ = build_tree(text, **flags)
+            assert columns(tree) == columns(replayed_tree(text, **flags))
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 64])
+    def test_a_slice_may_end_at_any_markup(self, size, monkeypatch, tmp_path):
+        whole = [columns(build_tree(mixed_document(), **f)[0]) for f in FLAGS]
+        recorder = Recorder()
+        parse_events(mixed_document(), recorder)
+        monkeypatch.setattr(parser, "_SLICE", size)
+        for flags, expected in zip(FLAGS, whole):
+            assert columns(build_tree(mixed_document(), **flags)[0]) == expected
+        sliced = Recorder()
+        parse_events(mixed_document(), sliced)
+        assert sliced.events == recorder.events
+        for encoded in (False, True):
+            got = bundle_digests(
+                mixed_document(),
+                str(tmp_path / f"b{encoded}"),
+                **(ENCODED if encoded else {}),
+            )
+            assert got == GOLDEN_MIXED[encoded]
+
+    @settings(max_examples=60, deadline=None)
+    @given(documents(), st.sampled_from([1, 2, 7, 64]))
+    def test_sliced_scan_of_generated_documents(self, text, size):
+        whole = columns(BinaryTree.from_xml(text))
+        events = Recorder()
+        parse_events(text, events)
+        old = parser._SLICE
+        parser._SLICE = size
+        try:
+            assert columns(BinaryTree.from_xml(text)) == whole
+            sliced = Recorder()
+            parse_events(text, sliced)
+        finally:
+            parser._SLICE = old
+        assert sliced.events == events.events
+
+    def test_a_handler_may_keep_and_change_its_attrs(self):
+        class Greedy(Recorder):
+            def start_element(self, name, attrs):
+                super().start_element(name, attrs)
+                if attrs:
+                    attrs.clear()
+
+        text = "<r>" + "<a x='1' y='2'/>" * 3 + "<a x='1' y='2'>t</a></r>"
+        greedy = Greedy()
+        parse_events(text, greedy)
+        starts = [e for e in greedy.events if e[:2] == ("start", "a")]
+        assert starts == [("start", "a", {"x": "1", "y": "2"})] * 4
+
+
+class TestLessThanInAttributeValue:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '<a x="<"/>',
+            "<a x='<'/>",
+            '<r><a x="1<2">t</a></r>',
+            "<r><a y=\"ok\" x='a<b'/></r>",
+        ],
+    )
+    def test_rejected_at_the_less_than_sign(self, text):
+        for parse in (BinaryTree.from_xml, parse_xml):
+            with pytest.raises(XMLSyntaxError, match="'<' in an attribute") as e:
+                parse(text)
+            assert e.value.position == text.index("<", text.index("=")), text
+        with pytest.raises(expat.ExpatError):
+            expat_events(text)
+
+
+class TestFirstErrorInDocumentOrderWins:
+    CASES = [
+        # (text, message, offset of): the earlier of two errors is raised.
+        ("<r><a></b><c x=1/></r>", "mismatched end tag </b> for <a>", "</b>"),
+        ("<r><c x=1/><a></b></r>", "expected quoted attribute value", "1/>"),
+        ("<r><a></b>&nope;</r>", "mismatched end tag", "</b>"),
+        ("<r>&nope;<a></b></r>", "unknown entity &nope;", "&nope;"),
+        ("<r/>junk&nope;", "content after document element", "junk"),
+        ("<r><a></r>&nope;", "mismatched end tag </r> for <a>", "</r>"),
+        ("<r><!-- < -->&nope;<a></b></r>", "unknown entity", "&nope;"),
+        ("<r><a></b><!-- < --</r>", "mismatched end tag", "</b>"),
+        ("<r><a>", "unexpected end of input inside element", None),
+    ]
+
+    @pytest.mark.parametrize("size", [1 << 18, 1, 5])
+    @pytest.mark.parametrize("text, message, where", CASES)
+    def test_message_and_offset(self, text, message, where, size, monkeypatch):
+        monkeypatch.setattr(parser, "_SLICE", size)
+        offset = len(text) if where is None else text.index(where)
+        if message.startswith("mismatched"):
+            offset += len(where) - 1  # just past the end tag's name
+        for parse in (BinaryTree.from_xml, parse_xml):
+            with pytest.raises(XMLSyntaxError, match=message) as excinfo:
+                parse(text)
+            assert excinfo.value.position == offset, (text, parse)
+
+    def test_an_error_in_the_second_slice(self):
+        good = "<r>" + "<a>text</a>" * (parser._SLICE // 8)
+        assert len(good) > parser._SLICE + 100
+        text = good + "<b></c></r>"
+        with pytest.raises(XMLSyntaxError, match="mismatched") as excinfo:
+            BinaryTree.from_xml(text)
+        assert excinfo.value.position == len(good) + len("<b></c")
+        text = good + "<b x=1/></r>"
+        with pytest.raises(XMLSyntaxError, match="quoted") as excinfo:
+            BinaryTree.from_xml(text)
+        assert excinfo.value.position == len(good) + len("<b x=")
+        # An earlier slice's structure error beats a later slice's bad tag.
+        text = "<r><x></y>" + good[3:] + "<b x=1/></r>"
+        with pytest.raises(XMLSyntaxError, match="mismatched") as excinfo:
+            BinaryTree.from_xml(text)
+        assert excinfo.value.position == len("<r><x></y")
+
+    def test_a_byte_order_mark_and_an_error_past_a_slice(self):
+        good = "\ufeff<?xml version='1.0'?><r>" + "<a/>" * (parser._SLICE // 3)
+        assert len(good) > parser._SLICE + 100
+        text = good + "&nope;</r>"
+        with pytest.raises(XMLSyntaxError, match="unknown entity") as excinfo:
+            parse_xml(text)
+        assert excinfo.value.position == len(good)
+
+    def test_a_section_may_straddle_slices(self, monkeypatch):
+        text = "<r><a/><!-- <b> <c> --><![CDATA[<d>&]]>t<?p <e?></r>"
+        whole = Recorder()
+        parse_events(text, whole)
+        assert whole.events == expat_events(text)
+        for size in range(1, 30):
+            monkeypatch.setattr(parser, "_SLICE", size)
+            sliced = Recorder()
+            parse_events(text, sliced)
+            assert sliced.events == whole.events, size
+            assert BinaryTree.from_xml(text).labels == ["r", "a"]
+
+
+HIGH_WATER = """
+import sys
+from repro.tree.binary import BinaryTree
+def high_water():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM"):
+                return int(line.split()[1]) * 1024
+with open(sys.argv[1], encoding="utf-8") as handle:
+    text = handle.read()
+before = high_water()
+tree = BinaryTree.from_xml(text)
+print(tree.n, high_water() - before)
+"""
+
+
+class TestTheScanIsBulkAndBounded:
+    def test_fewer_python_calls_than_a_twentieth_of_the_nodes(self):
+        """A count, not a clock: a per-element loop (two calls a node
+        before the bulk scan) cannot come back unnoticed."""
+        xml = XMarkGenerator(scale=0.5, seed=42, text_content=True).xml()
+        BinaryTree.from_xml(xml)  # imports, caches
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            tree = BinaryTree.from_xml(xml)
+        finally:
+            sys.setprofile(None)
+        assert tree.n > 10_000
+        assert calls < 0.05 * tree.n, (calls, tree.n)
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs Linux /proc"
+    )
+    def test_parse_high_water_mark_per_node(self, tmp_path):
+        """The parse's own peak (VmHWM after less before, in a fresh
+        process): slices, narrow per-event arrays, nothing kept per piece."""
+        source = tmp_path / "xmark8.xml"
+        source.write_text(
+            XMarkGenerator(scale=8, seed=42, text_content=True).xml(),
+            encoding="utf-8",
+        )
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", HIGH_WATER, str(source)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout.split()
+        nodes, grown = int(out[0]), int(out[1])
+        assert nodes > 200_000
+        assert grown < 170 * nodes, grown / nodes
