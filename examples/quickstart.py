@@ -22,7 +22,7 @@ BRANCH_XML = "<library><shelf><book><keyword/></book></shelf></library>"
 
 def main() -> None:
     doc = parse_xml(XML)
-    engine = Engine(doc)  # default: the fully optimized engine
+    engine = Engine(doc)  # default strategy: "auto", the cost-based planner
 
     print("== basic queries (the legacy one-liner still works) ==")
     for query in ("//book", "/library/shelf/book", "//book[keyword]",

@@ -57,7 +57,8 @@ class Engine:
     strategy:
         Any name registered in :mod:`repro.engine.registry` (built-ins:
         ``auto | naive | jumping | memo | optimized | hybrid |
-        deterministic | mixed | vectorized``; default ``optimized``).
+        deterministic | mixed | vectorized``; default ``auto``, as in
+        the CLI and the daemon).
         Strategies that do not support a given query fall back along
         their declared chain -- ``hybrid`` applies start-anywhere
         planning to descendant chains and falls back to ``optimized``;
@@ -65,7 +66,7 @@ class Engine:
         minimal-TDSTA pipeline of Section 3 (Algorithm B.1);
         ``vectorized`` evaluates absolute forward paths set-at-a-time
         over numpy frontiers; ``auto`` is the cost-based planner that
-        picks among them per query+document (the CLI's default); queries
+        picks among them per query+document; queries
         with backward axes always resolve to ``mixed`` (Section 6).
     cache:
         An optional shared :class:`CompiledQueryCache` (a
@@ -76,7 +77,7 @@ class Engine:
     def __init__(
         self,
         document: Union[XMLDocument, BinaryTree, TreeIndex, str],
-        strategy: str = "optimized",
+        strategy: str = "auto",
         encode_attributes: bool = False,
         encode_text: bool = False,
         cache: Optional[CompiledQueryCache] = None,
@@ -237,7 +238,7 @@ class Engine:
 def evaluate(
     document: Union[XMLDocument, BinaryTree, TreeIndex, str],
     query: Union[str, Path],
-    strategy: str = "optimized",
+    strategy: str = "auto",
 ) -> List[int]:
     """One-shot convenience wrapper around :class:`Engine`."""
     return Engine(document, strategy).select(query)

@@ -41,8 +41,9 @@ class Workspace:
 
     Parameters mirror :class:`~repro.engine.api.Engine`; ``strategy``,
     ``encode_attributes`` and ``encode_text`` become the defaults for
-    every document added later.  With ``strategy="auto"`` every member
-    engine -- and every *shard* engine the parallel
+    every document added later.  With ``strategy="auto"`` (the default,
+    as for :class:`~repro.engine.api.Engine`, the CLI and the daemon)
+    every member engine -- and every *shard* engine the parallel
     :class:`~repro.engine.parallel.QueryService` derives from it --
     runs the cost-based planner independently, so the same query may
     execute vectorized on one document (or shard) and node-at-a-time on
@@ -51,7 +52,7 @@ class Workspace:
 
     def __init__(
         self,
-        strategy: str = "optimized",
+        strategy: str = "auto",
         encode_attributes: bool = False,
         encode_text: bool = False,
     ) -> None:

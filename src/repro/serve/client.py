@@ -4,7 +4,11 @@
 persistent keep-alive socket of its own (``TCP_NODELAY``, one
 ``sendall`` per request); the wire format in both directions is
 :mod:`repro.serve.http`'s -- :func:`~repro.serve.http.encode_request`
-out, :func:`~repro.serve.http.read_response` in.  At the daemon's
+out, :func:`~repro.serve.http.read_response` in.  Every request asks
+for the binary answer frame (``Accept: application/x-repro-ids``), so
+id lists arrive as raw words, not digits;
+:func:`~repro.serve.http.decode_answer` turns either body into the same
+``dict``, ``reply["ids"]`` a ``list`` of ``int``.  At the daemon's
 sub-millisecond answers a general-purpose HTTP library's request
 assembly and header parsing were a third of the round trip (see
 DESIGN.md "Serving").  Error responses raise :class:`ServeError`
@@ -40,7 +44,7 @@ import time
 from typing import Any, Dict, List, Optional
 from urllib.parse import urlencode
 
-from repro.serve.http import encode_request, read_response
+from repro.serve.http import IDS_TYPE, decode_answer, encode_request, read_response
 
 #: HTTP statuses worth retrying for an idempotent request: transient
 #: overload/unavailability, not client or evaluation errors.
@@ -133,6 +137,7 @@ class ServeClient:
             path,
             f"{self.host}:{self.port}",
             None if body is None else json.dumps(body).encode("utf-8"),
+            accept=IDS_TYPE,
         )
         attempts = (self.retries + 1) if idempotent else 1
         last_error: Optional[Exception] = None
@@ -156,14 +161,17 @@ class ServeClient:
             if not keep_alive:
                 self.close()
             try:
-                payload = json.loads(raw)
-            except ValueError:
+                payload = decode_answer(raw)
+            except ValueError as exc:
+                # Neither JSON nor a sound frame: nothing this peer
+                # sends next can be trusted to be in step either.
+                self.close()
                 raise ServeError(
                     status,
                     {
                         "error": {
                             "kind": "protocol",
-                            "message": raw[:200].decode("utf-8", "replace"),
+                            "message": f"{exc}: {bytes(raw[:200])!r}",
                         }
                     },
                 ) from None

@@ -94,6 +94,7 @@ from repro.engine.planner import planner_fields
 from repro.engine.workspace import Workspace
 from repro.serve.admission import Admission
 from repro.serve.http import (
+    FRAME_MAGIC,
     Answer,
     Body,
     HttpError,
@@ -146,6 +147,7 @@ COUNTERS = (
     "fallbacks", "fallback_successes", "quarantine_rejects",
     "drain_rejects", "reloads", "reload_noops", "reload_failures",
     "pool_batches", "pool_queries", "pool_fallbacks", "inline", "threaded",
+    "framed",
 )  # fmt: skip
 
 
@@ -623,6 +625,7 @@ class QueryDaemon:
         query: str,
         strategy: str,
         flags: Dict[str, bool],
+        frame: bool,
         admitted: Optional[float] = None,
     ) -> bytes:
         """The worker-side function of ``/query``: evaluate, encode.
@@ -636,8 +639,9 @@ class QueryDaemon:
         start = time.perf_counter()
         inline = admitted is None
         try:
-            return encode_answer(
-                *self._evaluate(
+            return self._encode(
+                frame,
+                self._evaluate(
                     mount,
                     engine,
                     cached,
@@ -646,7 +650,7 @@ class QueryDaemon:
                     executor="inline" if inline else "thread",
                     queue_ms=0.0 if inline else _ms(admitted, start),
                     **flags,
-                )
+                ),
             )
         finally:
             cost = time.perf_counter() - start
@@ -657,6 +661,15 @@ class QueryDaemon:
                 plan.artifacts.setdefault(COST_KEY, {})[
                     tuple(flags.values())
                 ] = cost
+
+    def _encode(self, frame: bool, answer: tuple) -> bytes:
+        """The body of one ``/query`` or ``/batch`` answer, wherever it
+        was evaluated: a frame if the request asked for one and the
+        answer holds ids (counted as ``framed``), else JSON."""
+        body = encode_answer(*answer, frame=frame)
+        if body.startswith(FRAME_MAGIC):
+            self._bump("framed")
+        return body
 
     def _pool_routable(self, strategy: str) -> bool:
         """Whether this request may run on the shared-memory pool.
@@ -857,7 +870,14 @@ class QueryDaemon:
         admitted = None if inline else time.perf_counter()
         body = await self.admission.run(
             lambda: self._query_body(
-                mount, engine, cached, query, strategy, flags, admitted
+                mount,
+                engine,
+                cached,
+                query,
+                strategy,
+                flags,
+                request.accepts_frame,
+                admitted,
             ),
             timeout_s,
             inline=inline,
@@ -885,10 +905,11 @@ class QueryDaemon:
         self._bump("batches")
         self._bump("batch_queries", len(queries))
         return await self.admission.run(
-            lambda: encode_answer(
-                *self._evaluate_batch(
+            lambda: self._encode(
+                request.accepts_frame,
+                self._evaluate_batch(
                     mount, engine, queries, strategy, count_only=count_only
-                )
+                ),
             ),
             timeout_s,
         )

@@ -1,14 +1,18 @@
 """Minimal stdlib HTTP/1.1 layer for the query daemon.
 
 Just enough of the protocol for a JSON service -- request-line +
-headers + ``Content-Length`` bodies in, JSON responses out, with
-keep-alive -- on plain :mod:`asyncio` streams.  No routing framework,
+headers + ``Content-Length`` bodies in, JSON responses out (or, for a
+peer that sent ``Accept: application/x-repro-ids``, the binary answer
+frame of :func:`encode_answer`), with keep-alive -- on plain
+:mod:`asyncio` streams.  No routing framework,
 no chunked encoding, no external dependencies; the daemon
 (:mod:`repro.serve.daemon`) does its own dispatch on ``(method, path)``.
 Both directions of the wire format live here: :func:`read_request` /
 :func:`encode_response` are the daemon's side,
 :func:`encode_request` / :func:`read_response` the blocking mirror
-:class:`~repro.serve.client.ServeClient` drives over a plain socket.
+:class:`~repro.serve.client.ServeClient` drives over a plain socket;
+:func:`encode_answer` / :func:`decode_answer` are the two ends of an
+answer body, JSON or frame.
 
 Every error path surfaces as :class:`HttpError`, whose
 :meth:`~HttpError.to_payload` is the one structured-error JSON shape the
@@ -21,6 +25,7 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qsl, urlsplit
@@ -44,6 +49,15 @@ REASONS = {
 
 MAX_HEADER_BYTES = 16 * 1024
 MAX_HEADERS = 64
+
+#: Media type of the binary answer frame (:func:`encode_answer`): what a
+#: request's ``Accept`` asks for and what the framed response declares.
+IDS_TYPE = "application/x-repro-ids"
+#: A frame's first bytes.  0x93 cannot start UTF-8 text, so no JSON body
+#: is ever taken for a frame and a body says by itself what it is.
+FRAME_MAGIC = b"\x93IDS"
+#: magic, id width in bytes (4 or 8), byte length of the JSON head.
+_FRAME = struct.Struct("<4sBI")
 
 
 class HttpError(Exception):
@@ -82,6 +96,11 @@ class Request:
     headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
     version: str = "HTTP/1.1"
+
+    @property
+    def accepts_frame(self) -> bool:
+        """Whether the peer asked for :data:`IDS_TYPE` answers."""
+        return IDS_TYPE in self.headers.get("accept", "")
 
     @property
     def keep_alive(self) -> bool:
@@ -269,37 +288,138 @@ Answer = Tuple[dict, Optional[np.ndarray]]
 Body = Union[dict, bytes]
 
 
+def _json_body(envelope: dict, ids, results, write_ids) -> bytes:
+    """The JSON object of one answer: the envelope, then ``"results"``,
+    then ``"ids"`` as ``write_ids`` renders the array.
+
+    Only the small envelope goes through ``json.dumps``; the id arrays
+    become the object's last members, spliced in at the envelope's own
+    closing brace -- its final byte, whatever the strings inside contain.
+    """
+    members = [json.dumps(envelope, sort_keys=True).encode("utf-8")[1:-1]]
+    if results is not None:
+        entries = b", ".join(
+            _json_body(entry, block, None, write_ids) for entry, block in results
+        )
+        members.append(b'"results": [' + entries + b"]")
+    if ids is not None:
+        members.append(b'"ids": ' + write_ids(ids))
+    return b"{" + b", ".join(m for m in members if m) + b"}"
+
+
+def _frame(envelope: dict, ids, results) -> Optional[bytes]:
+    """The answer as a binary frame, or ``None`` if it has to be JSON:
+    it holds no id array (count-only), or one a reader could not take
+    back out -- not what every real answer is (1-D, integer, no negative
+    id), or not as long as its envelope's ``count`` says."""
+    answers = [(envelope, ids), *(results or ())]
+    holders = [
+        (entry, np.asarray(block)) for entry, block in answers if block is not None
+    ]
+    if not holders or any(
+        block.ndim != 1
+        or block.dtype.kind not in "iu"
+        or entry.get("count") != block.size
+        or (block.size and block.min() < 0)
+        for entry, block in holders
+    ):
+        return None
+    blocks = [block for _entry, block in holders]
+    largest = max((int(block.max()) for block in blocks if block.size), default=0)
+    dtype = np.dtype("<u4" if largest < 2**32 else "<u8")
+    head = _json_body(envelope, ids, results, lambda _ids: b"null")
+    # Trailing spaces (JSON whitespace) put the first id on an 8-byte
+    # boundary of the body: reading aligned words is ~20% faster.
+    head += b" " * (-(_FRAME.size + len(head)) % 8)
+    return b"".join(
+        [_FRAME.pack(FRAME_MAGIC, dtype.itemsize, len(head)), head]
+        + [block.astype(dtype, copy=False).tobytes() for block in blocks]
+    )
+
+
 def encode_answer(
     envelope: dict,
     ids: Optional[np.ndarray] = None,
     results: Optional[Sequence[Answer]] = None,
+    *,
+    frame: bool = False,
 ) -> bytes:
-    """One answer body: the envelope, then ``"results"``, then ``"ids"``.
+    """One answer body, for ``/query`` (``ids``) or ``/batch`` (``results``).
 
-    Only the small envelope goes through ``json.dumps``; id arrays go
-    through :func:`encode_ids` and become the object's last members,
-    spliced in at the envelope's own closing brace -- its final byte,
-    whatever the strings inside contain.
+    JSON unless the request asked for a ``frame`` (``Accept:``
+    :data:`IDS_TYPE`) *and* the answer holds an id array; then::
+
+        magic 4s | id width u1 (4 or 8) | head length <u4 | head | blocks
+
+    The head is the JSON body exactly as it would have been sent, with
+    ``null`` where each id array stood (and trailing spaces); the blocks
+    are those arrays in the same order, raw little-endian unsigned, each
+    as long as its answer's ``count``.  One width per frame: ``<u4``
+    whenever the largest id fits, ``<u8`` otherwise.
+    :func:`decode_answer` is the inverse.
     """
-    members = [json.dumps(envelope, sort_keys=True).encode("utf-8")[1:-1]]
-    if results is not None:
-        entries = b", ".join(encode_answer(*entry) for entry in results)
-        members.append(b'"results": [' + entries + b"]")
-    if ids is not None:
-        members.append(b'"ids": ' + encode_ids(ids))
-    return b"{" + b", ".join(m for m in members if m) + b"}"
+    framed = _frame(envelope, ids, results) if frame else None
+    if framed is not None:
+        return framed
+    return _json_body(envelope, ids, results, encode_ids)
+
+
+def decode_answer(body: Union[bytes, bytearray]) -> dict:
+    """A response body as the object its JSON form would parse to.
+
+    A body starting with :data:`FRAME_MAGIC` is a frame (see
+    :func:`encode_answer`): every ``"ids": null`` of its head is filled
+    with the ``count`` ids of the next block, as a ``list`` of ``int``.
+    The frame is checked before it is believed -- width 4 or 8, head
+    inside the body, block bytes equal to the counts' sum times the
+    width -- and, like a body that is not JSON, raises :class:`ValueError`
+    when it is not what it says.
+    """
+    if not body.startswith(FRAME_MAGIC):
+        return json.loads(body)
+    if len(body) < _FRAME.size:
+        raise ValueError("frame shorter than its header")
+    _magic, width, head_length = _FRAME.unpack_from(body)
+    start = _FRAME.size + head_length
+    if width not in (4, 8) or start > len(body):
+        raise ValueError(f"bad frame header (width {width}, head {head_length})")
+    reply = json.loads(body[_FRAME.size : start])
+    results = reply.get("results", []) if isinstance(reply, dict) else None
+    if not isinstance(results, list):
+        raise ValueError("frame head is not an answer object")
+    holders = [
+        answer
+        for answer in [reply, *results]
+        if isinstance(answer, dict) and "ids" in answer
+    ]
+    counts = [answer.get("count") for answer in holders]
+    if any(type(count) is not int or count < 0 for count in counts):
+        raise ValueError("framed answer without a count")
+    if sum(counts) * width != len(body) - start:
+        raise ValueError(
+            f"frame carries {len(body) - start} block bytes for "
+            f"{sum(counts)} ids of width {width}"
+        )
+    for answer, count in zip(holders, counts):
+        answer["ids"] = np.frombuffer(
+            body, dtype=f"<u{width}", count=count, offset=start
+        ).tolist()
+        start += count * width
+    return reply
 
 
 def encode_response(
     status: int, payload: Body, *, keep_alive: bool = True
 ) -> bytes:
-    """Serialize one JSON response, headers and all."""
+    """Serialize one response, headers and all: JSON, or the frame
+    :func:`encode_answer` made (its magic says so)."""
     body = payload
     if not isinstance(body, bytes):
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    media = IDS_TYPE if body.startswith(FRAME_MAGIC) else "application/json"
     head = (
         f"HTTP/1.1 {status} {REASONS.get(status, 'Unknown')}\r\n"
-        f"Content-Type: application/json\r\n"
+        f"Content-Type: {media}\r\n"
         f"Content-Length: {len(body)}\r\n"
         f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
         f"\r\n"
@@ -308,10 +428,21 @@ def encode_response(
 
 
 def encode_request(
-    method: str, target: str, host: str, body: Optional[bytes] = None
+    method: str,
+    target: str,
+    host: str,
+    body: Optional[bytes] = None,
+    *,
+    accept: Optional[str] = None,
 ) -> bytes:
-    """Serialize one client request: the mirror of :func:`read_request`."""
+    """Serialize one client request: the mirror of :func:`read_request`.
+
+    ``accept`` is the ``Accept`` header (:data:`IDS_TYPE` asks for
+    framed answers); without one the daemon answers JSON.
+    """
     head = f"{method} {target} HTTP/1.1\r\nHost: {host}\r\n"
+    if accept is not None:
+        head += f"Accept: {accept}\r\n"
     if body is None:
         return (head + "\r\n").encode("latin-1")
     head += (

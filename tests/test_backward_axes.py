@@ -147,7 +147,7 @@ class TestRandomBackwardQueries:
 
 class TestExplainBackward:
     def test_explain_describes_mixed_pipeline(self, tree):
-        engine = Engine(tree)
+        engine = Engine(tree, strategy="optimized")
         text = engine.explain("//b/ancestor::a")
         assert "mixed pipeline" in text
         assert "forward segment: 1 step" in text

@@ -268,14 +268,16 @@ def _logical_lines(path):
 def test_serve_line_budget():
     """The daemon was split by owner, not by moving text: ``daemon.py``
     alone held 702 logical lines before; now it, ``admission.py`` and
-    ``mounts.py`` together stay under 640 and ``daemon.py`` under 470."""
+    ``mounts.py`` together stay under 646 and ``daemon.py`` under 476
+    (640 / 470 plus the six lines of ``_encode``, where a framed answer
+    is written and counted)."""
     serve_dir = os.path.join(os.path.dirname(ENGINE_DIR), "serve")
     daemon, admission, mounts = (
         _logical_lines(os.path.join(serve_dir, module))
         for module in ("daemon.py", "admission.py", "mounts.py")
     )
-    assert daemon <= 470
-    assert daemon + admission + mounts <= 640
+    assert daemon <= 476
+    assert daemon + admission + mounts <= 646
 
 
 def test_planner_line_budget():

@@ -42,7 +42,7 @@ class TestPlanReuse:
         assert engine.cache.compilations == compilations
 
     def test_prepared_backward_query_compiles_prefix_once(self):
-        engine = Engine(XML)
+        engine = Engine(XML, strategy="optimized")
         plan = engine.prepare("//a/b/parent::a")
         assert plan.strategy.name == "mixed"
         first = plan.execute()
@@ -108,7 +108,7 @@ class TestExecutionResult:
 
 class TestPlanExplain:
     def test_explain_names_resolved_strategy(self):
-        engine = Engine(XML)
+        engine = Engine(XML, strategy="optimized")
         assert "strategy: optimized" in engine.prepare("//a//b").explain()
         assert "strategy: mixed" in engine.prepare("//b/parent::a").explain()
 
