@@ -22,7 +22,7 @@ BRANCH_XML = "<library><shelf><book><keyword/></book></shelf></library>"
 
 def main() -> None:
     doc = parse_xml(XML)
-    engine = Engine(doc)  # default strategy: "auto", the cost-based planner
+    engine = Engine(doc)  # default strategy: "auto", the set-at-a-time kernel
 
     print("== basic queries (the legacy one-liner still works) ==")
     for query in ("//book", "/library/shelf/book", "//book[keyword]",
@@ -44,7 +44,8 @@ def main() -> None:
 
     print()
     print("== a workspace: many documents, one compiled-query cache ==")
-    ws = Workspace()
+    # An automaton strategy: the default kernel compiles nothing to share.
+    ws = Workspace(strategy="optimized")
     ws.add("main", XML)
     ws.add("branch", BRANCH_XML)
     print("select_all('//book') ->", ws.select_all("//book"))

@@ -8,7 +8,7 @@ Quickstart::
     from repro import parse_xml, Engine
 
     doc = parse_xml("<site><a><b/></a></site>")
-    engine = Engine(doc)                  # strategy="auto": the planner
+    engine = Engine(doc)                  # strategy="auto": the kernel
     ids = engine.select("//a//b")
     print(engine.labels_of(ids))
 

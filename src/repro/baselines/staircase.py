@@ -12,6 +12,13 @@ range operations:
 The paper's Related Work points out that staircase pruning is an instance
 of its subtree-skipping: "only the top-most independent context nodes are
 considered, i.e., their subtrees are skipped".
+
+:func:`topmost_prune` is the same prune as
+:func:`repro.engine.joins.staircase` and is kept apart on purpose: this
+module is the paper-record baseline the experiments hold the engines
+against (a ``BinaryTree`` and Python lists, one node per step, no
+``TreeIndex``, no numpy), so it must not quietly inherit the vectorized
+kernel's array pass -- and every change made to that kernel.
 """
 
 from __future__ import annotations

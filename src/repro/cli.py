@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=registry.strategy_names(),
         default="auto",
-        help="evaluation strategy (default: auto, the cost-based planner)",
+        help="evaluation strategy (default: auto, the set-at-a-time kernel)",
     )
     parser.add_argument(
         "--list-strategies",
@@ -182,7 +182,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=registry.strategy_names(),
         default="auto",
-        help="evaluation strategy (default: auto, the cost-based planner)",
+        help="evaluation strategy (default: auto, the set-at-a-time kernel)",
     )
     parser.add_argument(
         "--count", action="store_true", help="emit result counts, not id lists"
@@ -316,7 +316,7 @@ def build_store_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=registry.strategy_names(),
         default="auto",
-        help="evaluation strategy (default: auto, the cost-based planner)",
+        help="evaluation strategy (default: auto, the set-at-a-time kernel)",
     )
     query.add_argument(
         "--count", action="store_true", help="print only the number of results"
@@ -357,7 +357,7 @@ def _bundle_summary(path: str, header: dict) -> dict:
         "created": header["created"],
         "bytes": size,
     }
-    # Build-time document statistics (absent from pre-planner bundles).
+    # Build-time document statistics (absent from the oldest bundles).
     stats = header.get("stats")
     if isinstance(stats, dict):
         for key, value in sorted(stats.items()):
@@ -587,14 +587,14 @@ def build_plan_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro plan",
         description=(
-            "inspect the cost-based planner: which strategy the 'auto' "
-            "default picks for a query on a document, and why"
+            "inspect how the 'auto' default runs a query on a document: "
+            "the kernel's join operator per location step"
         ),
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
     explain = sub.add_parser(
         "explain",
-        help="show the chosen strategy, cost estimates, and features",
+        help="show the executing strategy and its per-step operators",
     )
     explain.add_argument("query", help="an XPath query")
     _add_document_arguments(explain)
@@ -606,7 +606,7 @@ def build_plan_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--json",
         action="store_true",
-        help="emit the planner verdict as JSON instead of text",
+        help="emit executes_as and the operator names as JSON",
     )
     return parser
 
@@ -650,7 +650,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         description=(
             "run the persistent query daemon over one or more store "
             "corpora (repro.serve); corpora mount via zero-copy mmap "
-            "reopen and prepared-query/planner state stays hot across "
+            "reopen and prepared-query state stays hot across "
             "requests"
         ),
     )
@@ -693,7 +693,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=registry.strategy_names(),
         default="auto",
-        help="evaluation strategy (default: auto, the cost-based planner)",
+        help="evaluation strategy (default: auto, the set-at-a-time kernel)",
     )
     parser.add_argument(
         "--no-mmap",

@@ -28,7 +28,8 @@ class EvalStats:
     mark bitmap, two per element located by rank column or binary search
     (both bounds of its range, or its slot and that range's end), two
     per context node whose range is looked up.  ``visited +
-    index_probes`` is what the planner's estimates are held against.
+    index_probes`` is what the touches ``explain`` states are held
+    against.
     """
 
     visited: int = 0

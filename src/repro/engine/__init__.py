@@ -24,9 +24,9 @@ for predicate-free path queries (Section 3 end to end), and
 backward axes (Section 6).  Beyond the paper's engines,
 :mod:`repro.engine.frontier` evaluates absolute forward paths
 *set-at-a-time* over numpy node-id frontiers (the ``vectorized``
-strategy), and :mod:`repro.engine.planner` is the cost-based ``auto``
-planner that picks a strategy per query+document and adapts from
-execution feedback.
+strategy; ``window`` is the same kernel over every axis), and
+:mod:`repro.engine.planner` registers ``auto`` -- that kernel under the
+default's name -- and states the operator it picks per location step.
 
 Every engine doubles as a *strategy plugin*: it registers itself in
 :mod:`repro.engine.registry`, declares which query fragment it supports,

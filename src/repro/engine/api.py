@@ -32,6 +32,7 @@ from repro.lru import LRUCache
 from repro.tree.binary import BinaryTree
 from repro.tree.document import XMLDocument
 from repro.xpath.ast import Path
+from repro.xpath.compiler import require_absolute
 from repro.xpath.parser import parse_xpath
 
 #: Default LRU capacity of the per-engine prepared-plan cache.  A
@@ -57,17 +58,19 @@ class Engine:
     strategy:
         Any name registered in :mod:`repro.engine.registry` (built-ins:
         ``auto | naive | jumping | memo | optimized | hybrid |
-        deterministic | mixed | vectorized``; default ``auto``, as in
-        the CLI and the daemon).
+        deterministic | mixed | vectorized | window``; default ``auto``,
+        as in the CLI and the daemon).
         Strategies that do not support a given query fall back along
         their declared chain -- ``hybrid`` applies start-anywhere
         planning to descendant chains and falls back to ``optimized``;
         ``deterministic`` runs predicate-free path queries through the
         minimal-TDSTA pipeline of Section 3 (Algorithm B.1);
         ``vectorized`` evaluates absolute forward paths set-at-a-time
-        over numpy frontiers; ``auto`` is the cost-based planner that
-        picks among them per query+document; queries
-        with backward axes always resolve to ``mixed`` (Section 6).
+        over numpy frontiers, ``window`` every absolute path; ``auto``
+        is ``window``'s kernel under the default's name.  A backward
+        axis under an automaton strategy resolves to ``mixed``
+        (Section 6); a relative top-level path is refused here, for
+        every strategy alike.
     cache:
         An optional shared :class:`CompiledQueryCache` (a
         :class:`~repro.engine.workspace.Workspace` passes one cache to
@@ -141,6 +144,7 @@ class Engine:
             key, plan = self._lookup(query, strategy)
             if plan is None:
                 path = parse_xpath(query) if isinstance(query, str) else query
+                require_absolute(path)
                 resolved = registry.resolve(key[1], path)
                 plan = PreparedQuery(self, query, path, resolved)
                 self._plans.put(key, plan)

@@ -24,7 +24,7 @@ kernel; the names pin the forward-only and the all-axes fragment):
   the match sets ``M_k ... M_1`` (nodes from which the path suffix
   matches) built with the same operators (:data:`WITNESS_DISPATCH`
   decides, from sizes known before the work starts);
-- the sizing the planner prices predicates with.
+- the sizing ``explain`` states predicates with.
 
 Counters are *redefined* for these strategies (see ``EvalStats``): array
 elements read or copied are ``visited``, probe elements
@@ -75,8 +75,8 @@ _WITNESS_CHUNK = 16
 
 def is_vectorizable(path: Path) -> bool:
     """The fragment the ``vectorized`` name covers: absolute forward
-    paths (backward axes route through the mixed pipeline, relative
-    top-level paths through the automaton engines)."""
+    paths (backward axes route through the mixed pipeline; relative
+    top-level paths never reach a strategy)."""
     return path.absolute and bool(path.steps) and not path.has_backward_axes()
 
 
@@ -167,7 +167,7 @@ def _eval_step(
 def test_label_names(labels: List[str], axis: Axis, test: str) -> List[str]:
     """The element names a node test can match, resolved against one
     document's label inventory (the single place these semantics live --
-    the planner prices steps through the same resolution)."""
+    ``explain`` sizes steps through the same resolution)."""
     if axis is Axis.ATTRIBUTE:
         if test in ("*", "node()"):
             return [l for l in labels if l.startswith("@")]
@@ -234,7 +234,7 @@ def path_size(index: TreeIndex, steps: tuple) -> int:
     """Summed candidate-array lengths of a predicate path, nested
     predicates included: what its back-to-front construction touches.
     The one sizing both the kernel's first-witness choice and the
-    planner's predicate price read."""
+    predicate touches ``explain`` states read."""
     return sum(
         candidate_count(index, step.axis, step.test)
         + (pred_size(index, step.predicate) if step.predicate is not None else 0)

@@ -23,8 +23,8 @@ element in O(1) from three dense columns of the
 that can run the join, candidate side first, and the rule that picks one
 from sizes known before the work starts.  Each operator states what it
 touches; the kernel applies the rule to the arrays in hand
-(:func:`join`), the planner to its bounds (:func:`plan_operator`), and
-prices the operator that will run.  Predicates read the table from the
+(:func:`join`), ``explain`` to its bounds (:func:`plan_operator`), and
+states the operator that will run.  Predicates read the table from the
 other end: "which of these nodes have a successor among the targets"
 (:func:`successor_mask`) is the candidate-side mask of the inverse axis.
 

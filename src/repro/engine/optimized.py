@@ -36,7 +36,7 @@ def evaluate(
 
 @register_strategy
 class OptimizedStrategy(AstaStrategy):
-    """Jumping + memoization + information propagation (the default)."""
+    """Jumping + memoization + information propagation (Figure 4 "Opt.")."""
 
     name = "optimized"
     evaluator = staticmethod(evaluate)

@@ -276,7 +276,8 @@ def plan_shard_query(query: Query) -> ShardQueryPlan:
 
 
 def _describe_prepared(plan) -> dict:
-    """One prepared plan's resolution (plus its planner verdict, if any)."""
+    """One prepared plan's resolution (plus, under ``auto``, the name
+    it executes as)."""
     from repro.engine.planner import planner_fields
 
     out = {"query": str(plan.path), "strategy": plan.strategy.name}
@@ -615,11 +616,7 @@ class QueryService:
         """How ``query`` runs on ``document`` under sharding *and* planning.
 
         Combines the shard rewrite decision with what each shard
-        engine's strategy resolution (the ``auto`` planner, when the
-        workspace uses it) picked for every rewritten path.  Because a
-        shard carries its own sliced label index, per-shard planners see
-        per-shard selectivities -- the same query may execute vectorized
-        on a dense shard and node-at-a-time on a sparse one.
+        engine's strategy resolution picked for every rewritten path.
         """
         plan = self._plan(query)
         report: dict = {

@@ -243,10 +243,8 @@ class PreparedQuery:
     ``artifacts``
         Per-plan scratch space for strategy-specific precomputation
         (the mixed strategy caches its forward-prefix automaton here,
-        the deterministic strategy its minimal TDSTA, and the ``auto``
-        planner its :class:`~repro.engine.planner.PlannerState` --
-        choice, cost estimates, and the execution-feedback record --
-        under the ``"planner"`` key).
+        the deterministic strategy its minimal TDSTA, the automaton
+        strategies their warmed run tables).
     """
 
     __slots__ = (
@@ -274,10 +272,8 @@ class PreparedQuery:
         self.artifacts: Dict[str, object] = {}
         self._asta: Optional[ASTA] = None
         self._exec_lock = threading.Lock()
-        # The bound evaluation entry point.  Normally the resolved
-        # strategy's own ``execute``; the ``auto`` planner rebinds it to
-        # its converged delegate's ``execute`` once a plan freezes, so a
-        # converged plan pays zero planner overhead per execution.
+        # The bound evaluation entry point: the resolved strategy's own
+        # ``execute`` (a slot, so a test can substitute a slow fake).
         self._execute_impl = strategy.execute
         # Duck-typed plugins may omit the optional protocol members.
         if getattr(strategy, "needs_asta", False):
@@ -323,19 +319,14 @@ class PreparedQuery:
         from repro.engine import hybrid, planner
         from repro.engine.mixed import forward_prefix_length
 
-        lines = [f"strategy: {self.strategy.name}"]
-        planner_state = self.artifacts.get("planner")
-        if planner_state is not None and hasattr(planner_state, "choice"):
-            lines.append(planner_state.choice.describe())
+        name = self.strategy.name
+        lines = [f"strategy: {name}"]
         path = self.path
-        active = getattr(planner_state, "active", None)
-        executes_as = getattr(active, "name", self.strategy.name)
+        executes_as = getattr(self.strategy, "executes_as", name)
+        if executes_as != name:
+            lines.append(f"executes as: {executes_as}")
         if executes_as in planner.SET_AT_A_TIME:
-            features = (
-                planner_state.choice.features
-                if hasattr(planner_state, "choice")
-                else planner.extract_features(path, self.engine.index)
-            )
+            features = planner.extract_features(path, self.engine.index)
             lines += planner.describe_operators(path, features)
         if path.has_backward_axes():
             if executes_as != "mixed":

@@ -14,9 +14,9 @@ shard assignment.  Three properties keep its per-batch overhead small:
   physical pages across the whole pool.  In-memory documents ship once
   at pool start (copy-on-write under ``fork``).
 - **Warm workers.**  Each worker keeps its engines, compiled XPath
-  paths, prepared-plan LRUs and (under ``auto``) frozen planner
-  verdicts **across tasks and batches**.  The second batch of a warm
-  pool does zero re-parsing, zero re-compilation and zero re-planning;
+  paths and prepared-plan LRUs **across tasks and batches**.  The
+  second batch of a warm pool does zero re-parsing, zero re-compilation
+  and zero plan resolution;
   the per-subtask ``warm`` flag feeds the pool-wide warm-hit rate.
 - **Dynamic scheduling.**  Tasks are enqueued at *query* granularity
   (cheap queries chunked together to amortize IPC; expensive ones

@@ -7,8 +7,8 @@ name, and an :meth:`Strategy.execute` method that runs a prepared
 :class:`~repro.index.jumping.TreeIndex`.  Strategies self-register with
 the :func:`register_strategy` decorator; the ten built-in strategies
 (``naive``, ``jumping``, ``memo``, ``optimized``, ``hybrid``,
-``deterministic``, ``mixed``, ``vectorized``, ``window``, and the
-cost-based ``auto`` planner) live in their own modules under
+``deterministic``, ``mixed``, ``vectorized``, ``window``, and ``auto``,
+the default's name for ``window``'s kernel) live in their own modules under
 :mod:`repro.engine` and register on import.
 
 Dispatch is uniform: :func:`resolve` walks the fallback chain until it
@@ -237,8 +237,8 @@ def all_strategies() -> List[Strategy]:
 def describe_strategies() -> List[Tuple[str, str]]:
     """(name, one-line summary) pairs for ``--list-strategies``.
 
-    The ``auto`` planner leads the listing (it is the recommended
-    default); the rest follow in name order.
+    ``auto`` leads the listing (it is the default); the rest follow in
+    name order.
     """
     pairs = [
         (

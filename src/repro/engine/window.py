@@ -56,7 +56,7 @@ class WindowStrategy(StrategyBase):
     """Interval joins over the pre/post plane, every axis native."""
 
     name = "window"
-    fallback = "optimized"  # relative paths route through the automata
+    fallback = "optimized"  # only "/" gets there, and is refused
     needs_asta = False
     parallel_safe = True
 

@@ -45,9 +45,8 @@ class Workspace:
     as for :class:`~repro.engine.api.Engine`, the CLI and the daemon)
     every member engine -- and every *shard* engine the parallel
     :class:`~repro.engine.parallel.QueryService` derives from it --
-    runs the cost-based planner independently, so the same query may
-    execute vectorized on one document (or shard) and node-at-a-time on
-    another, tracking each one's label statistics.
+    runs the set-at-a-time kernel, which picks its join operator per
+    step from each document's (or shard's) own label statistics.
     """
 
     def __init__(

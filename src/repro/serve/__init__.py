@@ -5,7 +5,7 @@ The package turns the single-shot library into a long-running system:
 - :class:`~repro.serve.daemon.QueryDaemon` mounts one or more
   :class:`~repro.store.DocumentStore` corpora via zero-copy mmap reopen
   and keeps :class:`~repro.engine.workspace.Workspace` /
-  :class:`~repro.engine.plan.PreparedQuery` / planner state hot across
+  :class:`~repro.engine.plan.PreparedQuery` state hot across
   requests, behind a stdlib-only asyncio HTTP/JSON front
   (:mod:`repro.serve.http`).  It self-heals: a failing strategy retries
   once on the reference path, repeatedly failing documents are

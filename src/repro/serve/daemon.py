@@ -5,9 +5,8 @@ CLI.  It mounts one or more :class:`~repro.store.DocumentStore` corpora
 into a single :class:`~repro.engine.workspace.Workspace` through the
 zero-copy mmap reopen path and keeps everything the single-shot paths
 throw away hot across requests: the shared compiled-automaton cache,
-each engine's prepared-plan LRU, the fused label-union caches and the
-``auto`` planner's converged, frozen per-query choices.  A repeated
-``POST /query`` finds its plan in the engine's own cache -- the only
+each engine's prepared-plan LRU and the fused label-union caches.  A
+repeated ``POST /query`` finds its plan in the engine's own cache -- the only
 plan cache there is -- and goes straight to execution (the response's
 ``warm`` flag and ``timing_ms`` breakdown make that observable, and
 ``GET /stats`` exposes every cache's counters).
@@ -24,8 +23,8 @@ Each decision the daemon makes has one owner:
   fails.
 
 Endpoints: ``POST /query`` (one query), ``POST /batch`` (a list, one
-admission slot), ``GET /explain`` (resolved strategy + planner
-verdict), ``POST /reload`` (re-mount every corpus at its current
+admission slot), ``GET /explain`` (resolved strategy + the kernel's
+per-step operators), ``POST /reload`` (re-mount every corpus at its current
 generation; ``reload_poll`` does the same from a change-stamp poller),
 ``GET /stats``, ``GET /healthz``.  Errors are structured JSON
 (``{"error": {"kind", "message", ...}}``); malformed XPath answers
@@ -90,7 +89,7 @@ from repro import faults
 from repro.engine import registry
 from repro.engine.api import Engine
 from repro.engine.plan import PreparedQuery
-from repro.engine.planner import planner_fields
+from repro.engine.planner import explain_fields, planner_fields
 from repro.engine.workspace import Workspace
 from repro.serve.admission import Admission
 from repro.serve.http import (
@@ -104,6 +103,7 @@ from repro.serve.http import (
     send_response,
 )
 from repro.serve.mounts import Mount, MountTable
+from repro.xpath.compiler import XPathCompileError
 from repro.xpath.parser import XPathSyntaxError
 
 #: Default admission queue depth beyond the worker threads.
@@ -117,6 +117,9 @@ FAIL_THRESHOLD = 3
 #: up -- the reference oracle every fast path is differential-tested
 #: against.
 FALLBACK_STRATEGY = "naive"
+#: Failures that are the client's problem, not the document's: they pass
+#: through every retry and fallback untouched and answer a structured 4xx.
+CLIENT_ERRORS = (HttpError, XPathSyntaxError, XPathCompileError)
 #: Seconds between corpus change-stamp polls (0 disables polling; the
 #: explicit ``POST /reload`` endpoint always works).
 RELOAD_POLL_S = 0.0
@@ -188,8 +191,7 @@ class QueryDaemon:
         stderr and retried on every reload.
     strategy:
         The workspace-wide evaluation strategy (default ``auto``, the
-        cost-based planner -- whose freeze-after-convergence is exactly
-        what a long-lived process amortizes).
+        set-at-a-time kernel).
     workers:
         Worker-thread count for query evaluation (default: CPU count).
     queue_depth:
@@ -446,8 +448,7 @@ class QueryDaemon:
         cold, a plan built now, into the cache of the ``engine`` the
         request resolved: against an engine a reload has since replaced
         it is unreachable, not poisonous.  Warm means zero parsing,
-        compilation and plan resolution -- and zero planner work once
-        the ``auto`` planner froze the plan's choice."""
+        compilation and plan resolution."""
         warm = cached is not None
         plan = cached if warm else engine.prepare(query, strategy=strategy)
         self._bump("warm_hits" if warm else "cold_misses")
@@ -572,7 +573,7 @@ class QueryDaemon:
                 )
                 result = plan.execute()
                 break
-            except (HttpError, XPathSyntaxError):
+            except CLIENT_ERRORS:
                 raise
             except Exception as exc:
                 errors.append(exc)
@@ -691,7 +692,7 @@ class QueryDaemon:
             batch = self._pool_service._run_batch([mount.name], queries)[
                 mount.name
             ]
-        except (HttpError, XPathSyntaxError):
+        except CLIENT_ERRORS:
             raise
         except Exception:
             self._bump("pool_fallbacks")
@@ -758,7 +759,7 @@ class QueryDaemon:
             "strategy": plan.strategy.name,
             "warm": warm,
             "text": plan.explain(),
-            **planner_fields(plan),
+            **explain_fields(plan),
         }
 
     # -- hot reload ----------------------------------------------------------
@@ -1112,6 +1113,9 @@ class QueryDaemon:
             # from -- satellite and daemon share one error type.
             self._bump("syntax_errors")
             return 400, {"error": exc.to_dict()}
+        except XPathCompileError as exc:
+            self._bump("bad_requests")
+            return 400, {"error": {"kind": "unsupported", "message": str(exc)}}
         except Exception:
             self._bump("internal_errors")
             traceback.print_exc(file=sys.stderr)

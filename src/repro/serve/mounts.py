@@ -23,7 +23,7 @@ the same way, in two steps:
 Everything the daemon knows per document is its :class:`Mount`, so a
 republished document starts from a clean record: its failure streak and
 quarantine are gone with the content they were evidence about, and its
-plans and planner state went with the engine :meth:`install` replaced.
+plans went with the engine :meth:`install` replaced.
 Untouched documents keep both.
 """
 

@@ -383,9 +383,8 @@ def save_document(
         "encoded_text": "#text" in tree.labels,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "source": source or {},
-        # Document statistics the cost-based planner reads on reopen --
-        # computed once at build time so a memory-mapped open never pays
-        # an O(n) sweep to price a query (repro.engine.planner).
+        # Document statistics ``store ls`` prints: computed once at
+        # build time, so listing a corpus reads headers only.
         "stats": {"height": succinct.height()},
     }
     write_bundle(path, header, arrays, retire_to=retire_to)
@@ -454,11 +453,6 @@ def open_document(path: str, *, mmap: bool = True) -> StoredDocument:
     except BaseException:
         _release_mapped(mapped)
         raise
-    # Build-time document statistics (absent from pre-planner bundles;
-    # the planner then falls back to a one-off computed sweep).
-    stats = header.get("stats")
-    if isinstance(stats, dict):
-        index.doc_stats = stats
     if mmap:
         # Advertise the bundle for cheap worker-pool task descriptors
         # (workers reopen the mapped file).  An mmap=False open is for bundles

@@ -30,6 +30,14 @@ class XPathCompileError(ValueError):
     """Raised for constructs outside the supported fragment."""
 
 
+def require_absolute(path: Path) -> None:
+    """The one refusal of a relative top-level path: no strategy
+    evaluates one, so :meth:`repro.engine.api.Engine.prepare` raises it
+    before resolving a strategy, and the compiler for direct callers."""
+    if not path.absolute:
+        raise XPathCompileError("top-level queries must be absolute (start with /)")
+
+
 class _Compiler:
     def __init__(self, wildcard_labels=None) -> None:
         self.states: List[str] = []
@@ -131,8 +139,7 @@ def compile_xpath(query: "str | Path", wildcard_labels=None) -> ASTA:
     (3, 6)
     """
     path = parse_xpath(query) if isinstance(query, str) else query
-    if not path.absolute:
-        raise XPathCompileError("top-level queries must be absolute (start with /)")
+    require_absolute(path)
     if not path.steps:
         raise XPathCompileError("empty path")
     if path.has_backward_axes():

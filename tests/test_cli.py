@@ -75,7 +75,7 @@ class TestCLI:
         assert out.strip() == "2 3"
         stats = json.loads(capsys.readouterr().err.strip())
         assert stats["selected"] == 2
-        assert stats["strategy"] == "auto"  # the planner is the default
+        assert stats["strategy"] == "auto"  # the kernel is the default
         assert stats["query"] == "//b"
         assert stats["visited"] >= 2
         assert stats["nodes"] == 4
@@ -95,28 +95,27 @@ class TestCLI:
         assert code == 0
         verdict = json.loads(out)
         assert verdict["strategy"] == "auto"
-        assert verdict["planner"]["strategy"] in verdict["planner"]["costs"]
-        assert verdict["executes_as"] in verdict["planner"]["costs"]
+        assert verdict["executes_as"] == "window"
+        assert verdict["operators"] == ["document", "child/csr"]
+        assert "planner" not in verdict
 
     def test_plan_explain_text(self, xml_file):
         code, out = run(["plan", "explain", "//a/b", xml_file])
         assert code == 0
-        assert "planner: chose" in out
-        assert "candidate costs" in out
+        assert out.splitlines()[:2] == ["strategy: auto", "executes as: window"]
+        assert "child/csr" in out and "touches" in out
+        assert "planner" not in out and "cost" not in out
 
     def test_plan_explain_backward_axis_resolves(self, xml_file):
-        # Backward axes stay inside the planned fragment now: the window
-        # strategy evaluates them natively (reverse window containment),
-        # so the planner prices it as the sole candidate and freezes.
+        # Backward axes run where every path runs: the kernel evaluates
+        # them natively (reverse window containment).
         code, out = run(["plan", "explain", "//b/parent::a", xml_file, "--json"])
         assert code == 0
         verdict = json.loads(out)
         assert verdict["strategy"] == "auto"
         assert verdict["executes_as"] == "window"
-        assert verdict["planner"]["costs"] == {"window": pytest.approx(
-            verdict["planner"]["estimate"]
-        )}
-        assert verdict["planner"]["frozen"] is True
+        assert verdict["operators"] == ["document", "parent/mark"]
+        assert "planner" not in verdict
 
     def test_explain(self, xml_file):
         code, out = run(["//a//b", xml_file, "--explain"])

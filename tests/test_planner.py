@@ -1,17 +1,16 @@
-"""The cost-based adaptive planner (repro.engine.planner) and the
-bounded caches it leans on (plan-cache and fused-cache LRUs)."""
+"""``auto`` is the kernel (repro.engine.planner): the per-step physical
+layer ``explain`` states, and the bounded caches every plan leans on
+(plan-cache and fused-cache LRUs)."""
 
 import pytest
 
-from repro.counters import EvalStats
-from repro.engine import frontier, joins, planner, registry
+from repro.engine import frontier, joins, registry
 from repro.engine.api import Engine
 from repro.engine.planner import (
-    PlannerState,
-    estimate_costs,
     extract_features,
     plan_explain,
     planner_fields,
+    step_operators,
 )
 from repro.engine.workspace import Workspace
 from repro.index.jumping import TreeIndex
@@ -41,108 +40,31 @@ class TestFeatureExtraction:
         assert f.n == index.tree.n
         assert f.steps == 2
         assert f.axes == ("descendant", "child")
-        assert f.descendant_steps == 1
-        assert f.wildcard_steps == 0
-        assert f.pred_depth == 1
-        assert f.pred_paths == 1
-        assert not f.encoded
         # Candidate sizes come straight from the label-index lengths.
         assert f.step_candidates == (
             index.labels.count("a"),
             index.labels.count("b"),
         )
-        assert f.pred_candidates == (0, index.labels.count("c"))
+        assert f.pred_touches == (0, index.labels.count("c"))
 
     def test_wildcards_and_node_test(self, index):
         f = extract_features(parse_xpath("//*/node()"), index)
-        assert f.wildcard_steps == 2
         assert f.step_candidates[1] == index.tree.n
         assert f.step_candidates[0] == index.tree.n  # element-only doc
 
-    def test_encoded_document_flag(self):
+    def test_encoded_document_predicate(self):
         tree = BinaryTree.from_document(
             parse_xml('<r a="1"/>'), encode_attributes=True
         )
         index = TreeIndex(tree)
         f = extract_features(parse_xpath("//r[@a]"), index)
-        assert f.encoded
-        assert f.pred_candidates == (1,)  # the one @a node
+        assert f.pred_touches == (1,)  # the one @a node
 
-    def test_nested_predicate_depth(self, index):
-        f = extract_features(parse_xpath("//a[b[c] and not(d)]"), index)
-        assert f.pred_depth == 2
-        assert f.pred_paths == 3
-
-    def test_height_from_store_stats_wins(self, index):
-        index.doc_stats = {"height": 77}
-        assert planner.doc_height(index) == 77
-
-    def test_height_computed_and_cached_without_stats(self, index):
-        h = planner.doc_height(index)
-        assert h == index.tree.height() == index.tree._height
+    def test_height_computed_and_cached(self, index):
+        h = index.tree.height()
+        assert h == index.tree._height
         by_loop = max(index.tree.depth(v) for v in range(index.tree.n))
         assert h == by_loop
-
-
-class TestCostModel:
-    def test_monotone_in_candidate_volume(self, index):
-        rare = estimate_costs(
-            parse_xpath("//emph"), extract_features(parse_xpath("//emph"), index)
-        )
-        common = estimate_costs(
-            parse_xpath("//b"), extract_features(parse_xpath("//b"), index)
-        )
-        for name in ("vectorized", "optimized"):
-            assert common[name] >= rare[name]
-
-    def test_monotone_in_predicates(self, index):
-        plain_p = parse_xpath("//a")
-        pred_p = parse_xpath("//a[.//b]")
-        plain = estimate_costs(plain_p, extract_features(plain_p, index))
-        pred = estimate_costs(pred_p, extract_features(pred_p, index))
-        for name in ("vectorized", "optimized"):
-            assert pred[name] >= plain[name]
-
-    def test_monotone_in_steps(self, index):
-        one_p, two_p = parse_xpath("//b"), parse_xpath("//b//b")
-        one = estimate_costs(one_p, extract_features(one_p, index))
-        two = estimate_costs(two_p, extract_features(two_p, index))
-        for name in ("vectorized", "optimized"):
-            assert two[name] >= one[name]
-
-    def test_hybrid_priced_only_in_its_fragment(self, index):
-        chain = parse_xpath("//a//b")
-        other = parse_xpath("//a/b")  # child step: outside the chain fragment
-        assert "hybrid" in estimate_costs(chain, extract_features(chain, index))
-        assert "hybrid" not in estimate_costs(other, extract_features(other, index))
-
-    def test_node_at_a_time_wins_on_tiny_documents(self, index):
-        # A handful of candidate elements cannot amortize the fixed
-        # vectorized dispatch overhead.
-        p = parse_xpath("/site/a")
-        costs = estimate_costs(p, extract_features(p, index))
-        assert costs["optimized"] < costs["vectorized"]
-
-    def test_vectorized_wins_at_scale(self, xmark_index):
-        p = parse_xpath("//listitem//keyword")
-        costs = estimate_costs(p, extract_features(p, xmark_index))
-        assert costs["vectorized"] < costs["optimized"]
-
-    def test_vectorized_priced_only_in_its_fragment(self, index):
-        # A relative top-level path resolves away from 'vectorized'
-        # through the fallback chain, so pricing it would desync the
-        # choice from the strategy that actually executes.
-        p = parse_xpath("a//b")
-        costs = estimate_costs(p, extract_features(p, index))
-        assert "vectorized" not in costs
-        assert "optimized" in costs
-
-    def test_relative_path_plan_chooses_a_resolvable_strategy(self, index):
-        # The chosen strategy must execute under its own name so the
-        # feedback loop's observations key-match the choice.
-        state = PlannerState.plan(parse_xpath("a//b"), index)
-        assert state.choice.strategy in state.choice.costs
-        assert state.choice.strategy != "vectorized"
 
 
 class TestPlannerStrategy:
@@ -150,33 +72,22 @@ class TestPlannerStrategy:
         assert "auto" in registry.strategy_names()
         assert registry.describe_strategies()[0][0] == "auto"
 
-    def test_prepare_binds_cheapest_strategy(self, xmark_index):
-        engine = Engine(xmark_index, strategy="auto")
-        plan = engine.prepare("//listitem//keyword")
-        state = plan.artifacts["planner"]
-        assert plan.strategy.name == "auto"
-        assert state.choice.strategy == "vectorized"
-        assert state.active.name == "vectorized"
-
     @pytest.mark.parametrize("qid", ["Q05", "Q11"])
     def test_wide_descendant_queries_stay_set_at_a_time(self, xmark_index, qid):
         # The forward queries with the widest candidate sets of the
-        # fig-4 mix: whichever set-at-a-time evaluator prices lower, the
-        # cost model must not hand them to a step-at-a-time strategy.
+        # fig-4 mix run on the kernel, like every other query.
         verdict = plan_explain(Engine(xmark_index, strategy="auto"), QUERIES[qid])
-        assert verdict["planner"]["strategy"] in ("vectorized", "window"), verdict
+        assert verdict["executes_as"] == "window", verdict
 
-    def test_backward_axes_plan_onto_window(self, index):
-        # Backward axes used to bypass the planner (mixed fallback); the
-        # window strategy evaluates them natively, so they now plan with
-        # ``window`` as the sole candidate and freeze at prepare time.
+    def test_backward_axes_run_on_the_kernel(self, index):
+        # The kernel evaluates backward axes natively: no mixed
+        # fallback, no per-plan state, no rebound dispatch.
         engine = Engine(index, strategy="auto")
         plan = engine.prepare("//b/parent::a")
         assert plan.strategy.name == "auto"
-        state = plan.artifacts["planner"]
-        assert set(state.choice.costs) == {"window"}
-        assert state.frozen is True
-        assert plan._execute_impl == state.active.execute
+        assert planner_fields(plan) == {"executes_as": "window"}
+        assert plan.artifacts == {}
+        assert plan._execute_impl == plan.strategy.execute
 
     def test_results_match_oracle(self, index):
         auto = Engine(index, strategy="auto")
@@ -187,86 +98,20 @@ class TestPlannerStrategy:
     def test_plan_explain_surface(self, index):
         engine = Engine(index, strategy="auto")
         verdict = plan_explain(engine, "//a//b")
-        assert verdict["strategy"] == "auto"
-        assert verdict["planner"]["strategy"] in verdict["planner"]["costs"]
-        assert verdict["executes_as"] in registry.strategy_names()
-        assert verdict["nodes"] == index.tree.n
+        assert verdict == {
+            "query": "//a//b",
+            "strategy": "auto",
+            "executes_as": "window",
+            "operators": ["document", "descendant/rank"],
+            "nodes": index.tree.n,
+        }
 
-    def test_explain_includes_planner_verdict(self, index):
+    def test_explain_says_what_executes(self, index):
         engine = Engine(index, strategy="auto")
-        text = engine.explain("//a//b")
-        assert "planner: chose" in text
-        assert "candidate costs" in text
-
-
-class TestFeedbackLoop:
-    def _state(self, index, query="//a//b"):
-        return PlannerState.plan(parse_xpath(query), index)
-
-    def test_in_band_observation_keeps_choice_and_freezes(self, index):
-        state = self._state(index)
-        chosen = state.choice.strategy
-        stats = EvalStats()
-        # An observation that matches the estimate (in model units: node
-        # strategies weigh each visited node by NODE_WEIGHT).
-        weight = 1.0 if chosen == "vectorized" else planner.NODE_WEIGHT
-        stats.visited = max(1, int(state.choice.estimate / weight))
-        for _ in range(planner.CONVERGED_RUNS):
-            assert state.observe(chosen, stats) is None
-        assert state.choice.strategy == chosen
-        assert state.frozen
-
-    def test_wild_observation_replans_to_observed_best(self, index):
-        state = self._state(index)
-        chosen = state.choice.strategy
-        # Fabricate an execution 100x the estimate: far out of band.
-        stats = EvalStats()
-        stats.visited = int(state.choice.estimate * 100)
-        switched = state.observe(chosen, stats)
-        assert switched is not None and switched != chosen
-        assert state.replans == 1
-        assert state.choice.strategy == switched
-        assert not state.frozen
-
-    def test_observation_of_inactive_strategy_never_replans(self, index):
-        state = self._state(index)
-        other = next(
-            n for n in state.choice.costs if n != state.choice.strategy
-        )
-        stats = EvalStats()
-        stats.visited = 10**9
-        assert state.observe(other, stats) is None
-
-    def test_engine_level_replan_on_forced_misprediction(self, index):
-        engine = Engine(index, strategy="auto")
-        plan = engine.prepare("//a//b")
-        state = plan.artifacts["planner"]
-        # Force an absurdly tight band so the first real execution is
-        # declared a misprediction and the plan re-prices itself.
-        state.choice.costs[state.choice.strategy] = 10**12
-        state.choice = planner.PlanChoice(
-            state.choice.strategy,
-            10**12,
-            state.choice.costs,
-            state.choice.features,
-        )
-        before = state.choice.strategy
-        result = plan.execute()
-        assert list(result.ids) == Engine(index, strategy="naive").select("//a//b")
-        assert state.runs == 1
-        # The observed cost replaced the inflated estimate.
-        assert state.observed[before] < 10**12
-        # And later executions still return oracle-identical results.
-        assert list(plan.execute().ids) == list(result.ids)
-
-    def test_snapshot_is_json_friendly(self, index):
-        import json
-
-        state = self._state(index)
-        stats = EvalStats()
-        stats.visited = 10
-        state.observe(state.choice.strategy, stats)
-        json.dumps(state.snapshot())
+        lines = engine.explain("//a//b").splitlines()
+        assert lines[:2] == ["strategy: auto", "executes as: window"]
+        assert "descendant/rank" in lines[4] and "touches" in lines[4]
+        assert "planner" not in "\n".join(lines)
 
 
 class TestPlanCacheEviction:
@@ -301,7 +146,8 @@ class TestPlanCacheEviction:
     def test_compiled_cache_is_bounded_and_eviction_is_transparent(self, index):
         from repro.engine.plan import COMPILED_CACHE_SIZE
 
-        engine = Engine(index)
+        # An automaton strategy: the kernel compiles nothing to evict.
+        engine = Engine(index, strategy="optimized")
         queries = [f"//a[not(x{i})]//b" for i in range(2000)]
         first = engine.select(queries[0])
         for query in queries[1:]:
@@ -412,7 +258,8 @@ class TestWorkspaceAndParallelPlanning:
         for shard in report["shards"]:
             for entry in shard["paths"]:
                 assert entry["strategy"] == "auto"
-                assert entry["executes_as"] in registry.strategy_names()
+                assert entry["executes_as"] == "window"
+                assert "planner" not in entry
         ws.close()
 
     def test_unshardable_plan_report(self):
@@ -442,60 +289,30 @@ def xmark(xmark_26k):
 
 
 class TestRelevanceDrivenPricing:
-    """The planner prices each step and predicate by the side the
-    set-at-a-time kernels will run (26k-node XMark, the MIX20 shapes)."""
+    """``explain`` states each step and predicate by the side the
+    set-at-a-time kernel will run (26k-node XMark, the MIX20 shapes)."""
 
     Q15 = "/site[ .//*//* ]//keyword"
 
     def test_features_cap_a_predicate_at_its_first_witness_price(self, xmark):
-        f = extract_features(parse_xpath(self.Q15), xmark)
-        elements = f.step_candidates[0] + f.pred_candidates[0] // 2 - 1
-        assert f.pred_candidates == (2 * elements, 0)  # back to front
-        # One context (/site), two steps, one expansion each.
+        path = parse_xpath(self.Q15)
+        f = extract_features(path, xmark)
+        # One context (/site), two steps, one expansion each: not the
+        # two passes over every element of the back-to-front side.
+        back_to_front = frontier.pred_size(xmark, path.steps[0].predicate)
+        assert back_to_front == 2 * xmark.tree.n
         assert f.pred_touches == (2 * frontier.WITNESS_DISPATCH, 0)
         # Thousands of contexts: back to front is what will run.
         f = extract_features(parse_xpath("//item[ .//*//* ]"), xmark)
-        assert f.pred_touches == f.pred_candidates
-
-    def test_explain_costs_reflect_the_side_that_runs(self, xmark):
-        report = plan_explain(Engine(xmark, strategy="auto"), self.Q15)
-        costs = report["planner"]["costs"]
-        dispatch = planner.VEC_CALL * 3 * (2 + 1)  # two steps, one path
-        # The two expansions of the search and a few probes: neither
-        # the predicate's two passes over every element nor the
-        # keyword array, which the one-window step only slices.
-        assert costs["vectorized"] - dispatch == pytest.approx(
-            2 * frontier.WITNESS_DISPATCH, abs=4
-        )
-        # One kernel under two names: a forward path is priced once.
-        assert "window" not in costs
-        assert report["planner"]["operators"] == ["document", "descendant/ranges"]
-        assert costs["optimized"] > xmark.tree.n  # node-at-a-time still walks
+        assert f.pred_touches == (back_to_front,)
 
     def test_parent_step_is_priced_by_the_frontier(self, xmark):
         # Same frontier, a 2k- and a 26k-element candidate array.
         text, anything = (
-            estimate_costs(p, extract_features(p, xmark))["window"]
+            step_operators(extract_features(p, xmark))[1]
             for p in map(parse_xpath, ("//keyword/parent::text", "//keyword/parent::*"))
         )
         assert text == anything
-
-    def test_session_converges_in_band_without_extra_replans(self, xmark):
-        engine = Engine(xmark, strategy="auto")
-        plans = [engine.prepare(q) for q in MIX20]
-        estimates = [p.artifacts["planner"].choice.estimate for p in plans]
-        for _ in range(10 + 10):
-            for plan in plans:
-                plan.execute()
-        states = [p.artifacts["planner"] for p in plans]
-        assert all(s.frozen for s in states)
-        # Two at the parent commit (Q05 and Q08, vectorized -> window).
-        assert sum(s.replans for s in states) <= 2
-        for query, estimate, state in zip(MIX20, estimates, states):
-            if state.replans or not state.observed:
-                continue  # re-priced, or frozen at prepare (one candidate)
-            observed = state.observed[state.choice.strategy]
-            assert estimate / 4 <= observed <= estimate * 4, query
 
     @pytest.mark.parametrize("query", MIX20)
     def test_fixed_strategies_answer_as_auto_does(self, xmark, query):
@@ -508,52 +325,19 @@ class TestRelevanceDrivenPricing:
 
 
 class TestOneDecisionPath:
-    """``auto`` prices at prepare, binds the cheapest, corrects by
-    counters and freezes: nothing runs to be measured, nothing reads a
-    clock."""
-
-    def test_two_sessions_decide_alike_pass_by_pass(self, xmark):
-        def session():
-            engine = Engine(xmark, "auto")
-            plans = [engine.prepare(q) for q in MIX20]
-            for _ in range(6):
-                for plan in plans:
-                    plan.execute()
-                yield [planner_fields(plan) for plan in plans]
-
-        for first, second in zip(session(), session()):
-            assert first == second
-
-    def test_every_mix20_plan_freezes_within_five_executions(self, xmark):
-        engine = Engine(xmark, "auto")
-        for query in MIX20:
-            plan = engine.prepare(query)
-            for _ in range(5):
-                plan.execute()
-            assert plan.artifacts["planner"].frozen, query
-
-    @pytest.mark.parametrize(
-        "query", ["/site[.//bidder or .//mailbox]", "//africa[not(.//parlist)]"]
-    )
-    def test_one_counter_observation_repairs_a_mispick(self, xmark, query):
-        expected = Engine(xmark, "naive").select(query)
-        plan = Engine(xmark, "auto").prepare(query)
-        ran_as = []
-        for _ in range(5):
-            ran_as.append(planner_fields(plan)["executes_as"])
-            assert list(plan.execute().ids) == expected
-        assert ran_as == ["optimized"] + ["vectorized"] * 4
-        state = plan.artifacts["planner"]
-        assert state.replans == 1 and state.frozen
+    """``auto`` decides nothing per plan: what an envelope says of a
+    plan is a constant of its strategy."""
 
     def test_describing_a_plan_prices_no_operator(self, monkeypatch, xmark):
-        plan = Engine(xmark, "auto").prepare("//listitem//keyword")
+        engine = Engine(xmark, "auto")
+        plan = engine.prepare("//listitem//keyword")
+        assert plan_explain(engine, plan.query)["operators"] == [
+            "document",
+            "descendant/rank",
+        ]
         calls = []
         monkeypatch.setattr(
             joins, "plan_operator", lambda *args: calls.append(args)
         )
-        assert planner_fields(plan)["planner"]["operators"] == [
-            "document",
-            "descendant/rank",
-        ]
+        assert planner_fields(plan) == {"executes_as": "window"}
         assert calls == []

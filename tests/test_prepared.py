@@ -80,7 +80,7 @@ class TestExecutionResult:
         assert r1.stats.jumps == r2.stats.jumps
 
     def test_prepared_plan_keeps_warmed_memo_tables(self):
-        engine = Engine(XML)
+        engine = Engine(XML, strategy="optimized")
         plan = engine.prepare("//a//b")
         r1, r2 = plan.execute(), plan.execute()
         # The first execution fills the interned tables; the second runs

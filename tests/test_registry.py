@@ -146,7 +146,7 @@ class TestEngineIntegration:
         assert engine.prepare("//b/parent::a").strategy.name == "mixed"
 
     def test_reregistration_invalidates_cached_plans(self):
-        engine = Engine(XML)
+        engine = Engine(XML, strategy="optimized")
         stale = engine.prepare("//a//b")
 
         @register_strategy

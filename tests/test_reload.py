@@ -277,15 +277,15 @@ class TestReloadPolling:
 
 
 class TestPlannerRefresh:
-    """Planner doc-stats staleness across reloads: a reload swaps in a
-    fresh engine, so the replaced document's ``auto`` plans are priced
-    again from the new bundle's statistics."""
+    """Doc-stats staleness across reloads: a reload swaps in a fresh
+    engine, so what ``/explain`` states of the replaced document's
+    plans is read from the new bundle's statistics."""
 
     def test_reload_replans_changed_document(self, tmp_path):
         """Daemon-level pin: after a reload, the replaced document's
-        planner verdict is priced against the *new* bundle's statistics
-        (fresh state, zero runs), while the unchanged document keeps its
-        warm plan untouched."""
+        plan is prepared again and its operators and stated touches
+        come from the *new* bundle, while the unchanged document keeps
+        its warm plan untouched."""
         store = build_corpus(tmp_path, {"doc": XML_V1, "stable": XML_V1})
         with DaemonThread(QueryDaemon(str(tmp_path), workers=2)) as handle:
             with ServeClient(port=handle.port) as client:
@@ -298,16 +298,18 @@ class TestPlannerRefresh:
                 client.reload()
                 after = client.explain("//a/b", document="doc")
                 assert after["warm"] is False  # re-prepared from scratch
-                assert after["planner"]["runs"] == 0
-                assert after["planner"]["frozen"] is False
-                # v1 has two <a> elements, v2 one: the step-candidate
-                # pricing must have moved with the document.
-                assert after["planner"]["costs"] != before["planner"]["costs"]
+                # v1 has two <a> elements among six nodes, v2 one among
+                # four: the stated touches and the operator picked for
+                # the child step must have moved with the document.
+                assert before["operators"] == ["document", "child/mark"]
+                assert after["operators"] == ["document", "child/csr"]
+                assert "document                ~2 touches" in before["text"]
+                assert "document                ~1 touches" in after["text"]
                 assert client.query("//a/b", document="doc")["ids"] == [2, 3]
                 # The untouched document's plan survived the reload warm.
                 stable = client.explain("//a/b", document="stable")
                 assert stable["warm"] is True
-                assert stable["planner"] == warmed["planner"]
+                assert stable == warmed
 
 
 class TestWorkspaceSwap:

@@ -105,10 +105,12 @@ class TestBasicServing:
         for entry in payload["results"]:
             assert entry["ids"] == oracle[("xmark", entry["query"])]
 
-    def test_explain_exposes_planner_verdict(self, client):
+    def test_explain_exposes_what_executes(self, client):
         payload = client.explain("//keyword", document="xmark")
         assert payload["strategy"] == "auto"
-        assert "planner" in payload
+        assert payload["executes_as"] == "window"
+        assert payload["operators"] == ["document"]
+        assert "planner" not in payload
         assert payload["text"].startswith("strategy:")
 
     def test_stats_shape(self, client):
@@ -128,6 +130,18 @@ class TestStructuredErrors:
         assert err.status == 400 and err.kind == "syntax"
         assert err.payload["error"]["offset"] == 4
         assert err.payload["error"]["query"] == "//a["
+
+    def test_relative_path_is_the_clients_problem(self, client):
+        for strategy in ("auto", "mixed"):
+            with pytest.raises(ServeError) as excinfo:
+                client.query("c/parent::b", document="tiny", strategy=strategy)
+            assert excinfo.value.status == 400
+            assert excinfo.value.payload == {
+                "error": {
+                    "kind": "unsupported",
+                    "message": "top-level queries must be absolute (start with /)",
+                }
+            }
 
     def test_unknown_document_404(self, client):
         with pytest.raises(ServeError) as excinfo:

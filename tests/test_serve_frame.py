@@ -40,7 +40,7 @@ from repro.serve.http import (
 from repro.store import save_document
 from repro.xmark.generator import XMarkGenerator
 from test_differential_fuzz import CORPORA
-from test_serve_inline import MIX20, TINY
+from test_serve_inline import MIX20, TINY, until_inline
 from test_serve_transport import ScriptedServer, answer_raw, client_for
 
 # -- the pure functions: frame == JSON, as objects -------------------------------
@@ -305,10 +305,8 @@ class TestWhoGetsAFrame:
         same answer, and the framed reply is that answer."""
         for query in MIX20:
             body = {"query": query, "document": "xmark"}
-            for _ in range(40):  # warm and frozen: the planner's snapshot is in the body
-                plain = plain_post(sock, "/query", body)
-                if b'"warm": true' in plain and b'"frozen": true' in plain:
-                    break
+            plain_post(sock, "/query", body)  # cold: builds the plan
+            plain = plain_post(sock, "/query", body)
             framed = client.query(query, document="xmark")
             assert RUN.sub(b"", plain) == RUN.sub(b"", parent_body(framed)), query
             assert b'"ids": [' in plain and type(framed["ids"]) is list
@@ -385,18 +383,10 @@ def same_answer(framed: dict, plain: bytes):
 class TestEveryExecutor:
     QUERY = "//listitem//keyword"
 
-    def settle(self, client, **kwargs):
-        """Until its plan is frozen and measured cheap; that inline reply."""
-        for _ in range(40):
-            reply = client.query(self.QUERY, document="xmark", **kwargs)
-            if reply["executor"] == "inline" and reply["planner"]["frozen"]:
-                return reply
-        pytest.fail(f"never inline: {reply}")
-
     @pytest.mark.parametrize("flags", [{}, {"labels": True}, {"stats": True}])
     def test_inline_and_thread(self, client, sock, flags):
         body = {"query": self.QUERY, "document": "xmark", **flags}
-        framed = self.settle(client, **flags)
+        framed = until_inline(client, self.QUERY, document="xmark", **flags)[-1]
         plain = plain_post(sock, "/query", body)
         assert b'"executor": "inline"' in plain
         same_answer(framed, plain)

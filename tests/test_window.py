@@ -323,39 +323,15 @@ class TestParallelIdentity:
 
 
 class TestPlannerIntegration:
-    def test_window_is_a_candidate(self, index):
-        from repro.engine.planner import CANDIDATES, PlannerState
-
-        assert "window" in CANDIDATES
-        state = PlannerState.plan(parse_xpath("//a/parent::b"), index)
-        assert "window" in state.choice.costs
-
     def test_auto_runs_backward_paths_on_window(self, index):
         engine = Engine(index, strategy="auto")
         plan = engine.prepare("//b/ancestor::a")
         assert plan.strategy.name == "auto"
-        state = plan.artifacts["planner"]
-        # window is the only set-at-a-time candidate for backward axes.
-        assert set(state.choice.costs) == {"window"}
+        assert plan.strategy.executes_as == "window"
         assert plan.select() == evaluate_reference(
             index.tree, parse_xpath("//b/ancestor::a")
         )
-        assert state.active.name == "window"
-
-    def test_optimized_not_priced_for_backward_paths(self, index):
-        from repro.engine.planner import PlannerState
-
-        state = PlannerState.plan(parse_xpath("//b/ancestor::a"), index)
-        assert "optimized" not in state.choice.costs
-
-    def test_forward_paths_price_the_kernel_once(self, index):
-        # ``vectorized`` and ``window`` run one kernel: a forward path is
-        # priced under the narrower name, not trialed against itself.
-        from repro.engine.planner import PlannerState
-
-        state = PlannerState.plan(parse_xpath("//a/b[c]"), index)
-        assert {"vectorized", "optimized"} <= set(state.choice.costs)
-        assert "window" not in state.choice.costs
+        assert plan.artifacts == {}  # no mixed split, no planner state
 
 
 class TestDenseColumns:

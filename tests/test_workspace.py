@@ -11,13 +11,24 @@ D2 = "<r><b/><a><b/><b/></a></r>"
 D3 = "<r><c><a><b/></a></c></r>"
 
 
-@pytest.fixture()
-def workspace():
-    ws = Workspace()
+def three_documents(**kwargs):
+    ws = Workspace(**kwargs)
     ws.add("d1", D1)
     ws.add("d2", D2)
     ws.add("d3", D3)
     return ws
+
+
+@pytest.fixture()
+def workspace():
+    return three_documents()
+
+
+@pytest.fixture()
+def automaton_workspace():
+    """Under a strategy that compiles an ASTA (the default's kernel
+    compiles nothing, so its compiled cache stays empty)."""
+    return three_documents(strategy="optimized")
 
 
 class TestDocumentManagement:
@@ -47,7 +58,8 @@ class TestCrossDocumentQueries:
             tree = workspace.engine(name).tree
             assert ids == evaluate_reference(tree, parse_xpath("//a/b")), name
 
-    def test_select_all_shares_one_compilation(self, workspace):
+    def test_select_all_shares_one_compilation(self, automaton_workspace):
+        workspace = automaton_workspace
         workspace.select_all("//a/b")
         # All three documents are element-only: one inventory key, one
         # compile; the other executions are cache hits.
@@ -74,9 +86,9 @@ class TestBatches:
         assert set(out) == {"d1", "d2", "d3"}
         assert out["d2"]["//a/b"] == [3, 4]
 
-    def test_batch_compiles_each_query_once(self, workspace):
-        workspace.select_many(["//a", "//b", "//a/b"])
-        assert workspace.cache.compilations == 3
+    def test_batch_compiles_each_query_once(self, automaton_workspace):
+        automaton_workspace.select_many(["//a", "//b", "//a/b"])
+        assert automaton_workspace.cache.compilations == 3
 
     def test_prepare_through_workspace(self, workspace):
         plan = workspace.prepare("//a/b", document="d1")
@@ -103,7 +115,7 @@ class TestWorkspaceConfiguration:
             ws.add("d1", D1)
 
     def test_encoded_documents_get_distinct_cache_keys(self):
-        ws = Workspace(encode_attributes=True)
+        ws = Workspace(strategy="optimized", encode_attributes=True)
         ws.add("d1", '<r><a id="1"/></r>')
         ws.add("d2", '<r><b id="2"/></r>')
         ws.select_all("//*")
