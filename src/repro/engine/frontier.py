@@ -9,6 +9,10 @@ the two arrays it joins.  This module is the driver around those joins,
 written once for the ``vectorized`` and ``window`` strategies (one
 kernel; the names pin the forward-only and the all-axes fragment):
 
+- binding (:func:`bind`, at ``prepare``): what a run needs that is a
+  pure function of query and document -- each step's label-id key and
+  size, and for a rooted run of child steps the path-summary mask that
+  answers it without a join (:data:`repro.engine.joins.CHILD_PATH`);
 - the step loop, which exits on the first empty frontier and tells each
   step when its frontier is a whole label set (its rank column is
   cached).  Candidates are the :class:`~repro.index.labels.LabelIndex`
@@ -35,12 +39,12 @@ engines -- the same relevant elements, many per operation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.counters import EvalStats
-from repro.engine.joins import Key, join, successor_mask
+from repro.engine.joins import CHILD_PATH, Key, join, successor_mask
 from repro.engine.registry import StrategyBase, register_strategy
 from repro.index.jumping import TreeIndex
 from repro.xpath.ast import (
@@ -106,62 +110,76 @@ def evaluate_within(fragment, named, query, index, stats):
     return accepted, frontier.tolist()
 
 
-# -- the frontier loop -------------------------------------------------------
+# -- binding: what a run needs of the document, resolved at prepare -----------
+
+#: The ``plan.artifacts`` entry of a kernel plan: ``(index, bound path)``.
+PROGRAM = "kernel"
 
 
-def run_kernel(
-    path: Path, index: TreeIndex, stats: Optional[EvalStats]
-) -> Tuple[bool, np.ndarray]:
-    """An absolute path, any axis: ``(accepted, final frontier)``, which
-    is what the set-at-a-time strategies' ``execute`` returns -- the
-    sorted, duplicate-free ``int64`` array itself (possibly a view of an
-    index array), never converted to Python ints."""
-    frontier = _eval_steps(index, path.steps, None, stats)
-    if stats is not None:
-        stats.selected += int(frontier.size)
-    return bool(frontier.size), frontier
+class Bound(NamedTuple):
+    """A location step bound to one document.  ``key`` is the sorted
+    label-id tuple of its node test (``()``: nothing matches) and the
+    rank-column key of its candidates, ``size`` their count plus what
+    its predicate's paths size (uncapped), ``predicate`` the step's
+    predicate with every path bound, and ``rooted`` -- on the last step
+    of a rooted run of child steps, whose earlier steps the bound path
+    leaves out -- ``(run length, path-summary mask)``."""
+
+    axis: Axis
+    key: Key
+    size: int
+    predicate: Optional[Pred]
+    rooted: Optional[Tuple[int, np.ndarray]] = None
 
 
-def _eval_steps(index, steps: tuple, frontier, stats) -> np.ndarray:
-    """Run location steps over a frontier (``None`` = the document
-    node); an empty frontier after any step exits the chain early."""
-    src = None
-    for step in steps:
-        frontier, src = _eval_step(index, step, frontier, src, stats)
-        if frontier.size == 0:
-            return _EMPTY
-    return frontier if frontier is not None else _EMPTY
+def rooted_run(path: Path) -> int:
+    """How many leading steps of ``path`` the path summary answers: a
+    rooted run of at least two child steps with no predicate before its
+    last, or none (0)."""
+    run = 0
+    if path.absolute:
+        for step in path.steps:
+            if step.axis is not Axis.CHILD:
+                break
+            run += 1
+            if step.predicate is not None:
+                break
+    return run if run >= 2 else 0
 
 
-def _eval_step(
-    index, step: Step, frontier, src: Optional[Key], stats
-) -> Tuple[np.ndarray, Optional[Key]]:
-    """One location step, predicate included.  ``src`` names the label
-    set the frontier is *all* of, if it is; the result comes with its
-    own such key (a subset of the candidates as large as they are is
-    the candidates)."""
-    cand, key = _candidates(index, step.axis, step.test)
-    if stats is not None:
-        stats.jumps += 1
-    if cand.size == 0:
-        return _EMPTY, None
-    if frontier is None:
-        # The implicit document node: its only child is the root, its
-        # descendants are every node; it has no siblings, attributes,
-        # parent or ancestors.
-        if step.axis is Axis.CHILD:
-            out = cand[:1] if cand[0] == 0 else _EMPTY
-        elif step.axis is Axis.DESCENDANT:
-            out = cand
-        else:
-            out = _EMPTY
-        if stats is not None:
-            stats.visited += int(out.size)
-    else:
-        out = join(index, step.axis, cand, key, frontier, src, stats)
-    if step.predicate is not None and out.size:
-        out = out.compress(_pred_mask(index, step.predicate, out, stats))
-    return out, key if out.size == cand.size else None
+def bind(path: Path, index: TreeIndex) -> Path:
+    """``path`` with every step -- of the main path and of every
+    predicate path -- bound to ``index``'s document (:class:`Bound`):
+    what ``execute`` reads instead of resolving node tests and sizes.
+    Keys, not arrays: a candidate array is an O(1) lookup or the fused
+    union LRU's at run time, so no plan pins a merged union."""
+    steps = tuple(_bind_step(index, step) for step in path.steps)
+    run = rooted_run(path)
+    if run:
+        mask = index.path_summary(run).mask([step.key for step in steps[:run]])
+        steps = (steps[run - 1]._replace(rooted=(run, mask)),) + steps[run:]
+    return Path(path.absolute, steps)
+
+
+def _bind_step(index: TreeIndex, step: Step) -> Bound:
+    key = label_key(index, step.axis, step.test)
+    size = index.labels.union_size(key)
+    pred = None
+    if step.predicate is not None:
+        pred = _bind_pred(index, step.predicate)
+        size += _pred_size(index, pred)
+    return Bound(step.axis, key, size, pred)
+
+
+def _bind_pred(index: TreeIndex, pred: Pred) -> Pred:
+    """The predicate's own shape, every path in it bound."""
+    if isinstance(pred, (PredAnd, PredOr)):
+        return type(pred)(_bind_pred(index, pred.left), _bind_pred(index, pred.right))
+    if isinstance(pred, PredNot):
+        return PredNot(_bind_pred(index, pred.inner))
+    if isinstance(pred, PredPath):
+        return PredPath(bind(pred.path, index))
+    raise AssertionError(pred)
 
 
 def test_label_names(labels: List[str], axis: Axis, test: str) -> List[str]:
@@ -181,81 +199,44 @@ def test_label_names(labels: List[str], axis: Axis, test: str) -> List[str]:
     return [test]
 
 
+def label_key(index: TreeIndex, axis: Axis, test: str) -> Key:
+    """The sorted label-id tuple of a node test on ``index``'s document
+    (labels it does not hold dropped): what names its candidates."""
+    names = test_label_names(index.tree.labels, axis, test)
+    return tuple(sorted(index.label_ids(names)))
+
+
 def _candidates(
     index: TreeIndex, axis: Axis, test: str
 ) -> Tuple[np.ndarray, Key]:
-    """Sorted ids of every node the step's node test can match, and the
-    sorted label-id tuple that names the set (the rank-column key).
-
-    Named tests hit the per-label array directly (no lock, no LRU slot
-    -- trivial single-label wrappers would otherwise compete with the
-    genuinely expensive merged unions for the bounded fused cache);
-    wildcard / multi-label tests go through the cached merged union.
-    """
-    names = test_label_names(index.tree.labels, axis, test)
-    label_ids = index.label_ids(names)
-    if not label_ids:
-        return _EMPTY, ()
-    if len(label_ids) == 1:
-        lab = label_ids[0]
-        return index.labels.nodes_array(index.tree.labels[lab]), (lab,)
-    return index.fused(label_ids).arr, tuple(sorted(label_ids))
-
-
-def _element_count(index: TreeIndex) -> int:
-    """Number of element nodes (the ``*`` test's candidate count)."""
-    cached = getattr(index, "_elem_count", None)
-    if cached is None:
-        tree = index.tree
-        encoded = sum(
-            index.labels.count(name)
-            for name in tree.labels
-            if name.startswith(("@", "#"))
-        )
-        cached = index._elem_count = tree.n - encoded
-    return cached
-
-
-def candidate_count(index: TreeIndex, axis: Axis, test: str) -> int:
-    """Length of :func:`_candidates`' array, from O(1) label counts --
-    nothing is merged or materialized to price a step."""
-    if axis is not Axis.ATTRIBUTE:
-        if test == "node()":
-            return index.tree.n
-        if test == "*":
-            return _element_count(index)
-    return sum(
-        index.labels.count(name)
-        for name in test_label_names(index.tree.labels, axis, test)
-    )
-
-
-def path_size(index: TreeIndex, steps: tuple) -> int:
-    """Summed candidate-array lengths of a predicate path, nested
-    predicates included: what its back-to-front construction touches.
-    The one sizing both the kernel's first-witness choice and the
-    predicate touches ``explain`` states read."""
-    return sum(
-        candidate_count(index, step.axis, step.test)
-        + (pred_size(index, step.predicate) if step.predicate is not None else 0)
-        for step in steps
-    )
+    """Sorted ids of every node a node test can match, and its key --
+    what a bound step reads at run time."""
+    key = label_key(index, axis, test)
+    return index.labels.union(key), key
 
 
 def pred_size(
     index: TreeIndex, pred: Pred, contexts: Optional[int] = None
 ) -> int:
-    """:func:`path_size` summed over every path of a predicate; given a
-    context count, each relative path is capped at the price of its
-    first-witness searches -- the side :func:`_pred_mask` will run."""
+    """Summed candidate-array lengths of every path of a predicate,
+    nested predicates included -- what back-to-front constructions
+    touch; given a context count, each relative path is capped at the
+    price of its first-witness searches -- the side :func:`_pred_mask`
+    will run.  The one sizing both that choice and the predicate
+    touches ``explain`` states read."""
+    return _pred_size(index, _bind_pred(index, pred), contexts)
+
+
+def _pred_size(index, pred: Pred, contexts: Optional[int] = None) -> int:
+    """:func:`pred_size` of a bound predicate."""
     if isinstance(pred, (PredAnd, PredOr)):
-        return pred_size(index, pred.left, contexts) + pred_size(
+        return _pred_size(index, pred.left, contexts) + _pred_size(
             index, pred.right, contexts
         )
     if isinstance(pred, PredNot):
-        return pred_size(index, pred.inner, contexts)
+        return _pred_size(index, pred.inner, contexts)
     path = pred.path
-    size = path_size(index, path.steps)
+    size = sum(step.size for step in path.steps)
     if (
         contexts is not None
         and not path.absolute
@@ -273,11 +254,80 @@ def _witness_price(contexts: int, steps: tuple) -> int:
 
 def _witness_budget(index: TreeIndex, steps: tuple, contexts: int) -> int:
     """What first-witness searches from ``contexts`` nodes may spend on
-    a relative path -- its last step's candidates, the least the
-    back-to-front construction books -- or 0 where even their best case
-    costs more: the one comparison that chooses between the two."""
-    least = path_size(index, steps[-1:])
+    a relative path of bound ``steps`` -- its last step's size, the
+    least the back-to-front construction books -- or 0 where even their
+    best case costs more: the one comparison that chooses between the
+    two."""
+    least = steps[-1].size if steps else 0
     return least if _witness_price(contexts, steps) < least else 0
+
+
+# -- the frontier loop -------------------------------------------------------
+
+
+def run_kernel(
+    path: Path, index: TreeIndex, stats: Optional[EvalStats]
+) -> Tuple[bool, np.ndarray]:
+    """An absolute path, any axis: ``(accepted, final frontier)``, which
+    is what the set-at-a-time strategies' ``execute`` returns -- the
+    sorted, duplicate-free ``int64`` array itself (possibly a view of an
+    index array), never converted to Python ints.  Binds the path
+    first; a prepared plan runs its bound program (:func:`run_bound`)."""
+    return run_bound(bind(path, index), index, stats)
+
+
+def run_bound(
+    program: Path, index: TreeIndex, stats: Optional[EvalStats]
+) -> Tuple[bool, np.ndarray]:
+    """:func:`run_kernel` of a path bound to ``index``."""
+    frontier = _eval_steps(index, program.steps, None, stats)
+    if stats is not None:
+        stats.selected += int(frontier.size)
+    return bool(frontier.size), frontier
+
+
+def _eval_steps(index, steps: tuple, frontier, stats) -> np.ndarray:
+    """Run bound location steps over a frontier (``None`` = the document
+    node); an empty frontier after any step exits the chain early."""
+    src = None
+    for step in steps:
+        frontier, src = _eval_step(index, step, frontier, src, stats)
+        if frontier.size == 0:
+            return _EMPTY
+    return frontier if frontier is not None else _EMPTY
+
+
+def _eval_step(
+    index, step: Bound, frontier, src: Optional[Key], stats
+) -> Tuple[np.ndarray, Optional[Key]]:
+    """One bound location step, predicate included.  ``src`` names the
+    label set the frontier is *all* of, if it is; the result comes with
+    its own such key (a subset of the candidates as large as they are is
+    the candidates)."""
+    cand = index.labels.union(step.key)
+    if stats is not None:
+        stats.jumps += 1
+    if cand.size == 0:
+        return _EMPTY, None
+    if frontier is not None:
+        out = join(index, step.axis, cand, step.key, frontier, src, stats)
+    elif step.rooted is not None:
+        out = CHILD_PATH.run(index, cand, step.rooted, stats)
+    else:
+        # The implicit document node: its only child is the root, its
+        # descendants are every node; it has no siblings, attributes,
+        # parent or ancestors.
+        if step.axis is Axis.CHILD:
+            out = cand[:1] if cand[0] == 0 else _EMPTY
+        elif step.axis is Axis.DESCENDANT:
+            out = cand
+        else:
+            out = _EMPTY
+        if stats is not None:
+            stats.visited += int(out.size)
+    if step.predicate is not None and out.size:
+        out = out.compress(_pred_mask(index, step.predicate, out, stats))
+    return out, step.key if out.size == cand.size else None
 
 
 # -- predicates as masks -----------------------------------------------------
@@ -376,7 +426,7 @@ def _match_set(index, steps: tuple, stats) -> Tuple[np.ndarray, Optional[Key]]:
     src: Optional[Key] = None
     for i in range(len(steps) - 1, -1, -1):
         step = steps[i]
-        cand, key = _candidates(index, step.axis, step.test)
+        cand, key = index.labels.union(step.key), step.key
         full = cand.size
         if stats is not None:
             stats.visited += full
@@ -395,17 +445,28 @@ def _match_set(index, steps: tuple, stats) -> Tuple[np.ndarray, Optional[Key]]:
     return matches, src
 
 
+class KernelStrategy(StrategyBase):
+    """The registry shell of the kernel: ``prepare`` binds the plan's
+    path to its document once (:func:`bind`, into ``plan.artifacts``),
+    so a warm ``execute`` only runs the joins."""
+
+    def prepare(self, plan) -> None:
+        index = plan.engine.index
+        plan.artifacts[PROGRAM] = (index, bind(plan.path, index))
+
+    def execute(self, plan, index, stats):
+        bound = plan.artifacts.get(PROGRAM)
+        if bound is None or bound[0] is not index:  # bound elsewhere
+            return run_kernel(plan.path, index, stats)
+        return run_bound(bound[1], index, stats)
+
+
 @register_strategy
-class VectorizedStrategy(StrategyBase):
+class VectorizedStrategy(KernelStrategy):
     """Set-at-a-time frontier evaluation over numpy node-id arrays."""
 
     name = "vectorized"
     fallback = "optimized"  # relative / backward queries keep working
-    needs_asta = False
-    parallel_safe = True
 
     def supports(self, path: Path) -> bool:
         return is_vectorizable(path)
-
-    def execute(self, plan, index, stats):
-        return run_kernel(plan.path, index, stats)

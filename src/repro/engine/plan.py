@@ -244,7 +244,8 @@ class PreparedQuery:
         Per-plan scratch space for strategy-specific precomputation
         (the mixed strategy caches its forward-prefix automaton here,
         the deterministic strategy its minimal TDSTA, the automaton
-        strategies their warmed run tables).
+        strategies their warmed run tables, the set-at-a-time kernel
+        its bound program).
     """
 
     __slots__ = (

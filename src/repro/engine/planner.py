@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.engine import joins
-from repro.engine.frontier import candidate_count, pred_size
+from repro.engine.frontier import label_key, pred_size, rooted_run
 from repro.engine.registry import register_strategy
 from repro.engine.window import WindowStrategy
 from repro.index.jumping import TreeIndex
@@ -46,7 +46,8 @@ class QueryFeatures:
     ``pred_touches`` the candidate elements each step's predicate
     touches, every path capped at its first-witness price from that
     step's candidates (the side the kernel will run).  All come from
-    O(1) ``LabelIndex`` lookups.
+    O(1) ``LabelIndex`` lookups.  ``rooted`` counts the leading steps
+    the path summary answers (:func:`repro.engine.frontier.rooted_run`).
     """
 
     n: int
@@ -55,6 +56,7 @@ class QueryFeatures:
     step_candidates: Tuple[int, ...]
     pred_touches: Tuple[int, ...]
     fanout: float = 1.0
+    rooted: int = 0
 
 
 def mean_fanout(index: TreeIndex) -> float:
@@ -74,12 +76,13 @@ def mean_fanout(index: TreeIndex) -> float:
 def extract_features(path: Path, index: TreeIndex) -> QueryFeatures:
     """One-pass feature extraction (O(query size)).
 
-    Candidate counts come from the evaluator's own sizing
-    (:func:`repro.engine.frontier.candidate_count` / ``pred_size``), so
+    Candidate counts come from the evaluator's own sizing (the label
+    key of :func:`repro.engine.frontier.label_key`, ``pred_size``), so
     what ``explain`` states and what the kernel chooses its join side by
     cannot drift."""
     step_candidates = tuple(
-        candidate_count(index, step.axis, step.test) for step in path.steps
+        index.labels.union_size(label_key(index, step.axis, step.test))
+        for step in path.steps
     )
     return QueryFeatures(
         n=index.tree.n,
@@ -93,6 +96,7 @@ def extract_features(path: Path, index: TreeIndex) -> QueryFeatures:
             for step, count in zip(path.steps, step_candidates)
         ),
         fanout=mean_fanout(index),
+        rooted=rooted_run(path),
     )
 
 
@@ -107,11 +111,20 @@ def step_operators(features: QueryFeatures) -> List[Tuple[str, float]]:
     has (``fanout`` each).  The same rule applied to that bound
     (:func:`joins.plan_operator`) names the operator stated here.  The
     first step joins nothing: the document node's only child is the
-    root, its descendants are the candidates.
+    root, its descendants are the candidates -- and a rooted run of
+    child steps is one :data:`joins.CHILD_PATH` probe of its last
+    step's candidates, stated on that step.
     """
     out: List[Tuple[str, float]] = []
     ctx = 0
-    for axis, cnt in zip(features.axes, features.step_candidates):
+    run = features.rooted
+    for i, (axis, cnt) in enumerate(zip(features.axes, features.step_candidates)):
+        if i < run:
+            op = joins.CHILD_PATH
+            touches = op.cost(ctx, cnt, features.n, 0) if i == run - 1 else 0
+            out.append((op.name, float(touches)))
+            ctx = max(1, cnt)
+            continue
         if ctx == 0:
             reach = cnt if axis == "descendant" else min(cnt, 1)
             out.append(("document", float(reach)))
@@ -136,9 +149,14 @@ def describe_operators(path: Path, features: QueryFeatures) -> List[str]:
     for i, (step, (name, touches), pred) in enumerate(
         zip(path.steps, step_operators(features), features.pred_touches), 1
     ):
+        stated = (
+            f"(answered at step {features.rooted})"
+            if i < features.rooted
+            else f"~{touches:,.0f} touches"
+        )
         lines.append(
             f"  {i}. {step.axis.value + '::' + step.test:<34s} {name:<24s}"
-            f"~{touches:,.0f} touches"
+            + stated
             + (f" + predicate ~{pred:,.0f}" if pred else "")
         )
     return lines

@@ -25,8 +25,8 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.counters import EvalStats
-from repro.engine.frontier import evaluate_within, run_kernel
-from repro.engine.registry import StrategyBase, register_strategy
+from repro.engine.frontier import KernelStrategy, evaluate_within
+from repro.engine.registry import register_strategy
 from repro.index.jumping import TreeIndex
 from repro.xpath.ast import Path
 
@@ -52,16 +52,11 @@ def evaluate(
 
 
 @register_strategy
-class WindowStrategy(StrategyBase):
+class WindowStrategy(KernelStrategy):
     """Interval joins over the pre/post plane, every axis native."""
 
     name = "window"
     fallback = "optimized"  # only "/" gets there, and is refused
-    needs_asta = False
-    parallel_safe = True
 
     def supports(self, path: Path) -> bool:
         return is_window_evaluable(path)
-
-    def execute(self, plan, index, stats):
-        return run_kernel(plan.path, index, stats)

@@ -74,13 +74,114 @@ def rank_column(ids, n):
     )
 
 
+class PathSummary:
+    """The rooted label paths of a document, down to a depth.
+
+    ``pid[v]`` is the id of the label sequence from the root down to
+    ``v`` (``-1`` below the built depth), and path ``p`` extends path
+    ``parent[p]`` by label ``label[p]`` -- a trie over (parent path,
+    label).  Ids are assigned level by level, so the paths of ``d``
+    labels are the ids ``levels[d - 1]:levels[d]``.  A deeper build
+    goes on from a shallower one (``base``): it keeps every id, shares
+    ``pid`` and writes over the ``-1`` of the nodes it reaches -- which
+    every mask of the shallower summary reads as no match, so plans
+    running on it meanwhile are unaffected.
+
+    A rooted run of child steps ``/t1/.../tk`` selects exactly the nodes
+    of ``tk``'s candidates whose path spells a label of ``t1``, ..., one
+    of ``tk`` -- the nodes the child joins would reach -- so it is
+    answered by one gather of ``pid`` over those candidates
+    (:meth:`mask`)."""
+
+    def __init__(
+        self, index: "TreeIndex", depth: int, base: Optional["PathSummary"] = None
+    ) -> None:
+        import numpy as np
+
+        label_of, parent = index.label_of_array(), index.parent_array()
+        n = index.tree.n
+        self.width = width = len(index.tree.labels)
+        self.depth = depth
+        if base is None:
+            self.pid = pid = np.full(n, -1, dtype=np.int32)
+            pid[0] = 0
+            parents, labels, levels = [np.full(1, -1)], [label_of[:1]], [0, 1]
+            level = np.zeros(1, dtype=np.int64)  # the root
+        else:  # its deepest level holds the largest ids
+            self.pid = pid = base.pid
+            parents, labels = [base.parent], [base.label]
+            levels = list(base.levels)
+            level = np.flatnonzero(pid >= levels[-2])
+        for _ in range(depth + 1 - len(levels)):
+            # The next level -- one pass over the parent column, whose
+            # spare slot absorbs the root's -1 -- and the (parent path,
+            # label) pair each of its nodes extends, numbered from the
+            # previous level's first path: the distinct pairs, in
+            # order, are the new paths.
+            marked = np.zeros(n + 1, dtype=bool)
+            marked[level] = True
+            level = np.flatnonzero(marked[parent])
+            del marked
+            if level.size == 0:
+                break
+            first, fresh = levels[-2], levels[-1]
+            keys = (pid[parent[level]] - first).astype(np.int64)
+            keys *= width
+            keys += label_of[level]
+            space = (fresh - first) * width
+            if space <= keys.size:  # a table no larger than the level
+                seen = np.zeros(space, dtype=bool)
+                seen[keys] = True
+                paths = np.flatnonzero(seen)
+                inverse = (np.cumsum(seen) - 1)[keys]
+            else:
+                paths, inverse = np.unique(keys, return_inverse=True)
+            del keys
+            inverse += fresh
+            pid[level] = inverse
+            del inverse
+            parents.append(paths // width + first)
+            labels.append(paths % width)
+            levels.append(fresh + paths.size)
+        self.parent = np.concatenate(parents).astype(np.int32)
+        self.label = np.concatenate(labels).astype(np.int32)
+        self.levels = levels
+
+    def mask(self, keys) -> "np.ndarray":
+        """Which path ids spell the label sets ``keys`` (sorted label-id
+        tuples, one per step, from the root): a ``bool`` over the ids of
+        the first ``len(keys)`` levels and one spare ``False`` slot, read
+        as ``np.take(mask, pid[nodes], mode="clip")`` -- an id of a
+        deeper level clips to the spare slot, ``-1`` to the root's,
+        which a run of two or more steps never matches."""
+        import numpy as np
+
+        levels = self.levels
+        depth = len(keys)
+        if depth >= len(levels):  # the document is not that deep
+            return np.zeros(1, dtype=bool)
+        ok = np.zeros(levels[depth] + 1, dtype=bool)
+        wanted = np.zeros(self.width, dtype=bool)
+        for d, key in enumerate(keys):
+            lo, hi = levels[d], levels[d + 1]
+            wanted[:] = False
+            wanted[list(key)] = True
+            hit = wanted[self.label[lo:hi]]
+            if d:
+                hit &= ok[self.parent[lo:hi]]
+            ok[lo:hi] = hit
+        ok[: levels[depth - 1]] = False
+        return ok
+
+
 class TreeIndex:
     """Bundles a :class:`BinaryTree` with its label index and jump functions."""
 
     def __init__(self, tree: BinaryTree, labels: Optional[LabelIndex] = None) -> None:
         self.tree = tree
         self.labels = labels if labels is not None else LabelIndex(tree)
-        # label-id key -> rank column; its lock also guards the CSR build.
+        # label-id key -> rank column; its lock also guards the CSR and
+        # path-summary builds.
         self._ranks = LRUCache(RANK_CACHE_SIZE, lock=True)
 
     def fused(self, label_ids: Iterable[int]) -> FusedLabels:
@@ -234,6 +335,21 @@ class TreeIndex:
                     order = np.argsort(parent, kind="stable")[start[1] :]
                     csr = self._child_csr = (order, start[1:] - start[1])
         return csr
+
+    def path_summary(self, depth: int) -> PathSummary:
+        """The :class:`PathSummary` of this document, built at least
+        ``depth`` levels deep: on first use, and deepened whenever a
+        deeper run asks, under the same lock as the CSR build.  Nothing
+        deeper than asked is walked, so ``/a/b`` on a chain 10^4 deep
+        reads two levels."""
+        summary = getattr(self, "_path_summary", None)
+        if summary is None or summary.depth < depth:
+            with self._ranks.lock:
+                summary = getattr(self, "_path_summary", None)
+                if summary is None or summary.depth < depth:
+                    summary = PathSummary(self, depth, summary)
+                    self._path_summary = summary
+        return summary
 
     def label_of_array(self):
         """The tree's ``label_of`` column."""

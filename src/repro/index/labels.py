@@ -231,6 +231,18 @@ class LabelIndex:
             return np.empty(0, dtype=np.int64)
         return self._arrays[lab]
 
+    def union(self, key: Sequence[int]) -> np.ndarray:
+        """The sorted node ids of a sorted label-id tuple: one label's
+        own array (no lock, no LRU slot), else the cached merged union
+        of :meth:`fused` -- which stays the one owner of merged arrays."""
+        if len(key) == 1:
+            return self._arrays[key[0]]
+        return self.fused(key).arr
+
+    def union_size(self, key: Iterable[int]) -> int:
+        """Length of :meth:`union`'s array, from O(1) label counts."""
+        return sum(len(self._arrays[lab]) for lab in key)
+
     def fused(self, label_ids: Iterable[int]) -> FusedLabels:
         """The merged sorted union array of a label-id set (cached).
 

@@ -8,8 +8,9 @@ rank/select directories and excess tables -- and writes them as a
 versioned bundle (:mod:`repro.store.format`).
 
 :func:`open_document` is the O(1)-startup path: every array is
-reopened as a read-only ``np.load(mmap_mode="r")`` view (zero copy,
-shared across processes by the page cache) and the six tree columns
+reopened as a read-only ``np.load(mmap_mode="r")`` mapping (zero copy,
+shared across processes by the page cache), handed to the readers as a
+plain ``ndarray`` view of its pages, and the six tree columns
 *are* the :class:`~repro.tree.binary.BinaryTree` -- no XML parsing, no
 label re-interning, no argsort, no BP directory reconstruction, and no
 per-node Python object until an automaton strategy asks the tree for a
@@ -120,6 +121,19 @@ def live_readers(path: str) -> int:
         return _READERS.get(key, 0)
 
 
+def _adopt(arr: np.ndarray, mapped: Optional[List[np.ndarray]]) -> np.ndarray:
+    """What a reader gets of one loaded array.  A mapped one is kept in
+    ``mapped`` (so :func:`_release_mapped` can close it) and handed out
+    as a plain ``ndarray`` view of the same pages: every slice and
+    gather of an ``np.memmap`` runs numpy's Python-level
+    ``memmap.__array_finalize__``, a few microseconds each on the
+    kernels' hot path."""
+    if mapped is None:
+        return arr
+    mapped.append(arr)
+    return arr.view(np.ndarray)
+
+
 def _release_mapped(mapped: List[np.ndarray]) -> None:
     """Close the mmap handles behind a list of mapped arrays.
 
@@ -202,10 +216,10 @@ class StoredDocument:
             manifest = header["arrays"]
 
             def load(name: str) -> np.ndarray:
-                arr = load_array(self.path, name, manifest, mmap)
-                if mmap:
-                    self._mapped.append(arr)
-                return arr
+                return _adopt(
+                    load_array(self.path, name, manifest, mmap),
+                    self._mapped if mmap else None,
+                )
 
             bv = BitVector.from_state(
                 load("bp_packed"),
@@ -418,10 +432,9 @@ def open_document(path: str, *, mmap: bool = True) -> StoredDocument:
     mapped: List[np.ndarray] = []
 
     def load(name: str) -> np.ndarray:
-        arr = load_array(path, name, manifest, mmap)
-        if mmap:
-            mapped.append(arr)
-        return arr
+        return _adopt(
+            load_array(path, name, manifest, mmap), mapped if mmap else None
+        )
 
     # A failure partway through (a corrupt array after several mapped
     # fine) must not leak the handles already opened.

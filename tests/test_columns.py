@@ -69,9 +69,51 @@ def test_kernel_plans_build_no_mirror(bundles):
         assert engine.select("//*")[:2] == [0, 1]  # ids are built from arrays
         assert tree.resident_mirrors() == ()
         assert _label_lists(index) == []
+        mapped = stored._mapped  # what close() releases
+        assert all(isinstance(arr, np.memmap) for arr in mapped)
         for name in COLUMNS:
             column = tree._columns[name]
-            assert column.dtype == np.int64 and isinstance(column, np.memmap)
+            assert column.dtype == np.int64 and type(column) is np.ndarray
+            assert any(np.shares_memory(column, arr) for arr in mapped), name
+
+
+def test_a_warm_pass_constructs_no_memmap(bundles, monkeypatch):
+    """Readers get plain views of the mappings: a slice or gather of an
+    ``np.memmap`` would run its Python-level ``__array_finalize__``."""
+    with open_document(bundles[0.5]) as stored:
+        plans = [Engine(stored).prepare(query) for query in MIX20]
+        for plan in plans:  # warm: unions, rank columns, path summary
+            plan.execute()
+        built = []
+        finalize = np.memmap.__array_finalize__
+
+        def spy(self, obj):
+            built.append(type(obj))
+            return finalize(self, obj)
+
+        monkeypatch.setattr(np.memmap, "__array_finalize__", spy)
+        assert all(len(plan.execute()) for plan in plans)
+        assert built == []
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
+)
+def test_workspace_close_unmaps_every_bundle(tmp_path):
+    from repro.engine.workspace import Workspace
+
+    save_document(XMarkGenerator(scale=0.1, seed=4), str(tmp_path / "doc"))
+
+    def mapped_files():
+        with open("/proc/self/maps") as maps:
+            return maps.read().count(str(tmp_path))
+
+    ws = Workspace()
+    ws.open_store(str(tmp_path))
+    assert all(ws.select(query, "doc") is not None for query in MIX20)
+    assert mapped_files() > 0
+    ws.close()
+    assert mapped_files() == 0
 
 
 def test_automaton_run_builds_exactly_what_it_reads(bundles):

@@ -86,7 +86,7 @@ class TestPlannerStrategy:
         plan = engine.prepare("//b/parent::a")
         assert plan.strategy.name == "auto"
         assert planner_fields(plan) == {"executes_as": "window"}
-        assert plan.artifacts == {}
+        assert list(plan.artifacts) == ["kernel"]  # the bound program only
         assert plan._execute_impl == plan.strategy.execute
 
     def test_results_match_oracle(self, index):

@@ -331,7 +331,8 @@ class TestPlannerIntegration:
         assert plan.select() == evaluate_reference(
             index.tree, parse_xpath("//b/ancestor::a")
         )
-        assert plan.artifacts == {}  # no mixed split, no planner state
+        # No mixed split, no planner state: the bound program only.
+        assert list(plan.artifacts) == ["kernel"]
 
 
 class TestDenseColumns:
@@ -426,7 +427,8 @@ class TestDenseColumns:
 class TestCounters:
     def test_child_join_books_what_it_gathers(self, index):
         stats = EvalStats()
-        window.evaluate(parse_xpath("/site/a"), index, stats)
+        # Through //site: a rooted /site/a is answered without a join.
+        window.evaluate(parse_xpath("//site/a"), index, stats)
         # The root has more children than there are 'a' nodes, so the
         # join runs from the candidates: the root read once per step (it
         # is selected, then marked), each 'a' probed in the bitmap.
