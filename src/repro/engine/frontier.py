@@ -12,7 +12,7 @@ kernel; the names pin the forward-only and the all-axes fragment):
 - binding (:func:`bind`, at ``prepare``): what a run needs that is a
   pure function of query and document -- each step's label-id key and
   size, and for a rooted run of child steps the path-summary mask that
-  answers it without a join (:data:`repro.engine.joins.CHILD_PATH`);
+  answers it without a join (:func:`repro.engine.joins.child_path`);
 - the step loop, which exits on the first empty frontier and tells each
   step when its frontier is a whole label set (its rank column is
   cached).  Candidates are the :class:`~repro.index.labels.LabelIndex`
@@ -44,7 +44,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.counters import EvalStats
-from repro.engine.joins import CHILD_PATH, Key, join, successor_mask
+from repro.engine.joins import Key, child_path, join, successor_mask
 from repro.engine.registry import StrategyBase, register_strategy
 from repro.index.jumping import TreeIndex
 from repro.xpath.ast import (
@@ -206,15 +206,6 @@ def label_key(index: TreeIndex, axis: Axis, test: str) -> Key:
     return tuple(sorted(index.label_ids(names)))
 
 
-def _candidates(
-    index: TreeIndex, axis: Axis, test: str
-) -> Tuple[np.ndarray, Key]:
-    """Sorted ids of every node a node test can match, and its key --
-    what a bound step reads at run time."""
-    key = label_key(index, axis, test)
-    return index.labels.union(key), key
-
-
 def pred_size(
     index: TreeIndex, pred: Pred, contexts: Optional[int] = None
 ) -> int:
@@ -312,7 +303,7 @@ def _eval_step(
     if frontier is not None:
         out = join(index, step.axis, cand, step.key, frontier, src, stats)
     elif step.rooted is not None:
-        out = CHILD_PATH.run(index, cand, step.rooted, stats)
+        out = child_path(index, cand, step.rooted, stats)
     else:
         # The implicit document node: its only child is the root, its
         # descendants are every node; it has no siblings, attributes,

@@ -27,7 +27,7 @@ touches; the kernel applies the rule to the arrays in hand
 states the operator that will run.  Predicates read the table from the
 other end: "which of these nodes have a successor among the targets"
 (:func:`successor_mask`) is the candidate-side mask of the inverse axis.
-A rooted run of child steps joins nothing at all: :data:`CHILD_PATH`
+A rooted run of child steps joins nothing at all: :func:`child_path`
 reads it off the index's path summary.
 
 Every operator returns a sorted, duplicate-free ``int64`` array, and all
@@ -309,18 +309,13 @@ def _descendant_ranges(index, cand, key, tops, src, stats):
 
 
 def _parent_gather(index, cand, key, frontier, src, stats):
-    """Read off the frontier: its parents, deduplicated -- by adjacent
-    compare when they arrive in order (as they do unless a frontier node
-    lies below an earlier sibling of another; only the root's -1 can
-    lead), else through the bitmap when they are many, by sorting when
-    they are few -- and filtered by the label column.  The candidates
-    are never touched."""
+    """Read off the frontier: its parents, deduplicated -- through the
+    bitmap when they are many, by sorting when they are few -- and
+    filtered by the label column.  The candidates are never touched."""
     n = index.tree.n
     ps = index.parent_array()[frontier]
     _book(stats, ps.size, 0)
-    if ps.size > 1 and (ps[1:] >= ps[:-1]).all():
-        ps = ps.compress(np.concatenate(([ps[0] >= 0], ps[1:] != ps[:-1])))
-    elif ps.size * RANK_FACTOR > n:
+    if ps.size * RANK_FACTOR > n:
         ps = np.flatnonzero(index.mark(ps)[:n])  # -1 marked the spare slot
     else:
         ps = sorted_unique(ps.compress(ps >= 0))
@@ -415,10 +410,17 @@ OPERATORS: Dict[Axis, Row] = {
 }
 
 
-def _child_path(index, cand, rooted, stats) -> np.ndarray:
-    """The candidates whose rooted label path a run spells: ``rooted``
-    is ``(length, mask)``, the run's step count and its
-    :meth:`~repro.index.jumping.PathSummary.mask`.  All of them when
+#: What ``explain`` calls :func:`child_path`, stated with one touch per
+#: candidate of the run's last step.
+CHILD_PATH = "child/path"
+
+
+def child_path(index, cand, rooted, stats) -> np.ndarray:
+    """A rooted run of two or more child steps, no predicate before its
+    last, answered from the path summary instead of one join per step:
+    the candidates of its last step whose rooted label path the run
+    spells.  ``rooted`` is ``(length, mask)``, the run's step count and
+    its :meth:`~repro.index.jumping.PathSummary.mask`.  All of them when
     all match -- the array itself, so its rank key carries over."""
     depth, mask = rooted
     _book(stats, 0, cand.size)
@@ -426,14 +428,6 @@ def _child_path(index, cand, rooted, stats) -> np.ndarray:
         np.take(mask, index.path_summary(depth).pid[cand], mode="clip")
     )
     return cand if out.size == cand.size else out
-
-
-#: A rooted run of two or more child steps, no predicate before its
-#: last, answered from the path summary instead of one join per step:
-#: one probe per candidate of the last step.  Not a row of
-#: :data:`OPERATORS` -- it joins no frontier, and its ``run`` takes
-#: ``(index, cand, rooted, stats)``.
-CHILD_PATH = Operator("child/path", _child_path, lambda ctx, cnt, n, fan: cnt)
 
 
 def _fanout(index: TreeIndex, axis: Axis, frontier: np.ndarray) -> int:

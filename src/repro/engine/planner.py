@@ -112,7 +112,7 @@ def step_operators(features: QueryFeatures) -> List[Tuple[str, float]]:
     (:func:`joins.plan_operator`) names the operator stated here.  The
     first step joins nothing: the document node's only child is the
     root, its descendants are the candidates -- and a rooted run of
-    child steps is one :data:`joins.CHILD_PATH` probe of its last
+    child steps is one :func:`joins.child_path` probe of its last
     step's candidates, stated on that step.
     """
     out: List[Tuple[str, float]] = []
@@ -120,9 +120,7 @@ def step_operators(features: QueryFeatures) -> List[Tuple[str, float]]:
     run = features.rooted
     for i, (axis, cnt) in enumerate(zip(features.axes, features.step_candidates)):
         if i < run:
-            op = joins.CHILD_PATH
-            touches = op.cost(ctx, cnt, features.n, 0) if i == run - 1 else 0
-            out.append((op.name, float(touches)))
+            out.append((joins.CHILD_PATH, float(cnt if i == run - 1 else 0)))
             ctx = max(1, cnt)
             continue
         if ctx == 0:

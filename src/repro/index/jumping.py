@@ -81,11 +81,9 @@ class PathSummary:
     ``v`` (``-1`` below the built depth), and path ``p`` extends path
     ``parent[p]`` by label ``label[p]`` -- a trie over (parent path,
     label).  Ids are assigned level by level, so the paths of ``d``
-    labels are the ids ``levels[d - 1]:levels[d]``.  A deeper build
-    goes on from a shallower one (``base``): it keeps every id, shares
-    ``pid`` and writes over the ``-1`` of the nodes it reaches -- which
-    every mask of the shallower summary reads as no match, so plans
-    running on it meanwhile are unaffected.
+    labels are the ids ``levels[d - 1]:levels[d]`` -- the same ids in a
+    summary of any depth, so a mask of a shallower summary reads a
+    deeper one unchanged (its deeper ids are no match).
 
     A rooted run of child steps ``/t1/.../tk`` selects exactly the nodes
     of ``tk``'s candidates whose path spells a label of ``t1``, ..., one
@@ -93,26 +91,18 @@ class PathSummary:
     answered by one gather of ``pid`` over those candidates
     (:meth:`mask`)."""
 
-    def __init__(
-        self, index: "TreeIndex", depth: int, base: Optional["PathSummary"] = None
-    ) -> None:
+    def __init__(self, index: "TreeIndex", depth: int) -> None:
         import numpy as np
 
         label_of, parent = index.label_of_array(), index.parent_array()
         n = index.tree.n
         self.width = width = len(index.tree.labels)
         self.depth = depth
-        if base is None:
-            self.pid = pid = np.full(n, -1, dtype=np.int32)
-            pid[0] = 0
-            parents, labels, levels = [np.full(1, -1)], [label_of[:1]], [0, 1]
-            level = np.zeros(1, dtype=np.int64)  # the root
-        else:  # its deepest level holds the largest ids
-            self.pid = pid = base.pid
-            parents, labels = [base.parent], [base.label]
-            levels = list(base.levels)
-            level = np.flatnonzero(pid >= levels[-2])
-        for _ in range(depth + 1 - len(levels)):
+        self.pid = pid = np.full(n, -1, dtype=np.int32)
+        pid[0] = 0
+        parents, labels, levels = [np.full(1, -1)], [label_of[:1]], [0, 1]
+        level = np.zeros(1, dtype=np.int64)  # the root
+        for _ in range(depth - 1):
             # The next level -- one pass over the parent column, whose
             # spare slot absorbs the root's -1 -- and the (parent path,
             # label) pair each of its nodes extends, numbered from the
@@ -338,7 +328,7 @@ class TreeIndex:
 
     def path_summary(self, depth: int) -> PathSummary:
         """The :class:`PathSummary` of this document, built at least
-        ``depth`` levels deep: on first use, and deepened whenever a
+        ``depth`` levels deep: on first use, and rebuilt whenever a
         deeper run asks, under the same lock as the CSR build.  Nothing
         deeper than asked is walked, so ``/a/b`` on a chain 10^4 deep
         reads two levels."""
@@ -347,7 +337,7 @@ class TreeIndex:
             with self._ranks.lock:
                 summary = getattr(self, "_path_summary", None)
                 if summary is None or summary.depth < depth:
-                    summary = PathSummary(self, depth, summary)
+                    summary = PathSummary(self, depth)
                     self._path_summary = summary
         return summary
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.counters import EvalStats
 from repro.engine import frontier, joins, window
+from repro.engine.frontier import label_key
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.xpath.ast import Axis
@@ -232,10 +233,11 @@ class TestCounters:
 
     def test_context_side_join_books_what_it_copies(self, xmark):
         stats = EvalStats()
-        regions, _ = frontier._candidates(xmark, Axis.CHILD, "regions")
+        regions = xmark.labels.union(label_key(xmark, Axis.CHILD, "regions"))
         continents = xmark.parent_array()
         continents = np.flatnonzero(continents == regions[0])
-        cand, key = frontier._candidates(xmark, Axis.DESCENDANT, "keyword")
+        key = label_key(xmark, Axis.DESCENDANT, "keyword")
+        cand = xmark.labels.union(key)
         out = joins.join(xmark, Axis.DESCENDANT, cand, key, continents, None, stats)
         assert continents.size == 6 and out.size
         assert stats.index_probes == 12
@@ -243,8 +245,9 @@ class TestCounters:
 
     def test_candidate_side_join_books_the_candidates(self, xmark):
         stats = EvalStats()
-        texts, src = frontier._candidates(xmark, Axis.DESCENDANT, "text")
-        cand, key = frontier._candidates(xmark, Axis.DESCENDANT, "keyword")
+        src = label_key(xmark, Axis.DESCENDANT, "text")
+        key = label_key(xmark, Axis.DESCENDANT, "keyword")
+        texts, cand = xmark.labels.union(src), xmark.labels.union(key)
         out = joins.join(xmark, Axis.DESCENDANT, cand, key, texts, src, stats)
         assert out.size == cand.size  # keywords only occur in running text
         # Every candidate read, each located in the texts' (cached) rank

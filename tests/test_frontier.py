@@ -169,7 +169,9 @@ class TestVectorizedPrimitives:
         index = TreeIndex(tree)
         from repro.xpath.ast import Axis
 
-        star, _ = frontier._candidates(index, Axis.CHILD, "*")
-        everything, _ = frontier._candidates(index, Axis.CHILD, "node()")
+        star = index.labels.union(frontier.label_key(index, Axis.CHILD, "*"))
+        everything = index.labels.union(
+            frontier.label_key(index, Axis.CHILD, "node()")
+        )
         assert star.tolist() == [0]
         assert everything.tolist() == [0, 1, 2]

@@ -193,9 +193,9 @@ def test_kernel_line_budget():
     ``window.py`` held 1117 lines before and stay under 800 (the driver
     and the strategy shells), and with the operator table of
     ``joins.py`` the whole set-at-a-time kernel stays under 950, so the
-    merge cannot silently regrow -- 1034 since plans bind their steps at
+    merge cannot silently regrow -- 1019 since plans bind their steps at
     ``prepare`` and rooted child runs are answered from the path summary
-    (87 lines; the 4 of ordered ``parent/gather`` paid for by 7 deleted)."""
+    (69 lines)."""
 
     def lines(*modules):
         total = 0
@@ -205,7 +205,7 @@ def test_kernel_line_budget():
         return total
 
     assert lines("frontier.py", "window.py") <= 800
-    assert lines("frontier.py", "window.py", "joins.py") <= 1034
+    assert lines("frontier.py", "window.py", "joins.py") <= 1019
 
 
 SERVE_DIR = os.path.join(os.path.dirname(ENGINE_DIR), "serve")

@@ -1,5 +1,5 @@
 """Rooted child runs answered from the path summary
-(``TreeIndex.path_summary``, ``joins.CHILD_PATH``): the same answer as
+(``TreeIndex.path_summary``, ``joins.child_path``): the same answer as
 the child joins they replace, under every strategy, the independent
 sqlite oracle and sharded execution; the summary itself against a
 brute force; and what it costs on hostile shapes."""
@@ -147,16 +147,15 @@ def test_summary_names_each_rooted_label_path_once(spec):
         if v:
             assert summary.parent[p] == summary.pid[tree.parent[v]]
     assert len(set(names.values())) == len(names)  # one id per path
-    # A deeper build gives every shallower path the id it had, whether
-    # it starts afresh or goes on from the shallower summary.
-    shallow = summary.pid.copy()
-    kept = shallow >= 0
+    # A deeper build gives every shallower path the id it had, so masks
+    # bound against the shallower summary read the deeper one unchanged.
+    kept = summary.pid >= 0
     deeper = PathSummary(index, depth + 3)
-    assert np.array_equal(deeper.pid[kept], shallow[kept])
-    grown = PathSummary(index, depth + 3, summary)
-    assert grown.levels == deeper.levels
-    for column in ("pid", "parent", "label"):
-        assert np.array_equal(getattr(grown, column), getattr(deeper, column))
+    assert np.array_equal(deeper.pid[kept], summary.pid[kept])
+    shared = summary.levels[-1]
+    assert deeper.levels[: len(summary.levels)] == summary.levels
+    assert np.array_equal(deeper.parent[:shared], summary.parent)
+    assert np.array_equal(deeper.label[:shared], summary.label)
 
 
 def test_a_short_run_on_a_deep_chain_reads_two_levels():
@@ -174,7 +173,7 @@ def test_a_short_run_on_a_deep_chain_reads_two_levels():
     summary = index._path_summary
     assert summary.depth == 2 and len(summary.levels) == 3
     assert (summary.pid >= 0).sum() == 2
-    # A long rooted run deepens it once, and keeps the two ids.
+    # A long rooted run rebuilds it once, deeper; the two ids stay.
     path = parse_xpath("/a" + "/b" * 99)
     assert frontier.run_kernel(path, index, None)[1].tolist() == [99]
     assert index._path_summary.depth == 100
