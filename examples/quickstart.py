@@ -56,7 +56,8 @@ def main() -> None:
 
     print()
     print("== the compiled automaton ==")
-    print(engine.explain("//book[keyword]"))
+    # The default kernel runs no automaton; explain one that does.
+    print(engine.prepare("//book[keyword]", strategy="optimized").explain())
 
     print()
     print("== every registered strategy agrees ==")

@@ -123,7 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--explain",
         action="store_true",
-        help="print the compiled automaton and plan instead of evaluating",
+        help=(
+            "print the plan instead of evaluating (and the compiled "
+            "automaton, for an automaton strategy)"
+        ),
     )
     parser.add_argument(
         "--count", action="store_true", help="print only the number of results"
@@ -143,8 +146,8 @@ def build_batch_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro batch",
         description=(
-            "run a batch of queries over one document on a sharded "
-            "worker pool (repro.engine.parallel.QueryService)"
+            "run a batch of queries over one document on a worker pool, "
+            "one task per query (repro.engine.parallel.QueryService)"
         ),
     )
     _add_document_arguments(parser)
@@ -162,12 +165,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker count (default: the machine's CPU count)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="target shard count per document (default: 2 * jobs)",
     )
     parser.add_argument(
         "--executor",
@@ -1040,13 +1037,12 @@ def batch_main(argv: List[str], out) -> int:
         if not named:
             raise ValueError(f"no queries in {args.queries}")
         workspace.add("doc", _load_document(args, parser))
-        service = workspace.service(
-            jobs=args.jobs, executor=args.executor, shards=args.shards
-        )
+        service = workspace.service(jobs=args.jobs, executor=args.executor)
+        batch = service.run_batch(["doc"], [query for _, query in named])["doc"]
         results = {}
         stats = {}
         for name, query in named:
-            result = service.execute(query, "doc")
+            result = batch[query]
             results[name] = len(result) if args.count else result.nodes
             stats[name] = dict(result.stats.snapshot(), query=query)
     except (ValueError, OSError) as exc:
@@ -1057,7 +1053,6 @@ def batch_main(argv: List[str], out) -> int:
     payload = {
         "document": args.file or ("xmark" if args.xmark is not None else "stdin"),
         "jobs": service.jobs,
-        "shards": len(service.doc_shards("doc")),
         "executor": args.executor,
         "strategy": args.strategy,
         "results": results,

@@ -34,14 +34,15 @@ and names its fallback.  :mod:`repro.engine.api` is the one-document
 public interface on top (with :class:`~repro.engine.plan.PreparedQuery`
 for parse/compile-once reuse), :mod:`repro.engine.workspace` the
 multi-document batch interface, and :mod:`repro.engine.parallel` the
-sharded worker-pool service that scales batches and broadcasts across
-cores with results identical to serial execution.
+thread / worker-pool service that runs batches and broadcasts as one
+task per (document, query), with results identical to serial
+execution.
 """
 
 from repro.engine.api import Engine, evaluate
 from repro.engine.core import run_asta
 from repro.engine.hybrid import hybrid_evaluate
-from repro.engine.parallel import QueryService, Shard, shard_document
+from repro.engine.parallel import QueryService
 from repro.engine.plan import CompiledQueryCache, ExecutionResult, PreparedQuery
 from repro.engine.registry import (
     Strategy,
@@ -65,6 +66,4 @@ __all__ = [
     "strategy_names",
     "Workspace",
     "QueryService",
-    "Shard",
-    "shard_document",
 ]

@@ -137,7 +137,7 @@ class Engine:
         re-warms -- on its next prepare.  The plan cache is guarded by a
         lock so pool threads of a
         :class:`~repro.engine.parallel.QueryService` can prepare
-        different queries on one shard engine concurrently without
+        different queries on one engine concurrently without
         duplicating plans or racing the generation check.
         """
         with self._plans.lock:

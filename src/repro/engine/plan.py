@@ -48,9 +48,11 @@ class CompiledQueryCache:
     compiler) and :attr:`hits` so tests and benchmarks can assert that
     prepared queries and workspaces do zero redundant compilation.
 
-    The cache is thread-safe: a :class:`~repro.engine.parallel.QueryService`
-    shares one cache across all shard engines of a workspace, so two pool
-    threads may ask for the same ``(query, inventory)`` key concurrently.
+    The cache is thread-safe: a workspace shares one cache across all of
+    its engines, and the thread executor of a
+    :class:`~repro.engine.parallel.QueryService` runs them concurrently,
+    so two pool threads may ask for the same ``(query, inventory)`` key
+    at once.
     Compilation happens under the lock -- the second thread blocks and
     then reads the first thread's automaton instead of compiling a
     duplicate.
@@ -192,31 +194,6 @@ class ExecutionResult:
         ids = self._array if self._array is not None else self._ids
         return (ExecutionResult, (self.accepted, ids, self.stats))
 
-    @classmethod
-    def merge(cls, results: Iterable["ExecutionResult"]) -> "ExecutionResult":
-        """Aggregate per-shard results into one document-level result.
-
-        The parts must arrive in document order with pairwise-disjoint,
-        ascending id ranges (shards are preorder slices, so the parallel
-        service guarantees this); the id arrays then concatenate into
-        document order, no sort.  Every counter in ``stats`` is summed
-        across the parts; ``accepted`` is true when any part accepted.
-        """
-        stats = EvalStats()
-        accepted = False
-        arrays: List[np.ndarray] = []
-        for part in results:
-            accepted = accepted or part.accepted
-            if len(part):
-                array = part.ids_array
-                if arrays and array[0] <= arrays[-1][-1]:
-                    raise ValueError(
-                        "merge expects parts in disjoint ascending id ranges"
-                    )
-                arrays.append(array)
-            stats.merge(part.stats)
-        return cls(accepted, np.concatenate(arrays) if arrays else (), stats)
-
 
 def _owned_readonly(array: np.ndarray) -> np.ndarray:
     """A read-only ``int64`` view of ``array``'s data, copied first
@@ -297,12 +274,12 @@ class PreparedQuery:
 
         Executions of *one* plan are serialized by a per-plan lock: the
         warmed tables in :attr:`artifacts` (memo entries, interned state
-        sets) mutate during a run, so two pool threads landing on the
-        same plan -- e.g. two batch queries whose shard rewrites
-        coincide -- must not interleave.  Distinct plans (the parallel
-        service's normal case: one per shard) run fully concurrently;
-        the uncontended acquisition costs nanoseconds against
-        millisecond-scale runs.
+        sets) mutate during a run, so two threads landing on the same
+        plan -- e.g. two concurrent batches, or two daemon requests for
+        one query -- must not interleave.  Distinct plans (the parallel
+        service's normal case: one per query of a batch) run fully
+        concurrently; the uncontended acquisition costs nanoseconds
+        against millisecond-scale runs.
         """
         stats = EvalStats()
         with self._exec_lock:
@@ -347,6 +324,9 @@ class PreparedQuery:
             if k:
                 prefix = Path(path.absolute, path.steps[:k])
                 lines.append(self.engine.compile(prefix).describe())
+            return "\n".join(lines)
+        if executes_as in planner.SET_AT_A_TIME:
+            # The kernel runs no automaton: compile none to describe.
             return "\n".join(lines)
         lines.append(self.asta.describe())
         if hybrid.is_hybrid_applicable(path):

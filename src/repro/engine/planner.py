@@ -51,7 +51,6 @@ class QueryFeatures:
     """
 
     n: int
-    steps: int
     axes: Tuple[str, ...]
     step_candidates: Tuple[int, ...]
     pred_touches: Tuple[int, ...]
@@ -86,7 +85,6 @@ def extract_features(path: Path, index: TreeIndex) -> QueryFeatures:
     )
     return QueryFeatures(
         n=index.tree.n,
-        steps=len(path.steps),
         axes=tuple(step.axis.value for step in path.steps),
         step_candidates=step_candidates,
         pred_touches=tuple(
@@ -170,8 +168,8 @@ class AutoStrategy(WindowStrategy):
 
 def planner_fields(plan) -> dict:
     """``{"executes_as": kernel name}`` for a plan prepared under
-    ``auto``, else ``{}``: what every ``/query`` envelope and
-    ``QueryService.plan_report`` entry says beside ``strategy``."""
+    ``auto``, else ``{}``: what every ``/query`` envelope says beside
+    ``strategy``."""
     kernel = getattr(plan.strategy, "executes_as", None)
     return {"executes_as": kernel} if kernel else {}
 

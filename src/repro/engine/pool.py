@@ -5,26 +5,25 @@
 *processes* that survive across tasks, across batches, and across
 :meth:`~repro.engine.parallel.QueryService.select_many` calls, pulling
 work from one **shared task queue** instead of a static per-worker
-shard assignment.  Three properties keep its per-batch overhead small:
+assignment.  Three properties keep its per-batch overhead small:
 
 - **Shared memory, not pickled payloads.**  Store-backed documents
-  travel as ``(bundle path, shard ranges, generation)`` -- a few bytes
-  -- and every worker reopens the same bundle zero-copy via
+  travel as ``(bundle path, generation)`` -- a few bytes -- and every
+  worker reopens the same bundle zero-copy via
   ``np.load(mmap_mode="r")``; the OS page cache shares one set of
   physical pages across the whole pool.  In-memory documents ship once
   at pool start (copy-on-write under ``fork``).
-- **Warm workers.**  Each worker keeps its engines, compiled XPath
-  paths and prepared-plan LRUs **across tasks and batches**.  The
-  second batch of a warm pool does zero re-parsing, zero re-compilation
-  and zero plan resolution;
-  the per-subtask ``warm`` flag feeds the pool-wide warm-hit rate.
-- **Dynamic scheduling.**  Tasks are enqueued at *query* granularity
-  (cheap queries chunked together to amortize IPC; expensive ones
-  pre-split by shard upstream) onto one shared queue.  Every chunk
-  carries the worker id a static round-robin schedule would have
-  assigned; any idle worker may take it instead, and executing a chunk
-  off its home worker is counted as a **steal** -- the observable
-  difference between dynamic and static scheduling.
+- **Warm workers.**  Each worker keeps one engine per document, its
+  compiled XPath paths and prepared-plan LRUs **across tasks and
+  batches**.  The second batch of a warm pool does zero re-parsing,
+  zero re-compilation and zero plan resolution;
+  the per-task ``warm`` flag feeds the pool-wide warm-hit rate.
+- **Dynamic scheduling.**  A task is one whole-document query; cheap
+  tasks are chunked together to amortize IPC, onto one shared queue.
+  Every chunk carries the worker id a static round-robin schedule
+  would have assigned; any idle worker may take it instead, and
+  executing a chunk off its home worker is counted as a **steal** --
+  the observable difference between dynamic and static scheduling.
 
 Results travel back as compact ``int64`` id arrays (never trees, never
 node objects), so a selective query's reply is a few cache lines of
@@ -41,20 +40,20 @@ have been lost in its queue window -- is re-enqueued **exactly once**
 chunk whose retry also dies fails its futures with
 :class:`WorkerDiedError` instead of hanging the caller.  Workers check
 the deterministic fault-injection site ``pool.task``
-(:mod:`repro.faults`) before every subtask; under the ``fork`` start
+(:mod:`repro.faults`) before every task; under the ``fork`` start
 method a plan active at spawn time is inherited by the workers, which
 is how the chaos suite injects slow reads *inside* a worker.
 
 Generation invalidation
 -----------------------
 
-Every subtask names the document *version* the parent expects
+Every task names the document *version* the parent expects
 (monotonically bumped by
 :meth:`~repro.engine.parallel.QueryService.invalidate`, which rides on
 the store manifest's generation bumps via
 ``Workspace.swap_stored``/``add``/``remove``).  A worker whose cached
 state for the document carries a different version drops that
-document's engines, indexes and mmap handles and reopens the bundle
+document's engine and mmap handles and reopens the bundle
 path -- which, after a ``DocumentStore.replace``, resolves to the new
 generation.  Workers therefore can never serve a retired generation,
 and unrelated documents stay warm across the swap.
@@ -69,8 +68,10 @@ import time
 import traceback
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
+from repro.counters import EvalStats
+from repro.engine.plan import ExecutionResult
 from repro.lru import LRUCache
 
 #: Minimum per-chunk cost (in node-count units) -- chunks smaller than
@@ -83,8 +84,8 @@ CHUNK_SLACK = 4
 _POLL_S = 0.1
 
 #: Bound on each worker's compiled-path cache.  Under query churn an
-#: unbounded cache grows one parsed AST per distinct rewritten query
-#: for the life of the worker.
+#: unbounded cache grows one parsed AST per distinct query for the life
+#: of the worker.
 PATH_CACHE_SIZE = 256
 
 
@@ -106,22 +107,18 @@ class PoolTaskError(PoolError):
 
 @dataclass(frozen=True)
 class PoolTask:
-    """One unit of pool work: rewritten paths against one (sub)document.
+    """One unit of pool work: one query against one whole document.
 
     ``descriptor`` tells the worker how to materialize the document:
-    ``("store", bundle_path, shard_ranges, version)`` for store-backed
-    documents (reopened zero-copy in the worker) or ``("static",
-    version)`` for in-memory documents shipped at pool start.
-    ``ordinal`` selects a shard (``None`` = the whole document) and
-    ``offset`` maps shard-local ids back to document ids.  ``cost`` is
-    the scheduling estimate (node count) chunking balances on.
+    ``("store", bundle_path, version)`` for store-backed documents
+    (reopened zero-copy in the worker) or ``("static", version)`` for
+    in-memory documents shipped at pool start.  ``cost`` is the
+    scheduling estimate (node count) chunking balances on.
     """
 
     doc: str
     descriptor: tuple
-    ordinal: Optional[int]
-    offset: int
-    path_strs: Tuple[str, ...]
+    query: str
     cost: int = 1
 
 
@@ -129,7 +126,8 @@ class PoolFuture:
     """Minimal single-assignment future for one :class:`PoolTask`.
 
     Exposes exactly the ``result()`` surface the service's gather loop
-    uses; resolved by the pool's collector thread.
+    uses; resolved by the pool's collector thread to the task's
+    :class:`~repro.engine.plan.ExecutionResult`.
     """
 
     __slots__ = ("_event", "_value", "_exc")
@@ -226,7 +224,6 @@ class _WorkerState:
         self.static = static_docs
         self.strategy = strategy
         self.versions: Dict[str, int] = {}
-        self.indexes: dict = {}
         self.engines: dict = {}
         self.stored: dict = {}
         self.paths = LRUCache(PATH_CACHE_SIZE)
@@ -234,75 +231,53 @@ class _WorkerState:
 
     def _purge_doc(self, doc: str) -> None:
         """Drop every cache derived from ``doc`` (generation change)."""
-        for key in [k for k in self.engines if k[0] == doc]:
-            del self.engines[key]
-        for key in [k for k in self.indexes if k[0] == doc]:
-            del self.indexes[key]
+        self.engines.pop(doc, None)
         stored = self.stored.pop(doc, None)
         if stored is not None:
             try:
-                # Engines and indexes are gone: the mmap handles of the
-                # retired generation can be released for real.
+                # The engine is gone: the mmap handles of the retired
+                # generation can be released for real.
                 stored.close()
             except Exception:
                 pass
 
-    def _index(self, doc: str, descriptor: tuple, ordinal: Optional[int]):
-        key = (doc, ordinal)
-        index = self.indexes.get(key)
-        if index is not None:
-            return index
-        if descriptor[0] == "store":
-            _, path, ranges, _version = descriptor
-            full = self.indexes.get((doc, None))
-            if full is None:
-                from repro.store import open_document
+    def _index(self, doc: str, descriptor: tuple):
+        if descriptor[0] == "static":
+            return self.static[doc]
+        from repro.store import open_document
 
-                document = open_document(path)
-                self.stored[doc] = document
-                full = self.indexes[(doc, None)] = document.index
-            index = full if ordinal is None else full.shard_slice(*ranges[ordinal])
-        else:
-            _, full, shards = self.static[doc]
-            index = full if ordinal is None else shards[ordinal].index
-        self.indexes[key] = index
-        return index
+        document = self.stored[doc] = open_document(descriptor[1])
+        return document.index
 
-    def run(self, subtask: tuple) -> tuple:
-        """One subtask; returns
+    def run(self, task: tuple) -> tuple:
+        """One task; returns
         ``(int64 ids, stats dict, accepted, warm, path evictions)`` --
         the last element is the delta of compiled-path LRU evictions
         since this worker's previous report (the parent accumulates it
         into the pool-wide ``path_evictions`` counter)."""
         from repro import faults
         from repro.engine.api import Engine
-        from repro.engine.parallel import _run_paths
         from repro.xpath.parser import parse_xpath
 
-        doc, descriptor, ordinal, offset, path_strs = subtask
-        version = descriptor[-1] if descriptor[0] == "store" else descriptor[1]
+        doc, descriptor, query = task
         warm = True
-        if self.versions.get(doc) != version:
+        if self.versions.get(doc) != descriptor[-1]:
             self._purge_doc(doc)
-            self.versions[doc] = version
+            self.versions[doc] = descriptor[-1]
             warm = False
-        engine = self.engines.get((doc, ordinal))
+        engine = self.engines.get(doc)
         if engine is None:
             warm = False
-            engine = Engine(
-                self._index(doc, descriptor, ordinal), strategy=self.strategy
+            engine = self.engines[doc] = Engine(
+                self._index(doc, descriptor), strategy=self.strategy
             )
-            self.engines[(doc, ordinal)] = engine
-        paths = []
-        for path_str in path_strs:
-            path = self.paths.get(path_str)
-            if path is None:
-                warm = False
-                path = parse_xpath(path_str)
-                self.paths.put(path_str, path)
-            paths.append(path)
+        path = self.paths.get(query)
+        if path is None:
+            warm = False
+            path = parse_xpath(query)
+            self.paths.put(query, path)
         faults.check("pool.task", document=doc, worker=self.wid)
-        result = _run_paths(engine, paths, offset)
+        result = engine.execute(path)
         evictions = self.paths.evictions - self._evictions_reported
         self._evictions_reported = self.paths.evictions
         return (
@@ -323,10 +298,10 @@ def _pool_worker_main(
         item = tasks.get()
         if item is None:
             break
-        chunk_id, _affinity, subtasks = item
+        chunk_id, _affinity, chunk = item
         results.put(("start", chunk_id, wid))
         try:
-            payload = [state.run(sub) for sub in subtasks]
+            payload = [state.run(task) for task in chunk]
         except BaseException as exc:  # surfaced as PoolTaskError upstream
             results.put(
                 ("error", chunk_id, wid, f"{type(exc).__name__}: {exc}")
@@ -390,7 +365,7 @@ class WorkerPool:
     strategy:
         The evaluation strategy workers build their engines with.
     static_docs:
-        ``{name: ("index", TreeIndex, [Shard, ...])}`` payloads for
+        ``{name: TreeIndex}`` payloads for
         in-memory documents, shipped once at pool start (copy-on-write
         under ``fork``).  Store-backed documents need no entry -- their
         tasks carry the bundle path.
@@ -542,10 +517,7 @@ class WorkerPool:
         return futures
 
     def _enqueue(self, chunk: _Chunk) -> None:
-        payload = [
-            (t.doc, t.descriptor, t.ordinal, t.offset, t.path_strs)
-            for t in chunk.tasks
-        ]
+        payload = [(t.doc, t.descriptor, t.query) for t in chunk.tasks]
         self._tasks.put((chunk.chunk_id, chunk.affinity, payload))
 
     # -- collection + self-healing -------------------------------------------
@@ -591,7 +563,7 @@ class WorkerPool:
         if kind == "done":
             for future, part in zip(chunk.futures, payload):
                 ids, stats, accepted, _warm, _evictions = part
-                future._set((ids, stats, accepted))
+                future._set(ExecutionResult(accepted, ids, EvalStats(**stats)))
         else:
             exc = PoolTaskError(f"pool task failed in worker {wid}: {payload}")
             for future in chunk.futures:

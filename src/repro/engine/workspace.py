@@ -43,10 +43,8 @@ class Workspace:
     ``encode_attributes`` and ``encode_text`` become the defaults for
     every document added later.  With ``strategy="auto"`` (the default,
     as for :class:`~repro.engine.api.Engine`, the CLI and the daemon)
-    every member engine -- and every *shard* engine the parallel
-    :class:`~repro.engine.parallel.QueryService` derives from it --
-    runs the set-at-a-time kernel, which picks its join operator per
-    step from each document's (or shard's) own label statistics.
+    every member engine runs the set-at-a-time kernel, which picks its
+    join operator per step from its document's own label statistics.
     """
 
     def __init__(
@@ -60,7 +58,7 @@ class Workspace:
         self.encode_text = encode_text
         self.cache = CompiledQueryCache()
         self._engines: Dict[str, Engine] = {}
-        self._services: Dict[Tuple[int, str, Optional[int]], "QueryService"] = {}
+        self._services: Dict[Tuple[int, str], "QueryService"] = {}
         self._services_lock = threading.Lock()
         # Documents this workspace opened itself via open_store: it owns
         # their mmap handles and releases them on remove()/close().
@@ -117,7 +115,7 @@ class Workspace:
 
         The engine is rebuilt from ``document`` and installed under the
         same name (dict assignment to an existing key, so insertion
-        order -- and hence broadcast/shard order -- is preserved), any
+        order -- and hence broadcast order -- is preserved), any
         parallel-service state derived from the old document is
         invalidated, and the previously owned
         :class:`~repro.store.StoredDocument` (if any) is returned
@@ -152,8 +150,8 @@ class Workspace:
 
     def _invalidate_services(self, name: str) -> None:
         """Drop any parallel-service state derived from document ``name``
-        (its shards, shard engines, and worker-pool payloads) so a
-        removed or re-added document can never answer from stale data."""
+        (worker caches and pool payloads) so a removed or re-added
+        document can never answer from stale data."""
         with self._services_lock:
             services = list(self._services.values())
         for service in services:
@@ -246,7 +244,6 @@ class Workspace:
         *,
         jobs: Optional[int] = None,
         executor: str = "thread",
-        shards: Optional[int] = None,
     ) -> Dict[str, object]:
         """Run a batch of queries.
 
@@ -255,16 +252,16 @@ class Workspace:
         returns ``{document: {query: [ids]}}``.  Either way each distinct
         query is compiled at most once per label inventory.
 
-        ``jobs`` > 1 routes the batch through the sharded
-        :class:`~repro.engine.parallel.QueryService` fast path (see its
-        docs for ``executor`` and ``shards``); results are identical to
-        the serial path.  ``executor="pool"`` routes through the
+        ``jobs`` > 1 runs the batch on the
+        :class:`~repro.engine.parallel.QueryService`, one task per
+        (document, query) (see its docs for ``executor``); results are
+        identical to the serial path.  ``executor="pool"`` routes through the
         persistent shared-memory worker pool at any ``jobs`` count
         (the pool keeps its workers -- and their warm caches -- alive
         across calls).
         """
         if (jobs is not None and jobs > 1) or executor == "pool":
-            service = self.service(jobs=jobs, executor=executor, shards=shards)
+            service = self.service(jobs=jobs, executor=executor)
             return service.select_many(queries, document)
         queries = list(queries)
         if document is not None:
@@ -285,17 +282,16 @@ class Workspace:
         *,
         jobs: Optional[int] = None,
         executor: str = "thread",
-        shards: Optional[int] = None,
     ) -> Dict[str, List[int]]:
         """Run one query across every document: ``{document: [ids]}``.
 
-        ``jobs`` > 1 fans the broadcast out across document shards on a
-        worker pool (the :class:`~repro.engine.parallel.QueryService`
-        fast path); ``executor="pool"`` uses the persistent
-        shared-memory pool at any ``jobs`` count.
+        ``jobs`` > 1 fans the broadcast out, one task per document, on a
+        worker pool (the :class:`~repro.engine.parallel.QueryService`);
+        ``executor="pool"`` uses the persistent shared-memory pool at
+        any ``jobs`` count.
         """
         if (jobs is not None and jobs > 1) or executor == "pool":
-            service = self.service(jobs=jobs, executor=executor, shards=shards)
+            service = self.service(jobs=jobs, executor=executor)
             return service.select_all(query)
         return {
             name: engine.execute(query).nodes
@@ -306,12 +302,11 @@ class Workspace:
         self,
         jobs: Optional[int] = None,
         executor: str = "thread",
-        shards: Optional[int] = None,
     ) -> "QueryService":
         """A (memoized) parallel query service over this workspace.
 
-        One service -- and hence one worker pool and one set of document
-        shards -- is kept per ``(jobs, executor, shards)`` configuration;
+        One service -- and hence one worker pool -- is kept per
+        ``(jobs, executor)`` configuration;
         call :meth:`close` to shut the pools down.  With
         ``executor="pool"`` the service owns a persistent
         :class:`~repro.engine.pool.WorkerPool` of shared-memory worker
@@ -321,13 +316,11 @@ class Workspace:
         """
         from repro.engine.parallel import QueryService
 
-        key = (jobs if jobs is not None else 0, executor, shards)
+        key = (jobs if jobs is not None else 0, executor)
         with self._services_lock:
             service = self._services.get(key)
             if service is None:
-                service = QueryService(
-                    self, jobs=jobs, executor=executor, shards=shards
-                )
+                service = QueryService(self, jobs=jobs, executor=executor)
                 self._services[key] = service
         return service
 

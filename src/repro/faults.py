@@ -16,7 +16,7 @@ sites:
   renamed into place (a crash in the publish window)
 - ``serve.evaluate``     -- before a query executes on a daemon worker
   thread (:meth:`repro.serve.daemon.QueryDaemon._evaluate`)
-- ``pool.task``          -- before every subtask inside a shared-memory
+- ``pool.task``          -- before every task inside a shared-memory
   pool worker *process* (:meth:`repro.engine.pool._WorkerState.run`);
   under the ``fork`` start method an active plan is inherited at worker
   spawn, so chaos tests can stall or fail work inside the pool

@@ -179,71 +179,6 @@ class TreeIndex:
         :meth:`repro.index.labels.LabelIndex.fused`)."""
         return self.labels.fused(label_ids)
 
-    def shard_slice(self, lo: int, hi: int) -> "TreeIndex":
-        """A self-contained index for the re-rooted slice ``[lo, hi)``.
-
-        The slice must cover whole top-level subtrees: ``lo`` is a child
-        of the root and ``hi`` is either ``n`` or the next top-level
-        sibling boundary.  The result is a :class:`TreeIndex` over a
-        fresh :class:`BinaryTree` whose node 0 is (a copy of) the
-        document root and whose node ``l >= 1`` is global node
-        ``l + (lo - 1)`` -- the shard's global preorder offset.  The
-        element-name table is shared with the parent tree, so compiled
-        wildcard automata keyed by label inventory stay reusable across
-        shards, and the label index is carved from the parent's sorted
-        arrays (:meth:`LabelIndex.sliced`) instead of being re-sorted.
-        """
-        import numpy as np
-
-        tree = self.tree
-        if not isinstance(tree, BinaryTree):
-            tree = tree.to_binary()
-        columns = tree._columns
-        parent = columns["parent"]
-        if not 0 < lo < hi <= tree.n:
-            raise ValueError(f"invalid shard range [{lo}, {hi}) for n={tree.n}")
-        if parent[lo] != 0 or (hi < tree.n and parent[hi] != 0):
-            raise ValueError(
-                f"shard range [{lo}, {hi}) is not a union of whole "
-                "top-level subtrees"
-            )
-        off = lo - 1
-        m = hi - lo + 1
-
-        def local(name: str, root_value: int, floor: int) -> "np.ndarray":
-            """Column ``name`` of the slice in shard-local ids, under the
-            root copy's ``root_value``.  Whatever shifts below ``floor``
-            pointed at NIL or out of the slice and becomes ``floor``."""
-            column = np.empty(m, dtype=np.int64)
-            column[0] = root_value
-            np.subtract(columns[name][lo:hi], off, out=column[1:])
-            np.maximum(column[1:], floor, out=column[1:])
-            return column
-
-        right = local("right", NIL, NIL)
-        # The last top-level child's next sibling lies outside the slice.
-        right[right >= m] = NIL
-        root_label = int(columns["label_of"][0])
-        shard_tree = BinaryTree._from_columns(
-            tree.labels,
-            {
-                "label_of": np.concatenate(
-                    ([root_label], columns["label_of"][lo:hi])
-                ),
-                "left": local("left", 1, NIL),
-                "right": right,
-                # Top-level nodes hang off the root copy, and so does
-                # the binary parent of the slice's first node.
-                "parent": local("parent", NIL, 0),
-                "bparent": local("bparent", NIL, 0),
-                "xml_end": local("xml_end", m, NIL),
-            },
-        )
-        labels = LabelIndex.sliced(
-            self.labels, shard_tree, lo, hi, off, root_label
-        )
-        return TreeIndex(shard_tree, labels)
-
     def xml_end_array(self):
         """The tree's ``xml_end`` column (``np.int64``; the mapped bundle
         file itself for a store-backed document)."""

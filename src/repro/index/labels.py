@@ -144,37 +144,6 @@ class LabelIndex:
         self._fused.maxsize = size
 
     @classmethod
-    def sliced(
-        cls,
-        parent: "LabelIndex",
-        tree: _LabelledTree,
-        lo: int,
-        hi: int,
-        offset: int,
-        root_label: int,
-    ) -> "LabelIndex":
-        """Shard label index carved out of ``parent`` without re-sorting.
-
-        ``parent`` indexes the full document; the shard covers the global
-        preorder range ``[lo, hi)`` re-rooted under the document root, so
-        local ids are ``global - offset`` (and local 0 is the root, whose
-        label id is ``root_label``).  Each per-label array is a binary-
-        search slice of the parent's already-sorted array -- O(|Σ| log n
-        + m) total instead of the O(m log m) argsort of a fresh build.
-        """
-        self = cls.__new__(cls)
-        arrays: List[np.ndarray] = []
-        root_arr = np.zeros(1, dtype=np.int64)
-        for lab, arr in enumerate(parent._arrays):
-            i0, i1 = np.searchsorted(arr, [lo, hi], side="left")
-            local = arr[i0:i1] - offset
-            if lab == root_label:
-                local = np.concatenate([root_arr, local])
-            arrays.append(local)
-        self._adopt(tree, arrays)
-        return self
-
-    @classmethod
     def from_state(
         cls,
         tree: _LabelledTree,
@@ -255,9 +224,10 @@ class LabelIndex:
         """
         key = tuple(label_ids)
         cache = self._fused
-        # Pool threads of a QueryService drive one shard engine's index
-        # concurrently and the LRU mutates on every lookup, hence the
-        # lock; uncontended it costs nanoseconds against the bisect work.
+        # Thread-executor tasks of a QueryService drive one engine's
+        # index concurrently and the LRU mutates on every lookup, hence
+        # the lock; uncontended it costs nanoseconds against the bisect
+        # work.
         with cache.lock:
             hit = cache.get(key)
             if hit is None:

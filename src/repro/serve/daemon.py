@@ -48,10 +48,11 @@ Where a ``/query`` runs -- every response says (``"executor"``):
 - ``"pool"``: with ``pool_workers > 0``, ``/batch`` requests -- and
   ``/query`` on documents of at least ``pool_min_nodes`` nodes -- still
   occupy one slot and one executor thread, but that thread only waits:
-  the evaluation fans out across a persistent
+  the evaluation runs on a persistent
   :class:`~repro.engine.pool.WorkerPool` of shared-memory worker
-  processes.  Any pool failure degrades to the thread path and counts
-  as a ``pool_fallback``.
+  processes, one task per query -- a batch's queries spread across the
+  workers, one ``/query`` runs on one worker.  Any pool failure
+  degrades to the thread path and counts as a ``pool_fallback``.
 
 Executions of one plan are serialized by the plan's own lock
 (:meth:`~repro.engine.plan.PreparedQuery.execute`), so concurrent
@@ -540,9 +541,10 @@ class QueryDaemon:
             and self._pool_routable(strategy)
             and engine.tree.n >= self.pool_min_nodes
         ):
-            # An oversized document: let the pool shard it across worker
-            # processes.  (Labelled requests stay on-thread -- labels
-            # must come from the same engine that produced the ids.)
+            # An oversized document: run the query as one task on a
+            # pool worker process, off this process's interpreter lock.
+            # (Labelled requests stay on-thread -- labels must come from
+            # the same engine that produced the ids.)
             results = self._pool_results(mount, [query])
             if results is not None:
                 return self._answer(
@@ -689,7 +691,7 @@ class QueryDaemon:
         died twice, pool closing mid-request) -- which must degrade to
         the caller's thread path, never fail the client."""
         try:
-            batch = self._pool_service._run_batch([mount.name], queries)[
+            batch = self._pool_service.run_batch([mount.name], queries)[
                 mount.name
             ]
         except CLIENT_ERRORS:

@@ -154,8 +154,8 @@ class BinaryTree:
     def _from_columns(
         cls, labels: list[str], columns: dict, height: Optional[int] = None
     ) -> "BinaryTree":
-        """A tree over columns that already exist (a reopened bundle, a
-        shard slice); ``height`` where the caller knows it."""
+        """A tree over columns that already exist (a reopened bundle, an
+        unpickled tree); ``height`` where the caller knows it."""
         self = cls.__new__(cls)
         self._adopt(labels, columns, height)
         return self
@@ -187,7 +187,7 @@ class BinaryTree:
             if mirror is None:
                 if self._pool is None:
                     # Every value a column holds: NIL, node ids, n, and
-                    # label ids (a shard shares its document's table).
+                    # label ids.
                     top = max(self.n, len(self.labels))
                     self._pool = np.arange(NIL, top + 1).astype(object)
                 mirror = self._pool[self._columns[name] + 1].tolist()

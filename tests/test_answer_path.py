@@ -157,24 +157,6 @@ class TestExecutionResultForms:
         assert clone == result and clone.stats.visited == 7
         assert not clone.ids_array.flags.writeable
 
-    def test_merge(self, as_array):
-        merged = ExecutionResult.merge(
-            [
-                _result([0], as_array, visited=2, selected=1),
-                _result([], as_array, visited=1),
-                _result([3, 5], not as_array, visited=7, selected=2),
-                _result([9], as_array, selected=1),
-            ]
-        )
-        assert merged.ids == (0, 3, 5, 9) and merged.accepted
-        assert merged.stats.visited == 10 and merged.stats.selected == 4
-        with pytest.raises(ValueError, match="disjoint"):
-            ExecutionResult.merge(
-                [_result([1, 5], as_array), _result([5, 9], as_array)]
-            )
-        empty = ExecutionResult.merge([])
-        assert empty.ids == () and len(empty) == 0 and not empty.accepted
-
 
 def test_array_strategies_hand_over_the_frontier():
     engine = Engine("<r><a><b/></a><b/></r>")

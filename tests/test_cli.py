@@ -118,7 +118,7 @@ class TestCLI:
         assert "planner" not in verdict
 
     def test_explain(self, xml_file):
-        code, out = run(["//a//b", xml_file, "--explain"])
+        code, out = run(["//a//b", xml_file, "--explain", "--strategy", "optimized"])
         assert code == 0
         assert "ASTA" in out
 

@@ -65,14 +65,20 @@ class TestQuerying:
 
 class TestExplain:
     def test_explain_shows_automaton(self):
-        text = Engine(XML).explain("//a//b")
+        text = Engine(XML, strategy="optimized").explain("//a//b")
         assert "ASTA" in text
         assert "⇒" in text
 
     def test_explain_shows_hybrid_plan(self):
-        text = Engine(XML).explain("//a//b")
+        text = Engine(XML, strategy="optimized").explain("//a//b")
         assert "hybrid plan" in text
         assert "pivot" in text
+
+    def test_kernel_explain_compiles_no_automaton(self):
+        engine = Engine(XML)
+        text = engine.explain("//a//b")
+        assert engine.cache.compilations == 0
+        assert "ASTA" not in text and "hybrid plan" not in text
 
     def test_explain_non_chain_has_no_plan(self):
         text = Engine(XML).explain("/r/a[b]")

@@ -78,5 +78,5 @@ def test_parallel_batch_runs():
         next(p for p in EXAMPLES if p.name == "parallel_batch.py"), ["0.05"]
     )
     assert "identical to serial: True" in out
-    assert "shard 0" in out
-    assert "aggregated shard counters" in out
+    assert "3 documents x 15 queries x 2 batches = 90 tasks" in out
+    assert "per-query counters" in out

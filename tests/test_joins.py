@@ -148,10 +148,10 @@ class TestWideDocument:
 
 
 def test_eight_threads_on_one_index_match_the_oracle(xmark_26k):
-    """Different plans run concurrently on one fresh ``TreeIndex`` (no
-    shards: the threads share it, and race to build its CSR and rank
-    columns); scratch they shared, or a column published half built,
-    would show as a wrong answer."""
+    """Different plans run concurrently on one fresh ``TreeIndex`` (the
+    threads share it, and race to build its CSR and rank columns);
+    scratch they shared, or a column published half built, would show as
+    a wrong answer."""
     oracle = Engine(xmark_26k, strategy="optimized")
     expected = {query: oracle.select(query) for query in MIX20}
     ws = Workspace(strategy="window")
@@ -160,9 +160,7 @@ def test_eight_threads_on_one_index_match_the_oracle(xmark_26k):
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(4):
-            got = ws.select_many(
-                MIX20, "doc", jobs=8, executor="thread", shards=1
-            )
+            got = ws.select_many(MIX20, "doc", jobs=8, executor="thread")
             assert got == expected
     finally:
         sys.setswitchinterval(interval)

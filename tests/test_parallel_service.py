@@ -1,9 +1,10 @@
-"""Parallel QueryService: determinism, thread safety, merging, errors.
+"""Parallel QueryService: determinism, dispatch, thread safety, errors.
 
-The load-bearing property is *byte-identical results*: for every shard
-count, worker count, executor flavour, and document shape (including the
-degenerate bare-root and single-child documents), the parallel service
-must return exactly what the serial :class:`Workspace` paths return.
+The load-bearing property is *byte-identical results*: for every worker
+count, executor flavour, and document shape (including the degenerate
+bare-root and single-child documents), the parallel service must return
+exactly what the serial :class:`Workspace` paths return -- and it runs
+every (document, query) pair as one whole-document task.
 """
 
 from __future__ import annotations
@@ -14,21 +15,15 @@ import threading
 import pytest
 
 from repro import Workspace
-from repro.counters import EvalStats
 from repro.engine.api import PLAN_CACHE_SIZE
-from repro.engine.parallel import (
-    QueryService,
-    Shard,
-    plan_shard_query,
-    shard_document,
-)
-from repro.engine.plan import CompiledQueryCache, ExecutionResult
+from repro.engine.parallel import QueryService
+from repro.engine.plan import CompiledQueryCache
 from repro.engine.pool import PATH_CACHE_SIZE
 from repro.engine.registry import StrategyBase, register_strategy, unregister_strategy
-from repro.index.jumping import TreeIndex
 from repro.lru import LRUCache
-from repro.tree.binary import BinaryTree
 from repro.xmark.generator import XMarkGenerator
+from repro.xmark.queries import QUERIES
+from repro.xpath.compiler import XPathCompileError
 from strategies import fuzz_corpus, random_core_query, random_document
 
 FIG4_SUBSET = [
@@ -40,6 +35,35 @@ FIG4_SUBSET = [
     "/site[ .//keyword]",
     "/site[ .//keyword ]//keyword",
     "/site[ .//*//* ]//keyword",
+]
+
+#: Fig-4 Q01-Q15 plus five sibling / backward shapes (the engine-mix
+#: benchmark's query mix).
+MIX20 = list(QUERIES.values()) + [
+    "//listitem/following-sibling::listitem",
+    "//keyword/ancestor::listitem",
+    "//keyword/parent::text",
+    "//keyword[ancestor::mail]",
+    "//item[mailbox/mail]/following-sibling::item",
+]
+
+#: One query of each shape the parallel path must serve: root-only,
+#: root-gated, empty, sibling, backward, absolute-in-predicate.
+SHAPES = [
+    "/site",
+    "/site/regions/*/item",
+    "//item[mailbox]//keyword",
+    "/site[.//keyword]//keyword",
+    "/site[not(closed_auctions)]",
+    "/site/people/person[not(phone)]",
+    "//keyword",
+    "//*",
+    "//listitem/following-sibling::listitem",
+    "//parlist[listitem/following-sibling::listitem]",
+    "//keyword/parent::text",
+    "//keyword/..",
+    "//keyword[ancestor::mail]",
+    "//item[//keyword]",
 ]
 
 DEGENERATE_DOCS = {
@@ -71,115 +95,14 @@ def xmark_workspace():
     ws.close()
 
 
-# -- sharding ----------------------------------------------------------------
-
-
-class TestSharding:
-    def test_shards_cover_document_in_order(self, xmark_workspace):
-        index = xmark_workspace.engine("xm").index
-        shards = shard_document(index)
-        assert shards, "XMark root has top-level children"
-        expect_lo = 1
-        for ordinal, shard in enumerate(shards):
-            assert shard.ordinal == ordinal
-            assert shard.lo == expect_lo
-            assert shard.offset == shard.lo - 1
-            assert len(shard) == shard.hi - shard.lo + 1
-            expect_lo = shard.hi
-        assert shards[-1].hi == index.tree.n
-
-    def test_grouping_respects_target(self, xmark_workspace):
-        index = xmark_workspace.engine("xm").index
-        n_children = len(list(index.tree.children(0)))
-        for parts in (1, 2, 3, n_children, n_children + 5):
-            shards = shard_document(index, parts=parts)
-            assert 1 <= len(shards) <= min(parts, n_children)
-            assert shards[-1].hi == index.tree.n
-
-    def test_shard_label_index_matches_fresh_build(self, xmark_workspace):
-        from repro.index.labels import LabelIndex
-
-        index = xmark_workspace.engine("xm").index
-        shard = shard_document(index, parts=3)[1]
-        fresh = LabelIndex(shard.index.tree)
-        for lab in range(len(index.tree.labels)):
-            assert fresh._lists[lab] == shard.index.labels._lists[lab]
-
-    def test_shard_succinct_bp_slice(self, xmark_workspace):
-        index = xmark_workspace.engine("xm").index
-        shard = shard_document(index, parts=4)[0]
-        succ = shard.succinct()
-        assert len(succ) == len(shard)
-        assert succ.label(0) == "site"
-        # Same navigation answers as the pointer slice.
-        tree = shard.index.tree
-        for v in range(min(len(shard), 50)):
-            assert succ.first_child(v) == tree.first_child(v)
-            assert succ.next_sibling(v) == tree.next_sibling(v)
-        assert shard.succinct() is succ  # built once
-
-    def test_no_shards_for_bare_root(self):
-        index = TreeIndex(BinaryTree.from_xml("<r/>"))
-        assert shard_document(index) == []
-
-    def test_bad_slice_ranges_rejected(self, xmark_workspace):
-        index = xmark_workspace.engine("xm").index
-        with pytest.raises(ValueError, match="invalid shard range"):
-            index.shard_slice(0, 5)
-        with pytest.raises(ValueError, match="top-level"):
-            index.shard_slice(2, 3)  # not a child of the root
-        with pytest.raises(ValueError, match="parts"):
-            shard_document(index, parts=0)
-
-
-# -- the query rewrite -------------------------------------------------------
-
-
-class TestShardQueryPlan:
-    @pytest.mark.parametrize(
-        "query,reason",
-        [
-            ("//a/following-sibling::b", "following-sibling"),
-            ("//a[b/following-sibling::c]", "following-sibling"),
-            ("//a/parent::b", "backward"),
-            ("//a/..", "backward"),
-            ("//a[ancestor::b]", "backward"),
-            ("//a[//b]", "absolute path inside a predicate"),
-            ("a/b", "relative"),
-        ],
-    )
-    def test_unshardable_queries_are_detected(self, query, reason):
-        plan = plan_shard_query(query)
-        assert not plan.shardable
-        assert reason in plan.reason
-
-    def test_shardable_plan_shapes(self):
-        plan = plan_shard_query("//a[b]//c")
-        assert plan.shardable
-        assert str(plan.root_probe) == "/child::a[child::b]"
-        assert not plan.include_root_if_gate
-        assert len(plan.paths_always) == 1  # non-root descendant matches
-        assert len(plan.paths_gated) == 1  # chains starting at the root
-        assert plan.shard_paths(root_gate=False) == plan.paths_always
-
-        single = plan_shard_query("/r")
-        assert single.include_root_if_gate
-        assert single.shard_paths(root_gate=True) == ()
-
-
 # -- determinism: parallel == serial ----------------------------------------
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("shards", [1, 2, 3, 6])
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_xmark_batch_identical_across_shards_and_jobs(
-        self, xmark_workspace, shards, jobs
-    ):
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 6])
+    def test_xmark_batch_identical_across_jobs(self, xmark_workspace, jobs):
         serial = xmark_workspace.select_many(FIG4_SUBSET, document="xm")
-        with QueryService(
-            xmark_workspace, jobs=jobs, shards=shards
-        ) as service:
+        with QueryService(xmark_workspace, jobs=jobs) as service:
             assert service.select_many(FIG4_SUBSET, document="xm") == serial
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -193,9 +116,9 @@ class TestDeterminism:
             for _ in range(25)
         ]
         serial = ws.select_many(queries)
-        for shards, jobs in [(1, 2), (2, 2), (4, 3), (None, 2)]:
-            with QueryService(ws, jobs=jobs, shards=shards) as service:
-                assert serial == service.select_many(queries), (shards, jobs)
+        for jobs in (2, 3):
+            with QueryService(ws, jobs=jobs) as service:
+                assert serial == service.select_many(queries), jobs
         ws.close()
 
     @pytest.mark.parametrize("doc", sorted(DEGENERATE_DOCS))
@@ -203,10 +126,9 @@ class TestDeterminism:
         ws = Workspace()
         ws.add("d", DEGENERATE_DOCS[doc])
         serial = ws.select_many(DEGENERATE_QUERIES, document="d")
-        for shards in (1, 2, 5):
-            with QueryService(ws, jobs=2, shards=shards) as service:
-                got = service.select_many(DEGENERATE_QUERIES, document="d")
-                assert got == serial, (doc, shards)
+        with QueryService(ws, jobs=2) as service:
+            got = service.select_many(DEGENERATE_QUERIES, document="d")
+            assert got == serial, doc
         ws.close()
 
     def test_select_all_and_count_all_match_serial(self, xmark_workspace):
@@ -218,13 +140,13 @@ class TestDeterminism:
                 xmark_workspace.count_all("//keyword")
             )
 
-    def test_execute_merges_to_serial_result(self, xmark_workspace):
+    def test_execute_matches_serial_result(self, xmark_workspace):
         serial = xmark_workspace.execute("//listitem//keyword", "xm")
-        with QueryService(xmark_workspace, jobs=2, shards=4) as service:
-            merged = service.execute("//listitem//keyword", "xm")
-        assert merged.ids == serial.ids
-        assert merged.accepted == serial.accepted
-        assert merged.stats.selected == serial.stats.selected
+        with QueryService(xmark_workspace, jobs=2) as service:
+            got = service.execute("//listitem//keyword", "xm")
+        assert got.ids == serial.ids
+        assert got.accepted == serial.accepted
+        assert got.stats.selected == serial.stats.selected
 
     def test_worker_pool_spawn_payload_is_picklable(self):
         """Under the spawn start method the pool's static payload of an
@@ -239,7 +161,7 @@ class TestDeterminism:
         queries = ["//keyword", "/site/regions", "/site[.//keyword]//keyword"]
         serial = ws.select_many(queries, document="xm")
         with QueryService(
-            ws, jobs=2, shards=2, executor="pool", mp_start_method="spawn"
+            ws, jobs=2, executor="pool", mp_start_method="spawn"
         ) as service:
             assert service.select_many(queries, document="xm") == serial
         ws.close()
@@ -250,7 +172,7 @@ class TestDeterminism:
         test_pool.py)."""
         serial = xmark_workspace.select_many(FIG4_SUBSET, document="xm")
         with QueryService(
-            xmark_workspace, jobs=2, shards=3, executor="pool"
+            xmark_workspace, jobs=2, executor="pool"
         ) as service:
             assert service.select_many(FIG4_SUBSET, document="xm") == serial
 
@@ -277,9 +199,63 @@ class TestDeterminism:
             for _ in range(20)
         ] + ["//*", "//*/@id", "//node()", "//text()"]
         serial = ws.select_many(queries)
-        with QueryService(ws, jobs=2, shards=3) as service:
+        with QueryService(ws, jobs=2) as service:
             assert service.select_many(queries) == serial
         ws.close()
+
+
+# -- dispatch -----------------------------------------------------------------
+
+
+class TestDispatch:
+    def test_one_pool_task_per_document_and_query(self):
+        """Every (document, query) pair is one whole-document task: no
+        query is split into pieces, whatever the document's size."""
+        ws = Workspace()
+        for seed in (1, 2):
+            ws.add(f"d{seed}", XMarkGenerator(scale=0.2, seed=seed).tree())
+        assert all(ws.engine(name).tree.n >= 4096 for name in ws.documents())
+        serial = ws.select_many(MIX20)
+        with QueryService(ws, jobs=2, executor="pool") as service:
+            assert service.select_many(MIX20) == serial
+            assert service.pool_stats()["tasks"] == 2 * len(MIX20) == 40
+        ws.close()
+
+    @pytest.fixture(scope="class", params=["thread", "pool"])
+    def shape_service(self, request, xmark_workspace):
+        with QueryService(
+            xmark_workspace, jobs=2, executor=request.param
+        ) as service:
+            service.ensure_pool()
+            yield service
+
+    @staticmethod
+    def _tasks(service):
+        stats = service.pool_stats()
+        return None if stats is None else stats["tasks"]
+
+    @pytest.mark.parametrize("query", SHAPES)
+    def test_each_shape_runs_whole_document(
+        self, shape_service, xmark_workspace, query
+    ):
+        """Root-only, gated, sibling, backward and absolute-in-predicate
+        shapes all take the one whole-document path: serial answers, and
+        on the pool exactly one task per query."""
+        serial = xmark_workspace.select(query, "xm")
+        before = self._tasks(shape_service)
+        assert shape_service.select(query, "xm") == serial
+        if shape_service.executor == "pool":
+            assert self._tasks(shape_service) == before + 1
+
+    def test_relative_query_fails_before_fan_out(
+        self, shape_service, xmark_workspace
+    ):
+        with pytest.raises(XPathCompileError, match="absolute"):
+            xmark_workspace.select("site/regions", "xm")
+        before = self._tasks(shape_service)
+        with pytest.raises(XPathCompileError, match="absolute"):
+            shape_service.select("site/regions", "xm")
+        assert self._tasks(shape_service) == before
 
 
 # -- thread safety -----------------------------------------------------------
@@ -350,9 +326,9 @@ class TestThreadSafety:
             assert plans[slot] == plans[0]  # identical plan objects
 
     def test_same_plan_executions_are_serialized(self):
-        """Two batch queries can rewrite to one shard path and land on
-        one PreparedQuery; its warmed tables mutate during a run, so
-        plan.execute() must never interleave on one plan."""
+        """Two concurrent batches can land on one PreparedQuery; its
+        warmed tables mutate during a run, so plan.execute() must never
+        interleave on one plan."""
         import time
 
         running = []
@@ -401,9 +377,12 @@ class TestThreadSafety:
         finally:
             unregister_strategy("slow-test")
 
-    def test_coinciding_shard_rewrites_stay_correct(self, xmark_workspace):
-        """Q11/Q12/Q15 rewrite to the same per-shard '//keyword' path;
-        fanning them out together must still match serial exactly."""
+    def test_overlapping_queries_on_one_engine_stay_correct(
+        self, xmark_workspace
+    ):
+        """Q11/Q12/Q15 select the same keywords and run concurrently on
+        one shared engine; fanning them out together must still match
+        serial exactly."""
         batch = [
             "/site//keyword",
             "/site[ .//keyword ]//keyword",
@@ -411,7 +390,7 @@ class TestThreadSafety:
         ]
         serial = xmark_workspace.select_many(batch, document="xm")
         for _ in range(5):
-            with QueryService(xmark_workspace, jobs=3, shards=4) as service:
+            with QueryService(xmark_workspace, jobs=3) as service:
                 assert service.select_many(batch, document="xm") == serial
 
     def test_non_parallel_safe_strategy_runs_serially(self, xmark_workspace):
@@ -454,7 +433,7 @@ class TestThreadSafety:
             unregister_strategy("stateful-test")
 
 
-# -- result merging and error paths ------------------------------------------
+# -- caches and error paths ---------------------------------------------------
 
 
 class TestWorkerPathCache:
@@ -490,57 +469,23 @@ class TestWorkerPathCache:
 
 class TestServicePlanCache:
     def test_a_stream_of_distinct_queries_stays_at_the_bound(self):
-        """One ``ShardQueryPlan`` per distinct query string used to stay
-        for the life of the service."""
+        """The service keeps no per-query state: a stream of distinct
+        queries fills only the engine's bounded plan LRU."""
         ws = Workspace()
         ws.add("d", "<r><a><b/></a><a/></r>")
         queries = [f"//a[not(x{i})]" for i in range(PLAN_CACHE_SIZE + 8)]
+        plans = ws.engine("d")._plans
         with QueryService(ws, jobs=2) as service:
             first = service.select(queries[0], "d")
             for query in queries[1:]:
                 assert service.select(query, "d") == first
-            assert len(service._plans) == PLAN_CACHE_SIZE
-            assert service._plans.maxsize == PLAN_CACHE_SIZE
-            assert service._plans.evictions == 8
-            assert queries[0] not in service._plans.data
+            assert len(plans) == PLAN_CACHE_SIZE
+            assert plans.maxsize == PLAN_CACHE_SIZE
+            assert plans.evictions == 8
+            assert (queries[0], "auto") not in plans.data
             # An evicted query is planned again and answers the same.
             assert service.select(queries[0], "d") == first == ws.select(queries[0], "d")
         ws.close()
-
-
-class TestExecutionResultMerge:
-    @staticmethod
-    def _result(ids, **counters):
-        return ExecutionResult(bool(ids), tuple(ids), EvalStats(**counters))
-
-    def test_counters_sum_and_ids_concatenate(self):
-        merged = ExecutionResult.merge(
-            [
-                self._result((0,), visited=2, selected=1, jumps=1),
-                self._result((3, 5), visited=7, selected=2, memo_hits=4),
-                self._result((), visited=1, index_probes=3),
-                self._result((9,), visited=1, selected=1, memo_entries=2),
-            ]
-        )
-        assert merged.ids == (0, 3, 5, 9)
-        assert merged.accepted
-        assert merged.stats.visited == 11
-        assert merged.stats.selected == 4
-        assert merged.stats.jumps == 1
-        assert merged.stats.memo_hits == 4
-        assert merged.stats.memo_entries == 2
-        assert merged.stats.index_probes == 3
-
-    def test_empty_merge(self):
-        merged = ExecutionResult.merge([])
-        assert merged.ids == () and not merged.accepted
-        assert merged.stats.snapshot() == EvalStats().snapshot()
-
-    def test_overlapping_ranges_rejected(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            ExecutionResult.merge(
-                [self._result((1, 5)), self._result((4, 9))]
-            )
 
 
 class TestWorkspaceErrorPaths:
@@ -589,8 +534,8 @@ class TestWorkspaceErrorPaths:
         with pytest.raises(ValueError, match="'thread' or 'pool'"):
             QueryService(ws, executor="process")
 
-    def test_remove_and_readd_invalidates_service_shards(self):
-        """A re-registered name must never answer from the old shards."""
+    def test_remove_and_readd_invalidates_service_state(self):
+        """A re-registered name must never answer from the old document."""
         ws = Workspace()
         ws.add("d", "<r><a/><a/><a/><a/></r>")
         assert ws.select_many(["//a", "//b"], document="d", jobs=2) == {

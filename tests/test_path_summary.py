@@ -1,7 +1,7 @@
 """Rooted child runs answered from the path summary
 (``TreeIndex.path_summary``, ``joins.child_path``): the same answer as
 the child joins they replace, under every strategy, the independent
-sqlite oracle and sharded execution; the summary itself against a
+sqlite oracle and thread-pool execution; the summary itself against a
 brute force; and what it costs on hostile shapes."""
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def test_summary_answers_what_the_joins_answer(xml, attributes, text):
     workspace.add("doc", index)
     rng = random.Random(f"{xml}{attributes}{text}")  # str seeds are stable
     matched = 0
-    with QueryService(workspace, jobs=2, shards=3) as service:
+    with QueryService(workspace, jobs=2) as service:
         for _ in range(8):
             run, query = rooted_queries(rng, index.tree, attributes, text)
             for query in dict.fromkeys((run, query)):
@@ -116,7 +116,7 @@ def test_summary_answers_what_the_joins_answer(xml, attributes, text):
                 expected = oracle.select(query)
                 assert joined == expected, query
                 answers = {name: e.select(query) for name, e in engines.items()}
-                answers["sharded"] = service.select(query, "doc")
+                answers["parallel"] = service.select(query, "doc")
                 for name, got in answers.items():
                     assert got == expected, (name, query)
             matched += bool(oracle.select(run))

@@ -104,7 +104,7 @@ def store_dir(tmp_path_factory):
 
 
 def _task(doc: str, cost: int) -> PoolTask:
-    return PoolTask(doc, ("static", 0), None, 0, ("//a",), cost=cost)
+    return PoolTask(doc, ("static", 0), "//a", cost=cost)
 
 
 class TestPlanChunks:

@@ -251,8 +251,8 @@ class TestWorkspaceStore:
 
     @pytest.mark.parametrize("executor", ["thread", "pool"])
     def test_parallel_service_on_store_backed_docs(self, tmp_path, executor):
-        """Sharded pools over reopened documents stay byte-identical; a
-        pool task ships the bundle path, not arrays."""
+        """Pools over reopened documents stay byte-identical; a pool task
+        ships the bundle path, not arrays."""
         xml = XMarkGenerator(scale=0.05, seed=13).xml()
         ws = Workspace()
         ws.add("xmark", xml)

@@ -2,10 +2,9 @@
 
 Pins the pre/post encoding identity, each axis join against the
 reference evaluator, native backward axes, predicate window counts, the
-optional ``post`` store column (round trip + legacy bundles), sharded /
+optional ``post`` store column (round trip + legacy bundles), thread /
 pooled execution identity, planner integration, and the dense columns
-the joins gather from (rank-column LRU bound, child CSR, shard-local
-columns).
+the joins gather from (rank-column LRU bound, child CSR).
 """
 
 import json
@@ -279,7 +278,7 @@ class TestStoreColumn:
 
 
 class TestParallelIdentity:
-    SHARD_QUERIES = [
+    QUERIES = [
         "//a//b",
         "//c/following-sibling::b",
         "//b/ancestor::a",
@@ -288,15 +287,13 @@ class TestParallelIdentity:
     ]
 
     @pytest.mark.parametrize("executor", ["thread", "pool"])
-    def test_sharded_matches_reference(self, executor):
+    def test_parallel_matches_reference(self, executor):
         ws = Workspace(strategy="window")
         ws.add("doc", XML)
         tree = ws.engine("doc").tree
         try:
-            with QueryService(
-                ws, jobs=2, shards=3, executor=executor
-            ) as service:
-                for query in self.SHARD_QUERIES:
+            with QueryService(ws, jobs=2, executor=executor) as service:
+                for query in self.QUERIES:
                     got = list(service.execute(query, "doc").ids)
                     assert got == evaluate_reference(
                         tree, parse_xpath(query)
@@ -304,7 +301,7 @@ class TestParallelIdentity:
         finally:
             ws.close()
 
-    def test_sharded_store_reopened(self, tmp_path):
+    def test_parallel_store_reopened(self, tmp_path):
         bundle = str(tmp_path / "doc")
         save_document(XML, bundle)
         ws = Workspace(strategy="window")
@@ -312,8 +309,8 @@ class TestParallelIdentity:
         ws.add_stored("doc", stored)
         tree = stored.index.tree
         try:
-            with QueryService(ws, jobs=2, shards=3) as service:
-                for query in self.SHARD_QUERIES:
+            with QueryService(ws, jobs=2) as service:
+                for query in self.QUERIES:
                     got = list(service.execute(query, "doc").ids)
                     assert got == evaluate_reference(
                         tree, parse_xpath(query)
@@ -336,8 +333,8 @@ class TestPlannerIntegration:
 
 
 class TestDenseColumns:
-    """The rank-column LRU, the child CSR and their shard-local copies
-    (``TreeIndex.rank`` / ``child_csr``; the joins read nothing else)."""
+    """The rank-column LRU and the child CSR (``TreeIndex.rank`` /
+    ``child_csr``; the joins read nothing else)."""
 
     def fresh(self):
         return TreeIndex(BinaryTree.from_document(parse_xml(XML)))
@@ -395,22 +392,6 @@ class TestDenseColumns:
         plan.execute()
         info = index._ranks.cache_info()
         assert info["misses"] == misses and info["hits"] >= 1  # no rebuild
-
-    def test_shard_slices_build_their_own_columns(self, monkeypatch):
-        monkeypatch.setattr(joins, "RANK_FACTOR", 10**9)
-        index = self.fresh()
-        window.evaluate(parse_xpath("//site[.//b]/a/b"), index)
-        lo = 1
-        hi = int(index.tree.xml_end[lo])
-        shard = index.shard_slice(lo, hi)
-        assert len(shard._ranks) == 0 and not hasattr(shard, "_child_csr")
-        assert shard._ranks is not index._ranks
-        for query in ("//a[.//b]/c/b", "//b/ancestor::a"):
-            path = parse_xpath(query)
-            assert window.evaluate(path, shard)[1] == evaluate_reference(
-                shard.tree, path
-            )
-        assert shard.child_csr()[1].size == shard.tree.n + 1  # local coordinates
 
     def test_index_with_columns_survives_pickling(self, index):
         import pickle
