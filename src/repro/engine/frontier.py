@@ -11,8 +11,10 @@ kernel; the names pin the forward-only and the all-axes fragment):
 
 - binding (:func:`bind`, at ``prepare``): what a run needs that is a
   pure function of query and document -- each step's label-id key and
-  size, and for a rooted run of child steps the path-summary mask that
-  answers it without a join (:func:`repro.engine.joins.child_path`);
+  size, and once the document has its path summary, the mask that
+  answers a rooted run without a join
+  (:func:`repro.engine.joins.summary_run`) and the verdicts that decide
+  predicates per path id (:class:`Decided`);
 - the step loop, which exits on the first empty frontier and tells each
   step when its frontier is a whole label set (its rank column is
   cached).  Candidates are the :class:`~repro.index.labels.LabelIndex`
@@ -39,12 +41,12 @@ engines -- the same relevant elements, many per operation.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.counters import EvalStats
-from repro.engine.joins import Key, child_path, join, successor_mask
+from repro.engine.joins import Key, join, successor_mask, summary_run
 from repro.engine.registry import StrategyBase, register_strategy
 from repro.index.jumping import TreeIndex
 from repro.xpath.ast import (
@@ -112,7 +114,8 @@ def evaluate_within(fragment, named, query, index, stats):
 
 # -- binding: what a run needs of the document, resolved at prepare -----------
 
-#: The ``plan.artifacts`` entry of a kernel plan: ``(index, bound path)``.
+#: The ``plan.artifacts`` entry of a kernel plan: ``(index, bound path,
+#: renting)``, ``renting`` while the path summary it would use is missing.
 PROGRAM = "kernel"
 
 
@@ -122,29 +125,70 @@ class Bound(NamedTuple):
     rank-column key of its candidates, ``size`` their count plus what
     its predicate's paths size (uncapped), ``predicate`` the step's
     predicate with every path bound, and ``rooted`` -- on the last step
-    of a rooted run of child steps, whose earlier steps the bound path
-    leaves out -- ``(run length, path-summary mask)``."""
+    of a rooted run the path summary answers, whose earlier steps the
+    bound path leaves out -- the mask of the path ids the run reaches,
+    or ``True`` when those are all its candidates' paths."""
 
     axis: Axis
     key: Key
     size: int
     predicate: Optional[Pred]
-    rooted: Optional[Tuple[int, np.ndarray]] = None
+    rooted: Union[None, bool, np.ndarray] = None
 
 
-def rooted_run(path: Path) -> int:
-    """How many leading steps of ``path`` the path summary answers: a
-    rooted run of at least two child steps with no predicate before its
-    last, or none (0)."""
-    run = 0
-    if path.absolute:
-        for step in path.steps:
-            if step.axis is not Axis.CHILD:
-                break
-            run += 1
-            if step.predicate is not None:
-                break
-    return run if run >= 2 else 0
+class Decided(NamedTuple):
+    """A bound predicate path the path summary decides per path id:
+    ``verdict[p]`` is 0 (no node of path ``p`` satisfies it), 2 (each
+    does) or 1 (open: ask ``pred``).  0 < 1 < 2 is Kleene's order, so
+    ``and`` is a minimum, ``or`` a maximum and ``not`` ``2 - v``."""
+
+    pred: PredPath
+    verdict: np.ndarray
+
+
+#: Axes whose step from a node reaches paths its own path decides.
+_DOWN = (Axis.CHILD, Axis.ATTRIBUTE, Axis.DESCENDANT)
+_UP = (Axis.PARENT, Axis.ANCESTOR)
+_INVERSE = {
+    Axis.CHILD: Axis.PARENT,
+    Axis.ATTRIBUTE: Axis.PARENT,
+    Axis.DESCENDANT: Axis.ANCESTOR,
+    Axis.PARENT: Axis.CHILD,
+    Axis.ANCESTOR: Axis.DESCENDANT,
+}
+
+
+def _one_way(path: Path) -> bool:
+    """A relative predicate path the summary decides: no nested
+    predicate, and every step down (child, attribute, descendant) or
+    every step up (parent, ancestor)."""
+    axes = {step.axis for step in path.steps}
+    return (
+        not path.absolute
+        and all(step.predicate is None for step in path.steps)
+        and (axes <= set(_DOWN) or axes <= set(_UP))
+    )
+
+
+def summarizable(path: Path) -> bool:
+    """Whether the path summary would decide any part of ``path`` -- a
+    rooted run of two downward steps, or a predicate path of one
+    direction anywhere -- so that the joins it would replace pay toward
+    building it (:meth:`TreeIndex.path_summary`)."""
+    steps = path.steps
+    if path.absolute and len(steps) > 1 and {s.axis for s in steps[:2]} <= set(_DOWN):
+        return True
+    return any(_summarizable_pred(step.predicate) for step in steps)
+
+
+def _summarizable_pred(pred: Optional[Pred]) -> bool:
+    if isinstance(pred, (PredAnd, PredOr)):
+        return _summarizable_pred(pred.left) or _summarizable_pred(pred.right)
+    if isinstance(pred, PredNot):
+        return _summarizable_pred(pred.inner)
+    return isinstance(pred, PredPath) and (
+        _one_way(pred.path) or summarizable(pred.path)
+    )
 
 
 def bind(path: Path, index: TreeIndex) -> Path:
@@ -152,34 +196,118 @@ def bind(path: Path, index: TreeIndex) -> Path:
     predicate path -- bound to ``index``'s document (:class:`Bound`):
     what ``execute`` reads instead of resolving node tests and sizes.
     Keys, not arrays: a candidate array is an O(1) lookup or the fused
-    union LRU's at run time, so no plan pins a merged union."""
-    steps = tuple(_bind_step(index, step) for step in path.steps)
-    run = rooted_run(path)
-    if run:
-        mask = index.path_summary(run).mask([step.key for step in steps[:run]])
-        steps = (steps[run - 1]._replace(rooted=(run, mask)),) + steps[run:]
+    union LRU's at run time, so no plan pins a merged union.  Once the
+    document has its path summary, the leading run and the predicate
+    paths it decides are bound to it (:func:`_rooted`, :class:`Decided`)."""
+    return _bind(path, index, index.path_summary())
+
+
+def _bind(path: Path, index: TreeIndex, summary) -> Path:
+    steps = tuple(_bind_step(index, summary, step) for step in path.steps)
+    if summary is not None and path.absolute:
+        steps = _rooted(summary, steps)
     return Path(path.absolute, steps)
 
 
-def _bind_step(index: TreeIndex, step: Step) -> Bound:
+def _bind_step(index: TreeIndex, summary, step: Step) -> Bound:
     key = label_key(index, step.axis, step.test)
     size = index.labels.union_size(key)
     pred = None
     if step.predicate is not None:
-        pred = _bind_pred(index, step.predicate)
-        size += _pred_size(index, pred)
+        pred = _bind_pred(index, summary, step.predicate, key)
+        size += pred_size(index, pred)
     return Bound(step.axis, key, size, pred)
 
 
-def _bind_pred(index: TreeIndex, pred: Pred) -> Pred:
-    """The predicate's own shape, every path in it bound."""
+def _bind_pred(index: TreeIndex, summary, pred: Pred, key: Key) -> Pred:
+    """The predicate's own shape, every path in it bound; a path the
+    summary decides for some path of the step's label set ``key`` is
+    :class:`Decided`."""
     if isinstance(pred, (PredAnd, PredOr)):
-        return type(pred)(_bind_pred(index, pred.left), _bind_pred(index, pred.right))
+        return type(pred)(
+            _bind_pred(index, summary, pred.left, key),
+            _bind_pred(index, summary, pred.right, key),
+        )
     if isinstance(pred, PredNot):
-        return PredNot(_bind_pred(index, pred.inner))
+        return PredNot(_bind_pred(index, summary, pred.inner, key))
     if isinstance(pred, PredPath):
-        return PredPath(bind(pred.path, index))
+        bound = PredPath(_bind(pred.path, index, summary))
+        if summary is not None and _one_way(pred.path):
+            verdict = _verdict(summary, bound.path.steps)
+            if (verdict[summary.labelled(key)] != 1).any():
+                return Decided(bound, verdict)
+        return bound
     raise AssertionError(pred)
+
+
+def _verdict(summary, steps: tuple) -> np.ndarray:
+    """:class:`Decided`'s verdict of a one-way relative path of bound
+    ``steps``, built back to front over the trie like :func:`_match_set`
+    over the nodes: the paths from which the path's suffix matches,
+    then those with a first step into them.  A path reaching a match
+    holds a node with a witness; the one node of a one-node path, every
+    node of it when the steps go up (a node's ancestors are its path's)."""
+    if not steps:  # '.' always exists
+        return np.full(summary.label.size, 2, dtype=np.int8)
+    matches = summary.labelled(steps[-1].key)
+    for i in range(len(steps) - 2, -1, -1):
+        matches = summary.labelled(steps[i].key) & summary.step(
+            _INVERSE[steps[i + 1].axis], matches
+        )
+    hit = summary.step(_INVERSE[steps[0].axis], matches)
+    verdict = hit.view(np.int8) * 2
+    if steps[0].axis in _DOWN:
+        verdict -= hit > summary.single  # a match, but more than one node
+    return verdict
+
+
+def _decide(pred: Pred, size: int) -> np.ndarray:
+    """The verdict per path id of a whole bound predicate, its paths the
+    summary does not decide open."""
+    if isinstance(pred, (PredAnd, PredOr)):
+        combine = np.minimum if isinstance(pred, PredAnd) else np.maximum
+        return combine(_decide(pred.left, size), _decide(pred.right, size))
+    if isinstance(pred, PredNot):
+        return 2 - _decide(pred.inner, size)
+    if isinstance(pred, Decided):
+        return pred.verdict
+    return np.ones(size, dtype=np.int8)
+
+
+def _rooted(summary, steps: tuple) -> tuple:
+    """Bound main-path ``steps`` with their leading run folded into its
+    last step, when the summary answers it: downward steps from the
+    document node, walked over the trie top down (a descendant step is
+    a self-loop), each predicate folded in where it is decided on every
+    path reached, the run ending on a step whose predicate is not (that
+    predicate then runs on the nodes).  A run of one step that folded
+    no predicate is no run: the document node answers it alone."""
+    reached, run, open_ = None, 0, False
+    for step in steps:
+        if step.axis not in _DOWN:
+            break
+        here = summary.labelled(step.key)
+        if reached is not None:
+            here = here & summary.step(step.axis, reached)
+        elif step.axis is not Axis.DESCENDANT:
+            here = here.copy()  # the document node's one child: the root
+            here[1:] = False
+        reached, run = here, run + 1
+        if step.predicate is not None:
+            verdict = _decide(step.predicate, here.size)
+            open_ = (verdict[reached] == 1).any()
+            if open_:
+                break
+            reached = reached & (verdict == 2)
+    if run == 0 or (run == 1 and (open_ or steps[0].predicate is None)):
+        return steps
+    last = steps[run - 1]
+    whole = np.count_nonzero(reached) == np.count_nonzero(summary.labelled(last.key))
+    last = last._replace(
+        predicate=last.predicate if open_ else None,
+        rooted=True if whole else reached,
+    )
+    return (last,) + steps[run:]
 
 
 def test_label_names(labels: List[str], axis: Axis, test: str) -> List[str]:
@@ -206,26 +334,21 @@ def label_key(index: TreeIndex, axis: Axis, test: str) -> Key:
     return tuple(sorted(index.label_ids(names)))
 
 
-def pred_size(
-    index: TreeIndex, pred: Pred, contexts: Optional[int] = None
-) -> int:
-    """Summed candidate-array lengths of every path of a predicate,
+def pred_size(index, pred: Pred, contexts: Optional[int] = None) -> int:
+    """Summed candidate-array lengths of every path of a bound predicate,
     nested predicates included -- what back-to-front constructions
     touch; given a context count, each relative path is capped at the
     price of its first-witness searches -- the side :func:`_pred_mask`
     will run.  The one sizing both that choice and the predicate
     touches ``explain`` states read."""
-    return _pred_size(index, _bind_pred(index, pred), contexts)
-
-
-def _pred_size(index, pred: Pred, contexts: Optional[int] = None) -> int:
-    """:func:`pred_size` of a bound predicate."""
     if isinstance(pred, (PredAnd, PredOr)):
-        return _pred_size(index, pred.left, contexts) + _pred_size(
+        return pred_size(index, pred.left, contexts) + pred_size(
             index, pred.right, contexts
         )
     if isinstance(pred, PredNot):
-        return _pred_size(index, pred.inner, contexts)
+        return pred_size(index, pred.inner, contexts)
+    if isinstance(pred, Decided):
+        pred = pred.pred
     path = pred.path
     size = sum(step.size for step in path.steps)
     if (
@@ -303,7 +426,7 @@ def _eval_step(
     if frontier is not None:
         out = join(index, step.axis, cand, step.key, frontier, src, stats)
     elif step.rooted is not None:
-        out = child_path(index, cand, step.rooted, stats)
+        out = summary_run(index, cand, step.rooted, stats)
     else:
         # The implicit document node: its only child is the root, its
         # descendants are every node; it has no siblings, attributes,
@@ -338,6 +461,17 @@ def _pred_mask(index, pred: Pred, nodes: np.ndarray, stats) -> np.ndarray:
         return mask
     if isinstance(pred, PredNot):
         return ~_pred_mask(index, pred.inner, nodes, stats)
+    if isinstance(pred, Decided):
+        # One gather decides the nodes of decided paths; the open ones
+        # ask the path itself.
+        if stats is not None:
+            stats.index_probes += int(nodes.size)
+        verdict = np.take(pred.verdict, index.path_summary().pid[nodes])
+        mask = verdict == 2
+        open_ = np.flatnonzero(verdict == 1)
+        if open_.size:
+            mask[open_] = _pred_mask(index, pred.pred, nodes[open_], stats)
+        return mask
     if isinstance(pred, PredPath):
         path = pred.path
         if path.absolute:
@@ -439,17 +573,27 @@ def _match_set(index, steps: tuple, stats) -> Tuple[np.ndarray, Optional[Key]]:
 class KernelStrategy(StrategyBase):
     """The registry shell of the kernel: ``prepare`` binds the plan's
     path to its document once (:func:`bind`, into ``plan.artifacts``),
-    so a warm ``execute`` only runs the joins."""
+    so a warm ``execute`` only runs the joins.  A plan bound to joins
+    the path summary would replace pays what each run books toward the
+    summary, and binds again -- under the plan's execution lock -- once
+    the summary exists."""
 
     def prepare(self, plan) -> None:
         index = plan.engine.index
-        plan.artifacts[PROGRAM] = (index, bind(plan.path, index))
+        renting = index.path_summary() is None and summarizable(plan.path)
+        plan.artifacts[PROGRAM] = (index, bind(plan.path, index), renting)
 
     def execute(self, plan, index, stats):
         bound = plan.artifacts.get(PROGRAM)
         if bound is None or bound[0] is not index:  # bound elsewhere
             return run_kernel(plan.path, index, stats)
-        return run_bound(bound[1], index, stats)
+        if bound[2] and index.path_summary() is not None:
+            self.prepare(plan)
+            bound = plan.artifacts[PROGRAM]
+        answer = run_bound(bound[1], index, stats)
+        if bound[2]:
+            index.path_summary(stats.visited + stats.index_probes)
+        return answer
 
 
 @register_strategy

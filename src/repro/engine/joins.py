@@ -27,8 +27,8 @@ touches; the kernel applies the rule to the arrays in hand
 states the operator that will run.  Predicates read the table from the
 other end: "which of these nodes have a successor among the targets"
 (:func:`successor_mask`) is the candidate-side mask of the inverse axis.
-A rooted run of child steps joins nothing at all: :func:`child_path`
-reads it off the index's path summary.
+A rooted run of child and descendant steps joins nothing at all:
+:func:`summary_run` reads it off the index's path summary.
 
 Every operator returns a sorted, duplicate-free ``int64`` array, and all
 scratch is per call, so plans run concurrently on one index.  Counters
@@ -309,17 +309,12 @@ def _descendant_ranges(index, cand, key, tops, src, stats):
 
 
 def _parent_gather(index, cand, key, frontier, src, stats):
-    """Read off the frontier: its parents, deduplicated -- through the
-    bitmap when they are many, by sorting when they are few -- and
-    filtered by the label column.  The candidates are never touched."""
-    n = index.tree.n
+    """Read off the frontier: its parents, filtered by the label column,
+    then deduplicated by sorting (they arrive nearly in order).  The
+    candidates are never touched, and nothing of size ``n`` is."""
     ps = index.parent_array()[frontier]
     _book(stats, ps.size, 0)
-    if ps.size * RANK_FACTOR > n:
-        ps = np.flatnonzero(index.mark(ps)[:n])  # -1 marked the spare slot
-    else:
-        ps = sorted_unique(ps.compress(ps >= 0))
-    return _with_label(index, ps, key)
+    return sorted_unique(_with_label(index, ps.compress(ps >= 0), key))
 
 
 def _pick_by_fanout(ctx, cnt, n, fan, ranked) -> int:
@@ -346,7 +341,9 @@ def _pick_ancestor(ctx, cnt, n, fan, ranked) -> int:
 
 
 def _pick_parent(ctx, cnt, n, fan, ranked) -> int:
-    return 1 if ctx < cnt else 0
+    """Context side for a frontier a quarter of the candidates or less:
+    gathering and sorting the parents costs about four marks a node."""
+    return 1 if ctx * CONTEXT_SIDE_FACTOR <= cnt else 0
 
 
 def _marks(ctx, cnt, n, fan):  # marks set, candidates probed
@@ -410,23 +407,22 @@ OPERATORS: Dict[Axis, Row] = {
 }
 
 
-#: What ``explain`` calls :func:`child_path`, stated with one touch per
+#: What ``explain`` calls :func:`summary_run`, stated with one touch per
 #: candidate of the run's last step.
-CHILD_PATH = "child/path"
+PATH_SUMMARY = "path/summary"
 
 
-def child_path(index, cand, rooted, stats) -> np.ndarray:
-    """A rooted run of two or more child steps, no predicate before its
-    last, answered from the path summary instead of one join per step:
-    the candidates of its last step whose rooted label path the run
-    spells.  ``rooted`` is ``(length, mask)``, the run's step count and
-    its :meth:`~repro.index.jumping.PathSummary.mask`.  All of them when
-    all match -- the array itself, so its rank key carries over."""
-    depth, mask = rooted
+def summary_run(index, cand, rooted, stats) -> np.ndarray:
+    """A rooted run answered from the path summary instead of one join
+    per step: the candidates of its last step whose rooted label path
+    the run reaches, one gather of the summary's ``pid`` over them.
+    ``rooted`` is the bound mask over path ids, or ``True`` when every
+    candidate's path is reached -- then, as when all of them match, the
+    answer is the candidate array itself, so its rank key carries over."""
+    if rooted is True:
+        return cand
     _book(stats, 0, cand.size)
-    out = cand.compress(
-        np.take(mask, index.path_summary(depth).pid[cand], mode="clip")
-    )
+    out = cand.compress(np.take(rooted, index.path_summary().pid[cand]))
     return cand if out.size == cand.size else out
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.engine import joins
-from repro.engine.frontier import label_key, pred_size, rooted_run
+from repro.engine.frontier import bind, label_key, pred_size
 from repro.engine.registry import register_strategy
 from repro.engine.window import WindowStrategy
 from repro.index.jumping import TreeIndex
@@ -47,7 +47,7 @@ class QueryFeatures:
     touches, every path capped at its first-witness price from that
     step's candidates (the side the kernel will run).  All come from
     O(1) ``LabelIndex`` lookups.  ``rooted`` counts the leading steps
-    the path summary answers (:func:`repro.engine.frontier.rooted_run`).
+    the path summary answers, predicates it decides on them included.
     """
 
     n: int
@@ -76,25 +76,29 @@ def extract_features(path: Path, index: TreeIndex) -> QueryFeatures:
     """One-pass feature extraction (O(query size)).
 
     Candidate counts come from the evaluator's own sizing (the label
-    key of :func:`repro.engine.frontier.label_key`, ``pred_size``), so
-    what ``explain`` states and what the kernel chooses its join side by
-    cannot drift."""
+    key of :func:`repro.engine.frontier.label_key`, ``pred_size``), and
+    the rooted run and predicates from the path bound as a plan binds it
+    now (:func:`repro.engine.frontier.bind`), so what ``explain`` states
+    is what the next execute runs."""
     step_candidates = tuple(
         index.labels.union_size(label_key(index, step.axis, step.test))
         for step in path.steps
     )
+    program = bind(path, index).steps
+    rooted = 0
+    if program and program[0].rooted is not None:
+        rooted = len(path.steps) - len(program) + 1
+    preds = (None,) * (rooted - 1) + tuple(step.predicate for step in program)
     return QueryFeatures(
         n=index.tree.n,
         axes=tuple(step.axis.value for step in path.steps),
         step_candidates=step_candidates,
         pred_touches=tuple(
-            0
-            if step.predicate is None
-            else pred_size(index, step.predicate, count)
-            for step, count in zip(path.steps, step_candidates)
+            0 if pred is None else pred_size(index, pred, count)
+            for pred, count in zip(preds, step_candidates)
         ),
         fanout=mean_fanout(index),
-        rooted=rooted_run(path),
+        rooted=rooted,
     )
 
 
@@ -109,16 +113,16 @@ def step_operators(features: QueryFeatures) -> List[Tuple[str, float]]:
     has (``fanout`` each).  The same rule applied to that bound
     (:func:`joins.plan_operator`) names the operator stated here.  The
     first step joins nothing: the document node's only child is the
-    root, its descendants are the candidates -- and a rooted run of
-    child steps is one :func:`joins.child_path` probe of its last
-    step's candidates, stated on that step.
+    root, its descendants are the candidates -- and a rooted run the
+    path summary answers is one :func:`joins.summary_run` probe of its
+    last step's candidates, stated on that step.
     """
     out: List[Tuple[str, float]] = []
     ctx = 0
     run = features.rooted
     for i, (axis, cnt) in enumerate(zip(features.axes, features.step_candidates)):
         if i < run:
-            out.append((joins.CHILD_PATH, float(cnt if i == run - 1 else 0)))
+            out.append((joins.PATH_SUMMARY, float(cnt if i == run - 1 else 0)))
             ctx = max(1, cnt)
             continue
         if ctx == 0:

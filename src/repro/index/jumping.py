@@ -24,6 +24,7 @@ from typing import Iterable, Optional
 from repro.index.labels import FusedLabels, LabelIndex
 from repro.lru import LRUCache
 from repro.tree.binary import NIL, BinaryTree
+from repro.xpath.ast import Axis
 
 OMEGA = -2
 """The error node Ω of Definition 3.2 (distinct from the # sentinel)."""
@@ -75,47 +76,56 @@ def rank_column(ids, n):
 
 
 class PathSummary:
-    """The rooted label paths of a document, down to a depth.
+    """The rooted label paths of a document: a strong DataGuide (Goldman
+    & Widom, VLDB 1997), as a trie numbered in preorder.
 
     ``pid[v]`` is the id of the label sequence from the root down to
-    ``v`` (``-1`` below the built depth), and path ``p`` extends path
-    ``parent[p]`` by label ``label[p]`` -- a trie over (parent path,
-    label).  Ids are assigned level by level, so the paths of ``d``
-    labels are the ids ``levels[d - 1]:levels[d]`` -- the same ids in a
-    summary of any depth, so a mask of a shallower summary reads a
-    deeper one unchanged (its deeper ids are no match).
+    ``v``.  Path ``p`` extends path ``parent[p]`` by label ``label[p]``,
+    ``count[p]`` nodes have it, and the paths below it are the ids
+    ``p + 1 : end[p]``.  Each of those per-path arrays has one spare last
+    slot, id ``m`` -- the root's ``parent``, no label, below nothing --
+    so a set of paths is a ``bool[m + 1]`` whose spare slot stays
+    ``False``, and one location step over such a set costs a few passes
+    over the ``m`` paths, not the ``n`` nodes (:meth:`step`).
 
-    A rooted run of child steps ``/t1/.../tk`` selects exactly the nodes
-    of ``tk``'s candidates whose path spells a label of ``t1``, ..., one
-    of ``tk`` -- the nodes the child joins would reach -- so it is
-    answered by one gather of ``pid`` over those candidates
-    (:meth:`mask`)."""
+    The trie decides what the label path of a node decides: the nodes
+    a rooted run of child and descendant steps reaches are the
+    candidates whose path the run's pattern matches, and whether a node
+    has an ancestor of some label, or a descendant, is a property of
+    its path (exactly, when the path holds that node alone).  Built
+    once, level by level over the nodes grouped by depth, so O(n) in
+    all."""
 
-    def __init__(self, index: "TreeIndex", depth: int) -> None:
+    def __init__(self, index: "TreeIndex") -> None:
         import numpy as np
 
         label_of, parent = index.label_of_array(), index.parent_array()
+        xml_end = index.xml_end_array()
         n = index.tree.n
         self.width = width = len(index.tree.labels)
-        self.depth = depth
-        self.pid = pid = np.full(n, -1, dtype=np.int32)
-        pid[0] = 0
+        # Depth per node, in place in one column: node ``v`` is ``v``
+        # nodes in, less those whose subtree closed by ``v`` (its
+        # non-ancestors).  A stable sort of small unsigned ints (a radix
+        # sort in numpy) then lines the nodes up level by level, each
+        # level in document order, ``ends[d]`` of them at depth <= ``d``.
+        depth = np.bincount(xml_end, minlength=n + 1)[:n]
+        np.subtract(1, depth, out=depth)
+        depth[0] = 0
+        np.cumsum(depth, out=depth)
+        ends = np.cumsum(np.bincount(depth)).tolist()
+        depth = depth.astype(np.min_scalar_type(len(ends)))
+        order = np.argsort(depth, kind="stable").astype(np.int32)
+        del depth
+        pid = np.zeros(n, dtype=np.int32)
         parents, labels, levels = [np.full(1, -1)], [label_of[:1]], [0, 1]
-        level = np.zeros(1, dtype=np.int64)  # the root
-        for _ in range(depth - 1):
-            # The next level -- one pass over the parent column, whose
-            # spare slot absorbs the root's -1 -- and the (parent path,
-            # label) pair each of its nodes extends, numbered from the
-            # previous level's first path: the distinct pairs, in
-            # order, are the new paths.
-            marked = np.zeros(n + 1, dtype=bool)
-            marked[level] = True
-            level = np.flatnonzero(marked[parent])
-            del marked
-            if level.size == 0:
-                break
+        for lo, hi in zip(ends, ends[1:]):
+            # The (parent path, label) pair each node of the level
+            # extends, numbered from the previous level's first path:
+            # the distinct pairs, in order, are the new paths.
+            level = order[lo:hi]
             first, fresh = levels[-2], levels[-1]
-            keys = (pid[parent[level]] - first).astype(np.int64)
+            keys = pid[parent[level]].astype(np.int64)
+            keys -= first
             keys *= width
             keys += label_of[level]
             space = (fresh - first) * width
@@ -129,39 +139,82 @@ class PathSummary:
             del keys
             inverse += fresh
             pid[level] = inverse
-            del inverse
             parents.append(paths // width + first)
             labels.append(paths % width)
             levels.append(fresh + paths.size)
-        self.parent = np.concatenate(parents).astype(np.int32)
-        self.label = np.concatenate(labels).astype(np.int32)
-        self.levels = levels
+        del order
+        up, label = np.concatenate(parents), np.concatenate(labels)
+        m = up.size
+        # Renumber in preorder: a path's preorder id is its parent's,
+        # plus one, plus the sizes of its siblings numbered before it.
+        # Sizes add up bottom-up one trie level at a time; ``up`` is
+        # sorted (by level, then parent), so the sibling sums are one
+        # pass; the ids add up top-down.
+        size = np.ones(m, dtype=np.int64)
+        for d in range(len(levels) - 2, 0, -1):  # the deepest level first
+            above, lo, hi = levels[d - 1], levels[d], levels[d + 1]
+            size[above:lo] += np.bincount(
+                up[lo:hi] - above, weights=size[lo:hi], minlength=lo - above
+            ).astype(np.int64)
+        pre = np.cumsum(size) - size
+        starts = np.flatnonzero(np.diff(up, prepend=-2))
+        pre -= np.repeat(pre[starts], np.diff(starts, append=m))
+        pre += 1
+        pre[0] = 0
+        for lo, hi in zip(levels[1:], levels[2:]):
+            pre[lo:hi] += pre[up[lo:hi]]
+        self.pid = pre.astype(np.int32)[pid]
+        del pid
+        self.parent = np.full(m + 1, m, dtype=np.int64)
+        self.parent[pre[1:]] = pre[up[1:]]
+        self.label = np.full(m + 1, width, dtype=np.int64)
+        self.label[pre] = label
+        self.end = np.full(m + 1, m + 1, dtype=np.int64)
+        self.end[pre] = pre + size
+        self.count = np.bincount(self.pid, minlength=m + 1)
+        self.single = self.count == 1
+        self.ids = np.arange(m + 1)
+        self._labelled: dict = {}
 
-    def mask(self, keys) -> "np.ndarray":
-        """Which path ids spell the label sets ``keys`` (sorted label-id
-        tuples, one per step, from the root): a ``bool`` over the ids of
-        the first ``len(keys)`` levels and one spare ``False`` slot, read
-        as ``np.take(mask, pid[nodes], mode="clip")`` -- an id of a
-        deeper level clips to the spare slot, ``-1`` to the root's,
-        which a run of two or more steps never matches."""
+    def labelled(self, key) -> "np.ndarray":
+        """The paths that end in a label of ``key`` (a sorted label-id
+        tuple), read-only and cached per key: node tests name a label,
+        or one of the few sets ``*`` / ``node()`` stand for."""
+        paths = self._labelled.get(key)
+        if paths is None:
+            import numpy as np
+
+            wanted = np.zeros(self.width + 1, dtype=bool)
+            wanted[list(key)] = True
+            paths = wanted[self.label]
+            paths.flags.writeable = False
+            self._labelled[key] = paths
+        return paths
+
+    def step(self, axis: Axis, paths) -> "np.ndarray":
+        """The paths one ``axis`` step reaches from the set ``paths``
+        (node test not applied): what the join of that axis reaches from
+        nodes of those paths."""
         import numpy as np
 
-        levels = self.levels
-        depth = len(keys)
-        if depth >= len(levels):  # the document is not that deep
-            return np.zeros(1, dtype=bool)
-        ok = np.zeros(levels[depth] + 1, dtype=bool)
-        wanted = np.zeros(self.width, dtype=bool)
-        for d, key in enumerate(keys):
-            lo, hi = levels[d], levels[d + 1]
-            wanted[:] = False
-            wanted[list(key)] = True
-            hit = wanted[self.label[lo:hi]]
-            if d:
-                hit &= ok[self.parent[lo:hi]]
-            ok[lo:hi] = hit
-        ok[: levels[depth - 1]] = False
-        return ok
+        if axis in (Axis.CHILD, Axis.ATTRIBUTE):
+            return paths[self.parent]
+        out = np.zeros(paths.size, dtype=bool)
+        if axis is Axis.PARENT:
+            out[self.parent[paths]] = True
+            out[-1] = False
+        elif axis is Axis.DESCENDANT:
+            # Inside a range of ``paths``: one opened before ``q`` (the
+            # running maximum of their ends) still open past it.
+            reach = self.end * paths
+            np.maximum.accumulate(reach, out=reach)
+            np.greater(reach[:-1], self.ids[1:], out=out[1:])
+        else:  # ancestor: the first member after ``p`` lies in its range
+            assert axis is Axis.ANCESTOR
+            after = np.where(paths, self.ids, paths.size)
+            np.minimum.accumulate(after[::-1], out=after[::-1])
+            np.less(after[1:], self.end[:-1], out=out[:-1])
+        return out
 
 
 class TreeIndex:
@@ -173,6 +226,8 @@ class TreeIndex:
         # label-id key -> rank column; its lock also guards the CSR and
         # path-summary builds.
         self._ranks = LRUCache(RANK_CACHE_SIZE, lock=True)
+        self._path_summary: Optional[PathSummary] = None
+        self._rent = 0  # touches booked by joins the summary would replace
 
     def fused(self, label_ids: Iterable[int]) -> FusedLabels:
         """The cached merged node array of a label-id set (see
@@ -261,19 +316,21 @@ class TreeIndex:
                     csr = self._child_csr = (order, start[1:] - start[1])
         return csr
 
-    def path_summary(self, depth: int) -> PathSummary:
-        """The :class:`PathSummary` of this document, built at least
-        ``depth`` levels deep: on first use, and rebuilt whenever a
-        deeper run asks, under the same lock as the CSR build.  Nothing
-        deeper than asked is walked, so ``/a/b`` on a chain 10^4 deep
-        reads two levels."""
-        summary = getattr(self, "_path_summary", None)
-        if summary is None or summary.depth < depth:
+    def path_summary(self, touches: int = 0) -> Optional[PathSummary]:
+        """The :class:`PathSummary` of this document, or ``None`` until the
+        joins it would replace have cost as much as building it (ski
+        rental): a plan bound to those joins adds the ``touches`` each of
+        its runs booked, and once the total reaches ``n`` -- the price of
+        the O(n) build -- the summary is built, under the same lock as
+        the CSR.  ``path_summary(n)`` builds it at once."""
+        summary = self._path_summary
+        if summary is None and touches:
             with self._ranks.lock:
-                summary = getattr(self, "_path_summary", None)
-                if summary is None or summary.depth < depth:
-                    summary = PathSummary(self, depth)
-                    self._path_summary = summary
+                summary = self._path_summary
+                if summary is None:
+                    self._rent += touches
+                    if self._rent >= self.tree.n:
+                        summary = self._path_summary = PathSummary(self)
         return summary
 
     def label_of_array(self):

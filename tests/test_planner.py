@@ -262,7 +262,9 @@ MIX20 = list(QUERIES.values()) + [
 
 @pytest.fixture()
 def xmark(xmark_26k):
-    return xmark_26k
+    """The 26k-node document under an index of its own: no path summary,
+    whatever other tests ran on the shared one."""
+    return TreeIndex(xmark_26k.tree, xmark_26k.labels)
 
 
 class TestRelevanceDrivenPricing:
@@ -276,20 +278,24 @@ class TestRelevanceDrivenPricing:
         f = extract_features(path, xmark)
         # One context (/site), two steps, one expansion each: not the
         # two passes over every element of the back-to-front side.
-        back_to_front = frontier.pred_size(xmark, path.steps[0].predicate)
+        bound = frontier.bind(path, xmark).steps[0].predicate
+        back_to_front = frontier.pred_size(xmark, bound)
         assert back_to_front == 2 * xmark.tree.n
         assert f.pred_touches == (2 * frontier.WITNESS_DISPATCH, 0)
         # Thousands of contexts: back to front is what will run.
         f = extract_features(parse_xpath("//item[ .//*//* ]"), xmark)
         assert f.pred_touches == (back_to_front,)
 
-    def test_parent_step_is_priced_by_the_frontier(self, xmark):
-        # Same frontier, a 2k- and a 26k-element candidate array.
+    def test_parent_step_is_priced_by_both_sizes(self, xmark):
+        # Same frontier against as many ``text`` candidates and against
+        # every element: marks, then the parents gathered.
         text, anything = (
             step_operators(extract_features(p, xmark))[1]
             for p in map(parse_xpath, ("//keyword/parent::text", "//keyword/parent::*"))
         )
-        assert text == anything
+        keywords = xmark.labels.count("keyword")
+        assert text == ("parent/mark", keywords + xmark.labels.count("text"))
+        assert anything == ("parent/gather", keywords)
 
     @pytest.mark.parametrize("query", MIX20)
     def test_fixed_strategies_answer_as_auto_does(self, xmark, query):
