@@ -91,9 +91,7 @@ class Engine:
         # are rejected on already-encoded inputs.
         from repro.store.store import resolve_document
 
-        self.index, _ = resolve_document(
-            document, encode_attributes, encode_text
-        )
+        self.index = resolve_document(document, encode_attributes, encode_text)
         self.tree = self.index.tree
         self.cache = cache if cache is not None else CompiledQueryCache()
         # (query, strategy) -> PreparedQuery

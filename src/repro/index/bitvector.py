@@ -81,42 +81,6 @@ class BitVector:
         )
         self.total_ones = int(self._word_prefix[-1])
 
-    @classmethod
-    def from_state(
-        cls,
-        packed: np.ndarray,
-        n: int,
-        word_prefix: np.ndarray,
-        zero_word_prefix: np.ndarray,
-    ) -> "BitVector":
-        """Rehydrate from persisted state (see :meth:`state`).
-
-        ``packed`` is the little-endian bit-packed payload padded to a
-        whole number of 64-bit words; the two prefix directories are
-        taken as-is (they may be read-only memory-mapped views -- every
-        consumer only reads them).  The plain-int byte mirror is the one
-        structure rebuilt here, since Python ints cannot be mapped.
-        """
-        self = cls.__new__(cls)
-        self.n = int(n)
-        packed = np.ascontiguousarray(packed, dtype=np.uint8)
-        if packed.size % 8:
-            raise ValueError("packed payload must be word-padded")
-        self._words = packed.view(np.dtype("<u8"))
-        self._bytes = packed.tolist()
-        self._word_prefix = word_prefix
-        self._zero_word_prefix = zero_word_prefix
-        self.total_ones = int(word_prefix[-1])
-        return self
-
-    def state(self) -> dict:
-        """The persistable arrays: packed bits plus both directories."""
-        return {
-            "packed": self._words.view(np.uint8),
-            "word_prefix": self._word_prefix,
-            "zero_word_prefix": self._zero_word_prefix,
-        }
-
     def __len__(self) -> int:
         return self.n
 

@@ -35,30 +35,6 @@ OMEGA = -2
 RANK_CACHE_SIZE = 8
 
 
-def postorder_from_xml_end(xml_end):
-    """Postorder rank per node, derived from subtree end offsets alone.
-
-    Node ids are preorder ranks and the XML subtree of ``v`` is the id
-    range ``[v, xml_end[v])``, so a node *completes* (in postorder) when
-    its subtree range closes: ascending ``xml_end``, with descending
-    preorder id breaking ties (a node and its last-descendant chain all
-    close at the same offset, deepest first).  One ``np.lexsort`` gives
-    the completion order; scattering ``arange`` through it yields the
-    rank array.  Used by :meth:`TreeIndex.post_array` and by
-    :func:`repro.store.store.save_document` when persisting the optional
-    ``post`` bundle column.
-    """
-    import numpy as np
-
-    xml_end = np.asarray(xml_end, dtype=np.int64)
-    n = xml_end.size
-    pre = np.arange(n, dtype=np.int64)
-    order = np.lexsort((-pre, xml_end))
-    post = np.empty(n, dtype=np.int64)
-    post[order] = pre
-    return post
-
-
 def rank_column(ids, n):
     """``rank[p]`` = number of ``ids`` (sorted, duplicate-free, all below
     ``n``) that are ``< p``, for ``p`` in ``[0, n + 2)``: each count is
@@ -242,26 +218,6 @@ class TreeIndex:
     def parent_array(self):
         """The tree's ``parent`` column."""
         return self.tree._columns["parent"]
-
-    def post_array(self):
-        """Postorder rank per node as a cached ``np.int64`` array.
-
-        Together with the preorder id this is the classic XPath-
-        accelerator pre/post plane: ``u`` is an ancestor of ``v`` iff
-        ``pre(u) < pre(v)`` and ``post(u) > post(v)``.  The join kernels
-        read ``xml_end`` instead (the same window, projected on the
-        preorder axis), so nothing in the engine needs this column any
-        more; store bundles still persist it as an optional array
-        (:data:`repro.store.format.OPTIONAL_ARRAY_DTYPES`), which
-        :func:`repro.store.store.open_document` seeds ``_post_arr``
-        from, and one ``np.lexsort`` pass derives it where absent.
-        """
-        arr = getattr(self, "_post_arr", None)
-        if arr is None:
-            arr = self._post_arr = postorder_from_xml_end(
-                self.xml_end_array()
-            )
-        return arr
 
     # -- dense columns of the set-at-a-time join kernels ------------------------
 

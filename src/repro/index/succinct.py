@@ -24,7 +24,6 @@ authors' C++.
 from __future__ import annotations
 
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -101,44 +100,6 @@ class SuccinctTree:
         parens = np.zeros(2 * n, dtype=np.uint8)
         parens[np.arange(n, dtype=np.int64) + closed_before] = 1
         return cls(parens, tree._columns["label_of"], list(tree.labels))
-
-    @classmethod
-    def from_state(
-        cls,
-        bv: BitVector,
-        label_of: list[int],
-        labels: list[str],
-        block_total: np.ndarray,
-        block_min: np.ndarray,
-        block_max: np.ndarray,
-        block_start_excess: np.ndarray,
-    ) -> "SuccinctTree":
-        """Rehydrate from persisted state (see :meth:`state`).
-
-        The excess-summary tables are taken as-is (read-only views are
-        fine); nothing is re-derived from the parenthesis sequence.
-        """
-        self = cls.__new__(cls)
-        self.bv = bv
-        self.n = len(label_of)
-        self.labels = labels
-        self.label_ids = {name: i for i, name in enumerate(labels)}
-        self.label_of = label_of
-        self._block_total = block_total
-        self._block_min = block_min
-        self._block_max = block_max
-        self._block_start_excess = block_start_excess
-        self._m = bv.n
-        return self
-
-    def state(self) -> dict:
-        """The persistable excess-summary arrays (BP bits live in ``bv``)."""
-        return {
-            "block_total": self._block_total,
-            "block_min": self._block_min,
-            "block_max": self._block_max,
-            "block_start_excess": self._block_start_excess,
-        }
 
     def height(self) -> int:
         """Maximum depth over all nodes (the root has depth 0): the

@@ -13,21 +13,19 @@ flat ``.npy`` file per compiled array::
       xml_end.npy            int64[n]   exclusive subtree end
       label_ids.npy          int64[n]   per-label sorted node ids, concatenated
       label_bounds.npy       int64[L+1] label_ids slice boundaries per label
-      bp_packed.npy          uint8      BP bits, LSB-first, word-padded
-      bp_word_prefix.npy     int64      cumulative popcount per 64-bit word
-      bp_zero_word_prefix.npy int64     cumulative zero count per word
-      bp_block_total.npy     int64      per-block excess delta
-      bp_block_min.npy       int64      per-block min excess
-      bp_block_max.npy       int64      per-block max excess
-      bp_block_start_excess.npy int64   excess at each block start
+
+These are exactly the arrays :func:`repro.store.store.open_document`
+maps: the six columns are the tree, the last two the label index.
+Nothing derived on demand (a postorder rank, a balanced-parentheses
+directory, the path summary) is persisted.
 
 Flat ``.npy`` files (rather than one ``.npz``) are deliberate:
 ``np.load(..., mmap_mode="r")`` only memory-maps plain files, and
 zero-copy reopening is the whole point of the store.
 
-Integrity (format v2)
----------------------
-The v2 header manifest records, per array, not just dtype/shape but the
+Integrity
+---------
+The header manifest records, per array, not just dtype/shape but the
 exact **file byte size** and a **CRC32 digest** of the ``.npy`` file.
 :func:`verify_bundle` checks them in two modes: ``fast`` (header parses,
 manifest complete, every file present with its recorded byte size and a
@@ -72,7 +70,7 @@ import numpy as np
 from repro import faults
 
 FORMAT_NAME = "repro-document-store"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 HEADER_FILE = "header.json"
 
 #: Every array a bundle must contain, with its expected dtype.
@@ -85,24 +83,6 @@ ARRAY_DTYPES: Dict[str, str] = {
     "xml_end": "int64",
     "label_ids": "int64",
     "label_bounds": "int64",
-    "bp_packed": "uint8",
-    "bp_word_prefix": "int64",
-    "bp_zero_word_prefix": "int64",
-    "bp_block_total": "int64",
-    "bp_block_min": "int64",
-    "bp_block_max": "int64",
-    "bp_block_start_excess": "int64",
-}
-
-#: Additive arrays a bundle *may* contain, with their expected dtypes.
-#: Optional columns keep the format at v2: a bundle written before a
-#: column existed still opens (the reader rebuilds the column on
-#: demand), and an old reader meeting a new bundle would reject only
-#: genuinely unknown arrays.  ``post`` is the postorder rank column the
-#: window-join strategy consumes (see
-#: :func:`repro.index.jumping.postorder_from_xml_end`).
-OPTIONAL_ARRAY_DTYPES: Dict[str, str] = {
-    "post": "int64",
 }
 
 _PUBLISH_SEQ = 0
@@ -238,7 +218,7 @@ def write_bundle(
     (:meth:`repro.store.store.DocumentStore.compact`).
     """
     missing = set(ARRAY_DTYPES) - set(arrays)
-    extra = set(arrays) - set(ARRAY_DTYPES) - set(OPTIONAL_ARRAY_DTYPES)
+    extra = set(arrays) - set(ARRAY_DTYPES)
     if missing or extra:
         raise StoreError(
             f"array set mismatch: missing={sorted(missing)}, "
@@ -251,8 +231,7 @@ def write_bundle(
         manifest = {}
         for name, arr in arrays.items():
             faults.check("store.write_array", array=name, bundle=bundle)
-            dtype = ARRAY_DTYPES.get(name) or OPTIONAL_ARRAY_DTYPES[name]
-            arr = np.ascontiguousarray(arr, dtype=dtype)
+            arr = np.ascontiguousarray(arr, dtype=ARRAY_DTYPES[name])
             path = array_path(staging, name)
             np.save(path, arr)
             _fsync_path(path)
@@ -338,9 +317,7 @@ def read_header(bundle: str) -> dict:
     manifest = header.get("arrays")
     if not isinstance(manifest, dict):
         raise StoreFormatError(f"{bundle!r}: array manifest mismatch")
-    names = set(manifest)
-    required = set(ARRAY_DTYPES)
-    if not (required <= names <= required | set(OPTIONAL_ARRAY_DTYPES)):
+    if set(manifest) != set(ARRAY_DTYPES):
         raise StoreFormatError(f"{bundle!r}: array manifest mismatch")
     return header
 

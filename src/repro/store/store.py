@@ -1,24 +1,21 @@
 """Persistent compiled-document store: parse once, reopen in O(arrays).
 
-:func:`save_document` compiles a document down to the flat arrays every
-layer of the engine runs on -- :class:`~repro.tree.binary.BinaryTree`
-navigation arrays, the :class:`~repro.index.labels.LabelIndex` per-label
-sorted id arrays, and the balanced-parentheses bitvector with its
-rank/select directories and excess tables -- and writes them as a
-versioned bundle (:mod:`repro.store.format`).
+:func:`save_document` compiles a document down to the flat arrays a
+reader maps -- the six :class:`~repro.tree.binary.BinaryTree`
+navigation columns and the :class:`~repro.index.labels.LabelIndex`
+per-label sorted id arrays -- and writes them as a versioned bundle
+(:mod:`repro.store.format`).
 
 :func:`open_document` is the O(1)-startup path: every array is
 reopened as a read-only ``np.load(mmap_mode="r")`` mapping (zero copy,
 shared across processes by the page cache), handed to the readers as a
 plain ``ndarray`` view of its pages, and the six tree columns
 *are* the :class:`~repro.tree.binary.BinaryTree` -- no XML parsing, no
-label re-interning, no argsort, no BP directory reconstruction, and no
-per-node Python object until an automaton strategy asks the tree for a
-list mirror.  The resulting :class:`StoredDocument` plugs into
-:class:`~repro.engine.api.Engine` / `Workspace.add` directly, pickles as
-its path (cheap worker-pool task descriptors), and rebuilds its
-:class:`~repro.index.succinct.SuccinctTree` lazily from the mapped BP
-state.
+label re-interning, no argsort, and no per-node Python object until an
+automaton strategy asks the tree for a list mirror.  The resulting
+:class:`StoredDocument` plugs into :class:`~repro.engine.api.Engine` /
+`Workspace.add` directly and pickles as its path (cheap worker-pool
+task descriptors).
 """
 
 from __future__ import annotations
@@ -31,12 +28,9 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.index.bitvector import BitVector
 from repro.index.jumping import TreeIndex
 from repro.index.labels import LabelIndex
-from repro.index.succinct import SuccinctTree
 from repro.store.format import (
-    FORMAT_VERSION,
     HEADER_FILE,
     SourceEncodingError,
     StoreCorruptionError,
@@ -169,9 +163,9 @@ class StoredDocument:
     """A compiled document reopened from a bundle.
 
     Exposes the same surface every engine entry point consumes: ``index``
-    (a ready :class:`TreeIndex`), ``tree``, and a lazy :meth:`succinct`
-    view.  Pickles as its bundle path, so shipping one to a pool
-    worker costs a few bytes instead of the whole array payload.
+    (a ready :class:`TreeIndex` over the mapped arrays) and ``tree``.
+    Pickles as its bundle path, so shipping one to a pool worker costs
+    a few bytes instead of the whole array payload.
     """
 
     def __init__(self, path: str, header: dict, index: TreeIndex) -> None:
@@ -179,7 +173,6 @@ class StoredDocument:
         self.header = header
         self.index = index
         self.closed = False
-        self._succinct: Optional[SuccinctTree] = None
         # Memory-mapped arrays this document opened; close() releases
         # their OS mappings (a long-lived daemon unmounting a corpus
         # must not leak map handles until garbage collection).
@@ -207,41 +200,10 @@ class StoredDocument:
         self._ensure_open()
         return self.index.tree.labels
 
-    def succinct(self) -> SuccinctTree:
-        """The document's BP tree, rehydrated from the mapped state."""
-        self._ensure_open()
-        if self._succinct is None:
-            header = self.header
-            mmap = header.get("_mmap", True)
-            manifest = header["arrays"]
-
-            def load(name: str) -> np.ndarray:
-                return _adopt(
-                    load_array(self.path, name, manifest, mmap),
-                    self._mapped if mmap else None,
-                )
-
-            bv = BitVector.from_state(
-                load("bp_packed"),
-                header["bp_bits"],
-                load("bp_word_prefix"),
-                load("bp_zero_word_prefix"),
-            )
-            self._succinct = SuccinctTree.from_state(
-                bv,
-                self.index.label_of_array(),
-                self.index.tree.labels,
-                load("bp_block_total"),
-                load("bp_block_min"),
-                load("bp_block_max"),
-                load("bp_block_start_excess"),
-            )
-        return self._succinct
-
     def close(self) -> None:
         """Release the document's memory-mapped array handles (idempotent).
 
-        Drops this object's own references (index, succinct view) and
+        Drops this object's own reference to the index and
         then closes the underlying ``mmap`` objects.  A mapping whose
         pages are still exported by a live ndarray elsewhere (an engine
         still holding the index, a cached slice) cannot be closed by the
@@ -254,7 +216,6 @@ class StoredDocument:
         self.closed = True
         mapped, self._mapped = self._mapped, []
         self.index = None
-        self._succinct = None
         key, self._reader_key = self._reader_key, None
         _unregister_reader(key)
         _release_mapped(mapped)
@@ -280,7 +241,7 @@ def _reopen(path: str, mmap: bool) -> "StoredDocument":
 
 
 def resolve_document(document, encode_attributes: bool, encode_text: bool):
-    """Resolve any accepted document kind to ``(TreeIndex, parens-or-None)``.
+    """Resolve any accepted document kind to a :class:`TreeIndex`.
 
     The single dispatch shared by :class:`~repro.engine.api.Engine` and
     :func:`save_document`, so both accept exactly the same inputs: raw
@@ -288,11 +249,9 @@ def resolve_document(document, encode_attributes: bool, encode_text: bool):
     :class:`XMLDocument`, a :class:`BinaryTree`, a :class:`TreeIndex`,
     or a :class:`StoredDocument` (anything carrying a ready ``.index``).
     String and event input go through
-    :func:`~repro.tree.builder.build_tree`; the second element of the
-    pair is then the BP parenthesis array the builder accumulated
-    (``None`` for the other kinds, and for the rare text it could not
-    stream).  Encode flags are validated here: already-encoded
-    trees/indexes reject them instead of silently ignoring them.
+    :func:`~repro.tree.builder.build_tree`.  Encode flags are validated
+    here: already-encoded trees/indexes reject them instead of silently
+    ignoring them.
     """
     from repro.tree.builder import build_tree
 
@@ -309,26 +268,24 @@ def resolve_document(document, encode_attributes: bool, encode_text: bool):
                 f"{type(document).__name__} is already encoded"
             )
         if isinstance(document, BinaryTree):
-            return TreeIndex(document), None
-        return document, None
+            return TreeIndex(document)
+        return document
     if isinstance(document, XMLDocument):
-        return (
-            TreeIndex(
-                BinaryTree.from_document(
-                    document,
-                    encode_attributes=encode_attributes,
-                    encode_text=encode_text,
-                )
-            ),
-            None,
+        return TreeIndex(
+            BinaryTree.from_document(
+                document,
+                encode_attributes=encode_attributes,
+                encode_text=encode_text,
+            )
         )
     if isinstance(document, str) or callable(getattr(document, "events", None)):
-        tree, parens = build_tree(
-            document,
-            encode_attributes=encode_attributes,
-            encode_text=encode_text,
+        return TreeIndex(
+            build_tree(
+                document,
+                encode_attributes=encode_attributes,
+                encode_text=encode_text,
+            )
         )
-        return TreeIndex(tree), parens
     raise TypeError(
         f"cannot build a document index from {type(document).__name__}"
     )
@@ -353,53 +310,32 @@ def save_document(
     flags apply when the binary tree is built here (string / event /
     XMLDocument input), exactly as in :class:`~repro.engine.api.Engine`;
     an already-encoded tree or index rejects them rather than silently
-    ignoring them.  String and event input stream straight through a
-    :class:`~repro.tree.builder.TreeBuilder`, whose accumulated BP
-    parentheses are reused for the succinct state (no re-walk).
+    ignoring them.
 
     ``retire_to`` (generational corpora) renames a superseded bundle to
     that hidden path inside the atomic publish instead of deleting it;
     see :func:`repro.store.format.write_bundle`.
     """
-    index, parens = resolve_document(document, encode_attributes, encode_text)
+    index = resolve_document(document, encode_attributes, encode_text)
     tree = index.tree
     if not isinstance(tree, BinaryTree):
         raise TypeError("store bundles require a BinaryTree-backed index")
-    if parens is not None:
-        succinct = SuccinctTree(parens, index.label_of_array(), tree.labels)
-    else:
-        succinct = SuccinctTree.from_binary(tree)
-    bv_state = succinct.bv.state()
-    bp_state = succinct.state()
     label_ids, label_bounds = index.labels.state()
     arrays = {
         **tree._columns,  # the six columns, as the tree holds them
         "label_ids": label_ids,
         "label_bounds": label_bounds,
-        "bp_packed": bv_state["packed"],
-        "bp_word_prefix": bv_state["word_prefix"],
-        "bp_zero_word_prefix": bv_state["zero_word_prefix"],
-        "bp_block_total": bp_state["block_total"],
-        "bp_block_min": bp_state["block_min"],
-        "bp_block_max": bp_state["block_max"],
-        "bp_block_start_excess": bp_state["block_start_excess"],
-        # Optional (additive) columns: the postorder ranks the window-
-        # join strategy consumes.  Computed here at build time so an
-        # mmap reopen never pays the lexsort; bundles written before the
-        # column existed still open, and the index rebuilds it lazily.
-        "post": index.post_array(),
     }
     header = {
         "n": tree.n,
         "labels": list(tree.labels),
-        "bp_bits": succinct.bv.n,
         "encoded_attributes": any(l.startswith("@") for l in tree.labels),
         "encoded_text": "#text" in tree.labels,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "source": source or {},
         # Document statistics ``store ls`` prints: computed once at
         # build time, so listing a corpus reads headers only.
-        "stats": {"height": succinct.height()},
+        "stats": {"height": tree.height()},
     }
     write_bundle(path, header, arrays, retire_to=retire_to)
     return path
@@ -459,10 +395,6 @@ def open_document(path: str, *, mmap: bool = True) -> StoredDocument:
             tree, load("label_ids"), load("label_bounds")
         )
         index = TreeIndex(tree, labels=label_index)
-        # Optional column (additive; absent from older bundles, in which
-        # case TreeIndex.post_array() re-derives it on demand).
-        if "post" in manifest:
-            index._post_arr = load("post")
     except BaseException:
         _release_mapped(mapped)
         raise

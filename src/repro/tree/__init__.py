@@ -16,7 +16,7 @@ provides:
 
 from repro.tree.document import XMLDocument, XMLNode
 from repro.tree.parser import XMLSyntaxError, parse_events, parse_xml
-from repro.tree.builder import TreeBuilder, XMLNodeBuilder, build_tree_from_xml
+from repro.tree.builder import TreeBuilder, XMLNodeBuilder, build_tree
 from repro.tree.binary import BinaryTree, NIL
 from repro.tree.serialize import to_xml
 
@@ -28,7 +28,7 @@ __all__ = [
     "parse_events",
     "TreeBuilder",
     "XMLNodeBuilder",
-    "build_tree_from_xml",
+    "build_tree",
     "BinaryTree",
     "NIL",
     "to_xml",

@@ -267,9 +267,9 @@ class BinaryTree:
         :class:`repro.tree.builder.TreeBuilder`; either way label ids
         and parentheses only, no :class:`XMLNode` tree is materialized.
         """
-        from repro.tree.builder import build_tree_from_xml
+        from repro.tree.builder import build_tree
 
-        return build_tree_from_xml(
+        return build_tree(
             text,
             encode_attributes=encode_attributes,
             encode_text=encode_text,

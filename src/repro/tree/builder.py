@@ -10,8 +10,8 @@ and one parenthesis per open / close -- for event sources (the XMark
 generator, ``BinaryTree.from_document``) and for the encodings.  Either
 way :class:`~repro.tree.binary.BinaryTree` derives ``parent`` / ``left``
 / ``right`` / ``bparent`` / ``xml_end`` and the height in one numpy
-pass, the parentheses double as the succinct index's input, and no
-:class:`~repro.tree.document.XMLNode` graph is ever materialized.
+pass, and no :class:`~repro.tree.document.XMLNode` graph is ever
+materialized.
 
 The attribute/text "straightforward encoding" of the paper is supported
 streaming: ``@name`` children are emitted as soon as a start tag is
@@ -158,8 +158,8 @@ def build_tree(
     *,
     encode_attributes: bool = False,
     encode_text: bool = False,
-) -> tuple[BinaryTree, Optional[np.ndarray]]:
-    """XML text or an event source -> ``(tree, BP parentheses)``.
+) -> BinaryTree:
+    """XML text or an event source -> :class:`BinaryTree`.
 
     The one spelling of the ingestion pipeline: plain XML text goes
     through the parser's bulk scan, everything else -- an encoding, or
@@ -167,15 +167,15 @@ def build_tree(
     :class:`TreeBuilder`, so no per-element ``XMLNode`` is allocated.
     The only exception is the :class:`LateTextChild` mixed-content shape
     (see the module docstring), where XML text falls back to the
-    materialized path to keep encodings byte-identical; the parentheses
-    are then ``None``.  An event source cannot be replayed as text, so
-    there the exception propagates.
+    materialized path to keep encodings byte-identical.  An event
+    source cannot be replayed as text, so there the exception
+    propagates.
     """
     from repro.tree.parser import parse_events, parse_xml, scan_arrays
 
     if isinstance(document, str) and not (encode_attributes or encode_text):
         labels, label_of, parens, matching = scan_arrays(document)
-        return BinaryTree(labels, label_of, parens, matching), parens
+        return BinaryTree(labels, label_of, parens, matching)
     builder = TreeBuilder(
         encode_attributes=encode_attributes, encode_text=encode_text
     )
@@ -187,26 +187,12 @@ def build_tree(
     except LateTextChild:
         if not isinstance(document, str):
             raise
-        tree = BinaryTree.from_document(
+        return BinaryTree.from_document(
             parse_xml(document),
             encode_attributes=encode_attributes,
             encode_text=encode_text,
         )
-        return tree, None
-    return builder.finish(), builder.parens_array()
-
-
-def build_tree_from_xml(
-    text: str,
-    *,
-    encode_attributes: bool = False,
-    encode_text: bool = False,
-) -> BinaryTree:
-    """Parse an XML string straight into a :class:`BinaryTree`
-    (:func:`build_tree` without the parentheses)."""
-    return build_tree(
-        text, encode_attributes=encode_attributes, encode_text=encode_text
-    )[0]
+    return builder.finish()
 
 
 class XMLNodeBuilder:

@@ -11,7 +11,7 @@ from repro.tree.builder import (
     LateTextChild,
     TreeBuilder,
     XMLNodeBuilder,
-    build_tree_from_xml,
+    build_tree,
 )
 from repro.tree.document import XMLNode
 from repro.tree.parser import parse_events, parse_xml
@@ -57,7 +57,7 @@ class TestBuilderEquivalence:
                 encode_attributes=encode_attributes,
                 encode_text=encode_text,
             )
-            streaming = build_tree_from_xml(
+            streaming = build_tree(
                 xml,
                 encode_attributes=encode_attributes,
                 encode_text=encode_text,
@@ -73,7 +73,7 @@ class TestBuilderEquivalence:
                     legacy = BinaryTree.from_document(
                         parse_xml(xml), encode_attributes=ea, encode_text=et
                     )
-                    streaming = build_tree_from_xml(
+                    streaming = build_tree(
                         xml, encode_attributes=ea, encode_text=et
                     )
                     assert _arrays(legacy) == _arrays(streaming), (xml, ea, et)

@@ -32,19 +32,11 @@ from repro.store import (
     DocumentStore,
     StoreCorruptionError,
     StoreError,
+    StoreFormatError,
     open_document,
     verify_document,
 )
-from repro.store.format import (
-    ARRAY_DTYPES,
-    HEADER_FILE,
-    OPTIONAL_ARRAY_DTYPES,
-    array_path,
-)
-
-#: Every array a freshly written bundle contains -- the required set
-#: plus the optional columns (``post``) that save_document always emits.
-ALL_ARRAYS = {**ARRAY_DTYPES, **OPTIONAL_ARRAY_DTYPES}
+from repro.store.format import ARRAY_DTYPES, HEADER_FILE, array_path
 
 XML = "<r><a><b/></a><a/><c><b/></c></r>"
 #: //a/b on XML above (node ids are stable: document order).
@@ -165,11 +157,10 @@ def bundle(pristine, tmp_path):
 
 
 class TestCorruptionRecall:
-    """Deep verification catches every single-array corruption: 16
-    arrays (optional ``post`` included) x {truncate, bit_flip} = 32
-    damage cases, 100% recall."""
+    """Deep verification catches every single-array corruption: 8
+    arrays x {truncate, bit_flip} = 16 damage cases, 100% recall."""
 
-    @pytest.mark.parametrize("array", sorted(ALL_ARRAYS))
+    @pytest.mark.parametrize("array", sorted(ARRAY_DTYPES))
     @pytest.mark.parametrize("mode", ["truncate", "bit_flip"])
     def test_deep_verify_catches(self, bundle, array, mode):
         verify_document(bundle, deep=True)  # pristine copy passes
@@ -179,6 +170,30 @@ class TestCorruptionRecall:
         detail = exc.value.to_dict()
         assert detail["reason"]
         assert detail["path"]
+
+    @pytest.mark.parametrize("array", sorted(ARRAY_DTYPES))
+    def test_missing_array_caught_at_open(self, bundle, array):
+        """Every array a reader maps is one it checks for: a bundle
+        short of any one of them is refused by name, by the serving open
+        and by the fast verify alike."""
+        os.remove(array_path(bundle, array))
+        for check in (open_document, verify_document):
+            with pytest.raises(StoreCorruptionError) as exc:
+                check(bundle)
+            assert exc.value.array == array
+            assert exc.value.reason == "array file missing"
+
+    @pytest.mark.parametrize("array", sorted(ARRAY_DTYPES))
+    def test_manifest_short_of_an_array_refused(self, bundle, array):
+        header_path = os.path.join(bundle, HEADER_FILE)
+        with open(header_path) as handle:
+            header = json.load(handle)
+        del header["arrays"][array]
+        with open(header_path, "w") as handle:
+            json.dump(header, handle)
+        for check in (open_document, verify_document):
+            with pytest.raises(StoreFormatError, match="manifest mismatch"):
+                check(bundle)
 
     def test_truncation_caught_at_open(self, bundle):
         corrupt_bundle(bundle, "left", mode="truncate", seed=0)
@@ -211,7 +226,7 @@ class TestCorruptionRecall:
         report = verify_document(bundle, deep=True)
         assert report["ok"] is True
         assert report["mode"] == "deep"
-        assert set(report["arrays"]) == set(ALL_ARRAYS)
+        assert set(report["arrays"]) == set(ARRAY_DTYPES)
         for entry in report["arrays"].values():
             assert entry["bytes"] > 0
             assert len(entry["crc32"]) == 8
@@ -273,9 +288,12 @@ class TestBuildFaults:
         ws = Workspace()
         ws.add("a", XML)
         ws.add("b", XML)
-        # 15 arrays per bundle: let bundle "a" finish, fail inside "b".
+        # Let every array of bundle "a" be written, fail inside "b".
         with faults.inject(
-            "store.write_array", "io_error", errno_=errno.ENOSPC, after=20
+            "store.write_array",
+            "io_error",
+            errno_=errno.ENOSPC,
+            after=len(ARRAY_DTYPES) + 2,
         ):
             with pytest.raises(OSError):
                 ws.save(str(root))

@@ -51,42 +51,30 @@ def mixed_document() -> str:
 ENCODED = {"encode_attributes": True, "encode_text": True}
 GOLDEN = {
     ("xmark", False): {
-        "bp_block_max": "ea405f31", "bp_block_min": "19dd223e",
-        "bp_block_start_excess": "180fb05d", "bp_block_total": "886d217a",
-        "bp_packed": "afdcea58", "bp_word_prefix": "95836cc5",
-        "bp_zero_word_prefix": "e003e21f", "bparent": "6898552f",
-        "label_bounds": "428a60b1", "label_ids": "8bdfc9b6",
-        "label_of": "f07eb013", "left": "9d16c893", "parent": "3a3b9689",
-        "post": "04fb4cba", "right": "8f00e516", "xml_end": "6cf9be1b",
+        "bparent": "6898552f", "label_bounds": "428a60b1",
+        "label_ids": "8bdfc9b6", "label_of": "f07eb013",
+        "left": "9d16c893", "parent": "3a3b9689",
+        "right": "8f00e516", "xml_end": "6cf9be1b",
     },
     ("xmark", True): {
-        "bp_block_max": "c7f88331", "bp_block_min": "9c98d2f8",
-        "bp_block_start_excess": "d76a4756", "bp_block_total": "03b57563",
-        "bp_packed": "cdfd7893", "bp_word_prefix": "d5fc868f",
-        "bp_zero_word_prefix": "528f16e2", "bparent": "73ecc4bc",
-        "label_bounds": "07b85b93", "label_ids": "dcf3c87f",
-        "label_of": "09201c35", "left": "adf37500", "parent": "ac84c890",
-        "post": "bfaf283d", "right": "ddbeaee0", "xml_end": "87972739",
+        "bparent": "73ecc4bc", "label_bounds": "07b85b93",
+        "label_ids": "dcf3c87f", "label_of": "09201c35",
+        "left": "adf37500", "parent": "ac84c890",
+        "right": "ddbeaee0", "xml_end": "87972739",
     },
 }
 GOLDEN_MIXED = {
     False: {
-        "bp_block_max": "daf44c6d", "bp_block_min": "b3bfa34b",
-        "bp_block_start_excess": "5c77e2d4", "bp_block_total": "1d577246",
-        "bp_packed": "07dac6f2", "bp_word_prefix": "faba54cb",
-        "bp_zero_word_prefix": "54f1c746", "bparent": "ca683d92",
-        "label_bounds": "872c00d5", "label_ids": "f4986d14",
-        "label_of": "1a1d35af", "left": "b7f87c4c", "parent": "dd0d23ee",
-        "post": "0bb9e579", "right": "28b02ebd", "xml_end": "feeae149",
+        "bparent": "ca683d92", "label_bounds": "872c00d5",
+        "label_ids": "f4986d14", "label_of": "1a1d35af",
+        "left": "b7f87c4c", "parent": "dd0d23ee",
+        "right": "28b02ebd", "xml_end": "feeae149",
     },
     True: {
-        "bp_block_max": "c8b58ef8", "bp_block_min": "dc288ee4",
-        "bp_block_start_excess": "80599a94", "bp_block_total": "64d54f2e",
-        "bp_packed": "de9b53d0", "bp_word_prefix": "ca739abc",
-        "bp_zero_word_prefix": "0a7d9e11", "bparent": "ea370429",
-        "label_bounds": "00e39623", "label_ids": "ff5903c8",
-        "label_of": "4a82fdd0", "left": "feb70081", "parent": "da025f92",
-        "post": "9aace060", "right": "2718f6ca", "xml_end": "f3d825e8",
+        "bparent": "ea370429", "label_bounds": "00e39623",
+        "label_ids": "ff5903c8", "label_of": "4a82fdd0",
+        "left": "feb70081", "parent": "da025f92",
+        "right": "2718f6ca", "xml_end": "f3d825e8",
     },
 }
 
@@ -435,17 +423,17 @@ class TestBulkScanAgainstReplayedEvents:
     @given(documents())
     def test_same_arrays_under_every_encoding(self, text):
         for flags in FLAGS:
-            tree, _ = build_tree(text, **flags)
+            tree = build_tree(text, **flags)
             assert columns(tree) == columns(replayed_tree(text, **flags))
 
     @pytest.mark.parametrize("size", [1, 2, 7, 64])
     def test_a_slice_may_end_at_any_markup(self, size, monkeypatch, tmp_path):
-        whole = [columns(build_tree(mixed_document(), **f)[0]) for f in FLAGS]
+        whole = [columns(build_tree(mixed_document(), **f)) for f in FLAGS]
         recorder = Recorder()
         parse_events(mixed_document(), recorder)
         monkeypatch.setattr(parser, "_SLICE", size)
         for flags, expected in zip(FLAGS, whole):
-            assert columns(build_tree(mixed_document(), **flags)[0]) == expected
+            assert columns(build_tree(mixed_document(), **flags)) == expected
         sliced = Recorder()
         parse_events(mixed_document(), sliced)
         assert sliced.events == recorder.events

@@ -166,7 +166,6 @@ class TestClosedAccessors:
             lambda: stored.tree,
             lambda: stored.n,
             lambda: stored.labels,
-            stored.succinct,
         ):
             with pytest.raises(StoreError, match="is closed"):
                 access()

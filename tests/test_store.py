@@ -19,7 +19,9 @@ from repro.store import (
     open_document,
     read_header,
     save_document,
+    verify_document,
 )
+from repro.store.format import ARRAY_DTYPES
 from repro.tree.binary import BinaryTree
 from repro.xmark.generator import XMarkGenerator
 from repro.xmark.queries import QUERIES
@@ -155,17 +157,6 @@ class TestStoredDocument:
         clone = pickle.loads(blob)
         assert Engine(clone).select("//a") == [1, 2]
 
-    def test_succinct_rehydrates_from_state(self, tmp_path):
-        xml = "<r><a><b/><c/></a><d><e/></d></r>"
-        stored = _roundtrip(tmp_path, xml)
-        rebuilt = SuccinctTree.from_binary(BinaryTree.from_xml(xml))
-        mapped = stored.succinct()
-        assert mapped.n == rebuilt.n
-        for v in range(mapped.n):
-            assert mapped.first_child(v) == rebuilt.first_child(v)
-            assert mapped.next_sibling(v) == rebuilt.next_sibling(v)
-            assert mapped.parent(v) == rebuilt.parent(v)
-
     def test_header_summary(self, tmp_path):
         stored = _roundtrip(tmp_path, "<r><a x='1'>t</a></r>")
         header = read_header(stored.path)
@@ -173,9 +164,17 @@ class TestStoredDocument:
         assert header["labels"] == ["r", "a"]
         assert header["encoded_attributes"] is False
 
+    @pytest.mark.parametrize("xml", DEGENERATE_DOCS)
+    def test_header_height_is_the_parenthesis_depth(self, tmp_path, xml):
+        """``stats.height`` comes from the parsed tree; it is the figure
+        the balanced-parentheses encoding of the same document reads."""
+        stored = _roundtrip(tmp_path, xml)
+        succinct = SuccinctTree.from_binary(BinaryTree.from_xml(xml))
+        assert read_header(stored.path)["stats"]["height"] == succinct.height()
+
 
 class TestFormatValidation:
-    @pytest.mark.parametrize("version", [1, 999])
+    @pytest.mark.parametrize("version", [1, 2, 999])
     def test_version_mismatch_rejected(self, tmp_path, version):
         stored = _roundtrip(tmp_path, "<r/>")
         path = os.path.join(stored.path, "header.json")
@@ -183,6 +182,25 @@ class TestFormatValidation:
         header["version"] = version
         json.dump(header, open(path, "w"))
         with pytest.raises(StoreFormatError, match="version.*rebuild"):
+            open_document(stored.path)
+        with pytest.raises(StoreFormatError, match="version.*rebuild"):
+            verify_document(stored.path, deep=True)
+
+    def test_bundle_holds_exactly_the_mapped_arrays(self, tmp_path):
+        stored = _roundtrip(tmp_path, "<r><a/></r>")
+        assert sorted(os.listdir(stored.path)) == sorted(
+            ["header.json", *(f"{name}.npy" for name in ARRAY_DTYPES)]
+        )
+
+    def test_manifest_beyond_the_mapped_arrays_rejected(self, tmp_path):
+        """A manifest lists exactly the mapped arrays: one that still
+        names a dropped column (``post``) is refused."""
+        stored = _roundtrip(tmp_path, "<r><a/></r>")
+        path = os.path.join(stored.path, "header.json")
+        header = json.load(open(path))
+        header["arrays"]["post"] = dict(header["arrays"]["xml_end"])
+        json.dump(header, open(path, "w"))
+        with pytest.raises(StoreFormatError, match="manifest mismatch"):
             open_document(stored.path)
 
     def test_missing_array_rejected(self, tmp_path):
@@ -336,13 +354,13 @@ class TestReviewRegressions:
         assert clone.header["_mmap"] is False
         assert getattr(clone.index, "store_path", None) is None
 
-    def test_event_source_save_reuses_builder_parens(self, tmp_path):
+    def test_event_source_save_matches_tree_save(self, tmp_path):
         generator = XMarkGenerator(scale=0.02, seed=5)
         via_events = os.path.join(str(tmp_path), "ev")
         via_tree = os.path.join(str(tmp_path), "tr")
         save_document(generator, via_events)
         save_document(generator.tree(), via_tree)
-        for name in ("bp_packed", "label_of", "xml_end"):
+        for name in ARRAY_DTYPES:
             a = np.load(os.path.join(via_events, f"{name}.npy"))
             b = np.load(os.path.join(via_tree, f"{name}.npy"))
             assert np.array_equal(a, b), name
@@ -422,7 +440,7 @@ class TestStoredDocumentClose:
         stored = _roundtrip(tmp_path, "<r><a/></r>")
         stored.close()
         with pytest.raises(StoreError, match="closed"):
-            stored.succinct()
+            stored.tree
 
     def test_context_manager_closes(self, tmp_path):
         with _roundtrip(tmp_path, "<r><a/></r>") as stored:

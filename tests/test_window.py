@@ -1,17 +1,15 @@
 """The window-join strategy (repro.engine.window): XPath accelerator.
 
-Pins the pre/post encoding identity, each axis join against the
-reference evaluator, native backward axes, predicate window counts, the
-optional ``post`` store column (round trip + legacy bundles), thread /
-pooled execution identity, planner integration, and the dense columns
-the joins gather from (rank-column LRU bound, child CSR).
+Pins the subtree-window identity the joins read, each axis join against
+the reference evaluator (fresh and on a reopened bundle), native
+backward axes, predicate window counts, thread / pooled execution
+identity, planner integration, and the dense columns the joins gather
+from (rank-column LRU bound, child CSR).
 """
-
-import json
-import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.counters import EvalStats
 from repro.engine import joins, window
@@ -21,12 +19,14 @@ from repro.engine.registry import get_strategy, resolve
 from repro.engine.window import is_window_evaluable
 from repro.engine.workspace import Workspace
 from repro.index import jumping
-from repro.index.jumping import TreeIndex, postorder_from_xml_end, rank_column
+from repro.index.jumping import TreeIndex, rank_column
 from repro.store import open_document, save_document
 from repro.tree.binary import BinaryTree
 from repro.tree.parser import parse_xml
 from repro.xpath.parser import parse_xpath
 from repro.xpath.reference import evaluate_reference
+
+from strategies import tree_specs
 
 XML = (
     "<site>"
@@ -80,41 +80,27 @@ def index():
 
 
 class TestEncoding:
-    def test_postorder_matches_recursive_definition(self, index):
-        tree = index.tree
-        post = np.empty(tree.n, dtype=np.int64)
-        clock = 0
+    @given(tree_specs(max_depth=5, max_children=4))
+    @settings(max_examples=60)
+    def test_ancestor_iff_inside_subtree_window(self, spec):
+        """What every join reads: ``u`` is a proper ancestor of ``v`` iff
+        ``u < v < xml_end[u]``.  Ancestry comes from the spec itself,
+        numbered in preorder, not from any derived column."""
+        ancestors = []
 
-        def visit(v):
-            nonlocal clock
-            child = tree.left[v]
-            while child != -1:
-                visit(child)
-                child = tree.right[child]
-            post[v] = clock
-            clock += 1
+        def visit(node, above):
+            ancestors.append(set(above))
+            if isinstance(node, tuple):
+                here = len(ancestors) - 1
+                for child in node[1:]:
+                    visit(child, above + [here])
 
-        visit(0)
-        derived = postorder_from_xml_end(index.xml_end_array())
-        assert derived.tolist() == post.tolist()
-
-    def test_ancestor_iff_window_dominates(self, index):
-        """The defining property: u is a proper ancestor of v iff
-        pre(u) < pre(v) and post(u) > post(v)."""
-        tree = index.tree
-        post = index.post_array()
-
-        def is_ancestor(u, v):
-            while tree.parent[v] != -1:
-                v = tree.parent[v]
-                if v == u:
-                    return True
-            return False
-
-        for u in range(tree.n):
-            for v in range(tree.n):
-                window_says = u < v and post[u] > post[v]
-                assert window_says == is_ancestor(u, v), (u, v)
+        visit(spec, [])
+        xml_end = TreeIndex(BinaryTree.from_spec(spec)).xml_end_array()
+        assert xml_end.size == len(ancestors)
+        for v, above in enumerate(ancestors):
+            for u in range(len(ancestors)):
+                assert (u < v < xml_end[u]) == (u in above), (u, v)
 
 
 class TestOracleIdentity:
@@ -147,6 +133,16 @@ class TestOracleIdentity:
             path = parse_xpath(query)
             _, got = window.evaluate(path, index)
             assert got == evaluate_reference(tree, path), query
+
+    def test_matches_reference_on_reopened_bundle(self, tmp_path):
+        bundle = str(tmp_path / "doc")
+        save_document(XML, bundle)
+        reference = BinaryTree.from_document(parse_xml(XML))
+        with open_document(bundle) as stored:
+            for query in FORWARD_QUERIES + BACKWARD_QUERIES:
+                path = parse_xpath(query)
+                _, got = window.evaluate(path, stored.index)
+                assert got == evaluate_reference(reference, path), query
 
     def test_degenerate_single_node_document(self):
         index = TreeIndex(BinaryTree.from_spec("r"))
@@ -214,67 +210,6 @@ class TestFragment:
         text = engine.prepare("//b/ancestor::a").explain()
         assert "reverse window containment" in text
         assert "mixed pipeline" not in text
-
-
-class TestStoreColumn:
-    def test_round_trip_persists_post(self, tmp_path):
-        bundle = str(tmp_path / "doc")
-        save_document(XML, bundle)
-        header = json.load(open(os.path.join(bundle, "header.json")))
-        assert "post" in header["arrays"]
-        fresh = TreeIndex(BinaryTree.from_document(parse_xml(XML)))
-        expected = fresh.post_array().tolist()
-        stored = open_document(bundle)
-        try:
-            # The column arrives pre-seeded from the mapped file.
-            assert stored.index._post_arr.tolist() == expected
-            assert stored.index.post_array().tolist() == expected
-            _, got = window.evaluate(
-                parse_xpath("//b/ancestor::a"), stored.index
-            )
-            assert got == evaluate_reference(
-                fresh.tree, parse_xpath("//b/ancestor::a")
-            )
-        finally:
-            stored.close()
-
-    def test_legacy_bundle_without_post_still_opens(self, tmp_path):
-        """A bundle written before the column existed (same format v2,
-        no ``post`` in the manifest) opens fine; the index re-derives
-        the column on demand."""
-        bundle = str(tmp_path / "doc")
-        save_document(XML, bundle)
-        os.remove(os.path.join(bundle, "post.npy"))
-        header_path = os.path.join(bundle, "header.json")
-        header = json.load(open(header_path))
-        meta = header["arrays"].pop("post")
-        assert meta["dtype"] == "int64"
-        with open(header_path, "w") as handle:
-            json.dump(header, handle)
-        fresh = TreeIndex(BinaryTree.from_document(parse_xml(XML)))
-        stored = open_document(bundle)
-        try:
-            assert getattr(stored.index, "_post_arr", None) is None
-            assert (
-                stored.index.post_array().tolist()
-                == fresh.post_array().tolist()
-            )
-            for query in ("//a//b", "//b/ancestor::a"):
-                _, got = window.evaluate(parse_xpath(query), stored.index)
-                assert got == evaluate_reference(
-                    fresh.tree, parse_xpath(query)
-                )
-        finally:
-            stored.close()
-
-    def test_deep_verify_covers_post(self, tmp_path):
-        from repro.store.format import verify_bundle
-
-        bundle = str(tmp_path / "doc")
-        save_document(XML, bundle)
-        report = verify_bundle(bundle, deep=True)
-        assert "post" in report["arrays"]
-        assert "crc32" in report["arrays"]["post"]
 
 
 class TestParallelIdentity:
