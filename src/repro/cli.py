@@ -635,8 +635,6 @@ def plan_main(argv: List[str], out) -> int:
 def build_serve_parser() -> argparse.ArgumentParser:
     from repro.serve.daemon import (
         FAIL_THRESHOLD,
-        POOL_MIN_NODES,
-        POOL_WORKERS,
         QUEUE_DEPTH,
         RELOAD_POLL_S,
         TIMEOUT_S,
@@ -718,27 +716,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
             f"{RELOAD_POLL_S:g}; POST /reload always works)"
         ),
     )
-    parser.add_argument(
-        "--pool-workers",
-        type=int,
-        default=POOL_WORKERS,
-        metavar="N",
-        help=(
-            "persistent shared-memory worker processes; /batch (and "
-            "/query on large documents) runs on the pool with warm "
-            f"caches and work stealing; 0 disables (default {POOL_WORKERS})"
-        ),
-    )
-    parser.add_argument(
-        "--pool-min-nodes",
-        type=int,
-        default=POOL_MIN_NODES,
-        metavar="NODES",
-        help=(
-            "route single /query requests through the pool only for "
-            f"documents of at least NODES nodes (default {POOL_MIN_NODES})"
-        ),
-    )
     return parser
 
 
@@ -760,8 +737,6 @@ def serve_main(argv: List[str], out) -> int:
             mmap=not args.no_mmap,
             fail_threshold=args.fail_threshold,
             reload_poll=args.reload_poll,
-            pool_workers=args.pool_workers,
-            pool_min_nodes=args.pool_min_nodes,
         )
     except (ValueError, StoreError, OSError) as exc:
         _report_error(exc)
@@ -775,7 +750,6 @@ def serve_main(argv: List[str], out) -> int:
                     "documents": d.documents(),
                     "strategy": d.workspace.strategy,
                     "workers": d.workers,
-                    "pool_workers": d.pool_workers,
                     "admission_limit": d.admission.limit,
                     "timeout_s": d.timeout,
                 },

@@ -120,8 +120,8 @@ class QueryService:
 
         For the persistent ``pool`` executor this joins (then, past a
         timeout, terminates) every worker process -- after
-        :meth:`close`, :meth:`Workspace.close`, or a daemon's SIGTERM
-        drain, no orphaned workers survive.  Garbage collection of an
+        :meth:`close` or :meth:`Workspace.close` no orphaned workers
+        survive.  Garbage collection of an
         unclosed service is backstopped by the pool's own finalizer
         (:class:`~repro.engine.pool.WorkerPool` terminates its
         processes when collected).
@@ -165,9 +165,9 @@ class QueryService:
     def ensure_pool(self):
         """Build the worker pool eagerly (idempotent).
 
-        Long-lived hosts (the serve daemon) call this at startup, while
-        the process is still single-threaded -- forking workers before
-        any event loop or request threads exist sidesteps the classic
+        A long-lived host calls this at startup, while the process is
+        still single-threaded -- forking workers before any event loop
+        or request threads exist sidesteps the classic
         fork-after-threads hazards.  Returns the pool, or ``None`` when
         this configuration runs inline (``thread`` at ``jobs=1``).
         """

@@ -31,7 +31,8 @@ generation; ``reload_poll`` does the same from a change-stamp poller),
 ``400`` with the parser's offset-carrying payload
 (:meth:`repro.xpath.parser.XPathSyntaxError.to_dict`).
 
-Where a ``/query`` runs -- every response says (``"executor"``):
+Every request is answered in this process.  Where a ``/query`` runs --
+every response says (``"executor"``):
 
 - ``"thread"``: on the worker-thread executor, like every ``/batch``
   and ``/explain``; ``timing_ms.queue`` is admission to function start.
@@ -42,17 +43,14 @@ Where a ``/query`` runs -- every response says (``"executor"``):
   (``plan.artifacts``), so whatever forgets the plan -- a reload
   swapping the engine, an LRU eviction, a registry change -- forgets it
   too and the next request takes the thread again; so does any request
-  while a fault plan is armed, whose own ``timeout_s`` is below the
-  measurement, or that the worker pool could take.  An inline run that
-  comes out slow records that, and the plan goes back to the executor.
-- ``"pool"``: with ``pool_workers > 0``, ``/batch`` requests -- and
-  ``/query`` on documents of at least ``pool_min_nodes`` nodes -- still
-  occupy one slot and one executor thread, but that thread only waits:
-  the evaluation runs on a persistent
-  :class:`~repro.engine.pool.WorkerPool` of shared-memory worker
-  processes, one task per query -- a batch's queries spread across the
-  workers, one ``/query`` runs on one worker.  Any pool failure
-  degrades to the thread path and counts as a ``pool_fallback``.
+  while a fault plan is armed or whose own ``timeout_s`` is below the
+  measurement.  An inline run that comes out slow records that, and the
+  plan goes back to the executor.
+
+There is no worker-process route: under ``auto`` shipping a served
+query to a pool process and its ids back cost more than answering it
+here, on every document size measured (DESIGN.md, "Persistent worker
+pool").
 
 Executions of one plan are serialized by the plan's own lock
 (:meth:`~repro.engine.plan.PreparedQuery.execute`), so concurrent
@@ -124,13 +122,6 @@ CLIENT_ERRORS = (HttpError, XPathSyntaxError, XPathCompileError)
 #: Seconds between corpus change-stamp polls (0 disables polling; the
 #: explicit ``POST /reload`` endpoint always works).
 RELOAD_POLL_S = 0.0
-#: Worker *processes* for the persistent shared-memory pool
-#: (:class:`repro.engine.pool.WorkerPool`); 0 disables the pool and
-#: every request runs on the thread executor as before.
-POOL_WORKERS = 0
-#: Documents at or above this node count route single ``/query``
-#: requests through the pool too (batches always use it when enabled).
-POOL_MIN_NODES = 65536
 #: A ``/query`` whose worker-side function last took less than this many
 #: seconds runs on the event loop instead of hopping to a worker thread.
 #: A constant, not an option: it is not a preference but a bound on how
@@ -150,8 +141,7 @@ COUNTERS = (
     "internal_errors", "warm_hits", "cold_misses", "eval_failures",
     "fallbacks", "fallback_successes", "quarantine_rejects",
     "drain_rejects", "reloads", "reload_noops", "reload_failures",
-    "pool_batches", "pool_queries", "pool_fallbacks", "inline", "threaded",
-    "framed",
+    "inline", "threaded", "framed",
 )  # fmt: skip
 
 
@@ -218,17 +208,6 @@ class QueryDaemon:
         the daemon reloads itself exactly as ``POST /reload`` would.
         ``0`` (the default) disables polling -- the endpoint is always
         available either way.
-    pool_workers:
-        Worker *processes* for the persistent shared-memory pool
-        (``"pool"`` in the module docstring); ``0`` (default) disables.
-        The pool is created eagerly at construction -- before the event
-        loop or any worker thread exists, so the fork is clean --
-        survives hot reloads via generation-versioned invalidation, and
-        is torn down by :meth:`stop`.
-    pool_min_nodes:
-        Node-count threshold for routing single ``/query`` requests
-        through the pool; small documents stay on the (cheaper)
-        thread executor.
     """
 
     def __init__(
@@ -245,8 +224,6 @@ class QueryDaemon:
         max_body: int = 8 * 1024 * 1024,
         fail_threshold: int = FAIL_THRESHOLD,
         reload_poll: float = RELOAD_POLL_S,
-        pool_workers: int = POOL_WORKERS,
-        pool_min_nodes: int = POOL_MIN_NODES,
     ) -> None:
         if isinstance(stores, str):
             stores = [stores]
@@ -258,7 +235,6 @@ class QueryDaemon:
             ("queue_depth", queue_depth),
             ("fail_threshold", fail_threshold),
             ("reload_poll", reload_poll),
-            ("pool_workers", pool_workers),
         ):
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
@@ -270,8 +246,6 @@ class QueryDaemon:
         self.max_body = max_body
         self.fail_threshold = fail_threshold
         self.reload_poll = reload_poll
-        self.pool_workers = pool_workers
-        self.pool_min_nodes = pool_min_nodes
         self.workspace = Workspace(strategy=strategy)
         self.mounts = MountTable(stores, self.workspace, mmap)
         # The first mount is a reload from the empty state, with this
@@ -301,21 +275,11 @@ class QueryDaemon:
                 file=sys.stderr,
             )
         self.mounts.install(found)
-        # The persistent shared-memory pool forks *now*, while this
-        # process is still single-threaded (the event loop, the thread
-        # executor's threads, and the pool's own collector all come
-        # later) -- the one moment a fork is unconditionally safe.
-        self._pool_service = None
-        if pool_workers > 0:
-            self._pool_service = self.workspace.service(
-                jobs=pool_workers, executor="pool"
-            )
-            self._pool_service.ensure_pool()
-        self._pool = ThreadPoolExecutor(
+        self._threads = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve"
         )
         self.admission = Admission(
-            self.workers + queue_depth, self._pool, self._bump
+            self.workers + queue_depth, self._threads, self._bump
         )
         # Touched from the event-loop thread only.
         self._requests_open = 0
@@ -456,18 +420,14 @@ class QueryDaemon:
         return plan, warm
 
     def _runs_inline(
-        self,
-        plan: Optional[PreparedQuery],
-        strategy: str,
-        mode: tuple,
-        timeout_s: float,
+        self, plan: Optional[PreparedQuery], mode: tuple, timeout_s: float
     ) -> bool:
         """Whether this ``/query`` may skip the thread hop (see the
         module docstring): its plan is cached, its last run in this
         answer ``mode`` was measured under :data:`INLINE_MAX_S` and
-        under the request's own budget, and nothing is in play that
+        under the request's own budget, and no fault plan is armed that
         could make the next run unlike the last."""
-        if plan is None or faults.armed() or self._pool_routable(strategy):
+        if plan is None or faults.armed():
             return False
         cost = plan.artifacts.get(COST_KEY, {}).get(mode)
         return cost is not None and cost < INLINE_MAX_S and cost < timeout_s
@@ -477,11 +437,10 @@ class QueryDaemon:
     def _answer(
         self,
         query: str,
-        strategy: str,
+        plan: PreparedQuery,
         result,
         *,
         count_only: bool,
-        plan=None,
         with_labels: bool = False,
         with_stats: bool = False,
         **fields,
@@ -493,12 +452,15 @@ class QueryDaemon:
         ``executor``; ``None`` means absent).  The ids stay the result's
         own ``int64`` array until :func:`~repro.serve.http.encode_answer`
         writes them; a count-only answer has ``None`` and never
-        materialises one.  Only the thread path has a ``plan``.
+        materialises one.
         """
-        envelope = {"query": query, "strategy": strategy, "count": len(result)}
+        envelope = {
+            "query": query,
+            "strategy": plan.strategy.name,
+            "count": len(result),
+        }
         envelope.update((k, v) for k, v in fields.items() if v is not None)
-        if plan is not None:
-            envelope.update(planner_fields(plan))
+        envelope.update(planner_fields(plan))
         if with_labels:
             # The plan's own engine: old-generation ids must never be
             # labelled against a new generation's tree.
@@ -536,30 +498,6 @@ class QueryDaemon:
         through: they are the client's problem, not the document's.
         """
         t0 = time.perf_counter()
-        if (
-            not with_labels
-            and self._pool_routable(strategy)
-            and engine.tree.n >= self.pool_min_nodes
-        ):
-            # An oversized document: run the query as one task on a
-            # pool worker process, off this process's interpreter lock.
-            # (Labelled requests stay on-thread -- labels must come from
-            # the same engine that produced the ids.)
-            results = self._pool_results(mount, [query])
-            if results is not None:
-                return self._answer(
-                    query,
-                    strategy,
-                    results[0],
-                    count_only=count_only,
-                    with_stats=with_stats,
-                    document=mount.name,
-                    executor="pool",
-                    timing_ms=_timing(
-                        queue=queue_ms, total=_ms(t0, time.perf_counter())
-                    ),
-                )
-            t0 = time.perf_counter()
         plan, warm = self._plan(engine, cached, query, strategy)
         t1 = time.perf_counter()
         errors: List[Exception] = []
@@ -602,10 +540,9 @@ class QueryDaemon:
         t2 = time.perf_counter()
         return self._answer(
             query,
-            plan.strategy.name,
+            plan,
             result,
             count_only=count_only,
-            plan=plan,
             with_labels=with_labels,
             with_stats=with_stats,
             document=mount.name,
@@ -674,35 +611,6 @@ class QueryDaemon:
             self._bump("framed")
         return body
 
-    def _pool_routable(self, strategy: str) -> bool:
-        """Whether this request may run on the shared-memory pool.
-
-        The pool's workers were built with the workspace strategy; a
-        request overriding the strategy keeps the thread path.
-        """
-        return (
-            self._pool_service is not None
-            and strategy == self.workspace.strategy
-        )
-
-    def _pool_results(self, mount: Mount, queries: List[str]) -> Optional[list]:
-        """``queries`` on the worker pool (one submit, dynamic stealing):
-        their results in order, or ``None`` after pool trouble (worker
-        died twice, pool closing mid-request) -- which must degrade to
-        the caller's thread path, never fail the client."""
-        try:
-            batch = self._pool_service.run_batch([mount.name], queries)[
-                mount.name
-            ]
-        except CLIENT_ERRORS:
-            raise
-        except Exception:
-            self._bump("pool_fallbacks")
-            return None
-        mount.answered()
-        self._bump("pool_queries", len(batch))
-        return [batch[query] for query in queries]
-
     def _evaluate_batch(
         self,
         mount: Mount,
@@ -713,37 +621,26 @@ class QueryDaemon:
         count_only: bool,
     ) -> Tuple[dict, None, List[Answer]]:
         """A whole batch as :func:`encode_answer` takes it: ``(envelope,
-        None, one answer per query)`` -- from the worker pool when
-        routable, else query by query right here."""
+        None, one answer per query)``, evaluated query by query right
+        here."""
         t0 = time.perf_counter()
-        envelope = {"document": mount.name}
-        results = (
-            self._pool_results(mount, queries)
-            if self._pool_routable(strategy)
-            else None
-        )
-        if results is not None:
-            self._bump("pool_batches")
-            envelope["executor"] = "pool"
-            answers = [
-                self._answer(query, strategy, result, count_only=count_only)
-                for query, result in zip(queries, results)
-            ]
-        else:
-            answers = [
-                self._evaluate(
-                    mount,
-                    engine,
-                    engine.cached_plan(query, strategy),
-                    query,
-                    strategy,
-                    count_only=count_only,
-                )
-                for query in queries
-            ]
-            for entry, _ids in answers:
-                del entry["document"]
-        envelope["timing_ms"] = {"total": _ms(t0, time.perf_counter())}
+        answers = [
+            self._evaluate(
+                mount,
+                engine,
+                engine.cached_plan(query, strategy),
+                query,
+                strategy,
+                count_only=count_only,
+            )
+            for query in queries
+        ]
+        for entry, _ids in answers:
+            del entry["document"]
+        envelope = {
+            "document": mount.name,
+            "timing_ms": {"total": _ms(t0, time.perf_counter())},
+        }
         return envelope, None, answers
 
     def _explain(
@@ -867,9 +764,7 @@ class QueryDaemon:
         # The request's one plan-cache lookup; everything below is
         # handed the objects, never the names.
         cached = engine.cached_plan(query, strategy)
-        inline = self._runs_inline(
-            cached, strategy, tuple(flags.values()), timeout_s
-        )
+        inline = self._runs_inline(cached, tuple(flags.values()), timeout_s)
         admitted = None if inline else time.perf_counter()
         body = await self.admission.run(
             lambda: self._query_body(
@@ -885,8 +780,6 @@ class QueryDaemon:
             timeout_s,
             inline=inline,
         )
-        # "threaded": took the hop -- pool-routed answers included,
-        # which the pool's own counters tell apart.
         self._bump("inline" if inline else "threaded")
         return body
 
@@ -1029,21 +922,6 @@ class QueryDaemon:
                 },
                 "last": self._last_reload,
             },
-            "pool": (
-                {
-                    "enabled": True,
-                    "workers": self.pool_workers,
-                    "min_nodes": self.pool_min_nodes,
-                    "batches": counters["pool_batches"],
-                    "queries": counters["pool_queries"],
-                    "fallbacks": counters["pool_fallbacks"],
-                    # Queue depth, in-flight, steals, warm-hit rate,
-                    # respawns/retries, per-worker task counts.
-                    "health": self._pool_service.pool_stats(),
-                }
-                if self._pool_service is not None
-                else {"enabled": False}
-            ),
             "counters": counters,
             # The one plan cache, summed over the mounted engines.
             "prepared": {
@@ -1148,7 +1026,7 @@ class QueryDaemon:
         upper-bounds every in-flight request anyway -- each either
         finishes or gets its own ``504``) for open requests to be fully
         *written back*, closes surviving keep-alive connections, shuts
-        the worker pool down (cancelling anything still queued), and
+        the worker threads down (cancelling anything still queued), and
         releases every mmap handle.
         """
         self._draining = True
@@ -1171,10 +1049,7 @@ class QueryDaemon:
         # resulting connection error.
         for writer in list(self._connections):
             writer.close()
-        self._pool.shutdown(wait=self._requests_open == 0, cancel_futures=True)
-        # Workspace.close() shuts every QueryService -- including the
-        # shared-memory worker pool, whose processes are joined (or
-        # terminated past the timeout): no orphans after a drain.
+        self._threads.shutdown(wait=self._requests_open == 0, cancel_futures=True)
         self.workspace.close()
 
     async def run_async(self, ready=None) -> None:

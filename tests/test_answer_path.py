@@ -353,10 +353,9 @@ def _raw_post(port: int, path: str, payload: dict) -> dict:
     return json.loads(raw)
 
 
-@pytest.mark.parametrize("pool_workers", [0, 2], ids=["thread", "pool"])
-@pytest.mark.parametrize("corpus,encode", CORPORA)
-def test_served_ids_match_reference(tmp_path, corpus, encode, pool_workers):
-    store = DocumentStore(str(tmp_path))
+def _stored_corpus(directory: str, corpus, encode) -> dict:
+    """Store every document of ``corpus``; ``{name: {query: reference ids}}``."""
+    store = DocumentStore(directory)
     expected = {}
     for number, (xml, queries) in enumerate(corpus):
         name = f"doc{number}"
@@ -365,8 +364,13 @@ def test_served_ids_match_reference(tmp_path, corpus, encode, pool_workers):
         expected[name] = {
             query: evaluate_reference(tree, parse_xpath(query)) for query in queries
         }
-    daemon = QueryDaemon(str(tmp_path), pool_workers=pool_workers, pool_min_nodes=0)
-    with DaemonThread(daemon) as handle:
+    return expected
+
+
+@pytest.mark.parametrize("corpus,encode", CORPORA)
+def test_served_ids_match_reference(tmp_path, corpus, encode):
+    expected = _stored_corpus(str(tmp_path), corpus, encode)
+    with DaemonThread(QueryDaemon(str(tmp_path))) as handle:
         for name, answers in expected.items():
             queries = list(answers)
             batch = _raw_post(
@@ -375,16 +379,25 @@ def test_served_ids_match_reference(tmp_path, corpus, encode, pool_workers):
             assert [entry["ids"] for entry in batch["results"]] == [
                 answers[query] for query in queries
             ]
-            assert batch.get("executor") == ("pool" if pool_workers else None)
+            assert "executor" not in batch
             for query in queries[:4]:
                 single = _raw_post(
                     handle.port, "/query", {"document": name, "query": query}
                 )
                 assert single["ids"] == answers[query], (name, query)
                 assert single["count"] == len(answers[query])
-        stats = daemon.stats()
-        assert stats["counters"]["pool_fallbacks"] == 0
-        assert (stats["counters"]["pool_queries"] > 0) == bool(pool_workers)
+
+
+@pytest.mark.parametrize("corpus,encode", CORPORA)
+def test_pooled_ids_match_reference(tmp_path, corpus, encode):
+    """The worker-process pool over the same bundles: each task reopens
+    its bundle in the worker and sends the ids back pickled."""
+    expected = _stored_corpus(str(tmp_path), corpus, encode)
+    with Workspace() as ws:
+        ws.open_store(str(tmp_path))
+        with ws.service(jobs=2, executor="pool") as service:
+            for name, answers in expected.items():
+                assert service.select_many(list(answers), name) == answers
 
 
 # -- HTTP/1.0: close by default, keep-alive on request --------------------------

@@ -347,6 +347,13 @@ class TestServeParsers:
         code, _ = run(["serve", "--store", str(tmp_path / "nope")])
         assert code == 1
 
+    @pytest.mark.parametrize("option", ["--pool-workers", "--pool-min-nodes"])
+    def test_serve_has_no_pool_options(self, option, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["serve", "--store", str(tmp_path), option, "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_client_query_against_live_daemon(self, xml_file, tmp_path):
         import threading
 

@@ -218,6 +218,23 @@ class TestWarmth:
         assert new > 0 and cold == 0
         assert second["warm_hit_rate"] > 0
 
+    def test_pool_stats_expose_health(self, xmark_workspace):
+        with QueryService(xmark_workspace, jobs=2, executor="pool") as service:
+            # Repeated identical batches must start re-hitting the
+            # workers' caches (which chunk lands on which worker is
+            # dynamic, so one repetition is not guaranteed to overlap).
+            for _ in range(4):
+                service.select_many(FIG4_SUBSET, "xm")
+                health = service.pool_stats()
+                if health["warm_hits"] > 0:
+                    break
+        assert health["workers"] == 2 and health["alive"] == 2
+        assert health["tasks"] >= len(FIG4_SUBSET)
+        assert health["warm_hits"] > 0 and health["failures"] == 0
+        assert set(health["per_worker"]) == {"0", "1"}
+        for key in ("queue_depth", "in_flight", "steals", "warm_hit_rate"):
+            assert key in health
+
     def test_pool_survives_across_select_many_calls(self, store_dir):
         ws = Workspace()
         ws.open_store(store_dir)
@@ -334,21 +351,22 @@ class TestTeardown:
         ws.close()
         assert _wait_pids_dead(pids)
 
+    def test_service_close_kills_workers(self, store_dir):
+        ws = Workspace()
+        ws.open_store(store_dir)
+        with ws.service(jobs=2, executor="pool") as service:
+            pids = service.ensure_pool().worker_pids()
+            assert pids and all(_pid_alive(p) for p in pids)
+            assert service.select_many(FIG4_SUBSET[:2], "sa")
+        assert _wait_pids_dead(pids)
+        ws.close()
+
     def test_garbage_collected_pool_reaps_workers(self):
         pool = WorkerPool(workers=2, strategy="naive")
         pids = pool.worker_pids()
         assert all(_pid_alive(p) for p in pids)
         del pool
         gc.collect()
-        assert _wait_pids_dead(pids)
-
-    def test_daemon_stop_kills_workers(self, store_dir):
-        daemon_mod = pytest.importorskip("repro.serve.daemon")
-        daemon = daemon_mod.QueryDaemon(store_dir, pool_workers=2)
-        with daemon_mod.DaemonThread(daemon) as handle:
-            pids = daemon._pool_service.ensure_pool().worker_pids()
-            assert pids and all(_pid_alive(p) for p in pids)
-            assert handle.port > 0
         assert _wait_pids_dead(pids)
 
 

@@ -1,6 +1,7 @@
 """The persistent query daemon: concurrency, admission, errors, identity."""
 
 import json
+import multiprocessing
 import socket
 import threading
 import time
@@ -105,6 +106,14 @@ class TestBasicServing:
         for entry in payload["results"]:
             assert entry["ids"] == oracle[("xmark", entry["query"])]
 
+    @pytest.mark.parametrize("strategy", ["naive", "optimized", "vectorized", "window"])
+    def test_strategy_override_batch_matches_oracle(self, corpus, client, strategy):
+        _, oracle = corpus
+        payload = client.batch(QUERY_MIX, document="xmark", strategy=strategy)
+        assert "executor" not in payload
+        got = {entry["query"]: entry["ids"] for entry in payload["results"]}
+        assert got == {q: oracle[("xmark", q)] for q in QUERY_MIX}
+
     def test_explain_exposes_what_executes(self, client):
         payload = client.explain("//keyword", document="xmark")
         assert payload["strategy"] == "auto"
@@ -120,6 +129,16 @@ class TestBasicServing:
         assert payload["counters"]["queries"] > 0
         assert payload["prepared"]["size"] >= 1
         assert "compiled" in payload["caches"]
+
+    def test_every_request_is_answered_in_process(self, client):
+        children = {p.pid for p in multiprocessing.active_children()}
+        assert "executor" not in client.batch(QUERY_MIX, document="xmark")
+        reply = client.query(QUERY_MIX[0], document="xmark")
+        assert reply["executor"] in ("thread", "inline")
+        assert {p.pid for p in multiprocessing.active_children()} <= children
+        stats = client.stats()
+        assert "pool" not in stats
+        assert not [key for key in stats["counters"] if key.startswith("pool")]
 
 
 class TestStructuredErrors:
@@ -368,7 +387,7 @@ class TestAdmissionAndTimeouts:
 
         # Occupy the single worker thread so the next admitted request
         # queues, holding its admission slot.
-        tight_daemon._pool.submit(plug)
+        tight_daemon._threads.submit(plug)
         assert gate.wait(timeout=5)
 
         first_done = threading.Event()
@@ -408,7 +427,7 @@ class TestAdmissionAndTimeouts:
 
     def test_timeout_answers_504_and_frees_the_slot(self, tight_daemon):
         release = threading.Event()
-        tight_daemon._pool.submit(release.wait, 10)
+        tight_daemon._threads.submit(release.wait, 10)
         try:
             with ServeClient(port=tight_daemon.port) as c:
                 with pytest.raises(ServeError) as excinfo:
@@ -422,73 +441,6 @@ class TestAdmissionAndTimeouts:
             release.set()
         with ServeClient(port=tight_daemon.port) as c:
             assert c.query("//a/b", document="tiny")["ids"]
-
-
-class TestPooledDaemon:
-    """``--pool-workers N``: batches on the shared-memory worker pool."""
-
-    @pytest.fixture(scope="class")
-    def pooled(self, corpus):
-        root, _ = corpus
-        with DaemonThread(
-            QueryDaemon(
-                root,
-                workers=2,
-                timeout=30.0,
-                pool_workers=2,
-                pool_min_nodes=1000,
-            )
-        ) as handle:
-            yield handle.daemon
-
-    def test_batch_identical_to_oracle(self, corpus, pooled):
-        _, oracle = corpus
-        with ServeClient(port=pooled.port) as c:
-            out = c.batch(QUERY_MIX, document="xmark")
-        assert out["executor"] == "pool"
-        got = {entry["query"]: entry["ids"] for entry in out["results"]}
-        assert got == {q: oracle[("xmark", q)] for q in QUERY_MIX}
-
-    def test_oversized_query_routes_through_pool(self, corpus, pooled):
-        _, oracle = corpus
-        with ServeClient(port=pooled.port) as c:
-            out = c.query(QUERY_MIX[0], document="xmark")
-            tiny = c.query("//a/b", document="tiny")
-        # xmark (>= pool_min_nodes) goes to the pool; tiny stays on the
-        # warm thread path.
-        assert out["executor"] == "pool"
-        assert out["ids"] == oracle[("xmark", QUERY_MIX[0])]
-        assert tiny["executor"] == "thread"
-        assert tiny["ids"] == oracle[("tiny", "//a/b")]
-
-    def test_strategy_override_keeps_thread_path(self, corpus, pooled):
-        _, oracle = corpus
-        with ServeClient(port=pooled.port) as c:
-            out = c.batch(QUERY_MIX[:2], document="xmark", strategy="naive")
-        assert "executor" not in out
-        got = {entry["query"]: entry["ids"] for entry in out["results"]}
-        assert got == {q: oracle[("xmark", q)] for q in QUERY_MIX[:2]}
-
-    def test_stats_expose_pool_health(self, pooled):
-        with ServeClient(port=pooled.port) as c:
-            # Repeated identical batches must start re-hitting the
-            # workers' caches (which chunk lands on which worker is
-            # dynamic, so one repetition is not guaranteed to overlap).
-            for _ in range(4):
-                c.batch(QUERY_MIX, document="xmark")
-                stats = c.stats()
-                if stats["pool"]["health"]["warm_hits"] > 0:
-                    break
-        pool = stats["pool"]
-        assert pool["enabled"] and pool["workers"] == 2
-        assert pool["batches"] >= 1 and pool["fallbacks"] == 0
-        health = pool["health"]
-        assert health["alive"] == 2
-        assert health["tasks"] >= len(QUERY_MIX)
-        assert health["warm_hits"] > 0
-        assert set(health["per_worker"]) == {"0", "1"}
-        for key in ("queue_depth", "in_flight", "steals", "warm_hit_rate"):
-            assert key in health
 
 
 class TestLifecycle:

@@ -362,7 +362,7 @@ class TestWhoGetsAFrame:
         client.query("//keyword", document="xmark", count=True)
         stats = client.stats()
         assert stats["counters"]["framed"] == 1
-        assert "framed" not in stats["errors"] and "framed" not in stats["pool"]
+        assert "framed" not in stats["errors"]
 
 
 # -- framed == JSON for every executor ----------------------------------------------
@@ -420,28 +420,6 @@ class TestEveryExecutor:
         assert [e["fallback"] for e in framed_batch["results"]] == ["naive"] * 2
         assert daemon.stats()["counters"]["fallback_successes"] == 6
         assert framed["ids"] == daemon.workspace.select(self.QUERY, "xmark")
-
-    def test_pool_routed(self, store_dir):
-        daemon = QueryDaemon(store_dir, workers=2, pool_workers=2, pool_min_nodes=0)
-        with DaemonThread(daemon) as handle:
-            with ServeClient(port=handle.port, retries=0) as client:
-                with socket.create_connection(("127.0.0.1", handle.port), 5) as sock:
-                    framed = client.query(self.QUERY, document="xmark")
-                    plain = plain_post(
-                        sock, "/query", {"query": self.QUERY, "document": "xmark"}
-                    )
-                    assert framed["executor"] == "pool"
-                    assert b'"executor": "pool"' in plain
-                    same_answer(framed, plain)
-                    batch = client.batch(MIX20, document="xmark")
-                    plain = plain_post(
-                        sock, "/batch", {"queries": MIX20, "document": "xmark"}
-                    )
-                    assert batch["executor"] == "pool"
-                    same_answer(batch, plain)
-            counters = daemon.stats()["counters"]
-        assert counters["pool_fallbacks"] == 0 and counters["framed"] == 2
-        assert counters["pool_queries"] == 2 * (1 + len(MIX20))
 
 
 # -- the served path against the independent oracle ---------------------------------

@@ -71,13 +71,13 @@ def hops(daemon):
 
 def spy_on_executor(daemon):
     calls = []
-    submit = daemon._pool.submit
+    submit = daemon._threads.submit
 
     def spy(fn, *args, **kwargs):
         calls.append(fn)
         return submit(fn, *args, **kwargs)
 
-    daemon._pool.submit = spy
+    daemon._threads.submit = spy
     return calls
 
 
@@ -236,16 +236,11 @@ class TestSelection:
                 reply = c.query("//a/b", document="tiny")
                 assert reply["executor"] == "thread" and reply["warm"] is False
 
-    def test_pool_routable_requests_never_run_inline(self, corpus):
-        pooled = QueryDaemon(
-            corpus, workers=2, pool_workers=1, pool_min_nodes=10**9
-        )
-        with DaemonThread(pooled) as handle:
-            with ServeClient(port=handle.port, retries=0) as c:
-                replies = [c.query("//a/b", document="tiny") for _ in range(12)]
-                assert {r["executor"] for r in replies} == {"thread"}
-                # A strategy the pool was not built with is not routable.
-                until_inline(c, "//a/b", document="tiny", strategy="window")
+    @pytest.mark.parametrize("strategy", ["window", "optimized", "jumping"])
+    def test_a_strategy_override_settles_inline_too(self, client, strategy):
+        replies = until_inline(client, "//a/b", document="tiny", strategy=strategy)
+        assert replies[0]["executor"] == "thread"
+        assert all(reply["ids"] == [2] for reply in replies)
 
 
 class TestReload:
@@ -298,7 +293,7 @@ class TestGuardRailsOnTheInlinePath:
                 until_inline(c, "//a/b", document="tiny")
                 hops = spy_on_executor(tight)
                 release = threading.Event()
-                tight._pool.submit(release.wait, 10)  # occupy the one worker
+                tight._threads.submit(release.wait, 10)  # occupy the one worker
 
                 def hold():  # cold: queues behind the plug, holds the slot
                     with ServeClient(port=handle.port, retries=0) as other:
