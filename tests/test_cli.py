@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -398,3 +402,217 @@ class TestServeParsers:
         code, _ = run(["client", "--port", str(port), "health"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+# -- output no other test pins -------------------------------------------------
+
+
+@pytest.fixture()
+def synced_corpus(tmp_path):
+    """A corpus three generations old: two adds, then one replace."""
+    source = tmp_path / "xml"
+    source.mkdir()
+    (source / "one.xml").write_text("<r><a/><b/></r>")
+    (source / "two.xml").write_text("<r><c/></r>")
+    corpus = str(tmp_path / "corpus")
+    assert run(["store", "sync", str(source), corpus])[0] == 0
+    (source / "one.xml").write_text("<r><a/></r>")
+    assert run(["store", "sync", str(source), corpus])[0] == 0
+    return str(source), corpus
+
+
+def _tree(root):
+    """Every path under ``root`` with its bytes (``None`` for a directory)."""
+    found = {}
+    for base, dirs, files in os.walk(root):
+        for name in dirs:
+            found[os.path.join(base, name)] = None
+        for name in files:
+            with open(os.path.join(base, name), "rb") as handle:
+                found[os.path.join(base, name)] = handle.read()
+    return found
+
+
+class TestStoreMutationCLI:
+    def test_log_lines_and_limit(self, synced_corpus):
+        _, corpus = synced_corpus
+        code, out = run(["store", "log", corpus])
+        assert code == 0
+        lines = out.splitlines()
+        entry = r"g{}\s+{}\s+{}\s+\d{{4}}-\d\d-\d\dT\S+"
+        for line, (g, op, name) in zip(
+            lines, [(1, "add", "one"), (2, "add", "two"), (3, "replace", "one")]
+        ):
+            assert re.fullmatch(entry.format(g, op, name), line), line
+        assert lines[3:] == ["generation 3"]
+        assert lines[0].index("add") == 8 and lines[0].index("one") == 17
+
+        code, out = run(["store", "log", corpus, "--limit", "1"])
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("g3      replace  one ")
+        assert lines[1] == "generation 3"
+
+    def test_compact_reports_json_keys(self, synced_corpus):
+        _, corpus = synced_corpus
+        code, out = run(["store", "compact", corpus])
+        assert code == 0
+        report = json.loads(out)
+        assert sorted(report) == ["deleted", "generation", "kept"]
+        assert len(report["deleted"]) == 1 and report["kept"] == []
+        assert report["generation"] == 4
+
+    def test_sync_dry_run_leaves_the_corpus_untouched(self, synced_corpus):
+        source, corpus = synced_corpus
+        with open(f"{source}/two.xml", "w") as handle:
+            handle.write("<r><c/><c/></r>")
+        before = _tree(corpus)
+        code, out = run(["store", "sync", source, corpus, "--dry-run"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["dry_run"] is True and report["replaced"] == ["two"]
+        assert report["generation"] == {"after": 3, "before": 3}
+        assert _tree(corpus) == before
+
+    @pytest.mark.parametrize("verb", ["log", "compact"])
+    def test_missing_corpus_is_an_error(self, verb, tmp_path, capsys):
+        typo = tmp_path / "typo"
+        code, out = run(["store", verb, str(typo)])
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not typo.exists()
+
+
+class TestStoreVerifyText:
+    def test_ok_and_corrupt_lines(self, tmp_path, capsys):
+        from repro.engine.workspace import Workspace
+        from repro.faults import corrupt_bundle
+
+        root = tmp_path / "corpus"
+        with Workspace() as ws:
+            ws.add("good", "<r><a/><b/></r>")
+            ws.add("bad", "<r><a/><b/></r>")
+            ws.save(str(root))
+        code, out = run(["store", "verify", str(root)])
+        assert code == 0
+        assert re.fullmatch(
+            r"bad: ok \[fast\] \(8 arrays, \d+ bytes\)\n"
+            r"good: ok \[fast\] \(8 arrays, \d+ bytes\)\n",
+            out,
+        ), out
+        capsys.readouterr()
+
+        corrupt_bundle(str(root / "bad"), "xml_end", mode="bit_flip", seed=4)
+        code, out = run(["store", "verify", str(root), "--deep"])
+        assert code == 1
+        bad, good = out.splitlines()
+        assert bad.startswith("bad: CORRUPT array 'xml_end': "), bad
+        assert re.fullmatch(r"good: ok \[deep\] \(8 arrays, \d+ bytes\)", good)
+        err = capsys.readouterr().err
+        assert err == "error: 1 of 2 bundle(s) failed deep verification\n"
+
+
+class TestStoreQueryCLI:
+    def test_no_mmap_labels(self, xml_file, tmp_path):
+        bundle = str(tmp_path / "bundle")
+        assert run(["store", "build", bundle, xml_file])[0] == 0
+        code, out = run(["store", "query", "/r/*", bundle, "--no-mmap", "--labels"])
+        assert code == 0
+        assert out.splitlines() == ["1\ta", "3\tb"]
+
+    def test_query_closes_its_reader(self, xml_file, tmp_path):
+        from repro.store import live_readers
+
+        bundle = str(tmp_path / "bundle")
+        assert run(["store", "build", bundle, xml_file])[0] == 0
+        assert live_readers(bundle) == 0
+        code, out = run(["store", "query", "//b", bundle, "--count"])
+        assert code == 0 and out.strip() == "2"
+        assert live_readers(bundle) == 0
+
+
+class TestClientOutput:
+    @pytest.fixture()
+    def daemon_port(self, xml_file, tmp_path):
+        from repro.serve import DaemonThread, QueryDaemon
+
+        root = str(tmp_path / "corpus")
+        assert run(["store", "build", root + "/doc", xml_file])[0] == 0
+        with DaemonThread(QueryDaemon(root)) as handle:
+            yield str(handle.port)
+
+    def test_batch_table(self, daemon_port, tmp_path):
+        queries = tmp_path / "q.txt"
+        queries.write_text("K\t//a/b\n//b\n")
+        code, out = run(
+            ["client", "--port", daemon_port, "batch", "--queries", str(queries),
+             "--count", "--format", "table"]
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].split() == ["name", "query", "count", "strategy", "warm", "ms"]
+        assert set(lines[1]) <= {"-", " "}
+        assert [line.split()[:4] for line in lines[2:]] == [
+            ["K", "//a/b", "1", "auto"],
+            ["q2", "//b", "2", "auto"],
+        ]
+
+    def test_stats_csv(self, daemon_port):
+        code, out = run(["client", "--port", daemon_port, "stats", "--format", "csv"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "counter,value"
+        counters = [line.split(",")[0] for line in lines[1:]]
+        assert counters[-2:] == ["uptime_s", "in_flight"]
+        assert "queries" in counters and counters[:-2] == sorted(counters[:-2])
+
+    def test_reload(self, daemon_port):
+        code, out = run(["client", "--port", daemon_port, "reload"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["reloaded"] is False
+
+
+def _cli_process(*argv, **kwargs):
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *argv], env=env, **kwargs
+    )
+
+
+class TestProcessOutput:
+    def test_serve_ready_line_keys(self, xml_file, tmp_path):
+        root = str(tmp_path / "corpus")
+        assert run(["store", "build", root + "/doc", xml_file])[0] == 0
+        proc = _cli_process(
+            "serve", "--store", root, "--port", "0", "--workers", "1",
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        )
+        try:
+            ready = json.loads(proc.stdout.readline())
+        finally:
+            proc.terminate()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+        assert sorted(ready) == [
+            "admission_limit", "documents", "serving", "strategy",
+            "timeout_s", "workers",
+        ]
+        assert ready["serving"].startswith("127.0.0.1:")
+        assert ready["documents"] == ["doc"] and ready["workers"] == 1
+
+    def test_broken_pipe_exits_quietly(self):
+        proc = _cli_process(
+            "//*", "--xmark", "0.5",
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
