@@ -3,12 +3,13 @@
 The workload scale is controlled by two environment variables:
 
 - ``REPRO_BENCH_SCALE``    (default 1.0): XMark generator scale for the
-  fig3/fig4/fig8 instances (~30k element nodes per 1.0);
+  fig3/fig4/fig8 instances (26,217 element nodes at 1.0, growing
+  linearly);
 - ``REPRO_BENCH_FRACTION`` (default 0.1): size fraction of the Figure 5
   configurations (1.0 = the paper's exact counts).
 
 Raise them to stress the engines; the reported *shapes* are stable across
-scales (see EXPERIMENTS.md).
+scales.
 """
 
 from __future__ import annotations

@@ -77,8 +77,8 @@ class TDAAnalysis:
         self._mentioned = frozenset(rep for rep, _ in self._atoms[:-1])
         # With an interner (any object exposing ``state_id``) the cache is
         # keyed by dense ints instead of hashing frozensets of state names;
-        # :class:`repro.engine.intern.RunTables` passes itself here so the
-        # tda cache shares the evaluator's sid space.
+        # :class:`repro.engine.intern.RunTables` passes its SidInterner
+        # here so the tda cache shares the evaluator's sid space.
         self._interner = interner
         self._cache: Dict[object, SetInfo] = {}
 

@@ -182,9 +182,8 @@ def fig8_vs_stepwise(
 
     Reports both wall time and *nodes touched* (automata: visited nodes;
     stepwise: scanned node-table tuples).  The touched-node columns are
-    the interpreter-independent comparison; see EXPERIMENTS.md for why
-    wall-clock who-wins can invert in pure Python on answer-accumulation
-    queries.
+    the interpreter-independent comparison: wall-clock who-wins can
+    invert in pure Python on answer-accumulation queries.
     """
     if index is None:
         index = build_index(scale)

@@ -26,7 +26,12 @@ import numpy as np
 
 from repro.asta.automaton import ASTA
 from repro.engine import registry
-from repro.engine.plan import CompiledQueryCache, ExecutionResult, PreparedQuery
+from repro.engine.plan import (
+    CompiledQueryCache,
+    ExecutionResult,
+    PreparedQuery,
+    wildcard_labels,
+)
 from repro.index.jumping import TreeIndex
 from repro.lru import LRUCache
 from repro.tree.binary import BinaryTree
@@ -75,6 +80,10 @@ class Engine:
         An optional shared :class:`CompiledQueryCache` (a
         :class:`~repro.engine.workspace.Workspace` passes one cache to
         all of its engines); by default each engine owns a private one.
+
+    Nothing an engine owns points back at it (its plans hold it weakly),
+    so dropping the last reference frees the engine and its index at
+    once, without waiting for the cyclic collector.
     """
 
     def __init__(
@@ -114,13 +123,7 @@ class Engine:
         test is resolved against the document's element-label inventory
         (see :func:`repro.xpath.compiler.compile_xpath`).
         """
-        return self.cache.get(query, self._wildcard_labels(), parsed=parsed)
-
-    def _wildcard_labels(self):
-        encoded = any(l.startswith(("@", "#")) for l in self.tree.labels)
-        if not encoded:
-            return None  # Σ is exact for element-only documents
-        return [l for l in self.tree.labels if not l.startswith(("@", "#"))]
+        return self.cache.get(query, wildcard_labels(self.tree), parsed=parsed)
 
     def prepare(
         self, query: Union[str, Path], strategy: Optional[str] = None

@@ -21,6 +21,7 @@ from repro.automata.pathdet import NotPathShaped, path_tdsta
 from repro.automata.sta import STA
 from repro.automata.topdown import topdown_jump
 from repro.counters import EvalStats
+from repro.engine.plan import wildcard_labels
 from repro.engine.registry import StrategyBase, register_strategy
 from repro.index.jumping import TreeIndex
 from repro.xpath.ast import Path
@@ -144,7 +145,7 @@ class DeterministicStrategy(StrategyBase):
         # documents restrict '*' to element labels); path-shapedness is
         # label-set-independent, so the supports() check above stands.
         plan.artifacts["tdsta"] = compile_tdsta(
-            plan.path, plan.engine._wildcard_labels()
+            plan.path, wildcard_labels(plan.index.tree)
         )
 
     def execute(self, plan, index, stats):

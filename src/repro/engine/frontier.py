@@ -579,7 +579,7 @@ class KernelStrategy(StrategyBase):
     the summary exists."""
 
     def prepare(self, plan) -> None:
-        index = plan.engine.index
+        index = plan.index
         renting = index.path_summary() is None and summarizable(plan.path)
         plan.artifacts[PROGRAM] = (index, bind(plan.path, index), renting)
 

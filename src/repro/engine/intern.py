@@ -50,57 +50,27 @@ StateSet = FrozenSet[str]
 J_VISIT, J_BOTH, J_LEFT, J_RIGHT = 0, 1, 2, 3
 
 
-class RunTables:
-    """Interned per-plan memo tables for the stack machine.
+class SidInterner:
+    """Dense integer ids (*sids*) for state sets, plus their memoized
+    pairwise unions.
 
-    Bound to one ``(asta, index)`` pair; safe to reuse across any number
-    of executions because every entry is a pure function of the automaton
-    and the (immutable) tree.
+    Its own small object so that both :class:`RunTables` and the
+    :class:`~repro.asta.tda.TDAAnalysis` it owns can share one sid space
+    without the analysis pointing back at the tables (that edge made
+    every plan's tables -- and through them the index -- a reference
+    cycle).
     """
 
-    __slots__ = (
-        "asta",
-        "index",
-        "tda",
-        "sets",
-        "_sid_of",
-        "empty_sid",
-        "label_shift",
-        "trans",
-        "ip",
-        "templates",
-        "jump",
-        "sweep",
-        "top_sid",
-        "_union",
-    )
+    __slots__ = ("sets", "_sid_of", "_union")
 
     #: Bit width of the packed dom-sid fields; a plan never comes close
     #: to 2**16 distinct state sets (state_id guards the limit).
     SID_BITS = 16
 
-    def __init__(self, asta: ASTA, index: TreeIndex, *, jumping: bool = True) -> None:
-        self.asta = asta
-        self.index = index
+    def __init__(self) -> None:
         self.sets: List[StateSet] = []
         self._sid_of: Dict[StateSet, int] = {}
-        self.empty_sid = self.state_id(frozenset())  # always sid 0
-        self.label_shift = max(len(index.tree.labels), 1).bit_length()
-        self.trans: Dict[int, tuple] = {}
-        self.ip: Dict[int, int] = {}
-        self.templates: Dict[int, tuple] = {}
-        self.jump: Dict[int, tuple] = {}
-        # (key1 << 1 | ip) -> sweep spec (False, or (q, selects, r1_empty,
-        # dom_sid)): whether nodes of this (state set, label) linearize
-        # inside a fused-array sweep (see core._run_interned.sweep_try).
-        self.sweep: Dict[int, object] = {}
         self._union: Dict[int, int] = {}
-        self.top_sid = self.state_id(frozenset(asta.top))
-        self.tda: Optional[TDAAnalysis] = (
-            TDAAnalysis(asta, index.tree, interner=self) if jumping else None
-        )
-
-    # -- interning ----------------------------------------------------------
 
     def state_id(self, states: StateSet) -> int:
         """Dense integer id of a state set (allocated on first sight)."""
@@ -131,6 +101,57 @@ class RunTables:
         if hit is None:
             hit = self._union[key] = self.state_id(self.sets[a] | self.sets[b])
         return hit
+
+
+class RunTables:
+    """Interned per-plan memo tables for the stack machine.
+
+    Bound to one ``(asta, index)`` pair; safe to reuse across any number
+    of executions because every entry is a pure function of the automaton
+    and the (immutable) tree.  ``state_id`` / ``union_sid`` / ``sets``
+    are those of the tables' :class:`SidInterner`.
+    """
+
+    __slots__ = (
+        "asta",
+        "index",
+        "tda",
+        "sets",
+        "state_id",
+        "union_sid",
+        "empty_sid",
+        "label_shift",
+        "trans",
+        "ip",
+        "templates",
+        "jump",
+        "sweep",
+        "top_sid",
+    )
+
+    SID_BITS = SidInterner.SID_BITS
+
+    def __init__(self, asta: ASTA, index: TreeIndex, *, jumping: bool = True) -> None:
+        self.asta = asta
+        self.index = index
+        interner = SidInterner()
+        self.sets = interner.sets
+        self.state_id = interner.state_id
+        self.union_sid = interner.union_sid
+        self.empty_sid = self.state_id(frozenset())  # always sid 0
+        self.label_shift = max(len(index.tree.labels), 1).bit_length()
+        self.trans: Dict[int, tuple] = {}
+        self.ip: Dict[int, int] = {}
+        self.templates: Dict[int, tuple] = {}
+        self.jump: Dict[int, tuple] = {}
+        # (key1 << 1 | ip) -> sweep spec (False, or (q, selects, r1_empty,
+        # dom_sid)): whether nodes of this (state set, label) linearize
+        # inside a fused-array sweep (see core._run_interned.sweep_try).
+        self.sweep: Dict[int, object] = {}
+        self.top_sid = self.state_id(frozenset(asta.top))
+        self.tda: Optional[TDAAnalysis] = (
+            TDAAnalysis(asta, index.tree, interner=interner) if jumping else None
+        )
 
     def entries(self) -> int:
         """Total memo entries across the interned tables."""

@@ -55,7 +55,7 @@ def plan_mixed(path: Path, compile=compile_xpath) -> MixedPlan:
     """Split ``path`` and compile its forward prefix (once).
 
     ``compile`` lets callers route the prefix through a shared cache
-    (the registered strategy passes ``Engine.compile``).
+    (the registered strategy passes ``PreparedQuery.compile``).
     """
     if not path.absolute:
         raise ValueError("mixed_evaluate expects an absolute query")
@@ -119,7 +119,7 @@ class MixedStrategy(StrategyBase):
         # (and its wildcard-label inventory) so a Workspace compiles
         # each prefix once across documents.
         plan.artifacts["mixed"] = plan_mixed(
-            plan.path, compile=plan.engine.compile
+            plan.path, compile=plan.compile
         )
 
     def execute(self, plan, index, stats):

@@ -19,6 +19,7 @@ share one compiled automaton per query.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -116,6 +117,15 @@ class CompiledQueryCache:
         return asta
 
 
+def wildcard_labels(tree) -> Optional[List[str]]:
+    """The element labels ``*`` stands for on ``tree``: ``None`` (every
+    label) unless the document encodes attributes or text as labels."""
+    encoded = any(l.startswith(("@", "#")) for l in tree.labels)
+    if not encoded:
+        return None  # Σ is exact for element-only documents
+    return [l for l in tree.labels if not l.startswith(("@", "#"))]
+
+
 class ExecutionResult:
     """One execution's outcome: immutable, self-contained.
 
@@ -209,6 +219,9 @@ class PreparedQuery:
 
     Created by :meth:`repro.engine.api.Engine.prepare`.  Attributes:
 
+    ``index``
+        The engine's :class:`~repro.index.jumping.TreeIndex`, which the
+        plan executes against.
     ``query``
         The original query (string form).
     ``path``
@@ -223,14 +236,23 @@ class PreparedQuery:
         the deterministic strategy its minimal TDSTA, the automaton
         strategies their warmed run tables, the set-at-a-time kernel
         its bound program).
+
+    A plan holds its engine weakly: the engine's plan cache holds the
+    plan, and a strong edge back would make every engine a reference
+    cycle that only the cyclic collector frees -- index and all.  A plan
+    kept past its engine still executes, explains and labels: it holds
+    the index and the compiled cache itself, and :attr:`engine` stands
+    a fresh engine over them up on demand.
     """
 
     __slots__ = (
-        "engine",
+        "index",
         "query",
         "path",
         "strategy",
         "artifacts",
+        "_cache",
+        "_engine",
         "_asta",
         "_exec_lock",
         "_execute_impl",
@@ -243,7 +265,9 @@ class PreparedQuery:
         path: Path,
         strategy: "Strategy",
     ) -> None:
-        self.engine = engine
+        self.index = engine.index
+        self._cache = engine.cache
+        self._engine = weakref.ref(engine)
         self.query = query if isinstance(query, str) else str(query)
         self.path = path
         self.strategy = strategy
@@ -255,10 +279,30 @@ class PreparedQuery:
         self._execute_impl = strategy.execute
         # Duck-typed plugins may omit the optional protocol members.
         if getattr(strategy, "needs_asta", False):
-            self._asta = engine.compile(query, parsed=path)
+            self._asta = self.compile(query, parsed=path)
         prepare_hook = getattr(strategy, "prepare", None)
         if prepare_hook is not None:
             prepare_hook(self)
+
+    @property
+    def engine(self):
+        """The engine that prepared this plan -- or, once that engine is
+        gone, a fresh one over the same index and compiled cache."""
+        engine = self._engine()
+        if engine is None:
+            from repro.engine.api import Engine
+
+            engine = Engine(self.index, cache=self._cache)
+        return engine
+
+    def compile(
+        self, query: Union[str, Path], *, parsed: Optional[Path] = None
+    ) -> ASTA:
+        """Compile (and cache) a query against this plan's document, as
+        :meth:`repro.engine.api.Engine.compile` does."""
+        return self._cache.get(
+            query, wildcard_labels(self.index.tree), parsed=parsed
+        )
 
     @property
     def asta(self) -> ASTA:
@@ -266,7 +310,7 @@ class PreparedQuery:
         compiling a backward-axis path would be outside the forward
         fragment)."""
         if self._asta is None:
-            self._asta = self.engine.compile(self.query, parsed=self.path)
+            self._asta = self.compile(self.query, parsed=self.path)
         return self._asta
 
     def execute(self) -> ExecutionResult:
@@ -283,9 +327,7 @@ class PreparedQuery:
         """
         stats = EvalStats()
         with self._exec_lock:
-            accepted, ids = self._execute_impl(
-                self, self.engine.index, stats
-            )
+            accepted, ids = self._execute_impl(self, self.index, stats)
         return ExecutionResult(accepted, ids, stats)
 
     def select(self) -> List[int]:
@@ -304,7 +346,7 @@ class PreparedQuery:
         if executes_as != name:
             lines.append(f"executes as: {executes_as}")
         if executes_as in planner.SET_AT_A_TIME:
-            features = planner.extract_features(path, self.engine.index)
+            features = planner.extract_features(path, self.index)
             lines += planner.describe_operators(path, features)
         if path.has_backward_axes():
             if executes_as != "mixed":
@@ -323,17 +365,17 @@ class PreparedQuery:
             ]
             if k:
                 prefix = Path(path.absolute, path.steps[:k])
-                lines.append(self.engine.compile(prefix).describe())
+                lines.append(self.compile(prefix).describe())
             return "\n".join(lines)
         if executes_as in planner.SET_AT_A_TIME:
             # The kernel runs no automaton: compile none to describe.
             return "\n".join(lines)
         lines.append(self.asta.describe())
         if hybrid.is_hybrid_applicable(path):
-            k = hybrid.plan_pivot(path, self.engine.index)
+            k = hybrid.plan_pivot(path, self.index)
             step = path.steps[k]
             lines.append(
                 f"hybrid plan: pivot step {k + 1} ({step.test}, "
-                f"count {self.engine.index.count(step.test)})"
+                f"count {self.index.count(step.test)})"
             )
         return "\n".join(lines)

@@ -184,7 +184,7 @@ def explain_fields(plan) -> dict:
     the daemon's ``/explain`` share."""
     fields = planner_fields(plan)
     if fields:
-        features = extract_features(plan.path, plan.engine.index)
+        features = extract_features(plan.path, plan.index)
         fields["operators"] = [name for name, _ in step_operators(features)]
     return fields
 

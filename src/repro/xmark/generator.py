@@ -17,11 +17,13 @@ corpora are born as flat arrays, no per-element ``XMLNode`` is ever
 allocated (:meth:`XMarkGenerator.document` is the pointer-tree view of
 the same events).
 
-``scale=1.0`` yields roughly 30k element nodes, and node counts grow
-linearly.  The paper's document has ~5.7M nodes; running the benchmarks
-at ``scale=4`` (~120k nodes) preserves every relative effect the paper
-reports while staying tractable for a pure-Python naive engine (see
-EXPERIMENTS.md).
+``scale=1.0`` yields 26,217 element nodes, and node counts grow
+linearly (``scale=4`` is 105,590).  The paper's document has ~5.7M
+nodes; the paper-record drivers under ``benchmarks/`` run at scales
+that preserve every relative effect the paper reports while staying
+tractable for a pure-Python naive engine.  :meth:`XMarkGenerator.write`
+streams a document of any scale to a file through the XML writer of
+:mod:`repro.tree.serialize`, in memory bounded by the document's depth.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import random
 from repro.tree.binary import BinaryTree
 from repro.tree.builder import TreeBuilder, XMLNodeBuilder
 from repro.tree.document import XMLDocument
+from repro.tree.serialize import XMLWriter
 
 _CONTINENTS = ("africa", "asia", "australia", "europe", "namerica", "samerica")
 
@@ -74,6 +77,7 @@ class XMarkGenerator:
         self._open_auctions()
         self._closed_auctions()
         self._end()
+        self._sink = None  # a generator must not pin its last sink
 
     def document(self) -> XMLDocument:
         """Generate the materialized :class:`XMLNode` view of the events."""
@@ -89,10 +93,22 @@ class XMarkGenerator:
         return builder.finish()
 
     def xml(self, indent: int = 0) -> str:
-        """Generate and serialize to an XML string."""
-        from repro.tree.serialize import to_xml
+        """Generate and serialize to an XML string: the events stream
+        straight into the XML writer, no ``XMLDocument`` in between."""
+        out: list[str] = []
+        self._render(out.append, indent)
+        return "".join(out)
 
-        return to_xml(self.document(), indent=indent)
+    def write(self, path: str) -> None:
+        """Stream the document to a UTF-8 file in O(depth) memory: the
+        bytes of ``xml().encode()`` without ever holding them."""
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            self._render(handle.write)
+
+    def _render(self, write, indent: int = 0) -> None:
+        writer = XMLWriter(write, indent)
+        self.events(writer)
+        writer.close()
 
     # -- event helpers -----------------------------------------------------------
 

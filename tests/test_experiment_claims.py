@@ -3,7 +3,8 @@
 These tests pin the *relational* findings of the evaluation -- who wins,
 and the special cases the paper calls out -- on a small XMark instance.
 Counts are used instead of wall-clock times wherever possible to keep the
-suite robust; EXPERIMENTS.md records the timing tables.
+suite robust; ``python -m repro.bench.experiments all`` prints the timing
+tables (README "Benchmarks").
 """
 
 import pytest

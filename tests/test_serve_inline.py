@@ -81,6 +81,37 @@ def spy_on_executor(daemon):
     return calls
 
 
+#: What :func:`fix_costs` has every ``/query`` run record.
+FIXED_COST_S = daemon_module.INLINE_MAX_S / 10
+
+
+def fix_costs(daemon, monkeypatch):
+    """Make every ``/query`` run of ``daemon`` record
+    :data:`FIXED_COST_S`, plus whatever delay a :class:`SlowedPlan`
+    adds, instead of its wall time.  Which request runs inline then
+    follows the selection rules alone -- not how the host happened to
+    schedule a run that is meant to be cheap (one measured at 1 ms or
+    more sends the next request back to the thread)."""
+    body = daemon._query_body
+
+    def recorded(mount, engine, cached, query, strategy, flags, *rest):
+        try:
+            return body(mount, engine, cached, query, strategy, flags, *rest)
+        finally:
+            plan = cached or engine.cached_plan(query, strategy)
+            costs = plan and plan.artifacts.get(daemon_module.COST_KEY)
+            if costs is not None:
+                delay = getattr(plan._execute_impl, "delay", 0.0)
+                costs[tuple(flags.values())] = FIXED_COST_S + delay
+
+    monkeypatch.setattr(daemon, "_query_body", recorded)
+
+
+@pytest.fixture()
+def fixed_cost(daemon, monkeypatch):
+    fix_costs(daemon, monkeypatch)
+
+
 def until_inline(client, query, **kwargs):
     """Repeat the request until it is answered inline; every reply."""
     replies = []
@@ -113,6 +144,7 @@ class SlowedPlan:
                 raise self.error
             return inner(plan, index, stats)
 
+        impl.delay = self.delay  # what fix_costs adds to the recorded cost
         self.plan._execute_impl = impl
         return self
 
@@ -121,7 +153,9 @@ class SlowedPlan:
 
 
 class TestSelection:
-    def test_cold_takes_the_thread_then_settles_inline(self, daemon, client, hops):
+    def test_cold_takes_the_thread_then_settles_inline(
+        self, daemon, client, hops, fixed_cost
+    ):
         query = "//person[address]"
         replies = until_inline(client, query, document="xmark", count=True)
         first = replies[0]
@@ -140,7 +174,7 @@ class TestSelection:
         assert counters["threaded"] == len(replies) - 1
         assert counters["inline"] + counters["threaded"] == counters["queries"]
 
-    def test_each_answer_mode_is_measured_on_its_own(self, client, hops):
+    def test_each_answer_mode_is_measured_on_its_own(self, client, hops, fixed_cost):
         until_inline(client, "//a/b", document="tiny", count=True)
         before = len(hops)
         # The id-list answer of the same plan has no measurement yet.
@@ -153,7 +187,9 @@ class TestSelection:
             == "thread"
         )
 
-    def test_armed_faults_send_everything_to_the_thread(self, client, hops):
+    def test_armed_faults_send_everything_to_the_thread(
+        self, client, hops, fixed_cost
+    ):
         until_inline(client, "//a/b", document="tiny")
         before = len(hops)
         with faults.active(FaultPlan()):
@@ -164,7 +200,7 @@ class TestSelection:
         assert client.query("//a/b", document="tiny")["executor"] == "inline"
 
     def test_cost_at_or_over_the_cut_goes_back_to_the_thread(
-        self, daemon, client, hops
+        self, daemon, client, hops, fixed_cost
     ):
         query, kwargs = "//a/b", {"document": "tiny", "strategy": "vectorized"}
         until_inline(client, query, **kwargs)
@@ -185,7 +221,7 @@ class TestSelection:
         assert client.query(query, **kwargs)["executor"] == "inline"
 
     def test_a_warm_inline_query_looks_its_plan_up_once(
-        self, daemon, client, monkeypatch
+        self, daemon, client, monkeypatch, fixed_cost
     ):
         until_inline(client, "//a/b", document="tiny")
         plans = daemon.workspace.engine("tiny")._plans
@@ -208,7 +244,7 @@ class TestSelection:
         assert client.query("//a/b", document="tiny")["executor"] == "thread"
 
     def test_timeout_below_the_recorded_cost_takes_the_thread(
-        self, daemon, client, hops
+        self, daemon, client, hops, fixed_cost
     ):
         until_inline(client, "//a/b", document="tiny")
         entry = entry_of(daemon, "tiny", "//a/b")
@@ -237,18 +273,23 @@ class TestSelection:
                 assert reply["executor"] == "thread" and reply["warm"] is False
 
     @pytest.mark.parametrize("strategy", ["window", "optimized", "jumping"])
-    def test_a_strategy_override_settles_inline_too(self, client, strategy):
+    def test_a_strategy_override_settles_inline_too(
+        self, client, strategy, fixed_cost
+    ):
         replies = until_inline(client, "//a/b", document="tiny", strategy=strategy)
         assert replies[0]["executor"] == "thread"
         assert all(reply["ids"] == [2] for reply in replies)
 
 
 class TestReload:
-    def test_first_request_after_a_reload_takes_the_thread(self, tmp_path):
+    def test_first_request_after_a_reload_takes_the_thread(
+        self, tmp_path, monkeypatch
+    ):
         store = DocumentStore(str(tmp_path))
         store.save("doc", TINY)
         store.save("stable", TINY)
         with DaemonThread(QueryDaemon(str(tmp_path), workers=2)) as handle:
+            fix_costs(handle.daemon, monkeypatch)
             hops = spy_on_executor(handle.daemon)
             with ServeClient(port=handle.port, retries=0) as c:
                 for name in ("doc", "stable"):
@@ -267,7 +308,7 @@ class TestReload:
 
 class TestGuardRailsOnTheInlinePath:
     def test_overrun_answers_504_and_goes_back_to_the_thread(
-        self, daemon, client, hops
+        self, daemon, client, hops, fixed_cost
     ):
         query, kwargs = "//a/b", {"document": "tiny", "strategy": "vectorized"}
         until_inline(client, query, **kwargs)
@@ -286,8 +327,11 @@ class TestGuardRailsOnTheInlinePath:
         assert len(hops) == before + 1
         assert client.healthz()["ok"] is True
 
-    def test_admission_limit_answers_429_before_an_inline_run(self, corpus):
+    def test_admission_limit_answers_429_before_an_inline_run(
+        self, corpus, monkeypatch
+    ):
         tight = QueryDaemon(corpus, workers=1, queue_depth=0, timeout=5.0)
+        fix_costs(tight, monkeypatch)
         with DaemonThread(tight) as handle:
             with ServeClient(port=handle.port, retries=0) as c:
                 until_inline(c, "//a/b", document="tiny")
@@ -344,8 +388,11 @@ class TestGuardRailsOnTheInlinePath:
         asyncio.run(scenario())
         assert daemon.counters["drain_rejects"] == 1
 
-    def test_naive_fallback_and_quarantine_run_inline_too(self, corpus):
+    def test_naive_fallback_and_quarantine_run_inline_too(
+        self, corpus, monkeypatch
+    ):
         daemon = QueryDaemon(corpus, workers=2, fail_threshold=2)
+        fix_costs(daemon, monkeypatch)
         with DaemonThread(daemon) as handle:
             with ServeClient(port=handle.port, retries=0) as c:
                 query = "//a/b"

@@ -1,11 +1,45 @@
 """XMark generator and Figure 5 configurations."""
 
+import hashlib
+import tracemalloc
+
 import pytest
 
 from repro.tree.binary import BinaryTree
 from repro.xmark.configs import CONFIG_SPECS, make_config, make_config_tree
 from repro.xmark.generator import XMarkGenerator
 from repro.xmark.queries import HYBRID_QUERY, QUERIES, query
+
+
+#: sha256 of ``xml(indent).encode()`` per (scale, seed, text_content,
+#: indent), recorded from the serializer that built an ``XMLDocument``
+#: first: streaming the events through the writer must not move a byte.
+GOLDEN_SHA256 = {
+    (0.01, 1, False, 0): "20116fc1758dc66c605a9c0164874781e15b6a30fa7ce99990638d3d3a35c6c6",
+    (0.01, 1, False, 2): "c4b32661344c6571c590a6cbdd5b1c8439966f2915f19be03adf9074c83009e4",
+    (0.01, 1, True, 0): "b54f59081f292c172fb34b1f9449243f102bd127d42a34a6f6d2ff8c82afde7a",
+    (0.01, 1, True, 2): "de846dedca6951619e092a1ef3f4bae6f41daeef497321a8001ff9cef7ed332d",
+    (0.01, 42, False, 0): "760950ff9844a06b377086d327c21020263e9761cc83af5a7f64b9ac14f007ed",
+    (0.01, 42, False, 2): "d67317b6241f673f9f7e26d7cf9a162d8f3b2cf53f6cb8f8cde4aafdccc08dbf",
+    (0.01, 42, True, 0): "97b7aa8553f6a69f09ef23523b2c2f80f17e029150cd43ed9d489b36963110d9",
+    (0.01, 42, True, 2): "da27a4642a3ac3667c32b6cf355901e95e942ee79f30cd11c60d724a9a3f05e4",
+    (0.5, 1, False, 0): "39196f5a57f5baf84f64200664f1500f91d2c02c296ed1e1e0471ac4c61a5244",
+    (0.5, 1, False, 2): "123ea48c9b5a53f899ccab9f65cfb785de6c78716296bf481de1de7d89363c3f",
+    (0.5, 1, True, 0): "6fafdf7211b6a96f66cb4e6e41f8cd006de5d147eeecfc3b9ef0036f53aebdf5",
+    (0.5, 1, True, 2): "0dea08308616e525f2b6588b8d71b7e27827dddeb40122d9101ac39a47b9dea1",
+    (0.5, 42, False, 0): "b5b7e7b8f1fc31473d28b312c328ce1ee7e8599d50740dffa3e52bb308f01857",
+    (0.5, 42, False, 2): "07d977b674b4f48a7d3721780159a887b09876f52e5c631128340e4a0a02482a",
+    (0.5, 42, True, 0): "f1c135ce4a66ca4fa8ffd0c3b3f99b274a345af625783d6d6fd3cd84277eade0",
+    (0.5, 42, True, 2): "bc219a7f628d9700712cec1064f4bd38c9e541c81229324a7717f77d7164a245",
+    (2, 1, False, 0): "bb7b4f829e473714f023d506c46eeb64f067d2db87996cc97fa75ff1cd8e5a09",
+    (2, 1, False, 2): "8f6debf2264ff4206fba8522e928534d0d7729d84e8d64dfc7cffa08916e733a",
+    (2, 1, True, 0): "68670ca6433efc0eacff7c83874da3aea4e72c0165bfe992ccbb3e15241d50b1",
+    (2, 1, True, 2): "abbcd935d2b866bb48408cb330bc052768ed58510391acb059fbb2a1387a37ea",
+    (2, 42, False, 0): "1f7b913b1fe1e0830b04dc73c5f36b3fe629517fb5350572a10650fadeb92884",
+    (2, 42, False, 2): "b54935ed357c303e42ae87d453d0038651dcbd2bb412d339094b7584f7b40cae",
+    (2, 42, True, 0): "d235921c9939f6c68befb236fe7ee4a0ac3303a76d6afc6ad030a9d5def16ffd",
+    (2, 42, True, 2): "4738cd4c2048e8e5b41d8126af6333b312fa365bff508b7ac5efaf8edece6590",
+}
 
 
 class TestGenerator:
@@ -148,3 +182,36 @@ class TestSerialization:
         engine = Engine(doc, encode_text=True)
         assert engine.count("//text/text()") > 0
         assert engine.count("//keyword[text()]") > 0
+
+    @pytest.mark.parametrize(
+        "scale, seed, text_content, indent", sorted(GOLDEN_SHA256)
+    )
+    def test_xml_bytes_are_golden(self, scale, seed, text_content, indent):
+        gen = XMarkGenerator(scale=scale, seed=seed, text_content=text_content)
+        digest = hashlib.sha256(gen.xml(indent=indent).encode()).hexdigest()
+        assert digest == GOLDEN_SHA256[scale, seed, text_content, indent]
+
+    @pytest.mark.parametrize("indent", [0, 2])
+    def test_xml_matches_the_document_serialized(self, indent):
+        from repro.tree.serialize import to_xml
+
+        gen = XMarkGenerator(scale=0.5, seed=3, text_content=True)
+        assert gen.xml(indent=indent) == to_xml(gen.document(), indent=indent)
+
+    @pytest.mark.parametrize("text_content", [False, True])
+    def test_write_streams_the_xml_bytes(self, tmp_path, text_content):
+        gen = XMarkGenerator(scale=0.5, seed=3, text_content=text_content)
+        path = tmp_path / "doc.xml"
+        gen.write(str(path))
+        assert path.read_bytes() == gen.xml().encode()
+
+    def test_write_holds_the_depth_not_the_document(self, tmp_path):
+        gen = XMarkGenerator(scale=2, seed=42, text_content=True)
+        path = tmp_path / "doc.xml"
+        tracemalloc.start()
+        try:
+            gen.write(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
