@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import deterministic, optimized
+from repro.engine import deterministic
+from repro.engine.core import run_asta
 from repro.xmark.queries import QUERIES
 from repro.xpath.compiler import compile_xpath
 
@@ -22,10 +23,10 @@ def test_deterministic(benchmark, xmark_index, qid):
     query = QUERIES[qid]
     deterministic.compile_tdsta(query)  # compile outside the timer
     _, selected = benchmark(deterministic.evaluate, query, xmark_index)
-    assert selected == optimized.evaluate(compile_xpath(query), xmark_index)[1]
+    assert selected == run_asta(compile_xpath(query), xmark_index)[1]
 
 
 @pytest.mark.parametrize("qid", PATH_QIDS)
 def test_asta_optimized(benchmark, xmark_index, qid):
     asta = compile_xpath(QUERIES[qid])
-    benchmark(optimized.evaluate, asta, xmark_index)
+    benchmark(run_asta, asta, xmark_index)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.counters import EvalStats
-from repro.engine import memo, optimized
+from repro.engine.core import SERIES, run_asta
 from repro.xmark.queries import QUERIES
 from repro.xpath.compiler import compile_xpath
 
@@ -23,7 +23,7 @@ def test_fig3(benchmark, xmark_index, qid):
 
     def counted_run():
         stats = EvalStats()
-        optimized.evaluate(asta, xmark_index, stats)
+        run_asta(asta, xmark_index, stats=stats)
         return stats
 
     stats = benchmark(counted_run)
@@ -31,7 +31,7 @@ def test_fig3(benchmark, xmark_index, qid):
     assert stats.selected <= stats.visited
     # Line (2) <= line (3): jumping never visits more than full traversal.
     nojump = EvalStats()
-    memo.evaluate(asta, xmark_index, nojump)
+    run_asta(asta, xmark_index, stats=nojump, **SERIES["memo"])
     assert stats.visited <= nojump.visited
     # Line (4): memoization tables stay tiny relative to the document.
     assert stats.memo_entries < xmark_index.tree.n / 10

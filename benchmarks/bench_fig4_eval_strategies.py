@@ -1,7 +1,8 @@
 """Figure 4: query answering time per evaluation strategy.
 
 Benchmark rows ``test_fig4[<engine>-<Qxx>]`` reproduce the four series of
-Figure 4 (Naive / Jumping / Memo / Opt) over Q01-Q15.  The paper's shape:
+Figure 4 (naive / jumping / memo / optimized, the rows of
+``repro.engine.core.SERIES``) over Q01-Q15.  The paper's shape:
 naive is 10-100x slower on top-level '//' queries; jumping and memoization
 are complementary; Opt is the fastest except on the two-node queries
 Q01/Q12 where memo insertion is pure overhead.
@@ -11,25 +12,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import jumping, memo, naive, optimized
+from repro.engine.core import SERIES, run_asta
 from repro.xmark.queries import QUERIES
 from repro.xpath.compiler import compile_xpath
-
-ENGINES = {
-    "naive": naive.evaluate,
-    "jumping": jumping.evaluate,
-    "memo": memo.evaluate,
-    "opt": optimized.evaluate,
-}
 
 _ASTAS = {qid: compile_xpath(q) for qid, q in QUERIES.items()}
 
 
-@pytest.mark.parametrize("engine", list(ENGINES))
+@pytest.mark.parametrize("engine", list(SERIES))
 @pytest.mark.parametrize("qid", sorted(QUERIES))
 def test_fig4(benchmark, xmark_index, qid, engine):
-    evaluate = ENGINES[engine]
     asta = _ASTAS[qid]
-    accepted, selected = benchmark(evaluate, asta, xmark_index)
+    accepted, selected = benchmark(run_asta, asta, xmark_index, **SERIES[engine])
     # Sanity: all strategies agree with the optimized engine.
-    assert selected == optimized.evaluate(asta, xmark_index)[1]
+    assert selected == run_asta(asta, xmark_index)[1]

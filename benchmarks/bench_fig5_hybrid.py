@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import optimized
+from repro.engine.core import run_asta
 from repro.engine.hybrid import hybrid_evaluate
 from repro.xmark.configs import CONFIG_SPECS
 from repro.xmark.queries import HYBRID_QUERY
@@ -23,10 +23,10 @@ _ASTA = compile_xpath(HYBRID_QUERY)
 def test_fig5_hybrid(benchmark, config_indexes, name):
     index = config_indexes[name]
     _, selected = benchmark(hybrid_evaluate, HYBRID_QUERY, index)
-    assert selected == optimized.evaluate(_ASTA, index)[1]
+    assert selected == run_asta(_ASTA, index)[1]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIG_SPECS))
 def test_fig5_regular(benchmark, config_indexes, name):
     index = config_indexes[name]
-    benchmark(optimized.evaluate, _ASTA, index)
+    benchmark(run_asta, _ASTA, index)

@@ -56,10 +56,10 @@ def main() -> None:
 
     section("3. Evaluating with jumps")
     index = TreeIndex(tree)
-    from repro.engine import optimized
+    from repro.engine.core import run_asta
 
     stats = EvalStats()
-    _, selected = optimized.evaluate(asta, index, stats)
+    _, selected = run_asta(asta, index, stats=stats)
     print(f"//a//b[c] over {tree.n} nodes: answer {selected}, "
           f"visited {stats.visited}, jumps {stats.jumps}")
 

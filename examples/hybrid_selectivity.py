@@ -10,7 +10,7 @@ Run:  python examples/hybrid_selectivity.py [fraction]
 import sys
 
 from repro.counters import EvalStats
-from repro.engine import optimized
+from repro.engine.core import run_asta
 from repro.engine.hybrid import hybrid_evaluate, plan_pivot
 from repro.index.jumping import TreeIndex
 from repro.xmark.configs import CONFIG_SPECS, make_config_tree
@@ -34,7 +34,7 @@ def main(fraction: float = 0.1) -> None:
         pivot = path.steps[plan_pivot(path, index)].test
         s_h, s_r = EvalStats(), EvalStats()
         _, sel = hybrid_evaluate(path, index, s_h)
-        optimized.evaluate(asta, index, s_r)
+        run_asta(asta, index, stats=s_r)
         print(f"{name:3s} {tree.n:8d} {pivot:>9s} {len(sel):7d} "
               f"{s_h.visited:14d} {s_r.visited:15d}")
     print()

@@ -10,7 +10,7 @@ Run:  python examples/xmark_analytics.py [scale]
 import sys
 
 from repro.counters import EvalStats
-from repro.engine import naive, optimized
+from repro.engine.core import SERIES, run_asta
 from repro.index.jumping import TreeIndex
 from repro.xmark.generator import XMarkGenerator
 from repro.xmark.queries import QUERIES
@@ -30,8 +30,8 @@ def main(scale: float = 0.5) -> None:
     for qid, q in QUERIES.items():
         asta = compile_xpath(q)
         s_opt, s_naive = EvalStats(), EvalStats()
-        _, selected = optimized.evaluate(asta, index, s_opt)
-        naive.evaluate(asta, index, s_naive)
+        _, selected = run_asta(asta, index, stats=s_opt)
+        run_asta(asta, index, stats=s_naive, **SERIES["naive"])
         print(
             f"{qid:5s} {len(selected):7d} {s_opt.visited:12d} "
             f"{s_naive.visited:14d} {s_opt.ratio_selected_visited():8.1f}"

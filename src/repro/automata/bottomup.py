@@ -18,7 +18,7 @@ Three entry points:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.automata.sta import STA, State
 from repro.counters import EvalStats
@@ -130,23 +130,6 @@ def bottom_up_reduce(sta: STA, tree: BinaryTree) -> Optional[Dict[int, State]]:
 # ---------------------------------------------------------------------------
 # subtree-skipping bottom-up evaluation
 # ---------------------------------------------------------------------------
-
-
-def inactive_labels_ok(sta: STA, q0: State) -> Set[str]:
-    """Labels l with δ(q0, q0, l) = q0, over the automaton's atoms.
-
-    A binary subtree containing only such labels reduces to q0 without
-    being visited; the membership test for the co-finite atom is returned
-    implicitly via :func:`active_label_ids`.
-    """
-    from repro.automata.minimize import atoms
-
-    out: Set[str] = set()
-    for rep, _atom in atoms(sta):
-        src = sta.source(q0, q0, rep)
-        if len(src) == 1 and src[0] == q0:
-            out.add(rep)
-    return out
 
 
 def active_label_ids(sta: STA, tree: BinaryTree) -> Optional[List[int]]:

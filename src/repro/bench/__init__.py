@@ -3,25 +3,7 @@
 ``python -m repro.bench.experiments all`` regenerates every table; the
 ``benchmarks/`` directory wraps the timing-sensitive parts in
 pytest-benchmark so the series of Figure 4/5/8 appear as benchmark rows.
+The drivers live in :mod:`repro.bench.experiments` (imported from there,
+not re-exported here, so ``-m`` finds the module unimported), the timer
+and table printer in :mod:`repro.bench.harness`.
 """
-
-from repro.bench.harness import Timer, format_table
-from repro.bench.experiments import (
-    ablation_storage,
-    ablation_techniques,
-    fig3_node_counts,
-    fig4_times,
-    fig5_hybrid,
-    fig8_vs_stepwise,
-)
-
-__all__ = [
-    "Timer",
-    "format_table",
-    "fig3_node_counts",
-    "fig4_times",
-    "fig5_hybrid",
-    "fig8_vs_stepwise",
-    "ablation_storage",
-    "ablation_techniques",
-]

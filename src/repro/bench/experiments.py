@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from functools import partial
+from typing import List, Tuple
 
 from repro.bench.harness import Timer, format_table
 from repro.baselines.stepwise import stepwise_evaluate
 from repro.counters import EvalStats
-from repro.engine import memo, optimized, registry
-from repro.engine.core import run_asta
+from repro.engine.core import SERIES, run_asta
 from repro.engine.hybrid import hybrid_evaluate
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
@@ -33,23 +32,6 @@ from repro.xpath.compiler import compile_xpath
 
 DEFAULT_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 DEFAULT_FRACTION = float(os.environ.get("REPRO_BENCH_FRACTION", "0.1"))
-
-# The Figure 4 series, pulled from the strategy registry: a snapshot
-# taken at import time (plugins registered before this module is first
-# imported are included if they carry an ``evaluator``).  The canonical
-# four keep the paper's column order.
-_FIG4_ORDER = ("naive", "jumping", "memo", "optimized")
-ENGINES: Dict[str, Callable] = {
-    name: registry.get_strategy(name).evaluator for name in _FIG4_ORDER
-}
-ENGINES.update(
-    {
-        strategy.name: strategy.evaluator
-        for strategy in registry.all_strategies()
-        if strategy.name not in ENGINES
-        and getattr(strategy, "evaluator", None) is not None
-    }
-)
 
 
 def build_index(scale: float = DEFAULT_SCALE, seed: int = 42) -> TreeIndex:
@@ -71,9 +53,9 @@ def fig3_node_counts(index: TreeIndex = None, scale: float = DEFAULT_SCALE):
     for qid, q in QUERIES.items():
         asta = compile_xpath(q)
         s_jump = EvalStats()
-        optimized.evaluate(asta, index, s_jump)
+        run_asta(asta, index, stats=s_jump)
         s_nojump = EvalStats()
-        memo.evaluate(asta, index, s_nojump)
+        run_asta(asta, index, stats=s_nojump, **SERIES["memo"])
         rows.append(
             (
                 qid,
@@ -108,19 +90,17 @@ def fig4_times(
     scale: float = DEFAULT_SCALE,
     repeats: int = 3,
 ):
-    """Per-query best-of-N times for the four strategies, in ms."""
+    """Per-query best-of-N times for the four series, in ms."""
     if index is None:
         index = build_index(scale)
     timer = Timer(repeats)
     rows = []
     for qid, q in QUERIES.items():
         asta = compile_xpath(q)
-        times = {
-            name: timer.best_ms(lambda fn=fn: fn(asta, index))
-            for name, fn in ENGINES.items()
-        }
-        rows.append((qid, times["naive"], times["jumping"], times["memo"],
-                     times["optimized"]))
+        rows.append((qid, *(
+            timer.best_ms(partial(run_asta, asta, index, **switches))
+            for switches in SERIES.values()
+        )))
     return rows
 
 
@@ -148,10 +128,10 @@ def fig5_hybrid(fraction: float = DEFAULT_FRACTION, repeats: int = 3):
         s_h = EvalStats()
         _, sel_h = hybrid_evaluate(HYBRID_QUERY, index, s_h)
         s_r = EvalStats()
-        _, sel_r = optimized.evaluate(asta, index, s_r)
+        _, sel_r = run_asta(asta, index, stats=s_r)
         assert sel_h == sel_r, f"hybrid/regular disagree on config {name}"
         t_h = timer.best_ms(lambda: hybrid_evaluate(HYBRID_QUERY, index))
-        t_r = timer.best_ms(lambda: optimized.evaluate(asta, index))
+        t_r = timer.best_ms(lambda: run_asta(asta, index))
         rows.append(
             (name, len(sel_h), s_h.visited, s_r.visited, t_h, t_r)
         )
@@ -192,10 +172,10 @@ def fig8_vs_stepwise(
     for qid, q in QUERIES.items():
         asta = compile_xpath(q)
         s_a, s_s = EvalStats(), EvalStats()
-        sel_a = optimized.evaluate(asta, index, s_a)[1]
+        sel_a = run_asta(asta, index, stats=s_a)[1]
         sel_s = stepwise_evaluate(q, index, s_s)
         assert sel_a == sel_s, f"engines disagree on {qid}"
-        t_a = timer.best_ms(lambda: optimized.evaluate(asta, index))
+        t_a = timer.best_ms(lambda: run_asta(asta, index))
         t_s = timer.best_ms(lambda: stepwise_evaluate(q, index))
         rows.append((qid, t_a, t_s, s_a.visited, s_s.visited))
     return rows
@@ -305,9 +285,9 @@ def hybrid_sweep(
         index = TreeIndex(BinaryTree.from_document(XMLDocument(site)))
         s_h, s_r = EvalStats(), EvalStats()
         _, sel = hybrid_evaluate(HYBRID_QUERY, index, s_h)
-        optimized.evaluate(asta, index, s_r)
+        run_asta(asta, index, stats=s_r)
         t_h = timer.best_ms(lambda: hybrid_evaluate(HYBRID_QUERY, index))
-        t_r = timer.best_ms(lambda: optimized.evaluate(asta, index))
+        t_r = timer.best_ms(lambda: run_asta(asta, index))
         rows.append((kw, len(sel), s_h.visited, s_r.visited, t_h, t_r))
     return rows
 

@@ -1,7 +1,8 @@
 """XPath evaluation engines (Sections 4.3-4.4, the Figure 4 series).
 
-All engines share the stack machine of :mod:`repro.engine.core` and differ
-only in which techniques are enabled:
+The paper's four Figure 4 engines are one stack machine,
+:func:`repro.engine.core.run_asta`, with three switches; each engine is
+one row of :data:`repro.engine.core.SERIES`:
 
 ==============  =======  ======  =====================
 engine          jumping  memo    information propagation
@@ -24,19 +25,22 @@ for predicate-free path queries (Section 3 end to end), and
 backward axes (Section 6).  Beyond the paper's engines,
 :mod:`repro.engine.frontier` evaluates absolute forward paths
 *set-at-a-time* over numpy node-id frontiers (the ``vectorized``
-strategy; ``window`` is the same kernel over every axis), and
-:mod:`repro.engine.planner` registers ``auto`` -- that kernel under the
-default's name -- and states the operator it picks per location step.
+strategy), :mod:`repro.engine.window` is the same kernel over every axis
+(``window``), and :mod:`repro.engine.planner` registers ``auto`` -- that
+kernel under the default's name -- and states the operator it picks per
+location step.
 
-Every engine doubles as a *strategy plugin*: it registers itself in
-:mod:`repro.engine.registry`, declares which query fragment it supports,
-and names its fallback.  :mod:`repro.engine.api` is the one-document
-public interface on top (with :class:`~repro.engine.plan.PreparedQuery`
-for parse/compile-once reuse), :mod:`repro.engine.workspace` the
-multi-document batch interface, and :mod:`repro.engine.parallel` the
-thread / worker-pool service that runs batches and broadcasts as one
-task per (document, query), with results identical to serial
-execution.
+Every engine is a *strategy plugin*: a subclass of
+:class:`repro.engine.registry.Strategy` registered in
+:mod:`repro.engine.registry` (the Figure 4 series as four instances of
+:class:`~repro.engine.registry.AstaStrategy`), declaring which query
+fragment it supports and naming its fallback.  :mod:`repro.engine.api`
+is the one-document public interface on top (with
+:class:`~repro.engine.plan.PreparedQuery` for parse/compile-once reuse),
+:mod:`repro.engine.workspace` the multi-document batch interface, and
+:mod:`repro.engine.parallel` the thread / worker-pool service that runs
+batches and broadcasts as one task per (document, query), with results
+identical to serial execution.
 """
 
 from repro.engine.api import Engine, evaluate
@@ -46,7 +50,6 @@ from repro.engine.parallel import QueryService
 from repro.engine.plan import CompiledQueryCache, ExecutionResult, PreparedQuery
 from repro.engine.registry import (
     Strategy,
-    StrategyBase,
     register_strategy,
     strategy_names,
 )
@@ -61,7 +64,6 @@ __all__ = [
     "ExecutionResult",
     "PreparedQuery",
     "Strategy",
-    "StrategyBase",
     "register_strategy",
     "strategy_names",
     "Workspace",

@@ -9,9 +9,10 @@
 cache, and a prepared-plan cache.  Strategy dispatch goes through the
 plugin registry (:mod:`repro.engine.registry`): the engine asks the
 registry to resolve the requested strategy against the parsed path, and
-the resolved strategy's fallback chain -- not an if/elif ladder here --
-decides what actually runs (backward axes end up on ``mixed``, non-chain
-queries under ``hybrid`` on ``optimized``, and so on).
+the resolved strategy's fallback chain decides what actually runs
+(``auto`` and ``window`` answer every absolute path themselves; under an
+automaton strategy backward axes end up on ``mixed``, non-chain queries
+under ``hybrid`` on ``optimized``, and so on).
 
 For query reuse and per-execution statistics use :meth:`Engine.prepare`;
 for many documents sharing one compiled-query cache use
@@ -64,7 +65,9 @@ class Engine:
         Any name registered in :mod:`repro.engine.registry` (built-ins:
         ``auto | naive | jumping | memo | optimized | hybrid |
         deterministic | mixed | vectorized | window``; default ``auto``,
-        as in the CLI and the daemon).
+        as in the CLI and the daemon).  ``naive``, ``jumping``,
+        ``memo`` and ``optimized`` are the Figure 4 series: one automaton
+        machine, one row of :data:`repro.engine.core.SERIES` switches each.
         Strategies that do not support a given query fall back along
         their declared chain -- ``hybrid`` applies start-anywhere
         planning to descendant chains and falls back to ``optimized``;

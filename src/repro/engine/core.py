@@ -15,6 +15,9 @@ paper's three implementation techniques as independent switches:
   second child -- this is what gives predicates their one-witness
   existential behaviour and re-enables jumping on the remaining siblings.
 
+:data:`SERIES` names the paper's four settings of the switches (the
+Figure 4 series); the registry runs each row as a strategy of that name.
+
 The machine is fully iterative (explicit work/value stacks): sibling
 chains are right spines of the binary tree and would overflow Python's
 recursion limit on any realistic document.
@@ -69,12 +72,24 @@ _EVAL, _MID, _FINISH, _LIT, _CHAIN, _FOLD = 0, 1, 2, 3, 4, 5
 _EMPTY_SET: FrozenSet[str] = frozenset()
 
 __all__ = [
+    "SERIES",
     "run_asta",
     "_formula_template",
     "_make_template",
     "_marks_down2",
     "_marks_walk",
 ]
+
+# The Figure 4 series: one row of :func:`run_asta` switches per engine.
+# ``jumping`` keeps information propagation on: it is what keeps
+# predicate checks existential and jumps alive past satisfied
+# predicates.  ``optimized`` is the defaults.
+SERIES: Dict[str, Dict[str, bool]] = {
+    "naive": dict(jumping=False, memo=False, ip=False),
+    "jumping": dict(jumping=True, memo=False, ip=True),
+    "memo": dict(jumping=False, memo=True, ip=False),
+    "optimized": dict(jumping=True, memo=True, ip=True),
+}
 
 
 def run_asta(

@@ -22,7 +22,7 @@ from repro.automata.sta import STA
 from repro.automata.topdown import topdown_jump
 from repro.counters import EvalStats
 from repro.engine.plan import wildcard_labels
-from repro.engine.registry import StrategyBase, register_strategy
+from repro.engine.registry import Strategy, register_strategy
 from repro.index.jumping import TreeIndex
 from repro.xpath.ast import Path
 from repro.xpath.compiler import compile_xpath
@@ -122,7 +122,7 @@ def evaluate_bottomup_filter(
 
 
 @register_strategy
-class DeterministicStrategy(StrategyBase):
+class DeterministicStrategy(Strategy):
     """Minimal-TDSTA pipeline for predicate-free path queries (Section 3)."""
 
     name = "deterministic"

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.counters import EvalStats
 from repro.engine.joins import Key, join, successor_mask, summary_run
-from repro.engine.registry import StrategyBase, register_strategy
+from repro.engine.registry import Strategy, register_strategy
 from repro.index.jumping import TreeIndex
 from repro.xpath.ast import (
     Axis,
@@ -570,7 +570,7 @@ def _match_set(index, steps: tuple, stats) -> Tuple[np.ndarray, Optional[Key]]:
     return matches, src
 
 
-class KernelStrategy(StrategyBase):
+class KernelStrategy(Strategy):
     """The registry shell of the kernel: ``prepare`` binds the plan's
     path to its document once (:func:`bind`, into ``plan.artifacts``),
     so a warm ``execute`` only runs the joins.  A plan bound to joins

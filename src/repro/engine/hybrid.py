@@ -25,8 +25,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.counters import EvalStats
-from repro.engine import optimized
-from repro.engine.registry import StrategyBase, register_strategy
+from repro.engine.core import run_asta
+from repro.engine.registry import Strategy, register_strategy
 from repro.index.jumping import TreeIndex
 from repro.xpath.ast import Axis, Path, pred_has_backward
 from repro.xpath.compiler import compile_xpath
@@ -72,7 +72,7 @@ def hybrid_evaluate(
     path = parse_xpath(query) if isinstance(query, str) else query
     if not is_hybrid_applicable(path):
         asta = compile_xpath(path)
-        return optimized.evaluate(asta, index, stats)
+        return run_asta(asta, index, stats=stats)
     tree = index.tree
     labels = [s.test for s in path.steps]
     k = plan_pivot(path, index)
@@ -195,7 +195,7 @@ def _collect_suffix(
 
 
 @register_strategy
-class HybridStrategy(StrategyBase):
+class HybridStrategy(Strategy):
     """Start-anywhere evaluation for descendant chains (Section 4.4)."""
 
     name = "hybrid"

@@ -25,8 +25,8 @@ from typing import List, Optional, Tuple, Union
 from repro.asta.automaton import ASTA
 from repro.baselines.stepwise import eval_steps_from
 from repro.counters import EvalStats
-from repro.engine import optimized
-from repro.engine.registry import StrategyBase, register_strategy
+from repro.engine.core import run_asta
+from repro.engine.registry import Strategy, register_strategy
 from repro.index.jumping import TreeIndex
 from repro.xpath.ast import Path, pred_has_backward
 from repro.xpath.compiler import compile_xpath
@@ -79,7 +79,7 @@ def run_mixed(
         context: List[int] = [-1]
     else:
         prefix_stats = EvalStats()
-        _, context = optimized.evaluate(mplan.prefix_asta, index, prefix_stats)
+        _, context = run_asta(mplan.prefix_asta, index, stats=prefix_stats)
         if stats is not None:
             stats.merge(prefix_stats)
     rest = path.steps[k:]
@@ -105,7 +105,7 @@ def mixed_evaluate(
 
 
 @register_strategy
-class MixedStrategy(StrategyBase):
+class MixedStrategy(Strategy):
     """Forward prefix on the ASTA engine + step-wise rest (Section 6)."""
 
     name = "mixed"

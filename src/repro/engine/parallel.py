@@ -284,10 +284,9 @@ class QueryService:
         gather ``{document: {query: result}}`` in submission order.
 
         Plans are prepared here, so a malformed or relative query fails
-        in the caller before anything runs.  A plan whose strategy keeps
-        run state on itself (``parallel_safe = False``) runs in this
-        thread.  Worker-pool tasks are submitted in one call, which is
-        what lets the pool chunk cheap tasks together.
+        in the caller before anything runs.  Worker-pool tasks are
+        submitted in one call, which is what lets the pool chunk cheap
+        tasks together.
         """
         unique: Dict[str, Query] = {}
         for query in queries:
@@ -306,7 +305,7 @@ class QueryService:
             )
             for qkey, query in unique.items():
                 plan = engine.prepare(query)
-                if pool is None or not getattr(plan.strategy, "parallel_safe", True):
+                if pool is None:
                     out[name][qkey] = plan.execute()
                 elif descriptor is not None:
                     tasks.append(

@@ -277,12 +277,9 @@ class PreparedQuery:
         # The bound evaluation entry point: the resolved strategy's own
         # ``execute`` (a slot, so a test can substitute a slow fake).
         self._execute_impl = strategy.execute
-        # Duck-typed plugins may omit the optional protocol members.
-        if getattr(strategy, "needs_asta", False):
+        if strategy.needs_asta:
             self._asta = self.compile(query, parsed=path)
-        prepare_hook = getattr(strategy, "prepare", None)
-        if prepare_hook is not None:
-            prepare_hook(self)
+        strategy.prepare(self)
 
     @property
     def engine(self):
@@ -342,7 +339,7 @@ class PreparedQuery:
         name = self.strategy.name
         lines = [f"strategy: {name}"]
         path = self.path
-        executes_as = getattr(self.strategy, "executes_as", name)
+        executes_as = self.strategy.executes_as or name
         if executes_as != name:
             lines.append(f"executes as: {executes_as}")
         if executes_as in planner.SET_AT_A_TIME:

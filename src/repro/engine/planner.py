@@ -174,7 +174,7 @@ def planner_fields(plan) -> dict:
     """``{"executes_as": kernel name}`` for a plan prepared under
     ``auto``, else ``{}``: what every ``/query`` envelope says beside
     ``strategy``."""
-    kernel = getattr(plan.strategy, "executes_as", None)
+    kernel = plan.strategy.executes_as
     return {"executes_as": kernel} if kernel else {}
 
 

@@ -1,27 +1,28 @@
 """Strategy-plugin registry: the engine's extension point.
 
-Every evaluation strategy is an object with a ``name``, a declared
-capability (:meth:`Strategy.supports`), an optional ``fallback`` strategy
-name, and an :meth:`Strategy.execute` method that runs a prepared
-:class:`~repro.engine.plan.QueryPlan` against a
+Every evaluation strategy subclasses :class:`Strategy`: a ``name``, a
+declared capability (:meth:`Strategy.supports`), an optional
+``fallback`` strategy name, and an :meth:`Strategy.execute` method that
+runs a prepared :class:`~repro.engine.plan.QueryPlan` against a
 :class:`~repro.index.jumping.TreeIndex`.  Strategies self-register with
-the :func:`register_strategy` decorator; the ten built-in strategies
-(``naive``, ``jumping``, ``memo``, ``optimized``, ``hybrid``,
-``deterministic``, ``mixed``, ``vectorized``, ``window``, and ``auto``,
-the default's name for ``window``'s kernel) live in their own modules under
+the :func:`register_strategy` decorator; there are ten built-in
+strategies.  The four Figure 4 series (``naive``, ``jumping``, ``memo``,
+``optimized``) are :class:`AstaStrategy` instances, one per row of
+:data:`repro.engine.core.SERIES`.  ``hybrid``, ``deterministic``,
+``mixed``, ``vectorized``, ``window`` and ``auto`` (the default's name
+for ``window``'s kernel) live in their own modules under
 :mod:`repro.engine` and register on import.
 
 Dispatch is uniform: :func:`resolve` walks the fallback chain until it
-finds a strategy whose ``supports(path)`` is true.  This replaces the old
-if/elif special-casing in ``Engine.run`` -- backward axes, the hybrid
-descendant-chain fragment, and the deterministic predicate-free fragment
-are all just capability declarations now.  A third-party strategy only
-has to register itself::
+finds a strategy whose ``supports(path)`` is true.  Backward axes, the
+hybrid descendant-chain fragment and the deterministic predicate-free
+fragment are all capability declarations.  A third-party strategy only
+has to subclass and register itself::
 
     from repro.engine.registry import Strategy, register_strategy
 
     @register_strategy
-    class MyStrategy:
+    class MyStrategy(Strategy):
         name = "mine"
         fallback = "optimized"          # used when supports() is False
 
@@ -33,11 +34,16 @@ has to register itself::
 
 and it becomes selectable through :class:`~repro.engine.api.Engine`,
 the CLI (``--strategy mine``), and the registry conformance test suite.
+The first line of its class docstring is what ``--list-strategies``
+prints beside its name.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+
+from repro.engine.core import SERIES, run_asta
+from repro.engine.intern import RunTables
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -48,9 +54,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.xpath.ast import Path
 
 
-@runtime_checkable
-class Strategy(Protocol):
-    """The plugin protocol every evaluation strategy implements.
+class Strategy:
+    """The base class every evaluation strategy subclasses.
 
     Attributes
     ----------
@@ -63,24 +68,26 @@ class Strategy(Protocol):
         True when :meth:`execute` consumes the compiled ASTA of the plan;
         :meth:`repro.engine.api.Engine.prepare` then compiles it eagerly
         so later ``execute()`` calls do zero compilation work.
-    parallel_safe:
-        True when :meth:`execute` keeps all mutable run state on the plan
-        and its arguments (never on the strategy instance), so the
-        module-level singleton can be driven from several pool workers at
-        once.  :class:`~repro.engine.parallel.QueryService` runs queries
-        that resolve to a non-parallel-safe strategy serially in the
-        submitting thread instead of fanning them out.  All built-in
-        strategies are parallel-safe.
+    executes_as:
+        The name of the strategy whose code runs the plan, when it is
+        not this one (``auto`` runs ``window``'s kernel), else ``None``.
+
+    :meth:`execute` keeps all mutable run state on the plan and its
+    arguments, never on the strategy instance: one registered instance
+    serves every thread at once.
     """
 
-    name: str
-    fallback: Optional[str]
-    needs_asta: bool
-    parallel_safe: bool
+    name: str = ""
+    fallback: Optional[str] = None
+    needs_asta: bool = False
+    executes_as: Optional[str] = None
 
     def supports(self, path: "Path") -> bool:
         """Can this strategy evaluate ``path`` natively?"""
-        ...
+        return not path.has_backward_axes()
+
+    def prepare(self, plan: "QueryPlan") -> None:
+        """Hook: precompute per-plan artifacts at prepare time."""
 
     def execute(
         self, plan: "QueryPlan", index: "TreeIndex", stats: "EvalStats"
@@ -89,75 +96,51 @@ class Strategy(Protocol):
         ids in document order, duplicate-free, as a sequence of ints or an
         ``int64`` array (``vectorized``, ``window``) -- the
         :class:`~repro.engine.plan.ExecutionResult` converts on demand."""
-        ...
-
-    def prepare(self, plan: "QueryPlan") -> None:
-        """Optional hook: precompute per-plan artifacts at prepare time."""
-        ...
-
-
-def _first_doc_line(cls: type) -> str:
-    """First non-empty docstring line of ``cls`` (its one-line summary)."""
-    doc = (cls.__doc__ or "").strip()
-    return doc.splitlines()[0] if doc else ""
-
-
-class StrategyBase:
-    """Convenience defaults for :class:`Strategy` implementations."""
-
-    name: str = ""
-    fallback: Optional[str] = None
-    needs_asta: bool = False
-    parallel_safe: bool = True
-
-    def supports(self, path: "Path") -> bool:
-        return not path.has_backward_axes()
-
-    def prepare(self, plan: "QueryPlan") -> None:  # pragma: no cover - hook
-        pass
+        raise NotImplementedError
 
     @property
     def summary(self) -> str:
         """First docstring line -- what ``--list-strategies`` prints."""
-        return _first_doc_line(type(self))
+        doc = (type(self).__doc__ or "").strip()
+        return doc.splitlines()[0] if doc else ""
 
 
-class AstaStrategy(StrategyBase):
-    """Base for strategies that run a compiled ASTA through the stack
-    machine of :mod:`repro.engine.core` (the Figure 4 series).
+class AstaStrategy(Strategy):
+    """One Figure 4 series: the compiled ASTA on the stack machine of
+    :mod:`repro.engine.core`, with that series' row of
+    :data:`~repro.engine.core.SERIES` switches.
 
-    Subclasses set :attr:`evaluator` to their module-level
-    ``evaluate(asta, index, stats)`` function.  Strategies with
-    :attr:`reuse_tables` keep a warmed
-    :class:`~repro.engine.intern.RunTables` in ``plan.artifacts`` so
-    repeated ``execute()`` calls on a prepared plan skip re-deriving memo
-    entries, tda jump plans, and fused label arrays (the naive strategy
-    opts out: paying the full per-node cost is its defining trait).
+    A plan keeps a warmed :class:`~repro.engine.intern.RunTables` in
+    ``plan.artifacts``, so repeated ``execute()`` calls skip re-deriving
+    memo entries, tda jump plans and fused label arrays.
     """
 
     fallback = "mixed"  # backward axes route through the mixed pipeline
     needs_asta = True
-    evaluator = None  # type: ignore[assignment]
-    reuse_tables = True
-    table_jumping = True  # whether the tables carry a TDA jump analysis
+
+    SUMMARIES = {
+        "naive": 'Full traversal, |Q| transition scan per node (Figure 4 "Naive").',
+        "jumping": 'Relevant-node jumping without memoization (Figure 4 "Jumping").',
+        "memo": 'Full traversal with memoized transitions (Figure 4 "Memo").',
+        "optimized": 'Jumping + memoization + information propagation (Figure 4 "Opt.").',
+    }
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.switches = SERIES[name]
+
+    @property
+    def summary(self) -> str:
+        return self.SUMMARIES[self.name]
 
     def execute(self, plan, index, stats):
-        evaluator = type(self).evaluator
-        if not self.reuse_tables:
-            return evaluator(plan.asta, index, stats)
-        from repro.engine.intern import RunTables
-
         tables = plan.artifacts.get("run_tables")
-        if (
-            not isinstance(tables, RunTables)
-            or tables.asta is not plan.asta
-            or tables.index is not index
-        ):
-            tables = RunTables(
-                plan.asta, index, jumping=self.table_jumping
-            )
+        if tables is None:
+            tables = RunTables(plan.asta, index, jumping=self.switches["jumping"])
             plan.artifacts["run_tables"] = tables
-        return evaluator(plan.asta, index, stats, tables=tables)
+        return run_asta(
+            plan.asta, index, stats=stats, tables=tables, **self.switches
+        )
 
 
 _REGISTRY: Dict[str, Strategy] = {}
@@ -177,7 +160,7 @@ def register_strategy(obj):
     registry under its ``name``.  Re-registering a name replaces it."""
     global _generation
     strategy = obj() if isinstance(obj, type) else obj
-    if not getattr(strategy, "name", ""):
+    if not strategy.name:
         raise ValueError(f"strategy {obj!r} has no name")
     _REGISTRY[strategy.name] = strategy
     _generation += 1
@@ -201,14 +184,12 @@ def _load_builtins() -> None:
         deterministic,
         frontier,
         hybrid,
-        jumping,
-        memo,
         mixed,
-        naive,
-        optimized,
         planner,
         window,
     )
+    for name in SERIES:
+        register_strategy(AstaStrategy(name))
 
 
 def get_strategy(name: str) -> Strategy:
@@ -240,14 +221,7 @@ def describe_strategies() -> List[Tuple[str, str]]:
     ``auto`` leads the listing (it is the default); the rest follow in
     name order.
     """
-    pairs = [
-        (
-            strategy.name,
-            getattr(strategy, "summary", None)
-            or _first_doc_line(type(strategy)),
-        )
-        for strategy in all_strategies()
-    ]
+    pairs = [(strategy.name, strategy.summary) for strategy in all_strategies()]
     pairs.sort(key=lambda pair: (pair[0] != "auto", pair[0]))
     return pairs
 
@@ -259,7 +233,7 @@ def resolve(name: str, path: "Path") -> Strategy:
     seen = set()
     while not strategy.supports(path):
         seen.add(strategy.name)
-        nxt = getattr(strategy, "fallback", None)
+        nxt = strategy.fallback
         if nxt is None or nxt in seen:
             raise ValueError(
                 f"no strategy can evaluate {str(path)!r}: fallback chain "

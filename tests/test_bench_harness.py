@@ -1,6 +1,9 @@
 """Bench harness and experiment drivers (smoke level)."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import repro
 from repro.bench.harness import Timer, format_table, time_prepared
@@ -78,6 +81,21 @@ class TestDrivers:
 
     def test_main_rejects_unknown(self, capsys):
         assert main(["nope"]) == 2
+
+    def test_module_runs_without_runtime_warning(self):
+        """``python -m repro.bench.experiments`` (the command README
+        documents) must not find the module already imported by its
+        package: runpy warns, and ``-W error`` makes that exit 1."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parent.parent)
+        env["REPRO_BENCH_SCALE"] = "0.05"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.bench.experiments", "fig3"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Figure 3 reproduction" in proc.stdout
 
 
 def test_only_the_experiment_drivers_read_the_environment():

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 
 from repro.baselines.stepwise import stepwise_evaluate
 from repro.counters import EvalStats
-from repro.engine import optimized, registry
+from repro.engine import registry
+from repro.engine.core import SERIES, run_asta
 from repro.engine.api import Engine
 from repro.engine.hybrid import hybrid_evaluate
 from repro.index.jumping import TreeIndex
@@ -28,12 +29,6 @@ from repro.xpath.reference import evaluate_reference
 
 from strategies import binary_trees, xpath_queries
 
-# The Figure 4 series: every ASTA-consuming strategy in the registry.
-ENGINES = {
-    strategy.name: strategy.evaluator
-    for strategy in registry.all_strategies()
-    if getattr(strategy, "evaluator", None) is not None
-}
 
 
 class TestPaperQueriesOnXMark:
@@ -43,8 +38,8 @@ class TestPaperQueriesOnXMark:
         tree = xmark_index.tree
         expected = evaluate_reference(tree, parse_xpath(query))
         asta = compile_xpath(query)
-        for name, evaluate in ENGINES.items():
-            accepted, selected = evaluate(asta, xmark_index)
+        for name, switches in SERIES.items():
+            accepted, selected = run_asta(asta, xmark_index, **switches)
             assert selected == expected, f"{name} disagrees on {qid}"
             assert accepted == bool(expected) or qid == "Q10"
         assert stepwise_evaluate(query, xmark_index) == expected
@@ -54,8 +49,8 @@ class TestPaperQueriesOnXMark:
         for qid, query in QUERIES.items():
             asta = compile_xpath(query)
             flags = {
-                name: evaluate(asta, xmark_index)[0]
-                for name, evaluate in ENGINES.items()
+                name: run_asta(asta, xmark_index, **switches)[0]
+                for name, switches in SERIES.items()
             }
             assert len(set(flags.values())) == 1, f"{qid}: {flags}"
 
@@ -65,9 +60,9 @@ class TestJumpingNeverVisitsMore:
     def test_visit_counts_ordered(self, qid, xmark_index):
         asta = compile_xpath(QUERIES[qid])
         counts = {}
-        for name, evaluate in ENGINES.items():
+        for name, switches in SERIES.items():
             stats = EvalStats()
-            evaluate(asta, xmark_index, stats)
+            run_asta(asta, xmark_index, stats=stats, **switches)
             counts[name] = stats.visited
         assert counts["jumping"] <= counts["naive"]
         assert counts["optimized"] <= counts["memo"]
@@ -83,8 +78,8 @@ class TestRandomDocumentsRandomQueries:
         expected = evaluate_reference(tree, path)
         index = TreeIndex(tree)
         asta = compile_xpath(path)
-        for name, evaluate in ENGINES.items():
-            _, selected = evaluate(asta, index)
+        for name, switches in SERIES.items():
+            _, selected = run_asta(asta, index, **switches)
             assert selected == expected, (
                 f"{name} disagrees on {query}: {selected} != {expected}"
             )
@@ -98,7 +93,7 @@ class TestRandomDocumentsRandomQueries:
         expected = evaluate_reference(tree, path)
         index = TreeIndex(tree)
         asta = compile_xpath(path)
-        _, selected = optimized.evaluate(asta, index)
+        _, selected = run_asta(asta, index)
         assert selected == expected
 
 
@@ -109,8 +104,8 @@ class TestDeepAndWideDocuments:
         tree = BinaryTree.from_xml("<r>" + "<a><b/></a>" * 20_000 + "</r>")
         index = TreeIndex(tree)
         asta = compile_xpath("//a/b")
-        for name, evaluate in ENGINES.items():
-            _, selected = evaluate(asta, index)
+        for name, switches in SERIES.items():
+            _, selected = run_asta(asta, index, **switches)
             assert len(selected) == 20_000, name
 
     def test_deep_nesting_no_recursion_limit(self):
@@ -121,7 +116,7 @@ class TestDeepAndWideDocuments:
         tree = BinaryTree.from_xml(xml)
         index = TreeIndex(tree)
         asta = compile_xpath("//a[a]")
-        _, selected = optimized.evaluate(asta, index)
+        _, selected = run_asta(asta, index)
         assert len(selected) == depth - 1
 
 
@@ -136,18 +131,17 @@ class TestXPathMarkASeries:
         query = XPATHMARK_A[aid]
         expected = evaluate_reference(xmark_index.tree, parse_xpath(query))
         asta = compile_xpath(query)
-        for name, evaluate in ENGINES.items():
-            assert evaluate(asta, xmark_index)[1] == expected, (aid, name)
+        for name, switches in SERIES.items():
+            assert run_asta(asta, xmark_index, **switches)[1] == expected, (aid, name)
         assert stepwise_evaluate(query, xmark_index) == expected
         assert hybrid_evaluate(query, xmark_index)[1] == expected
 
     def test_a_queries_nonempty(self, xmark_index):
-        from repro.engine import optimized
         from repro.xmark.queries import XPATHMARK_A
 
         empty = []
         for aid, q in XPATHMARK_A.items():
-            _, sel = optimized.evaluate(compile_xpath(q), xmark_index)
+            _, sel = run_asta(compile_xpath(q), xmark_index)
             if not sel:
                 empty.append(aid)
         assert empty == []

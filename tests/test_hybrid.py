@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.counters import EvalStats
-from repro.engine import optimized
+from repro.engine.core import run_asta
 from repro.engine.hybrid import hybrid_evaluate, is_hybrid_applicable, plan_pivot
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
@@ -73,7 +73,7 @@ class TestFigure5Configs:
         index = TreeIndex(tree)
         _, sel = hybrid_evaluate(HYBRID_QUERY, index)
         asta = compile_xpath(HYBRID_QUERY)
-        _, sel_regular = optimized.evaluate(asta, index)
+        _, sel_regular = run_asta(asta, index)
         assert sel == sel_regular
         expected = evaluate_reference(tree, parse_xpath(HYBRID_QUERY))
         assert sel == expected
@@ -83,7 +83,7 @@ class TestFigure5Configs:
         index = TreeIndex(make_config_tree(name, fraction=0.05))
         s_h, s_r = EvalStats(), EvalStats()
         hybrid_evaluate(HYBRID_QUERY, index, s_h)
-        optimized.evaluate(compile_xpath(HYBRID_QUERY), index, s_r)
+        run_asta(compile_xpath(HYBRID_QUERY), index, stats=s_r)
         assert s_h.visited * 10 < s_r.visited
 
     def test_exact_counts_full_size_config_a(self):

@@ -9,7 +9,8 @@ enough for jump chains, memo tables and staircase pruning to matter.
 import pytest
 
 from repro.baselines.stepwise import stepwise_evaluate
-from repro.engine import deterministic, hybrid, jumping, memo, naive, optimized
+from repro.engine import deterministic, hybrid
+from repro.engine.core import SERIES, run_asta
 from repro.index.jumping import TreeIndex
 from repro.xmark.generator import XMarkGenerator
 from repro.xmark.queries import QUERIES
@@ -29,10 +30,10 @@ def test_all_engines_at_scale(qid, index):
     path = parse_xpath(query)
     expected = evaluate_reference(index.tree, path)
     asta = compile_xpath(path)
-    assert naive.evaluate(asta, index)[1] == expected
-    assert jumping.evaluate(asta, index)[1] == expected
-    assert memo.evaluate(asta, index)[1] == expected
-    assert optimized.evaluate(asta, index)[1] == expected
+    assert run_asta(asta, index, **SERIES["naive"])[1] == expected
+    assert run_asta(asta, index, **SERIES["jumping"])[1] == expected
+    assert run_asta(asta, index, **SERIES["memo"])[1] == expected
+    assert run_asta(asta, index, **SERIES["optimized"])[1] == expected
     assert hybrid.hybrid_evaluate(path, index)[1] == expected
     assert stepwise_evaluate(path, index) == expected
 

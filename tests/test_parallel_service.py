@@ -19,7 +19,7 @@ from repro.engine.api import PLAN_CACHE_SIZE
 from repro.engine.parallel import QueryService
 from repro.engine.plan import CompiledQueryCache
 from repro.engine.pool import PATH_CACHE_SIZE
-from repro.engine.registry import StrategyBase, register_strategy, unregister_strategy
+from repro.engine.registry import Strategy, register_strategy, unregister_strategy
 from repro.lru import LRUCache
 from repro.xmark.generator import XMarkGenerator
 from repro.xmark.queries import QUERIES
@@ -335,7 +335,7 @@ class TestThreadSafety:
         overlaps = []
 
         @register_strategy
-        class SlowStrategy(StrategyBase):
+        class SlowStrategy(Strategy):
             """Records overlapping executions of the same plan."""
 
             name = "slow-test"
@@ -348,9 +348,9 @@ class TestThreadSafety:
                 running.append(plan.query)
                 time.sleep(0.005)
                 running.pop()
-                from repro.engine.optimized import evaluate
+                from repro.engine.core import run_asta
 
-                return evaluate(plan.asta, index, stats)
+                return run_asta(plan.asta, index, stats=stats)
 
         try:
             ws = Workspace(strategy="slow-test")
@@ -392,45 +392,6 @@ class TestThreadSafety:
         for _ in range(5):
             with QueryService(xmark_workspace, jobs=3) as service:
                 assert service.select_many(batch, document="xm") == serial
-
-    def test_non_parallel_safe_strategy_runs_serially(self, xmark_workspace):
-        calls = []
-
-        @register_strategy
-        class StatefulStrategy(StrategyBase):
-            """Keeps run state on self: must not be fanned out."""
-
-            name = "stateful-test"
-            fallback = "optimized"
-            parallel_safe = False
-
-            def supports(self, path):
-                return not path.has_backward_axes()
-
-            def execute(self, plan, index, stats):
-                calls.append(threading.get_ident())
-                from repro.engine.optimized import evaluate
-
-                return evaluate(plan.asta, index, stats)
-
-            @property
-            def needs_asta(self):
-                return True
-
-        try:
-            ws = Workspace(strategy="stateful-test")
-            ws.add("xm", XMarkGenerator(scale=0.02, seed=1).tree())
-            serial = ws.select_many(["//keyword", "//listitem"], document="xm")
-            with QueryService(ws, jobs=3) as service:
-                got = service.select_many(
-                    ["//keyword", "//listitem"], document="xm"
-                )
-            assert got == serial
-            # Every execution happened on the submitting (main) thread.
-            assert set(calls) == {threading.get_ident()}
-            ws.close()
-        finally:
-            unregister_strategy("stateful-test")
 
 
 # -- caches and error paths ---------------------------------------------------

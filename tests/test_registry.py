@@ -4,7 +4,7 @@ import pytest
 
 from repro.engine import registry
 from repro.engine.api import Engine
-from repro.engine.registry import StrategyBase, register_strategy
+from repro.engine.registry import AstaStrategy, Strategy, register_strategy
 from repro.xpath.parser import parse_xpath
 
 from test_engines_equivalence import assert_strategy_matches_oracle
@@ -83,7 +83,7 @@ class TestResolution:
 class TestPluginStrategies:
     def test_register_and_execute_plugin(self):
         @register_strategy
-        class EchoNaive(StrategyBase):
+        class EchoNaive(Strategy):
             """A toy plugin: delegates to the naive evaluator."""
 
             name = "echo-naive"
@@ -91,9 +91,9 @@ class TestPluginStrategies:
             needs_asta = True
 
             def execute(self, plan, index, stats):
-                from repro.engine import naive
+                from repro.engine.core import SERIES, run_asta
 
-                return naive.evaluate(plan.asta, index, stats)
+                return run_asta(plan.asta, index, stats=stats, **SERIES["naive"])
 
         try:
             assert "echo-naive" in registry.strategy_names()
@@ -110,12 +110,12 @@ class TestPluginStrategies:
         with pytest.raises(ValueError):
 
             @register_strategy
-            class Nameless(StrategyBase):
+            class Nameless(Strategy):
                 pass
 
     def test_exhausted_fallback_chain_raises(self):
         @register_strategy
-        class Unsupporting(StrategyBase):
+        class Unsupporting(Strategy):
             """Supports nothing, falls back to itself."""
 
             name = "refusenik"
@@ -150,7 +150,7 @@ class TestEngineIntegration:
         stale = engine.prepare("//a//b")
 
         @register_strategy
-        class Override(StrategyBase):
+        class Override(Strategy):
             """Replaces 'optimized' to prove plan caches refresh."""
 
             name = "optimized"
@@ -163,7 +163,5 @@ class TestEngineIntegration:
             assert engine.select("//a//b") == [-42]
             assert engine.prepare("//a//b") is not stale
         finally:
-            from repro.engine.optimized import OptimizedStrategy
-
-            register_strategy(OptimizedStrategy)
+            register_strategy(AstaStrategy("optimized"))
         assert engine.select("//a//b") == [3, 5]

@@ -88,12 +88,12 @@ class TestGenerator:
 
     def test_queries_nonempty_at_moderate_scale(self, xmark_index):
         """Every Figure 2 query should select something (except none)."""
-        from repro.engine import optimized
+        from repro.engine.core import run_asta
         from repro.xpath.compiler import compile_xpath
 
         empty = []
         for qid, q in QUERIES.items():
-            _, sel = optimized.evaluate(compile_xpath(q), xmark_index)
+            _, sel = run_asta(compile_xpath(q), xmark_index)
             if not sel:
                 empty.append(qid)
         assert empty == [], f"queries with empty results: {empty}"
