@@ -14,21 +14,24 @@ otherwise (the Engine facade falls back to the optimized ASTA engine).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.automata.minimize import minimize_tdsta
 from repro.automata.pathdet import NotPathShaped, path_tdsta
 from repro.automata.sta import STA
 from repro.automata.topdown import topdown_jump
 from repro.counters import EvalStats
-from repro.engine.plan import wildcard_labels
+from repro.engine.plan import COMPILED_CACHE_SIZE, cache_key, wildcard_labels
 from repro.engine.registry import Strategy, register_strategy
 from repro.index.jumping import TreeIndex
+from repro.lru import LRUCache
 from repro.xpath.ast import Path
 from repro.xpath.compiler import compile_xpath
-from repro.xpath.parser import parse_xpath
 
-_tdsta_cache: Dict[Tuple[str, Optional[Tuple[str, ...]]], STA] = {}
+#: (query, wildcard label inventory) -> minimal TDSTA.  Process-wide and
+#: bounded like the compiled-ASTA cache: a daemon request may name this
+#: strategy, so a stream of distinct queries must not grow it for ever.
+_tdsta_cache = LRUCache(COMPILED_CACHE_SIZE, lock=True)
 
 
 def compile_tdsta(
@@ -41,17 +44,13 @@ def compile_tdsta(
     encoded ``@attribute``/``#text`` labels the ``*`` test must compile
     against the element labels only, not match every label.
     """
-    inventory = (
-        None
-        if wildcard_labels is None
-        else tuple(sorted(set(wildcard_labels)))
-    )
-    key = (query if isinstance(query, str) else str(query), inventory)
-    sta = _tdsta_cache.get(key)
-    if sta is None:
-        asta = compile_xpath(query, wildcard_labels=wildcard_labels)
-        sta = minimize_tdsta(path_tdsta(asta))
-        _tdsta_cache[key] = sta
+    key = cache_key(query, wildcard_labels)
+    with _tdsta_cache.lock:
+        sta = _tdsta_cache.get(key)
+        if sta is None:
+            asta = compile_xpath(query, wildcard_labels=wildcard_labels)
+            sta = minimize_tdsta(path_tdsta(asta))
+            _tdsta_cache.put(key, sta)
     return sta
 
 
@@ -146,6 +145,14 @@ class DeterministicStrategy(Strategy):
         # label-set-independent, so the supports() check above stands.
         plan.artifacts["tdsta"] = compile_tdsta(
             plan.path, wildcard_labels(plan.index.tree)
+        )
+
+    def explain(self, plan):
+        sta = plan.artifacts["tdsta"]
+        return (
+            [f"minimal TDSTA: {sta!r}"]
+            + [f"  {t!r}" for t in sta.transitions]
+            + [f"  selects {q} at {ls}" for q, ls in sta.selecting.items()]
         )
 
     def execute(self, plan, index, stats):

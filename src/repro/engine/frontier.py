@@ -583,15 +583,16 @@ class KernelStrategy(Strategy):
         renting = index.path_summary() is None and summarizable(plan.path)
         plan.artifacts[PROGRAM] = (index, bind(plan.path, index), renting)
 
+    def explain(self, plan):
+        from repro.engine.planner import describe_plan  # planner imports us
+        return describe_plan(plan, self.executes_as or self.name)
+
     def execute(self, plan, index, stats):
-        bound = plan.artifacts.get(PROGRAM)
-        if bound is None or bound[0] is not index:  # bound elsewhere
-            return run_kernel(plan.path, index, stats)
-        if bound[2] and index.path_summary() is not None:
+        if plan.artifacts[PROGRAM][2] and index.path_summary() is not None:
             self.prepare(plan)
-            bound = plan.artifacts[PROGRAM]
-        answer = run_bound(bound[1], index, stats)
-        if bound[2]:
+        _, program, renting = plan.artifacts[PROGRAM]
+        answer = run_bound(program, index, stats)
+        if renting:
             index.path_summary(stats.visited + stats.index_probes)
         return answer
 

@@ -204,5 +204,13 @@ class HybridStrategy(Strategy):
     def supports(self, path: Path) -> bool:
         return is_hybrid_applicable(path)
 
+    def explain(self, plan):
+        k = plan_pivot(plan.path, plan.index)
+        test = plan.path.steps[k].test
+        return [
+            f"hybrid plan: pivot step {k + 1} ({test}, "
+            f"count {plan.index.count(test)})"
+        ]
+
     def execute(self, plan, index, stats):
         return hybrid_evaluate(plan.path, index, stats)

@@ -122,5 +122,18 @@ class MixedStrategy(Strategy):
             plan.path, compile=plan.compile
         )
 
+    def explain(self, plan):
+        path, mplan = plan.path, plan.artifacts["mixed"]
+        lines = []
+        if path.has_backward_axes():
+            lines += [
+                "mixed pipeline (backward axes):",
+                f"  forward segment: {mplan.k} step(s) on the optimized engine",
+                f"  remainder: {len(path.steps) - mplan.k} step(s) step-at-a-time",
+            ]
+        if mplan.k:
+            lines.append(mplan.prefix_asta.describe())
+        return lines
+
     def execute(self, plan, index, stats):
         return run_mixed(plan.path, plan.artifacts["mixed"], index, stats)

@@ -42,6 +42,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 COMPILED_CACHE_SIZE = 1024
 
 
+def cache_key(
+    query: Union[str, Path], wildcard_labels: Optional[List[str]]
+) -> Tuple[str, Optional[Tuple[str, ...]]]:
+    """``(query text, label inventory)``: how the compiled-ASTA and the
+    minimal-TDSTA caches key an automaton (``*`` compiles against the
+    inventory)."""
+    inventory = (
+        None if wildcard_labels is None else tuple(sorted(set(wildcard_labels)))
+    )
+    return (query if isinstance(query, str) else str(query), inventory)
+
+
 class CompiledQueryCache:
     """Query-string -> compiled ASTA cache, keyed by label inventory.
 
@@ -83,17 +95,6 @@ class CompiledQueryCache:
         info["compilations"] = info.pop("misses")
         return info
 
-    @staticmethod
-    def _key(
-        query: Union[str, Path], wildcard_labels: Optional[List[str]]
-    ) -> Tuple[str, Optional[Tuple[str, ...]]]:
-        inventory = (
-            None
-            if wildcard_labels is None
-            else tuple(sorted(set(wildcard_labels)))
-        )
-        return (query if isinstance(query, str) else str(query), inventory)
-
     def get(
         self,
         query: Union[str, Path],
@@ -106,7 +107,7 @@ class CompiledQueryCache:
         ``parsed`` supplies an already-parsed path so a cache miss does
         not re-parse the query string.
         """
-        key = self._key(query, wildcard_labels)
+        key = cache_key(query, wildcard_labels)
         astas = self._astas
         with astas.lock:
             asta = astas.get(key)
@@ -277,8 +278,6 @@ class PreparedQuery:
         # The bound evaluation entry point: the resolved strategy's own
         # ``execute`` (a slot, so a test can substitute a slow fake).
         self._execute_impl = strategy.execute
-        if strategy.needs_asta:
-            self._asta = self.compile(query, parsed=path)
         strategy.prepare(self)
 
     @property
@@ -303,9 +302,10 @@ class PreparedQuery:
 
     @property
     def asta(self) -> ASTA:
-        """The compiled ASTA (lazy for strategies that never need one --
+        """The compiled ASTA, compiled on first read: a strategy that
+        runs it reads it in its ``prepare`` hook, the others never do --
         compiling a backward-axis path would be outside the forward
-        fragment)."""
+        fragment."""
         if self._asta is None:
             self._asta = self.compile(self.query, parsed=self.path)
         return self._asta
@@ -332,47 +332,9 @@ class PreparedQuery:
         return self.execute().nodes
 
     def explain(self) -> str:
-        """Describe the resolved strategy, compiled automaton, and plan."""
-        from repro.engine import hybrid, planner
-        from repro.engine.mixed import forward_prefix_length
-
-        name = self.strategy.name
-        lines = [f"strategy: {name}"]
-        path = self.path
-        executes_as = self.strategy.executes_as or name
-        if executes_as != name:
-            lines.append(f"executes as: {executes_as}")
-        if executes_as in planner.SET_AT_A_TIME:
-            features = planner.extract_features(path, self.index)
-            lines += planner.describe_operators(path, features)
-        if path.has_backward_axes():
-            if executes_as != "mixed":
-                # The window strategy runs backward axes natively as
-                # reverse containment -- no pipeline split, no automaton.
-                lines.append(
-                    f"{executes_as} plan: backward axes evaluated "
-                    "natively (reverse window containment)"
-                )
-                return "\n".join(lines)
-            k = forward_prefix_length(path)
-            lines += [
-                "mixed pipeline (backward axes):",
-                f"  forward segment: {k} step(s) on the optimized engine",
-                f"  remainder: {len(path.steps) - k} step(s) step-at-a-time",
-            ]
-            if k:
-                prefix = Path(path.absolute, path.steps[:k])
-                lines.append(self.compile(prefix).describe())
-            return "\n".join(lines)
-        if executes_as in planner.SET_AT_A_TIME:
-            # The kernel runs no automaton: compile none to describe.
-            return "\n".join(lines)
-        lines.append(self.asta.describe())
-        if hybrid.is_hybrid_applicable(path):
-            k = hybrid.plan_pivot(path, self.index)
-            step = path.steps[k]
-            lines.append(
-                f"hybrid plan: pivot step {k + 1} ({step.test}, "
-                f"count {self.index.count(step.test)})"
-            )
-        return "\n".join(lines)
+        """The resolved strategy and the plan it runs, in its own words
+        (:meth:`~repro.engine.registry.Strategy.explain`)."""
+        lines = [f"strategy: {self.strategy.name}"]
+        if self.strategy.executes_as:
+            lines.append(f"executes as: {self.strategy.executes_as}")
+        return "\n".join(lines + self.strategy.explain(self))

@@ -26,14 +26,11 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.engine import joins
-from repro.engine.frontier import bind, label_key, pred_size
+from repro.engine.frontier import KernelStrategy, bind, label_key, pred_size
 from repro.engine.registry import register_strategy
 from repro.engine.window import WindowStrategy
 from repro.index.jumping import TreeIndex
 from repro.xpath.ast import Axis, Path
-
-#: The two registry names of the set-at-a-time kernel.
-SET_AT_A_TIME: Tuple[str, ...] = ("vectorized", "window")
 
 
 @dataclass(frozen=True)
@@ -162,6 +159,19 @@ def describe_operators(path: Path, features: QueryFeatures) -> List[str]:
     return lines
 
 
+def describe_plan(plan, name: str) -> List[str]:
+    """The kernel's ``explain`` lines, running as ``name``: one per step
+    (:func:`describe_operators`), and for backward axes the note that
+    they run natively -- no pipeline split, no automaton."""
+    lines = describe_operators(plan.path, extract_features(plan.path, plan.index))
+    if plan.path.has_backward_axes():
+        lines.append(
+            f"{name} plan: backward axes evaluated natively "
+            "(reverse window containment)"
+        )
+    return lines
+
+
 @register_strategy
 class AutoStrategy(WindowStrategy):
     """The default: the set-at-a-time kernel (``window``) under its everyday name."""
@@ -179,11 +189,12 @@ def planner_fields(plan) -> dict:
 
 
 def explain_fields(plan) -> dict:
-    """:func:`planner_fields` plus ``operators``, the operator name per
-    location step: the single schema ``repro plan explain --json`` and
-    the daemon's ``/explain`` share."""
+    """:func:`planner_fields` plus, for a plan the kernel runs under any
+    of its names, ``operators``: the operator name per location step.
+    The single schema ``repro plan explain --json`` and the daemon's
+    ``/explain`` share."""
     fields = planner_fields(plan)
-    if fields:
+    if isinstance(plan.strategy, KernelStrategy):
         features = extract_features(plan.path, plan.index)
         fields["operators"] = [name for name, _ in step_operators(features)]
     return fields

@@ -2,12 +2,15 @@
 
 Every evaluation strategy subclasses :class:`Strategy`: a ``name``, a
 declared capability (:meth:`Strategy.supports`), an optional
-``fallback`` strategy name, and an :meth:`Strategy.execute` method that
+``fallback`` strategy name, an :meth:`Strategy.execute` method that
 runs a prepared :class:`~repro.engine.plan.QueryPlan` against a
-:class:`~repro.index.jumping.TreeIndex`.  Strategies self-register with
-the :func:`register_strategy` decorator; there are ten built-in
-strategies.  The four Figure 4 series (``naive``, ``jumping``, ``memo``,
-``optimized``) are :class:`AstaStrategy` instances, one per row of
+:class:`~repro.index.jumping.TreeIndex`, and two optional hooks:
+:meth:`Strategy.prepare` (precompute at prepare time) and
+:meth:`Strategy.explain` (the plan lines ``explain`` prints).
+Strategies self-register with the :func:`register_strategy` decorator;
+there are ten built-in strategies.  The four Figure 4 series
+(``naive``, ``jumping``, ``memo``, ``optimized``) are
+:class:`AstaStrategy` instances, one per row of
 :data:`repro.engine.core.SERIES`.  ``hybrid``, ``deterministic``,
 ``mixed``, ``vectorized``, ``window`` and ``auto`` (the default's name
 for ``window``'s kernel) live in their own modules under
@@ -28,6 +31,9 @@ has to subclass and register itself::
 
         def supports(self, path):
             return not path.has_backward_axes()
+
+        def prepare(self, plan):
+            plan.asta                   # compile eagerly, not on execute
 
         def execute(self, plan, index, stats):
             return my_evaluate(plan.asta, index, stats)
@@ -64,10 +70,6 @@ class Strategy:
     fallback:
         Name of the strategy to try when :meth:`supports` is false, or
         ``None`` for a terminal strategy (``mixed`` accepts everything).
-    needs_asta:
-        True when :meth:`execute` consumes the compiled ASTA of the plan;
-        :meth:`repro.engine.api.Engine.prepare` then compiles it eagerly
-        so later ``execute()`` calls do zero compilation work.
     executes_as:
         The name of the strategy whose code runs the plan, when it is
         not this one (``auto`` runs ``window``'s kernel), else ``None``.
@@ -79,7 +81,6 @@ class Strategy:
 
     name: str = ""
     fallback: Optional[str] = None
-    needs_asta: bool = False
     executes_as: Optional[str] = None
 
     def supports(self, path: "Path") -> bool:
@@ -87,7 +88,14 @@ class Strategy:
         return not path.has_backward_axes()
 
     def prepare(self, plan: "QueryPlan") -> None:
-        """Hook: precompute per-plan artifacts at prepare time."""
+        """Hook: precompute per-plan artifacts at prepare time (compile
+        what :meth:`execute` reads, so a warm ``execute()`` compiles
+        nothing)."""
+
+    def explain(self, plan: "QueryPlan") -> List[str]:
+        """Hook: the lines ``PreparedQuery.explain`` prints below its
+        header -- the plan this strategy runs, as it runs it."""
+        return []
 
     def execute(
         self, plan: "QueryPlan", index: "TreeIndex", stats: "EvalStats"
@@ -116,7 +124,6 @@ class AstaStrategy(Strategy):
     """
 
     fallback = "mixed"  # backward axes route through the mixed pipeline
-    needs_asta = True
 
     SUMMARIES = {
         "naive": 'Full traversal, |Q| transition scan per node (Figure 4 "Naive").',
@@ -132,6 +139,12 @@ class AstaStrategy(Strategy):
     @property
     def summary(self) -> str:
         return self.SUMMARIES[self.name]
+
+    def prepare(self, plan):
+        plan.asta
+
+    def explain(self, plan):
+        return [plan.asta.describe()]
 
     def execute(self, plan, index, stats):
         tables = plan.artifacts.get("run_tables")

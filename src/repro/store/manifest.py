@@ -222,41 +222,20 @@ def load_manifest(root: str) -> Optional[CorpusManifest]:
     return CorpusManifest.from_dict(payload, root)
 
 
-def bootstrap_manifest(root: str) -> CorpusManifest:
-    """Synthesize a manifest from the bundles on disk (generation 0).
-
-    Used for corpora that predate manifests, and as the reconciliation
-    baseline.  Fingerprints come from each bundle's ``source`` header
-    when present (``store sync`` records them); bundles without one get
-    ``None`` and are treated as always-stale by a sync diff.
-    """
-    manifest = CorpusManifest()
-    for name in bundle_names(root):
-        try:
-            header = read_header(os.path.join(root, name))
-        except StoreError:
-            continue  # corrupt bundle: not part of the logical corpus
-        source = header.get("source") or {}
-        manifest.documents[name] = {
-            "fingerprint": source.get("fingerprint"),
-            "generation": 0,
-            "updated": header.get("created", _now()),
-        }
-    return manifest
-
-
 def read_manifest(root: str) -> CorpusManifest:
-    """Load (or bootstrap) the manifest and reconcile it with the disk.
+    """Load the manifest and reconcile it with the disk.
 
     Reconciliation heals the crash window between a bundle publish and
     the manifest write, plus any out-of-band tampering: entries whose
     bundle vanished are dropped, bundles the manifest does not know are
-    adopted (fingerprint from their ``source`` header), retired
+    adopted at its generation (fingerprint from their ``source`` header;
+    ``None``, always stale to a sync diff, when it has none) -- so a
+    corpus that predates manifests starts at generation 0 -- retired
     directories nobody recorded are adopted into the garbage list, and
     recorded retirements whose directory is already gone are forgotten.
     Reconciliation is in-memory only -- read paths never write.
     """
-    manifest = load_manifest(root) or bootstrap_manifest(root)
+    manifest = load_manifest(root) or CorpusManifest()
     on_disk = set(bundle_names(root))
     for name in list(manifest.documents):
         if name not in on_disk:

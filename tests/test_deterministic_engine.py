@@ -196,3 +196,17 @@ class TestWildcardInventory:
         # two cache entries must not alias.
         _, without = evaluate("//*", encoded_index)
         assert without == list(range(encoded_index.tree.n))
+
+
+class TestTdstaCache:
+    def test_distinct_queries_stay_within_the_bound(self):
+        """A daemon request may name ``deterministic``: a stream of
+        distinct queries must not grow the TDSTA cache past the bound
+        the compiled-ASTA cache has."""
+        from repro.engine import deterministic
+        from repro.engine.plan import COMPILED_CACHE_SIZE
+
+        engine = Engine("<r><a><b/></a></r>", strategy="deterministic")
+        for i in range(COMPILED_CACHE_SIZE + 8):
+            assert engine.prepare(f"//a//x{i}").strategy.name == "deterministic"
+        assert len(deterministic._tdsta_cache) <= COMPILED_CACHE_SIZE

@@ -70,9 +70,22 @@ class TestExplain:
         assert "⇒" in text
 
     def test_explain_shows_hybrid_plan(self):
-        text = Engine(XML, strategy="optimized").explain("//a//b")
+        text = Engine(XML, strategy="hybrid").explain("//a//b")
         assert "hybrid plan" in text
         assert "pivot" in text
+        # Only the strategy that runs the pivot states one.
+        for name in ("optimized", "deterministic"):
+            assert "hybrid plan" not in Engine(XML, strategy=name).explain("//a//b")
+
+    def test_hybrid_explain_compiles_nothing(self):
+        engine = Engine(XML, strategy="hybrid")
+        text = engine.explain("//a//b")
+        assert engine.cache.compilations == 0
+        assert "ASTA" not in text
+
+    def test_deterministic_explains_its_tdsta(self):
+        text = Engine(XML, strategy="deterministic").explain("//a//b")
+        assert "minimal TDSTA" in text and "ASTA" not in text
 
     def test_kernel_explain_compiles_no_automaton(self):
         engine = Engine(XML)

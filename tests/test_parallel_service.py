@@ -340,7 +340,9 @@ class TestThreadSafety:
 
             name = "slow-test"
             fallback = "optimized"
-            needs_asta = True
+
+            def prepare(self, plan):
+                plan.asta  # compiled at prepare, not inside the runs
 
             def execute(self, plan, index, stats):
                 if running:

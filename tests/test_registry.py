@@ -88,7 +88,6 @@ class TestPluginStrategies:
 
             name = "echo-naive"
             fallback = "mixed"
-            needs_asta = True
 
             def execute(self, plan, index, stats):
                 from repro.engine.core import SERIES, run_asta
@@ -154,7 +153,6 @@ class TestEngineIntegration:
             """Replaces 'optimized' to prove plan caches refresh."""
 
             name = "optimized"
-            needs_asta = True
 
             def execute(self, plan, index, stats):
                 return True, [-42]

@@ -122,6 +122,17 @@ class TestBasicServing:
         assert "planner" not in payload
         assert payload["text"].startswith("strategy:")
 
+    @pytest.mark.parametrize("strategy", ["window", "vectorized"])
+    def test_explain_states_operators_under_every_kernel_name(self, client, strategy):
+        auto = client.explain("//keyword", document="xmark")
+        named = client._request(
+            "GET",
+            "/explain",
+            params={"query": "//keyword", "document": "xmark", "strategy": strategy},
+        )
+        assert named["strategy"] == strategy and "executes_as" not in named
+        assert named["operators"] == auto["operators"] == ["document"]
+
     def test_stats_shape(self, client):
         payload = client.stats()
         assert payload["admission"]["limit"] == 2 + 32

@@ -183,6 +183,22 @@ class TestSerialization:
         assert engine.count("//text/text()") > 0
         assert engine.count("//keyword[text()]") > 0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="XMLWriter drops the text of an element that also has "
+        "element children, so the serialized text is not the document "
+        "events() describes (1,400 nodes against 1,508 at scale 0.05)",
+    )
+    def test_xml_text_is_the_document_its_events_describe(self):
+        from repro.tree.builder import build_tree
+
+        gen = XMarkGenerator(scale=0.05, seed=42, text_content=True)
+        from_events = build_tree(gen, encode_text=True)
+        from_text = build_tree(gen.xml(), encode_text=True)
+        assert from_text.n == from_events.n
+        labels = [from_events.label(v) for v in range(from_events.n)]
+        assert [from_text.label(v) for v in range(from_text.n)] == labels
+
     @pytest.mark.parametrize(
         "scale, seed, text_content, indent", sorted(GOLDEN_SHA256)
     )
