@@ -9,9 +9,9 @@ assignment.  Three properties keep its per-batch overhead small:
 
 - **Shared memory, not pickled payloads.**  Store-backed documents
   travel as ``(bundle path, generation)`` -- a few bytes -- and every
-  worker reopens the same bundle zero-copy via
-  ``np.load(mmap_mode="r")``; the OS page cache shares one set of
-  physical pages across the whole pool.  In-memory documents ship once
+  worker reopens the same bundle zero-copy as read-only maps of its
+  array files; the OS page cache shares one set of physical pages
+  across the whole pool.  In-memory documents ship once
   at pool start (copy-on-write under ``fork``).
 - **Warm workers.**  Each worker keeps one engine per document, its
   compiled XPath paths and prepared-plan LRUs **across tasks and

@@ -188,9 +188,9 @@ class Workspace:
     ) -> List[str]:
         """Register every bundle of a store directory (or a chosen subset).
 
-        Each document reopens via ``np.load(mmap_mode="r")`` -- no XML
-        parsing, no index rebuild -- and is registered under its bundle
-        name.  Returns the registered names in order.
+        Each document reopens as read-only maps of its array files -- no
+        XML parsing, no index rebuild -- and is registered under its
+        bundle name.  Returns the registered names in order.
         """
         from repro.store import DocumentStore
 

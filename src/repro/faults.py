@@ -299,10 +299,10 @@ def corrupt_bundle(
     The header manifest stays intact -- exactly the corruption class
     ``repro store verify`` exists to catch.
     """
-    from repro.store.format import ARRAY_DTYPES, array_path
+    from repro.store.format import ARRAYS, array_path
 
     if array is None:
-        array = random.Random(seed).choice(sorted(ARRAY_DTYPES))
+        array = random.Random(seed).choice(sorted(ARRAYS))
     path = array_path(bundle, array)
     report = corrupt_file(path, mode=mode, seed=seed)
     return dict(report, array=array, bundle=bundle)

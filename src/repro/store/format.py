@@ -19,23 +19,25 @@ maps: the six columns are the tree, the last two the label index.
 Nothing derived on demand (a postorder rank, a balanced-parentheses
 directory, the path summary) is persisted.
 
-Flat ``.npy`` files (rather than one ``.npz``) are deliberate:
-``np.load(..., mmap_mode="r")`` only memory-maps plain files, and
-zero-copy reopening is the whole point of the store.
+Flat ``.npy`` files (rather than one ``.npz``) are deliberate: a plain
+file maps with one ``mmap`` call.  They are byte for byte what
+``numpy.save`` writes, but the store writes and reads them itself: a
+reader compares a header with :func:`npy_header` of the manifest's
+shape instead of parsing it, and any other header is corruption.
 
 Integrity
 ---------
 The header manifest records, per array, not just dtype/shape but the
 exact **file byte size** and a **CRC32 digest** of the ``.npy`` file.
 :func:`verify_bundle` checks them in two modes: ``fast`` (header parses,
-manifest complete, every file present with its recorded byte size and a
-parseable ``.npy`` header of the right dtype/shape -- no data read) and
-``deep`` (``fast`` plus a full CRC32 pass over every file, catching
-bit rot that leaves sizes intact).  Any mismatch raises
-:class:`StoreCorruptionError` carrying the bundle path, the array, and
-the expected/actual value -- numpy internals never surface.  Digests
-are *off the hot path*: :func:`load_array` (the serving path) only adds
-an ``os.path.getsize`` check per array.
+manifest complete and well-formed, every file present with its
+recorded byte size and the byte-exact ``.npy`` header of its
+dtype/shape -- no data read) and ``deep`` (``fast`` plus a full CRC32
+pass over every file, catching bit rot that leaves sizes intact).  Any
+mismatch raises :class:`StoreCorruptionError` carrying the bundle path,
+the array, and the expected/actual value.  Digests are *off the hot
+path*: :func:`load_array` (the serving path) adds one ``fstat`` and one
+``pread`` of the header per array.
 
 Atomic publication
 ------------------
@@ -60,10 +62,13 @@ XML is always safe and cheap relative to serving).
 from __future__ import annotations
 
 import json
+import math
+import mmap
 import os
 import shutil
+import struct
 import zlib
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -73,17 +78,16 @@ FORMAT_NAME = "repro-document-store"
 FORMAT_VERSION = 3
 HEADER_FILE = "header.json"
 
-#: Every array a bundle must contain, with its expected dtype.
-ARRAY_DTYPES: Dict[str, str] = {
-    "label_of": "int64",
-    "left": "int64",
-    "right": "int64",
-    "parent": "int64",
-    "bparent": "int64",
-    "xml_end": "int64",
-    "label_ids": "int64",
-    "label_bounds": "int64",
-}
+#: Every array a bundle must contain: the six tree columns, then the
+#: label index.
+ARRAYS = (
+    "label_of", "left", "right", "parent", "bparent", "xml_end",
+    "label_ids", "label_bounds",
+)
+
+#: Every array is stored as little-endian ``int64``, numpy's ``'<i8'``;
+#: the manifest names it ``NPY_DTYPE.name`` (``"int64"``).
+NPY_DTYPE = np.dtype("<i8")
 
 _PUBLISH_SEQ = 0
 
@@ -168,13 +172,38 @@ def file_crc32(path: str, chunk: int = 1 << 20) -> str:
     return f"{crc & 0xFFFFFFFF:08x}"
 
 
+def npy_header(shape: Sequence[int]) -> bytes:
+    """The ``.npy`` v1.0 header ``numpy.save`` writes for a C-order
+    ``<i8`` array of ``shape``: magic, ``<H`` length, the dict literal,
+    spaces for the first axis to grow to 21 digits, and padding to a
+    64-byte boundary ended by a newline."""
+    shape = tuple(shape)
+    text = f"{{'descr': '<i8', 'fortran_order': False, 'shape': {shape!r}, }}"
+    if shape:
+        text += " " * (21 - len(repr(shape[0])))
+    pad = 64 - (len(text) + 11) % 64
+    return (
+        b"\x93NUMPY\x01\x00"
+        + struct.pack("<H", len(text) + pad + 1)
+        + text.encode("latin1")
+        + b" " * pad
+        + b"\n"
+    )
+
+
+def _write_synced(path: str, *chunks) -> None:
+    """Write ``chunks`` (bytes-like) to a new file and fsync it."""
+    with open(path, "wb") as handle:
+        for chunk in chunks:
+            handle.write(chunk)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 def _fsync_path(path: str) -> None:
-    """Best-effort fsync of a file or directory."""
-    flags = os.O_RDONLY
-    if hasattr(os, "O_DIRECTORY") and os.path.isdir(path):
-        flags |= os.O_DIRECTORY
+    """Best-effort fsync of a directory."""
     try:
-        fd = os.open(path, flags)
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
     except OSError:
         return  # e.g. platforms that cannot open directories
     try:
@@ -217,8 +246,8 @@ def write_bundle(
     still-open readers until a later compaction pass
     (:meth:`repro.store.store.DocumentStore.compact`).
     """
-    missing = set(ARRAY_DTYPES) - set(arrays)
-    extra = set(arrays) - set(ARRAY_DTYPES)
+    missing = set(ARRAYS) - set(arrays)
+    extra = set(arrays) - set(ARRAYS)
     if missing or extra:
         raise StoreError(
             f"array set mismatch: missing={sorted(missing)}, "
@@ -231,25 +260,21 @@ def write_bundle(
         manifest = {}
         for name, arr in arrays.items():
             faults.check("store.write_array", array=name, bundle=bundle)
-            arr = np.ascontiguousarray(arr, dtype=ARRAY_DTYPES[name])
-            path = array_path(staging, name)
-            np.save(path, arr)
-            _fsync_path(path)
+            arr = np.ascontiguousarray(arr, dtype=NPY_DTYPE)
+            head = npy_header(arr.shape)
+            _write_synced(array_path(staging, name), head, memoryview(arr))
+            crc = zlib.crc32(memoryview(arr), zlib.crc32(head))
             manifest[name] = {
-                "dtype": str(arr.dtype),
+                "dtype": NPY_DTYPE.name,
                 "shape": list(arr.shape),
-                "bytes": os.path.getsize(path),
-                "crc32": file_crc32(path),
+                "bytes": len(head) + arr.nbytes,
+                "crc32": f"{crc & 0xFFFFFFFF:08x}",
             }
         header = dict(
             header, format=FORMAT_NAME, version=FORMAT_VERSION, arrays=manifest
         )
-        header_path = os.path.join(staging, HEADER_FILE)
-        with open(header_path, "w", encoding="utf-8") as handle:
-            json.dump(header, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        text = json.dumps(header, indent=1, sort_keys=True) + "\n"
+        _write_synced(os.path.join(staging, HEADER_FILE), text.encode())
         _fsync_path(staging)
         faults.check("store.publish", bundle=bundle)
         _publish(staging, bundle, retire_to=retire_to)
@@ -315,62 +340,83 @@ def read_header(bundle: str) -> dict:
             "the bundle from its source document)"
         )
     manifest = header.get("arrays")
-    if not isinstance(manifest, dict):
+    if not isinstance(manifest, dict) or set(manifest) != set(ARRAYS):
         raise StoreFormatError(f"{bundle!r}: array manifest mismatch")
-    if set(manifest) != set(ARRAY_DTYPES):
-        raise StoreFormatError(f"{bundle!r}: array manifest mismatch")
+    for name, meta in manifest.items():
+        if not _well_formed(meta):
+            raise StoreCorruptionError(
+                bundle, name, f"malformed manifest entry {json.dumps(meta)}"
+            )
     return header
 
 
-def load_array(bundle: str, name: str, manifest: dict, mmap: bool) -> np.ndarray:
-    """Load one manifest array, checking it against the header.
+def _well_formed(meta) -> bool:
+    """Is ``meta`` an ``int64`` array whose ``bytes`` fit its ``shape``?"""
+    shape = meta.get("shape") if isinstance(meta, dict) else None
+    if not isinstance(shape, list) or meta.get("dtype") != NPY_DTYPE.name:
+        return False
+    if not all(type(dim) is int and dim >= 0 for dim in shape):
+        return False
+    data = NPY_DTYPE.itemsize * math.prod(shape)
+    return meta.get("bytes") == len(npy_header(shape)) + data
 
-    Serving-path integrity is deliberately cheap: a byte-size check
-    plus the dtype/shape check
-    against the parsed ``.npy`` header.  Damage that preserves sizes is
-    :func:`verify_bundle`'s ``deep`` job.  Every failure mode --
-    missing file, size mismatch, an ``.npy`` numpy refuses to parse --
-    surfaces as a structured :class:`StoreCorruptionError`, never a raw
-    numpy exception.
-    """
-    path = array_path(bundle, name)
+
+def load_array(
+    bundle: str, name: str, manifest: dict, mapped: Optional[list]
+) -> np.ndarray:
+    """Load one manifest array once its file checks out byte for byte:
+    the ``fstat`` size of the descriptor then mapped is the manifest's,
+    and the header is :func:`npy_header` of the manifest's shape.  With
+    a ``mapped`` list, a read-only view of the file's pages whose
+    ``mmap`` joins ``mapped``; with ``None``, an owned copy.  Every
+    failure, an unreadable file included, is a
+    :class:`StoreCorruptionError` naming the array."""
     meta = manifest[name]
+    path = array_path(bundle, name)
     faults.check("store.load_array", array=name, bundle=bundle, path=path)
-    expected_bytes = meta.get("bytes")
-    if expected_bytes is not None:
-        try:
-            actual_bytes = os.path.getsize(path)
-        except OSError:
-            raise StoreCorruptionError(
-                bundle, name, "array file missing"
-            ) from None
-        if actual_bytes != expected_bytes:
-            raise StoreCorruptionError(
-                bundle,
-                name,
-                "file size mismatch (truncated or overwritten)",
-                expected=expected_bytes,
-                actual=actual_bytes,
-            )
     try:
-        arr = np.load(path, mmap_mode="r" if mmap else None)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            if size != meta["bytes"]:
+                raise StoreCorruptionError(
+                    bundle,
+                    name,
+                    "file size mismatch (truncated or overwritten)",
+                    expected=meta["bytes"],
+                    actual=size,
+                )
+            head = npy_header(meta["shape"])
+            actual = os.pread(fd, len(head), 0)
+            if actual != head:
+                at = len(os.path.commonprefix([actual, head]))
+                raise StoreCorruptionError(
+                    bundle,
+                    name,
+                    ".npy header is not the canonical one for its shape "
+                    f"(byte {at} differs)",
+                    expected=head.decode("latin1"),
+                    actual=actual.decode("latin1"),
+                )
+            pages = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        finally:
+            os.close(fd)
     except FileNotFoundError:
         raise StoreCorruptionError(bundle, name, "array file missing") from None
-    except Exception as exc:
-        # numpy's .npy header parser leaks SyntaxError/TokenError/... on
-        # mangled bytes; a manifest-listed file that fails to load is by
-        # definition corruption, whatever the parser tripped on.
+    except OSError as exc:
+        # A file the manifest lists but this process cannot read is
+        # corruption of this bundle, not a failure of the whole caller.
         raise StoreCorruptionError(
             bundle, name, f"unreadable .npy file: {type(exc).__name__}: {exc}"
         ) from None
-    if str(arr.dtype) != meta["dtype"] or list(arr.shape) != meta["shape"]:
-        raise StoreCorruptionError(
-            bundle,
-            name,
-            "dtype/shape mismatch against header",
-            expected=f"{meta['dtype']}{meta['shape']}",
-            actual=f"{arr.dtype}{list(arr.shape)}",
-        )
+    count = math.prod(meta["shape"])
+    arr = np.frombuffer(pages, NPY_DTYPE, count, len(head))
+    arr = arr.reshape(meta["shape"])
+    if mapped is None:
+        arr = arr.copy()
+        pages.close()
+    else:
+        mapped.append(pages)
     return arr
 
 
@@ -378,11 +424,11 @@ def verify_bundle(bundle: str, *, deep: bool = False) -> dict:
     """Check a bundle's integrity; raise :class:`StoreCorruptionError`.
 
     ``fast`` mode (the default) validates the header, then every
-    array's presence, recorded byte size, and ``.npy`` dtype/shape --
-    metadata only, no array data is read.  ``deep`` mode additionally
-    recomputes each file's CRC32 against the manifest digest, catching
-    size-preserving damage (bit flips) with certainty; a manifest entry
-    without a digest is itself corruption.
+    array's presence, recorded byte size, and byte-exact ``.npy``
+    header -- metadata only, no array data is read.  ``deep`` mode
+    additionally recomputes each file's CRC32 against the manifest
+    digest, catching size-preserving damage (bit flips) with certainty;
+    a manifest entry without a digest is itself corruption.
 
     Returns a JSON-ready report::
 
@@ -405,9 +451,8 @@ def verify_bundle(bundle: str, *, deep: bool = False) -> dict:
     }
     for name in sorted(manifest):
         meta = manifest[name]
-        arr = load_array(bundle, name, manifest, True)
-        del arr  # header checks only; drop the mapping immediately
-        entry = {"bytes": os.path.getsize(array_path(bundle, name))}
+        load_array(bundle, name, manifest, [])  # checks; the map dies here
+        entry = {"bytes": meta["bytes"]}
         if deep:
             if "crc32" not in meta:
                 raise StoreCorruptionError(

@@ -46,6 +46,7 @@ from repro.store.format import (
     StoreCorruptionError,
     StoreError,
     _fsync_path,
+    _write_synced,
     bundle_names,
     is_bundle,
     read_header,
@@ -198,11 +199,8 @@ def write_manifest(root: str, manifest: CorpusManifest) -> None:
     os.makedirs(root, exist_ok=True)
     path = manifest_path(root)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(manifest.to_dict(), handle, indent=1, sort_keys=True)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+    text = json.dumps(manifest.to_dict(), indent=1, sort_keys=True) + "\n"
+    _write_synced(tmp, text.encode())
     os.replace(tmp, path)
     _fsync_path(root)
 

@@ -7,9 +7,10 @@ per-label sorted id arrays -- and writes them as a versioned bundle
 (:mod:`repro.store.format`).
 
 :func:`open_document` is the O(1)-startup path: every array is
-reopened as a read-only ``np.load(mmap_mode="r")`` mapping (zero copy,
-shared across processes by the page cache), handed to the readers as a
-plain ``ndarray`` view of its pages, and the six tree columns
+reopened as a read-only ``mmap`` of its ``.npy`` file (zero copy,
+shared across processes by the page cache) once its header is
+byte-exact (:func:`repro.store.format.load_array`), handed to the
+readers as a plain ``ndarray`` view of its pages, and the six tree columns
 *are* the :class:`~repro.tree.binary.BinaryTree` -- no XML parsing, no
 label re-interning, no argsort, and no per-node Python object until an
 automaton strategy asks the tree for a list mirror.  The resulting
@@ -21,16 +22,16 @@ task descriptors).
 from __future__ import annotations
 
 import datetime
+import mmap
 import os
 import shutil
 import threading
 from typing import Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.index.jumping import TreeIndex
 from repro.index.labels import LabelIndex
 from repro.store.format import (
+    ARRAYS,
     HEADER_FILE,
     SourceEncodingError,
     StoreCorruptionError,
@@ -115,48 +116,15 @@ def live_readers(path: str) -> int:
         return _READERS.get(key, 0)
 
 
-def _adopt(arr: np.ndarray, mapped: Optional[List[np.ndarray]]) -> np.ndarray:
-    """What a reader gets of one loaded array.  A mapped one is kept in
-    ``mapped`` (so :func:`_release_mapped` can close it) and handed out
-    as a plain ``ndarray`` view of the same pages: every slice and
-    gather of an ``np.memmap`` runs numpy's Python-level
-    ``memmap.__array_finalize__``, a few microseconds each on the
-    kernels' hot path."""
-    if mapped is None:
-        return arr
-    mapped.append(arr)
-    return arr.view(np.ndarray)
-
-
-def _release_mapped(mapped: List[np.ndarray]) -> None:
-    """Close the mmap handles behind a list of mapped arrays.
-
-    Drops the array references first (each pins an export on its mmap);
-    a mapping still exported by a live ndarray elsewhere cannot be
-    closed yet -- those are retried after a garbage-collection pass
-    and, if still pinned, left for the final reference drop to unmap.
-    """
-    leftover = []
+def _release_mapped(mapped: List[mmap.mmap]) -> None:
+    """Close a list of ``mmap`` objects, emptying it.  One whose pages a
+    live ndarray still exports stays open until its last view goes."""
     while mapped:
-        arr = mapped.pop()
-        mm = getattr(arr, "_mmap", None)
-        del arr
-        if mm is not None and not getattr(mm, "closed", True):
-            leftover.append(mm)
-    for retry in (False, True):
-        if not leftover:
-            break
-        if retry:
-            import gc
-
-            gc.collect()
-        still = []
-        for mm in leftover:
-            try:
-                mm.close()
-            except (BufferError, ValueError):
-                still.append(mm)
-        leftover = still
+        pages = mapped.pop()
+        try:
+            pages.close()
+        except BufferError:
+            pass
 
 
 class StoredDocument:
@@ -173,10 +141,10 @@ class StoredDocument:
         self.header = header
         self.index = index
         self.closed = False
-        # Memory-mapped arrays this document opened; close() releases
-        # their OS mappings (a long-lived daemon unmounting a corpus
-        # must not leak map handles until garbage collection).
-        self._mapped: List[np.ndarray] = []
+        # The mmap objects behind this document's arrays; close()
+        # releases them (a long-lived daemon unmounting a corpus must
+        # not leak map handles until garbage collection).
+        self._mapped: List[mmap.mmap] = []
         # Registered reader identity (mmap opens only); compact() keeps
         # retired bundles alive while this is held.
         self._reader_key: Optional[Tuple[int, int]] = None
@@ -203,12 +171,9 @@ class StoredDocument:
     def close(self) -> None:
         """Release the document's memory-mapped array handles (idempotent).
 
-        Drops this object's own reference to the index and
-        then closes the underlying ``mmap`` objects.  A mapping whose
-        pages are still exported by a live ndarray elsewhere (an engine
-        still holding the index, a cached slice) cannot be closed by the
-        OS yet -- those are retried after a garbage-collection pass and,
-        if still pinned, left for the final reference drop to unmap.
+        Drops this object's reference to the index, then closes the
+        ``mmap`` objects (:func:`_release_mapped`: one still exported by
+        a live view, say an engine's, unmaps with its last view).
         After ``close()`` the document must not be used.
         """
         if self.closed:
@@ -365,37 +330,32 @@ def open_document(path: str, *, mmap: bool = True) -> StoredDocument:
     # reader registration below binds to the files actually mapped even
     # if the bundle is concurrently replaced.
     reader_key = bundle_identity(path) if mmap else None
-    mapped: List[np.ndarray] = []
-
-    def load(name: str) -> np.ndarray:
-        return _adopt(
-            load_array(path, name, manifest, mmap), mapped if mmap else None
+    labels = list(header["labels"])
+    n = int(header["n"])
+    if manifest["label_of"]["shape"] != [n]:
+        raise StoreFormatError(
+            f"{path!r}: header n={n} but label_of has shape "
+            f"{tuple(manifest['label_of']['shape'])}"
         )
-
+    mapped = []
+    arrays = {}
     # A failure partway through (a corrupt array after several mapped
-    # fine) must not leak the handles already opened.
+    # fine) must not leak the handles already opened: the views go
+    # first, so each mapping closes at once.
     try:
-        labels = list(header["labels"])
-        columns = {
-            name: load(name)
-            for name in (
-                "label_of", "left", "right", "parent", "bparent", "xml_end"
+        for name in ARRAYS:
+            arrays[name] = load_array(
+                path, name, manifest, mapped if mmap else None
             )
-        }
-        n = int(header["n"])
-        if columns["label_of"].shape != (n,):
-            raise StoreFormatError(
-                f"{path!r}: header n={n} but label_of has shape "
-                f"{columns['label_of'].shape}"
-            )
-        # The mapped files are the tree: nothing is copied or converted,
-        # whatever the document's size.
-        tree = BinaryTree._from_columns(labels, columns)
-        label_index = LabelIndex.from_state(
-            tree, load("label_ids"), load("label_bounds")
-        )
+        label_ids = arrays.pop("label_ids")
+        label_bounds = arrays.pop("label_bounds")
+        # The six columns left are the tree: nothing is copied or
+        # converted, whatever the document's size.
+        tree = BinaryTree._from_columns(labels, arrays)
+        label_index = LabelIndex.from_state(tree, label_ids, label_bounds)
         index = TreeIndex(tree, labels=label_index)
     except BaseException:
+        arrays.clear()
         _release_mapped(mapped)
         raise
     if mmap:

@@ -4,6 +4,7 @@ them -- never on the open path, never under the set-at-a-time kernels."""
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import sys
@@ -70,11 +71,15 @@ def test_kernel_plans_build_no_mirror(bundles):
         assert tree.resident_mirrors() == ()
         assert _label_lists(index) == []
         mapped = stored._mapped  # what close() releases
-        assert all(isinstance(arr, np.memmap) for arr in mapped)
+        assert len(mapped) == 8
+        assert all(isinstance(pages, mmap.mmap) for pages in mapped)
         for name in COLUMNS:
             column = tree._columns[name]
             assert column.dtype == np.int64 and type(column) is np.ndarray
-            assert any(np.shares_memory(column, arr) for arr in mapped), name
+            assert any(
+                np.shares_memory(column, np.frombuffer(pages, np.uint8))
+                for pages in mapped
+            ), name
 
 
 def test_a_warm_pass_constructs_no_memmap(bundles, monkeypatch):

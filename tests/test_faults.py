@@ -36,7 +36,7 @@ from repro.store import (
     open_document,
     verify_document,
 )
-from repro.store.format import ARRAY_DTYPES, HEADER_FILE, array_path
+from repro.store.format import ARRAYS, HEADER_FILE, array_path
 
 XML = "<r><a><b/></a><a/><c><b/></c></r>"
 #: //a/b on XML above (node ids are stable: document order).
@@ -160,7 +160,7 @@ class TestCorruptionRecall:
     """Deep verification catches every single-array corruption: 8
     arrays x {truncate, bit_flip} = 16 damage cases, 100% recall."""
 
-    @pytest.mark.parametrize("array", sorted(ARRAY_DTYPES))
+    @pytest.mark.parametrize("array", sorted(ARRAYS))
     @pytest.mark.parametrize("mode", ["truncate", "bit_flip"])
     def test_deep_verify_catches(self, bundle, array, mode):
         verify_document(bundle, deep=True)  # pristine copy passes
@@ -171,7 +171,7 @@ class TestCorruptionRecall:
         assert detail["reason"]
         assert detail["path"]
 
-    @pytest.mark.parametrize("array", sorted(ARRAY_DTYPES))
+    @pytest.mark.parametrize("array", sorted(ARRAYS))
     def test_missing_array_caught_at_open(self, bundle, array):
         """Every array a reader maps is one it checks for: a bundle
         short of any one of them is refused by name, by the serving open
@@ -183,7 +183,7 @@ class TestCorruptionRecall:
             assert exc.value.array == array
             assert exc.value.reason == "array file missing"
 
-    @pytest.mark.parametrize("array", sorted(ARRAY_DTYPES))
+    @pytest.mark.parametrize("array", sorted(ARRAYS))
     def test_manifest_short_of_an_array_refused(self, bundle, array):
         header_path = os.path.join(bundle, HEADER_FILE)
         with open(header_path) as handle:
@@ -226,7 +226,7 @@ class TestCorruptionRecall:
         report = verify_document(bundle, deep=True)
         assert report["ok"] is True
         assert report["mode"] == "deep"
-        assert set(report["arrays"]) == set(ARRAY_DTYPES)
+        assert set(report["arrays"]) == set(ARRAYS)
         for entry in report["arrays"].values():
             assert entry["bytes"] > 0
             assert len(entry["crc32"]) == 8
@@ -293,7 +293,7 @@ class TestBuildFaults:
             "store.write_array",
             "io_error",
             errno_=errno.ENOSPC,
-            after=len(ARRAY_DTYPES) + 2,
+            after=len(ARRAYS) + 2,
         ):
             with pytest.raises(OSError):
                 ws.save(str(root))
@@ -313,10 +313,10 @@ class TestBuildFaults:
         original = store_mod.load_array
         mapped = []
 
-        def recording_load(path, name, manifest, mmap):
-            arr = original(path, name, manifest, mmap)
-            if mmap:
-                mapped.append(arr)
+        def recording_load(path, name, manifest, into):
+            arr = original(path, name, manifest, into)
+            if into is not None:
+                mapped.append(into[-1])
             return arr
 
         monkeypatch.setattr(store_mod, "load_array", recording_load)
@@ -326,7 +326,7 @@ class TestBuildFaults:
             with pytest.raises(OSError):
                 open_document(bundle)
         assert len(mapped) == 6  # the six nav arrays mapped before the hit
-        assert all(arr._mmap.closed for arr in mapped)
+        assert all(pages.closed for pages in mapped)
         # And a failed open never registers a reader.
         from repro.store import live_readers
 

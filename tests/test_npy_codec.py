@@ -1,0 +1,292 @@
+"""The store's own ``.npy`` codec (``repro.store.format.npy_header``).
+
+A bundle array file is ``npy_header(shape)`` followed by the data, byte
+for byte what ``np.save`` writes, and a reader accepts nothing else:
+every header it maps is compared with the codec's bytes, never parsed.
+"""
+
+import hashlib
+import io
+import json
+import mmap
+import os
+
+import numpy as np
+import pytest
+
+from repro.engine.api import Engine
+from repro.store import (
+    DocumentStore,
+    StoreCorruptionError,
+    open_document,
+    save_document,
+    verify_document,
+)
+from repro.store.format import (
+    ARRAYS,
+    HEADER_FILE,
+    array_path,
+    file_crc32,
+    npy_header,
+)
+
+XML = "<r><a><b/></a><a/><c><a/></c></r>"
+
+#: A fixed document, and what the ``np.save``-based writer of format
+#: version 3 wrote for it: a 16-hex sha256 prefix per file and the
+#: manifest entry.  The codec must reproduce both exactly.
+GOLDEN_XML = "<r>" + "".join(
+    f"<s{i % 5}><a><b/></a><c/></s{i % 5}>" for i in range(300)
+) + "</r>"
+GOLDEN = {
+    "bparent": ("f8fd07b8d599f6e0", 9736, "cf09ebd0", [1201]),
+    "label_bounds": ("f71ccbf0bed66d64", 208, "0fd71986", [10]),
+    "label_ids": ("9b84e03b275cdc05", 9736, "45a707a9", [1201]),
+    "label_of": ("762081187d6b6cfa", 9736, "544bf47c", [1201]),
+    "left": ("7fca6d35d6e895e1", 9736, "4f9f34b9", [1201]),
+    "parent": ("d361175d7dbd8f53", 9736, "0b14e36c", [1201]),
+    "right": ("2d653e1de33df76d", 9736, "3a6518eb", [1201]),
+    "xml_end": ("f1d6cbc3521c0f88", 9736, "31b4e13b", [1201]),
+}
+
+SHAPES = (
+    [(), (0,), (1,), (7,), (2**31,), (2**40,), (2**63 - 1,), (0, 5), (3, 4)]
+    + [(10**k,) for k in range(19)]
+    + [(1,) * k for k in range(2, 70)]  # every residue of the padding
+)
+
+
+def numpy_header(shape):
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        out, {"descr": "<i8", "fortran_order": False, "shape": shape}
+    )
+    return out.getvalue()
+
+
+def manifest(bundle):
+    with open(os.path.join(bundle, HEADER_FILE)) as handle:
+        return json.load(handle)["arrays"]
+
+
+def rewrite_manifest(bundle, edit):
+    path = os.path.join(bundle, HEADER_FILE)
+    with open(path) as handle:
+        header = json.load(handle)
+    edit(header["arrays"])
+    with open(path, "w") as handle:
+        json.dump(header, handle)
+
+
+@pytest.fixture()
+def bundle(tmp_path):
+    return save_document(XML, str(tmp_path / "doc"))
+
+
+class TestGolden:
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_codec_is_numpys_header(self, shape):
+        assert npy_header(shape) == numpy_header(shape)
+        assert len(npy_header(shape)) % 64 == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000])
+    def test_codec_is_what_np_save_writes(self, n):
+        out = io.BytesIO()
+        np.save(out, np.arange(n, dtype=np.int64))
+        head = npy_header([n])
+        assert out.getvalue() == head + np.arange(n, dtype="<i8").tobytes()
+
+    def test_bundle_matches_the_np_save_writer(self, tmp_path):
+        bundle = save_document(GOLDEN_XML, str(tmp_path / "doc"))
+        entries = manifest(bundle)
+        for name, (digest, size, crc, shape) in GOLDEN.items():
+            with open(array_path(bundle, name), "rb") as handle:
+                data = handle.read()
+            assert hashlib.sha256(data).hexdigest()[:16] == digest, name
+            assert entries[name] == {
+                "bytes": size, "crc32": crc, "dtype": "int64", "shape": shape
+            }
+            assert file_crc32(array_path(bundle, name)) == crc
+
+    def test_np_save_bundle_opens_and_np_load_reads_ours(self, tmp_path):
+        """Both directions between the codec and numpy's own reader and
+        writer: numpy loads every file the store writes, and a bundle
+        whose files numpy rewrote is unchanged and opens."""
+        bundle = save_document(GOLDEN_XML, str(tmp_path / "doc"))
+        before = {}
+        with open_document(bundle) as stored:
+            expected = Engine(stored).select("//s3//b")
+            for name in ARRAYS:
+                path = array_path(bundle, name)
+                with open(path, "rb") as handle:
+                    before[name] = handle.read()
+                loaded = np.load(path, mmap_mode="r")
+                assert loaded.dtype == np.int64
+                assert list(loaded.shape) == manifest(bundle)[name]["shape"]
+                del loaded
+        for name in ARRAYS:
+            path = array_path(bundle, name)
+            np.save(path, np.load(path))
+            with open(path, "rb") as handle:
+                assert handle.read() == before[name], name
+        assert verify_document(bundle, deep=True)["ok"] is True
+        with open_document(bundle) as stored:
+            assert Engine(stored).select("//s3//b") == expected
+
+
+class TestHeaderDamage:
+    def test_every_header_bit_flip_is_refused(self, bundle):
+        """2,048 single-bit flips: each of the 8 bits of each of the 128
+        header bytes of two arrays.  ``np.load`` took a flip of the
+        header-length byte as a shorter header and answered wrongly;
+        the byte-exact check refuses every one by array."""
+        with open_document(bundle) as stored:
+            assert Engine(stored).count("//a") == 3
+        for name in ("label_of", "label_bounds"):
+            path = array_path(bundle, name)
+            with open(path, "rb") as handle:
+                pristine = handle.read()
+            shape = manifest(bundle)[name]["shape"]
+            assert pristine[:128] == npy_header(shape)
+            for offset in range(128):
+                for bit in range(8):
+                    damaged = bytearray(pristine)
+                    damaged[offset] ^= 1 << bit
+                    with open(path, "wb") as handle:
+                        handle.write(damaged)
+                    for check in (open_document, verify_document):
+                        with pytest.raises(StoreCorruptionError) as exc:
+                            check(bundle)
+                        assert exc.value.array == name, (offset, bit)
+            with open(path, "wb") as handle:
+                handle.write(pristine)
+        assert verify_document(bundle, deep=True)["ok"] is True
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # The same dict with its keys reordered, at the same length.
+            "{'shape': (6,), 'fortran_order': False, 'descr': '<i8', }",
+            # The same dict with one space moved into the padding.
+            "{'descr':'<i8', 'fortran_order': False, 'shape': (6,), } ",
+        ],
+    )
+    def test_a_header_numpy_accepts_is_still_refused(self, bundle, text):
+        path = array_path(bundle, "label_of")
+        body = b"{'descr': '<i8', 'fortran_order': False, 'shape': (6,), }"
+        assert len(text) == len(body) and body in npy_header([6])
+        with open(path, "rb") as handle:
+            data = handle.read()
+        damaged = data.replace(body, text.encode(), 1)
+        assert damaged != data
+        with open(path, "wb") as handle:
+            handle.write(damaged)
+        # numpy parses it as the same array ...
+        assert np.load(path).tolist() == np.load(io.BytesIO(data)).tolist()
+        for check in (open_document, verify_document):
+            with pytest.raises(StoreCorruptionError) as exc:
+                check(bundle)
+            assert exc.value.array == "label_of"
+            assert json.dumps(exc.value.to_dict())  # JSON-safe detail
+
+MALFORMED = {
+    "no shape": lambda entry: entry.pop("shape"),
+    "no bytes": lambda entry: entry.pop("bytes"),
+    "dtype not a str": lambda entry: entry.update(dtype=8),
+    "dtype not int64": lambda entry: entry.update(dtype="int32"),
+    "shape not a list": lambda entry: entry.update(shape="7"),
+    "negative dim": lambda entry: entry.update(shape=[-1]),
+    "bool dim": lambda entry: entry.update(shape=[True]),
+    "bytes not an int": lambda entry: entry.update(bytes="176"),
+    "bytes not its shape's": lambda entry: entry.update(shape=[5]),
+}
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("damage", sorted(MALFORMED))
+    def test_entry_is_refused_by_name(self, bundle, damage):
+        rewrite_manifest(
+            bundle, lambda arrays: MALFORMED[damage](arrays["left"])
+        )
+        for check in (open_document, verify_document):
+            with pytest.raises(StoreCorruptionError) as exc:
+                check(bundle)
+            assert exc.value.array == "left"
+            assert exc.value.reason.startswith("malformed manifest entry")
+
+    def test_entry_that_is_not_a_dict(self, bundle):
+        rewrite_manifest(bundle, lambda arrays: arrays.update(parent=[1, 2]))
+        for check in (open_document, verify_document):
+            with pytest.raises(StoreCorruptionError) as exc:
+                check(bundle)
+            assert exc.value.array == "parent"
+
+    def test_corpus_verify_reports_it(self, tmp_path):
+        store = DocumentStore(str(tmp_path))
+        store.save("good", XML)
+        store.save("bad", XML)
+        rewrite_manifest(
+            store.path_for("bad"), lambda arrays: arrays["left"].pop("shape")
+        )
+        reports = store.verify()
+        assert reports["good"]["ok"] is True
+        assert reports["bad"]["ok"] is False
+        assert reports["bad"]["error"]["array"] == "left"
+
+
+
+class TestUnreadableFile:
+    """An array file the process cannot read is that bundle's
+    corruption: an ``OSError`` from any step of the open never escapes
+    to the caller, so one such file cannot stop a corpus verify."""
+
+    @pytest.mark.parametrize("step", ["open", "fstat", "pread", "mmap"])
+    def test_corpus_verify_reports_it(self, tmp_path, monkeypatch, step):
+        store = DocumentStore(str(tmp_path))
+        store.save("bad", XML)
+        store.save("good", XML)
+        target = array_path(store.path_for("bad"), "left")
+        fds = set()
+
+        def failing(real, hit):
+            def call(first, *args, **kwargs):
+                if hit(first):
+                    raise PermissionError(13, "Permission denied")
+                return real(first, *args, **kwargs)
+            return call
+
+        def tracked_open(path, *args, **kwargs):
+            fd = real_open(path, *args, **kwargs)
+            if path == target:
+                fds.add(fd)
+            return fd
+
+        def hit_fd(fd):
+            # Once: the descriptor is closed after the failure, and a
+            # later file may reuse its number.
+            if fd in fds:
+                fds.discard(fd)
+                return True
+            return False
+
+        real_open = os.open
+        monkeypatch.setattr(os, "open", tracked_open)
+        if step == "open":
+            monkeypatch.setattr(
+                os, "open", failing(real_open, lambda path: path == target)
+            )
+        elif step == "mmap":
+            monkeypatch.setattr(mmap, "mmap", failing(mmap.mmap, hit_fd))
+        else:
+            monkeypatch.setattr(os, step, failing(getattr(os, step), hit_fd))
+
+        reports = store.verify()
+        assert reports["good"]["ok"] is True
+        assert reports["bad"]["ok"] is False
+        assert reports["bad"]["error"]["array"] == "left"
+        assert reports["bad"]["error"]["reason"].startswith(
+            "unreadable .npy file: PermissionError"
+        )
+        with pytest.raises(StoreCorruptionError) as exc:
+            open_document(store.path_for("bad"))
+        assert exc.value.array == "left"

@@ -2,6 +2,7 @@
 deadlines, epochs) and ``MountTable`` (disk -> mounted set)."""
 
 import asyncio
+import json
 import shutil
 import threading
 import time
@@ -223,6 +224,25 @@ class TestMountTable:
         assert found.added == ["hurt"] and found.skipped == {}
         table.install(found)
         assert table.skipped == {} and query(workspace, "hurt") == [2, 3]
+
+    def test_a_malformed_manifest_entry_skips_only_its_bundle(
+        self, tmp_path, workspace
+    ):
+        store = DocumentStore(str(tmp_path))
+        store.save("good", XML_V1)
+        store.save("bad", XML_V2)
+        header_path = tmp_path / "bad" / "header.json"
+        header = json.loads(header_path.read_text())
+        del header["arrays"]["left"]["shape"]
+        header_path.write_text(json.dumps(header))
+        table = MountTable([str(tmp_path)], workspace)
+        found = table.scan()
+        assert found.added == ["good"] and list(found.skipped) == ["bad"]
+        assert "StoreCorruptionError" in found.skipped["bad"]["error"]
+        assert "'left'" in found.skipped["bad"]["error"]
+        table.install(found)
+        assert workspace.documents() == ["good"]
+        assert query(workspace, "good") == [2]
 
     def test_a_corrupt_replacement_keeps_the_mounted_generation(
         self, tmp_path, workspace

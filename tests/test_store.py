@@ -21,7 +21,7 @@ from repro.store import (
     save_document,
     verify_document,
 )
-from repro.store.format import ARRAY_DTYPES
+from repro.store.format import ARRAYS
 from repro.tree.binary import BinaryTree
 from repro.xmark.generator import XMarkGenerator
 from repro.xmark.queries import QUERIES
@@ -189,7 +189,7 @@ class TestFormatValidation:
     def test_bundle_holds_exactly_the_mapped_arrays(self, tmp_path):
         stored = _roundtrip(tmp_path, "<r><a/></r>")
         assert sorted(os.listdir(stored.path)) == sorted(
-            ["header.json", *(f"{name}.npy" for name in ARRAY_DTYPES)]
+            ["header.json", *(f"{name}.npy" for name in ARRAYS)]
         )
 
     def test_manifest_beyond_the_mapped_arrays_rejected(self, tmp_path):
@@ -360,7 +360,7 @@ class TestReviewRegressions:
         via_tree = os.path.join(str(tmp_path), "tr")
         save_document(generator, via_events)
         save_document(generator.tree(), via_tree)
-        for name in ARRAY_DTYPES:
+        for name in ARRAYS:
             a = np.load(os.path.join(via_events, f"{name}.npy"))
             b = np.load(os.path.join(via_tree, f"{name}.npy"))
             assert np.array_equal(a, b), name
@@ -369,8 +369,8 @@ class TestReviewRegressions:
             generator.tree()
         ).select("//edge")
 
-    def test_rebuild_crash_preserves_old_bundle(self, tmp_path, monkeypatch):
-        import numpy as np
+    def test_rebuild_crash_preserves_old_bundle(self, tmp_path):
+        from repro import faults
 
         bundle = os.path.join(str(tmp_path), "doc")
         save_document("<r><a/></r>", bundle)
@@ -378,19 +378,9 @@ class TestReviewRegressions:
         # A crash while rewriting arrays hits only the hidden staging
         # directory (atomic publish): the previous bundle stays intact,
         # readable, and verifiable, and no staging debris survives.
-        original_save = np.save
-        calls = []
-
-        def crashing_save(path, arr):
-            calls.append(path)
-            if len(calls) == 3:
-                raise RuntimeError("simulated crash mid-rebuild")
-            return original_save(path, arr)
-
-        monkeypatch.setattr(np, "save", crashing_save)
-        with pytest.raises(RuntimeError):
-            save_document("<r><b/><b/></r>", bundle)
-        monkeypatch.undo()
+        with faults.inject("store.write_array", "exception", after=2):
+            with pytest.raises(RuntimeError):
+                save_document("<r><b/><b/></r>", bundle)
         assert Engine(open_document(bundle)).select("//a") == [1]
         from repro.store import verify_document
 
@@ -420,11 +410,7 @@ class TestReviewRegressions:
 class TestStoredDocumentClose:
     def test_close_releases_mapped_arrays(self, tmp_path):
         stored = _roundtrip(tmp_path, "<r><a><b/></a></r>")
-        mmaps = [
-            arr._mmap
-            for arr in stored._mapped
-            if getattr(arr, "_mmap", None) is not None
-        ]
+        mmaps = list(stored._mapped)
         assert mmaps  # the bundle really was mmapped
         stored.close()
         assert stored.closed
@@ -465,11 +451,8 @@ class TestWorkspaceClose:
         ws2 = Workspace()
         ws2.open_store(str(tmp_path))
         stored = ws2._stored["doc"]
-        mmaps = [
-            arr._mmap
-            for arr in stored._mapped
-            if getattr(arr, "_mmap", None) is not None
-        ]
+        mmaps = list(stored._mapped)
+        assert mmaps  # the bundle really was mmapped
         assert ws2.select("//b", document="doc") == [2]
         ws2.close()
         assert stored.closed
