@@ -544,7 +544,7 @@ def _serve(args, out) -> None:
         ready_line = {
             "serving": f"{d.host}:{d.port}",
             "documents": d.documents(),
-            "strategy": d.workspace.strategy,
+            "strategy": d.strategy,
             "workers": d.workers,
             "admission_limit": d.admission.limit,
             "timeout_s": d.timeout,

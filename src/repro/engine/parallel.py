@@ -140,9 +140,9 @@ class QueryService:
     def invalidate(self, name: str) -> None:
         """Forget every worker cache derived from document ``name``.
 
-        Called by :meth:`Workspace.add`/:meth:`Workspace.remove`/
-        :meth:`Workspace.swap_stored` so a removed or re-registered
-        document can never be answered from stale state.  The thread
+        Called by :meth:`Workspace.add`/:meth:`Workspace.remove` so a
+        removed or re-registered document can never be answered from
+        stale state.  The thread
         pool keeps no document state and survives.  The persistent
         ``pool`` executor survives *store* mutations without a rebuild:
         the document's version counter is bumped, every future task

@@ -51,7 +51,7 @@ Every task names the document *version* the parent expects
 (monotonically bumped by
 :meth:`~repro.engine.parallel.QueryService.invalidate`, which rides on
 the store manifest's generation bumps via
-``Workspace.swap_stored``/``add``/``remove``).  A worker whose cached
+``Workspace.add``/``remove``).  A worker whose cached
 state for the document carries a different version drops that
 document's engine and mmap handles and reopens the bundle
 path -- which, after a ``DocumentStore.replace``, resolves to the new

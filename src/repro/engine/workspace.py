@@ -6,7 +6,9 @@ broadcasts (:meth:`Workspace.select_all`) over them.  All member engines
 share one :class:`~repro.engine.plan.CompiledQueryCache`, keyed by
 ``(query, label-inventory)``, so a query compiled for one document is
 reused by every document with the same wildcard inventory (always the
-case for element-only documents).
+case for element-only documents).  Every batch and broadcast runs on a
+:class:`~repro.engine.parallel.QueryService`; at ``jobs`` 1 (the
+default) its tasks run inline, one after another.
 
 >>> from repro.engine.workspace import Workspace
 >>> ws = Workspace()
@@ -82,20 +84,6 @@ class Workspace:
         self._invalidate_services(name)
         return engine
 
-    def add_stored(self, name: str, document: "StoredDocument") -> Engine:
-        """Register an already-opened store document, adopting its handles.
-
-        Unlike :meth:`add`, the workspace takes ownership: the
-        document's mmap handles are released on :meth:`remove` /
-        :meth:`close`, exactly as for documents mounted via
-        :meth:`open_store`.  This is the building block callers use to
-        mount a corpus bundle-by-bundle with their own per-document
-        error policy (e.g. the serve daemon skipping corrupt bundles).
-        """
-        engine = self.add(name, document)
-        self._stored[name] = document
-        return engine
-
     def remove(self, name: str) -> None:
         """Drop a document (compiled queries stay cached for the rest).
 
@@ -107,46 +95,6 @@ class Workspace:
         stored = self._stored.pop(name, None)
         if stored is not None:
             stored.close()
-
-    def swap_stored(
-        self, name: str, document: "StoredDocument"
-    ) -> Optional["StoredDocument"]:
-        """Atomically replace document ``name`` with a new stored bundle.
-
-        The engine is rebuilt from ``document`` and installed under the
-        same name (dict assignment to an existing key, so insertion
-        order -- and hence broadcast order -- is preserved), any
-        parallel-service state derived from the old document is
-        invalidated, and the previously owned
-        :class:`~repro.store.StoredDocument` (if any) is returned
-        **unclosed**: the caller decides when its readers have drained
-        and closes it.  This is the daemon hot-reload building block.
-        """
-        if name not in self._engines:
-            raise KeyError(f"no document {name!r} to swap")
-        engine = Engine(
-            document,
-            strategy=self.strategy,
-            encode_attributes=self.encode_attributes,
-            encode_text=self.encode_text,
-            cache=self.cache,
-        )
-        old = self._stored.get(name)
-        self._engines[name] = engine
-        self._stored[name] = document
-        self._invalidate_services(name)
-        return old
-
-    def pop_stored(self, name: str) -> Optional["StoredDocument"]:
-        """Unregister ``name`` and hand back its stored document unclosed.
-
-        Like :meth:`remove` but the caller takes over the mmap handles
-        (close after draining readers); returns ``None`` when the
-        document was caller-owned (added via :meth:`add`).
-        """
-        del self._engines[name]
-        self._invalidate_services(name)
-        return self._stored.pop(name, None)
 
     def _invalidate_services(self, name: str) -> None:
         """Drop any parallel-service state derived from document ``name``
@@ -198,11 +146,10 @@ class Workspace:
         wanted = list(names) if names is not None else store.names()
         if not wanted:
             raise ValueError(f"no document bundles in {path!r}")
-        registered: List[str] = []
         for name in wanted:
-            self.add_stored(name, store.open(name, mmap=mmap))
-            registered.append(name)
-        return registered
+            self.add(name, document := store.open(name, mmap=mmap))
+            self._stored[name] = document
+        return wanted
 
     def engine(self, name: str) -> Engine:
         """The engine bound to document ``name``."""
@@ -252,29 +199,16 @@ class Workspace:
         returns ``{document: {query: [ids]}}``.  Either way each distinct
         query is compiled at most once per label inventory.
 
-        ``jobs`` > 1 runs the batch on the
-        :class:`~repro.engine.parallel.QueryService`, one task per
-        (document, query) (see its docs for ``executor``); results are
-        identical to the serial path.  ``executor="pool"`` routes through the
-        persistent shared-memory worker pool at any ``jobs`` count
-        (the pool keeps its workers -- and their warm caches -- alive
-        across calls).
+        The batch is one :meth:`service` call, one task per (document,
+        query).  On the thread executor, ``jobs`` unset or 1 runs the
+        tasks inline, one after another; more fans them out (see
+        :class:`~repro.engine.parallel.QueryService`).
+        ``executor="pool"`` uses the persistent shared-memory worker
+        pool, sized as :meth:`service` sizes it.  Results are the same
+        either way.
         """
-        if (jobs is not None and jobs > 1) or executor == "pool":
-            service = self.service(jobs=jobs, executor=executor)
-            return service.select_many(queries, document)
-        queries = list(queries)
-        if document is not None:
-            engine = self.engine(document)
-            return {
-                self._qkey(q): engine.execute(q).nodes for q in queries
-            }
-        return {
-            name: {
-                self._qkey(q): engine.execute(q).nodes for q in queries
-            }
-            for name, engine in self._engines.items()
-        }
+        jobs = jobs if jobs or executor == "pool" else 1
+        return self.service(jobs, executor).select_many(queries, document)
 
     def select_all(
         self,
@@ -283,20 +217,10 @@ class Workspace:
         jobs: Optional[int] = None,
         executor: str = "thread",
     ) -> Dict[str, List[int]]:
-        """Run one query across every document: ``{document: [ids]}``.
-
-        ``jobs`` > 1 fans the broadcast out, one task per document, on a
-        worker pool (the :class:`~repro.engine.parallel.QueryService`);
-        ``executor="pool"`` uses the persistent shared-memory pool at
-        any ``jobs`` count.
-        """
-        if (jobs is not None and jobs > 1) or executor == "pool":
-            service = self.service(jobs=jobs, executor=executor)
-            return service.select_all(query)
-        return {
-            name: engine.execute(query).nodes
-            for name, engine in self._engines.items()
-        }
+        """Run one query across every document: ``{document: [ids]}``,
+        one task per document, run as :meth:`select_many` runs them."""
+        jobs = jobs if jobs or executor == "pool" else 1
+        return self.service(jobs, executor).select_all(query)
 
     def service(
         self,
@@ -311,8 +235,9 @@ class Workspace:
         ``executor="pool"`` the service owns a persistent
         :class:`~repro.engine.pool.WorkerPool` of shared-memory worker
         processes that stays warm across calls and survives store
-        mutations (:meth:`swap_stored`) via generation-versioned
-        invalidation; :meth:`close` joins or terminates its workers.
+        mutations (:meth:`remove` + :meth:`open_store`) via
+        generation-versioned invalidation; :meth:`close` joins or
+        terminates its workers.
         """
         from repro.engine.parallel import QueryService
 
@@ -359,10 +284,7 @@ class Workspace:
 
     def count_all(self, query: Query) -> Dict[str, int]:
         """Result cardinality per document (cheap fan-out analytics)."""
-        return {
-            name: len(engine.execute(query))
-            for name, engine in self._engines.items()
-        }
+        return self.service(1).count_all(query)
 
     def cache_info(self) -> Dict[str, dict]:
         """Bounded-cache statistics across the whole workspace.
@@ -380,7 +302,3 @@ class Workspace:
                 for name, engine in self._engines.items()
             },
         }
-
-    @staticmethod
-    def _qkey(query: Query) -> str:
-        return query if isinstance(query, str) else str(query)

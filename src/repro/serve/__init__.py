@@ -4,7 +4,7 @@ The package turns the single-shot library into a long-running system:
 
 - :class:`~repro.serve.daemon.QueryDaemon` mounts one or more
   :class:`~repro.store.DocumentStore` corpora via zero-copy mmap reopen
-  and keeps :class:`~repro.engine.workspace.Workspace` /
+  and keeps each document's :class:`~repro.engine.api.Engine` and
   :class:`~repro.engine.plan.PreparedQuery` state hot across
   requests, behind a stdlib-only asyncio HTTP/JSON front
   (:mod:`repro.serve.http`).  It self-heals: a failing strategy retries
@@ -13,9 +13,11 @@ The package turns the single-shot library into a long-running system:
   ``degraded``), and shutdown is a graceful drain.
 - :mod:`repro.serve.mounts` is the one path from disk to the mounted
   set, at start-up and on every hot reload
-  (:class:`~repro.serve.mounts.MountTable`: ``scan()`` then
-  ``install()``; corrupt bundles are skipped and retried), and the one
-  :class:`~repro.serve.mounts.Mount` record per document.
+  (:class:`~repro.serve.mounts.MountTable`: ``scan()`` opens bundles
+  and builds their engines, ``install()`` swaps records; corrupt bundles
+  are skipped and retried), and the one
+  :class:`~repro.serve.mounts.Mount` record per document -- handle,
+  engine and health.
 - :mod:`repro.serve.admission` bounds what runs
   (:class:`~repro.serve.admission.Admission`: a slot limit with ``429``
   past it, a worker-thread or event-loop run with ``504`` past its

@@ -2,19 +2,20 @@
 
 :class:`QueryDaemon` is the long-running counterpart of the one-shot
 CLI.  It mounts one or more :class:`~repro.store.DocumentStore` corpora
-into a single :class:`~repro.engine.workspace.Workspace` through the
-zero-copy mmap reopen path and keeps everything the single-shot paths
-throw away hot across requests: the shared compiled-automaton cache,
-each engine's prepared-plan LRU and the fused label-union caches.  A
-repeated ``POST /query`` finds its plan in the engine's own cache -- the only
-plan cache there is -- and goes straight to execution (the response's
-``warm`` flag and ``timing_ms`` breakdown make that observable, and
-``GET /stats`` exposes every cache's counters).
+through the zero-copy mmap reopen path, one engine per document, and
+keeps everything the single-shot paths throw away hot across requests:
+the shared compiled-automaton cache, each engine's prepared-plan LRU and
+the fused label-union caches.  A repeated ``POST /query`` finds its plan
+in the engine's own cache -- the only plan cache there is -- and goes
+straight to execution (the response's ``warm`` flag and ``timing_ms``
+breakdown make that observable, and ``GET /stats`` exposes every
+cache's counters).
 
 Each decision the daemon makes has one owner:
 
 - :mod:`repro.serve.mounts` -- which bundles are mounted, at start-up
-  and on every hot reload, and the one record per document;
+  and on every hot reload, and the one record per document: its open
+  handle, its engine and its health;
 - :mod:`repro.serve.admission` -- how many requests run at once, on a
   worker thread or the event loop, under which deadline, and when a
   reload's old generation has drained;
@@ -89,7 +90,6 @@ from repro.engine import registry
 from repro.engine.api import Engine
 from repro.engine.plan import PreparedQuery
 from repro.engine.planner import explain_fields, planner_fields
-from repro.engine.workspace import Workspace
 from repro.serve.admission import Admission
 from repro.serve.http import (
     FRAME_MAGIC,
@@ -181,8 +181,8 @@ class QueryDaemon:
         (``ValueError``); a corrupt bundle is skipped with a warning on
         stderr and retried on every reload.
     strategy:
-        The workspace-wide evaluation strategy (default ``auto``, the
-        set-at-a-time kernel).
+        The evaluation strategy of every mounted document (default
+        ``auto``, the set-at-a-time kernel); a request may name another.
     workers:
         Worker-thread count for query evaluation (default: CPU count).
     queue_depth:
@@ -246,8 +246,7 @@ class QueryDaemon:
         self.max_body = max_body
         self.fail_threshold = fail_threshold
         self.reload_poll = reload_poll
-        self.workspace = Workspace(strategy=strategy)
-        self.mounts = MountTable(stores, self.workspace, mmap)
+        self.mounts = MountTable(stores, strategy, mmap)
         # The first mount is a reload from the empty state, with this
         # policy on top: what a reload would skip and carry on without
         # is, for a name two stores share or a corpus with nothing
@@ -300,6 +299,7 @@ class QueryDaemon:
     # -- derived views -------------------------------------------------------
 
     _in_flight = property(lambda self: self.admission.in_flight)
+    strategy = property(lambda self: self.mounts.strategy)
 
     @property
     def skipped(self) -> Dict[str, dict]:
@@ -307,7 +307,7 @@ class QueryDaemon:
         return self.mounts.skipped
 
     def documents(self) -> List[str]:
-        return self.workspace.documents()
+        return list(self.mounts.records)
 
     def _bump(self, counter: str, by: int = 1) -> None:
         with self._counters_lock:
@@ -346,11 +346,13 @@ class QueryDaemon:
         document (defaulting to a single mounted one) as its record and
         engine, the strategy, and the request's budget in seconds."""
         name = fields.get("document")
-        if name is None and len(self.workspace) == 1:
-            (name,) = self.workspace.documents()
+        if name is not None and not isinstance(name, str):
+            raise HttpError(400, "bad_request", "'document' must be a string")
+        if name is None and len(self.mounts.records) == 1:
+            (name,) = self.mounts.records
         mount = self.mounts.records.get(name)
         if mount is None:
-            docs = self.workspace.documents()
+            docs = self.documents()
             if name is None:
                 raise HttpError(
                     400,
@@ -374,7 +376,7 @@ class QueryDaemon:
                 f"{info['failures']} consecutive evaluation failures",
                 {"document": name, "detail": dict(info)},
             )
-        strategy = fields.get("strategy", self.workspace.strategy)
+        strategy = fields.get("strategy", self.strategy)
         if not isinstance(strategy, str) or strategy not in registry.strategy_names():
             raise HttpError(
                 400,
@@ -392,12 +394,7 @@ class QueryDaemon:
                 400, "bad_request", "'timeout_s' must be a finite number > 0"
             )
         # Clients may tighten the budget, never widen the daemon's cap.
-        return (
-            mount,
-            self.workspace.engine(name),
-            strategy,
-            float(min(timeout_s, self.timeout)),
-        )
+        return mount, mount.engine, strategy, float(min(timeout_s, self.timeout))
 
     # -- the plan: found or built --------------------------------------------
 
@@ -865,13 +862,12 @@ class QueryDaemon:
         """The ``GET /stats`` payload (also handy in-process)."""
         with self._counters_lock:
             counters = dict(self.counters)
-        mounts = sorted(
-            self.mounts.records.values(), key=lambda mount: mount.name
-        )
-        caches = self.workspace.cache_info()
+        records = list(self.mounts.records.values())
+        mounts = sorted(records, key=lambda mount: mount.name)
+        caches = self.mounts.cache_info()
         return {
             "uptime_s": round(time.monotonic() - self._started, 3),
-            "strategy": self.workspace.strategy,
+            "strategy": self.strategy,
             "health": {
                 "status": self.health_status(),
                 "fail_threshold": self.fail_threshold,
@@ -902,10 +898,7 @@ class QueryDaemon:
                 "in_flight": self.admission.in_flight,
             },
             "timeout_s": self.timeout,
-            "documents": {
-                name: {"nodes": self.workspace.engine(name).tree.n}
-                for name in self.documents()
-            },
+            "documents": {m.name: {"nodes": m.engine.tree.n} for m in records},
             "mounts": self.mounts.by_store(),
             "reload": {
                 "reloads": counters["reloads"],
@@ -1050,7 +1043,7 @@ class QueryDaemon:
         for writer in list(self._connections):
             writer.close()
         self._threads.shutdown(wait=self._requests_open == 0, cancel_futures=True)
-        self.workspace.close()
+        self.mounts.close()
 
     async def run_async(self, ready=None) -> None:
         """Start, optionally announce, and serve until a signal or

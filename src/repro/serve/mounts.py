@@ -9,22 +9,24 @@ the same way, in two steps:
   nothing: diff every corpus directory against what is mounted (a
   document is republished exactly when the bundle identity on disk
   differs from the one mounted), open the added and changed bundles
-  through the zero-copy mmap path, and note what could not be used.  A
-  corrupt bundle (truncated array, mangled header -- anything
-  :func:`repro.store.open_document` rejects) is *skipped*: the rest of
-  the corpus serves, and every later scan retries it against the
-  current disk state.  So is a name a second corpus repeats.
+  through the zero-copy mmap path, build each one's engine, and note
+  what could not be used.  A corrupt bundle (truncated array, mangled
+  header -- anything :func:`repro.store.open_document` rejects) is
+  *skipped*: the rest of the corpus serves, and every later scan
+  retries it against the current disk state.  So is a name a second
+  corpus repeats.
 - :meth:`MountTable.install` -- synchronous, so no request ever
-  observes a half-swapped state: engines into the workspace, one fresh
-  :class:`Mount` record per opened document, and the superseded
-  :class:`~repro.store.StoredDocument` handles handed back *unclosed*
-  -- the caller closes them once their readers have drained.
+  observes a half-swapped state: it only swaps records (a replaced name
+  keeps its place) and hands the superseded and removed
+  :class:`~repro.store.StoredDocument` handles back *unclosed* -- the
+  caller closes them once their readers have drained.
 
-Everything the daemon knows per document is its :class:`Mount`, so a
-republished document starts from a clean record: its failure streak and
-quarantine are gone with the content they were evidence about, and its
-plans went with the engine :meth:`install` replaced.
-Untouched documents keep both.
+Everything the daemon knows per document is its :class:`Mount`: the
+open handle, the engine over it, and its health.  So a republished
+document starts from a clean record: its failure streak and quarantine
+are gone with the content they were evidence about, and its plans with
+the engine.  Untouched documents keep all of it.  Every engine shares
+the table's one compiled-query cache.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.workspace import Workspace
+from repro.engine.api import Engine
+from repro.engine.plan import CompiledQueryCache
 from repro.store import (
     DocumentStore,
     StoreError,
@@ -47,7 +50,8 @@ from repro.store.store import StoredDocument
 
 @dataclass
 class Mount:
-    """One mounted document: where it came from, how it is doing.
+    """One mounted document: where it came from, what answers for it,
+    how it is doing.
 
     The health half is a small state machine -- ``threshold``
     *consecutive* ultimately-failed evaluations quarantine the document,
@@ -62,6 +66,9 @@ class Mount:
     identity: Optional[Tuple[int, int]]
     generation: Optional[int]
     fingerprint: Optional[str]
+    #: The open bundle and the engine over it, for this record's life.
+    document: StoredDocument = field(repr=False)
+    engine: Engine = field(repr=False)
     #: Consecutive ultimately-failed evaluations.
     failures: int = 0
     #: Why requests are refused (``None``: they are not).
@@ -97,8 +104,8 @@ class Mount:
 class Scan:
     """What one :meth:`MountTable.scan` found; nothing is visible yet."""
 
-    #: Added and replaced documents: their new record and open handle.
-    opened: Dict[str, Tuple[Mount, StoredDocument]] = field(default_factory=dict)
+    #: Added and replaced documents: their new records.
+    opened: Dict[str, Mount] = field(default_factory=dict)
     added: List[str] = field(default_factory=list)
     replaced: List[str] = field(default_factory=list)
     removed: List[str] = field(default_factory=list)
@@ -112,19 +119,21 @@ class Scan:
 
     def close(self) -> None:
         """Give the opened handles back (a scan nobody installs)."""
-        for _record, document in self.opened.values():
-            document.close()
+        for record in self.opened.values():
+            record.document.close()
 
 
 class MountTable:
-    """The documents mounted from ``store_dirs`` into ``workspace``."""
+    """The documents mounted from ``store_dirs``, each under ``strategy``."""
 
     def __init__(
-        self, store_dirs: Sequence[str], workspace: Workspace, mmap: bool = True
+        self, store_dirs: Sequence[str], strategy: str = "auto", mmap: bool = True
     ) -> None:
         self.store_dirs = [os.path.abspath(s) for s in store_dirs]
-        self.workspace = workspace
+        self.strategy = strategy
         self.mmap = mmap
+        self.cache = CompiledQueryCache()
+        #: Mounted documents by name, in mount order.
         self.records: Dict[str, Mount] = {}
         self.skipped: Dict[str, dict] = {}
         #: Per-store change stamps as of the last installed scan.
@@ -143,7 +152,8 @@ class MountTable:
         }
 
     def scan(self) -> Scan:
-        """Diff the disk against :attr:`records` and open what is new."""
+        """Diff the disk against :attr:`records`; open what is new and
+        build its engine."""
         mounted = dict(self.records)
         # Stamps first: a publish during this scan moves one again.
         found = Scan(stamps=self.read_stamps())
@@ -177,15 +187,14 @@ class MountTable:
                         }
                         continue
                     entry = manifest.documents.get(name) or {}
-                    found.opened[name] = (
-                        Mount(
-                            name,
-                            store_dir,
-                            identity,
-                            entry.get("generation"),
-                            entry.get("fingerprint"),
-                        ),
+                    found.opened[name] = Mount(
+                        name,
+                        store_dir,
+                        identity,
+                        entry.get("generation"),
+                        entry.get("fingerprint"),
                         document,
+                        Engine(document, strategy=self.strategy, cache=self.cache),
                     )
                     (found.added if current is None else found.replaced).append(name)
         except BaseException:
@@ -196,16 +205,28 @@ class MountTable:
 
     def install(self, found: Scan) -> List[StoredDocument]:
         """Make ``found`` the mounted set; the superseded handles, open."""
-        superseded = []
-        for name, (record, document) in found.opened.items():
-            if name in self.workspace:
-                superseded.append(self.workspace.swap_stored(name, document))
-            else:
-                self.workspace.add_stored(name, document)
-            self.records[name] = record
-        for name in found.removed:
-            superseded.append(self.workspace.pop_stored(name))
-            del self.records[name]
+        superseded = [
+            self.records[name].document
+            for name in found.opened
+            if name in self.records
+        ]
+        superseded += [self.records.pop(name).document for name in found.removed]
+        self.records.update(found.opened)
         self.skipped = found.skipped
         self.stamps = found.stamps
-        return [old for old in superseded if old is not None]
+        return superseded
+
+    def cache_info(self) -> Dict[str, dict]:
+        """The shared compiled cache and each mounted engine's caches, in
+        ``Workspace.cache_info``'s shape (``GET /stats`` ``caches``)."""
+        records = list(self.records.values())  # any thread may ask
+        return {
+            "compiled": self.cache.cache_info(),
+            "documents": {r.name: r.engine.cache_info() for r in records},
+        }
+
+    def close(self) -> None:
+        """Unmount everything and release every handle (idempotent)."""
+        records, self.records = self.records, {}
+        for record in records.values():
+            record.document.close()

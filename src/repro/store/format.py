@@ -30,7 +30,8 @@ Integrity
 The header manifest records, per array, not just dtype/shape but the
 exact **file byte size** and a **CRC32 digest** of the ``.npy`` file.
 :func:`verify_bundle` checks them in two modes: ``fast`` (header parses,
-manifest complete and well-formed, every file present with its
+manifest complete and well-formed, ``n`` the length of ``label_of`` and
+``labels`` one string per label, every file present with its
 recorded byte size and the byte-exact ``.npy`` header of its
 dtype/shape -- no data read) and ``deep`` (``fast`` plus a full CRC32
 pass over every file, catching bit rot that leaves sizes intact).  Any
@@ -317,7 +318,8 @@ def _publish(
 
 
 def read_header(bundle: str) -> dict:
-    """Read and validate a bundle's header (format, version, manifest)."""
+    """Read and validate a bundle's header: format, version, manifest,
+    and the ``n`` and ``labels`` a reader builds the tree from."""
     path = os.path.join(bundle, HEADER_FILE)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -347,6 +349,23 @@ def read_header(bundle: str) -> dict:
             raise StoreCorruptionError(
                 bundle, name, f"malformed manifest entry {json.dumps(meta)}"
             )
+    n, labels = header.get("n"), header.get("labels")
+    if type(n) is not int or manifest["label_of"]["shape"] != [n]:
+        raise StoreCorruptionError(
+            bundle,
+            None,
+            "header 'n' is not label_of's length",
+            expected=manifest["label_of"]["shape"],
+            actual=n,
+        )
+    if (
+        not isinstance(labels, list)
+        or not all(isinstance(label, str) for label in labels)
+        or manifest["label_bounds"]["shape"] != [len(labels) + 1]
+    ):
+        raise StoreCorruptionError(
+            bundle, None, "header 'labels' is not one string per label"
+        )
     return header
 
 
@@ -445,7 +464,7 @@ def verify_bundle(bundle: str, *, deep: bool = False) -> dict:
         "path": os.path.abspath(bundle),
         "version": header["version"],
         "mode": "deep" if deep else "fast",
-        "n": header.get("n"),
+        "n": header["n"],
         "arrays": {},
         "ok": True,
     }

@@ -331,12 +331,6 @@ def open_document(path: str, *, mmap: bool = True) -> StoredDocument:
     # if the bundle is concurrently replaced.
     reader_key = bundle_identity(path) if mmap else None
     labels = list(header["labels"])
-    n = int(header["n"])
-    if manifest["label_of"]["shape"] != [n]:
-        raise StoreFormatError(
-            f"{path!r}: header n={n} but label_of has shape "
-            f"{tuple(manifest['label_of']['shape'])}"
-        )
     mapped = []
     arrays = {}
     # A failure partway through (a corrupt array after several mapped

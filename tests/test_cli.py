@@ -604,6 +604,7 @@ class TestProcessOutput:
         ]
         assert ready["serving"].startswith("127.0.0.1:")
         assert ready["documents"] == ["doc"] and ready["workers"] == 1
+        assert ready["strategy"] == "auto"
 
     def test_broken_pipe_exits_quietly(self):
         proc = _cli_process(

@@ -14,7 +14,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.engine.api import Engine
+from repro.serve import DaemonThread, QueryDaemon, ServeClient
 from repro.store import (
     DocumentStore,
     StoreCorruptionError,
@@ -69,13 +71,17 @@ def manifest(bundle):
         return json.load(handle)["arrays"]
 
 
-def rewrite_manifest(bundle, edit):
+def rewrite_header(bundle, edit):
     path = os.path.join(bundle, HEADER_FILE)
     with open(path) as handle:
         header = json.load(handle)
-    edit(header["arrays"])
+    edit(header)
     with open(path, "w") as handle:
         json.dump(header, handle)
+
+
+def rewrite_manifest(bundle, edit):
+    rewrite_header(bundle, lambda header: edit(header["arrays"]))
 
 
 @pytest.fixture()
@@ -233,6 +239,61 @@ class TestMalformedManifest:
         assert reports["bad"]["ok"] is False
         assert reports["bad"]["error"]["array"] == "left"
 
+
+
+#: Damage to the top-level keys a reader builds the tree from (``XML``
+#: has six nodes and four labels).
+BAD_KEYS = {
+    "n missing": lambda header: header.pop("n"),
+    "n a string": lambda header: header.update(n="6"),
+    "n a bool": lambda header: header.update(n=True),
+    "n not label_of's length": lambda header: header.update(n=7),
+    "labels missing": lambda header: header.pop("labels"),
+    "labels null": lambda header: header.update(labels=None),
+    "labels a string": lambda header: header.update(labels="racb"),
+    "labels not strings": lambda header: header.update(labels=[0, 1, 2, 3]),
+    "labels one short": lambda header: header["labels"].pop(),
+}
+
+
+class TestMalformedHeader:
+    """``header.json``'s ``n`` and ``labels`` are checked where the rest
+    of the header is (``read_header``): a bad one is a corrupt bundle,
+    never a bare ``KeyError`` or ``TypeError`` out of a reader."""
+
+    @pytest.mark.parametrize("damage", sorted(BAD_KEYS))
+    def test_is_refused(self, bundle, damage):
+        rewrite_header(bundle, BAD_KEYS[damage])
+        key = damage.split()[0]
+        for check in (open_document, verify_document):
+            with pytest.raises(StoreCorruptionError) as exc:
+                check(bundle)
+            assert f"{key!r}" in exc.value.reason, damage
+
+    def test_the_rest_of_the_corpus_serves(self, tmp_path, capsys):
+        """One bundle without ``n``: fast verify names it, ``store ls``
+        warns and lists the others, and the daemon mounts the others."""
+        store = DocumentStore(str(tmp_path))
+        store.save("good", XML)
+        store.save("bad", XML)
+        rewrite_header(store.path_for("bad"), lambda header: header.pop("n"))
+        reports = store.verify()
+        assert reports["good"]["ok"] is True and reports["bad"]["ok"] is False
+        assert "'n'" in reports["bad"]["error"]["reason"]
+        out = io.StringIO()
+        assert main(["store", "ls", str(tmp_path)], out=out) == 0
+        assert [entry["name"] for entry in json.loads(out.getvalue())] == [
+            "good"
+        ]
+        (warning,) = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: skipping") and "bad" in warning
+        with DaemonThread(QueryDaemon(str(tmp_path))) as handle:
+            with ServeClient(port=handle.port) as client:
+                health = client.healthz()
+                assert health["documents"] == ["good"]
+                assert list(health["skipped"]) == ["bad"]
+                assert client.query("//a", count=True)["count"] == 3
+                assert client.reload()["skipped"].keys() == {"bad"}
 
 
 class TestUnreadableFile:

@@ -300,9 +300,8 @@ class TestChaos:
             assert after_serial != before_mut, "test needs distinct content"
 
             store.replace("mut", new_tree)
-            old = ws.swap_stored("mut", store.open("mut"))
-            if old is not None:
-                old.close()
+            ws.remove("mut")
+            ws.open_store(str(tmp_path), ["mut"])
             store.compact()
 
             # The version bump travels with the next tasks: no worker

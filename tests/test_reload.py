@@ -17,7 +17,6 @@ import pytest
 
 from repro import faults
 from repro.engine.api import Engine
-from repro.engine.workspace import Workspace
 from repro.serve import DaemonThread, QueryDaemon, ServeClient, ServeError
 from repro.store import DocumentStore, live_readers
 from repro.store.manifest import RETIRED_PREFIX
@@ -310,47 +309,3 @@ class TestPlannerRefresh:
                 stable = client.explain("//a/b", document="stable")
                 assert stable["warm"] is True
                 assert stable == warmed
-
-
-class TestWorkspaceSwap:
-    def test_swap_preserves_order_and_returns_old(self, tmp_path):
-        store = build_corpus(tmp_path, {"a": XML_V1, "b": XML_V1, "c": XML_V1})
-        ws = Workspace()
-        ws.open_store(str(tmp_path))
-        assert ws.documents() == ["a", "b", "c"]
-        store.replace("b", XML_V2)
-        new = store.open("b")
-        old = ws.swap_stored("b", new)
-        assert old is not None and not old.closed
-        assert ws.documents() == ["a", "b", "c"]
-        assert ws.select("//a/b", "b") == [2, 3]
-        old.close()
-        ws.close()
-
-    def test_swap_unknown_name_raises(self, tmp_path):
-        build_corpus(tmp_path, {"a": XML_V1})
-        with Workspace() as ws:
-            ws.open_store(str(tmp_path))
-            stored = DocumentStore(str(tmp_path)).open("a")
-            try:
-                with pytest.raises(KeyError):
-                    ws.swap_stored("missing", stored)
-            finally:
-                stored.close()
-
-    def test_pop_stored_hands_back_unclosed(self, tmp_path):
-        build_corpus(tmp_path, {"a": XML_V1})
-        ws = Workspace()
-        ws.open_store(str(tmp_path))
-        old = ws.pop_stored("a")
-        assert old is not None and not old.closed
-        assert ws.documents() == []
-        old.close()
-        ws.close()
-
-    def test_pop_caller_owned_returns_none(self):
-        ws = Workspace()
-        ws.add("a", XML_V1)
-        assert ws.pop_stored("a") is None
-        assert ws.documents() == []
-        ws.close()

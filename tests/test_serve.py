@@ -201,6 +201,24 @@ class TestStructuredErrors:
             assert excinfo.value.status == 400, body
             assert excinfo.value.kind == "bad_request", body
 
+    def test_a_document_that_is_not_a_string_is_the_clients_problem(
+        self, client
+    ):
+        internal = client.stats()["counters"]["internal_errors"]
+        for document in (["tiny"], {"tiny": 1}, 3):
+            for path, body in (
+                ("/query", {"query": "//a"}),
+                ("/batch", {"queries": ["//a"]}),
+            ):
+                with pytest.raises(ServeError) as excinfo:
+                    client._request(
+                        "POST", path, body={**body, "document": document}
+                    )
+                assert excinfo.value.status == 400, (path, document)
+                assert excinfo.value.kind == "bad_request", (path, document)
+                assert "'document'" in str(excinfo.value), (path, document)
+        assert client.stats()["counters"]["internal_errors"] == internal
+
     def test_bad_batch_payloads(self, client):
         for queries, extra in (
             (None, {}),
@@ -454,6 +472,108 @@ class TestAdmissionAndTimeouts:
             assert c.query("//a/b", document="tiny")["ids"]
 
 
+def shape(value):
+    """Every nested key of a JSON value, with its leaves' type names."""
+    if isinstance(value, dict):
+        return {key: shape(item) for key, item in value.items()}
+    return type(value).__name__
+
+
+LRU = dict.fromkeys(("evictions", "hits", "maxsize", "misses", "size"), "int")
+COMPILED = dict.fromkeys(
+    ("compilations", "evictions", "hits", "maxsize", "size"), "int"
+)
+ENGINE_CACHES = {"compiled": COMPILED, "fused": LRU, "plans": LRU}
+#: ``GET /stats`` after a query, a batch, an explain and a no-op reload
+#: on the two-document corpus; store paths read ``<store>``.
+STATS_SHAPE = {
+    "admission": dict.fromkeys(
+        ("in_flight", "limit", "queue_depth", "workers"), "int"
+    ),
+    "caches": {
+        "compiled": COMPILED,
+        "documents": {"xmark": ENGINE_CACHES, "tiny": ENGINE_CACHES},
+    },
+    "counters": dict.fromkeys(
+        (
+            "requests", "queries", "batches", "batch_queries", "explains",
+            "rejected", "timeouts", "syntax_errors", "bad_requests",
+            "internal_errors", "warm_hits", "cold_misses", "eval_failures",
+            "fallbacks", "fallback_successes", "quarantine_rejects",
+            "drain_rejects", "reloads", "reload_noops", "reload_failures",
+            "inline", "threaded", "framed",
+        ),
+        "int",
+    ),
+    "documents": {"xmark": {"nodes": "int"}, "tiny": {"nodes": "int"}},
+    "errors": {
+        "error_rate": "float",
+        **dict.fromkeys(
+            (
+                "eval_failures", "fallback_successes", "fallbacks",
+                "internal_errors", "quarantine_rejects",
+            ),
+            "int",
+        ),
+    },
+    "health": {
+        "fail_threshold": "int",
+        "failure_streaks": {},
+        "quarantined": {},
+        "skipped": {},
+        "status": "str",
+    },
+    "mounts": {"<store>": "list"},
+    "prepared": LRU,
+    "reload": {
+        "epoch": "int",
+        "failures": "int",
+        "generations": {
+            name: {"fingerprint": "NoneType", "generation": "int"}
+            for name in ("xmark", "tiny")
+        },
+        "last": {
+            "added": "list",
+            "drained": "bool",
+            "duration_ms": "float",
+            "generations": {"<store>": "int"},
+            "reloaded": "bool",
+            "removed": "list",
+            "replaced": "list",
+            "skipped": {},
+            "unchanged": "list",
+        },
+        "noops": "int",
+        "poll_s": "float",
+        "reloads": "int",
+    },
+    "strategy": "str",
+    "timeout_s": "float",
+    "uptime_s": "float",
+}
+
+
+class TestStatsShape:
+    def test_a_scripted_run_has_the_pinned_stats(self, corpus):
+        root, _ = corpus
+        with DaemonThread(QueryDaemon(root, workers=2)) as handle:
+            with ServeClient(port=handle.port) as client:
+                client.query("//a/b", document="tiny")
+                client.batch(["//keyword", "//a"], document="xmark")
+                client.explain("//a", document="tiny")
+                assert client.reload()["reloaded"] is False
+                stats = client.stats()
+        stats["mounts"] = {"<store>": stats["mounts"][root]}
+        last = stats["reload"]["last"]
+        last["generations"] = {"<store>": last["generations"][root]}
+        assert shape(stats) == STATS_SHAPE
+        # Documents in mount order, which is bundle-name order.
+        assert list(stats["caches"]["documents"]) == ["tiny", "xmark"]
+        assert stats["strategy"] == "auto"
+        # Four cold plans, each missed by its lookup and its prepare.
+        assert (stats["prepared"]["misses"], stats["prepared"]["size"]) == (8, 4)
+
+
 class TestLifecycle:
     def test_startup_failure_surfaces(self, tmp_path):
         with pytest.raises(ValueError, match="no document bundles"):
@@ -472,7 +592,7 @@ class TestLifecycle:
         root, _ = corpus
         handle = DaemonThread(QueryDaemon(root, workers=1)).start()
         daemon = handle.daemon
-        stored = dict(daemon.workspace._stored)
+        stored = {m.name: m.document for m in daemon.mounts.records.values()}
         assert stored
         with ServeClient(port=daemon.port) as c:
             assert c.query("//a/b", document="tiny")["ids"]

@@ -419,7 +419,7 @@ class TestEveryExecutor:
         same_answer(framed_batch, plain_batch)
         assert [e["fallback"] for e in framed_batch["results"]] == ["naive"] * 2
         assert daemon.stats()["counters"]["fallback_successes"] == 6
-        assert framed["ids"] == daemon.workspace.select(self.QUERY, "xmark")
+        assert framed["ids"] == daemon.mounts.records["xmark"].engine.select(self.QUERY)
 
 
 # -- the served path against the independent oracle ---------------------------------

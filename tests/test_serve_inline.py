@@ -124,7 +124,7 @@ def until_inline(client, query, **kwargs):
 
 def entry_of(daemon, document, query, strategy="auto"):
     """A cached plan and its live ``/query`` cost record."""
-    plan = daemon.workspace.engine(document).cached_plan(query, strategy)
+    plan = daemon.mounts.records[document].engine.cached_plan(query, strategy)
     return SimpleNamespace(plan=plan, cost_s=plan.artifacts[daemon_module.COST_KEY])
 
 
@@ -224,7 +224,7 @@ class TestSelection:
         self, daemon, client, monkeypatch, fixed_cost
     ):
         until_inline(client, "//a/b", document="tiny")
-        plans = daemon.workspace.engine("tiny")._plans
+        plans = daemon.mounts.records["tiny"].engine._plans
         lookups = []
         get = LRUCache.get
 
@@ -263,7 +263,7 @@ class TestSelection:
 
     def test_lru_eviction_forgets_the_measurement(self, corpus):
         small = QueryDaemon(corpus, workers=1)
-        small.workspace.engine("tiny").plan_cache_size = 2
+        small.mounts.records["tiny"].engine.plan_cache_size = 2
         with DaemonThread(small) as handle:
             with ServeClient(port=handle.port, retries=0) as c:
                 until_inline(c, "//a/b", document="tiny")

@@ -11,7 +11,6 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import faults
-from repro.engine.workspace import Workspace
 from repro.serve.admission import Admission
 from repro.serve.http import HttpError
 from repro.serve.mounts import MountTable
@@ -119,38 +118,47 @@ class TestAdmission:
         asyncio.run(scenario())
 
 
-def query(workspace, name):
-    return workspace.select("//a/b", name)
+def query(table, name):
+    return table.records[name].engine.select("//a/b")
 
 
 class TestMountTable:
     @pytest.fixture()
-    def workspace(self):
-        with Workspace(strategy="auto") as ws:
-            yield ws
+    def tables(self):
+        """``MountTable`` for a list of corpus directories, each closed
+        when the test ends."""
+        made = []
 
-    def mounted(self, root, workspace, **docs):
+        def table(dirs):
+            made.append(MountTable(dirs))
+            return made[-1]
+
+        yield table
+        for mounted in made:
+            mounted.close()
+
+    def mounted(self, root, tables, **docs):
         store = DocumentStore(str(root))
         for name, xml in docs.items():
             store.save(name, xml)
-        table = MountTable([str(root)], workspace)
+        table = tables([str(root)])
         table.install(table.scan())
         return store, table
 
-    def test_first_mount_is_a_scan_from_the_empty_state(self, tmp_path, workspace):
+    def test_first_mount_is_a_scan_from_the_empty_state(self, tmp_path, tables):
         store = DocumentStore(str(tmp_path))
         store.save("a", XML_V1)
         store.save("b", XML_V2)
-        table = MountTable([str(tmp_path)], workspace)
+        table = tables([str(tmp_path)])
         found = table.scan()
         assert (found.added, found.replaced) == (["a", "b"], [])
         assert (found.removed, found.unchanged, found.skipped) == ([], [], {})
         assert found.generations == {table.store_dirs[0]: store.generation()}
         # scan() alone changed nothing anyone can see.
-        assert workspace.documents() == [] and table.records == {}
+        assert table.records == {}
         assert table.stamps == {} and table.by_store() == {table.store_dirs[0]: []}
         assert table.install(found) == []
-        assert workspace.documents() == ["a", "b"]
+        assert list(table.records) == ["a", "b"]
         assert table.by_store() == {table.store_dirs[0]: ["a", "b"]}
         assert table.stamps == table.read_stamps()
         record = table.records["a"]
@@ -158,9 +166,9 @@ class TestMountTable:
         assert record.generation == store.manifest().documents["a"]["generation"]
         assert (record.failures, record.quarantine) == (0, None)
 
-    def test_add_replace_remove_in_one_scan(self, tmp_path, workspace):
+    def test_add_replace_remove_in_one_scan(self, tmp_path, tables):
         store, table = self.mounted(
-            tmp_path, workspace, doc=XML_V1, stable=XML_V1, victim=XML_V2
+            tmp_path, tables, doc=XML_V1, stable=XML_V1, victim=XML_V2
         )
         boom = RuntimeError("boom")
         for name in ("doc", "stable"):
@@ -171,7 +179,9 @@ class TestMountTable:
                 "error": "RuntimeError: boom",
                 "uptime_s": 1.5,
             }
-        stable, stable_engine = table.records["stable"], workspace.engine("stable")
+        stable = table.records["stable"]
+        stable_engine = stable.engine
+        handles = [table.records[name].document for name in ("doc", "victim")]
         store.replace("doc", XML_V2)
         store.add("fresh", XML_V2)
         store.remove("victim")
@@ -180,20 +190,21 @@ class TestMountTable:
         assert (found.removed, found.unchanged) == (["victim"], ["stable"])
         assert sorted(found.opened) == ["doc", "fresh"]
         # Not visible until installed.
-        assert query(workspace, "doc") == [2]
-        assert workspace.documents() == ["doc", "stable", "victim"]
+        assert query(table, "doc") == [2]
+        assert list(table.records) == ["doc", "stable", "victim"]
+        # The replaced and the removed handle come back, still open, and
+        # the replaced name keeps its place.
         superseded = table.install(found)
-        assert len(superseded) == 2 and not any(d.closed for d in superseded)
-        assert workspace.documents() == ["doc", "stable", "fresh"]
-        assert query(workspace, "doc") == [2, 3]
-        assert sorted(table.records) == ["doc", "fresh", "stable"]
+        assert superseded == handles and not any(d.closed for d in superseded)
+        assert list(table.records) == ["doc", "stable", "fresh"]
+        assert query(table, "doc") == [2, 3]
         # New content, new record: the old evidence is gone with it...
         assert table.records["doc"].failures == 0
         assert table.records["doc"].quarantine is None
         # ...and the untouched document kept its record, streak and engine.
         assert table.records["stable"] is stable
         assert (stable.failures, stable.quarantine["failures"]) == (2, 2)
-        assert workspace.engine("stable") is stable_engine
+        assert table.records["stable"].engine is stable_engine
         for document in superseded:
             document.close()
         again = table.scan()
@@ -201,19 +212,19 @@ class TestMountTable:
         assert table.install(again) == []
 
     def test_corrupt_bundle_is_skipped_then_retried_after_repair(
-        self, tmp_path, workspace
+        self, tmp_path, tables
     ):
         store = DocumentStore(str(tmp_path))
         store.save("doc", XML_V1)
         store.save("hurt", XML_V2)
         faults.corrupt_bundle(str(tmp_path / "hurt"), "label_of", seed=3)
-        table = MountTable([str(tmp_path)], workspace)
+        table = tables([str(tmp_path)])
         found = table.scan()
         assert found.added == ["doc"] and list(found.skipped) == ["hurt"]
         assert found.skipped["hurt"]["store"] == table.store_dirs[0]
         assert found.duplicates == []
         table.install(found)
-        assert workspace.documents() == ["doc"] and "hurt" in table.skipped
+        assert list(table.records) == ["doc"] and "hurt" in table.skipped
         # Still corrupt: still skipped, and nothing else moves.
         found = table.scan()
         assert found.unchanged == ["doc"] and list(found.skipped) == ["hurt"]
@@ -223,10 +234,10 @@ class TestMountTable:
         found = table.scan()
         assert found.added == ["hurt"] and found.skipped == {}
         table.install(found)
-        assert table.skipped == {} and query(workspace, "hurt") == [2, 3]
+        assert table.skipped == {} and query(table, "hurt") == [2, 3]
 
     def test_a_malformed_manifest_entry_skips_only_its_bundle(
-        self, tmp_path, workspace
+        self, tmp_path, tables
     ):
         store = DocumentStore(str(tmp_path))
         store.save("good", XML_V1)
@@ -235,19 +246,19 @@ class TestMountTable:
         header = json.loads(header_path.read_text())
         del header["arrays"]["left"]["shape"]
         header_path.write_text(json.dumps(header))
-        table = MountTable([str(tmp_path)], workspace)
+        table = tables([str(tmp_path)])
         found = table.scan()
         assert found.added == ["good"] and list(found.skipped) == ["bad"]
         assert "StoreCorruptionError" in found.skipped["bad"]["error"]
         assert "'left'" in found.skipped["bad"]["error"]
         table.install(found)
-        assert workspace.documents() == ["good"]
-        assert query(workspace, "good") == [2]
+        assert list(table.records) == ["good"]
+        assert query(table, "good") == [2]
 
     def test_a_corrupt_replacement_keeps_the_mounted_generation(
-        self, tmp_path, workspace
+        self, tmp_path, tables
     ):
-        store, table = self.mounted(tmp_path, workspace, doc=XML_V1)
+        store, table = self.mounted(tmp_path, tables, doc=XML_V1)
         record = table.records["doc"]
         store.replace("doc", XML_V2)
         faults.corrupt_bundle(str(tmp_path / "doc"), "label_of", seed=3)
@@ -255,33 +266,33 @@ class TestMountTable:
         assert (found.replaced, found.removed, found.unchanged) == ([], [], [])
         assert list(found.skipped) == ["doc"]
         assert table.install(found) == []
-        assert table.records["doc"] is record and query(workspace, "doc") == [2]
+        assert table.records["doc"] is record and query(table, "doc") == [2]
 
-    def test_a_name_a_second_store_repeats_is_skipped(self, tmp_path, workspace):
+    def test_a_name_a_second_store_repeats_is_skipped(self, tmp_path, tables):
         first, second = tmp_path / "first", tmp_path / "second"
         DocumentStore(str(first)).save("doc", XML_V1)
         DocumentStore(str(second)).save("doc", XML_V2)
         DocumentStore(str(second)).save("other", XML_V2)
-        table = MountTable([str(first), str(second)], workspace)
+        table = tables([str(first), str(second)])
         found = table.scan()
         assert found.added == ["doc", "other"] and found.duplicates == ["doc"]
         assert found.skipped["doc"]["store"] == str(second)
         assert "duplicate bundle name" in found.skipped["doc"]["error"]
         assert str(first) in found.skipped["doc"]["error"]
         table.install(found)
-        assert query(workspace, "doc") == [2]  # the first store's serves
+        assert query(table, "doc") == [2]  # the first store's serves
         assert table.by_store() == {str(first): ["doc"], str(second): ["other"]}
 
-    def test_a_scan_nobody_installs_gives_its_handles_back(self, tmp_path, workspace):
+    def test_a_scan_nobody_installs_gives_its_handles_back(self, tmp_path, tables):
         DocumentStore(str(tmp_path)).save("doc", XML_V1)
-        found = MountTable([str(tmp_path)], workspace).scan()
-        (record, document), = found.opened.values()
-        assert not document.closed
+        found = tables([str(tmp_path)]).scan()
+        (record,) = found.opened.values()
+        assert not record.document.closed
         found.close()
-        assert document.closed
+        assert record.document.closed
 
-    def test_health_transitions(self, tmp_path, workspace):
-        _store, table = self.mounted(tmp_path, workspace, doc=XML_V1)
+    def test_health_transitions(self, tmp_path, tables):
+        _store, table = self.mounted(tmp_path, tables, doc=XML_V1)
         record = table.records["doc"]
         boom = RuntimeError("boom")
         record.failed(boom, threshold=0, uptime_s=0.0)

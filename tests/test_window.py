@@ -240,9 +240,8 @@ class TestParallelIdentity:
         bundle = str(tmp_path / "doc")
         save_document(XML, bundle)
         ws = Workspace(strategy="window")
-        stored = open_document(bundle)
-        ws.add_stored("doc", stored)
-        tree = stored.index.tree
+        ws.open_store(str(tmp_path))
+        tree = ws.engine("doc").index.tree
         try:
             with QueryService(ws, jobs=2) as service:
                 for query in self.QUERIES:
