@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import deterministic
+from repro.engine.api import Engine
 from repro.engine.core import run_asta
 from repro.xmark.queries import QUERIES
 from repro.xpath.compiler import compile_xpath
@@ -21,9 +21,10 @@ PATH_QIDS = ("Q01", "Q02", "Q03", "Q04", "Q05", "Q06", "Q11")
 @pytest.mark.parametrize("qid", PATH_QIDS)
 def test_deterministic(benchmark, xmark_index, qid):
     query = QUERIES[qid]
-    deterministic.compile_tdsta(query)  # compile outside the timer
-    _, selected = benchmark(deterministic.evaluate, query, xmark_index)
-    assert selected == run_asta(compile_xpath(query), xmark_index)[1]
+    plan = Engine(xmark_index, "deterministic").prepare(query)  # compiles
+    assert plan.strategy.name == "deterministic"
+    result = benchmark(plan.execute)
+    assert result.nodes == run_asta(compile_xpath(query), xmark_index)[1]
 
 
 @pytest.mark.parametrize("qid", PATH_QIDS)

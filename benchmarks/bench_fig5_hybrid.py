@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine.api import Engine
 from repro.engine.core import run_asta
-from repro.engine.hybrid import hybrid_evaluate
 from repro.xmark.configs import CONFIG_SPECS
 from repro.xmark.queries import HYBRID_QUERY
 from repro.xpath.compiler import compile_xpath
@@ -22,8 +22,10 @@ _ASTA = compile_xpath(HYBRID_QUERY)
 @pytest.mark.parametrize("name", sorted(CONFIG_SPECS))
 def test_fig5_hybrid(benchmark, config_indexes, name):
     index = config_indexes[name]
-    _, selected = benchmark(hybrid_evaluate, HYBRID_QUERY, index)
-    assert selected == run_asta(_ASTA, index)[1]
+    plan = Engine(index, "hybrid").prepare(HYBRID_QUERY)
+    assert plan.strategy.name == "hybrid"
+    result = benchmark(plan.execute)
+    assert result.nodes == run_asta(_ASTA, index)[1]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIG_SPECS))

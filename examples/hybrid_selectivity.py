@@ -9,9 +9,10 @@ Run:  python examples/hybrid_selectivity.py [fraction]
 
 import sys
 
+from repro import Engine
 from repro.counters import EvalStats
 from repro.engine.core import run_asta
-from repro.engine.hybrid import hybrid_evaluate, plan_pivot
+from repro.engine.hybrid import plan_pivot
 from repro.index.jumping import TreeIndex
 from repro.xmark.configs import CONFIG_SPECS, make_config_tree
 from repro.xmark.queries import HYBRID_QUERY
@@ -32,11 +33,11 @@ def main(fraction: float = 0.1) -> None:
         tree = make_config_tree(name, fraction)
         index = TreeIndex(tree)
         pivot = path.steps[plan_pivot(path, index)].test
-        s_h, s_r = EvalStats(), EvalStats()
-        _, sel = hybrid_evaluate(path, index, s_h)
+        hybrid = Engine(index, "hybrid").prepare(path).execute()
+        s_r = EvalStats()
         run_asta(asta, index, stats=s_r)
-        print(f"{name:3s} {tree.n:8d} {pivot:>9s} {len(sel):7d} "
-              f"{s_h.visited:14d} {s_r.visited:15d}")
+        print(f"{name:3s} {tree.n:8d} {pivot:>9s} {len(hybrid):7d} "
+              f"{hybrid.stats.visited:14d} {s_r.visited:15d}")
     print()
     print("A/B: rare pivot -> hybrid touches a handful of nodes.")
     print("C:   pivot not rare among listitems -> hybrid ~ regular.")

@@ -43,20 +43,6 @@ def stepwise_evaluate(
     return result
 
 
-def eval_steps_from(
-    index: TreeIndex,
-    steps: tuple,
-    context: List[int],
-    stats: Optional[EvalStats] = None,
-) -> List[int]:
-    """Public step-at-a-time evaluation from an explicit context set.
-
-    Used by the mixed forward/backward pipeline
-    (:mod:`repro.engine.mixed`) for the segments after a backward step.
-    """
-    return _eval_steps(index, steps, context, stats)
-
-
 def _eval_steps(
     index: TreeIndex,
     steps: tuple,

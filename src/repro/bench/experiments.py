@@ -21,8 +21,8 @@ from typing import List, Tuple
 from repro.bench.harness import Timer, format_table
 from repro.baselines.stepwise import stepwise_evaluate
 from repro.counters import EvalStats
+from repro.engine.api import Engine
 from repro.engine.core import SERIES, run_asta
-from repro.engine.hybrid import hybrid_evaluate
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.xmark.configs import CONFIG_SPECS, make_config_tree
@@ -118,6 +118,13 @@ def print_fig4(scale: float = DEFAULT_SCALE) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _hybrid_plan(index: TreeIndex):
+    """``HYBRID_QUERY`` prepared once on ``index``, run by ``hybrid``."""
+    plan = Engine(index, "hybrid").prepare(HYBRID_QUERY)
+    assert plan.strategy.name == "hybrid", plan.strategy.name
+    return plan
+
+
 def fig5_hybrid(fraction: float = DEFAULT_FRACTION, repeats: int = 3):
     """Times and node counts for //listitem//keyword//emph on A-D."""
     timer = Timer(repeats)
@@ -125,16 +132,15 @@ def fig5_hybrid(fraction: float = DEFAULT_FRACTION, repeats: int = 3):
     rows = []
     for name in CONFIG_SPECS:
         index = TreeIndex(make_config_tree(name, fraction))
-        s_h = EvalStats()
-        _, sel_h = hybrid_evaluate(HYBRID_QUERY, index, s_h)
+        hybrid = _hybrid_plan(index)
+        result = hybrid.execute()
         s_r = EvalStats()
         _, sel_r = run_asta(asta, index, stats=s_r)
-        assert sel_h == sel_r, f"hybrid/regular disagree on config {name}"
-        t_h = timer.best_ms(lambda: hybrid_evaluate(HYBRID_QUERY, index))
+        assert result.nodes == sel_r, f"hybrid/regular disagree on {name}"
+        t_h = timer.best_ms(hybrid.execute)
         t_r = timer.best_ms(lambda: run_asta(asta, index))
-        rows.append(
-            (name, len(sel_h), s_h.visited, s_r.visited, t_h, t_r)
-        )
+        visited = result.stats.visited
+        rows.append((name, len(result), visited, s_r.visited, t_h, t_r))
     return rows
 
 
@@ -269,7 +275,6 @@ def hybrid_sweep(
     pivot count).
     """
     from repro.tree.document import XMLDocument, XMLNode
-    from repro.xmark.queries import HYBRID_QUERY
 
     timer = Timer(repeats)
     asta = compile_xpath(HYBRID_QUERY)
@@ -283,12 +288,14 @@ def hybrid_sweep(
             if i < kw:
                 listitem.new_child("keyword").new_child("emph")
         index = TreeIndex(BinaryTree.from_document(XMLDocument(site)))
-        s_h, s_r = EvalStats(), EvalStats()
-        _, sel = hybrid_evaluate(HYBRID_QUERY, index, s_h)
+        hybrid = _hybrid_plan(index)
+        result = hybrid.execute()
+        s_r = EvalStats()
         run_asta(asta, index, stats=s_r)
-        t_h = timer.best_ms(lambda: hybrid_evaluate(HYBRID_QUERY, index))
+        t_h = timer.best_ms(hybrid.execute)
         t_r = timer.best_ms(lambda: run_asta(asta, index))
-        rows.append((kw, len(sel), s_h.visited, s_r.visited, t_h, t_r))
+        visited = result.stats.visited
+        rows.append((kw, len(result), visited, s_r.visited, t_h, t_r))
     return rows
 
 

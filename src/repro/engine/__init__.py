@@ -45,7 +45,6 @@ identical to serial execution.
 
 from repro.engine.api import Engine, evaluate
 from repro.engine.core import run_asta
-from repro.engine.hybrid import hybrid_evaluate
 from repro.engine.parallel import QueryService
 from repro.engine.plan import CompiledQueryCache, ExecutionResult, PreparedQuery
 from repro.engine.registry import (
@@ -59,7 +58,6 @@ __all__ = [
     "Engine",
     "evaluate",
     "run_asta",
-    "hybrid_evaluate",
     "CompiledQueryCache",
     "ExecutionResult",
     "PreparedQuery",

@@ -41,7 +41,7 @@ from repro.xpath.ast import Path
 from repro.xpath.compiler import require_absolute
 from repro.xpath.parser import parse_xpath
 
-#: Default LRU capacity of the per-engine prepared-plan cache.  A
+#: LRU capacity of the per-engine prepared-plan cache.  A
 #: long-lived service streaming distinct query strings past one document
 #: would otherwise hold every plan (and its warmed tables) forever.
 PLAN_CACHE_SIZE = 256
@@ -134,10 +134,10 @@ class Engine:
         """Parse, compile, and resolve ``query`` into a reusable plan.
 
         Plans are cached per ``(query, strategy)`` in an LRU bounded by
-        :attr:`plan_cache_size`: re-preparing a query returns the same
+        :data:`PLAN_CACHE_SIZE`: re-preparing a query returns the same
         object while it stays cached (``execute()`` on it does zero
         re-parsing and zero re-compilation); a query evicted by
-        ``plan_cache_size`` *distinct* newer ones is rebuilt -- and
+        ``PLAN_CACHE_SIZE`` *distinct* newer ones is rebuilt -- and
         re-warms -- on its next prepare.  The plan cache is guarded by a
         lock so pool threads of a
         :class:`~repro.engine.parallel.QueryService` can prepare
@@ -178,16 +178,6 @@ class Engine:
             strategy if strategy is not None else self.strategy,
         )
         return key, plans.get(key)
-
-    @property
-    def plan_cache_size(self) -> int:
-        """Bound of the prepared-plan LRU (default
-        :data:`PLAN_CACHE_SIZE`); assignable."""
-        return self._plans.maxsize
-
-    @plan_cache_size.setter
-    def plan_cache_size(self, size: int) -> None:
-        self._plans.maxsize = size
 
     def cache_info(self) -> dict:
         """Statistics of every bounded cache this engine touches.

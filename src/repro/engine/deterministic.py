@@ -7,9 +7,9 @@ TDSTA (Appendix A.2) -> jumping run restricted to relevant nodes
 This is the Intro's "extreme |Q|-optimization" with the paper's
 relevant-node machinery on top: minimization is what makes the relevant
 nodes well-defined (Section 3), and Theorem 3.1 guarantees the run maps
-exactly the relevant nodes.  Only predicate-free location paths qualify;
-:func:`evaluate` raises :class:`~repro.automata.pathdet.NotPathShaped`
-otherwise (the Engine facade falls back to the optimized ASTA engine).
+exactly the relevant nodes.  Only predicate-free location paths qualify:
+:func:`compile_tdsta` raises :class:`~repro.automata.pathdet.NotPathShaped`
+otherwise, and the registered strategy falls back to ``optimized``.
 """
 
 from __future__ import annotations
@@ -68,22 +68,6 @@ def run_tdsta(
     # For predicate-free path queries the ASTA accepts a tree iff a full
     # match exists, i.e. iff something is selected.
     return bool(selected), selected
-
-
-def evaluate(
-    query: Union[str, Path],
-    index: TreeIndex,
-    stats: Optional[EvalStats] = None,
-    wildcard_labels: Optional[List[str]] = None,
-) -> Tuple[bool, List[int]]:
-    """(accepted, selected ids) via the minimal-TDSTA jumping run.
-
-    On documents with encoded ``@attribute``/``#text`` labels pass the
-    element-label inventory as ``wildcard_labels`` (as
-    :class:`~repro.engine.api.Engine` does), or ``*`` tests will match
-    the encoded labels too.
-    """
-    return run_tdsta(compile_tdsta(query, wildcard_labels), index, stats)
 
 
 def evaluate_bottomup_filter(

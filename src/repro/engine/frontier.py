@@ -86,32 +86,6 @@ def is_vectorizable(path: Path) -> bool:
     return path.absolute and bool(path.steps) and not path.has_backward_axes()
 
 
-def evaluate(
-    query: "str | Path", index: TreeIndex, stats: Optional[EvalStats] = None
-) -> Tuple[bool, List[int]]:
-    """Evaluate set-at-a-time; returns ``(accepted, selected ids)``."""
-    return evaluate_within(
-        is_vectorizable,
-        "vectorized fragment (absolute forward paths only)",
-        query,
-        index,
-        stats,
-    )
-
-
-def evaluate_within(fragment, named, query, index, stats):
-    """``evaluate`` for one registry name: refuse what its fragment
-    (a predicate over paths) does not hold, run the kernel on the rest."""
-    if isinstance(query, str):
-        from repro.xpath.parser import parse_xpath
-
-        query = parse_xpath(query)
-    if not fragment(query):
-        raise ValueError(f"query {str(query)!r} is outside the {named}")
-    accepted, frontier = run_kernel(query, index, stats)
-    return accepted, frontier.tolist()
-
-
 # -- binding: what a run needs of the document, resolved at prepare -----------
 
 #: The ``plan.artifacts`` entry of a kernel plan: ``(index, bound path,

@@ -13,24 +13,22 @@ For a pure descendant chain ``//l1//l2//...//ln`` the evaluator:
 
 Configurations A/B of Figure 5 (rare pivot) make this dramatically
 cheaper than the regular top-down+bottom-up run; configuration D is its
-worst case (pivot barely rarer than the top label).  For queries outside
-the descendant-chain fragment, :func:`hybrid_evaluate` falls back to the
-optimized engine.
+worst case (pivot barely rarer than the top label).  Queries outside
+the descendant-chain fragment resolve to the strategy's fallback,
+``optimized``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
+from repro.baselines.stepwise import _eval_pred
 from repro.counters import EvalStats
-from repro.engine.core import run_asta
 from repro.engine.registry import Strategy, register_strategy
 from repro.index.jumping import TreeIndex
 from repro.xpath.ast import Axis, Path, pred_has_backward
-from repro.xpath.compiler import compile_xpath
-from repro.xpath.parser import parse_xpath
 
 
 def is_hybrid_applicable(path: Path) -> bool:
@@ -63,51 +61,11 @@ def plan_pivot(path: Path, index: TreeIndex) -> int:
     return best
 
 
-def hybrid_evaluate(
-    query: "str | Path",
-    index: TreeIndex,
-    stats: Optional[EvalStats] = None,
-) -> Tuple[bool, List[int]]:
-    """Evaluate with the start-anywhere strategy; returns (accepted, ids)."""
-    path = parse_xpath(query) if isinstance(query, str) else query
-    if not is_hybrid_applicable(path):
-        asta = compile_xpath(path)
-        return run_asta(asta, index, stats=stats)
-    tree = index.tree
-    labels = [s.test for s in path.steps]
-    k = plan_pivot(path, index)
-
-    starts = index.labels.nodes(labels[k])
-    if stats is not None:
-        stats.visited += len(starts)
-
-    if k == 0:
-        verified = starts
-    else:
-        prefix_ids = [tree.label_id(name) for name in labels[:k]]
-        if any(lab is None for lab in prefix_ids):
-            verified = []  # a prefix label absent from the document
-        else:
-            verified = _verify_prefix_batch(index, prefix_ids, starts, stats)
-
-    selected = _collect_suffix(index, labels[k + 1 :], verified, stats)
-    predicate = path.steps[-1].predicate
-    if predicate is not None:
-        from repro.baselines.stepwise import _eval_pred
-
-        selected = [
-            v for v in selected if _eval_pred(index, predicate, v, stats)
-        ]
-    if stats is not None:
-        stats.selected = len(selected)
-    return bool(selected), selected
-
-
 def _verify_prefix_batch(
     index: TreeIndex,
     prefix_ids: List[int],
     starts: List[int],
-    stats: Optional[EvalStats],
+    stats: EvalStats,
 ) -> List[int]:
     """Greedy upward prefix check for all pivots at once.
 
@@ -135,8 +93,7 @@ def _verify_prefix_batch(
         j[idx] -= match
         cur[idx] = parent[nodes]
         alive[idx] = (cur[idx] >= 0) & (j[idx] >= 0)
-    if stats is not None:
-        stats.visited += walked
+    stats.visited += walked
     ok = j < 0
     return [v for v, good in zip(starts, ok) if good]
 
@@ -145,7 +102,7 @@ def _collect_suffix(
     index: TreeIndex,
     suffix: List[str],
     current: List[int],
-    stats: Optional[EvalStats],
+    stats: EvalStats,
 ) -> List[int]:
     """Descend //l(k+1)//...//ln from the verified pivots.
 
@@ -182,9 +139,8 @@ def _collect_suffix(
         hi = np.searchsorted(arr, ctx_end, side="left")
         counts = hi - lo
         total = int(counts.sum())
-        if stats is not None:
-            stats.visited += total
-            stats.index_probes += int(ctx.size)
+        stats.visited += total
+        stats.index_probes += int(ctx.size)
         if total == 0:
             out = arr[:0]
             break
@@ -213,4 +169,28 @@ class HybridStrategy(Strategy):
         ]
 
     def execute(self, plan, index, stats):
-        return hybrid_evaluate(plan.path, index, stats)
+        path = plan.path
+        tree = index.tree
+        labels = [s.test for s in path.steps]
+        k = plan_pivot(path, index)
+
+        starts = index.labels.nodes(labels[k])
+        stats.visited += len(starts)
+
+        if k == 0:
+            verified = starts
+        else:
+            prefix = [tree.label_id(name) for name in labels[:k]]
+            if any(lab is None for lab in prefix):
+                verified = []  # a prefix label absent from the document
+            else:
+                verified = _verify_prefix_batch(index, prefix, starts, stats)
+
+        selected = _collect_suffix(index, labels[k + 1 :], verified, stats)
+        predicate = path.steps[-1].predicate
+        if predicate is not None:
+            selected = [
+                v for v in selected if _eval_pred(index, predicate, v, stats)
+            ]
+        stats.selected = len(selected)
+        return bool(selected), selected

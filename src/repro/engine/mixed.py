@@ -20,17 +20,15 @@ property tests check exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from repro.asta.automaton import ASTA
-from repro.baselines.stepwise import eval_steps_from
+from repro.baselines.stepwise import _eval_steps
 from repro.counters import EvalStats
 from repro.engine.core import run_asta
 from repro.engine.registry import Strategy, register_strategy
 from repro.index.jumping import TreeIndex
 from repro.xpath.ast import Path, pred_has_backward
-from repro.xpath.compiler import compile_xpath
-from repro.xpath.parser import parse_xpath
 
 
 def forward_prefix_length(path: Path) -> int:
@@ -49,19 +47,6 @@ class MixedPlan:
 
     k: int
     prefix_asta: Optional[ASTA]
-
-
-def plan_mixed(path: Path, compile=compile_xpath) -> MixedPlan:
-    """Split ``path`` and compile its forward prefix (once).
-
-    ``compile`` lets callers route the prefix through a shared cache
-    (the registered strategy passes ``PreparedQuery.compile``).
-    """
-    if not path.absolute:
-        raise ValueError("mixed_evaluate expects an absolute query")
-    k = forward_prefix_length(path)
-    prefix_asta = compile(Path(path.absolute, path.steps[:k])) if k else None
-    return MixedPlan(k, prefix_asta)
 
 
 def run_mixed(
@@ -84,7 +69,7 @@ def run_mixed(
             stats.merge(prefix_stats)
     rest = path.steps[k:]
     if rest and context:
-        selected = eval_steps_from(index, tuple(rest), context, stats)
+        selected = _eval_steps(index, tuple(rest), context, stats)
     elif rest:
         selected = []
     else:
@@ -92,16 +77,6 @@ def run_mixed(
     if stats is not None:
         stats.selected = len(selected)
     return bool(selected), selected
-
-
-def mixed_evaluate(
-    query: Union[str, Path],
-    index: TreeIndex,
-    stats: Optional[EvalStats] = None,
-) -> Tuple[bool, List[int]]:
-    """(accepted, selected ids) for queries with backward axes."""
-    path = parse_xpath(query) if isinstance(query, str) else query
-    return run_mixed(path, plan_mixed(path), index, stats)
 
 
 @register_strategy
@@ -115,11 +90,13 @@ class MixedStrategy(Strategy):
         return True
 
     def prepare(self, plan) -> None:
-        # The prefix automaton goes through the engine's shared cache
-        # (and its wildcard-label inventory) so a Workspace compiles
-        # each prefix once across documents.
-        plan.artifacts["mixed"] = plan_mixed(
-            plan.path, compile=plan.compile
+        # Split the path and compile its forward prefix once, through
+        # the engine's shared cache (and its wildcard-label inventory),
+        # so a Workspace compiles each prefix once across documents.
+        k = forward_prefix_length(plan.path)
+        prefix = Path(plan.path.absolute, plan.path.steps[:k])
+        plan.artifacts["mixed"] = MixedPlan(
+            k, plan.compile(prefix) if k else None
         )
 
     def explain(self, plan):

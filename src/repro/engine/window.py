@@ -22,12 +22,8 @@ them to the mixed pipeline.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-from repro.counters import EvalStats
-from repro.engine.frontier import KernelStrategy, evaluate_within
+from repro.engine.frontier import KernelStrategy
 from repro.engine.registry import register_strategy
-from repro.index.jumping import TreeIndex
 from repro.xpath.ast import Path
 
 
@@ -36,19 +32,6 @@ def is_window_evaluable(path: Path) -> bool:
     path, forward or backward -- which makes ``window`` the set-at-a-time
     name whose fragment strictly contains the vectorized one."""
     return path.absolute and bool(path.steps)
-
-
-def evaluate(
-    query: "str | Path", index: TreeIndex, stats: Optional[EvalStats] = None
-) -> Tuple[bool, List[int]]:
-    """Evaluate via window joins; returns ``(accepted, selected ids)``."""
-    return evaluate_within(
-        is_window_evaluable,
-        "window-join fragment (absolute paths only)",
-        query,
-        index,
-        stats,
-    )
 
 
 @register_strategy

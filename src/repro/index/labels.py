@@ -30,9 +30,8 @@ import numpy as np
 
 from repro.lru import LRUCache
 
-#: Default LRU capacity of the per-index fused-union cache (entries,
-#: counting the as-given-ordering aliases).  Override per index via the
-#: ``fused_cache_size`` attribute.
+#: LRU capacity of the per-index fused-union cache (entries, counting
+#: the as-given-ordering aliases).
 FUSED_CACHE_SIZE = 256
 
 
@@ -132,16 +131,6 @@ class LabelIndex:
         self._arrays = arrays
         self._lists = _ListMirrors(arrays)
         self._fused = LRUCache(FUSED_CACHE_SIZE, lock=True)
-
-    @property
-    def fused_cache_size(self) -> int:
-        """Bound of the fused-union LRU (default
-        :data:`FUSED_CACHE_SIZE`); assignable."""
-        return self._fused.maxsize
-
-    @fused_cache_size.setter
-    def fused_cache_size(self, size: int) -> None:
-        self._fused.maxsize = size
 
     @classmethod
     def from_state(

@@ -2,7 +2,8 @@
 seeded grammar-driven Core-XPath fuzzer (:func:`random_core_query` /
 :func:`random_document`) used by the differential and parallel-determinism
 suites -- those want a reproducible fixed-seed corpus of a few hundred
-cases rather than hypothesis' adaptive search."""
+cases rather than hypothesis' adaptive search -- and :func:`run_as` /
+:func:`kernel_as`, how a test runs one named evaluation strategy."""
 
 from __future__ import annotations
 
@@ -11,12 +12,40 @@ import random
 from hypothesis import strategies as st
 
 from repro.automata.labelset import LabelSet
+from repro.engine.api import Engine
+from repro.engine.frontier import run_kernel
+from repro.engine.registry import resolve
 from repro.tree.binary import BinaryTree
 
 LABELS = ("a", "b", "c", "d")
 
 ATTR_NAMES = ("id", "x", "y")
 """Attribute-name pool shared by the fuzzer's documents and queries."""
+
+
+def run_as(name: str, query, index, stats=None):
+    """``(accepted, selected ids)`` of ``query`` under strategy ``name``,
+    run the one way a named strategy runs -- ``Engine(index,
+    name).prepare(query)`` -- and asserting that the registry resolved
+    it to ``name`` itself, so no fallback answers in its place.  The
+    run's counters are added to ``stats`` when given."""
+    plan = Engine(index, name).prepare(query)
+    assert plan.strategy.name == name, (name, str(query), plan.strategy.name)
+    result = plan.execute()
+    if stats is not None:
+        stats.merge(result.stats)
+    return result.accepted, result.nodes
+
+
+def kernel_as(name: str, path, index, stats=None):
+    """``(accepted, selected ids)`` of the set-at-a-time kernel on
+    ``path``, once the registry has resolved ``name`` to itself.
+    :func:`~repro.engine.frontier.run_kernel` pays no path-summary rent,
+    so no run builds the summary of a shared index and changes which
+    joins, and how many touches, a later run books."""
+    assert resolve(name, path).name == name, (name, str(path))
+    accepted, ids = run_kernel(path, index, stats)
+    return accepted, ids.tolist()
 
 
 @st.composite

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from repro import Engine
 from repro.baselines.stepwise import stepwise_evaluate
 from repro.counters import EvalStats
-from repro.engine.mixed import forward_prefix_length, mixed_evaluate
+from repro.engine.mixed import forward_prefix_length
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.xpath.parser import parse_xpath
 from repro.xpath.reference import evaluate_reference
 
-from strategies import binary_trees
+from strategies import binary_trees, run_as
 
 XML = "<r><a><x><b/></x><b/></a><c><b/></c><b/></r>"
 
@@ -101,7 +101,7 @@ class TestMixedPipeline:
     @pytest.mark.parametrize("query", QUERIES)
     def test_matches_reference(self, query, tree, index):
         expected = evaluate_reference(tree, parse_xpath(query))
-        _, got = mixed_evaluate(query, index)
+        _, got = run_as("mixed", query, index)
         assert got == expected
 
     @pytest.mark.parametrize("query", QUERIES)
@@ -117,7 +117,7 @@ class TestMixedPipeline:
 
     def test_forward_segment_uses_jumping(self, index):
         stats = EvalStats()
-        mixed_evaluate("//b/..", index, stats)
+        run_as("mixed", "//b/..", index, stats)
         assert stats.jumps > 0  # the //b prefix ran on the ASTA engine
 
     @given(binary_trees(max_depth=4, max_children=4))
@@ -126,7 +126,7 @@ class TestMixedPipeline:
         idx = TreeIndex(t)
         for query in ("//b/..", "//c/ancestor::a", "//a/../b", "//b[../c]"):
             expected = evaluate_reference(t, parse_xpath(query))
-            assert mixed_evaluate(query, idx)[1] == expected
+            assert run_as("mixed", query, idx)[1] == expected
             assert stepwise_evaluate(query, idx) == expected
 
 

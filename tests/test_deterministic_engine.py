@@ -8,7 +8,7 @@ from repro.automata.minimize import minimize_tdsta
 from repro.automata.pathdet import NotPathShaped, is_path_shaped, path_tdsta
 from repro.automata.relevance import topdown_relevant
 from repro.counters import EvalStats
-from repro.engine.deterministic import compile_tdsta, evaluate
+from repro.engine.deterministic import compile_tdsta, run_tdsta
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.xmark.queries import QUERIES
@@ -16,7 +16,7 @@ from repro.xpath.compiler import compile_xpath
 from repro.xpath.parser import parse_xpath
 from repro.xpath.reference import evaluate_reference
 
-from strategies import binary_trees
+from strategies import binary_trees, run_as
 
 PATH_QUERIES = ["//a//b", "/r/a/b", "//a/b//c", "/r//b", "//a", "/r/*/b"]
 NON_PATH_QUERIES = ["//a[b]", "//a[not(b)]//c", "//a[b or c]"]
@@ -59,7 +59,7 @@ class TestEvaluation:
     @pytest.mark.parametrize("query", PATH_QUERIES)
     def test_matches_reference_on_fixed_tree(self, query, small_tree, small_index):
         expected = evaluate_reference(small_tree, parse_xpath(query))
-        _, selected = evaluate(query, small_index)
+        _, selected = run_as("deterministic", query, small_index)
         assert selected == expected
 
     @given(binary_trees(max_depth=4, max_children=4))
@@ -68,21 +68,21 @@ class TestEvaluation:
         index = TreeIndex(tree)
         for query in ("//a//b", "/a/b//c", "//c"):
             expected = evaluate_reference(tree, parse_xpath(query))
-            assert evaluate(query, index)[1] == expected
+            assert run_as("deterministic", query, index)[1] == expected
 
     def test_visits_only_relevant_nodes(self, small_index):
         """Theorem 3.1 through the public pipeline."""
         sta = compile_tdsta("//a//b")
         relevant = topdown_relevant(sta, small_index.tree)
         stats = EvalStats()
-        evaluate("//a//b", small_index, stats)
+        run_as("deterministic", "//a//b", small_index, stats)
         assert stats.visited == len(relevant)
 
     def test_paper_path_queries_on_xmark(self, xmark_index):
         for qid in ("Q01", "Q05", "Q11"):
             query = QUERIES[qid]
             expected = evaluate_reference(xmark_index.tree, parse_xpath(query))
-            assert evaluate(query, xmark_index)[1] == expected
+            assert run_as("deterministic", query, xmark_index)[1] == expected
 
 
 class TestEngineIntegration:
@@ -161,7 +161,7 @@ class TestBottomUpFilter:
 class TestWildcardInventory:
     """Regression: '*' on encoded documents must compile against the
     element-label inventory, both through the strategy and through the
-    module-level evaluate() (the TDSTA cache is keyed by inventory)."""
+    module-level compile_tdsta() (the TDSTA cache is keyed by inventory)."""
 
     XML = '<r><a id="v">text here</a><b/></r>'
 
@@ -187,14 +187,14 @@ class TestWildcardInventory:
             for l in encoded_index.tree.labels
             if not l.startswith(("@", "#"))
         ]
-        _, with_inventory = evaluate(
-            "//*", encoded_index, wildcard_labels=inventory
+        _, with_inventory = run_tdsta(
+            compile_tdsta("//*", inventory), encoded_index
         )
         expected = evaluate_reference(encoded_index.tree, parse_xpath("//*"))
         assert with_inventory == expected
         # Without the inventory the wildcard matches every label: the
         # two cache entries must not alias.
-        _, without = evaluate("//*", encoded_index)
+        _, without = run_tdsta(compile_tdsta("//*"), encoded_index)
         assert without == list(range(encoded_index.tree.n))
 
 

@@ -20,7 +20,6 @@ from repro.counters import EvalStats
 from repro.engine import registry
 from repro.engine.core import SERIES, run_asta
 from repro.engine.api import Engine
-from repro.engine.hybrid import hybrid_evaluate
 from repro.index.jumping import TreeIndex
 from repro.xmark.queries import QUERIES
 from repro.xpath.compiler import compile_xpath
@@ -43,7 +42,7 @@ class TestPaperQueriesOnXMark:
             assert selected == expected, f"{name} disagrees on {qid}"
             assert accepted == bool(expected) or qid == "Q10"
         assert stepwise_evaluate(query, xmark_index) == expected
-        assert hybrid_evaluate(query, xmark_index)[1] == expected
+        assert Engine(xmark_index, "hybrid").select(query) == expected
 
     def test_acceptance_flag_consistent_across_engines(self, xmark_index):
         for qid, query in QUERIES.items():
@@ -84,7 +83,7 @@ class TestRandomDocumentsRandomQueries:
                 f"{name} disagrees on {query}: {selected} != {expected}"
             )
         assert stepwise_evaluate(path, index) == expected
-        assert hybrid_evaluate(path, index)[1] == expected
+        assert Engine(index, "hybrid").select(path) == expected
 
     @given(binary_trees(max_depth=3, max_children=3), xpath_queries(pred_depth=2))
     @settings(max_examples=80, deadline=None)
@@ -134,7 +133,7 @@ class TestXPathMarkASeries:
         for name, switches in SERIES.items():
             assert run_asta(asta, xmark_index, **switches)[1] == expected, (aid, name)
         assert stepwise_evaluate(query, xmark_index) == expected
-        assert hybrid_evaluate(query, xmark_index)[1] == expected
+        assert Engine(xmark_index, "hybrid").select(query) == expected
 
     def test_a_queries_nonempty(self, xmark_index):
         from repro.xmark.queries import XPATHMARK_A

@@ -11,11 +11,12 @@ import pytest
 
 from repro.counters import EvalStats
 from repro.engine.core import SERIES, run_asta
-from repro.engine.hybrid import hybrid_evaluate
 from repro.index.jumping import TreeIndex
 from repro.xmark.configs import make_config_tree
 from repro.xmark.queries import HYBRID_QUERY, QUERIES
 from repro.xpath.compiler import compile_xpath
+
+from strategies import run_as
 
 
 def run(engine, qid, index):
@@ -101,7 +102,7 @@ class TestFigure5Claims:
     def test_hybrid_visit_regimes(self, name, best_case):
         index = TreeIndex(make_config_tree(name, fraction=0.05))
         s_h, s_r = EvalStats(), EvalStats()
-        hybrid_evaluate(HYBRID_QUERY, index, s_h)
+        run_as("hybrid", HYBRID_QUERY, index, s_h)
         run_asta(compile_xpath(HYBRID_QUERY), index, stats=s_r)
         if best_case:
             # A/B: hybrid visits orders of magnitude fewer nodes.

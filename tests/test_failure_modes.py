@@ -5,13 +5,13 @@ import pytest
 
 from repro import Engine
 from repro.baselines.stepwise import stepwise_evaluate
-from repro.engine.hybrid import hybrid_evaluate
-from repro.engine.mixed import mixed_evaluate
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.tree.parser import XMLSyntaxError, parse_xml
 from repro.xpath.compiler import XPathCompileError
 from repro.xpath.parser import XPathSyntaxError
+
+from strategies import run_as
 
 TREE = BinaryTree.from_xml("<r><a/></r>")
 INDEX = TreeIndex(TREE)
@@ -29,10 +29,6 @@ class TestQueryErrors:
     def test_relative_query_rejected_by_stepwise(self):
         with pytest.raises(ValueError):
             stepwise_evaluate("a/b", INDEX)
-
-    def test_relative_query_rejected_by_mixed(self):
-        with pytest.raises(ValueError):
-            mixed_evaluate("a/..", INDEX)
 
     def test_attribute_start_rejected(self):
         # By the compiler; the default's kernel answers what XPath says
@@ -82,9 +78,9 @@ class TestDegenerateDocuments:
 class TestHybridDegenerate:
     def test_hybrid_label_absent_from_document(self):
         # the pivot label does not occur: count 0, empty start set.
-        accepted, ids = hybrid_evaluate("//zz//a", INDEX)
+        accepted, ids = run_as("hybrid", "//zz//a", INDEX)
         assert not accepted and ids == []
 
     def test_hybrid_single_step(self):
-        accepted, ids = hybrid_evaluate("//a", INDEX)
+        accepted, ids = run_as("hybrid", "//a", INDEX)
         assert accepted and ids == [1]

@@ -12,21 +12,18 @@ import numpy as np
 import pytest
 
 from repro.counters import EvalStats
-from repro.engine import frontier, joins, window
+from repro.engine import frontier, joins
 from repro.engine.frontier import label_key
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.xpath.ast import Axis
 from repro.xpath.parser import parse_xpath
 from repro.xpath.reference import evaluate_reference
-from strategies import random_document, random_predicate
+from strategies import kernel_as, random_document, random_predicate
 
 SEED = 0xF1257
 
-STRATEGIES = [
-    pytest.param(frontier, id="vectorized"),
-    pytest.param(window, id="window"),
-]
+STRATEGIES = ["vectorized", "window"]
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +76,8 @@ class TestPredicatesAgainstTheReference:
     negated, and/or-mixed, (window) backward -- behind 1 / 6 / ~30k
     context nodes, both strategies against ``xpath/reference.py``."""
 
-    @pytest.mark.parametrize("module", STRATEGIES)
-    def test_forward_predicates(self, big_index, calls, module):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_forward_predicates(self, big_index, calls, strategy):
         rng = random.Random(SEED + 1)
         selected = {shape: set() for shape in CONTEXTS}
         for _ in range(40):
@@ -89,7 +86,7 @@ class TestPredicatesAgainstTheReference:
                 query = shape.format(pred)
                 path = parse_xpath(query)
                 expected = evaluate_reference(big_index.tree, path)
-                assert module.evaluate(path, big_index) == (
+                assert kernel_as(strategy, path, big_index) == (
                     bool(expected),
                     expected,
                 ), query
@@ -113,15 +110,15 @@ class TestPredicatesAgainstTheReference:
                 query = shape.format(pred)
                 path = parse_xpath(query)
                 expected = evaluate_reference(big_index.tree, path)
-                assert window.evaluate(path, big_index)[1] == expected, query
+                assert kernel_as("window", path, big_index)[1] == expected, query
         assert {how for how, _ in calls} >= {"witness", "back to front"}
 
-    @pytest.mark.parametrize("module", STRATEGIES)
-    def test_searches_that_give_up_still_answer(self, big_index, calls, module):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_searches_that_give_up_still_answer(self, big_index, calls, strategy):
         # Thirteen levels of '*' under a document seven deep: false, but
         # found out only by exhausting level after level.
         query = "/a[" + "/".join([".//*"] + ["*"] * 12) + "]"
-        assert module.evaluate(parse_xpath(query), big_index) == (False, [])
+        assert kernel_as(strategy, parse_xpath(query), big_index) == (False, [])
         assert calls[0] == ("gave up", 1)
         assert calls[1] == ("back to front", None)
 
@@ -139,36 +136,36 @@ class TestLongPaths:
         index = TreeIndex(BinaryTree.from_xml(xml))
         return parse_xpath(query), index, [] if missing else [0]
 
-    @pytest.mark.parametrize("module", STRATEGIES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("missing", [0, 1])
-    def test_front_to_back(self, monkeypatch, calls, module, missing):
+    def test_front_to_back(self, monkeypatch, calls, strategy, missing):
         # 3,000 expansions outprice the 3,000 candidates, so the search
         # has to be asked for.
         monkeypatch.setattr(
             frontier, "_witness_budget", lambda index, steps, contexts: 10**12
         )
         path, index, expected = self._case(missing)
-        assert module.evaluate(path, index)[1] == expected
+        assert kernel_as(strategy, path, index)[1] == expected
         assert calls == [("witness", 1)]
 
-    @pytest.mark.parametrize("module", STRATEGIES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("missing", [0, 1])
-    def test_back_to_front(self, calls, module, missing):
+    def test_back_to_front(self, calls, strategy, missing):
         path, index, expected = self._case(missing)
-        assert module.evaluate(path, index)[1] == expected
+        assert kernel_as(strategy, path, index)[1] == expected
         assert calls == [("back to front", None)]
 
 
 class TestShortCircuit:
     XML = "<r><a><b/><c/></a><a><b/></a><a><c/></a><a/><a><b/><c/></a></r>"
 
-    @pytest.mark.parametrize("module", STRATEGIES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize(
         "query,open_nodes,selected",
         [("/r/a[b and c]", 3, 2), ("/r/a[b or c]", 2, 4), ("/r/a[x and c]", None, 0)],
     )
     def test_right_operand_sees_only_open_nodes(
-        self, monkeypatch, module, query, open_nodes, selected
+        self, monkeypatch, strategy, query, open_nodes, selected
     ):
         index = TreeIndex(BinaryTree.from_xml(self.XML))
         seen = {}
@@ -180,7 +177,7 @@ class TestShortCircuit:
             return successor(index_, axis, nodes, targets, key, stats)
 
         monkeypatch.setattr(frontier, "successor_mask", spy)
-        _, ids = module.evaluate(parse_xpath(query), index)
+        _, ids = kernel_as(strategy, parse_xpath(query), index)
         assert len(ids) == selected
         assert seen.get("c") == open_nodes  # None: never evaluated
 
@@ -188,15 +185,16 @@ class TestShortCircuit:
 class TestCounters:
     """On XMark (26k nodes): what the relevant-node kernels book."""
 
-    @pytest.mark.parametrize("module", STRATEGIES)
-    def test_first_witness_books_hundreds_not_the_document(self, xmark, module):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_first_witness_books_hundreds_not_the_document(self, xmark, strategy):
         stats = EvalStats()
         assert xmark.tree.n > 20_000
-        accepted, _ = module.evaluate(parse_xpath("/site[ .//*//* ]"), xmark, stats)
+        path = parse_xpath("/site[ .//*//* ]")
+        accepted, _ = kernel_as(strategy, path, xmark, stats)
         assert accepted
         assert stats.visited + stats.index_probes < 1000
 
-    @pytest.mark.parametrize("module", STRATEGIES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize(
         "pred",
         [
@@ -208,23 +206,23 @@ class TestCounters:
         ],
     )
     def test_false_predicate_books_at_most_twice_back_to_front(
-        self, monkeypatch, xmark, module, pred
+        self, monkeypatch, xmark, strategy, pred
     ):
         path = parse_xpath(f"/site[ {pred} ]")
         chunked = EvalStats()
-        assert module.evaluate(path, xmark, chunked) == (False, [])
+        assert kernel_as(strategy, path, xmark, chunked) == (False, [])
         monkeypatch.setattr(frontier, "WITNESS_DISPATCH", 10**9)
         whole = EvalStats()
-        assert module.evaluate(path, xmark, whole) == (False, [])
+        assert kernel_as(strategy, path, xmark, whole) == (False, [])
         assert chunked.visited + chunked.index_probes <= 2 * (
             whole.visited + whole.index_probes
         )
 
-    @pytest.mark.parametrize("module", STRATEGIES)
-    def test_context_side_join_books_its_windows(self, xmark, module):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_context_side_join_books_its_windows(self, xmark, strategy):
         keywords = xmark.labels.count("keyword")
         stats = EvalStats()
-        _, ids = module.evaluate(parse_xpath("/site//keyword"), xmark, stats)
+        _, ids = kernel_as(strategy, parse_xpath("/site//keyword"), xmark, stats)
         assert len(ids) == stats.selected == keywords
         # One window: two bounds searched, a view returned, no element
         # of the keyword array touched by the join.

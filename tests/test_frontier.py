@@ -12,6 +12,7 @@ from repro.tree.binary import BinaryTree
 from repro.tree.parser import parse_xml
 from repro.xpath.parser import parse_xpath
 from repro.xpath.reference import evaluate_reference
+from strategies import run_as
 
 XML = (
     "<site>"
@@ -54,7 +55,7 @@ class TestOracleIdentity:
     def test_matches_reference(self, index, query):
         path = parse_xpath(query)
         expected = evaluate_reference(index.tree, path)
-        accepted, got = frontier.evaluate(path, index)
+        accepted, got = run_as("vectorized", path, index)
         assert got == expected
         assert accepted == bool(expected)
 
@@ -75,14 +76,14 @@ class TestOracleIdentity:
             "/r/*[text()]",
         ):
             path = parse_xpath(query)
-            _, got = frontier.evaluate(path, index)
+            _, got = run_as("vectorized", path, index)
             assert got == evaluate_reference(tree, path), query
 
     def test_degenerate_single_node_document(self):
         index = TreeIndex(BinaryTree.from_spec("r"))
-        assert frontier.evaluate(parse_xpath("/r"), index) == (True, [0])
-        assert frontier.evaluate(parse_xpath("/x"), index) == (False, [])
-        assert frontier.evaluate(parse_xpath("//r[x]"), index) == (False, [])
+        assert run_as("vectorized", "/r", index) == (True, [0])
+        assert run_as("vectorized", "/x", index) == (False, [])
+        assert run_as("vectorized", "//r[x]", index) == (False, [])
 
     def test_fig4_mix_on_xmark(self, xmark_index):
         from repro.xmark.queries import QUERIES as FIG4
@@ -90,11 +91,11 @@ class TestOracleIdentity:
         naive = Engine(xmark_index, strategy="naive")
         for qid, query in FIG4.items():
             expected = list(naive.prepare(query).execute().ids)
-            _, got = frontier.evaluate(parse_xpath(query), xmark_index)
+            _, got = run_as("vectorized", query, xmark_index)
             assert got == expected, qid
 
     def test_results_sorted_and_unique(self, index):
-        _, ids = frontier.evaluate(parse_xpath("//a//b"), index)
+        _, ids = run_as("vectorized", "//a//b", index)
         assert ids == sorted(set(ids))
         assert all(isinstance(v, int) for v in ids)
 
@@ -113,10 +114,6 @@ class TestFragment:
     def test_relative_path_resolves_to_optimized(self):
         assert resolve("vectorized", parse_xpath("a/b")).name == "optimized"
 
-    def test_evaluate_rejects_off_fragment_queries(self, index):
-        with pytest.raises(ValueError, match="vectorized fragment"):
-            frontier.evaluate(parse_xpath("//a/parent::b"), index)
-
     def test_engine_integration(self, index):
         engine = Engine(index, strategy="vectorized")
         assert engine.select("//a//b") == [3, 5, 9]
@@ -128,9 +125,16 @@ class TestFragment:
 
 
 class TestCounters:
+    """Counters of one kernel run on a fresh index, which no earlier
+    run has given its path summary."""
+
+    @pytest.fixture()
+    def index(self):
+        return TreeIndex(BinaryTree.from_document(parse_xml(XML)))
+
     def test_visited_counts_array_element_touches(self, index):
         stats = EvalStats()
-        _, ids = frontier.evaluate(parse_xpath("//b"), index, stats)
+        _, ids = frontier.run_kernel(parse_xpath("//b"), index, stats)
         # One candidate pass over the 'b' array: every element touched.
         assert stats.visited == index.labels.count("b")
         assert stats.selected == len(ids)
@@ -138,13 +142,13 @@ class TestCounters:
 
     def test_probes_count_batched_searches(self, index):
         stats = EvalStats()
-        frontier.evaluate(parse_xpath("//a/b"), index, stats)
+        frontier.run_kernel(parse_xpath("//a/b"), index, stats)
         assert stats.index_probes > 0
 
     def test_predicate_candidates_are_counted(self, index):
         plain, with_pred = EvalStats(), EvalStats()
-        frontier.evaluate(parse_xpath("//a"), index, plain)
-        frontier.evaluate(parse_xpath("//a[.//b]"), index, with_pred)
+        frontier.run_kernel(parse_xpath("//a"), index, plain)
+        frontier.run_kernel(parse_xpath("//a[.//b]"), index, with_pred)
         assert with_pred.visited > plain.visited
 
 

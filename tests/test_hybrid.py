@@ -5,7 +5,8 @@ from hypothesis import given, settings
 
 from repro.counters import EvalStats
 from repro.engine.core import run_asta
-from repro.engine.hybrid import hybrid_evaluate, is_hybrid_applicable, plan_pivot
+from repro.engine.api import Engine
+from repro.engine.hybrid import is_hybrid_applicable, plan_pivot
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.xmark.configs import CONFIG_SPECS, make_config_tree
@@ -14,7 +15,7 @@ from repro.xpath.compiler import compile_xpath
 from repro.xpath.parser import parse_xpath
 from repro.xpath.reference import evaluate_reference
 
-from strategies import binary_trees
+from strategies import binary_trees, run_as
 
 
 class TestPlanning:
@@ -38,11 +39,13 @@ class TestPlanning:
         assert plan_pivot(path, index) == 1  # 1 c < 3 b's
 
     def test_fallback_for_non_chain_query(self, xmark_index):
-        # Queries outside the chain fragment silently use the optimized
+        # Queries outside the chain fragment resolve to the optimized
         # engine and still return correct results.
         query = "/site/people/person[ address and (phone or homepage) ]"
         expected = evaluate_reference(xmark_index.tree, parse_xpath(query))
-        assert hybrid_evaluate(query, xmark_index)[1] == expected
+        plan = Engine(xmark_index, "hybrid").prepare(query)
+        assert plan.strategy.name == "optimized"
+        assert plan.execute().nodes == expected
 
 
 class TestUpwardCheck:
@@ -51,7 +54,7 @@ class TestUpwardCheck:
             "<r><a><x><b/></x></a><y><b/></y></r>"
         )
         index = TreeIndex(tree)
-        _, sel = hybrid_evaluate("//a//b", index)
+        _, sel = run_as("hybrid", "//a//b", index)
         assert [tree.label(v) for v in sel] == ["b"]
         assert sel == [3]  # only the b under the a
 
@@ -61,7 +64,7 @@ class TestUpwardCheck:
             "<r><c><a><b/></a></c><a><c><b/></c></a></r>"
         )
         index = TreeIndex(tree)
-        _, sel = hybrid_evaluate("//a//c//b", index)
+        _, sel = run_as("hybrid", "//a//c//b", index)
         assert len(sel) == 1
         assert tree.parent[sel[0]] != -1
 
@@ -71,7 +74,7 @@ class TestFigure5Configs:
     def test_selected_counts_scaled(self, name):
         tree = make_config_tree(name, fraction=0.05)
         index = TreeIndex(tree)
-        _, sel = hybrid_evaluate(HYBRID_QUERY, index)
+        _, sel = run_as("hybrid", HYBRID_QUERY, index)
         asta = compile_xpath(HYBRID_QUERY)
         _, sel_regular = run_asta(asta, index)
         assert sel == sel_regular
@@ -82,7 +85,7 @@ class TestFigure5Configs:
     def test_best_cases_visit_far_fewer_nodes(self, name):
         index = TreeIndex(make_config_tree(name, fraction=0.05))
         s_h, s_r = EvalStats(), EvalStats()
-        hybrid_evaluate(HYBRID_QUERY, index, s_h)
+        run_as("hybrid", HYBRID_QUERY, index, s_h)
         run_asta(compile_xpath(HYBRID_QUERY), index, stats=s_r)
         assert s_h.visited * 10 < s_r.visited
 
@@ -94,7 +97,7 @@ class TestFigure5Configs:
         assert hist["keyword"] == spec.keywords_below
         assert hist["emph"] == spec.emphs
         index = TreeIndex(tree)
-        _, sel = hybrid_evaluate(HYBRID_QUERY, index)
+        _, sel = run_as("hybrid", HYBRID_QUERY, index)
         assert len(sel) == spec.expected_selected
 
 
@@ -105,7 +108,7 @@ class TestPropertyEquivalence:
         index = TreeIndex(tree)
         for query in ("//a//b", "//b//a//c", "//d"):
             expected = evaluate_reference(tree, parse_xpath(query))
-            assert hybrid_evaluate(query, index)[1] == expected
+            assert run_as("hybrid", query, index)[1] == expected
 
 
 class TestPredicateChains:
@@ -123,11 +126,11 @@ class TestPredicateChains:
         index = TreeIndex(tree)
         for query in ("//a//b[c]", "//b[c or d]", "//a//c[not(b)]"):
             expected = evaluate_reference(tree, parse_xpath(query))
-            assert hybrid_evaluate(query, index)[1] == expected, query
+            assert run_as("hybrid", query, index)[1] == expected, query
 
     def test_q05_variant_on_xmark(self, xmark_index):
         query = "//listitem//keyword[emph]"
         expected = evaluate_reference(
             xmark_index.tree, parse_xpath(query)
         )
-        assert hybrid_evaluate(query, xmark_index)[1] == expected
+        assert run_as("hybrid", query, xmark_index)[1] == expected

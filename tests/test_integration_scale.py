@@ -9,7 +9,7 @@ enough for jump chains, memo tables and staircase pruning to matter.
 import pytest
 
 from repro.baselines.stepwise import stepwise_evaluate
-from repro.engine import deterministic, hybrid
+from repro.engine.api import Engine
 from repro.engine.core import SERIES, run_asta
 from repro.index.jumping import TreeIndex
 from repro.xmark.generator import XMarkGenerator
@@ -17,6 +17,8 @@ from repro.xmark.queries import QUERIES
 from repro.xpath.compiler import compile_xpath
 from repro.xpath.parser import parse_xpath
 from repro.xpath.reference import evaluate_reference
+
+from strategies import run_as
 
 
 @pytest.fixture(scope="module")
@@ -34,18 +36,16 @@ def test_all_engines_at_scale(qid, index):
     assert run_asta(asta, index, **SERIES["jumping"])[1] == expected
     assert run_asta(asta, index, **SERIES["memo"])[1] == expected
     assert run_asta(asta, index, **SERIES["optimized"])[1] == expected
-    assert hybrid.hybrid_evaluate(path, index)[1] == expected
+    assert Engine(index, "hybrid").select(path) == expected
     assert stepwise_evaluate(path, index) == expected
 
 
 def test_deterministic_and_mixed_at_scale(index):
-    from repro.engine.mixed import mixed_evaluate
-
     for query in ("//listitem//keyword", "/site/regions/europe/item",
                   "//keyword/ancestor::listitem", "//mail/../../name"):
         path = parse_xpath(query)
         expected = evaluate_reference(index.tree, path)
         if path.has_backward_axes():
-            assert mixed_evaluate(path, index)[1] == expected
+            assert run_as("mixed", path, index)[1] == expected
         else:
-            assert deterministic.evaluate(path, index)[1] == expected
+            assert run_as("deterministic", path, index)[1] == expected

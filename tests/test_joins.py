@@ -16,14 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import frontier, joins, window
+from repro.engine import frontier, joins
 from repro.engine.api import Engine
 from repro.engine.workspace import Workspace
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.xpath.ast import Axis
 from repro.xpath.parser import parse_xpath
-from strategies import tree_specs
+from strategies import kernel_as, tree_specs
 from test_planner import MIX20
 
 ENGINE_DIR = os.path.dirname(joins.__file__)
@@ -95,10 +95,7 @@ class TestWideDocument:
     child and sibling rows take each side by size alone."""
 
     WIDTH = 10**4
-    MODULES = [
-        pytest.param(frontier, id="vectorized"),
-        pytest.param(window, id="window"),
-    ]
+    STRATEGIES = ["vectorized", "window"]
 
     @pytest.fixture(scope="class")
     def wide(self):
@@ -123,7 +120,7 @@ class TestWideDocument:
             )
         return log
 
-    @pytest.mark.parametrize("module", MODULES)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize(
         "query,first,count,operator",
         [
@@ -139,9 +136,9 @@ class TestWideDocument:
         ],
     )
     def test_each_side_is_reached_by_size(
-        self, wide, ran, module, query, first, count, operator
+        self, wide, ran, strategy, query, first, count, operator
     ):
-        _, ids = module.evaluate(parse_xpath(query), wide)
+        _, ids = kernel_as(strategy, parse_xpath(query), wide)
         assert len(ids) == count and ids[0] == first
         assert ids == sorted(set(ids))
         assert ran[-1] == operator

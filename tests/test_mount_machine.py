@@ -194,7 +194,9 @@ class MountMachine(RuleBasedStateMachine):
             self.store.path_for(name), mode="truncate", seed=seed
         )
         entry = self.disk[name]
-        self.disk[name] = OnDisk(entry.generation, entry.identity, corrupt=True)
+        self.disk[name] = OnDisk(
+            entry.generation, entry.identity, corrupt=True, synced=entry.synced
+        )
 
     @rule()
     def compact(self) -> None:

@@ -4,7 +4,7 @@ layer ``explain`` states, and the bounded caches every plan leans on
 
 import pytest
 
-from repro.engine import frontier, joins, registry
+from repro.engine import api, frontier, joins, registry
 from repro.engine.api import Engine
 from repro.engine.planner import (
     extract_features,
@@ -13,6 +13,7 @@ from repro.engine.planner import (
     step_operators,
 )
 from repro.engine.workspace import Workspace
+from repro.index import labels as label_index
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.tree.parser import parse_xml
@@ -29,9 +30,13 @@ XML = (
 )
 
 
+def build_index():
+    return TreeIndex(BinaryTree.from_document(parse_xml(XML)))
+
+
 @pytest.fixture()
 def index():
-    return TreeIndex(BinaryTree.from_document(parse_xml(XML)))
+    return build_index()
 
 
 class TestFeatureExtraction:
@@ -115,9 +120,9 @@ class TestPlannerStrategy:
 
 
 class TestPlanCacheEviction:
-    def test_engine_plan_cache_is_lru_bounded(self, index):
+    def test_engine_plan_cache_is_lru_bounded(self, index, monkeypatch):
+        monkeypatch.setattr(api, "PLAN_CACHE_SIZE", 4)
         engine = Engine(index)
-        engine.plan_cache_size = 4
         for i in range(10):
             engine.prepare("//a//b" + "/b" * i)
         info = engine.cache_info()["plans"]
@@ -125,18 +130,18 @@ class TestPlanCacheEviction:
         assert info["evictions"] >= 6
         assert info["misses"] == 10
 
-    def test_reprepared_plan_after_eviction_still_works(self, index):
+    def test_reprepared_plan_after_eviction_still_works(self, index, monkeypatch):
+        monkeypatch.setattr(api, "PLAN_CACHE_SIZE", 1)
         engine = Engine(index)
-        engine.plan_cache_size = 1
         first = engine.prepare("//a//b")
         engine.prepare("//b")  # evicts the first plan
         again = engine.prepare("//a//b")
         assert again is not first
         assert again.select() == first.select()
 
-    def test_plan_cache_hit_refreshes_recency(self, index):
+    def test_plan_cache_hit_refreshes_recency(self, index, monkeypatch):
+        monkeypatch.setattr(api, "PLAN_CACHE_SIZE", 2)
         engine = Engine(index)
-        engine.plan_cache_size = 2
         a = engine.prepare("//a")
         engine.prepare("//b")
         engine.prepare("//a")  # refresh 'a'
@@ -153,7 +158,7 @@ class TestPlanCacheEviction:
         for query in queries[1:]:
             engine.prepare(query)
         info = engine.cache_info()
-        assert info["plans"]["size"] == engine.plan_cache_size
+        assert info["plans"]["size"] == api.PLAN_CACHE_SIZE
         assert info["compiled"]["size"] == COMPILED_CACHE_SIZE
         assert info["compiled"]["maxsize"] == COMPILED_CACHE_SIZE
         assert info["compiled"]["evictions"] == 2000 - COMPILED_CACHE_SIZE
@@ -161,9 +166,10 @@ class TestPlanCacheEviction:
         assert engine.select(queries[0]) == first
         assert engine.cache.compilations == 2001
 
-    def test_fused_cache_is_lru_bounded(self, index):
+    def test_fused_cache_is_lru_bounded(self, monkeypatch):
+        monkeypatch.setattr(label_index, "FUSED_CACHE_SIZE", 3)
+        index = build_index()
         labels = index.labels
-        labels.fused_cache_size = 3
         n_labels = len(index.tree.labels)
         import itertools
 
@@ -174,9 +180,9 @@ class TestPlanCacheEviction:
         assert info["evictions"] > 0
         assert info["misses"] > 0
 
-    def test_fused_eviction_is_semantically_transparent(self, index):
-        labels = index.labels
-        labels.fused_cache_size = 2
+    def test_fused_eviction_is_semantically_transparent(self, monkeypatch):
+        monkeypatch.setattr(label_index, "FUSED_CACHE_SIZE", 2)
+        labels = build_index().labels
         first = labels.fused([0, 1]).lst
         labels.fused([1, 2])
         labels.fused([2, 3])  # [0, 1] evicted by now
@@ -189,14 +195,15 @@ class TestPlanCacheEviction:
         labels.fused([0, 1])
         assert labels.cache_info()["hits"] >= base + 1
 
-    def test_fused_cache_safe_under_thread_contention(self, index):
+    def test_fused_cache_safe_under_thread_contention(self, monkeypatch):
         # Pool threads of a QueryService drive one engine's index
         # concurrently; the mutating LRU must never KeyError or corrupt.
         import itertools
         import threading
 
+        monkeypatch.setattr(label_index, "FUSED_CACHE_SIZE", 4)
+        index = build_index()
         labels = index.labels
-        labels.fused_cache_size = 4
         combos = list(itertools.combinations(range(len(index.tree.labels)), 2))
         errors = []
 

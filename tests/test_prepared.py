@@ -36,7 +36,6 @@ class TestPlanReuse:
 
         monkeypatch.setattr(api_module, "parse_xpath", boom)
         monkeypatch.setattr("repro.engine.plan.compile_xpath", boom)
-        monkeypatch.setattr("repro.engine.mixed.compile_xpath", boom)
         result = plan.execute()
         assert list(result.ids) == [3, 5]
         assert engine.cache.compilations == compilations

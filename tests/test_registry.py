@@ -74,6 +74,15 @@ class TestResolution:
             == "optimized"
         )
 
+    @pytest.mark.parametrize(
+        "name,resolved", [("vectorized", "mixed"), ("window", "window")]
+    )
+    def test_kernel_names_resolve_by_fragment(self, name, resolved):
+        # One kernel, two fragments: a backward axis takes vectorized
+        # away from itself, and window keeps it.
+        path = parse_xpath("//a/parent::b")
+        assert registry.resolve(name, path).name == resolved
+
     def test_mixed_is_terminal(self):
         strategy = registry.get_strategy("mixed")
         assert strategy.fallback is None

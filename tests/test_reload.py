@@ -18,7 +18,7 @@ import pytest
 from repro import faults
 from repro.engine.api import Engine
 from repro.serve import DaemonThread, QueryDaemon, ServeClient, ServeError
-from repro.store import DocumentStore, live_readers
+from repro.store import DocumentStore, StoreCorruptionError, live_readers
 from repro.store.manifest import RETIRED_PREFIX
 
 XML_V1 = "<r><a><b/></a><a/><c><b/></c></r>"  # //a/b -> [2]
@@ -165,6 +165,41 @@ class TestReloadSwap:
                 assert report["skipped"] == {}
                 assert client.query("//a/b", document="hurt")["ids"] == [2, 3]
                 assert client.healthz()["status"] == "ok"
+
+    def test_sync_leaves_a_corrupt_bundle_of_an_unchanged_source(self, tmp_path):
+        """``sync`` diffs sources against the manifest fingerprint, not
+        the bundle: a published bundle that fails fast verify is
+        ``unchanged`` while its source is, and stays on disk as it is.
+        The daemon keeps serving the generation it mapped before and
+        lists the name under ``skipped``."""
+        src = tmp_path / "xml"
+        src.mkdir()
+        (src / "doc.xml").write_text(XML_V1)
+        corpus = str(tmp_path / "corpus")
+        store = DocumentStore(corpus)
+        store.sync(str(src))
+        with DaemonThread(QueryDaemon(corpus, workers=2)) as handle:
+            with ServeClient(port=handle.port) as client:
+                assert client.query("//a/b", document="doc")["ids"] == [2]
+                (src / "doc.xml").write_text(XML_V2)
+                assert store.sync(str(src))["replaced"] == ["doc"]
+                faults.corrupt_bundle(
+                    store.path_for("doc"), "left", mode="truncate"
+                )
+                with pytest.raises(StoreCorruptionError):
+                    store.verify("doc")
+                generation = store.generation()
+                report = store.sync(str(src))
+                assert report["unchanged"] == ["doc"]
+                assert report["replaced"] == report["added"] == []
+                assert store.generation() == generation
+                with pytest.raises(StoreCorruptionError):
+                    store.verify("doc")
+                report = client.reload()
+                assert report["reloaded"] is False
+                assert list(report["skipped"]) == ["doc"]
+                assert client.query("//a/b", document="doc")["ids"] == [2]
+                assert list(client.healthz()["skipped"]) == ["doc"]
 
 
 class TestReloadChaosDrill:

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import faults
+from repro.engine import api
 from repro.engine.workspace import Workspace
 from repro.faults import FaultPlan
 from repro.lru import LRUCache
@@ -261,9 +262,9 @@ class TestSelection:
             == "inline"
         )
 
-    def test_lru_eviction_forgets_the_measurement(self, corpus):
+    def test_lru_eviction_forgets_the_measurement(self, corpus, monkeypatch):
+        monkeypatch.setattr(api, "PLAN_CACHE_SIZE", 2)
         small = QueryDaemon(corpus, workers=1)
-        small.mounts.records["tiny"].engine.plan_cache_size = 2
         with DaemonThread(small) as handle:
             with ServeClient(port=handle.port, retries=0) as c:
                 until_inline(c, "//a/b", document="tiny")

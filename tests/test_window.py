@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.counters import EvalStats
-from repro.engine import joins, window
+from repro.engine import frontier, joins
 from repro.engine.api import Engine
 from repro.engine.parallel import QueryService
 from repro.engine.registry import get_strategy, resolve
@@ -26,7 +26,7 @@ from repro.tree.parser import parse_xml
 from repro.xpath.parser import parse_xpath
 from repro.xpath.reference import evaluate_reference
 
-from strategies import tree_specs
+from strategies import kernel_as, run_as, tree_specs
 
 XML = (
     "<site>"
@@ -108,7 +108,7 @@ class TestOracleIdentity:
     def test_matches_reference(self, index, query):
         path = parse_xpath(query)
         expected = evaluate_reference(index.tree, path)
-        accepted, got = window.evaluate(path, index)
+        accepted, got = run_as("window", path, index)
         assert got == expected
         assert accepted == bool(expected)
 
@@ -131,7 +131,7 @@ class TestOracleIdentity:
             "//x[@b]/ancestor::r",
         ):
             path = parse_xpath(query)
-            _, got = window.evaluate(path, index)
+            _, got = run_as("window", path, index)
             assert got == evaluate_reference(tree, path), query
 
     def test_matches_reference_on_reopened_bundle(self, tmp_path):
@@ -141,18 +141,15 @@ class TestOracleIdentity:
         with open_document(bundle) as stored:
             for query in FORWARD_QUERIES + BACKWARD_QUERIES:
                 path = parse_xpath(query)
-                _, got = window.evaluate(path, stored.index)
+                _, got = run_as("window", path, stored.index)
                 assert got == evaluate_reference(reference, path), query
 
     def test_degenerate_single_node_document(self):
         index = TreeIndex(BinaryTree.from_spec("r"))
-        assert window.evaluate(parse_xpath("/r"), index) == (True, [0])
-        assert window.evaluate(parse_xpath("/x"), index) == (False, [])
-        assert window.evaluate(parse_xpath("//r[x]"), index) == (False, [])
-        assert window.evaluate(parse_xpath("//r/ancestor::r"), index) == (
-            False,
-            [],
-        )
+        assert run_as("window", "/r", index) == (True, [0])
+        assert run_as("window", "/x", index) == (False, [])
+        assert run_as("window", "//r[x]", index) == (False, [])
+        assert run_as("window", "//r/ancestor::r", index) == (False, [])
 
     def test_fig4_mix_on_xmark(self, xmark_index):
         from repro.xmark.queries import QUERIES as FIG4
@@ -160,11 +157,11 @@ class TestOracleIdentity:
         naive = Engine(xmark_index, strategy="naive")
         for qid, query in FIG4.items():
             expected = list(naive.prepare(query).execute().ids)
-            _, got = window.evaluate(parse_xpath(query), xmark_index)
+            _, got = run_as("window", query, xmark_index)
             assert got == expected, qid
 
     def test_results_sorted_and_unique(self, index):
-        _, ids = window.evaluate(parse_xpath("//a//b"), index)
+        _, ids = run_as("window", "//a//b", index)
         assert ids == sorted(set(ids))
         assert all(isinstance(v, int) for v in ids)
 
@@ -184,10 +181,6 @@ class TestFragment:
 
     def test_backward_absolute_stays_window(self):
         assert resolve("window", parse_xpath("//a/parent::b")).name == "window"
-
-    def test_evaluate_rejects_relative_queries(self, index):
-        with pytest.raises(ValueError, match="window-join fragment"):
-            window.evaluate(parse_xpath("a/b"), index)
 
     def test_is_window_evaluable(self):
         assert is_window_evaluable(parse_xpath("//a"))
@@ -312,7 +305,7 @@ class TestDenseColumns:
         query = "//a[.//b and .//d]"
         expected = evaluate_reference(index.tree, parse_xpath(query))
         for _ in range(3):
-            assert window.evaluate(parse_xpath(query), index)[1] == expected
+            assert kernel_as("window", parse_xpath(query), index)[1] == expected
         info = index._ranks.cache_info()
         assert info["size"] == 1 and info["evictions"] >= 4
 
@@ -336,14 +329,21 @@ class TestDenseColumns:
         clone = pickle.loads(pickle.dumps(index))
         clone.rank(key, clone.labels.nodes_array("b"))  # the lock works
         path = parse_xpath("//b/ancestor::a")
-        assert window.evaluate(path, clone) == window.evaluate(path, index)
+        assert run_as("window", path, clone) == run_as("window", path, index)
 
 
 class TestCounters:
+    """Counters of one kernel run on a fresh index, which no earlier
+    run has given its path summary."""
+
+    @pytest.fixture()
+    def index(self):
+        return TreeIndex(BinaryTree.from_document(parse_xml(XML)))
+
     def test_child_join_books_what_it_gathers(self, index):
         stats = EvalStats()
         # Through //site: a rooted /site/a is answered without a join.
-        window.evaluate(parse_xpath("//site/a"), index, stats)
+        frontier.run_kernel(parse_xpath("//site/a"), index, stats)
         # The root has more children than there are 'a' nodes, so the
         # join runs from the candidates: the root read once per step (it
         # is selected, then marked), each 'a' probed in the bitmap.
@@ -354,11 +354,11 @@ class TestCounters:
 
     def test_probes_count_batched_searches(self, index):
         stats = EvalStats()
-        window.evaluate(parse_xpath("//b/ancestor::a"), index, stats)
+        frontier.run_kernel(parse_xpath("//b/ancestor::a"), index, stats)
         assert stats.index_probes > 0
 
     def test_predicate_candidates_are_counted(self, index):
         plain, with_pred = EvalStats(), EvalStats()
-        window.evaluate(parse_xpath("//a"), index, plain)
-        window.evaluate(parse_xpath("//a[.//b]"), index, with_pred)
+        frontier.run_kernel(parse_xpath("//a"), index, plain)
+        frontier.run_kernel(parse_xpath("//a[.//b]"), index, with_pred)
         assert with_pred.visited > plain.visited
