@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.counters import EvalStats
 from repro.engine.core import run_asta
 from repro.xmark.queries import QUERIES
 from repro.xpath.compiler import compile_xpath
@@ -29,6 +30,9 @@ GRID = [
 def test_ablation(benchmark, xmark_index, jumping, memo, ip):
     def run_batch():
         for asta in _ASTAS:
-            run_asta(asta, xmark_index, jumping=jumping, memo=memo, ip=ip)
+            run_asta(
+                asta, xmark_index, stats=EvalStats(),
+                jumping=jumping, memo=memo, ip=ip,
+            )
 
     benchmark.pedantic(run_batch, rounds=2, iterations=1, warmup_rounds=0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.counters import EvalStats
 from repro.engine.api import Engine
 from repro.engine.core import run_asta
 from repro.xmark.queries import QUERIES
@@ -24,10 +25,11 @@ def test_deterministic(benchmark, xmark_index, qid):
     plan = Engine(xmark_index, "deterministic").prepare(query)  # compiles
     assert plan.strategy.name == "deterministic"
     result = benchmark(plan.execute)
-    assert result.nodes == run_asta(compile_xpath(query), xmark_index)[1]
+    _, selected = run_asta(compile_xpath(query), xmark_index, stats=EvalStats())
+    assert result.nodes == selected
 
 
 @pytest.mark.parametrize("qid", PATH_QIDS)
 def test_asta_optimized(benchmark, xmark_index, qid):
     asta = compile_xpath(QUERIES[qid])
-    benchmark(run_asta, asta, xmark_index)
+    benchmark(lambda: run_asta(asta, xmark_index, stats=EvalStats()))

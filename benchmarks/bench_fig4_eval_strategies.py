@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.counters import EvalStats
 from repro.engine.core import SERIES, run_asta
 from repro.xmark.queries import QUERIES
 from repro.xpath.compiler import compile_xpath
@@ -23,6 +24,8 @@ _ASTAS = {qid: compile_xpath(q) for qid, q in QUERIES.items()}
 @pytest.mark.parametrize("qid", sorted(QUERIES))
 def test_fig4(benchmark, xmark_index, qid, engine):
     asta = _ASTAS[qid]
-    accepted, selected = benchmark(run_asta, asta, xmark_index, **SERIES[engine])
+    accepted, selected = benchmark(
+        lambda: run_asta(asta, xmark_index, stats=EvalStats(), **SERIES[engine])
+    )
     # Sanity: all strategies agree with the optimized engine.
-    assert selected == run_asta(asta, xmark_index)[1]
+    assert selected == run_asta(asta, xmark_index, stats=EvalStats())[1]

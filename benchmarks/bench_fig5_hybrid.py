@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.counters import EvalStats
 from repro.engine.api import Engine
 from repro.engine.core import run_asta
 from repro.xmark.configs import CONFIG_SPECS
@@ -25,10 +26,10 @@ def test_fig5_hybrid(benchmark, config_indexes, name):
     plan = Engine(index, "hybrid").prepare(HYBRID_QUERY)
     assert plan.strategy.name == "hybrid"
     result = benchmark(plan.execute)
-    assert result.nodes == run_asta(_ASTA, index)[1]
+    assert result.nodes == run_asta(_ASTA, index, stats=EvalStats())[1]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIG_SPECS))
 def test_fig5_regular(benchmark, config_indexes, name):
     index = config_indexes[name]
-    benchmark(run_asta, _ASTA, index)
+    benchmark(lambda: run_asta(_ASTA, index, stats=EvalStats()))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.stepwise import stepwise_evaluate
+from repro.counters import EvalStats
 from repro.engine.core import run_asta
 from repro.xmark.queries import QUERIES
 from repro.xpath.compiler import compile_xpath
@@ -20,10 +21,12 @@ _ASTAS = {qid: compile_xpath(q) for qid, q in QUERIES.items()}
 
 @pytest.mark.parametrize("qid", sorted(QUERIES))
 def test_fig8_sxsi_style(benchmark, xmark_index, qid):
-    _, selected = benchmark(run_asta, _ASTAS[qid], xmark_index)
-    assert selected == stepwise_evaluate(QUERIES[qid], xmark_index)
+    _, selected = benchmark(
+        lambda: run_asta(_ASTAS[qid], xmark_index, stats=EvalStats())
+    )
+    assert selected == stepwise_evaluate(QUERIES[qid], xmark_index, EvalStats())
 
 
 @pytest.mark.parametrize("qid", sorted(QUERIES))
 def test_fig8_stepwise(benchmark, xmark_index, qid):
-    benchmark(stepwise_evaluate, QUERIES[qid], xmark_index)
+    benchmark(lambda: stepwise_evaluate(QUERIES[qid], xmark_index, EvalStats()))

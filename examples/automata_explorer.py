@@ -70,7 +70,7 @@ def main() -> None:
     print("minimized:", mini, "(already minimal)")
     relevant = topdown_relevant(sta, tree)
     print(f"relevant nodes of the unique run: {sorted(relevant)}")
-    run = topdown_jump(sta, index)
+    run = topdown_jump(sta, index, EvalStats())
     print(f"topdown_jump visits exactly those: {sorted(run)}")
     assert frozenset(run) == relevant
 

@@ -29,7 +29,7 @@ from repro.tree.binary import NIL, BinaryTree
 def bottom_up(
     sta: STA,
     tree: BinaryTree,
-    stats: Optional[EvalStats] = None,
+    stats: EvalStats,
 ) -> Optional[Dict[int, State]]:
     """The unique run of a bottom-up complete BDSTA; None if rejecting."""
     if len(sta.bottom) != 1:
@@ -44,8 +44,7 @@ def bottom_up(
         if len(sources) != 1:
             raise ValueError("automaton is not bottom-up deterministic/complete")
         run[v] = sources[0]
-        if stats is not None:
-            stats.visited += 1
+        stats.visited += 1
     if run[0] not in sta.top:
         return None
     return run
@@ -160,7 +159,7 @@ def active_label_ids(sta: STA, tree: BinaryTree) -> Optional[List[int]]:
 def bottomup_jump(
     sta: STA,
     index: TreeIndex,
-    stats: Optional[EvalStats] = None,
+    stats: EvalStats,
 ) -> Optional[Dict[int, State]]:
     """Bottom-up run that skips q0-inert binary subtrees.
 
@@ -188,8 +187,7 @@ def bottomup_jump(
                 # Skip test applies to the *binary* subtree rooted at node.
                 if active is not None:
                     lo, hi = node, tree.bend(node)
-                    if stats is not None:
-                        stats.index_probes += 1
+                    stats.index_probes += 1
                     if index.labels.count_in_range(active, lo, hi) == 0:
                         result[node] = q0
                         continue
@@ -208,8 +206,7 @@ def bottomup_jump(
                 if len(sources) != 1:
                     raise ValueError("automaton is not bottom-up deterministic")
                 result[node] = sources[0]
-                if stats is not None:
-                    stats.visited += 1
+                stats.visited += 1
         run.update(result)
         return result[v]
 

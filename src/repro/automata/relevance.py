@@ -18,6 +18,7 @@ from typing import Dict, FrozenSet, Optional, Set
 
 from repro.automata.labelset import LabelSet
 from repro.automata.sta import STA, State
+from repro.counters import EvalStats
 from repro.tree.binary import NIL, BinaryTree
 
 
@@ -163,7 +164,7 @@ def bottomup_relevant(sta: STA, tree: BinaryTree) -> Optional[FrozenSet[int]]:
     """Relevant nodes per Lemma 3.2 for a minimal complete BDSTA."""
     from repro.automata.bottomup import bottom_up
 
-    run = bottom_up(sta, tree)
+    run = bottom_up(sta, tree, EvalStats())
     if run is None:
         return None
     (q0,) = tuple(sta.bottom)

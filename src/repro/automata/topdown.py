@@ -90,7 +90,7 @@ def _analyze(sta: STA, index: TreeIndex) -> Dict[State, _StateInfo]:
 def topdown_jump(
     sta: STA,
     index: TreeIndex,
-    stats: Optional[EvalStats] = None,
+    stats: EvalStats,
 ) -> Dict[int, State]:
     """Partial run on relevant nodes; ``{}`` iff the run is rejecting.
 
@@ -111,21 +111,18 @@ def topdown_jump(
         if st.essential.contains(tree.label(v)):
             return [v]
         if st.shape == "both":
-            if stats is not None:
-                stats.jumps += 1
+            stats.jumps += 1
             out: List[int] = []
             cur = index.dt(v, st.essential_ids)
             while cur != OMEGA:
                 out.append(cur)
-                if stats is not None:
-                    stats.jumps += 1
+                stats.jumps += 1
                 cur = index.ft(cur, st.essential_ids, v)
             return out
         if st.shape == "left":
             if st.essential_ids is None:
                 return [v]
-            if stats is not None:
-                stats.jumps += 1
+            stats.jumps += 1
             hit = index.lt(v, st.essential_ids)
             if hit == OMEGA:
                 # End of the left spine: its terminal # leaf carries q.
@@ -136,8 +133,7 @@ def topdown_jump(
         if st.shape == "right":
             if st.essential_ids is None:
                 return [v]
-            if stats is not None:
-                stats.jumps += 1
+            stats.jumps += 1
             hit = index.rt(v, st.essential_ids)
             if hit == OMEGA:
                 if q not in sta.bottom:
@@ -158,8 +154,7 @@ def topdown_jump(
         while stack:
             v, q = stack.pop()
             run[v] = q
-            if stats is not None:
-                stats.visited += 1
+            stats.visited += 1
             dests = sta.dest(q, tree.label(v))
             if len(dests) != 1:
                 raise ValueError(

@@ -23,8 +23,7 @@ kernel's array pass -- and every change made to that kernel.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.counters import EvalStats
 from repro.index.labels import LabelIndex
@@ -50,7 +49,7 @@ def descendants_with_label(
     labels: LabelIndex,
     context: List[int],
     label: Optional[str],
-    stats: Optional[EvalStats] = None,
+    stats: EvalStats,
 ) -> List[int]:
     """Staircase-joined descendant step: all l-labelled descendants of
     the context, duplicate-free and in document order.
@@ -66,61 +65,14 @@ def descendants_with_label(
     label_of = tree.label_of
     lab = None if label is None else tree.label_ids.get(label)
     if label is not None and lab is None:
-        if stats is not None:
-            for v in pruned:
-                stats.visited += tree.xml_end[v] - v - 1
+        for v in pruned:
+            stats.visited += tree.xml_end[v] - v - 1
         return out
     for v in pruned:
         end = tree.xml_end[v]
-        if stats is not None:
-            stats.visited += end - v - 1
+        stats.visited += end - v - 1
         if lab is None:
             out.extend(range(v + 1, end))
         else:
             out.extend(w for w in range(v + 1, end) if label_of[w] == lab)
     return out
-
-
-def descendants_with_label_indexed(
-    tree: BinaryTree,
-    labels: LabelIndex,
-    context: List[int],
-    label: str,
-    stats: Optional[EvalStats] = None,
-) -> List[int]:
-    """Index-assisted variant (binary search into per-label lists).
-
-    This is the operator an engine *with SXSI's label index* could run;
-    kept for the index-advantage ablation, not used by the conventional
-    step-wise baseline.
-    """
-    pruned = topmost_prune(tree, context)
-    out: List[int] = []
-    lst = labels.nodes(label)
-    for v in pruned:
-        lo = bisect_right(lst, v)
-        hi = bisect_left(lst, tree.xml_end[v], lo)
-        out.extend(lst[lo:hi])
-        if stats is not None:
-            stats.index_probes += 1
-            stats.visited += hi - lo
-    return out
-
-
-def ancestors_with_label(
-    tree: BinaryTree,
-    context: Iterable[int],
-    label: Optional[str],
-    stats: Optional[EvalStats] = None,
-) -> List[int]:
-    """Ancestor step by parent walks (deduplicated, document order)."""
-    seen = set()
-    for v in context:
-        p = tree.parent[v]
-        while p != -1 and p not in seen:
-            if stats is not None:
-                stats.visited += 1
-            if label is None or tree.label(p) == label:
-                seen.add(p)
-            p = tree.parent[p]
-    return sorted(seen)

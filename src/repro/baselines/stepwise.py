@@ -30,7 +30,7 @@ from repro.xpath.parser import parse_xpath
 def stepwise_evaluate(
     query: Union[str, Path],
     index: TreeIndex,
-    stats: Optional[EvalStats] = None,
+    stats: EvalStats,
 ) -> List[int]:
     """Selected node ids, document order (agrees with all other engines)."""
     path = parse_xpath(query) if isinstance(query, str) else query
@@ -38,8 +38,7 @@ def stepwise_evaluate(
         raise ValueError("stepwise_evaluate expects an absolute query")
     context = [-1]  # the document node
     result = _eval_steps(index, path.steps, context, stats)
-    if stats is not None:
-        stats.selected = len(result)
+    stats.selected = len(result)
     return result
 
 
@@ -47,7 +46,7 @@ def _eval_steps(
     index: TreeIndex,
     steps: tuple,
     context: List[int],
-    stats: Optional[EvalStats],
+    stats: EvalStats,
 ) -> List[int]:
     current = context
     for step in steps:
@@ -61,7 +60,7 @@ def _eval_step(
     index: TreeIndex,
     step: Step,
     context: List[int],
-    stats: Optional[EvalStats],
+    stats: EvalStats,
 ) -> List[int]:
     tree = index.tree
     label = None if step.test in ("*", "node()") else _test_label(step)
@@ -70,8 +69,7 @@ def _eval_step(
             # descendant from the document node = every element incl. the
             # root: a full scan of the node table filtered by tag, exactly
             # what a top-level '//' costs a conventional engine.
-            if stats is not None:
-                stats.visited += tree.n
+            stats.visited += tree.n
             if label is not None:
                 lab = tree.label_ids.get(label)
                 label_of = tree.label_of
@@ -91,8 +89,7 @@ def _eval_step(
         for v in context:
             children = [0] if v == -1 else list(tree.children(v))
             for c in children:
-                if stats is not None:
-                    stats.visited += 1
+                stats.visited += 1
                 if _child_matches(tree, step, label, c):
                     out.append(c)
         out = _sorted_dedup(out)
@@ -103,8 +100,7 @@ def _eval_step(
                 continue
             cur = tree.right[v]
             while cur != NIL:
-                if stats is not None:
-                    stats.visited += 1
+                stats.visited += 1
                 if label is None or tree.label(cur) == label:
                     out.append(cur)
                 cur = tree.right[cur]
@@ -117,8 +113,7 @@ def _eval_step(
             p = tree.parent[v]
             if p == NIL:
                 continue
-            if stats is not None:
-                stats.visited += 1
+            stats.visited += 1
             if label is None or tree.label(p) == label:
                 out.append(p)
         out = _sorted_dedup(out)
@@ -131,8 +126,7 @@ def _eval_step(
             p = tree.parent[v]
             while p != NIL and p not in seen:
                 seen.add(p)
-                if stats is not None:
-                    stats.visited += 1
+                stats.visited += 1
                 if label is None or tree.label(p) == label:
                     out.append(p)
                 p = tree.parent[p]
@@ -177,7 +171,7 @@ def _sorted_dedup(nodes: List[int]) -> List[int]:
 
 
 def _eval_pred(
-    index: TreeIndex, pred: Pred, v: int, stats: Optional[EvalStats]
+    index: TreeIndex, pred: Pred, v: int, stats: EvalStats
 ) -> bool:
     if isinstance(pred, PredAnd):
         return _eval_pred(index, pred.left, v, stats) and _eval_pred(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import sys
-from functools import partial
 from typing import List, Tuple
 
 from repro.bench.harness import Timer, format_table
@@ -98,7 +97,9 @@ def fig4_times(
     for qid, q in QUERIES.items():
         asta = compile_xpath(q)
         rows.append((qid, *(
-            timer.best_ms(partial(run_asta, asta, index, **switches))
+            timer.best_ms(
+                lambda: run_asta(asta, index, stats=EvalStats(), **switches)
+            )
             for switches in SERIES.values()
         )))
     return rows
@@ -138,7 +139,7 @@ def fig5_hybrid(fraction: float = DEFAULT_FRACTION, repeats: int = 3):
         _, sel_r = run_asta(asta, index, stats=s_r)
         assert result.nodes == sel_r, f"hybrid/regular disagree on {name}"
         t_h = timer.best_ms(hybrid.execute)
-        t_r = timer.best_ms(lambda: run_asta(asta, index))
+        t_r = timer.best_ms(lambda: run_asta(asta, index, stats=EvalStats()))
         visited = result.stats.visited
         rows.append((name, len(result), visited, s_r.visited, t_h, t_r))
     return rows
@@ -181,8 +182,8 @@ def fig8_vs_stepwise(
         sel_a = run_asta(asta, index, stats=s_a)[1]
         sel_s = stepwise_evaluate(q, index, s_s)
         assert sel_a == sel_s, f"engines disagree on {qid}"
-        t_a = timer.best_ms(lambda: run_asta(asta, index))
-        t_s = timer.best_ms(lambda: stepwise_evaluate(q, index))
+        t_a = timer.best_ms(lambda: run_asta(asta, index, stats=EvalStats()))
+        t_s = timer.best_ms(lambda: stepwise_evaluate(q, index, EvalStats()))
         rows.append((qid, t_a, t_s, s_a.visited, s_s.visited))
     return rows
 
@@ -233,7 +234,8 @@ def ablation_techniques(
             for ip in (False, True):
                 def run_all():
                     for asta in astas.values():
-                        run_asta(index=index, asta=asta, jumping=jmp, memo=mem, ip=ip)
+                        run_asta(asta, index, stats=EvalStats(),
+                                 jumping=jmp, memo=mem, ip=ip)
                 total = timer.best_ms(run_all)
                 visited = 0
                 for asta in astas.values():
@@ -293,7 +295,7 @@ def hybrid_sweep(
         s_r = EvalStats()
         run_asta(asta, index, stats=s_r)
         t_h = timer.best_ms(hybrid.execute)
-        t_r = timer.best_ms(lambda: run_asta(asta, index))
+        t_r = timer.best_ms(lambda: run_asta(asta, index, stats=EvalStats()))
         visited = result.stats.visited
         rows.append((kw, len(result), visited, s_r.visited, t_h, t_r))
     return rows

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Sequence
 
 
 class Timer:
@@ -50,33 +50,3 @@ def _fmt(value: object) -> str:
         return f"{value:.2f}"
     return str(value)
 
-
-def time_prepared(
-    engine,
-    queries: Sequence[str],
-    strategies: Optional[Sequence[str]] = None,
-    repeats: int = 3,
-) -> List[tuple]:
-    """Time prepared queries: rows of (query, requested strategy, resolved
-    strategy, best ms, selected count).
-
-    ``engine`` is a :class:`repro.engine.api.Engine`; preparation (parse,
-    compile, strategy resolution) happens once per row, outside the timed
-    region -- this is the prepared-query analogue of the per-call drivers
-    in :mod:`repro.bench.experiments`.
-    """
-    if strategies is None:
-        from repro.engine import registry
-
-        strategies = registry.strategy_names()
-    timer = Timer(repeats)
-    rows = []
-    for query in queries:
-        for requested in strategies:
-            plan = engine.prepare(query, strategy=requested)
-            result = plan.execute()
-            best = timer.best_ms(plan.execute)
-            rows.append(
-                (query, requested, plan.strategy.name, best, len(result))
-            )
-    return rows

@@ -2,9 +2,11 @@
 
 The paper's evaluation (Figure 3, Figure 5) is largely about *counting*:
 selected nodes, nodes visited with and without jumping, memoization table
-entries.  Every evaluator in this library threads an optional
-:class:`EvalStats` through its run so the benchmarks can reproduce those
-tables exactly.
+entries.  Every run counts: one :class:`EvalStats` per run, allocated by
+``PreparedQuery.execute`` or by the direct caller of a machine, and
+handed down to every machine and helper the run reaches -- never
+``None`` below that point -- so the benchmarks reproduce those tables
+exactly.  A caller that ignores the counters passes ``EvalStats()``.
 """
 
 from __future__ import annotations
@@ -50,22 +52,11 @@ class EvalStats:
     index_probes: int = 0
     """Binary-search probes inside the label index."""
 
-    def visit(self, count: int = 1) -> None:
-        self.visited += count
-
     def ratio_selected_visited(self) -> float:
         """Line (5) of Figure 3: selected / visited, in percent."""
         if self.visited == 0:
             return 0.0
         return 100.0 * self.selected / self.visited
-
-    def merge(self, other: "EvalStats") -> None:
-        self.visited += other.visited
-        self.selected += other.selected
-        self.memo_entries += other.memo_entries
-        self.memo_hits += other.memo_hits
-        self.jumps += other.jumps
-        self.index_probes += other.index_probes
 
     def snapshot(self) -> dict:
         return {

@@ -96,13 +96,13 @@ def run_asta(
     asta: ASTA,
     index: TreeIndex,
     *,
+    stats: EvalStats,
     jumping: bool = True,
     memo: bool = True,
     ip: bool = True,
-    stats: Optional[EvalStats] = None,
     tables: Optional[RunTables] = None,
 ) -> Tuple[bool, List[int]]:
-    """Evaluate ``asta`` over ``index.tree``.
+    """Evaluate ``asta`` over ``index.tree``, booking the run in ``stats``.
 
     Returns ``(accepted, selected node ids in document order)``.  With
     ``memo=True`` an optional ``tables`` (a warmed
@@ -146,7 +146,7 @@ def _run_interned(
     *,
     jumping: bool,
     ip: bool,
-    stats: Optional[EvalStats],
+    stats: EvalStats,
 ) -> Tuple[bool, List[int]]:
     """The integer-keyed machine.
 
@@ -980,12 +980,11 @@ def _run_interned(
 
     ((gamma_root, _root_sid),) = values
     accepted, selected = root_answer(asta, gamma_root)
-    if stats is not None:
-        stats.visited += visited
-        stats.jumps += jumps
-        stats.memo_hits += memo_hits
-        stats.memo_entries += tables.entries() - entries_before
-        stats.selected = len(selected)
+    stats.visited += visited
+    stats.jumps += jumps
+    stats.memo_hits += memo_hits
+    stats.memo_entries += tables.entries() - entries_before
+    stats.selected = len(selected)
     return accepted, selected
 
 
@@ -1002,7 +1001,7 @@ def _run_plain(
     *,
     tda: Optional[TDAAnalysis],
     ip: bool,
-    stats: Optional[EvalStats],
+    stats: EvalStats,
 ) -> Tuple[bool, List[int]]:
     tree = index.tree
     labels_arr = tree.labels
@@ -1059,8 +1058,7 @@ def _run_plain(
             return
         ids = info.essential_ids
         if info.jump_shape == "both":
-            if stats is not None:
-                stats.jumps += 1
+            stats.jumps += 1
             fused = info.fused
             if fused is None:
                 fused = info.fused = index.fused(ids)
@@ -1073,8 +1071,7 @@ def _run_plain(
             work.append((_CHAIN, child, states, first, fused, {}, info.early_stop))
             work.append((_EVAL, first, states))
             return
-        if stats is not None:
-            stats.jumps += 1
+        stats.jumps += 1
         hit = index.lt(child, ids) if info.jump_shape == "left" else index.rt(child, ids)
         if hit == OMEGA:
             work.append((_LIT,))
@@ -1092,8 +1089,7 @@ def _run_plain(
         tag = frame[0]
         if tag == _EVAL:
             _, v, states = frame
-            if stats is not None:
-                stats.visited += 1
+            stats.visited += 1
             label = labels_arr[label_of[v]]
             active, r1, r2syn = active_and_r1(states, label)
             work.append((_MID, v, states, label, active, r2syn))
@@ -1128,8 +1124,7 @@ def _run_plain(
                 # targets cannot change the result (one-witness semantics).
                 values.append(merged)
                 continue
-            if stats is not None:
-                stats.jumps += 1
+            stats.jumps += 1
             nxt = fused.first_at_or_after(tree.bend(last), tree.bend(anchor))
             if nxt < 0:
                 values.append(merged)
@@ -1141,6 +1136,5 @@ def _run_plain(
 
     (gamma_root,) = values
     accepted, selected = root_answer(asta, gamma_root)
-    if stats is not None:
-        stats.selected = len(selected)
+    stats.selected = len(selected)
     return accepted, selected

@@ -55,7 +55,7 @@ def compile_tdsta(
 
 
 def run_tdsta(
-    sta: STA, index: TreeIndex, stats: Optional[EvalStats] = None
+    sta: STA, index: TreeIndex, stats: EvalStats
 ) -> Tuple[bool, List[int]]:
     """Jumping run of a compiled minimal TDSTA; (accepted, selected ids)."""
     run = topdown_jump(sta, index, stats)
@@ -63,8 +63,7 @@ def run_tdsta(
     selected = sorted(
         v for v, q in run.items() if sta.selects(q, tree.label(v))
     )
-    if stats is not None:
-        stats.selected = len(selected)
+    stats.selected = len(selected)
     # For predicate-free path queries the ASTA accepts a tree iff a full
     # match exists, i.e. iff something is selected.
     return bool(selected), selected
@@ -73,7 +72,7 @@ def run_tdsta(
 def evaluate_bottomup_filter(
     query: Union[str, Path],
     index: TreeIndex,
-    stats: Optional[EvalStats] = None,
+    stats: EvalStats,
 ) -> Tuple[bool, List[int]]:
     """Bottom-up deterministic evaluation of ``//target[.//witness]``.
 
@@ -99,8 +98,7 @@ def evaluate_bottomup_filter(
     selected = sorted(
         v for v, q in run.items() if sta.selects(q, tree.label(v))
     )
-    if stats is not None:
-        stats.selected = len(selected)
+    stats.selected = len(selected)
     return bool(selected), selected
 
 

@@ -354,7 +354,7 @@ def _witness_budget(index: TreeIndex, steps: tuple, contexts: int) -> int:
 
 
 def run_kernel(
-    path: Path, index: TreeIndex, stats: Optional[EvalStats]
+    path: Path, index: TreeIndex, stats: EvalStats
 ) -> Tuple[bool, np.ndarray]:
     """An absolute path, any axis: ``(accepted, final frontier)``, which
     is what the set-at-a-time strategies' ``execute`` returns -- the
@@ -365,12 +365,11 @@ def run_kernel(
 
 
 def run_bound(
-    program: Path, index: TreeIndex, stats: Optional[EvalStats]
+    program: Path, index: TreeIndex, stats: EvalStats
 ) -> Tuple[bool, np.ndarray]:
     """:func:`run_kernel` of a path bound to ``index``."""
     frontier = _eval_steps(index, program.steps, None, stats)
-    if stats is not None:
-        stats.selected += int(frontier.size)
+    stats.selected += int(frontier.size)
     return bool(frontier.size), frontier
 
 
@@ -393,8 +392,7 @@ def _eval_step(
     its own such key (a subset of the candidates as large as they are is
     the candidates)."""
     cand = index.labels.union(step.key)
-    if stats is not None:
-        stats.jumps += 1
+    stats.jumps += 1
     if cand.size == 0:
         return _EMPTY, None
     if frontier is not None:
@@ -411,8 +409,7 @@ def _eval_step(
             out = cand
         else:
             out = _EMPTY
-        if stats is not None:
-            stats.visited += int(out.size)
+        stats.visited += int(out.size)
     if step.predicate is not None and out.size:
         out = out.compress(_pred_mask(index, step.predicate, out, stats))
     return out, step.key if out.size == cand.size else None
@@ -438,8 +435,7 @@ def _pred_mask(index, pred: Pred, nodes: np.ndarray, stats) -> np.ndarray:
     if isinstance(pred, Decided):
         # One gather decides the nodes of decided paths; the open ones
         # ask the path itself.
-        if stats is not None:
-            stats.index_probes += int(nodes.size)
+        stats.index_probes += int(nodes.size)
         verdict = np.take(pred.verdict, index.path_summary().pid[nodes])
         mask = verdict == 2
         open_ = np.flatnonzero(verdict == 1)
@@ -482,8 +478,6 @@ def _first_witnesses(
     running that costs at most twice what it would have alone (plus the
     one expansion that crossed the line).
     """
-    if stats is None:
-        stats = EvalStats()  # the budget reads the counters
     budget += stats.visited + stats.index_probes
     last = len(steps) - 1
     mask = np.zeros(nodes.size, dtype=bool)
@@ -527,9 +521,8 @@ def _match_set(index, steps: tuple, stats) -> Tuple[np.ndarray, Optional[Key]]:
         step = steps[i]
         cand, key = index.labels.union(step.key), step.key
         full = cand.size
-        if stats is not None:
-            stats.visited += full
-            stats.jumps += 1
+        stats.visited += full
+        stats.jumps += 1
         if step.predicate is not None and cand.size:
             cand = cand.compress(_pred_mask(index, step.predicate, cand, stats))
         if matches is not None and cand.size:

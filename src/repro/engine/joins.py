@@ -95,11 +95,10 @@ class Row(NamedTuple):
     ops: Tuple[Operator, ...]
 
 
-def _book(stats: Optional[EvalStats], visited: int, probes: int) -> None:
-    if stats is not None:
-        stats.jumps += 1
-        stats.visited += int(visited)
-        stats.index_probes += int(probes)
+def _book(stats: EvalStats, visited: int, probes: int) -> None:
+    stats.jumps += 1
+    stats.visited += int(visited)
+    stats.index_probes += int(probes)
 
 
 def sorted_unique(ids: np.ndarray) -> np.ndarray:
@@ -174,8 +173,7 @@ def _rank_for(index: TreeIndex, ids: np.ndarray, key: Optional[Key], stats):
     set ``key``, else built for this call (``n`` touches, booked)."""
     if key is not None:
         return index.rank(key, ids)
-    if stats is not None:
-        stats.visited += index.tree.n
+    stats.visited += index.tree.n
     return rank_column(ids, index.tree.n)
 
 
@@ -250,8 +248,7 @@ def _scan(mask: Callable, ranked: bool) -> Callable:
     frontier by its rank column or by binary search."""
 
     def run(index, cand, key, frontier, src, stats):
-        if stats is not None:
-            stats.visited += int(cand.size)
+        stats.visited += int(cand.size)
         rank = _rank_for(index, frontier, src, stats) if ranked else None
         return cand.compress(mask(index, cand, rank, frontier, stats))
 

@@ -53,9 +53,10 @@ def run_mixed(
     path: Path,
     mplan: MixedPlan,
     index: TreeIndex,
-    stats: Optional[EvalStats] = None,
+    stats: EvalStats,
 ) -> Tuple[bool, List[int]]:
-    """Execute a prepared :class:`MixedPlan`; (accepted, selected ids)."""
+    """Execute a prepared :class:`MixedPlan`; (accepted, selected ids).
+    Both parts book into ``stats``; ``selected`` is the final answer's."""
     k = mplan.k
     if k == 0:
         # The very first step is backward: start step-wise from the
@@ -63,10 +64,7 @@ def run_mixed(
         # usually empty unless a later segment recovers -- XPath agrees).
         context: List[int] = [-1]
     else:
-        prefix_stats = EvalStats()
-        _, context = run_asta(mplan.prefix_asta, index, stats=prefix_stats)
-        if stats is not None:
-            stats.merge(prefix_stats)
+        _, context = run_asta(mplan.prefix_asta, index, stats=stats)
     rest = path.steps[k:]
     if rest and context:
         selected = _eval_steps(index, tuple(rest), context, stats)
@@ -74,8 +72,7 @@ def run_mixed(
         selected = []
     else:
         selected = context
-    if stats is not None:
-        stats.selected = len(selected)
+    stats.selected = len(selected)
     return bool(selected), selected
 
 

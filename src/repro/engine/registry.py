@@ -103,7 +103,10 @@ class Strategy:
         """Run the prepared plan; returns ``(accepted, selected ids)``: the
         ids in document order, duplicate-free, as a sequence of ints or an
         ``int64`` array (``vectorized``, ``window``) -- the
-        :class:`~repro.engine.plan.ExecutionResult` converts on demand."""
+        :class:`~repro.engine.plan.ExecutionResult` converts on demand.
+        ``stats`` is this run's one :class:`~repro.counters.EvalStats`,
+        allocated by ``PreparedQuery.execute`` (never ``None``): book the
+        run into it, and hand it to every machine the run calls."""
         raise NotImplementedError
 
     @property

@@ -12,6 +12,7 @@ import random
 from hypothesis import strategies as st
 
 from repro.automata.labelset import LabelSet
+from repro.counters import EvalStats
 from repro.engine.api import Engine
 from repro.engine.frontier import run_kernel
 from repro.engine.registry import resolve
@@ -23,18 +24,21 @@ ATTR_NAMES = ("id", "x", "y")
 """Attribute-name pool shared by the fuzzer's documents and queries."""
 
 
-def run_as(name: str, query, index, stats=None):
+def run_as(name: str, query, index):
     """``(accepted, selected ids)`` of ``query`` under strategy ``name``,
     run the one way a named strategy runs -- ``Engine(index,
     name).prepare(query)`` -- and asserting that the registry resolved
-    it to ``name`` itself, so no fallback answers in its place.  The
-    run's counters are added to ``stats`` when given."""
+    it to ``name`` itself, so no fallback answers in its place."""
+    result = execute_as(name, query, index)
+    return result.accepted, result.nodes
+
+
+def execute_as(name: str, query, index):
+    """The :class:`~repro.engine.plan.ExecutionResult` -- answer and
+    counters -- of :func:`run_as`'s one run."""
     plan = Engine(index, name).prepare(query)
     assert plan.strategy.name == name, (name, str(query), plan.strategy.name)
-    result = plan.execute()
-    if stats is not None:
-        stats.merge(result.stats)
-    return result.accepted, result.nodes
+    return plan.execute()
 
 
 def kernel_as(name: str, path, index, stats=None):
@@ -42,9 +46,10 @@ def kernel_as(name: str, path, index, stats=None):
     ``path``, once the registry has resolved ``name`` to itself.
     :func:`~repro.engine.frontier.run_kernel` pays no path-summary rent,
     so no run builds the summary of a shared index and changes which
-    joins, and how many touches, a later run books."""
+    joins, and how many touches, a later run books.  The run books into
+    ``stats`` when given, else into a counter of its own."""
     assert resolve(name, path).name == name, (name, str(path))
-    accepted, ids = run_kernel(path, index, stats)
+    accepted, ids = run_kernel(path, index, EvalStats() if stats is None else stats)
     return accepted, ids.tolist()
 
 

@@ -188,7 +188,7 @@ class TestOwnership:
     def test_a_view_of_an_mmap_is_copied_once(self, xmark_store):
         stored = open_document(xmark_store + "/xmark")
         path = parse_xpath(self.QUERY)
-        _, raw = frontier.run_kernel(path, stored.index, None)
+        _, raw = frontier.run_kernel(path, stored.index, EvalStats())
         # The premise: the kernel's own answer borrows the mapped column.
         assert raw.size > 100 and not _owns_its_data(raw)
         del raw

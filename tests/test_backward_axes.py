@@ -12,7 +12,7 @@ from repro.tree.binary import BinaryTree
 from repro.xpath.parser import parse_xpath
 from repro.xpath.reference import evaluate_reference
 
-from strategies import binary_trees, run_as
+from strategies import binary_trees, execute_as, run_as
 
 XML = "<r><a><x><b/></x><b/></a><c><b/></c><b/></r>"
 
@@ -107,7 +107,7 @@ class TestMixedPipeline:
     @pytest.mark.parametrize("query", QUERIES)
     def test_stepwise_matches_reference(self, query, tree, index):
         expected = evaluate_reference(tree, parse_xpath(query))
-        assert stepwise_evaluate(query, index) == expected
+        assert stepwise_evaluate(query, index, EvalStats()) == expected
 
     def test_engine_routes_automatically(self, tree):
         for strategy in ("naive", "optimized", "hybrid", "deterministic"):
@@ -116,8 +116,7 @@ class TestMixedPipeline:
             assert [tree.label(v) for v in got] == ["a"]
 
     def test_forward_segment_uses_jumping(self, index):
-        stats = EvalStats()
-        run_as("mixed", "//b/..", index, stats)
+        stats = execute_as("mixed", "//b/..", index).stats
         assert stats.jumps > 0  # the //b prefix ran on the ASTA engine
 
     @given(binary_trees(max_depth=4, max_children=4))
@@ -127,7 +126,7 @@ class TestMixedPipeline:
         for query in ("//b/..", "//c/ancestor::a", "//a/../b", "//b[../c]"):
             expected = evaluate_reference(t, parse_xpath(query))
             assert run_as("mixed", query, idx)[1] == expected
-            assert stepwise_evaluate(query, idx) == expected
+            assert stepwise_evaluate(query, idx, EvalStats()) == expected
 
 
 class TestRandomBackwardQueries:

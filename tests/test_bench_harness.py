@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import repro
-from repro.bench.harness import Timer, format_table, time_prepared
+from repro.bench.harness import Timer, format_table
 from repro.bench.experiments import (
     ablation_storage,
     ablation_techniques,
@@ -30,19 +30,6 @@ class TestHarness:
         assert lines[0] == "T"
         assert "2.50" in text
         assert len({len(l) for l in lines[1:]}) == 1  # aligned rows
-
-    def test_time_prepared_rows(self):
-        from repro.engine.api import Engine
-
-        engine = Engine("<r><a><b/></a><b/></r>")
-        rows = time_prepared(
-            engine, ["//a//b"], strategies=("optimized", "hybrid"), repeats=1
-        )
-        assert [(r[0], r[1], r[2], r[4]) for r in rows] == [
-            ("//a//b", "optimized", "optimized", 1),
-            ("//a//b", "hybrid", "hybrid", 1),
-        ]
-        assert all(r[3] >= 0 for r in rows)
 
 
 class TestDrivers:

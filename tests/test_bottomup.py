@@ -31,7 +31,7 @@ class TestBottomUp:
     def test_unique_run_states(self):
         automaton = sta()
         t = tree(("r", ("a", ("c", "b")), "c"))
-        run = bottom_up(automaton, t)
+        run = bottom_up(automaton, t, EvalStats())
         assert run is not None
         # q1 = "XML subtree contains b" flows up to the root.
         assert run[3] == "q1"  # the b itself
@@ -41,7 +41,7 @@ class TestBottomUp:
     def test_selection_from_run(self):
         automaton = sta()
         t = tree(("r", ("a", ("c", "b")), "c"))
-        run = bottom_up(automaton, t)
+        run = bottom_up(automaton, t, EvalStats())
         assert selected_by_run(automaton, t, run) == [1]
         assert automaton.selected_nodes(t) == [1]
 
@@ -49,13 +49,13 @@ class TestBottomUp:
         from repro.automata.examples import sta_desc_a_desc_b
 
         with pytest.raises(ValueError):
-            bottom_up(sta_desc_a_desc_b(), tree("a"))
+            bottom_up(sta_desc_a_desc_b(), tree("a"), EvalStats())
 
     @given(binary_trees(labels=("a", "b", "c")))
     @settings(max_examples=60)
     def test_run_agrees_with_oracle_selection(self, t):
         automaton = sta()
-        run = bottom_up(automaton, t)
+        run = bottom_up(automaton, t, EvalStats())
         assert run is not None  # accepts all trees
         assert selected_by_run(automaton, t, run) == automaton.selected_nodes(t)
 
@@ -65,11 +65,12 @@ class TestListReduction:
     @settings(max_examples=60)
     def test_reduce_equals_sweep(self, t):
         automaton = sta()
-        assert bottom_up_reduce(automaton, t) == bottom_up(automaton, t)
+        assert bottom_up_reduce(automaton, t) == bottom_up(automaton, t, EvalStats())
 
     def test_single_node(self):
         automaton = sta()
-        assert bottom_up_reduce(automaton, tree("a")) == bottom_up(automaton, tree("a"))
+        t = tree("a")
+        assert bottom_up_reduce(automaton, t) == bottom_up(automaton, t, EvalStats())
 
 
 class TestJumping:
@@ -96,8 +97,8 @@ class TestJumping:
     def test_jump_run_values_match_full_run(self, t):
         automaton = sta()
         index = TreeIndex(t)
-        full = bottom_up(automaton, t)
-        partial = bottomup_jump(automaton, index)
+        full = bottom_up(automaton, t, EvalStats())
+        partial = bottomup_jump(automaton, index, EvalStats())
         assert (full is None) == (partial is None)
         if full is not None:
             for v, q in partial.items():

@@ -8,24 +8,12 @@ class TestEvalStats:
         s = EvalStats()
         assert s.visited == 0 and s.selected == 0 and s.memo_entries == 0
 
-    def test_visit_increments(self):
-        s = EvalStats()
-        s.visit()
-        s.visit(3)
-        assert s.visited == 4
-
     def test_ratio(self):
         s = EvalStats(visited=200, selected=50)
         assert s.ratio_selected_visited() == 25.0
 
     def test_ratio_zero_visited(self):
         assert EvalStats().ratio_selected_visited() == 0.0
-
-    def test_merge(self):
-        a = EvalStats(visited=1, selected=2, memo_entries=3, jumps=4)
-        b = EvalStats(visited=10, selected=20, memo_entries=30, jumps=40)
-        a.merge(b)
-        assert (a.visited, a.selected, a.memo_entries, a.jumps) == (11, 22, 33, 44)
 
     def test_snapshot_keys(self):
         snap = EvalStats().snapshot()

@@ -16,7 +16,7 @@ from repro.xpath.compiler import compile_xpath
 from repro.xpath.parser import parse_xpath
 from repro.xpath.reference import evaluate_reference
 
-from strategies import binary_trees, run_as
+from strategies import binary_trees, execute_as, run_as
 
 PATH_QUERIES = ["//a//b", "/r/a/b", "//a/b//c", "/r//b", "//a", "/r/*/b"]
 NON_PATH_QUERIES = ["//a[b]", "//a[not(b)]//c", "//a[b or c]"]
@@ -74,8 +74,7 @@ class TestEvaluation:
         """Theorem 3.1 through the public pipeline."""
         sta = compile_tdsta("//a//b")
         relevant = topdown_relevant(sta, small_index.tree)
-        stats = EvalStats()
-        run_as("deterministic", "//a//b", small_index, stats)
+        stats = execute_as("deterministic", "//a//b", small_index).stats
         assert stats.visited == len(relevant)
 
     def test_paper_path_queries_on_xmark(self, xmark_index):
@@ -137,7 +136,9 @@ class TestBottomUpFilter:
         from repro.engine.deterministic import evaluate_bottomup_filter
 
         with pytest.raises(NotPathShaped):
-            evaluate_bottomup_filter("//a//b", TreeIndex(BinaryTree.from_spec("a")))
+            evaluate_bottomup_filter(
+                "//a//b", TreeIndex(BinaryTree.from_spec("a")), EvalStats()
+            )
 
     @given(binary_trees(max_depth=4, max_children=4))
     @settings(max_examples=60, deadline=None)
@@ -147,7 +148,7 @@ class TestBottomUpFilter:
         index = TreeIndex(tree)
         for query in ("//a[.//b]", "//b[.//c]", "//a[.//a]"):
             expected = evaluate_reference(index.tree, parse_xpath(query))
-            assert evaluate_bottomup_filter(query, index)[1] == expected
+            assert evaluate_bottomup_filter(query, index, EvalStats())[1] == expected
 
     def test_skips_witness_free_regions(self, xmark_index):
         from repro.counters import EvalStats
@@ -188,13 +189,13 @@ class TestWildcardInventory:
             if not l.startswith(("@", "#"))
         ]
         _, with_inventory = run_tdsta(
-            compile_tdsta("//*", inventory), encoded_index
+            compile_tdsta("//*", inventory), encoded_index, EvalStats()
         )
         expected = evaluate_reference(encoded_index.tree, parse_xpath("//*"))
         assert with_inventory == expected
         # Without the inventory the wildcard matches every label: the
         # two cache entries must not alias.
-        _, without = run_tdsta(compile_tdsta("//*"), encoded_index)
+        _, without = run_tdsta(compile_tdsta("//*"), encoded_index, EvalStats())
         assert without == list(range(encoded_index.tree.n))
 
 

@@ -29,7 +29,9 @@ class TestFlagMatrix:
         asta = compile_xpath(parse_xpath(query))
         expected = evaluate_reference(tree, parse_xpath(query))
         for j, m, i in ALL_FLAGS:
-            _, selected = run_asta(asta, index, jumping=j, memo=m, ip=i)
+            _, selected = run_asta(
+                asta, index, stats=EvalStats(), jumping=j, memo=m, ip=i
+            )
             assert selected == expected, (j, m, i, query)
 
     def test_ip_reduces_visits_never_changes_results(self, xmark_index):

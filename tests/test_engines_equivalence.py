@@ -38,17 +38,19 @@ class TestPaperQueriesOnXMark:
         expected = evaluate_reference(tree, parse_xpath(query))
         asta = compile_xpath(query)
         for name, switches in SERIES.items():
-            accepted, selected = run_asta(asta, xmark_index, **switches)
+            accepted, selected = run_asta(
+                asta, xmark_index, stats=EvalStats(), **switches
+            )
             assert selected == expected, f"{name} disagrees on {qid}"
             assert accepted == bool(expected) or qid == "Q10"
-        assert stepwise_evaluate(query, xmark_index) == expected
+        assert stepwise_evaluate(query, xmark_index, EvalStats()) == expected
         assert Engine(xmark_index, "hybrid").select(query) == expected
 
     def test_acceptance_flag_consistent_across_engines(self, xmark_index):
         for qid, query in QUERIES.items():
             asta = compile_xpath(query)
             flags = {
-                name: run_asta(asta, xmark_index, **switches)[0]
+                name: run_asta(asta, xmark_index, stats=EvalStats(), **switches)[0]
                 for name, switches in SERIES.items()
             }
             assert len(set(flags.values())) == 1, f"{qid}: {flags}"
@@ -78,11 +80,11 @@ class TestRandomDocumentsRandomQueries:
         index = TreeIndex(tree)
         asta = compile_xpath(path)
         for name, switches in SERIES.items():
-            _, selected = run_asta(asta, index, **switches)
+            _, selected = run_asta(asta, index, stats=EvalStats(), **switches)
             assert selected == expected, (
                 f"{name} disagrees on {query}: {selected} != {expected}"
             )
-        assert stepwise_evaluate(path, index) == expected
+        assert stepwise_evaluate(path, index, EvalStats()) == expected
         assert Engine(index, "hybrid").select(path) == expected
 
     @given(binary_trees(max_depth=3, max_children=3), xpath_queries(pred_depth=2))
@@ -92,7 +94,7 @@ class TestRandomDocumentsRandomQueries:
         expected = evaluate_reference(tree, path)
         index = TreeIndex(tree)
         asta = compile_xpath(path)
-        _, selected = run_asta(asta, index)
+        _, selected = run_asta(asta, index, stats=EvalStats())
         assert selected == expected
 
 
@@ -104,7 +106,7 @@ class TestDeepAndWideDocuments:
         index = TreeIndex(tree)
         asta = compile_xpath("//a/b")
         for name, switches in SERIES.items():
-            _, selected = run_asta(asta, index, **switches)
+            _, selected = run_asta(asta, index, stats=EvalStats(), **switches)
             assert len(selected) == 20_000, name
 
     def test_deep_nesting_no_recursion_limit(self):
@@ -115,7 +117,7 @@ class TestDeepAndWideDocuments:
         tree = BinaryTree.from_xml(xml)
         index = TreeIndex(tree)
         asta = compile_xpath("//a[a]")
-        _, selected = run_asta(asta, index)
+        _, selected = run_asta(asta, index, stats=EvalStats())
         assert len(selected) == depth - 1
 
 
@@ -131,8 +133,9 @@ class TestXPathMarkASeries:
         expected = evaluate_reference(xmark_index.tree, parse_xpath(query))
         asta = compile_xpath(query)
         for name, switches in SERIES.items():
-            assert run_asta(asta, xmark_index, **switches)[1] == expected, (aid, name)
-        assert stepwise_evaluate(query, xmark_index) == expected
+            _, selected = run_asta(asta, xmark_index, stats=EvalStats(), **switches)
+            assert selected == expected, (aid, name)
+        assert stepwise_evaluate(query, xmark_index, EvalStats()) == expected
         assert Engine(xmark_index, "hybrid").select(query) == expected
 
     def test_a_queries_nonempty(self, xmark_index):
@@ -140,7 +143,7 @@ class TestXPathMarkASeries:
 
         empty = []
         for aid, q in XPATHMARK_A.items():
-            _, sel = run_asta(compile_xpath(q), xmark_index)
+            _, sel = run_asta(compile_xpath(q), xmark_index, stats=EvalStats())
             if not sel:
                 empty.append(aid)
         assert empty == []

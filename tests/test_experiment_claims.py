@@ -16,7 +16,7 @@ from repro.xmark.configs import make_config_tree
 from repro.xmark.queries import HYBRID_QUERY, QUERIES
 from repro.xpath.compiler import compile_xpath
 
-from strategies import run_as
+from strategies import execute_as, run_as
 
 
 def run(engine, qid, index):
@@ -101,8 +101,7 @@ class TestFigure5Claims:
     @pytest.mark.parametrize("name,best_case", [("A", True), ("B", True), ("C", False)])
     def test_hybrid_visit_regimes(self, name, best_case):
         index = TreeIndex(make_config_tree(name, fraction=0.05))
-        s_h, s_r = EvalStats(), EvalStats()
-        run_as("hybrid", HYBRID_QUERY, index, s_h)
+        s_h, s_r = execute_as("hybrid", HYBRID_QUERY, index).stats, EvalStats()
         run_asta(compile_xpath(HYBRID_QUERY), index, stats=s_r)
         if best_case:
             # A/B: hybrid visits orders of magnitude fewer nodes.
@@ -132,5 +131,5 @@ class TestFigure8Claims:
         from repro.baselines.stepwise import stepwise_evaluate
 
         for qid, q in QUERIES.items():
-            _, sel = run_asta(compile_xpath(q), xmark_index)
-            assert stepwise_evaluate(q, xmark_index) == sel, qid
+            _, sel = run_asta(compile_xpath(q), xmark_index, stats=EvalStats())
+            assert stepwise_evaluate(q, xmark_index, EvalStats()) == sel, qid

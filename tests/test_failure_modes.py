@@ -5,6 +5,7 @@ import pytest
 
 from repro import Engine
 from repro.baselines.stepwise import stepwise_evaluate
+from repro.counters import EvalStats
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.tree.parser import XMLSyntaxError, parse_xml
@@ -28,7 +29,7 @@ class TestQueryErrors:
 
     def test_relative_query_rejected_by_stepwise(self):
         with pytest.raises(ValueError):
-            stepwise_evaluate("a/b", INDEX)
+            stepwise_evaluate("a/b", INDEX, EvalStats())
 
     def test_attribute_start_rejected(self):
         # By the compiler; the default's kernel answers what XPath says

@@ -258,6 +258,6 @@ def test_searches_stop_at_their_budget(xmark):
     path = frontier.bind(parse_xpath("/x[.//keyword//item]"), xmark)
     steps = path.steps[0].predicate.path.steps
     site = np.zeros(1, dtype=np.int64)
-    assert frontier._first_witnesses(xmark, steps, site, 0, None) is None
-    mask = frontier._first_witnesses(xmark, steps, site, 10**9, None)
+    assert frontier._first_witnesses(xmark, steps, site, 0, EvalStats()) is None
+    mask = frontier._first_witnesses(xmark, steps, site, 10**9, EvalStats())
     assert mask.tolist() == [False]

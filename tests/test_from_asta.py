@@ -10,6 +10,7 @@ from repro.automata.from_asta import (
     formula_dnf,
     sta_blowup_size,
 )
+from repro.counters import EvalStats
 from repro.engine.core import run_asta
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
@@ -65,7 +66,7 @@ class TestTranslationSemantics:
             "a",
         ):
             tree = BinaryTree.from_spec(spec)
-            want = run_asta(asta, TreeIndex(tree))[1]
+            want = run_asta(asta, TreeIndex(tree), stats=EvalStats())[1]
             assert sta.selected_nodes(tree) == want, (query, spec)
 
     @given(binary_trees(max_depth=3, max_children=3))
@@ -73,7 +74,7 @@ class TestTranslationSemantics:
     def test_random_trees_desc_desc(self, tree):
         asta = compile_xpath("//a//b")
         sta = asta_to_sta(asta)
-        want = run_asta(asta, TreeIndex(tree))[1]
+        want = run_asta(asta, TreeIndex(tree), stats=EvalStats())[1]
         assert sta.selected_nodes(tree) == want
 
     @given(binary_trees(max_depth=3, max_children=3))
@@ -81,7 +82,7 @@ class TestTranslationSemantics:
     def test_random_trees_with_predicate(self, tree):
         asta = compile_xpath("//a[b]//c")
         sta = asta_to_sta(asta)
-        want = run_asta(asta, TreeIndex(tree))[1]
+        want = run_asta(asta, TreeIndex(tree), stats=EvalStats())[1]
         assert sta.selected_nodes(tree) == want
 
     def test_language_acceptance_matches(self):

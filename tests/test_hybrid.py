@@ -15,7 +15,7 @@ from repro.xpath.compiler import compile_xpath
 from repro.xpath.parser import parse_xpath
 from repro.xpath.reference import evaluate_reference
 
-from strategies import binary_trees, run_as
+from strategies import binary_trees, execute_as, run_as
 
 
 class TestPlanning:
@@ -76,7 +76,7 @@ class TestFigure5Configs:
         index = TreeIndex(tree)
         _, sel = run_as("hybrid", HYBRID_QUERY, index)
         asta = compile_xpath(HYBRID_QUERY)
-        _, sel_regular = run_asta(asta, index)
+        _, sel_regular = run_asta(asta, index, stats=EvalStats())
         assert sel == sel_regular
         expected = evaluate_reference(tree, parse_xpath(HYBRID_QUERY))
         assert sel == expected
@@ -84,8 +84,7 @@ class TestFigure5Configs:
     @pytest.mark.parametrize("name", ["A", "B"])
     def test_best_cases_visit_far_fewer_nodes(self, name):
         index = TreeIndex(make_config_tree(name, fraction=0.05))
-        s_h, s_r = EvalStats(), EvalStats()
-        run_as("hybrid", HYBRID_QUERY, index, s_h)
+        s_h, s_r = execute_as("hybrid", HYBRID_QUERY, index).stats, EvalStats()
         run_asta(compile_xpath(HYBRID_QUERY), index, stats=s_r)
         assert s_h.visited * 10 < s_r.visited
 

@@ -9,6 +9,7 @@ enough for jump chains, memo tables and staircase pruning to matter.
 import pytest
 
 from repro.baselines.stepwise import stepwise_evaluate
+from repro.counters import EvalStats
 from repro.engine.api import Engine
 from repro.engine.core import SERIES, run_asta
 from repro.index.jumping import TreeIndex
@@ -32,12 +33,12 @@ def test_all_engines_at_scale(qid, index):
     path = parse_xpath(query)
     expected = evaluate_reference(index.tree, path)
     asta = compile_xpath(path)
-    assert run_asta(asta, index, **SERIES["naive"])[1] == expected
-    assert run_asta(asta, index, **SERIES["jumping"])[1] == expected
-    assert run_asta(asta, index, **SERIES["memo"])[1] == expected
-    assert run_asta(asta, index, **SERIES["optimized"])[1] == expected
+    assert run_asta(asta, index, stats=EvalStats(), **SERIES["naive"])[1] == expected
+    assert run_asta(asta, index, stats=EvalStats(), **SERIES["jumping"])[1] == expected
+    assert run_asta(asta, index, stats=EvalStats(), **SERIES["memo"])[1] == expected
+    assert run_asta(asta, index, stats=EvalStats(), **SERIES["optimized"])[1] == expected
     assert Engine(index, "hybrid").select(path) == expected
-    assert stepwise_evaluate(path, index) == expected
+    assert stepwise_evaluate(path, index, EvalStats()) == expected
 
 
 def test_deterministic_and_mixed_at_scale(index):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from repro.counters import EvalStats
 from repro.engine import registry
 from repro.engine.api import Engine
 from repro.engine.core import run_asta
@@ -38,11 +39,14 @@ class TestMemoOnOffEquivalence:
     def test_random_trees_and_queries(self, tree, query):
         index = TreeIndex(tree)
         asta = compile_xpath(query)
-        plain = run_asta(asta, index, jumping=True, memo=False, ip=True)
+        plain = run_asta(
+            asta, index, stats=EvalStats(), jumping=True, memo=False, ip=True
+        )
         for jumping in (False, True):
             for ip in (False, True):
                 interned = run_asta(
-                    asta, index, jumping=jumping, memo=True, ip=ip
+                    asta, index, jumping=jumping, memo=True, ip=ip,
+                    stats=EvalStats(),
                 )
                 assert interned == plain, (query, jumping, ip)
 
@@ -50,10 +54,12 @@ class TestMemoOnOffEquivalence:
         for qid, query in QUERIES.items():
             asta = compile_xpath(query)
             plain = run_asta(
-                asta, xmark_index, jumping=False, memo=False, ip=False
+                asta, xmark_index, jumping=False, memo=False, ip=False,
+                stats=EvalStats(),
             )
             interned = run_asta(
-                asta, xmark_index, jumping=True, memo=True, ip=True
+                asta, xmark_index, jumping=True, memo=True, ip=True,
+                stats=EvalStats(),
             )
             assert interned == plain, qid
 
@@ -65,9 +71,9 @@ class TestWarmedTables:
         for qid, query in QUERIES.items():
             asta = compile_xpath(query)
             tables = RunTables(asta, xmark_index, jumping=True)
-            first = run_asta(asta, xmark_index, tables=tables)
-            second = run_asta(asta, xmark_index, tables=tables)
-            cold = run_asta(asta, xmark_index)
+            first = run_asta(asta, xmark_index, tables=tables, stats=EvalStats())
+            second = run_asta(asta, xmark_index, tables=tables, stats=EvalStats())
+            cold = run_asta(asta, xmark_index, stats=EvalStats())
             assert first == second == cold, qid
 
     def test_mismatched_tables_are_rejected(self, xmark_index):
@@ -76,16 +82,20 @@ class TestWarmedTables:
         asta_a = compile_xpath("//listitem")
         asta_b = compile_xpath("//keyword")
         tables_a = RunTables(asta_a, xmark_index, jumping=True)
-        accepted, ids = run_asta(asta_b, xmark_index, tables=tables_a)
-        _, expected = run_asta(asta_b, xmark_index)
+        accepted, ids = run_asta(
+            asta_b, xmark_index, stats=EvalStats(), tables=tables_a
+        )
+        _, expected = run_asta(asta_b, xmark_index, stats=EvalStats())
         assert ids == expected
 
     def test_ip_toggle_shares_tables(self, xmark_index):
         """The same tables serve ip=True and ip=False runs."""
         asta = compile_xpath("//listitem[.//keyword]//parlist")
         tables = RunTables(asta, xmark_index, jumping=True)
-        with_ip = run_asta(asta, xmark_index, ip=True, tables=tables)
-        without = run_asta(asta, xmark_index, ip=False, tables=tables)
+        with_ip = run_asta(asta, xmark_index, ip=True, tables=tables, stats=EvalStats())
+        without = run_asta(
+            asta, xmark_index, stats=EvalStats(), ip=False, tables=tables
+        )
         assert with_ip == without
 
 

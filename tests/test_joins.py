@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.counters import EvalStats
 from repro.engine import frontier, joins
 from repro.engine.api import Engine
 from repro.engine.workspace import Workspace
@@ -68,7 +69,7 @@ def test_operators_of_a_row_agree_with_each_other_and_brute_force(spec, data):
             c for c in cand if any(related(tree, axis, f, c) for f in context)
         ]
         assert joins.join(
-            index, axis, cand, key, context, src, None
+            index, axis, cand, key, context, src, EvalStats()
         ).tolist() == expected, axis
         given_ctx, given_src = context, src
         if axis is Axis.DESCENDANT:  # this row is handed disjoint ranges
@@ -76,7 +77,7 @@ def test_operators_of_a_row_agree_with_each_other_and_brute_force(spec, data):
             if given_ctx.size != context.size:
                 given_src = None
         for op in row.ops:
-            got = op.run(index, cand, key, given_ctx, given_src, None)
+            got = op.run(index, cand, key, given_ctx, given_src, EvalStats())
             assert got.dtype == np.int64
             assert got.tolist() == expected, op.name  # sorted, no duplicates
         # The predicate direction: which candidates have a successor in
@@ -86,7 +87,9 @@ def test_operators_of_a_row_agree_with_each_other_and_brute_force(spec, data):
         ]
         for factor in (10**9, 0):
             with mock.patch.object(joins, "RANK_FACTOR", factor):
-                mask = joins.successor_mask(index, axis, cand, context, src, None)
+                mask = joins.successor_mask(
+                    index, axis, cand, context, src, EvalStats()
+                )
             assert mask.tolist() == wanted, (axis, factor)
 
 
@@ -181,9 +184,13 @@ def test_parent_gathers_only_from_a_quarter_of_the_candidates(xmark_26k):
         cand = index.labels.union(key)
         picked = row.ops[row.choose(keywords.size, cand.size, index.tree.n, None, True)]
         assert picked.name == expected, (test, keywords.size, cand.size)
-        answers = [op.run(index, cand, key, keywords, src, None) for op in row.ops]
+        answers = [
+            op.run(index, cand, key, keywords, src, EvalStats()) for op in row.ops
+        ]
         assert answers[0].tolist() == answers[1].tolist()
-        joined = joins.join(index, Axis.PARENT, cand, key, keywords, src, None)
+        joined = joins.join(
+            index, Axis.PARENT, cand, key, keywords, src, EvalStats()
+        )
         assert joined.tolist() == answers[0].tolist()
     assert abs(index.labels.count("text") - keywords.size) < keywords.size / 4
 

@@ -20,6 +20,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.counters import EvalStats
 from repro.engine import frontier
 from repro.engine.api import Engine
 from repro.xpath.parser import parse_xpath
@@ -63,7 +64,7 @@ def _predicate(rng, text, attributes):
 
 
 def _ids(query, index):
-    return set(frontier.run_kernel(parse_xpath(query), index, None)[1].tolist())
+    return set(frontier.run_kernel(parse_xpath(query), index, EvalStats())[1].tolist())
 
 
 @pytest.mark.parametrize(

@@ -194,7 +194,7 @@ def test_summary_answers_what_the_joins_answer(services, i):
     decided = runs = 0
     for query in queries:
         path = parse_xpath(query)
-        joined = frontier.run_kernel(path, off, None)[1].tolist()
+        joined = frontier.run_kernel(path, off, EvalStats())[1].tolist()
         assert joined == expected[query], query
         program = frontier.bind(path, on)
         runs += program.steps[0].rooted is not None
@@ -203,7 +203,8 @@ def test_summary_answers_what_the_joins_answer(services, i):
         decided += "Decided" in bound or bound.count("PredPath") < repr(path).count(
             "PredPath"
         )
-        assert frontier.run_kernel(path, on, None)[1].tolist() == expected[query], query
+        _, ids = frontier.run_kernel(path, on, EvalStats())
+        assert ids.tolist() == expected[query], query
         for name, engine in engines.items():
             assert engine.select(query) == expected[query], (name, query)
     assert off.path_summary() is None  # the joins above paid no rent
@@ -373,7 +374,8 @@ def test_root_and_upward_predicates_are_decided_without_a_search(
     program = frontier.bind(parse_xpath(query), on)
     assert program.steps[0].rooted is not None
     assert all(step.predicate is None for step in program.steps)
-    assert frontier.run_kernel(parse_xpath(query), on, None)[1].tolist() == expected
+    _, ids = frontier.run_kernel(parse_xpath(query), on, EvalStats())
+    assert ids.tolist() == expected
 
 
 def test_an_open_predicate_searches_only_the_nodes_the_summary_left_open(
@@ -404,7 +406,8 @@ def test_an_open_predicate_searches_only_the_nodes_the_summary_left_open(
     monkeypatch.setattr(frontier, "successor_mask", spy_mask)
     program = frontier.bind(parse_xpath(query), on)
     assert isinstance(program.steps[0].predicate, frontier.Decided)
-    assert frontier.run_kernel(parse_xpath(query), on, None)[1].tolist() == expected
+    _, ids = frontier.run_kernel(parse_xpath(query), on, EvalStats())
+    assert ids.tolist() == expected
     assert asked and 0 < masks[-1] < elements
 
 
@@ -448,7 +451,7 @@ def test_a_descendant_run_on_a_deep_chain_builds_in_linear_work():
         program = frontier.bind(parse_xpath(query), index)
         # Every b path is reached from a, or one of them from the root.
         assert (program.steps[0].rooted is True) == (query == "//a//b")
-        assert frontier.run_bound(program, index, None)[1].tolist() == expected
+        assert frontier.run_bound(program, index, EvalStats())[1].tolist() == expected
     assert time.perf_counter() - start < 5.0
     assert summary.label.size - 1 == depth  # one path per level
     assert summary.pid.tolist() == list(range(depth))

@@ -24,6 +24,7 @@ from repro.automata.minimize import (
 )
 from repro.automata.sta import STA, Transition
 from repro.automata.topdown import topdown_jump
+from repro.counters import EvalStats
 from repro.index.jumping import TreeIndex
 
 from strategies import binary_trees
@@ -107,7 +108,7 @@ class TestRandomTDSTA:
     @settings(max_examples=80, deadline=None)
     def test_topdown_jump_sound_and_selection_complete(self, sta, tree):
         mini = minimize_tdsta(sta)
-        run = topdown_jump(mini, TreeIndex(tree))
+        run = topdown_jump(mini, TreeIndex(tree), EvalStats())
         full = mini.deterministic_topdown_run(tree)
         if full is None:
             assert run == {}
@@ -123,7 +124,7 @@ class TestRandomTDSTA:
     @settings(max_examples=60, deadline=None)
     def test_jump_never_accepts_rejected_trees(self, sta, tree):
         mini = minimize_tdsta(sta)
-        run = topdown_jump(mini, TreeIndex(tree))
+        run = topdown_jump(mini, TreeIndex(tree), EvalStats())
         if not mini.accepts(tree):
             assert run == {}
 
@@ -132,7 +133,7 @@ class TestRandomBDSTA:
     @given(bdstas(), binary_trees(max_depth=3, max_children=3))
     @settings(max_examples=60, deadline=None)
     def test_run_agrees_with_oracle(self, sta, tree):
-        run = bottom_up(sta, tree)
+        run = bottom_up(sta, tree, EvalStats())
         assert (run is not None) == sta.accepts(tree)
         if run is not None:
             assert selected_by_run(sta, tree, run) == sta.selected_nodes(tree)
@@ -140,13 +141,13 @@ class TestRandomBDSTA:
     @given(bdstas(), binary_trees(max_depth=3, max_children=3))
     @settings(max_examples=60, deadline=None)
     def test_reduce_equals_sweep(self, sta, tree):
-        assert bottom_up_reduce(sta, tree) == bottom_up(sta, tree)
+        assert bottom_up_reduce(sta, tree) == bottom_up(sta, tree, EvalStats())
 
     @given(bdstas(), binary_trees(max_depth=3, max_children=3))
     @settings(max_examples=60, deadline=None)
     def test_jumping_values_match(self, sta, tree):
-        full = bottom_up(sta, tree)
-        partial = bottomup_jump(sta, TreeIndex(tree))
+        full = bottom_up(sta, tree, EvalStats())
+        partial = bottomup_jump(sta, TreeIndex(tree), EvalStats())
         assert (full is None) == (partial is None)
         if full is not None:
             for v, q in partial.items():

@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.staircase import (
-    ancestors_with_label,
-    descendants_with_label,
-    topmost_prune,
-)
+from repro.baselines.staircase import descendants_with_label, topmost_prune
 from repro.baselines.stepwise import stepwise_evaluate
 from repro.counters import EvalStats
 from repro.index.jumping import TreeIndex
@@ -35,7 +31,7 @@ class TestStaircase:
     def test_pruned_descendant_step_loses_nothing(self, tree):
         labels = LabelIndex(tree)
         context = [v for v in range(tree.n) if tree.label(v) == "a"]
-        got = descendants_with_label(tree, labels, context, "b")
+        got = descendants_with_label(tree, labels, context, "b", EvalStats())
         expected = sorted(
             {
                 w
@@ -46,15 +42,10 @@ class TestStaircase:
         )
         assert got == expected
 
-    def test_ancestors_with_label(self):
-        tree = BinaryTree.from_xml("<r><a><x><b/></x></a></r>")
-        assert ancestors_with_label(tree, [3], "a") == [1]
-        assert ancestors_with_label(tree, [3], None) == [0, 1, 2]
-
     def test_descendants_wildcard(self):
         tree = BinaryTree.from_xml("<r><a><b/></a></r>")
         labels = LabelIndex(tree)
-        assert descendants_with_label(tree, labels, [0], None) == [1, 2]
+        assert descendants_with_label(tree, labels, [0], None, EvalStats()) == [1, 2]
 
     def test_stats_count_scanned_tuples(self):
         tree = BinaryTree.from_xml("<r><a><b/></a><a><b/></a></r>")
@@ -63,25 +54,16 @@ class TestStaircase:
         descendants_with_label(tree, labels, [1, 3], "b", stats)
         assert stats.visited == 2  # one scanned tuple per context subtree
 
-    def test_indexed_variant_agrees(self):
-        from repro.baselines.staircase import descendants_with_label_indexed
-
-        tree = BinaryTree.from_xml("<r><a><b/><c/></a><a><b/></a></r>")
-        labels = LabelIndex(tree)
-        assert descendants_with_label_indexed(
-            tree, labels, [1, 4], "b"
-        ) == descendants_with_label(tree, labels, [1, 4], "b")
-
 
 class TestStepwiseEngine:
     def test_matches_reference_on_sample(self, small_tree, small_index):
         for query in ("//a//b", "/site/a/b", "//a[c]//b", "//a[not(x)]"):
             expected = evaluate_reference(small_tree, parse_xpath(query))
-            assert stepwise_evaluate(query, small_index) == expected
+            assert stepwise_evaluate(query, small_index, EvalStats()) == expected
 
     def test_rejects_relative(self, small_index):
         with pytest.raises(ValueError):
-            stepwise_evaluate("a/b", small_index)
+            stepwise_evaluate("a/b", small_index, EvalStats())
 
     def test_empty_intermediate_short_circuits(self, small_index):
         stats = EvalStats()
@@ -98,4 +80,4 @@ class TestStepwiseEngine:
         index = TreeIndex(tree)
         for query in ("//a//b", "/a/b[c]", "//a[b or not(c)]", "/a/*/b"):
             expected = evaluate_reference(tree, parse_xpath(query))
-            assert stepwise_evaluate(query, index) == expected
+            assert stepwise_evaluate(query, index, EvalStats()) == expected

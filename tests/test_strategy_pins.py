@@ -1,6 +1,6 @@
 """Pinned behaviour of the strategy layer: answers, counters, fallbacks.
 
-Three pins that hold the strategy registry to what it did before the
+Four pins that hold the strategy registry to what it did before the
 Figure-4 series became one table of switches:
 
 - for each Figure-4 series (naive, jumping, memo, optimized) x Q01-Q15
@@ -8,6 +8,11 @@ Figure-4 series became one table of switches:
   snapshot of a cold run, of a second (warm) run of the same prepared
   plan, and of a direct ``run_asta`` call with the series' switches --
   against ``tests/golden_fig4_series.json``;
+- the same cold and warm snapshots for every other registered name and
+  for ``stepwise_evaluate`` (Figure 8's baseline, which no strategy
+  reaches) -- against ``tests/golden_strategy_counters.json``.  Each
+  name runs on an index of its own: the kernel's path summary is built
+  from the touches earlier runs booked on that index;
 - the strategy each of the ten registered names resolves to on four
   queries (forward chain, predicate, ``parent::``, ``ancestor::``);
 - the exact text of ``repro --list-strategies``.
@@ -23,6 +28,7 @@ import sys
 
 import pytest
 
+from repro.baselines.stepwise import stepwise_evaluate
 from repro.counters import EvalStats
 from repro.engine import registry
 from repro.engine.api import Engine
@@ -34,6 +40,9 @@ from repro.xpath.compiler import compile_xpath
 from repro.xpath.parser import parse_xpath
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_fig4_series.json")
+COUNTER_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "golden_strategy_counters.json"
+)
 SCALE, SEED = 0.2, 42
 
 # The switches of each Figure-4 series, written out here rather than
@@ -44,6 +53,11 @@ SWITCHES = {
     "memo": dict(jumping=False, memo=True, ip=False),
     "optimized": dict(jumping=True, memo=True, ip=True),
 }
+
+# The registered names golden_fig4_series.json does not cover, plus the
+# Figure 8 baseline under its function's name.
+COUNTED = ("auto", "deterministic", "hybrid", "mixed", "vectorized", "window")
+STEPWISE = "stepwise_evaluate"
 
 RESOLVE_QUERIES = ("//a//b", "//a[b]//c", "//b/parent::a", "//a/ancestor::r")
 
@@ -95,6 +109,41 @@ def observe(index: TreeIndex) -> dict:
             "stats": stats}
 
 
+def _stepwise_runs(index: TreeIndex, query: str):
+    for _ in range(2):
+        stats = EvalStats()
+        yield stepwise_evaluate(query, index, stats), stats
+
+
+def _strategy_runs(index: TreeIndex, name: str, query: str):
+    plan = Engine(index, strategy=name).prepare(query)
+    for _ in range(2):
+        result = plan.execute()
+        yield result.ids, result.stats
+
+
+def counter_runs(tree, name: str):
+    """``(qid, [(ids, stats) cold, (ids, stats) warm])`` for Q01-Q15
+    under ``name``, on an index of its own."""
+    index = TreeIndex(tree)
+    for qid, query in QUERIES.items():
+        if name == STEPWISE:
+            yield qid, list(_stepwise_runs(index, query))
+        else:
+            yield qid, list(_strategy_runs(index, name, query))
+
+
+def observe_counters(tree) -> dict:
+    """Everything the all-strategy counter golden file records."""
+    stats = {}
+    for name in COUNTED + (STEPWISE,):
+        stats[name] = {
+            qid: {"cold": cold.snapshot(), "warm": warm.snapshot()}
+            for qid, ((_, cold), (_, warm)) in counter_runs(tree, name)
+        }
+    return {"scale": SCALE, "seed": SEED, "nodes": tree.n, "stats": stats}
+
+
 @pytest.fixture(scope="module")
 def xmark_02():
     return TreeIndex(XMarkGenerator(scale=SCALE, seed=SEED).tree())
@@ -134,6 +183,28 @@ class TestFigure4Golden:
             assert stats.snapshot() == golden["stats"][name][qid]["cold"], (name, qid)
 
 
+class TestStrategyCounters:
+    @pytest.fixture(scope="class")
+    def counter_golden(self):
+        with open(COUNTER_GOLDEN) as f:
+            return json.load(f)
+
+    def test_document_is_the_pinned_one(self, xmark_02, counter_golden):
+        assert (counter_golden["scale"], counter_golden["seed"]) == (SCALE, SEED)
+        assert xmark_02.tree.n == counter_golden["nodes"]
+
+    def test_every_registered_name_is_pinned(self):
+        assert sorted(COUNTED + tuple(SWITCHES)) == registry.strategy_names()
+
+    @pytest.mark.parametrize("name", COUNTED + (STEPWISE,))
+    def test_answers_and_counters(self, xmark_02, golden, counter_golden, name):
+        expected = counter_golden["stats"][name]
+        for qid, runs in counter_runs(xmark_02.tree, name):
+            for run, (ids, stats) in zip(("cold", "warm"), runs):
+                assert list(ids) == golden["ids"][qid], (name, qid, run)
+                assert stats.snapshot() == expected[qid][run], (name, qid, run)
+
+
 class TestResolution:
     def test_the_ten_names(self):
         assert registry.strategy_names() == sorted(RESOLVED)
@@ -160,7 +231,11 @@ class TestListStrategies:
 
 
 if __name__ == "__main__":
-    observed = observe(TreeIndex(XMarkGenerator(scale=SCALE, seed=SEED).tree()))
-    with open(GOLDEN, "w") as f:
-        json.dump(observed, f, indent=None, separators=(",", ":"), sort_keys=True)
-        f.write("\n")
+    tree = XMarkGenerator(scale=SCALE, seed=SEED).tree()
+    for path, observed in (
+        (GOLDEN, observe(TreeIndex(tree))),
+        (COUNTER_GOLDEN, observe_counters(tree)),
+    ):
+        with open(path, "w") as f:
+            json.dump(observed, f, indent=None, separators=(",", ":"), sort_keys=True)
+            f.write("\n")

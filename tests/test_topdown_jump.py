@@ -21,6 +21,7 @@ def jump(sta, spec_or_tree, stats=None):
         if isinstance(spec_or_tree, BinaryTree)
         else BinaryTree.from_spec(spec_or_tree)
     )
+    stats = EvalStats() if stats is None else stats
     return topdown_jump(sta, TreeIndex(tree), stats), tree
 
 
@@ -76,7 +77,7 @@ class TestExactness:
     @settings(max_examples=60)
     def test_theorem_31_on_example21(self, t):
         sta = sta_desc_a_desc_b()
-        run = topdown_jump(sta, TreeIndex(t))
+        run = topdown_jump(sta, TreeIndex(t), EvalStats())
         relevant = topdown_relevant(sta, t)
         assert relevant is not None  # this automaton accepts everything
         assert frozenset(run) == relevant
@@ -88,7 +89,7 @@ class TestExactness:
     @settings(max_examples=60)
     def test_theorem_31_on_dtd_recognizer(self, t):
         rec = complete_topdown(sta_dtd_root_a())
-        run = topdown_jump(rec, TreeIndex(t))
+        run = topdown_jump(rec, TreeIndex(t), EvalStats())
         relevant = topdown_relevant(rec, t)
         if relevant is None:
             assert run == {}
@@ -103,7 +104,7 @@ class TestAcceptanceChecking:
     @settings(max_examples=80)
     def test_rejection_detected_with_right_spine_states(self, t):
         sta = child_check_automaton()
-        run = topdown_jump(sta, TreeIndex(t))
+        run = topdown_jump(sta, TreeIndex(t), EvalStats())
         full = sta.deterministic_topdown_run(t)
         if full is None:
             assert run == {}

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from repro.counters import EvalStats
 from repro.tree.binary import BinaryTree
 from repro.xmark.configs import CONFIG_SPECS, make_config, make_config_tree
 from repro.xmark.generator import XMarkGenerator
@@ -93,7 +94,7 @@ class TestGenerator:
 
         empty = []
         for qid, q in QUERIES.items():
-            _, sel = run_asta(compile_xpath(q), xmark_index)
+            _, sel = run_asta(compile_xpath(q), xmark_index, stats=EvalStats())
             if not sel:
                 empty.append(qid)
         assert empty == [], f"queries with empty results: {empty}"
