@@ -336,8 +336,8 @@ def _run_query(engine: Engine, args, out, **snapshot) -> None:
     if args.count:
         print(len(result), file=out)
     elif args.labels:
-        ids = result.nodes
-        for v, label in zip(ids, engine.labels_of(ids)):
+        ids = result.ids_array
+        for v, label in zip(ids.tolist(), engine.labels_of(ids)):
             print(f"{v}\t{label}", file=out)
     else:
         print(" ".join(map(str, result.nodes)), file=out)

@@ -213,10 +213,11 @@ class Engine:
         """Number of selected nodes."""
         return len(self.execute(query))
 
-    def labels_of(self, ids: List[int]) -> List[str]:
-        """Element names of a result list (convenience for examples)."""
+    def labels_of(self, ids: np.ndarray) -> List[str]:
+        """Element names of node ids: an id array (``result.ids_array``),
+        or any sequence of ints."""
         labels = self.tree.labels
-        picked = self.index.label_of_array()[np.asarray(ids, dtype=np.int64)]
+        picked = self.index.label_of_array().take(np.asarray(ids, dtype=np.intp))
         return [labels[lab] for lab in picked.tolist()]
 
     def extract(self, query: Union[str, Path], indent: int = 0) -> List[str]:

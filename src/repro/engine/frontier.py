@@ -1,7 +1,7 @@
 """Set-at-a-time evaluation: whole frontiers per step.
 
 Every other strategy in this library advances *one node per Python-level
-step*.  Here the run state is a sorted ``np.int64`` array of node ids
+step*.  Here the run state is a sorted ``int32`` array of node ids
 (the *frontier*), and each location step moves the whole frontier at
 once through one physical operator of
 :data:`repro.engine.joins.OPERATORS`, picked per step from the sizes of
@@ -49,6 +49,7 @@ from repro.counters import EvalStats
 from repro.engine.joins import Key, join, successor_mask, summary_run
 from repro.engine.registry import Strategy, register_strategy
 from repro.index.jumping import TreeIndex
+from repro.tree.binary import ID_DTYPE
 from repro.xpath.ast import (
     Axis,
     Path,
@@ -60,7 +61,7 @@ from repro.xpath.ast import (
     Step,
 )
 
-_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY = np.empty(0, dtype=ID_DTYPE)
 
 #: Price, in array-element touches, of one expansion of a first-witness
 #: search: one location step over one small chunk, a handful of array
@@ -358,7 +359,7 @@ def run_kernel(
 ) -> Tuple[bool, np.ndarray]:
     """An absolute path, any axis: ``(accepted, final frontier)``, which
     is what the set-at-a-time strategies' ``execute`` returns -- the
-    sorted, duplicate-free ``int64`` array itself (possibly a view of an
+    sorted, duplicate-free ``int32`` array itself (possibly a view of an
     index array), never converted to Python ints.  Binds the path
     first; a prepared plan runs its bound program (:func:`run_bound`)."""
     return run_bound(bind(path, index), index, stats)
@@ -436,7 +437,7 @@ def _pred_mask(index, pred: Pred, nodes: np.ndarray, stats) -> np.ndarray:
         # One gather decides the nodes of decided paths; the open ones
         # ask the path itself.
         stats.index_probes += int(nodes.size)
-        verdict = np.take(pred.verdict, index.path_summary().pid[nodes])
+        verdict = pred.verdict.take(index.path_summary().pid.take(nodes))
         mask = verdict == 2
         open_ = np.flatnonzero(verdict == 1)
         if open_.size:

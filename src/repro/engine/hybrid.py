@@ -28,6 +28,7 @@ from repro.baselines.stepwise import _eval_pred
 from repro.counters import EvalStats
 from repro.engine.registry import Strategy, register_strategy
 from repro.index.jumping import TreeIndex
+from repro.tree.binary import ID_DTYPE
 from repro.xpath.ast import Axis, Path, pred_has_backward
 
 
@@ -78,8 +79,8 @@ def _verify_prefix_batch(
         return []
     parent = index.parent_array()
     label_of = index.label_of_array()
-    pids = np.asarray(prefix_ids, dtype=np.int64)
-    cur = parent[np.asarray(starts, dtype=np.int64)]
+    pids = np.asarray(prefix_ids, dtype=ID_DTYPE)
+    cur = parent.take(np.asarray(starts, dtype=ID_DTYPE))
     j = np.full(len(starts), len(prefix_ids) - 1, dtype=np.int64)
     alive = cur >= 0
     walked = 0
@@ -89,9 +90,9 @@ def _verify_prefix_batch(
             break
         walked += int(idx.size)
         nodes = cur[idx]
-        match = label_of[nodes] == pids[j[idx]]
+        match = label_of.take(nodes) == pids[j[idx]]
         j[idx] -= match
-        cur[idx] = parent[nodes]
+        cur[idx] = parent.take(nodes)
         alive[idx] = (cur[idx] >= 0) & (j[idx] >= 0)
     stats.visited += walked
     ok = j < 0
@@ -117,7 +118,7 @@ def _collect_suffix(
         # they are already distinct and sorted.
         return list(current)
     xml_end = index.xml_end_array()
-    out = np.asarray(current, dtype=np.int64)
+    out = np.asarray(current, dtype=ID_DTYPE)
     for label in suffix:
         if out.size == 0:
             break
@@ -125,7 +126,7 @@ def _collect_suffix(
         if arr.size == 0:
             out = arr
             break
-        ends = xml_end[out]
+        ends = xml_end.take(out)
         # Staircase prune: drop contexts nested in an earlier subtree
         # (their ranges are sub-ranges; skipped ends never exceed the
         # enclosing end, so the running maximum matches the kept chain).
@@ -133,8 +134,8 @@ def _collect_suffix(
         keep[0] = True
         if out.size > 1:
             keep[1:] = out[1:] >= np.maximum.accumulate(ends)[:-1]
-        ctx = out[keep]
-        ctx_end = ends[keep]
+        ctx = out.compress(keep)
+        ctx_end = ends.compress(keep)
         lo = np.searchsorted(arr, ctx, side="right")
         hi = np.searchsorted(arr, ctx_end, side="left")
         counts = hi - lo
@@ -146,7 +147,7 @@ def _collect_suffix(
             break
         offsets = np.cumsum(counts) - counts
         positions = np.repeat(lo - offsets, counts) + np.arange(total)
-        out = arr[positions]
+        out = arr.take(positions)
     return [int(v) for v in out]
 
 

@@ -30,8 +30,12 @@ other end: "which of these nodes have a successor among the targets"
 A rooted run of child and descendant steps joins nothing at all:
 :func:`summary_run` reads it off the index's path summary.
 
-Every operator returns a sorted, duplicate-free ``int64`` array, and all
-scratch is per call, so plans run concurrently on one index.  Counters
+Every operator returns a sorted, duplicate-free ``int32`` array, and all
+scratch is per call, so plans run concurrently on one index.  Every
+array of node ids here is ``int32`` and one width is kept throughout:
+gathers are ``take`` (numpy's fancy indexing with an ``int32`` index
+runs a slower general path), and no ``searchsorted`` or ``ufunc.at``
+mixes widths (each would convert a whole array first).  Counters
 (see ``EvalStats``): one ``jumps`` per pass; one ``index_probes`` per
 element looked up in a bitmap, two per element located by rank column or
 binary search, two per context range; ``visited`` for what a pass reads
@@ -123,12 +127,12 @@ def _in_document_order(ids: np.ndarray) -> np.ndarray:
 
 def _with_label(index: TreeIndex, nodes: np.ndarray, key: Key) -> np.ndarray:
     """The node test read off the label column."""
-    labels = index.label_of_array()[nodes]
+    labels = index.label_of_array().take(nodes)
     if len(key) == 1:
         return nodes.compress(labels == key[0])
     wanted = np.zeros(len(index.tree.labels), dtype=bool)
     wanted[list(key)] = True
-    return nodes.compress(wanted[labels])
+    return nodes.compress(wanted.take(labels))
 
 
 def _gather(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -150,7 +154,7 @@ def staircase(index: TreeIndex, frontier: np.ndarray) -> np.ndarray:
     """
     if frontier.size <= 1:
         return frontier
-    ends = index.xml_end_array()[frontier]
+    ends = index.xml_end_array().take(frontier)
     keep = np.empty(frontier.size, dtype=bool)
     keep[0] = True
     np.greater_equal(
@@ -185,22 +189,22 @@ def _rank_for(index: TreeIndex, ids: np.ndarray, key: Optional[Key], stats):
 def _parent_in(index, nodes, marked, stats) -> np.ndarray:
     """Which of ``nodes`` have their parent among ``marked``."""
     _book(stats, marked.size, nodes.size)
-    return index.mark(marked)[index.parent_array()[nodes]]
+    return index.mark(marked).take(index.parent_array().take(nodes))
 
 
 def _parent_of(index, nodes, children, stats) -> np.ndarray:
     """Which of ``nodes`` are the parent of one of ``children``."""
     _book(stats, children.size, nodes.size)
-    return index.mark(index.parent_array()[children])[nodes]
+    return index.mark(index.parent_array().take(children)).take(nodes)
 
 
 def _contains(index, nodes, rank, targets, stats) -> np.ndarray:
     """Which of ``nodes`` have a target strictly inside their subtree
     range: a count between its two bounds."""
     _book(stats, 0, 2 * nodes.size)
-    ends = index.xml_end_array()[nodes]
+    ends = index.xml_end_array().take(nodes)
     if rank is not None:
-        return rank[ends] > rank[1:][nodes]
+        return rank.take(ends) > rank[1:].take(nodes)
     return np.searchsorted(targets, ends, side="left") > np.searchsorted(
         targets, nodes, side="right"
     )
@@ -211,11 +215,12 @@ def _inside(index, nodes, rank, tops, stats) -> np.ndarray:
     ``tops`` (staircase-pruned, so disjoint): count the tops before each
     node and hold it against the end of the last one (slot 0: none)."""
     _book(stats, 0, 2 * nodes.size)
-    ends = np.zeros(tops.size + 1, dtype=np.int64)
-    np.take(index.xml_end_array(), tops, out=ends[1:])
+    xml_end = index.xml_end_array()
+    ends = np.zeros(tops.size + 1, dtype=xml_end.dtype)
+    np.take(xml_end, tops, out=ends[1:])
     if rank is None:
-        return nodes < ends[np.searchsorted(tops, nodes, side="left")]
-    return nodes < ends[rank[nodes]]
+        return nodes < ends.take(np.searchsorted(tops, nodes, side="left"))
+    return nodes < ends.take(rank.take(nodes))
 
 
 def _sibling(index, nodes, others, stats, following=False) -> np.ndarray:
@@ -224,10 +229,12 @@ def _sibling(index, nodes, others, stats, following=False) -> np.ndarray:
     the *last*) of them under their parent, kept per parent slot."""
     n = index.tree.n
     parent = index.parent_array()
-    edge = np.full(n + 2, -1 if following else n, dtype=np.int64)
-    (np.maximum if following else np.minimum).at(edge, parent[others], others)
+    # ``others``' own width: ``ufunc.at`` over mixed widths is ~4x slower.
+    edge = np.full(n + 2, -1 if following else n, dtype=others.dtype)
+    at = (np.maximum if following else np.minimum).at
+    at(edge, parent.take(others), others)
     _book(stats, others.size, nodes.size)
-    edge = edge[parent[nodes]]
+    edge = edge.take(parent.take(nodes))
     return edge > nodes if following else nodes > edge
 
 
@@ -259,8 +266,8 @@ def _children_of(index, parents, stats) -> Tuple[np.ndarray, np.ndarray]:
     """The child lists of ``parents`` gathered from the CSR, with each
     list's length."""
     order, start = index.child_csr()
-    lo, hi = start[parents], start[parents + 1]
-    kids = order[_gather(lo, hi)]
+    lo, hi = start.take(parents), start.take(parents + 1)
+    kids = order.take(_gather(lo, hi))
     _book(stats, kids.size, 2 * parents.size)
     return kids, hi - lo
 
@@ -274,13 +281,14 @@ def _sibling_csr(index, cand, key, frontier, src, stats):
     """The children of the frontier's parents, past each parent's first
     frontier child (a stable sort by parent puts it at the head of its
     group)."""
-    fp = index.parent_array()[frontier]
+    fp = index.parent_array().take(frontier)
     by_parent = np.argsort(fp, kind="stable")
-    fp = fp[by_parent]
+    fp = fp.take(by_parent)
     head = fp >= 0  # the root has no siblings
     head[1:] &= fp[1:] != fp[:-1]
-    kids, fanout = _children_of(index, fp[head], stats)
-    kids = kids.compress(kids > np.repeat(frontier[by_parent][head], fanout))
+    kids, fanout = _children_of(index, fp.compress(head), stats)
+    firsts = frontier.take(by_parent).compress(head)
+    kids = kids.compress(kids > np.repeat(firsts, fanout))
     return _in_document_order(_with_label(index, kids, key))
 
 
@@ -290,10 +298,10 @@ def _descendant_ranges(index, cand, key, tops, src, stats):
     bounds -- gathered from the candidates' own rank column when there
     are many -- and the slices between them are the answer, already
     sorted and disjoint because the ranges are."""
-    ends = index.xml_end_array()[tops]
+    ends = index.xml_end_array().take(tops)
     if _use_rank(True, 2 * tops.size, index.tree.n):
         rank = index.rank(key, cand)
-        lo, hi = rank[1:][tops], rank[ends]
+        lo, hi = rank[1:].take(tops), rank.take(ends)
     else:
         lo = np.searchsorted(cand, tops, side="right")
         hi = np.searchsorted(cand, ends, side="left")
@@ -302,14 +310,14 @@ def _descendant_ranges(index, cand, key, tops, src, stats):
         return cand[lo[0] : hi[0]]
     take = _gather(lo, hi)
     _book(stats, take.size, 2 * tops.size)
-    return cand[take]
+    return cand.take(take)
 
 
 def _parent_gather(index, cand, key, frontier, src, stats):
     """Read off the frontier: its parents, filtered by the label column,
     then deduplicated by sorting (they arrive nearly in order).  The
     candidates are never touched, and nothing of size ``n`` is."""
-    ps = index.parent_array()[frontier]
+    ps = index.parent_array().take(frontier)
     _book(stats, ps.size, 0)
     return sorted_unique(_with_label(index, ps.compress(ps >= 0), key))
 
@@ -419,7 +427,7 @@ def summary_run(index, cand, rooted, stats) -> np.ndarray:
     if rooted is True:
         return cand
     _book(stats, 0, cand.size)
-    out = cand.compress(np.take(rooted, index.path_summary().pid[cand]))
+    out = cand.compress(rooted.take(index.path_summary().pid.take(cand)))
     return cand if out.size == cand.size else out
 
 
@@ -427,9 +435,9 @@ def _fanout(index: TreeIndex, axis: Axis, frontier: np.ndarray) -> int:
     """The children a context-side child / sibling join would gather
     (a parent shared by several frontier nodes counted for each)."""
     if axis is Axis.FOLLOWING_SIBLING:
-        frontier = np.maximum(index.parent_array()[frontier], 0)
+        frontier = np.maximum(index.parent_array().take(frontier), 0)
     start = index.child_csr()[1]
-    return int(start[frontier + 1].sum() - start[frontier].sum())
+    return int(start.take(frontier + 1).sum() - start.take(frontier).sum())
 
 
 def join(

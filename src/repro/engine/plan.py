@@ -134,18 +134,20 @@ class ExecutionResult:
     ``execute()`` calls never overwrite each other's counters.
 
     The selected ids stay in the form the strategy produced -- Python
-    ints or an ``int64`` array -- and convert to the other on demand:
-    :attr:`ids` (a tuple) and :attr:`ids_array` (a read-only array) each
-    cache their first conversion, ``len()`` converts nothing.  The
-    result owns its data: an array borrowing another buffer (a slice of
-    a label index's candidate array, an mmap-backed store column) is
-    copied on the way in, so no result pins an mmap or dies with its
-    document.  An array owning its buffer is taken as is -- an in-memory
-    index hands out its own per-label array for ``//label`` -- which is
-    why only read-only views ever leave here.
+    ints or an integer array (``int32``, the tree's id width, from the
+    kernel) -- and convert on demand: :attr:`ids` (a tuple),
+    :attr:`ids_compact` (a read-only array of the width produced) and
+    :attr:`ids_array` (a read-only ``int64`` array) each cache their
+    first conversion, ``len()`` converts nothing.  The result owns its
+    data: an array borrowing another buffer (a slice of a label index's
+    candidate array, an mmap-backed store column) is copied on the way
+    in, so no result pins an mmap or dies with its document.  An array
+    owning its buffer is taken as is -- an in-memory index hands out its
+    own per-label array for ``//label`` -- which is why only read-only
+    views ever leave here.
     """
 
-    __slots__ = ("accepted", "stats", "_ids", "_array")
+    __slots__ = ("accepted", "stats", "_ids", "_array", "_wide")
 
     def __init__(
         self,
@@ -159,6 +161,7 @@ class ExecutionResult:
         init(self, "stats", stats)
         init(self, "_ids", None if is_array else tuple(ids))
         init(self, "_array", _owned_readonly(ids) if is_array else None)
+        init(self, "_wide", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"ExecutionResult is immutable (set {name!r})")
@@ -171,12 +174,23 @@ class ExecutionResult:
         return self._ids
 
     @property
-    def ids_array(self) -> np.ndarray:
-        """Selected node ids as a read-only ``int64`` array."""
+    def ids_compact(self) -> np.ndarray:
+        """Selected node ids as a read-only array of the width they were
+        produced in: the kernel's ``int32`` as is, ``int64`` from ints."""
         if self._array is None:
             array = _owned_readonly(np.array(self._ids, dtype=np.int64))
             object.__setattr__(self, "_array", array)
         return self._array
+
+    @property
+    def ids_array(self) -> np.ndarray:
+        """Selected node ids as a read-only ``int64`` array."""
+        if self._wide is None:
+            array = self.ids_compact
+            if array.dtype != np.int64:
+                array = _owned_readonly(array.astype(np.int64))
+            object.__setattr__(self, "_wide", array)
+        return self._wide
 
     @property
     def nodes(self) -> List[int]:
@@ -207,10 +221,9 @@ class ExecutionResult:
 
 
 def _owned_readonly(array: np.ndarray) -> np.ndarray:
-    """A read-only ``int64`` view of ``array``'s data, copied first
-    unless ``array`` owns its buffer (views and mmaps do not)."""
-    owned = np.asarray(array, dtype=np.int64)
-    view = (owned if owned.flags.owndata else owned.copy()).view()
+    """A read-only view of ``array``'s data, copied first unless
+    ``array`` owns its buffer (views and mmaps do not)."""
+    view = (array if array.flags.owndata else array.copy()).view()
     view.flags.writeable = False
     return view
 

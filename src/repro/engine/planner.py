@@ -64,7 +64,8 @@ def mean_fanout(index: TreeIndex) -> float:
         import numpy as np
 
         ends = index.xml_end_array()
-        inner = int(np.count_nonzero(ends > np.arange(1, ends.size + 1)))
+        ids = np.arange(1, ends.size + 1, dtype=ends.dtype)
+        inner = int(np.count_nonzero(ends > ids))
         cached = index._planner_fanout = (ends.size - 1) / max(1, inner)
     return cached
 

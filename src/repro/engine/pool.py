@@ -25,7 +25,7 @@ assignment.  Three properties keep its per-batch overhead small:
   executing a chunk off its home worker is counted as a **steal** --
   the observable difference between dynamic and static scheduling.
 
-Results travel back as compact ``int64`` id arrays (never trees, never
+Results travel back as compact ``int32`` id arrays (never trees, never
 node objects), so a selective query's reply is a few cache lines of
 pickle however large the document is.
 
@@ -251,7 +251,7 @@ class _WorkerState:
 
     def run(self, task: tuple) -> tuple:
         """One task; returns
-        ``(int64 ids, stats dict, accepted, warm, path evictions)`` --
+        ``(id array, stats dict, accepted, warm, path evictions)`` --
         the last element is the delta of compiled-path LRU evictions
         since this worker's previous report (the parent accumulates it
         into the pool-wide ``path_evictions`` counter)."""
@@ -281,7 +281,7 @@ class _WorkerState:
         evictions = self.paths.evictions - self._evictions_reported
         self._evictions_reported = self.paths.evictions
         return (
-            result.ids_array,
+            result.ids_compact,
             result.stats.snapshot(),
             result.accepted,
             warm,

@@ -102,7 +102,7 @@ class Strategy:
     ) -> Tuple[bool, Union[Sequence[int], "np.ndarray"]]:
         """Run the prepared plan; returns ``(accepted, selected ids)``: the
         ids in document order, duplicate-free, as a sequence of ints or an
-        ``int64`` array (``vectorized``, ``window``) -- the
+        integer array (``int32`` from ``vectorized``, ``window``) -- the
         :class:`~repro.engine.plan.ExecutionResult` converts on demand.
         ``stats`` is this run's one :class:`~repro.counters.EvalStats`,
         allocated by ``PreparedQuery.execute`` (never ``None``): book the

@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 from repro.index.labels import FusedLabels, LabelIndex
 from repro.lru import LRUCache
-from repro.tree.binary import NIL, BinaryTree
+from repro.tree.binary import ID_DTYPE, NIL, BinaryTree
 from repro.xpath.ast import Axis
 
 OMEGA = -2
@@ -38,16 +38,17 @@ RANK_CACHE_SIZE = 8
 def rank_column(ids, n):
     """``rank[p]`` = number of ``ids`` (sorted, duplicate-free, all below
     ``n``) that are ``< p``, for ``p`` in ``[0, n + 2)``: each count is
-    repeated over the gap up to the next id, one ``np.repeat``."""
+    repeated over the gap up to the next id, one ``np.repeat``.  An
+    ``int32`` column: ``n + 2`` fits it (:data:`repro.tree.binary.MAX_NODES`)."""
     import numpy as np
 
-    edges = np.empty(ids.size + 2, dtype=np.int64)
+    edges = np.empty(ids.size + 2, dtype=ID_DTYPE)
     edges[0] = 0
     edges[1:-1] = ids
     edges[1:-1] += 1
     edges[-1] = n + 2
     return np.repeat(
-        np.arange(ids.size + 1, dtype=np.int32), np.diff(edges)
+        np.arange(ids.size + 1, dtype=ID_DTYPE), np.diff(edges)
     )
 
 
@@ -100,10 +101,10 @@ class PathSummary:
             # the distinct pairs, in order, are the new paths.
             level = order[lo:hi]
             first, fresh = levels[-2], levels[-1]
-            keys = pid[parent[level]].astype(np.int64)
+            keys = pid.take(parent.take(level)).astype(np.int64)
             keys -= first
             keys *= width
-            keys += label_of[level]
+            keys += label_of.take(level)
             space = (fresh - first) * width
             if space <= keys.size:  # a table no larger than the level
                 seen = np.zeros(space, dtype=bool)
@@ -211,7 +212,7 @@ class TreeIndex:
         return self.labels.fused(label_ids)
 
     def xml_end_array(self):
-        """The tree's ``xml_end`` column (``np.int64``; the mapped bundle
+        """The tree's ``xml_end`` column (``int32``; the mapped bundle
         file itself for a store-backed document)."""
         return self.tree._columns["xml_end"]
 
@@ -230,7 +231,9 @@ class TreeIndex:
         import numpy as np
 
         bitmap = np.zeros(self.tree.n + 2, dtype=bool)
-        bitmap[ids] = True
+        # A scatter indexes fastest with ``intp``: numpy's fancy
+        # assignment with an ``int32`` index runs a slower general path.
+        bitmap[np.asarray(ids, dtype=np.intp)] = True
         return bitmap
 
     def rank(self, key, cand):
@@ -249,8 +252,8 @@ class TreeIndex:
         return column
 
     def child_csr(self):
-        """The child lists in CSR form, ``(child_order, child_start)``:
-        the children of ``p``, in document order, are
+        """The child lists in CSR form, ``(child_order, child_start)``,
+        both ``int32``: the children of ``p``, in document order, are
         ``child_order[child_start[p] : child_start[p + 1]]``.  One stable
         argsort of the parent column, built once on first use."""
         csr = getattr(self, "_child_csr", None)
@@ -261,7 +264,7 @@ class TreeIndex:
                 csr = getattr(self, "_child_csr", None)
                 if csr is None:
                     parent = self.parent_array()
-                    start = np.zeros(parent.size + 2, dtype=np.int32)
+                    start = np.zeros(parent.size + 2, dtype=ID_DTYPE)
                     np.cumsum(
                         np.bincount(parent + 1, minlength=parent.size + 1),
                         out=start[1:],
@@ -269,6 +272,7 @@ class TreeIndex:
                     # Slot 0 of ``start`` counts the parentless root(s),
                     # which sort first and are no one's children.
                     order = np.argsort(parent, kind="stable")[start[1] :]
+                    order = order.astype(ID_DTYPE)
                     csr = self._child_csr = (order, start[1:] - start[1])
         return csr
 

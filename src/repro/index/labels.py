@@ -29,6 +29,7 @@ from typing import Dict, Iterable, List, Optional, Protocol, Sequence
 import numpy as np
 
 from repro.lru import LRUCache
+from repro.tree.binary import ID_DTYPE
 
 #: LRU capacity of the per-index fused-union cache (entries, counting
 #: the as-given-ordering aliases).
@@ -43,6 +44,12 @@ class _LabelledTree(Protocol):
     def label_id(self, name: str) -> Optional[int]: ...
 
 
+def _int_lists(tree):
+    """How ``tree`` lists a node-id array: from its shared ``int`` pool
+    (:meth:`repro.tree.binary.BinaryTree.ints`), else ``tolist``."""
+    return getattr(tree, "ints", np.ndarray.tolist)
+
+
 class _ListOnFirstRead:
     """``fused.lst``, a non-data descriptor: the first read builds the
     list and sets it on the instance, where it shadows this descriptor."""
@@ -50,29 +57,32 @@ class _ListOnFirstRead:
     def __get__(self, fused, owner=None):
         if fused is None:
             return self
-        fused.lst = lst = fused.arr.tolist()
+        fused.lst = lst = fused.ints(fused.arr)
         return lst
 
 
 class FusedLabels:
     """The merged sorted node ids of one label-id set.
 
-    ``arr`` is the fused ``np.int64`` array (for vectorized range slicing);
+    ``arr`` is the fused ``int32`` array (for vectorized range slicing);
     ``lst`` is its plain-list mirror, which the node-at-a-time
     evaluator's inner loop probes with :func:`bisect.bisect_left` (a C
     scalar search without the per-call ufunc overhead of
-    ``np.searchsorted``).  The mirror is built by the first scalar probe:
-    the set-at-a-time kernels read ``arr`` only and never pay for it.
+    ``np.searchsorted``).  The mirror is built by the first scalar probe,
+    by ``ints`` (the tree's int pool: no id gets a second ``int``
+    object); the set-at-a-time kernels read ``arr`` only and never pay
+    for it.
     """
 
-    def __init__(self, arr: np.ndarray) -> None:
+    def __init__(self, arr: np.ndarray, ints) -> None:
         self.arr = arr
         self.size = len(arr)
+        self.ints = ints
 
     lst = _ListOnFirstRead()
 
     def __reduce__(self):
-        return (FusedLabels, (self.arr,))
+        return (FusedLabels, (self.arr, self.ints))
 
     def first_at_or_after(self, lo: int, hi: int) -> int:
         """Smallest fused id in ``[lo, hi)``, or ``-1``."""
@@ -87,23 +97,25 @@ class FusedLabels:
 
 class _ListMirrors:
     """``mirrors[lab]``: the plain-list mirror of ``arrays[lab]``, built
-    the first time it is asked for (by :meth:`LabelIndex.nodes`, the
-    scalar bisects of the baselines and the hybrid strategy)."""
+    by ``ints`` the first time it is asked for (by
+    :meth:`LabelIndex.nodes`, the scalar bisects of the baselines and
+    the hybrid strategy)."""
 
-    __slots__ = ("_arrays", "_built")
+    __slots__ = ("_arrays", "_ints", "_built")
 
-    def __init__(self, arrays: List[np.ndarray]) -> None:
+    def __init__(self, arrays: List[np.ndarray], ints) -> None:
         self._arrays = arrays
+        self._ints = ints
         self._built: Dict[int, List[int]] = {}
 
     def __getitem__(self, lab: int) -> List[int]:
         mirror = self._built.get(lab)
         if mirror is None:
-            mirror = self._built[lab] = self._arrays[lab].tolist()
+            mirror = self._built[lab] = self._ints(self._arrays[lab])
         return mirror
 
     def __reduce__(self):
-        return (_ListMirrors, (self._arrays,))
+        return (_ListMirrors, (self._arrays, self._ints))
 
 
 class LabelIndex:
@@ -118,18 +130,21 @@ class LabelIndex:
         columns = getattr(tree, "_columns", None)
         label_of = np.asarray(
             tree.label_of if columns is None else columns["label_of"],
-            dtype=np.int64,
+            dtype=ID_DTYPE,
         )
-        ids = np.argsort(label_of, kind="stable")  # node ids, by label
-        bounds = np.searchsorted(
-            label_of[ids], np.arange(len(tree.labels) + 1)
+        # Node ids, by label.
+        ids = np.argsort(label_of, kind="stable").astype(ID_DTYPE)
+        bounds = [0]
+        bounds += np.cumsum(
+            np.bincount(label_of, minlength=len(tree.labels))
         ).tolist()
         self._adopt(tree, [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
 
     def _adopt(self, tree: _LabelledTree, arrays: List[np.ndarray]) -> None:
         self.tree = tree
         self._arrays = arrays
-        self._lists = _ListMirrors(arrays)
+        self._ints = _int_lists(tree)
+        self._lists = _ListMirrors(arrays, self._ints)
         self._fused = LRUCache(FUSED_CACHE_SIZE, lock=True)
 
     @classmethod
@@ -163,12 +178,12 @@ class LabelIndex:
 
     def state(self) -> tuple[np.ndarray, np.ndarray]:
         """The persistable ``(ids, boundaries)`` pair for :meth:`from_state`."""
-        boundaries = np.zeros(len(self._arrays) + 1, dtype=np.int64)
+        boundaries = np.zeros(len(self._arrays) + 1, dtype=ID_DTYPE)
         np.cumsum([len(a) for a in self._arrays], out=boundaries[1:])
         ids = (
             np.concatenate(self._arrays)
             if self._arrays
-            else np.empty(0, dtype=np.int64)
+            else np.empty(0, dtype=ID_DTYPE)
         )
         return ids, boundaries
 
@@ -183,10 +198,10 @@ class LabelIndex:
         return [] if lab is None else self._lists[lab]
 
     def nodes_array(self, label: str) -> np.ndarray:
-        """All nodes with this label as a sorted ``np.int64`` array."""
+        """All nodes with this label as a sorted ``int32`` array."""
         lab = _label_id(self.tree, label)
         if lab is None:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=ID_DTYPE)
         return self._arrays[lab]
 
     def union(self, key: Sequence[int]) -> np.ndarray:
@@ -224,7 +239,7 @@ class LabelIndex:
                 hit = cache.data.get(canonical)
                 if hit is None:
                     if not canonical:
-                        merged = np.empty(0, dtype=np.int64)
+                        merged = np.empty(0, dtype=ID_DTYPE)
                     elif len(canonical) == 1:
                         merged = self._arrays[canonical[0]]
                     else:
@@ -232,7 +247,7 @@ class LabelIndex:
                         merged = np.sort(
                             np.concatenate(parts), kind="mergesort"
                         )
-                    hit = FusedLabels(merged)
+                    hit = FusedLabels(merged, self._ints)
                 cache.put(canonical, hit)
                 if key != canonical:
                     cache.put(key, hit)
@@ -256,7 +271,8 @@ class LabelIndex:
     def count_in_range(self, label_ids: Iterable[int], lo: int, hi: int) -> int:
         """Number of nodes in ``[lo, hi)`` with a label in the set."""
         fused = self.fused(label_ids)
-        lo_i, hi_i = np.searchsorted(fused.arr, [lo, hi], side="left")
+        bounds = np.array([lo, hi], dtype=fused.arr.dtype)  # one width
+        lo_i, hi_i = np.searchsorted(fused.arr, bounds, side="left")
         return int(hi_i - lo_i)
 
 

@@ -350,7 +350,7 @@ class SuccinctTree:
         the six plain-``int`` list mirrors an automaton strategy indexes
         (left, right, parent, bparent, xml_end, label_of) at one CPython
         reference per cell, plus the one pool of ``int`` objects they
-        share.  The numpy columns under them are another ``6 * 8n`` bytes
+        share.  The numpy columns under them are another ``6 * 4n`` bytes
         (mapped from the bundle file when store-backed) and are all a
         kernel-only reader ever holds."""
         lists = 6 * (sys.getsizeof([]) + 8 * tree.n)

@@ -447,7 +447,8 @@ class QueryDaemon:
         ``fields`` are the envelope members only the caller knows
         (``document``, ``timing_ms``, ``warm``, ``fallback``,
         ``executor``; ``None`` means absent).  The ids stay the result's
-        own ``int64`` array until :func:`~repro.serve.http.encode_answer`
+        own array (:attr:`~repro.engine.plan.ExecutionResult.ids_compact`,
+        no widening pass) until :func:`~repro.serve.http.encode_answer`
         writes them; a count-only answer has ``None`` and never
         materialises one.
         """
@@ -461,10 +462,10 @@ class QueryDaemon:
         if with_labels:
             # The plan's own engine: old-generation ids must never be
             # labelled against a new generation's tree.
-            envelope["labels"] = plan.engine.labels_of(result.nodes)
+            envelope["labels"] = plan.engine.labels_of(result.ids_array)
         if with_stats:
             envelope["stats"] = result.stats.snapshot()
-        return envelope, None if count_only else result.ids_array
+        return envelope, None if count_only else result.ids_compact
 
     def _evaluate(
         self,

@@ -257,8 +257,12 @@ def encode_ids(ids: Union[np.ndarray, Sequence[int]]) -> bytes:
     """
     array = np.asarray(ids)
     if array.ndim == 1 and array.size >= _FAST_MIN_IDS and array.dtype.kind in "iu":
-        values = array.astype(np.int64, copy=False)
-        cuts = np.searchsorted(values, _DIGIT_BOUNDS).tolist()
+        # An int32 answer is searched and divided at its own width.
+        values = array
+        if array.dtype != np.int32:
+            values = array.astype(np.int64, copy=False)
+        bounds = _DIGIT_BOUNDS.astype(values.dtype, copy=False)
+        cuts = np.searchsorted(values, bounds).tolist()
         parts = [b"["]
         start, floor = 0, 0
         for digits, stop in enumerate(cuts, 1):
@@ -327,6 +331,10 @@ def _frame(envelope: dict, ids, results) -> Optional[bytes]:
     blocks = [block for _entry, block in holders]
     largest = max((int(block.max()) for block in blocks if block.size), default=0)
     dtype = np.dtype("<u4" if largest < 2**32 else "<u8")
+    # No id is negative, so a signed array of the frame's width already
+    # holds its bytes.
+    signed = dtype.str.replace("u", "i")
+    blocks = [b.view(dtype) if b.dtype.str == signed else b for b in blocks]
     head = _json_body(envelope, ids, results, lambda _ids: b"null")
     # Trailing spaces (JSON whitespace) put the first id on an 8-byte
     # boundary of the body: reading aligned words is ~20% faster.

@@ -5,19 +5,22 @@ flat ``.npy`` file per compiled array::
 
     <bundle>/
       header.json            format, version, label table, manifest
-      label_of.npy           int64[n]   interned label per node
-      left.npy               int64[n]   first child  (fcns left)
-      right.npy              int64[n]   next sibling (fcns right)
-      parent.npy             int64[n]   XML parent
-      bparent.npy            int64[n]   binary parent
-      xml_end.npy            int64[n]   exclusive subtree end
-      label_ids.npy          int64[n]   per-label sorted node ids, concatenated
-      label_bounds.npy       int64[L+1] label_ids slice boundaries per label
+      label_of.npy           int32[n]   interned label per node
+      left.npy               int32[n]   first child  (fcns left)
+      right.npy              int32[n]   next sibling (fcns right)
+      parent.npy             int32[n]   XML parent
+      bparent.npy            int32[n]   binary parent
+      xml_end.npy            int32[n]   exclusive subtree end
+      label_ids.npy          int32[n]   per-label sorted node ids, concatenated
+      label_bounds.npy       int32[L+1] label_ids slice boundaries per label
 
 These are exactly the arrays :func:`repro.store.store.open_document`
-maps: the six columns are the tree, the last two the label index.
-Nothing derived on demand (a postorder rank, a balanced-parentheses
-directory, the path summary) is persisted.
+maps: the six columns are the tree, the last two the label index, 28
+bytes per node in all.  Nothing derived on demand (a postorder rank, a
+balanced-parentheses directory, the path summary) is persisted.  Every
+array is ``int32``, the width of every node-id array in memory, so a
+document holds at most :data:`repro.tree.binary.MAX_NODES` nodes: a
+header whose ``n`` exceeds it is refused.
 
 Flat ``.npy`` files (rather than one ``.npz``) are deliberate: a plain
 file maps with one ``mmap`` call.  They are byte for byte what
@@ -74,9 +77,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import faults
+from repro.tree.binary import DocumentTooLarge, check_size
 
 FORMAT_NAME = "repro-document-store"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 HEADER_FILE = "header.json"
 
 #: Every array a bundle must contain: the six tree columns, then the
@@ -86,9 +90,9 @@ ARRAYS = (
     "label_ids", "label_bounds",
 )
 
-#: Every array is stored as little-endian ``int64``, numpy's ``'<i8'``;
-#: the manifest names it ``NPY_DTYPE.name`` (``"int64"``).
-NPY_DTYPE = np.dtype("<i8")
+#: Every array is stored as little-endian ``int32``, numpy's ``'<i4'``;
+#: the manifest names it ``NPY_DTYPE.name`` (``"int32"``).
+NPY_DTYPE = np.dtype("<i4")
 
 _PUBLISH_SEQ = 0
 
@@ -175,11 +179,14 @@ def file_crc32(path: str, chunk: int = 1 << 20) -> str:
 
 def npy_header(shape: Sequence[int]) -> bytes:
     """The ``.npy`` v1.0 header ``numpy.save`` writes for a C-order
-    ``<i8`` array of ``shape``: magic, ``<H`` length, the dict literal,
-    spaces for the first axis to grow to 21 digits, and padding to a
-    64-byte boundary ended by a newline."""
+    :data:`NPY_DTYPE` array of ``shape``: magic, ``<H`` length, the dict
+    literal, spaces for the first axis to grow to 21 digits, and padding
+    to a 64-byte boundary ended by a newline."""
     shape = tuple(shape)
-    text = f"{{'descr': '<i8', 'fortran_order': False, 'shape': {shape!r}, }}"
+    text = (
+        f"{{'descr': '{NPY_DTYPE.str}', 'fortran_order': False, "
+        f"'shape': {shape!r}, }}"
+    )
     if shape:
         text += " " * (21 - len(repr(shape[0])))
     pad = 64 - (len(text) + 11) % 64
@@ -358,6 +365,16 @@ def read_header(bundle: str) -> dict:
             expected=manifest["label_of"]["shape"],
             actual=n,
         )
+    try:
+        check_size(n)
+    except DocumentTooLarge as exc:
+        raise StoreCorruptionError(
+            bundle,
+            None,
+            "header 'n' exceeds the nodes int32 ids can number",
+            expected=f"<= {exc.limit}",
+            actual=n,
+        ) from None
     if (
         not isinstance(labels, list)
         or not all(isinstance(label, str) for label in labels)
@@ -370,7 +387,7 @@ def read_header(bundle: str) -> dict:
 
 
 def _well_formed(meta) -> bool:
-    """Is ``meta`` an ``int64`` array whose ``bytes`` fit its ``shape``?"""
+    """Is ``meta`` an ``int32`` array whose ``bytes`` fit its ``shape``?"""
     shape = meta.get("shape") if isinstance(meta, dict) else None
     if not isinstance(shape, list) or meta.get("dtype") != NPY_DTYPE.name:
         return False

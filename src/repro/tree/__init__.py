@@ -17,7 +17,7 @@ provides:
 from repro.tree.document import XMLDocument, XMLNode
 from repro.tree.parser import XMLSyntaxError, parse_events, parse_xml
 from repro.tree.builder import TreeBuilder, XMLNodeBuilder, build_tree
-from repro.tree.binary import BinaryTree, NIL
+from repro.tree.binary import MAX_NODES, NIL, BinaryTree, DocumentTooLarge
 from repro.tree.serialize import to_xml
 
 __all__ = [
@@ -30,6 +30,8 @@ __all__ = [
     "XMLNodeBuilder",
     "build_tree",
     "BinaryTree",
+    "DocumentTooLarge",
+    "MAX_NODES",
     "NIL",
     "to_xml",
 ]

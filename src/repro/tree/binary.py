@@ -33,6 +33,33 @@ from repro.tree.document import XMLDocument, XMLNode
 NIL = -1
 """Sentinel node id standing for the virtual ``#`` leaf."""
 
+ID_DTYPE = np.dtype(np.int32)
+"""The one width of every node-id array: the tree's columns, the label
+index, rank columns, the child CSR and the kernels' frontiers."""
+
+MAX_NODES = 2**31 - 3
+"""The most nodes a document may have: every id, and the ``n + 2``
+slots of a rank column, must fit :data:`ID_DTYPE`."""
+
+
+class DocumentTooLarge(ValueError):
+    """A document with more nodes than :data:`MAX_NODES`.  Structured:
+    ``n`` is its node count, ``limit`` the limit it exceeds."""
+
+    def __init__(self, n: int, limit: int) -> None:
+        super().__init__(
+            f"document has {n} nodes; node ids are int32, so at most "
+            f"{limit} fit"
+        )
+        self.n = n
+        self.limit = limit
+
+
+def check_size(n: int) -> None:
+    """Raise :class:`DocumentTooLarge` unless ``n`` nodes fit."""
+    if n > MAX_NODES:
+        raise DocumentTooLarge(n, MAX_NODES)
+
 TreeSpec = Union[str, tuple]
 """Lightweight literal tree syntax: ``"a"`` or ``("a", child, child...)``."""
 
@@ -41,13 +68,17 @@ def match_parens(parens: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """``(opened, order, height)`` of a parenthesis sequence (``1`` open,
     ``0`` close): the opens up to each position, a stable argsort by
     nesting level, the deepest level less one.  The *nesting level* is
-    the excess after an open and before a close, so at one level opens
+    the excess after an open and before a close -- the opens up to a
+    position less the closes before it -- so at one level opens
     and closes alternate and **in that order a close directly follows
     its open** -- how the parser checks end-tag names, even on an
     unbalanced prefix, before :func:`_derive_columns` reuses the sort.
+    Counts are :data:`ID_DTYPE`: none exceeds the node count.
     """
-    opened = np.cumsum(parens, dtype=np.int64)
-    level = 2 * opened - np.arange(parens.size, dtype=np.int64) - parens
+    opened = np.cumsum(parens, dtype=ID_DTYPE)
+    level = opened - np.cumsum(parens == 0, dtype=ID_DTYPE)
+    level += 1
+    level -= parens
     height = int(level.max()) - 1
     if height < 0xFFFF:
         level = level.astype(np.uint16)  # numpy radix-sorts 16-bit keys
@@ -73,20 +104,22 @@ def _derive_columns(parens: np.ndarray, matching=None) -> tuple[dict, int]:
     n = parens.size // 2
     opened, order, height = matching or match_parens(parens)
     opens, closes = order[0::2], order[1::2]
-    nodes = opened[opens] - 1  # level-major
-    first = parens[opens - 1].astype(bool)  # root: the last close, False
-    xml_end = np.empty(n, dtype=np.int64)
-    xml_end[nodes] = opened[closes]
+    nodes = opened.take(opens)  # level-major
+    nodes -= 1
+    first = parens.take(opens - 1).view(bool)  # root: the last close, False
+    at = nodes.astype(np.intp)  # scatters index fastest with intp
+    xml_end = np.empty(n, dtype=ID_DTYPE)
+    xml_end[at] = opened.take(closes)
     group = np.maximum.accumulate(np.where(first, np.arange(n), 0))
-    parent = np.empty(n, dtype=np.int64)
-    parent[nodes] = (nodes - 1)[group]
-    right = np.full(n, NIL, dtype=np.int64)
-    right[nodes[:-1]] = np.where(first[1:], NIL, nodes[1:])
-    bparent = np.full(n, NIL, dtype=np.int64)
-    bparent[nodes[1:]] = np.where(first[1:], nodes[1:] - 1, nodes[:-1])
-    left = np.full(n, NIL, dtype=np.int64)
-    first_children = nodes[first]
-    left[first_children - 1] = first_children
+    parent = np.empty(n, dtype=ID_DTYPE)
+    parent[at] = (nodes - 1).take(group)
+    right = np.full(n, NIL, dtype=ID_DTYPE)
+    right[at[:-1]] = np.where(first[1:], NIL, nodes[1:])
+    bparent = np.full(n, NIL, dtype=ID_DTYPE)
+    bparent[at[1:]] = np.where(first[1:], nodes[1:] - 1, nodes[:-1])
+    left = np.full(n, NIL, dtype=ID_DTYPE)
+    first_children = at[first]
+    left[first_children - 1] = nodes[first]
     columns = {
         "left": left,
         "right": right,
@@ -113,7 +146,7 @@ class _Mirror:
 
 
 class BinaryTree:
-    """The fcns-encoded document tree: six ``int64`` numpy columns.
+    """The fcns-encoded document tree: six ``int32`` numpy columns.
 
     ``label_of / left / right / parent / bparent / xml_end``, one entry
     per node id, are the tree -- the arrays a store bundle holds, and the
@@ -126,9 +159,10 @@ class BinaryTree:
     of the node-at-a-time code (the automaton strategies, the reference
     evaluator, the baselines): each attribute is a plain-``int`` list
     *mirror* of its column, built the first time it is read and kept.
-    Mirrors go through one shared pool of ``int`` objects, so the same
-    id is the same object in every column (a ``.tolist()`` per column
-    would allocate it up to five times).  A tree nobody indexes
+    Mirrors go through one shared pool of ``int`` objects
+    (:meth:`ints`), so the same id is the same object in every column
+    and in every list mirror of the label index (a ``.tolist()`` per
+    column would allocate it up to five times).  A tree nobody indexes
     element-wise -- every document served by the kernels -- never holds
     one; :meth:`resident_mirrors` says which exist.  This is the pointer
     representation the paper contrasts with succinct trees (see
@@ -143,10 +177,11 @@ class BinaryTree:
         balanced-parentheses sequence of the document (``matching`` its
         :func:`match_parens`, if at hand), which :func:`_derive_columns`
         turns into the navigation columns."""
-        label_of = np.asarray(label_of, dtype=np.int64)
+        label_of = np.asarray(label_of, dtype=ID_DTYPE)
         parens = np.asarray(parens, dtype=np.uint8)
         if parens.size != 2 * label_of.size or not label_of.size:
             raise ValueError("need one parenthesis pair per node, >= 1 node")
+        check_size(label_of.size)
         columns, height = _derive_columns(parens, matching)
         self._adopt(labels, {"label_of": label_of, **columns}, height)
 
@@ -171,7 +206,7 @@ class BinaryTree:
         # slows every later load on the instance).
         self._mirrors: dict = {}
         self._pool = None
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # _publish builds the pool in it
 
     label_of = _Mirror()
     left = _Mirror()
@@ -185,15 +220,23 @@ class BinaryTree:
         with self._lock:
             mirror = self._mirrors.get(name)  # published while we waited
             if mirror is None:
-                if self._pool is None:
-                    # Every value a column holds: NIL, node ids, n, and
-                    # label ids.
-                    top = max(self.n, len(self.labels))
-                    self._pool = np.arange(NIL, top + 1).astype(object)
-                mirror = self._pool[self._columns[name] + 1].tolist()
+                mirror = self.ints(self._columns[name])
                 self._mirrors[name] = mirror
                 setattr(self, name, mirror)  # shadows the descriptor
         return mirror
+
+    def ints(self, values: np.ndarray) -> list[int]:
+        """``values.tolist()``, each ``int`` the tree's one shared object
+        for that value: a gather from the pool of every value a column
+        holds (``NIL``, node ids, ``n``, label ids), built on first use."""
+        pool = self._pool
+        if pool is None:
+            with self._lock:
+                pool = self._pool
+                if pool is None:
+                    top = max(self.n, len(self.labels))
+                    pool = self._pool = np.arange(NIL, top + 1).astype(object)
+        return pool.take(values + 1).tolist()
 
     def resident_mirrors(self) -> tuple:
         """Names of the columns whose list mirror has been built."""

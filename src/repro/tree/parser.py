@@ -41,7 +41,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from repro.tree.binary import match_parens
+from repro.tree.binary import ID_DTYPE, match_parens
 from repro.tree.document import XMLDocument
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
@@ -463,7 +463,7 @@ def scan_arrays(text: str):
     opens = names[parens == 1]
     del names
     # Repeated indices keep the last write: reversed, the first occurrence.
-    seen = np.full(len(table), -1, dtype=np.int64)
+    seen = np.full(len(table), -1, dtype=ID_DTYPE)
     seen[opens[::-1]] = np.arange(opens.size - 1, -1, -1)
     used = np.flatnonzero(seen >= 0)
     used = used[np.argsort(seen[used])]

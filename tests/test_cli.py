@@ -218,7 +218,7 @@ class TestStoreCLI:
         code, out = run(["store", "build", bundle, xml_file])
         assert code == 0
         summary = json.loads(out)
-        assert summary["nodes"] == 4 and summary["version"] == 3
+        assert summary["nodes"] == 4 and summary["version"] == 4
 
         code, out = run(["store", "ls", bundle])
         assert code == 0

@@ -75,7 +75,7 @@ def test_kernel_plans_build_no_mirror(bundles):
         assert all(isinstance(pages, mmap.mmap) for pages in mapped)
         for name in COLUMNS:
             column = tree._columns[name]
-            assert column.dtype == np.int64 and type(column) is np.ndarray
+            assert column.dtype == np.int32 and type(column) is np.ndarray
             assert any(
                 np.shares_memory(column, np.frombuffer(pages, np.uint8))
                 for pages in mapped
@@ -235,11 +235,11 @@ def _parens_of(spec) -> list:
 
 def _assert_derivation_matches_loop(parens) -> None:
     labels = ["x"]
-    tree = BinaryTree(labels, np.zeros(len(parens) // 2, dtype=np.int64), parens)
+    tree = BinaryTree(labels, np.zeros(len(parens) // 2, dtype=np.int32), parens)
     reference = loop_columns(parens)
     assert tree.height() == reference.pop("height")
     for name, column in reference.items():
-        assert tree._columns[name].dtype == np.int64
+        assert tree._columns[name].dtype == np.int32
         assert tree._columns[name].tolist() == column, name
     # A tree adopted without its height counts it from xml_end.
     assert BinaryTree._from_columns(labels, tree._columns).height() == tree.height()

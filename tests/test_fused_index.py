@@ -115,7 +115,7 @@ class TestFusedCache:
         assert f1.lst == sorted(
             index.nodes("a") + index.nodes("b")
         )
-        assert f1.arr.dtype == np.int64
+        assert f1.arr.dtype == np.int32
 
     def test_fused_empty_set(self):
         tree = BinaryTree.from_spec("r")

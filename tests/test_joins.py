@@ -62,7 +62,7 @@ def test_operators_of_a_row_agree_with_each_other_and_brute_force(spec, data):
         context, src = label_set(index, data.draw(names, label="frontier"))
     else:
         nodes = st.sets(st.integers(0, tree.n - 1), min_size=1)
-        context = np.array(sorted(data.draw(nodes, label="frontier")))
+        context = np.array(sorted(data.draw(nodes, label="frontier")), np.int32)
         src = None
     for axis, row in joins.OPERATORS.items():
         expected = [
@@ -78,7 +78,7 @@ def test_operators_of_a_row_agree_with_each_other_and_brute_force(spec, data):
                 given_src = None
         for op in row.ops:
             got = op.run(index, cand, key, given_ctx, given_src, EvalStats())
-            assert got.dtype == np.int64
+            assert got.dtype == np.int32
             assert got.tolist() == expected, op.name  # sorted, no duplicates
         # The predicate direction: which candidates have a successor in
         # the frontier -- rank columns forced, then binary search.

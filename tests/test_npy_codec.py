@@ -34,21 +34,22 @@ from repro.store.format import (
 
 XML = "<r><a><b/></a><a/><c><a/></c></r>"
 
-#: A fixed document, and what the ``np.save``-based writer of format
-#: version 3 wrote for it: a 16-hex sha256 prefix per file and the
-#: manifest entry.  The codec must reproduce both exactly.
+#: A fixed document, and what the writer of format version 4 writes for
+#: it: a 16-hex sha256 prefix per file and the manifest entry.  The
+#: codec must reproduce both exactly.  Version 4's arrays hold the
+#: values of version 3's, which ``np.save`` wrote as ``<i8``, at ``<i4``.
 GOLDEN_XML = "<r>" + "".join(
     f"<s{i % 5}><a><b/></a><c/></s{i % 5}>" for i in range(300)
 ) + "</r>"
 GOLDEN = {
-    "bparent": ("f8fd07b8d599f6e0", 9736, "cf09ebd0", [1201]),
-    "label_bounds": ("f71ccbf0bed66d64", 208, "0fd71986", [10]),
-    "label_ids": ("9b84e03b275cdc05", 9736, "45a707a9", [1201]),
-    "label_of": ("762081187d6b6cfa", 9736, "544bf47c", [1201]),
-    "left": ("7fca6d35d6e895e1", 9736, "4f9f34b9", [1201]),
-    "parent": ("d361175d7dbd8f53", 9736, "0b14e36c", [1201]),
-    "right": ("2d653e1de33df76d", 9736, "3a6518eb", [1201]),
-    "xml_end": ("f1d6cbc3521c0f88", 9736, "31b4e13b", [1201]),
+    "bparent": ("fb0d9165d5009c49", 4932, "3fa81a9d", [1201]),
+    "label_bounds": ("9b3fd3ae1e943304", 168, "8d356bfe", [10]),
+    "label_ids": ("8f87cf3ca3982546", 4932, "4bd98bf3", [1201]),
+    "label_of": ("7d0e97fb61212461", 4932, "a0eb969a", [1201]),
+    "left": ("992c343cdeafec02", 4932, "fda98c46", [1201]),
+    "parent": ("0cb76904e6ecac40", 4932, "fd9776f1", [1201]),
+    "right": ("fc5e8da01783be73", 4932, "bbe94cb2", [1201]),
+    "xml_end": ("545dee5e01db883d", 4932, "eeb56511", [1201]),
 }
 
 SHAPES = (
@@ -61,7 +62,7 @@ SHAPES = (
 def numpy_header(shape):
     out = io.BytesIO()
     np.lib.format.write_array_header_1_0(
-        out, {"descr": "<i8", "fortran_order": False, "shape": shape}
+        out, {"descr": "<i4", "fortran_order": False, "shape": shape}
     )
     return out.getvalue()
 
@@ -98,9 +99,9 @@ class TestGolden:
     @pytest.mark.parametrize("n", [0, 1, 7, 1000])
     def test_codec_is_what_np_save_writes(self, n):
         out = io.BytesIO()
-        np.save(out, np.arange(n, dtype=np.int64))
+        np.save(out, np.arange(n, dtype=np.int32))
         head = npy_header([n])
-        assert out.getvalue() == head + np.arange(n, dtype="<i8").tobytes()
+        assert out.getvalue() == head + np.arange(n, dtype="<i4").tobytes()
 
     def test_bundle_matches_the_np_save_writer(self, tmp_path):
         bundle = save_document(GOLDEN_XML, str(tmp_path / "doc"))
@@ -110,7 +111,7 @@ class TestGolden:
                 data = handle.read()
             assert hashlib.sha256(data).hexdigest()[:16] == digest, name
             assert entries[name] == {
-                "bytes": size, "crc32": crc, "dtype": "int64", "shape": shape
+                "bytes": size, "crc32": crc, "dtype": "int32", "shape": shape
             }
             assert file_crc32(array_path(bundle, name)) == crc
 
@@ -127,7 +128,7 @@ class TestGolden:
                 with open(path, "rb") as handle:
                     before[name] = handle.read()
                 loaded = np.load(path, mmap_mode="r")
-                assert loaded.dtype == np.int64
+                assert loaded.dtype == np.int32
                 assert list(loaded.shape) == manifest(bundle)[name]["shape"]
                 del loaded
         for name in ARRAYS:
@@ -172,14 +173,14 @@ class TestHeaderDamage:
         "text",
         [
             # The same dict with its keys reordered, at the same length.
-            "{'shape': (6,), 'fortran_order': False, 'descr': '<i8', }",
+            "{'shape': (6,), 'fortran_order': False, 'descr': '<i4', }",
             # The same dict with one space moved into the padding.
-            "{'descr':'<i8', 'fortran_order': False, 'shape': (6,), } ",
+            "{'descr':'<i4', 'fortran_order': False, 'shape': (6,), } ",
         ],
     )
     def test_a_header_numpy_accepts_is_still_refused(self, bundle, text):
         path = array_path(bundle, "label_of")
-        body = b"{'descr': '<i8', 'fortran_order': False, 'shape': (6,), }"
+        body = b"{'descr': '<i4', 'fortran_order': False, 'shape': (6,), }"
         assert len(text) == len(body) and body in npy_header([6])
         with open(path, "rb") as handle:
             data = handle.read()
@@ -199,7 +200,7 @@ MALFORMED = {
     "no shape": lambda entry: entry.pop("shape"),
     "no bytes": lambda entry: entry.pop("bytes"),
     "dtype not a str": lambda entry: entry.update(dtype=8),
-    "dtype not int64": lambda entry: entry.update(dtype="int32"),
+    "dtype not int32": lambda entry: entry.update(dtype="int64"),
     "shape not a list": lambda entry: entry.update(shape="7"),
     "negative dim": lambda entry: entry.update(shape=[-1]),
     "bool dim": lambda entry: entry.update(shape=[True]),

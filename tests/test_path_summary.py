@@ -331,7 +331,7 @@ def test_an_all_matching_run_answers_the_candidate_array_itself(xmark_26k):
         stats = EvalStats()
         _, ids = frontier.run_kernel(parse_xpath(query), on, stats)
         candidates = on.labels.nodes_array(label)
-        assert ids is candidates and ids.dtype == np.int64
+        assert ids is candidates and ids.dtype == np.int32
         # One jump to resolve the candidates, nothing probed: bind
         # found every path of that label reached.
         assert (stats.jumps, stats.visited, stats.index_probes) == (1, 0, 0)

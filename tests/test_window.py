@@ -276,7 +276,7 @@ class TestDenseColumns:
     def test_child_csr_lists_children_in_document_order(self, index):
         order, start = index.child_csr()
         tree = index.tree
-        assert order.dtype == np.int64 and start.size == tree.n + 1
+        assert order.dtype == np.int32 and start.size == tree.n + 1
         for p in range(tree.n):
             kids = [c for c in range(tree.n) if tree.parent[c] == p]
             assert order[start[p] : start[p + 1]].tolist() == kids
