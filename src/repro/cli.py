@@ -319,11 +319,9 @@ def _bundle_summary(path: str, header: dict) -> dict:
         "created": header["created"],
         "bytes": size,
     }
-    # Build-time document statistics (absent from the oldest bundles).
-    stats = header.get("stats")
-    if isinstance(stats, dict):
-        for key, value in sorted(stats.items()):
-            summary.setdefault(key, value)
+    # Build-time document statistics (``read_header`` checked the keys).
+    for key, value in sorted(header["stats"].items()):
+        summary.setdefault(key, value)
     return summary
 
 

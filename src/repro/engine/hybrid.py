@@ -65,9 +65,9 @@ def plan_pivot(path: Path, index: TreeIndex) -> int:
 def _verify_prefix_batch(
     index: TreeIndex,
     prefix_ids: List[int],
-    starts: List[int],
+    starts: np.ndarray,
     stats: EvalStats,
-) -> List[int]:
+) -> np.ndarray:
     """Greedy upward prefix check for all pivots at once.
 
     One vectorized parent-step per tree level: every still-undecided
@@ -75,13 +75,11 @@ def _verify_prefix_batch(
     prefix position it currently awaits -- O(height) numpy passes
     instead of O(|pivots| * height) interpreted steps.
     """
-    if not starts:
-        return []
     parent = index.parent_array()
     label_of = index.label_of_array()
     pids = np.asarray(prefix_ids, dtype=ID_DTYPE)
-    cur = parent.take(np.asarray(starts, dtype=ID_DTYPE))
-    j = np.full(len(starts), len(prefix_ids) - 1, dtype=np.int64)
+    cur = parent.take(starts)
+    j = np.full(starts.size, len(prefix_ids) - 1, dtype=np.int64)
     alive = cur >= 0
     walked = 0
     while True:
@@ -95,16 +93,15 @@ def _verify_prefix_batch(
         cur[idx] = parent.take(nodes)
         alive[idx] = (cur[idx] >= 0) & (j[idx] >= 0)
     stats.visited += walked
-    ok = j < 0
-    return [v for v, good in zip(starts, ok) if good]
+    return starts.compress(j < 0)
 
 
 def _collect_suffix(
     index: TreeIndex,
     suffix: List[str],
-    current: List[int],
+    current: np.ndarray,
     stats: EvalStats,
-) -> List[int]:
+) -> np.ndarray:
     """Descend //l(k+1)//...//ln from the verified pivots.
 
     Per level, the context is staircase-pruned to top-most nodes (nested
@@ -112,13 +109,10 @@ def _collect_suffix(
     context ranges are sliced out of the next label's sorted node array
     in one vectorized ``np.searchsorted`` pass.
     """
-    if not suffix:
-        # Pure bottom-up run: the pivots themselves are the answer, but
-        # nested duplicates must be kept (each was verified separately) --
-        # they are already distinct and sorted.
-        return list(current)
+    # With no suffix the pivots themselves are the answer, nested ones
+    # included (each was verified separately): distinct and sorted.
     xml_end = index.xml_end_array()
-    out = np.asarray(current, dtype=ID_DTYPE)
+    out = current
     for label in suffix:
         if out.size == 0:
             break
@@ -148,7 +142,7 @@ def _collect_suffix(
         offsets = np.cumsum(counts) - counts
         positions = np.repeat(lo - offsets, counts) + np.arange(total)
         out = arr.take(positions)
-    return [int(v) for v in out]
+    return out
 
 
 @register_strategy
@@ -175,23 +169,25 @@ class HybridStrategy(Strategy):
         labels = [s.test for s in path.steps]
         k = plan_pivot(path, index)
 
-        starts = index.labels.nodes(labels[k])
-        stats.visited += len(starts)
+        starts = index.labels.nodes_array(labels[k])
+        stats.visited += int(starts.size)
 
         if k == 0:
             verified = starts
         else:
             prefix = [tree.label_id(name) for name in labels[:k]]
             if any(lab is None for lab in prefix):
-                verified = []  # a prefix label absent from the document
+                verified = starts[:0]  # a prefix label is not in the document
             else:
                 verified = _verify_prefix_batch(index, prefix, starts, stats)
 
         selected = _collect_suffix(index, labels[k + 1 :], verified, stats)
         predicate = path.steps[-1].predicate
         if predicate is not None:
-            selected = [
-                v for v in selected if _eval_pred(index, predicate, v, stats)
+            keep = [
+                _eval_pred(index, predicate, v, stats)
+                for v in selected.tolist()
             ]
-        stats.selected = len(selected)
-        return bool(selected), selected
+            selected = selected.compress(keep)
+        stats.selected = int(selected.size)
+        return selected.size > 0, selected

@@ -102,8 +102,9 @@ class Strategy:
     ) -> Tuple[bool, Union[Sequence[int], "np.ndarray"]]:
         """Run the prepared plan; returns ``(accepted, selected ids)``: the
         ids in document order, duplicate-free, as a sequence of ints or an
-        integer array (``int32`` from ``vectorized``, ``window``) -- the
-        :class:`~repro.engine.plan.ExecutionResult` converts on demand.
+        integer array (``int32`` from ``vectorized``, ``window`` and
+        ``hybrid``) -- the :class:`~repro.engine.plan.ExecutionResult`
+        converts on demand.
         ``stats`` is this run's one :class:`~repro.counters.EvalStats`,
         allocated by ``PreparedQuery.execute`` (never ``None``): book the
         run into it, and hand it to every machine the run calls."""

@@ -98,8 +98,7 @@ class FusedLabels:
 class _ListMirrors:
     """``mirrors[lab]``: the plain-list mirror of ``arrays[lab]``, built
     by ``ints`` the first time it is asked for (by
-    :meth:`LabelIndex.nodes`, the scalar bisects of the baselines and
-    the hybrid strategy)."""
+    :meth:`LabelIndex.nodes`)."""
 
     __slots__ = ("_arrays", "_ints", "_built")
 

@@ -350,9 +350,10 @@ class SuccinctTree:
         the six plain-``int`` list mirrors an automaton strategy indexes
         (left, right, parent, bparent, xml_end, label_of) at one CPython
         reference per cell, plus the one pool of ``int`` objects they
-        share.  The numpy columns under them are another ``6 * 4n`` bytes
-        (mapped from the bundle file when store-backed) and are all a
-        kernel-only reader ever holds."""
+        share.  The three numpy columns under them are another ``3 * 4n``
+        bytes (mapped from the bundle file when store-backed; the links
+        are derived for their mirrors) and are all a kernel-only reader
+        ever holds."""
         lists = 6 * (sys.getsizeof([]) + 8 * tree.n)
         pool = (tree.n + 2) * (8 + sys.getsizeof(1 << 20))
         return lists + pool

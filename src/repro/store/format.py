@@ -6,18 +6,15 @@ flat ``.npy`` file per compiled array::
     <bundle>/
       header.json            format, version, label table, manifest
       label_of.npy           int32[n]   interned label per node
-      left.npy               int32[n]   first child  (fcns left)
-      right.npy              int32[n]   next sibling (fcns right)
       parent.npy             int32[n]   XML parent
-      bparent.npy            int32[n]   binary parent
       xml_end.npy            int32[n]   exclusive subtree end
       label_ids.npy          int32[n]   per-label sorted node ids, concatenated
       label_bounds.npy       int32[L+1] label_ids slice boundaries per label
 
 These are exactly the arrays :func:`repro.store.store.open_document`
-maps: the six columns are the tree, the last two the label index, 28
-bytes per node in all.  Nothing derived on demand (a postorder rank, a
-balanced-parentheses directory, the path summary) is persisted.  Every
+maps: the three columns are the tree, the last two the label index, 16
+bytes per node in all.  Nothing derived on demand (the fcns links, a
+postorder rank, the path summary) is persisted.  Every
 array is ``int32``, the width of every node-id array in memory, so a
 document holds at most :data:`repro.tree.binary.MAX_NODES` nodes: a
 header whose ``n`` exceeds it is refused.
@@ -80,15 +77,16 @@ from repro import faults
 from repro.tree.binary import DocumentTooLarge, check_size
 
 FORMAT_NAME = "repro-document-store"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 HEADER_FILE = "header.json"
 
-#: Every array a bundle must contain: the six tree columns, then the
+#: Every array a bundle must contain: the three tree columns, then the
 #: label index.
-ARRAYS = (
-    "label_of", "left", "right", "parent", "bparent", "xml_end",
-    "label_ids", "label_bounds",
-)
+ARRAYS = ("label_of", "parent", "xml_end", "label_ids", "label_bounds")
+
+#: The header keys ``store ls`` prints, with the type each must have.
+LISTED = dict(created=str, encoded_attributes=bool, encoded_text=bool,
+              stats=dict)
 
 #: Every array is stored as little-endian ``int32``, numpy's ``'<i4'``;
 #: the manifest names it ``NPY_DTYPE.name`` (``"int32"``).
@@ -254,13 +252,8 @@ def write_bundle(
     still-open readers until a later compaction pass
     (:meth:`repro.store.store.DocumentStore.compact`).
     """
-    missing = set(ARRAYS) - set(arrays)
-    extra = set(arrays) - set(ARRAYS)
-    if missing or extra:
-        raise StoreError(
-            f"array set mismatch: missing={sorted(missing)}, "
-            f"extra={sorted(extra)}"
-        )
+    if set(arrays) != set(ARRAYS):
+        raise StoreError(f"array set {sorted(arrays)} is not {list(ARRAYS)}")
     bundle = os.path.abspath(bundle)
     staging = _temp_dir_for(bundle)
     try:
@@ -326,7 +319,8 @@ def _publish(
 
 def read_header(bundle: str) -> dict:
     """Read and validate a bundle's header: format, version, manifest,
-    and the ``n`` and ``labels`` a reader builds the tree from."""
+    the ``n`` and ``labels`` a reader builds the tree from, and the
+    :data:`LISTED` keys ``store ls`` prints."""
     path = os.path.join(bundle, HEADER_FILE)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -383,6 +377,11 @@ def read_header(bundle: str) -> dict:
         raise StoreCorruptionError(
             bundle, None, "header 'labels' is not one string per label"
         )
+    for key, kind in LISTED.items():
+        if type(header.get(key)) is not kind:
+            raise StoreCorruptionError(
+                bundle, None, f"header {key!r} is not a {kind.__name__}"
+            )
     return header
 
 

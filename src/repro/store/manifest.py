@@ -247,7 +247,7 @@ def read_manifest(root: str) -> CorpusManifest:
         manifest.documents[name] = {
             "fingerprint": source.get("fingerprint"),
             "generation": manifest.generation,
-            "updated": header.get("created", _now()),
+            "updated": header["created"],
         }
     recorded = {entry["bundle"] for entry in manifest.retired}
     manifest.retired = [

@@ -1,8 +1,8 @@
 """Persistent compiled-document store: parse once, reopen in O(arrays).
 
 :func:`save_document` compiles a document down to the flat arrays a
-reader maps -- the six :class:`~repro.tree.binary.BinaryTree`
-navigation columns and the :class:`~repro.index.labels.LabelIndex`
+reader maps -- the three :class:`~repro.tree.binary.BinaryTree`
+columns and the :class:`~repro.index.labels.LabelIndex`
 per-label sorted id arrays -- and writes them as a versioned bundle
 (:mod:`repro.store.format`).
 
@@ -10,7 +10,7 @@ per-label sorted id arrays -- and writes them as a versioned bundle
 reopened as a read-only ``mmap`` of its ``.npy`` file (zero copy,
 shared across processes by the page cache) once its header is
 byte-exact (:func:`repro.store.format.load_array`), handed to the
-readers as a plain ``ndarray`` view of its pages, and the six tree columns
+readers as a plain ``ndarray`` view of its pages, and the three tree columns
 *are* the :class:`~repro.tree.binary.BinaryTree` -- no XML parsing, no
 label re-interning, no argsort, and no per-node Python object until an
 automaton strategy asks the tree for a list mirror.  The resulting
@@ -287,7 +287,7 @@ def save_document(
         raise TypeError("store bundles require a BinaryTree-backed index")
     label_ids, label_bounds = index.labels.state()
     arrays = {
-        **tree._columns,  # the six columns, as the tree holds them
+        **tree._columns,  # the three columns, as the tree holds them
         "label_ids": label_ids,
         "label_bounds": label_bounds,
     }
@@ -343,7 +343,7 @@ def open_document(path: str, *, mmap: bool = True) -> StoredDocument:
             )
         label_ids = arrays.pop("label_ids")
         label_bounds = arrays.pop("label_bounds")
-        # The six columns left are the tree: nothing is copied or
+        # The three columns left are the tree: nothing is copied or
         # converted, whatever the document's size.
         tree = BinaryTree._from_columns(labels, arrays)
         label_index = LabelIndex.from_state(tree, label_ids, label_bounds)

@@ -37,6 +37,9 @@ ID_DTYPE = np.dtype(np.int32)
 """The one width of every node-id array: the tree's columns, the label
 index, rank columns, the child CSR and the kernels' frontiers."""
 
+#: The element-wise API, ``tree.<name>[v]``: three columns, three links.
+MIRRORS = ("label_of", "left", "right", "parent", "bparent", "xml_end")
+
 MAX_NODES = 2**31 - 3
 """The most nodes a document may have: every id, and the ``n + 2``
 slots of a rank column, must fit :data:`ID_DTYPE`."""
@@ -86,8 +89,8 @@ def match_parens(parens: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def _derive_columns(parens: np.ndarray, matching=None) -> tuple[dict, int]:
-    """The five navigation columns and the height of the tree whose
-    balanced parentheses (one pair per node in document order) are
+    """The ``parent`` and ``xml_end`` columns and the height of the tree
+    whose balanced parentheses (one pair per node in document order) are
     ``parens``, from :func:`match_parens` of them (``matching``, if the
     caller has it): one numpy pass, no per-node Python.
 
@@ -98,8 +101,7 @@ def _derive_columns(parens: np.ndarray, matching=None) -> tuple[dict, int]:
     that order a level's nodes are grouped by parent and a group starts
     at a first child (a node whose open directly follows another open),
     so **the parent is the predecessor one level up**: ``v - 1`` for a
-    first child, carried forward over the rest of its group; the next
-    sibling is the next entry unless that entry starts a group.
+    first child, carried forward over the rest of its group.
     """
     n = parens.size // 2
     opened, order, height = matching or match_parens(parens)
@@ -113,21 +115,28 @@ def _derive_columns(parens: np.ndarray, matching=None) -> tuple[dict, int]:
     group = np.maximum.accumulate(np.where(first, np.arange(n), 0))
     parent = np.empty(n, dtype=ID_DTYPE)
     parent[at] = (nodes - 1).take(group)
-    right = np.full(n, NIL, dtype=ID_DTYPE)
-    right[at[:-1]] = np.where(first[1:], NIL, nodes[1:])
-    bparent = np.full(n, NIL, dtype=ID_DTYPE)
-    bparent[at[1:]] = np.where(first[1:], nodes[1:] - 1, nodes[:-1])
-    left = np.full(n, NIL, dtype=ID_DTYPE)
-    first_children = at[first]
-    left[first_children - 1] = nodes[first]
-    columns = {
-        "left": left,
-        "right": right,
-        "parent": parent,
-        "bparent": bparent,
-        "xml_end": xml_end,
-    }
-    return columns, height
+    return {"parent": parent, "xml_end": xml_end}, height
+
+
+def column(columns: dict, name: str) -> np.ndarray:
+    """Stored column ``name``, or the fcns link ``name`` derived from the
+    preorder columns: ``left`` (first child) is ``v + 1`` if ``v``'s
+    subtree holds it; ``right`` (next sibling) starts where ``v``'s
+    subtree ends, unless its parent's does; ``bparent`` inverts both."""
+    if name in columns:
+        return columns[name]
+    parent, xml_end = columns["parent"], columns["xml_end"]
+    v = np.arange(parent.size, dtype=ID_DTYPE)
+    if name == "left":
+        return np.where(xml_end > v + 1, v + 1, NIL)
+    # The root's parent NIL takes the last node's xml_end, n: no sibling.
+    right = np.where(xml_end < xml_end.take(parent), xml_end, NIL)
+    if name == "right":
+        return right
+    bparent = np.where(parent == v - 1, parent, NIL)  # first children
+    named = right != NIL
+    bparent[right[named]] = v[named]
+    return bparent
 
 
 class _Mirror:
@@ -146,19 +155,19 @@ class _Mirror:
 
 
 class BinaryTree:
-    """The fcns-encoded document tree: six ``int32`` numpy columns.
+    """The fcns-encoded document tree: three ``int32`` numpy columns.
 
-    ``label_of / left / right / parent / bparent / xml_end``, one entry
-    per node id, are the tree -- the arrays a store bundle holds, and the
-    memory-mapped bundle files themselves when reopened from one.  The
-    set-at-a-time kernels and the index read the columns
+    ``label_of / parent / xml_end``, one entry per node id, are the tree
+    -- the arrays a store bundle holds, and the memory-mapped bundle
+    files themselves when reopened from one.  The set-at-a-time kernels
+    and the index read the columns
     (:meth:`repro.index.jumping.TreeIndex.parent_array` and friends) and
     nothing else.
 
     ``tree.left[v]`` ... ``tree.xml_end[v]`` remain the element-wise API
     of the node-at-a-time code (the automaton strategies, the reference
     evaluator, the baselines): each attribute is a plain-``int`` list
-    *mirror* of its column, built the first time it is read and kept.
+    *mirror* of its :func:`column`, built the first time it is read and kept.
     Mirrors go through one shared pool of ``int`` objects
     (:meth:`ints`), so the same id is the same object in every column
     and in every list mirror of the label index (a ``.tolist()`` per
@@ -220,7 +229,7 @@ class BinaryTree:
         with self._lock:
             mirror = self._mirrors.get(name)  # published while we waited
             if mirror is None:
-                mirror = self.ints(self._columns[name])
+                mirror = self.ints(column(self._columns, name))
                 self._mirrors[name] = mirror
                 setattr(self, name, mirror)  # shadows the descriptor
         return mirror
@@ -239,8 +248,8 @@ class BinaryTree:
         return pool.take(values + 1).tolist()
 
     def resident_mirrors(self) -> tuple:
-        """Names of the columns whose list mirror has been built."""
-        return tuple(name for name in self._columns if name in self._mirrors)
+        """Names of the list mirrors built, in :data:`MIRRORS` order."""
+        return tuple(name for name in MIRRORS if name in self._mirrors)
 
     def __reduce__(self):
         # Columns travel, mirrors (and the lock) never do.

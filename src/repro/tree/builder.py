@@ -8,10 +8,9 @@ balanced parentheses directly.  :class:`TreeBuilder` is the event handler
 same two things per event -- the interned label id of every opened node
 and one parenthesis per open / close -- for event sources (the XMark
 generator, ``BinaryTree.from_document``) and for the encodings.  Either
-way :class:`~repro.tree.binary.BinaryTree` derives ``parent`` / ``left``
-/ ``right`` / ``bparent`` / ``xml_end`` and the height in one numpy
-pass, and no :class:`~repro.tree.document.XMLNode` graph is ever
-materialized.
+way :class:`~repro.tree.binary.BinaryTree` derives ``parent`` /
+``xml_end`` and the height in one numpy pass, and no
+:class:`~repro.tree.document.XMLNode` graph is ever materialized.
 
 The attribute/text "straightforward encoding" of the paper is supported
 streaming: ``@name`` children are emitted as soon as a start tag is

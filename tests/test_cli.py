@@ -218,7 +218,7 @@ class TestStoreCLI:
         code, out = run(["store", "build", bundle, xml_file])
         assert code == 0
         summary = json.loads(out)
-        assert summary["nodes"] == 4 and summary["version"] == 4
+        assert summary["nodes"] == 4 and summary["version"] == 5
 
         code, out = run(["store", "ls", bundle])
         assert code == 0
@@ -497,8 +497,8 @@ class TestStoreVerifyText:
         code, out = run(["store", "verify", str(root)])
         assert code == 0
         assert re.fullmatch(
-            r"bad: ok \[fast\] \(8 arrays, \d+ bytes\)\n"
-            r"good: ok \[fast\] \(8 arrays, \d+ bytes\)\n",
+            r"bad: ok \[fast\] \(5 arrays, \d+ bytes\)\n"
+            r"good: ok \[fast\] \(5 arrays, \d+ bytes\)\n",
             out,
         ), out
         capsys.readouterr()
@@ -508,7 +508,7 @@ class TestStoreVerifyText:
         assert code == 1
         bad, good = out.splitlines()
         assert bad.startswith("bad: CORRUPT array 'xml_end': "), bad
-        assert re.fullmatch(r"good: ok \[deep\] \(8 arrays, \d+ bytes\)", good)
+        assert re.fullmatch(r"good: ok \[deep\] \(5 arrays, \d+ bytes\)", good)
         err = capsys.readouterr().err
         assert err == "error: 1 of 2 bundle(s) failed deep verification\n"
 

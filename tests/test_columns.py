@@ -1,6 +1,7 @@
-"""Documents are columns: a tree is six numpy columns, and the plain-int
-list mirrors of the element-wise API exist only once somebody indexes
-them -- never on the open path, never under the set-at-a-time kernels."""
+"""Documents are columns: a tree is three numpy columns, and the plain-int
+list mirrors of the element-wise API -- of those columns and of the fcns
+links derived from them -- exist only once somebody indexes them: never
+on the open path, never under the set-at-a-time kernels."""
 
 from __future__ import annotations
 
@@ -20,9 +21,10 @@ from repro.automata.bottomup import bottom_up_reduce
 from repro.automata.examples import sta_a_with_b_below
 from repro.engine.api import Engine
 from repro.store import open_document, save_document
+from repro.tree import binary
 from repro.tree.binary import BinaryTree
 from repro.xmark.generator import XMarkGenerator
-from repro.xmark.queries import QUERIES
+from repro.xmark.queries import HYBRID_QUERY, QUERIES
 
 from strategies import tree_specs
 from test_builder import loop_columns
@@ -33,6 +35,7 @@ from test_planner import MIX20
 Q01, Q10 = QUERIES["Q01"], QUERIES["Q10"]
 KERNEL_BOUND = [query for query in MIX20 if query not in (Q01, Q10)]
 COLUMNS = ("label_of", "left", "right", "parent", "bparent", "xml_end")
+STORED = ("label_of", "parent", "xml_end")
 
 
 @pytest.fixture(scope="module")
@@ -71,15 +74,26 @@ def test_kernel_plans_build_no_mirror(bundles):
         assert tree.resident_mirrors() == ()
         assert _label_lists(index) == []
         mapped = stored._mapped  # what close() releases
-        assert len(mapped) == 8
+        assert len(mapped) == 5
         assert all(isinstance(pages, mmap.mmap) for pages in mapped)
-        for name in COLUMNS:
+        assert tuple(tree._columns) == STORED
+        for name in STORED:
             column = tree._columns[name]
             assert column.dtype == np.int32 and type(column) is np.ndarray
             assert any(
                 np.shares_memory(column, np.frombuffer(pages, np.uint8))
                 for pages in mapped
             ), name
+
+
+def test_hybrid_builds_no_label_list(bundles):
+    """Figure 5's query runs on the mapped label arrays alone."""
+    with open_document(bundles[0.5]) as stored:
+        expected = Engine(stored, strategy="window").select(HYBRID_QUERY)
+        hybrid = Engine(stored, strategy="hybrid")
+        assert hybrid.select(HYBRID_QUERY) == expected
+        assert expected and _label_lists(stored.index) == []
+        assert stored.tree.resident_mirrors() == ()
 
 
 def test_a_warm_pass_constructs_no_memmap(bundles, monkeypatch):
@@ -178,7 +192,7 @@ def test_mirrors_share_one_int_per_id():
         mirror = getattr(tree, name)
         assert type(mirror) is list and len(mirror) == tree.n
         assert all(type(x) is int for x in mirror)
-        assert mirror == tree._columns[name].tolist()
+        assert mirror == binary.column(tree._columns, name).tolist()
     ids = Engine(tree, strategy="optimized").execute("//keyword").ids
     assert ids and all(type(v) is int for v in ids)
 
@@ -217,7 +231,8 @@ def test_pickle_carries_columns_not_mirrors():
     clone = pickle.loads(payload)
     assert clone.resident_mirrors() == ()
     assert clone.height() == tree.height()
-    for name in COLUMNS:
+    assert tuple(clone._columns) == STORED
+    for name in STORED:
         assert np.array_equal(clone._columns[name], tree._columns[name])
     for strategy in ("window", "optimized"):
         engine = Engine(clone, strategy=strategy)
@@ -238,9 +253,10 @@ def _assert_derivation_matches_loop(parens) -> None:
     tree = BinaryTree(labels, np.zeros(len(parens) // 2, dtype=np.int32), parens)
     reference = loop_columns(parens)
     assert tree.height() == reference.pop("height")
-    for name, column in reference.items():
+    for name in STORED[1:]:
         assert tree._columns[name].dtype == np.int32
-        assert tree._columns[name].tolist() == column, name
+    for name, expected in reference.items():
+        assert getattr(tree, name) == expected, name
     # A tree adopted without its height counts it from xml_end.
     assert BinaryTree._from_columns(labels, tree._columns).height() == tree.height()
 

@@ -196,10 +196,10 @@ class TestCorruptionRecall:
                 check(bundle)
 
     def test_truncation_caught_at_open(self, bundle):
-        corrupt_bundle(bundle, "left", mode="truncate", seed=0)
+        corrupt_bundle(bundle, "xml_end", mode="truncate", seed=0)
         with pytest.raises(StoreCorruptionError) as exc:
             open_document(bundle)
-        assert exc.value.array == "left"
+        assert exc.value.array == "xml_end"
         assert exc.value.expected is not None
         assert exc.value.actual is not None
         assert exc.value.actual < exc.value.expected
@@ -269,7 +269,7 @@ class TestManifestWithoutDigests:
 class TestBuildFaults:
     def test_enospc_mid_build_leaves_no_debris(self, tmp_path):
         with faults.inject(
-            "store.write_array", "io_error", errno_=errno.ENOSPC, after=5
+            "store.write_array", "io_error", errno_=errno.ENOSPC, after=3
         ):
             with pytest.raises(OSError) as exc:
                 build_bundle(tmp_path)
@@ -325,7 +325,7 @@ class TestBuildFaults:
         ):
             with pytest.raises(OSError):
                 open_document(bundle)
-        assert len(mapped) == 6  # the six nav arrays mapped before the hit
+        assert len(mapped) == 3  # the three columns mapped before the hit
         assert all(pages.closed for pages in mapped)
         # And a failed open never registers a reader.
         from repro.store import live_readers
@@ -336,7 +336,7 @@ class TestBuildFaults:
         root = tmp_path / "corpus"
         bundle = build_bundle(root)
         with faults.inject(
-            "store.write_array", "io_error", errno_=errno.EIO, after=5
+            "store.write_array", "io_error", errno_=errno.EIO, after=3
         ):
             with pytest.raises(OSError):
                 build_bundle(root, xml="<r><z/></r>")
@@ -376,7 +376,7 @@ def make_daemon(root, **kwargs):
 class TestDaemonChaos:
     def test_corrupt_bundle_skipped_at_mount(self, chaos_corpus, capsys):
         root, oracle = chaos_corpus
-        corrupt_bundle(os.path.join(root, "bad"), "left", mode="truncate")
+        corrupt_bundle(os.path.join(root, "bad"), "xml_end", mode="truncate")
         with DaemonThread(make_daemon(root)) as handle:
             with ServeClient(port=handle.port, retries=0) as client:
                 health = client.healthz()
@@ -396,7 +396,7 @@ class TestDaemonChaos:
     def test_all_bundles_corrupt_fails_startup(self, chaos_corpus):
         root, _ = chaos_corpus
         for name in ("good", "bad"):
-            corrupt_bundle(os.path.join(root, name), "left", mode="truncate")
+            corrupt_bundle(os.path.join(root, name), "xml_end", mode="truncate")
         with pytest.raises(ValueError, match="no document bundles usable"):
             make_daemon(root)
 

@@ -107,16 +107,16 @@ def test_every_node_id_array_is_int32(xml, bundle, source):
 def test_every_bundle_array_loads_as_int32(bundle):
     with open(os.path.join(bundle, HEADER_FILE)) as handle:
         header = json.load(handle)
-    assert header["version"] == 4
+    assert header["version"] == 5
     n = header["n"]
     for name in ARRAYS:
         assert header["arrays"][name]["dtype"] == "int32"
         assert np.load(array_path(bundle, name)).dtype == np.int32
-    # 28 bytes a node: seven n-long columns of four bytes (and the
-    # label bounds, one per label).
+    # 16 bytes a node: four n-long arrays of four bytes (and the label
+    # bounds, one per label).
     sizes = {name: os.path.getsize(array_path(bundle, name)) for name in ARRAYS}
     data = sum(sizes.values()) - 128 * len(ARRAYS)
-    assert data == 28 * n + 4 * (len(header["labels"]) + 1)
+    assert data == 16 * n + 4 * (len(header["labels"]) + 1)
 
 
 def test_a_framed_answer_is_four_bytes_wide(bundle):
@@ -262,25 +262,36 @@ def test_a_bundle_past_the_limit_is_refused_at_open(monkeypatch, tmp_path, capsy
     assert "int32" in capsys.readouterr().err
 
 
-# -- a bundle of format version 3 --------------------------------------------------
+# -- a bundle of format version 3 or 4 ----------------------------------------
 
 
-def _as_version_3(path) -> None:
+def _as_version(path, version) -> None:
     header_path = os.path.join(path, HEADER_FILE)
     with open(header_path) as handle:
         header = json.load(handle)
-    header["version"] = 3
+    header["version"] = version
     with open(header_path, "w") as handle:
         json.dump(header, handle)
 
 
 def test_a_version_3_bundle_is_refused_with_rebuild(tmp_path, capsys):
+    _assert_refused_with_rebuild(tmp_path, capsys, 3)
+
+
+def test_a_version_4_bundle_is_refused_with_rebuild(tmp_path, capsys):
+    """Version 4 stored the fcns links ``left`` / ``right`` / ``bparent``
+    as three more files; its tree is version 5's, but it is rebuilt."""
+    _assert_refused_with_rebuild(tmp_path, capsys, 4)
+
+
+def _assert_refused_with_rebuild(tmp_path, capsys, version):
     store = DocumentStore(str(tmp_path))
     store.save("good", SMALL)
     store.save("old", SMALL)
-    _as_version_3(store.path_for("old"))
+    _as_version(store.path_for("old"), version)
     for check in (open_document, verify_document):
-        with pytest.raises(StoreFormatError, match="version 3.*rebuild"):
+        refused = f"version {version}.*rebuild"
+        with pytest.raises(StoreFormatError, match=refused):
             check(store.path_for("old"))
     assert main(["store", "verify", store.path_for("old")]) == 1
     assert "rebuild" in capsys.readouterr().out

@@ -34,21 +34,19 @@ from repro.store.format import (
 
 XML = "<r><a><b/></a><a/><c><a/></c></r>"
 
-#: A fixed document, and what the writer of format version 4 writes for
+#: A fixed document, and what the writer of format version 5 writes for
 #: it: a 16-hex sha256 prefix per file and the manifest entry.  The
-#: codec must reproduce both exactly.  Version 4's arrays hold the
-#: values of version 3's, which ``np.save`` wrote as ``<i8``, at ``<i4``.
+#: codec must reproduce both exactly.  Version 5's files are version 4's
+#: less the three fcns links; version 4's arrays hold the values of
+#: version 3's, which ``np.save`` wrote as ``<i8``, at ``<i4``.
 GOLDEN_XML = "<r>" + "".join(
     f"<s{i % 5}><a><b/></a><c/></s{i % 5}>" for i in range(300)
 ) + "</r>"
 GOLDEN = {
-    "bparent": ("fb0d9165d5009c49", 4932, "3fa81a9d", [1201]),
     "label_bounds": ("9b3fd3ae1e943304", 168, "8d356bfe", [10]),
     "label_ids": ("8f87cf3ca3982546", 4932, "4bd98bf3", [1201]),
     "label_of": ("7d0e97fb61212461", 4932, "a0eb969a", [1201]),
-    "left": ("992c343cdeafec02", 4932, "fda98c46", [1201]),
     "parent": ("0cb76904e6ecac40", 4932, "fd9776f1", [1201]),
-    "right": ("fc5e8da01783be73", 4932, "bbe94cb2", [1201]),
     "xml_end": ("545dee5e01db883d", 4932, "eeb56511", [1201]),
 }
 
@@ -213,12 +211,12 @@ class TestMalformedManifest:
     @pytest.mark.parametrize("damage", sorted(MALFORMED))
     def test_entry_is_refused_by_name(self, bundle, damage):
         rewrite_manifest(
-            bundle, lambda arrays: MALFORMED[damage](arrays["left"])
+            bundle, lambda arrays: MALFORMED[damage](arrays["xml_end"])
         )
         for check in (open_document, verify_document):
             with pytest.raises(StoreCorruptionError) as exc:
                 check(bundle)
-            assert exc.value.array == "left"
+            assert exc.value.array == "xml_end"
             assert exc.value.reason.startswith("malformed manifest entry")
 
     def test_entry_that_is_not_a_dict(self, bundle):
@@ -233,17 +231,17 @@ class TestMalformedManifest:
         store.save("good", XML)
         store.save("bad", XML)
         rewrite_manifest(
-            store.path_for("bad"), lambda arrays: arrays["left"].pop("shape")
+            store.path_for("bad"), lambda arrays: arrays["xml_end"].pop("shape")
         )
         reports = store.verify()
         assert reports["good"]["ok"] is True
         assert reports["bad"]["ok"] is False
-        assert reports["bad"]["error"]["array"] == "left"
+        assert reports["bad"]["error"]["array"] == "xml_end"
 
 
 
 #: Damage to the top-level keys a reader builds the tree from (``XML``
-#: has six nodes and four labels).
+#: has six nodes and four labels), and to those ``store ls`` prints.
 BAD_KEYS = {
     "n missing": lambda header: header.pop("n"),
     "n a string": lambda header: header.update(n="6"),
@@ -254,6 +252,13 @@ BAD_KEYS = {
     "labels a string": lambda header: header.update(labels="racb"),
     "labels not strings": lambda header: header.update(labels=[0, 1, 2, 3]),
     "labels one short": lambda header: header["labels"].pop(),
+    "created missing": lambda header: header.pop("created"),
+    "created a number": lambda header: header.update(created=0),
+    "encoded_attributes missing": lambda header: header.pop(
+        "encoded_attributes"
+    ),
+    "encoded_text a string": lambda header: header.update(encoded_text="no"),
+    "stats a list": lambda header: header.update(stats=[]),
 }
 
 
@@ -296,6 +301,24 @@ class TestMalformedHeader:
                 assert client.query("//a", count=True)["count"] == 3
                 assert client.reload()["skipped"].keys() == {"bad"}
 
+    @pytest.mark.parametrize("damage", ["created missing", "created a number"])
+    def test_store_ls_warns_once_and_lists_the_rest(
+        self, tmp_path, capsys, damage
+    ):
+        store = DocumentStore(str(tmp_path))
+        store.save("good", XML)
+        store.save("bad", XML)
+        rewrite_header(store.path_for("bad"), BAD_KEYS[damage])
+        out = io.StringIO()
+        assert main(["store", "ls", str(tmp_path)], out=out) == 0
+        assert [entry["name"] for entry in json.loads(out.getvalue())] == [
+            "good"
+        ]
+        (warning,) = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: skipping")
+        assert "'created'" in warning
+        assert main(["store", "verify", str(tmp_path)], out=io.StringIO()) == 1
+
 
 class TestUnreadableFile:
     """An array file the process cannot read is that bundle's
@@ -307,7 +330,7 @@ class TestUnreadableFile:
         store = DocumentStore(str(tmp_path))
         store.save("bad", XML)
         store.save("good", XML)
-        target = array_path(store.path_for("bad"), "left")
+        target = array_path(store.path_for("bad"), "xml_end")
         fds = set()
 
         def failing(real, hit):
@@ -345,10 +368,10 @@ class TestUnreadableFile:
         reports = store.verify()
         assert reports["good"]["ok"] is True
         assert reports["bad"]["ok"] is False
-        assert reports["bad"]["error"]["array"] == "left"
+        assert reports["bad"]["error"]["array"] == "xml_end"
         assert reports["bad"]["error"]["reason"].startswith(
             "unreadable .npy file: PermissionError"
         )
         with pytest.raises(StoreCorruptionError) as exc:
             open_document(store.path_for("bad"))
-        assert exc.value.array == "left"
+        assert exc.value.array == "xml_end"

@@ -184,7 +184,7 @@ class TestReloadSwap:
                 (src / "doc.xml").write_text(XML_V2)
                 assert store.sync(str(src))["replaced"] == ["doc"]
                 faults.corrupt_bundle(
-                    store.path_for("doc"), "left", mode="truncate"
+                    store.path_for("doc"), "xml_end", mode="truncate"
                 )
                 with pytest.raises(StoreCorruptionError):
                     store.verify("doc")

@@ -244,13 +244,13 @@ class TestMountTable:
         store.save("bad", XML_V2)
         header_path = tmp_path / "bad" / "header.json"
         header = json.loads(header_path.read_text())
-        del header["arrays"]["left"]["shape"]
+        del header["arrays"]["xml_end"]["shape"]
         header_path.write_text(json.dumps(header))
         table = tables([str(tmp_path)])
         found = table.scan()
         assert found.added == ["good"] and list(found.skipped) == ["bad"]
         assert "StoreCorruptionError" in found.skipped["bad"]["error"]
-        assert "'left'" in found.skipped["bad"]["error"]
+        assert "'xml_end'" in found.skipped["bad"]["error"]
         table.install(found)
         assert list(table.records) == ["good"]
         assert query(table, "good") == [2]
