@@ -15,6 +15,7 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import faults
@@ -157,8 +158,8 @@ def bundle(pristine, tmp_path):
 
 
 class TestCorruptionRecall:
-    """Deep verification catches every single-array corruption: 8
-    arrays x {truncate, bit_flip} = 16 damage cases, 100% recall."""
+    """Deep verification catches every single-array corruption: 5
+    arrays x {truncate, bit_flip} = 10 damage cases, 100% recall."""
 
     @pytest.mark.parametrize("array", sorted(ARRAYS))
     @pytest.mark.parametrize("mode", ["truncate", "bit_flip"])
@@ -194,6 +195,33 @@ class TestCorruptionRecall:
         for check in (open_document, verify_document):
             with pytest.raises(StoreFormatError, match="manifest mismatch"):
                 check(bundle)
+
+    @pytest.mark.parametrize("link", ["bparent", "left", "right"])
+    def test_manifest_naming_a_link_array_refused(self, bundle, link):
+        """The first-child / next-sibling links are derived, not stored:
+        a version 5 header that lists one as an array is refused, by the
+        serving open and by the fast verify alike."""
+        header_path = os.path.join(bundle, HEADER_FILE)
+        with open(header_path) as handle:
+            header = json.load(handle)
+        header["arrays"][link] = header["arrays"]["xml_end"]
+        with open(header_path, "w") as handle:
+            json.dump(header, handle)
+        for check in (open_document, verify_document):
+            with pytest.raises(StoreFormatError, match="manifest mismatch"):
+                check(bundle)
+
+    @pytest.mark.parametrize("link", ["bparent", "left", "right"])
+    def test_stray_link_file_is_never_read(self, bundle, link):
+        """A ``.npy`` file named for a link beside the five arrays is not
+        mapped: the link still comes from ``parent`` and ``xml_end``."""
+        with open_document(bundle) as stored:
+            expected = list(getattr(stored.tree, link))
+        np.save(array_path(bundle, link), np.zeros(len(expected), "<i4"))
+        assert verify_document(bundle, deep=True)["ok"] is True
+        with open_document(bundle) as stored:
+            assert list(getattr(stored.tree, link)) == expected
+            assert Engine(stored, strategy="optimized").select("//a/b") == AB_IDS
 
     def test_truncation_caught_at_open(self, bundle):
         corrupt_bundle(bundle, "xml_end", mode="truncate", seed=0)
