@@ -1,16 +1,17 @@
-"""Minimization of deterministic selecting tree automata (Appendix A.2).
+"""Minimization of top-down deterministic selecting tree automata
+(Appendix A.2).
 
 The paper reduces STA minimization to ordinary tree-automaton minimization
-through the hat-encoding (Appendix A.1, see
-:mod:`repro.automata.recognizer`), then observes that the same effect is
-obtained *directly* by running the standard partition-refinement algorithm
-with an initial partition that additionally separates states by their
-selecting behaviour.  This module implements the direct method:
+through the hat-encoding (Appendix A.1), then observes that the same
+effect is obtained *directly* by running the standard partition-refinement
+algorithm with an initial partition that additionally separates states by
+their selecting behaviour.  This module implements the direct method for
+the top-down case, the one the ``deterministic`` strategy runs:
 
-- :func:`minimize_bdsta` / :func:`minimize_tdsta` -- completion, removal of
-  unreachable states, refinement, merging;
-- :func:`tdsta_equivalent` / :func:`bdsta_equivalent` -- decision procedures
-  via minimization + canonical isomorphism;
+- :func:`minimize_tdsta` -- completion, removal of unreachable states,
+  refinement, merging;
+- :func:`tdsta_equivalent` -- the decision procedure via minimization +
+  canonical isomorphism (the reference Definition 3.1 is checked with);
 - :func:`atoms` -- the label-atom decomposition that lets us treat the
   implicit infinite alphabet finitely (automata behave uniformly on all
   labels not mentioned in any transition or selecting configuration).
@@ -18,7 +19,7 @@ selecting behaviour.  This module implements the direct method:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.automata.labelset import LabelSet
 from repro.automata.sta import STA, State, Transition
@@ -67,28 +68,6 @@ def complete_topdown(sta: STA) -> STA:
     )
 
 
-def complete_bottomup(sta: STA) -> STA:
-    """Add a sink so that δ(q1, q2, l) is non-empty everywhere."""
-    reps = atoms(sta)
-    new_transitions = list(sta.transitions)
-    need_sink = False
-    for q1 in sta.states:
-        for q2 in sta.states:
-            for rep, atom in reps:
-                if not sta.source(q1, q2, rep):
-                    need_sink = True
-                    new_transitions.append(Transition(SINK, atom, q1, q2))
-    if not need_sink:
-        return sta
-    states = list(sta.states) + [SINK]
-    for q1 in states:
-        for q2 in states:
-            if q1 != SINK and q2 != SINK:
-                continue
-            new_transitions.append(Transition(SINK, LabelSet.not_of(), q1, q2))
-    return STA(states, sta.top, sta.bottom, dict(sta.selecting), new_transitions)
-
-
 # ---------------------------------------------------------------------------
 # reachability trimming
 # ---------------------------------------------------------------------------
@@ -105,23 +84,6 @@ def _topdown_reachable(sta: STA) -> set:
                     if nxt not in reach:
                         reach.add(nxt)
                         frontier.append(nxt)
-    return reach
-
-
-def _bottomup_reachable(sta: STA) -> set:
-    reps = atoms(sta)
-    reach = set(sta.bottom)
-    changed = True
-    while changed:
-        changed = False
-        for t in sta.transitions:
-            if t.q in reach:
-                continue
-            if t.q1 in reach and t.q2 in reach and any(
-                t.labels.contains(rep) for rep, _ in reps
-            ):
-                reach.add(t.q)
-                changed = True
     return reach
 
 
@@ -238,44 +200,6 @@ def minimize_tdsta(sta: STA) -> STA:
     return _merge_by_classes(work, classes)
 
 
-def minimize_bdsta(sta: STA) -> STA:
-    """Unique minimal complete BDSTA equivalent to ``sta`` (Theorem A.1)."""
-    if not sta.is_bottomup_deterministic():
-        raise ValueError("minimize_bdsta requires a bottom-up deterministic STA")
-    work = complete_bottomup(sta)
-    work = _restrict_states(work, _bottomup_reachable(work))
-    # Completion must be re-established on the trimmed state set.
-    work = complete_bottomup(work)
-    reps = [rep for rep, _ in atoms(work)]
-    sel_sig = _selection_signature(work, reps)
-    initial_keys: Dict[tuple, int] = {}
-    initial: Dict[State, int] = {}
-    for q in work.states:
-        key = (q in work.top, sel_sig[q])
-        if key not in initial_keys:
-            initial_keys[key] = len(initial_keys)
-        initial[q] = initial_keys[key]
-
-    source_cache = {
-        (q1, q2, rep): work.source(q1, q2, rep)[0]
-        for q1 in work.states
-        for q2 in work.states
-        for rep in reps
-    }
-    states = list(work.states)
-
-    def successor_sig(q: State, classes: Dict[State, int]) -> tuple:
-        out = []
-        for rep in reps:
-            for r in states:
-                out.append(classes[source_cache[(r, q, rep)]])
-                out.append(classes[source_cache[(q, r, rep)]])
-        return tuple(out)
-
-    classes = _refine(work, initial, successor_sig)
-    return _merge_by_classes(work, classes)
-
-
 # ---------------------------------------------------------------------------
 # equivalence via canonical forms
 # ---------------------------------------------------------------------------
@@ -314,48 +238,6 @@ def tdsta_equivalent(a: STA, b: STA) -> bool:
     joint = _with_joint_atoms(a, b)
     a2, b2 = (minimize_tdsta(x) for x in joint)
     return _canonical_tdsta(a2) == _canonical_tdsta(b2)
-
-
-def bdsta_equivalent(a: STA, b: STA) -> bool:
-    """Decide A ≡ B for bottom-up deterministic STAs (product check)."""
-    a2, b2 = _with_joint_atoms(a, b)
-    a2 = complete_bottomup(a2)
-    b2 = complete_bottomup(b2)
-    reps_atoms = _joint_atoms(a2, b2)
-    reps = [rep for rep, _ in reps_atoms]
-    (a0,) = tuple(a2.bottom)
-    (b0,) = tuple(b2.bottom)
-    # Explore reachable state pairs; equivalence fails iff some reachable
-    # pair disagrees on acceptance-at-root potential or selection.  For
-    # *deterministic complete* automata, A ≡ B iff for every tree/node the
-    # paired run agrees on (top-membership at root, selection at node).
-    # Reachable pairs are built bottom-up like a product automaton.
-    pairs = {(a0, b0)}
-    changed = True
-    while changed:
-        changed = False
-        current = list(pairs)
-        for p1, q1 in current:
-            for p2, q2 in current:
-                for rep in reps:
-                    pa = a2.source(p1, p2, rep)[0]
-                    pb = b2.source(q1, q2, rep)[0]
-                    if a2.selects(pa, rep) != b2.selects(pb, rep):
-                        return False
-                    if (pa, pb) not in pairs:
-                        pairs.add((pa, pb))
-                        changed = True
-    return all((pa in a2.top) == (pb in b2.top) for pa, pb in pairs)
-
-
-def _joint_atoms(a: STA, b: STA) -> List[Tuple[str, LabelSet]]:
-    names = set(a.alphabet_sample()[:-1]) | set(b.alphabet_sample()[:-1])
-    other = "†other"
-    while other in names:
-        other += "'"
-    out: List[Tuple[str, LabelSet]] = [(n, LabelSet.of(n)) for n in sorted(names)]
-    out.append((other, LabelSet.not_of(*sorted(names))))
-    return out
 
 
 def _with_joint_atoms(a: STA, b: STA) -> Tuple[STA, STA]:

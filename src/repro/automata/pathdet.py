@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.asta.automaton import ASTA
-from repro.asta.formula import Formula, down, down_states, for_
+from repro.asta.formula import down_states
 from repro.automata.labelset import LabelSet
 from repro.automata.sta import STA, Transition
 
@@ -130,72 +130,6 @@ def path_tdsta(asta: ASTA, max_states: int = 4096) -> STA:
         selecting,
         _merge_labels(transitions),
     )
-
-
-def filter_bdsta(target: str, witness: str) -> STA:
-    """BDSTA for ``//target[.//witness]`` (the Example A.1/B.1 family).
-
-    This is the query class the paper uses to show BDSTAs are strictly
-    incomparable with TDSTAs (a top-down automaton cannot know whether to
-    select before seeing the subtree).  States:
-
-    - ``q0``: no witness in the binary subtree;
-    - ``q1``: the *left* subtree (= XML descendants) contains a witness --
-      selection happens here on target-labelled nodes;
-    - ``q2``: witness present in the binary subtree but not below-left
-      (the node is the witness itself, or it is to the right).
-    """
-    if target == witness:
-        # ``//x[.//x]``: same machinery, selection still requires a strict
-        # descendant witness; the construction below already handles it.
-        pass
-    transitions: List[Transition] = []
-    others = LabelSet.not_of(witness)
-    for s1 in ("q0", "q1", "q2"):
-        for s2 in ("q0", "q1", "q2"):
-            left_has = s1 != "q0"
-            any_has = s1 != "q0" or s2 != "q0"
-            # non-witness labels: propagate
-            if left_has:
-                q = "q1"
-            elif any_has:
-                q = "q2"
-            else:
-                q = "q0"
-            transitions.append(Transition(q, others, s1, s2))
-            # the witness label: subtree contains it by definition
-            qw = "q1" if left_has else "q2"
-            transitions.append(Transition(qw, LabelSet.of(witness), s1, s2))
-    return STA(
-        ["q0", "q1", "q2"],
-        ["q0", "q1", "q2"],
-        ["q0"],
-        {"q1": LabelSet.of(target)},
-        transitions,
-    )
-
-
-def match_filter_query(path) -> "tuple[str, str] | None":
-    """Recognize ``//target[.//witness]`` (returns (target, witness))."""
-    from repro.xpath.ast import Axis, PredPath
-
-    if not path.absolute or len(path.steps) != 1:
-        return None
-    step = path.steps[0]
-    if step.axis is not Axis.DESCENDANT or step.test_matches_any():
-        return None
-    pred = step.predicate
-    if not isinstance(pred, PredPath) or pred.path.absolute:
-        return None
-    inner = pred.path.steps
-    if len(inner) != 1:
-        return None
-    wstep = inner[0]
-    if wstep.axis is not Axis.DESCENDANT or wstep.predicate is not None:
-        return None
-    if wstep.test_matches_any():
-        return None
-    return step.test, wstep.test
 
 
 def _merge_labels(transitions: List[Transition]) -> List[Transition]:

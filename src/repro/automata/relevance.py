@@ -1,25 +1,25 @@
-"""Relevant nodes (Definition 3.1, Lemmas 3.1 and 3.2).
+"""Relevant nodes (Definition 3.1, Lemma 3.1).
 
 A node is *relevant* when the minimal automaton gains information there:
 it is selected, or a state change occurs.  These reference computations
-back the optimality statements (Theorems 3.1/3.2) in the test suite:
+back the optimality statement (Theorem 3.1) in the test suite:
 
 - :func:`topdown_relevant` -- Lemma 3.1 over the unique run of a minimal
   complete TDSTA;
-- :func:`bottomup_relevant` -- Lemma 3.2 over the unique run of a minimal
-  complete BDSTA;
+- :func:`relevant_definition31` -- Definition 3.1 itself, by
+  sub-automaton equivalence: the specification Lemma 3.1 is checked
+  against;
 - :func:`essential_labels` -- the labels on which a state actually changes
   (the jump targets of Section 3.1.2).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set
+from typing import FrozenSet, Optional, Set
 
 from repro.automata.labelset import LabelSet
 from repro.automata.sta import STA, State
-from repro.counters import EvalStats
-from repro.tree.binary import NIL, BinaryTree
+from repro.tree.binary import BinaryTree
 
 
 def topdown_universal_state(sta: STA) -> Optional[State]:
@@ -34,14 +34,6 @@ def topdown_sink_state(sta: STA) -> Optional[State]:
     """The state q⊥ of a minimal TDSTA, if present."""
     for q in sta.states:
         if sta.is_topdown_sink(q):
-            return q
-    return None
-
-
-def bottomup_universal_state(sta: STA) -> Optional[State]:
-    """The non-changing accepting state of a minimal BDSTA (its q>)."""
-    for q in sta.states:
-        if sta.is_non_changing(q) and q in sta.top and q not in sta.selecting:
             return q
     return None
 
@@ -159,34 +151,3 @@ def relevant_definition31(sta: STA, tree: BinaryTree) -> Optional[FrozenSet[int]
         out.add(v)
     return frozenset(out)
 
-
-def bottomup_relevant(sta: STA, tree: BinaryTree) -> Optional[FrozenSet[int]]:
-    """Relevant nodes per Lemma 3.2 for a minimal complete BDSTA."""
-    from repro.automata.bottomup import bottom_up
-
-    run = bottom_up(sta, tree, EvalStats())
-    if run is None:
-        return None
-    (q0,) = tuple(sta.bottom)
-    q_top = bottomup_universal_state(sta)
-    skippable = {q0, q_top} if q_top is not None else {q0}
-    out: Set[int] = set()
-    for v in range(tree.n):
-        label = tree.label(v)
-        q = run[v]
-        if sta.selects(q, label):
-            out.add(v)
-            continue
-        lc, rc = tree.left[v], tree.right[v]
-        r1 = q0 if lc == NIL else run[lc]
-        r2 = q0 if rc == NIL else run[rc]
-        if q_top is not None and q == q_top:
-            continue
-        if q == r1 == r2:
-            continue
-        if q == r1 and r2 in skippable:
-            continue
-        if q == r2 and r1 in skippable:
-            continue
-        out.add(v)
-    return frozenset(out)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
-from repro.automata.labelset import ANY, LabelSet
+from repro.automata.labelset import LabelSet
 from repro.tree.binary import NIL, BinaryTree
 
 State = str

@@ -69,39 +69,6 @@ def run_tdsta(
     return bool(selected), selected
 
 
-def evaluate_bottomup_filter(
-    query: Union[str, Path],
-    index: TreeIndex,
-    stats: EvalStats,
-) -> Tuple[bool, List[int]]:
-    """Bottom-up deterministic evaluation of ``//target[.//witness]``.
-
-    The query class where the paper proves top-down determinism is
-    impossible (Example A.1): a 3-state BDSTA evaluated with the
-    subtree-skipping bottom-up run of Algorithm B.2.  Raises
-    :class:`NotPathShaped` for other queries.
-    """
-    from repro.automata.bottomup import bottomup_jump, selected_by_run
-    from repro.automata.pathdet import filter_bdsta, match_filter_query
-    from repro.xpath.parser import parse_xpath
-
-    path = parse_xpath(query) if isinstance(query, str) else query
-    matched = match_filter_query(path)
-    if matched is None:
-        raise NotPathShaped("expected a //target[.//witness] query")
-    target, witness = matched
-    sta = filter_bdsta(target, witness)
-    run = bottomup_jump(sta, index, stats)
-    if run is None:
-        return False, []
-    tree = index.tree
-    selected = sorted(
-        v for v, q in run.items() if sta.selects(q, tree.label(v))
-    )
-    stats.selected = len(selected)
-    return bool(selected), selected
-
-
 @register_strategy
 class DeterministicStrategy(Strategy):
     """Minimal-TDSTA pipeline for predicate-free path queries (Section 3)."""

@@ -24,7 +24,7 @@ and :meth:`LabelIndex.cache_info` reports hits/misses/evictions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence
+from typing import Iterable, List, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -95,28 +95,6 @@ class FusedLabels:
         return -1
 
 
-class _ListMirrors:
-    """``mirrors[lab]``: the plain-list mirror of ``arrays[lab]``, built
-    by ``ints`` the first time it is asked for (by
-    :meth:`LabelIndex.nodes`)."""
-
-    __slots__ = ("_arrays", "_ints", "_built")
-
-    def __init__(self, arrays: List[np.ndarray], ints) -> None:
-        self._arrays = arrays
-        self._ints = ints
-        self._built: Dict[int, List[int]] = {}
-
-    def __getitem__(self, lab: int) -> List[int]:
-        mirror = self._built.get(lab)
-        if mirror is None:
-            mirror = self._built[lab] = self._ints(self._arrays[lab])
-        return mirror
-
-    def __reduce__(self):
-        return (_ListMirrors, (self._arrays, self._ints))
-
-
 class LabelIndex:
     """Sorted id arrays per label, plus O(1) counts and fused unions.
 
@@ -143,7 +121,6 @@ class LabelIndex:
         self.tree = tree
         self._arrays = arrays
         self._ints = _int_lists(tree)
-        self._lists = _ListMirrors(arrays, self._ints)
         self._fused = LRUCache(FUSED_CACHE_SIZE, lock=True)
 
     @classmethod
@@ -160,7 +137,7 @@ class LabelIndex:
         ``lab``.  Per-label arrays become zero-copy views of ``ids`` (a
         memory-mapped store array stays mapped) and nothing is copied:
         no argsort runs -- the sort was paid once at store-build time --
-        and the list mirrors wait for a scalar reader.
+        and the fused list mirrors wait for a scalar reader.
         """
         self = cls.__new__(cls)
         if len(boundaries) != len(tree.labels) + 1:
@@ -190,11 +167,6 @@ class LabelIndex:
         """Global number of nodes with this element name (O(1))."""
         lab = _label_id(self.tree, label)
         return 0 if lab is None else len(self._arrays[lab])
-
-    def nodes(self, label: str) -> list[int]:
-        """All nodes with this label, in document order."""
-        lab = _label_id(self.tree, label)
-        return [] if lab is None else self._lists[lab]
 
     def nodes_array(self, label: str) -> np.ndarray:
         """All nodes with this label as a sorted ``int32`` array."""

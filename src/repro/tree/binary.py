@@ -37,8 +37,8 @@ ID_DTYPE = np.dtype(np.int32)
 """The one width of every node-id array: the tree's columns, the label
 index, rank columns, the child CSR and the kernels' frontiers."""
 
-#: The element-wise API, ``tree.<name>[v]``: three columns, three links.
-MIRRORS = ("label_of", "left", "right", "parent", "bparent", "xml_end")
+#: The element-wise API, ``tree.<name>[v]``: three columns, two links.
+MIRRORS = ("label_of", "left", "right", "parent", "xml_end")
 
 MAX_NODES = 2**31 - 3
 """The most nodes a document may have: every id, and the ``n + 2``
@@ -122,7 +122,7 @@ def column(columns: dict, name: str) -> np.ndarray:
     """Stored column ``name``, or the fcns link ``name`` derived from the
     preorder columns: ``left`` (first child) is ``v + 1`` if ``v``'s
     subtree holds it; ``right`` (next sibling) starts where ``v``'s
-    subtree ends, unless its parent's does; ``bparent`` inverts both."""
+    subtree ends, unless its parent's does."""
     if name in columns:
         return columns[name]
     parent, xml_end = columns["parent"], columns["xml_end"]
@@ -130,13 +130,7 @@ def column(columns: dict, name: str) -> np.ndarray:
     if name == "left":
         return np.where(xml_end > v + 1, v + 1, NIL)
     # The root's parent NIL takes the last node's xml_end, n: no sibling.
-    right = np.where(xml_end < xml_end.take(parent), xml_end, NIL)
-    if name == "right":
-        return right
-    bparent = np.where(parent == v - 1, parent, NIL)  # first children
-    named = right != NIL
-    bparent[right[named]] = v[named]
-    return bparent
+    return np.where(xml_end < xml_end.take(parent), xml_end, NIL)
 
 
 class _Mirror:
@@ -221,7 +215,6 @@ class BinaryTree:
     left = _Mirror()
     right = _Mirror()
     parent = _Mirror()
-    bparent = _Mirror()
     xml_end = _Mirror()
 
     def _publish(self, name: str) -> list[int]:

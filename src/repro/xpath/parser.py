@@ -211,7 +211,9 @@ class _Parser:
             self.take()
             axis = Axis.ATTRIBUTE
             test = self.parse_node_test()
-        elif tok in _AXES and self.peek(1) == "::":
+        elif self.peek(1) == "::":
+            if tok not in _AXES:
+                raise self.error(f"unsupported axis {tok!r}")
             if descendant:
                 raise self.error(
                     "explicit axis cannot follow '//' (write /axis::test)"

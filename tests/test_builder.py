@@ -27,7 +27,6 @@ def _arrays(tree: BinaryTree):
         list(tree.left),
         list(tree.right),
         list(tree.parent),
-        list(tree.bparent),
         list(tree.xml_end),
     )
 
@@ -161,10 +160,10 @@ def loop_parens(tree: BinaryTree) -> list:
 
 def loop_columns(parens) -> dict:
     """The per-event wiring ``TreeBuilder`` used to do -- ``parent`` and
-    the ``left`` / ``right`` link (with its ``bparent``) at every open,
+    the ``left`` / ``right`` link at every open,
     ``xml_end`` at every close -- replayed over a parenthesis sequence:
     the reference for the bulk derivation in ``tree/binary.py``."""
-    left, right, parent, bparent, xml_end = [], [], [], [], []
+    left, right, parent, xml_end = [], [], [], []
     opened, closed, height = [], None, 0
     for bit in parens:
         if not bit:
@@ -174,14 +173,11 @@ def loop_columns(parens) -> dict:
         vid = len(left)
         if not opened:
             parent.append(-1)
-            bparent.append(-1)
         elif closed is None:
             left[opened[-1]] = vid
-            bparent.append(opened[-1])
             parent.append(opened[-1])
         else:
             right[closed] = vid
-            bparent.append(closed)
             parent.append(opened[-1])
             closed = None
         left.append(-1)
@@ -191,7 +187,7 @@ def loop_columns(parens) -> dict:
         height = max(height, len(opened) - 1)
     return {
         "left": left, "right": right, "parent": parent,
-        "bparent": bparent, "xml_end": xml_end, "height": height,
+        "xml_end": xml_end, "height": height,
     }
 
 

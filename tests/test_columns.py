@@ -17,8 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata.bottomup import bottom_up_reduce
-from repro.automata.examples import sta_a_with_b_below
 from repro.engine.api import Engine
 from repro.store import open_document, save_document
 from repro.tree import binary
@@ -34,7 +32,7 @@ from test_planner import MIX20
 # Q01 and Q10, which go to `optimized`.
 Q01, Q10 = QUERIES["Q01"], QUERIES["Q10"]
 KERNEL_BOUND = [query for query in MIX20 if query not in (Q01, Q10)]
-COLUMNS = ("label_of", "left", "right", "parent", "bparent", "xml_end")
+COLUMNS = ("label_of", "left", "right", "parent", "xml_end")
 STORED = ("label_of", "parent", "xml_end")
 
 
@@ -54,9 +52,7 @@ def bundles(tmp_path_factory):
 def _label_lists(index) -> list:
     """Every list mirror the label index holds right now."""
     fused = index.labels._fused.data.values()
-    return list(index.labels._lists._built) + [
-        f for f in fused if "lst" in vars(f)
-    ]
+    return [f for f in fused if "lst" in vars(f)]
 
 
 # -- (a) who builds a mirror -------------------------------------------------
@@ -145,8 +141,6 @@ def test_automaton_run_builds_exactly_what_it_reads(bundles):
         assert tree.resident_mirrors() == (
             "label_of", "left", "right", "parent", "xml_end"
         )
-        bottom_up_reduce(sta_a_with_b_below(), tree)  # reads bparent
-        assert tree.resident_mirrors() == COLUMNS
 
 
 # -- (b) open is O(1) in n -----------------------------------------------------

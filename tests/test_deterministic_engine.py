@@ -103,27 +103,8 @@ class TestEngineIntegration:
 
 
 class TestBottomUpFilter:
-    """//target[.//witness] via the 3-state BDSTA (Example A.1 family)."""
-
-    def test_query_recognition(self):
-        from repro.automata.pathdet import match_filter_query
-
-        assert match_filter_query(parse_xpath("//a[.//b]")) == ("a", "b")
-        assert match_filter_query(parse_xpath("//a[b]")) is None
-        assert match_filter_query(parse_xpath("//a[.//b]//c")) is None
-        assert match_filter_query(parse_xpath("//a[.//b and c]")) is None
-        assert match_filter_query(parse_xpath("//*[.//b]")) is None
-
-    def test_bdsta_is_deterministic_and_minimal(self):
-        from repro.automata.minimize import minimize_bdsta
-        from repro.automata.pathdet import filter_bdsta
-
-        sta = filter_bdsta("a", "b")
-        assert sta.is_bottomup_deterministic()
-        assert sta.is_bottomup_complete()
-        # Three states are necessary (see examples.sta_a_with_b_below's
-        # docstring discussion): minimization cannot shrink it.
-        assert len(minimize_bdsta(sta).states) == 3
+    """//target[.//witness] (the Example A.1 family) needs a bottom-up
+    automaton: no top-down deterministic one selects it."""
 
     def test_no_equivalent_tdsta_shape(self):
         """The paper's claim that //a[.//b] is not top-down determinizable
@@ -131,32 +112,6 @@ class TestBottomUpFilter:
         from repro.automata.pathdet import is_path_shaped
 
         assert not is_path_shaped(compile_xpath("//a[.//b]"))
-
-    def test_rejects_other_queries(self):
-        from repro.engine.deterministic import evaluate_bottomup_filter
-
-        with pytest.raises(NotPathShaped):
-            evaluate_bottomup_filter(
-                "//a//b", TreeIndex(BinaryTree.from_spec("a")), EvalStats()
-            )
-
-    @given(binary_trees(max_depth=4, max_children=4))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_reference(self, tree):
-        from repro.engine.deterministic import evaluate_bottomup_filter
-
-        index = TreeIndex(tree)
-        for query in ("//a[.//b]", "//b[.//c]", "//a[.//a]"):
-            expected = evaluate_reference(index.tree, parse_xpath(query))
-            assert evaluate_bottomup_filter(query, index, EvalStats())[1] == expected
-
-    def test_skips_witness_free_regions(self, xmark_index):
-        from repro.counters import EvalStats
-        from repro.engine.deterministic import evaluate_bottomup_filter
-
-        stats = EvalStats()
-        evaluate_bottomup_filter("//listitem[.//keyword]", xmark_index, stats)
-        assert stats.visited < xmark_index.tree.n
 
 
 class TestWildcardInventory:

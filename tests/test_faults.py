@@ -196,7 +196,7 @@ class TestCorruptionRecall:
             with pytest.raises(StoreFormatError, match="manifest mismatch"):
                 check(bundle)
 
-    @pytest.mark.parametrize("link", ["bparent", "left", "right"])
+    @pytest.mark.parametrize("link", ["left", "right"])
     def test_manifest_naming_a_link_array_refused(self, bundle, link):
         """The first-child / next-sibling links are derived, not stored:
         a version 5 header that lists one as an array is refused, by the
@@ -211,7 +211,7 @@ class TestCorruptionRecall:
             with pytest.raises(StoreFormatError, match="manifest mismatch"):
                 check(bundle)
 
-    @pytest.mark.parametrize("link", ["bparent", "left", "right"])
+    @pytest.mark.parametrize("link", ["left", "right"])
     def test_stray_link_file_is_never_read(self, bundle, link):
         """A ``.npy`` file named for a link beside the five arrays is not
         mapped: the link still comes from ``parent`` and ``xml_end``."""

@@ -49,7 +49,7 @@ def _reference_count_in_range(lists, label_ids, lo, hi):
 def test_fused_queries_match_bisect_reference(spec, data):
     tree = BinaryTree.from_spec(spec)
     index = LabelIndex(tree)
-    lists = [index.nodes(name) for name in tree.labels]
+    lists = [index.nodes_array(name).tolist() for name in tree.labels]
     nlabels = len(tree.labels)
     label_ids = data.draw(
         st.lists(
@@ -72,7 +72,7 @@ def test_fused_queries_match_bisect_reference(spec, data):
 def test_dt_ft_match_reference(spec, data):
     tree = BinaryTree.from_spec(spec)
     index = TreeIndex(tree)
-    lists = [index.labels.nodes(name) for name in tree.labels]
+    lists = [index.labels.nodes_array(name).tolist() for name in tree.labels]
     nlabels = len(tree.labels)
     ids = data.draw(
         st.lists(st.integers(0, nlabels - 1), min_size=1, max_size=nlabels)
@@ -113,7 +113,7 @@ class TestFusedCache:
         f2 = index.fused([b, a])  # order-insensitive alias
         assert f1 is f2
         assert f1.lst == sorted(
-            index.nodes("a") + index.nodes("b")
+            index.nodes_array("a").tolist() + index.nodes_array("b").tolist()
         )
         assert f1.arr.dtype == np.int32
 

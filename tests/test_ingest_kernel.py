@@ -33,8 +33,8 @@ from repro.xmark.generator import XMarkGenerator
 # commit 6e122fb (the character-at-a-time scanner and the frame-list
 # builder, both since deleted) as ``np.save`` of ``<i8`` arrays.  The new
 # pipeline must stay byte-identical: its ``<i4`` arrays (format v5), and
-# the ``left`` / ``right`` / ``bparent`` mirrors the reopened tree derives
-# in place of v4's three link files, widened and written that way again,
+# the ``left`` / ``right`` mirrors the reopened tree derives in place of
+# v4's link files, widened and written that way again,
 # must give the same digests.
 
 
@@ -62,13 +62,13 @@ def mixed_document() -> str:
 ENCODED = {"encode_attributes": True, "encode_text": True}
 GOLDEN = {
     ("xmark", False): {
-        "bparent": "6898552f", "label_bounds": "428a60b1",
+        "label_bounds": "428a60b1",
         "label_ids": "8bdfc9b6", "label_of": "f07eb013",
         "left": "9d16c893", "parent": "3a3b9689",
         "right": "8f00e516", "xml_end": "6cf9be1b",
     },
     ("xmark", True): {
-        "bparent": "73ecc4bc", "label_bounds": "07b85b93",
+        "label_bounds": "07b85b93",
         "label_ids": "dcf3c87f", "label_of": "09201c35",
         "left": "adf37500", "parent": "ac84c890",
         "right": "ddbeaee0", "xml_end": "87972739",
@@ -76,13 +76,13 @@ GOLDEN = {
 }
 GOLDEN_MIXED = {
     False: {
-        "bparent": "ca683d92", "label_bounds": "872c00d5",
+        "label_bounds": "872c00d5",
         "label_ids": "f4986d14", "label_of": "1a1d35af",
         "left": "b7f87c4c", "parent": "dd0d23ee",
         "right": "28b02ebd", "xml_end": "feeae149",
     },
     True: {
-        "bparent": "ea370429", "label_bounds": "00e39623",
+        "label_bounds": "00e39623",
         "label_ids": "ff5903c8", "label_of": "4a82fdd0",
         "left": "feb70081", "parent": "da025f92",
         "right": "2718f6ca", "xml_end": "f3d825e8",
@@ -98,7 +98,7 @@ def bundle_digests(xml: str, path: str, **encode) -> dict:
         if name.endswith(".npy")
     }
     with open_document(path) as stored:
-        for name in ("left", "right", "bparent"):
+        for name in ("left", "right"):
             arrays[name] = np.array(getattr(stored.tree, name))
     digests = {}
     for name, array in arrays.items():

@@ -177,10 +177,8 @@ def test_label_index_lists_are_the_trees_pooled_ints(xml):
     pooled = tree.ints(np.arange(tree.n, dtype=np.int32))
     key = index.label_ids(["keyword", "bold"])
     fused = index.fused(key).lst
-    nodes = index.labels.nodes("keyword")
-    assert fused and nodes and max(fused) > 256  # past CPython's small ints
+    assert fused and max(fused) > 256  # past CPython's small ints
     assert all(v is pooled[v] for v in fused)
-    assert all(v is pooled[v] for v in nodes)
     # ... and the column mirrors' ids are the same objects again.
     parents = [p for p in tree.parent if p > 256]
     assert parents and all(p is pooled[p] for p in parents)
@@ -190,7 +188,7 @@ def test_a_succinct_tree_lists_without_a_pool(xml):
     succinct = SuccinctTree.from_binary(BinaryTree.from_xml(xml))
     labels = LabelIndex(succinct)
     lab = succinct.labels.index("keyword")
-    assert labels.nodes("keyword") == labels._arrays[lab].tolist()
+    assert labels.nodes_array("keyword").tolist() == labels._arrays[lab].tolist()
     assert labels.fused([lab]).lst == labels._arrays[lab].tolist()
 
 

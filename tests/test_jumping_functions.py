@@ -143,7 +143,7 @@ class TestLabelIndex:
     def test_nodes_sorted(self):
         tree = BinaryTree.from_spec(("r", ("a", "b"), "b", ("c", "b")))
         li = LabelIndex(tree)
-        nodes = li.nodes("b")
+        nodes = li.nodes_array("b").tolist()
         assert nodes == sorted(nodes)
         assert len(nodes) == 3
 
@@ -156,5 +156,5 @@ class TestLabelIndexOverSuccinct:
         succ = SuccinctTree.from_binary(tree)
         li_succ = LabelIndex(succ)
         li_tree = LabelIndex(tree)
-        assert li_succ.nodes("b") == li_tree.nodes("b")
+        assert li_succ.nodes_array("b").tolist() == li_tree.nodes_array("b").tolist()
         assert li_succ.count("b") == li_tree.count("b") == 3

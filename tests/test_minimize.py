@@ -2,14 +2,11 @@
 
 from hypothesis import given, settings
 
-from repro.automata.examples import sta_a_with_b_below, sta_desc_a_desc_b, sta_dtd_root_a
+from repro.automata.examples import sta_desc_a_desc_b, sta_dtd_root_a
 from repro.automata.labelset import ANY, LabelSet
 from repro.automata.minimize import (
     atoms,
-    bdsta_equivalent,
-    complete_bottomup,
     complete_topdown,
-    minimize_bdsta,
     minimize_tdsta,
     tdsta_equivalent,
 )
@@ -63,17 +60,6 @@ class TestCompletion:
         sta = sta_desc_a_desc_b()
         assert complete_topdown(sta) is sta
 
-    def test_complete_bottomup(self):
-        partial = STA(
-            ["q"],
-            ["q"],
-            ["q"],
-            {},
-            [Transition("q", LabelSet.of("a"), "q", "q")],
-        )
-        comp = complete_bottomup(partial)
-        assert comp.is_bottomup_complete()
-
 
 class TestMinimizeTDSTA:
     def test_already_minimal_is_stable(self):
@@ -119,50 +105,6 @@ class TestMinimizeTDSTA:
             minimize_tdsta(nd)
 
 
-class TestMinimizeBDSTA:
-    def test_example_a1_is_minimal(self):
-        sta = sta_a_with_b_below()
-        mini = minimize_bdsta(sta)
-        # Completion may add a sink; the core states cannot shrink below
-        # the original two.
-        assert len(mini.states) >= 2
-        assert bdsta_equivalent(mini, sta)
-
-    @given(binary_trees(labels=("a", "b", "c")))
-    @settings(max_examples=40)
-    def test_minimized_preserves_semantics(self, tree):
-        original = sta_a_with_b_below()
-        mini = minimize_bdsta(original)
-        assert mini.selected_nodes(tree) == original.selected_nodes(tree)
-        assert mini.accepts(tree) == original.accepts(tree)
-
-    def test_duplicate_state_collapses(self):
-        base = sta_a_with_b_below()
-        # Duplicate q1 as q1b everywhere.
-        dup_transitions = list(base.transitions)
-        for t in base.transitions:
-            dup_transitions.append(
-                Transition(
-                    "q1b" if t.q == "q1" else t.q,
-                    t.labels,
-                    "q1b" if t.q1 == "q1" else t.q1,
-                    t.q2,
-                )
-            )
-        dup = STA(
-            ["q0", "q1", "q1b"],
-            ["q0", "q1", "q1b"],
-            ["q0"],
-            {"q1": base.selecting["q1"], "q1b": base.selecting["q1"]},
-            dup_transitions,
-        )
-        # The duplicated automaton is no longer deterministic; skip unless
-        # it is (construction above may introduce nondeterminism).
-        if dup.is_bottomup_deterministic():
-            mini = minimize_bdsta(dup)
-            assert len(mini.states) <= len(dup.states)
-
-
 class TestEquivalence:
     def test_inequivalent_tdstas(self):
         a = sta_desc_a_desc_b()
@@ -172,8 +114,6 @@ class TestEquivalence:
     def test_equivalence_is_reflexive(self):
         a = sta_desc_a_desc_b()
         assert tdsta_equivalent(a, a)
-        bu = sta_a_with_b_below()
-        assert bdsta_equivalent(bu, bu)
 
     def test_selection_matters_for_equivalence(self):
         base = sta_desc_a_desc_b()

@@ -1,27 +1,20 @@
 """Property tests over *random* deterministic selecting tree automata.
 
 The fixed examples of the paper are necessary but not sufficient; these
-strategies generate arbitrary complete TDSTAs/BDSTAs over a small label
+strategies generate arbitrary complete TDSTAs over a small label
 alphabet and check the Section 3 machinery wholesale:
 
 - minimization preserves language and selection and is idempotent;
 - the unique deterministic run agrees with the all-runs oracle;
 - ``topdown_jump`` is sound (run values correct, rejection detected) and
-  complete for selection (every selected node is in its domain);
-- ``bottom_up`` / ``bottom_up_reduce`` / ``bottomup_jump`` agree.
+  complete for selection (every selected node is in its domain).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata.bottomup import bottom_up, bottom_up_reduce, bottomup_jump, selected_by_run
 from repro.automata.labelset import LabelSet
-from repro.automata.minimize import (
-    bdsta_equivalent,
-    minimize_bdsta,
-    minimize_tdsta,
-    tdsta_equivalent,
-)
+from repro.automata.minimize import minimize_tdsta, tdsta_equivalent
 from repro.automata.sta import STA, Transition
 from repro.automata.topdown import topdown_jump
 from repro.counters import EvalStats
@@ -46,27 +39,6 @@ def tdstas(draw, max_states: int = 3):
             transitions.append(Transition(q, atom, q1, q2))
     top = [states[0]]
     bottom = draw(st.sets(st.sampled_from(states), min_size=1))
-    selecting = {}
-    for q in states:
-        sel = draw(st.sets(st.sampled_from(LABELS), max_size=2))
-        if sel:
-            selecting[q] = LabelSet(sel)
-    return STA(states, top, bottom, selecting, transitions)
-
-
-@st.composite
-def bdstas(draw, max_states: int = 3):
-    """Random complete bottom-up deterministic STAs."""
-    n = draw(st.integers(1, max_states))
-    states = [f"q{i}" for i in range(n)]
-    transitions = []
-    for q1 in states:
-        for q2 in states:
-            for atom in ATOMS:
-                q = draw(st.sampled_from(states))
-                transitions.append(Transition(q, atom, q1, q2))
-    bottom = [states[0]]
-    top = draw(st.sets(st.sampled_from(states), min_size=1))
     selecting = {}
     for q in states:
         sel = draw(st.sets(st.sampled_from(LABELS), max_size=2))
@@ -128,40 +100,3 @@ class TestRandomTDSTA:
         if not mini.accepts(tree):
             assert run == {}
 
-
-class TestRandomBDSTA:
-    @given(bdstas(), binary_trees(max_depth=3, max_children=3))
-    @settings(max_examples=60, deadline=None)
-    def test_run_agrees_with_oracle(self, sta, tree):
-        run = bottom_up(sta, tree, EvalStats())
-        assert (run is not None) == sta.accepts(tree)
-        if run is not None:
-            assert selected_by_run(sta, tree, run) == sta.selected_nodes(tree)
-
-    @given(bdstas(), binary_trees(max_depth=3, max_children=3))
-    @settings(max_examples=60, deadline=None)
-    def test_reduce_equals_sweep(self, sta, tree):
-        assert bottom_up_reduce(sta, tree) == bottom_up(sta, tree, EvalStats())
-
-    @given(bdstas(), binary_trees(max_depth=3, max_children=3))
-    @settings(max_examples=60, deadline=None)
-    def test_jumping_values_match(self, sta, tree):
-        full = bottom_up(sta, tree, EvalStats())
-        partial = bottomup_jump(sta, TreeIndex(tree), EvalStats())
-        assert (full is None) == (partial is None)
-        if full is not None:
-            for v, q in partial.items():
-                assert full[v] == q
-
-    @given(bdstas(), binary_trees(max_depth=3, max_children=3))
-    @settings(max_examples=40, deadline=None)
-    def test_minimization_preserves_semantics(self, sta, tree):
-        mini = minimize_bdsta(sta)
-        assert mini.accepts(tree) == sta.accepts(tree)
-        assert mini.selected_nodes(tree) == sta.selected_nodes(tree)
-
-    @given(bdstas())
-    @settings(max_examples=25, deadline=None)
-    def test_minimization_self_equivalent(self, sta):
-        mini = minimize_bdsta(sta)
-        assert bdsta_equivalent(mini, sta)

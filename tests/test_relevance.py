@@ -1,11 +1,9 @@
-"""Relevant nodes (Definition 3.1, Lemmas 3.1/3.2)."""
+"""Relevant nodes (Definition 3.1, Lemma 3.1)."""
 
-from repro.automata.examples import sta_a_with_b_below, sta_desc_a_desc_b, sta_dtd_root_a
+from repro.automata.examples import sta_desc_a_desc_b, sta_dtd_root_a
 from repro.automata.labelset import LabelSet
-from repro.automata.minimize import complete_topdown, minimize_bdsta, minimize_tdsta
+from repro.automata.minimize import complete_topdown, minimize_tdsta
 from repro.automata.relevance import (
-    bottomup_relevant,
-    bottomup_universal_state,
     essential_labels,
     topdown_relevant,
     topdown_sink_state,
@@ -28,10 +26,6 @@ class TestSpecialStates:
         sta = sta_desc_a_desc_b()
         assert topdown_universal_state(sta) is None
         assert topdown_sink_state(sta) is None
-
-    def test_bottomup_universal(self):
-        # In //a[.//b]'s automaton no state is non-changing.
-        assert bottomup_universal_state(sta_a_with_b_below()) is None
 
 
 class TestEssentialLabels:
@@ -73,31 +67,6 @@ class TestTopDownRelevance:
         sta = sta_desc_a_desc_b()
         t = tree(("a", ("b", "b"), "c"))
         relevant = topdown_relevant(sta, t)
-        for v in sta.selected_nodes(t):
-            assert v in relevant
-
-
-class TestBottomUpRelevance:
-    def test_example_b1_relevance(self):
-        sta = sta_a_with_b_below()
-        #  r(0)
-        #    a(1)          c(4)
-        #      c(2)
-        #        b(3)
-        t = tree(("r", ("a", ("c", "b")), "c"))
-        relevant = bottomup_relevant(sta, t)
-        assert relevant is not None
-        # The selected a is relevant; the b that triggers the state change
-        # is relevant.
-        assert 1 in relevant
-        assert 3 in relevant
-        # The plain trailing c gains no information.
-        assert 4 not in relevant
-
-    def test_selected_subset_of_relevant(self):
-        sta = sta_a_with_b_below()
-        t = tree(("a", ("a", "b"), ("c", "b"), "c"))
-        relevant = bottomup_relevant(sta, t)
         for v in sta.selected_nodes(t):
             assert v in relevant
 

@@ -161,6 +161,14 @@ class TestStructuredErrors:
         assert err.payload["error"]["offset"] == 4
         assert err.payload["error"]["query"] == "//a["
 
+    def test_an_axis_outside_the_fragment_is_named(self, client):
+        with pytest.raises(ServeError) as excinfo:
+            client.query("//a/preceding::b", document="tiny")
+        err = excinfo.value
+        assert err.status == 400 and err.kind == "syntax"
+        assert err.payload["error"]["message"] == "unsupported axis 'preceding'"
+        assert err.payload["error"]["offset"] == 4
+
     def test_relative_path_is_the_clients_problem(self, client):
         for strategy in ("auto", "mixed"):
             with pytest.raises(ServeError) as excinfo:

@@ -35,14 +35,6 @@ class TestConstruction:
         t = spec_tree()
         assert t.parent == [NIL, 0, 0, 2, 0]
 
-    def test_binary_parent(self):
-        t = spec_tree()
-        # left-child edges: a->b, c->e; right-child: b->c, c->d
-        assert t.bparent[1] == 0
-        assert t.bparent[2] == 1
-        assert t.bparent[3] == 2
-        assert t.bparent[4] == 2
-
     def test_xml_end_ranges(self):
         t = spec_tree()
         assert t.xml_end == [5, 2, 4, 4, 5]
@@ -130,11 +122,3 @@ class TestEncodingProperties:
             lc = t.left[v]
             if lc != NIL:
                 assert (lc, t.bend(lc)) == (v + 1, t.xml_end[v])
-
-    @given(binary_trees())
-    @settings(max_examples=60)
-    def test_bparent_inverts_child_edges(self, t: BinaryTree):
-        for v in range(1, t.n):
-            p = t.bparent[v]
-            assert p != NIL
-            assert t.left[p] == v or t.right[p] == v

@@ -176,6 +176,20 @@ class TestStructuredErrors:
         assert excinfo.value.offset == offset
         assert excinfo.value.query == text
 
+    @pytest.mark.parametrize(
+        "text, axis, offset",
+        [
+            ("//a/preceding::b", "preceding", 4),
+            ("//a/preceding-sibling::b", "preceding-sibling", 4),
+            ("/a/bogus::b", "bogus", 3),
+        ],
+    )
+    def test_an_axis_outside_the_fragment_is_named(self, text, axis, offset):
+        with pytest.raises(XPathSyntaxError) as excinfo:
+            parse_xpath(text)
+        assert excinfo.value.message == f"unsupported axis {axis!r}"
+        assert excinfo.value.offset == offset
+
     def test_offset_appears_in_str(self):
         with pytest.raises(XPathSyntaxError) as excinfo:
             parse_xpath("//a[b(")
