@@ -284,6 +284,27 @@ class TestStructuredSyntaxErrors:
         assert lines[1] == "  //a[b("
         assert lines[2] == "  " + " " * 5 + "^"
 
+    @pytest.mark.parametrize(
+        "query, axis, offset",
+        [
+            ("//a/preceding::b", "preceding", 4),
+            ("//a/following::b", "following", 4),
+            ("/a/self::b", "self", 3),
+            ("//a[preceding-sibling::b]", "preceding-sibling", 4),
+        ],
+    )
+    def test_axis_outside_the_fragment_is_named(
+        self, xml_file, capsys, query, axis, offset
+    ):
+        code, _ = run([query, xml_file])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == (
+            f"syntax error: unsupported axis {axis!r} (offset {offset})"
+        )
+        assert lines[1] == "  " + query
+        assert lines[2] == "  " + " " * offset + "^"
+
     def test_non_syntax_errors_keep_plain_format(self, tmp_path, capsys):
         path = tmp_path / "bad.xml"
         path.write_text("<a><b></a>")

@@ -8,6 +8,8 @@ from repro.automata.minimize import minimize_tdsta
 from repro.automata.pathdet import NotPathShaped, is_path_shaped, path_tdsta
 from repro.automata.relevance import topdown_relevant
 from repro.counters import EvalStats
+from repro.engine import registry
+from repro.engine.core import SERIES, run_asta
 from repro.engine.deterministic import compile_tdsta, run_tdsta
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
@@ -112,6 +114,49 @@ class TestBottomUpFilter:
         from repro.automata.pathdet import is_path_shaped
 
         assert not is_path_shaped(compile_xpath("//a[.//b]"))
+
+
+FILTER_QUERIES = ("//a[.//b]", "//b[.//c]", "//a[.//a]")
+XMARK_FILTERS = (
+    "//listitem[.//keyword]",
+    "//item[.//mail]",
+    "//open_auction[.//bidder]",
+    "//parlist[.//parlist]",
+)
+
+
+class TestFilterQueriesAreServed:
+    """The //target[.//witness] family on the served strategies: each one
+    answers it exactly, and the jumping runs skip witness-free regions."""
+
+    @pytest.mark.parametrize("strategy", registry.strategy_names())
+    @pytest.mark.parametrize("query", XMARK_FILTERS)
+    def test_matches_reference_on_xmark(self, query, strategy, xmark_index):
+        expected = evaluate_reference(xmark_index.tree, parse_xpath(query))
+        result = Engine(xmark_index).prepare(query, strategy=strategy).execute()
+        assert expected
+        assert list(result.ids) == expected
+        assert result.accepted
+
+    @pytest.mark.parametrize("strategy", registry.strategy_names())
+    @given(tree=binary_trees(max_depth=4, max_children=4))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_reference_random(self, strategy, tree):
+        engine = Engine(tree)
+        for query in FILTER_QUERIES:
+            expected = evaluate_reference(tree, parse_xpath(query))
+            result = engine.prepare(query, strategy=strategy).execute()
+            assert list(result.ids) == expected, (strategy, query)
+
+    @pytest.mark.parametrize("series", ["jumping", "optimized"])
+    @pytest.mark.parametrize("query", XMARK_FILTERS)
+    def test_jumping_skips_witness_free_regions(self, query, series, xmark_index):
+        stats = EvalStats()
+        _, selected = run_asta(
+            compile_xpath(query), xmark_index, stats=stats, **SERIES[series]
+        )
+        assert selected == evaluate_reference(xmark_index.tree, parse_xpath(query))
+        assert stats.visited < xmark_index.tree.n // 4
 
 
 class TestWildcardInventory:

@@ -161,12 +161,20 @@ class TestStructuredErrors:
         assert err.payload["error"]["offset"] == 4
         assert err.payload["error"]["query"] == "//a["
 
-    def test_an_axis_outside_the_fragment_is_named(self, client):
+    @pytest.mark.parametrize(
+        "query, axis",
+        [
+            ("//a/preceding::b", "preceding"),
+            ("//a/following::b", "following"),
+            ("//a/self::b", "self"),
+        ],
+    )
+    def test_an_axis_outside_the_fragment_is_named(self, client, query, axis):
         with pytest.raises(ServeError) as excinfo:
-            client.query("//a/preceding::b", document="tiny")
+            client.query(query, document="tiny")
         err = excinfo.value
         assert err.status == 400 and err.kind == "syntax"
-        assert err.payload["error"]["message"] == "unsupported axis 'preceding'"
+        assert err.payload["error"]["message"] == f"unsupported axis {axis!r}"
         assert err.payload["error"]["offset"] == 4
 
     def test_relative_path_is_the_clients_problem(self, client):

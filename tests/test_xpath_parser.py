@@ -182,6 +182,13 @@ class TestStructuredErrors:
             ("//a/preceding::b", "preceding", 4),
             ("//a/preceding-sibling::b", "preceding-sibling", 4),
             ("/a/bogus::b", "bogus", 3),
+            ("//a/following::b", "following", 4),
+            ("//a/namespace::b", "namespace", 4),
+            ("/a/self::b", "self", 3),
+            ("/a/descendant-or-self::b", "descendant-or-self", 3),
+            ("//a/ancestor-or-self::b", "ancestor-or-self", 4),
+            ("/following::b", "following", 1),
+            ("//a[b/preceding-sibling::c]", "preceding-sibling", 6),
         ],
     )
     def test_an_axis_outside_the_fragment_is_named(self, text, axis, offset):
