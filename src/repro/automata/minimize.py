@@ -146,27 +146,23 @@ def _merge_by_classes(sta: STA, classes: Dict[State, int]) -> STA:
             rep_of_class[c] = q
         mapping[q] = rep_of_class[c]
     merged = sta.rename(mapping)
-    return _merge_transition_labels(merged)
-
-
-def _merge_transition_labels(sta: STA) -> STA:
-    """Union label sets of transitions sharing (q, q1, q2)."""
-    grouped: Dict[Tuple[State, State, State], LabelSet] = {}
-    order: List[Tuple[State, State, State]] = []
-    for t in sta.transitions:
-        key = (t.q, t.q1, t.q2)
-        if key in grouped:
-            grouped[key] = grouped[key].union(t.labels)
-        else:
-            grouped[key] = t.labels
-            order.append(key)
     return STA(
-        sta.states,
-        sta.top,
-        sta.bottom,
-        dict(sta.selecting),
-        [Transition(q, grouped[(q, q1, q2)], q1, q2) for q, q1, q2 in order],
+        merged.states,
+        merged.top,
+        merged.bottom,
+        dict(merged.selecting),
+        merge_transition_labels(merged.transitions),
     )
+
+
+def merge_transition_labels(transitions: Iterable[Transition]) -> List[Transition]:
+    """Union the label sets of transitions sharing ``(q, q1, q2)``, in
+    first-seen order."""
+    grouped: Dict[Tuple[State, State, State], LabelSet] = {}
+    for t in transitions:
+        key = (t.q, t.q1, t.q2)
+        grouped[key] = grouped[key].union(t.labels) if key in grouped else t.labels
+    return [Transition(q, labels, q1, q2) for (q, q1, q2), labels in grouped.items()]
 
 
 def minimize_tdsta(sta: STA) -> STA:

@@ -26,11 +26,12 @@ evaluation of Algorithm B.1 (:func:`~repro.automata.topdown.topdown_jump`)
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set
 
 from repro.asta.automaton import ASTA
 from repro.asta.formula import down_states
 from repro.automata.labelset import LabelSet
+from repro.automata.minimize import merge_transition_labels
 from repro.automata.sta import STA, Transition
 
 StateSet = FrozenSet[str]
@@ -128,18 +129,6 @@ def path_tdsta(asta: ASTA, max_states: int = 4096) -> STA:
         [top],
         names,  # every state accepts #: path queries impose no constraints
         selecting,
-        _merge_labels(transitions),
+        merge_transition_labels(transitions),
     )
 
-
-def _merge_labels(transitions: List[Transition]) -> List[Transition]:
-    grouped: Dict[Tuple[str, str, str], LabelSet] = {}
-    order: List[Tuple[str, str, str]] = []
-    for t in transitions:
-        key = (t.q, t.q1, t.q2)
-        if key in grouped:
-            grouped[key] = grouped[key].union(t.labels)
-        else:
-            grouped[key] = t.labels
-            order.append(key)
-    return [Transition(q, grouped[(q, q1, q2)], q1, q2) for q, q1, q2 in order]

@@ -8,16 +8,13 @@ back the optimality statement (Theorem 3.1) in the test suite:
   complete TDSTA;
 - :func:`relevant_definition31` -- Definition 3.1 itself, by
   sub-automaton equivalence: the specification Lemma 3.1 is checked
-  against;
-- :func:`essential_labels` -- the labels on which a state actually changes
-  (the jump targets of Section 3.1.2).
+  against.
 """
 
 from __future__ import annotations
 
 from typing import FrozenSet, Optional, Set
 
-from repro.automata.labelset import LabelSet
 from repro.automata.sta import STA, State
 from repro.tree.binary import BinaryTree
 
@@ -36,25 +33,6 @@ def topdown_sink_state(sta: STA) -> Optional[State]:
         if sta.is_topdown_sink(q):
             return q
     return None
-
-
-def essential_labels(sta: STA, q: State) -> LabelSet:
-    """Labels for which δ(q, l) is not the pure self-loop (q, q).
-
-    For a minimal TDSTA these are exactly the labels at which a top-down
-    run in state ``q`` can become relevant (selected labels are always
-    included: a selected node is relevant even without a state change).
-    """
-    ess = LabelSet.empty()
-    for t in sta.transitions:
-        if t.q != q:
-            continue
-        if (t.q1, t.q2) != (q, q):
-            ess = ess.union(t.labels)
-    sel = sta.selecting.get(q)
-    if sel is not None:
-        ess = ess.union(sel)
-    return ess
 
 
 def topdown_relevant(sta: STA, tree: BinaryTree) -> Optional[FrozenSet[int]]:

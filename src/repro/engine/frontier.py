@@ -20,8 +20,8 @@ kernel; the names pin the forward-only and the all-axes fragment):
   cached).  Candidates are the :class:`~repro.index.labels.LabelIndex`
   arrays themselves -- per label for named tests, the cached fused union
   for wildcard / ``node()`` tests -- and every operator returns a sorted
-  duplicate-free array, so results are byte-identical to the reference
-  oracle with no final sort and no dedup pass;
+  duplicate-free array, so results are in document order, each node
+  once, with no final sort and no dedup pass;
 - predicates as boolean masks that cost no more than they must:
   ``and``/``or`` evaluate their right operand only on the nodes the left
   one left undecided; an existence path over *few* context nodes is

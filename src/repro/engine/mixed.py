@@ -13,8 +13,8 @@ no longer sufficient).  We follow the same pragmatic route:
    walks for ``parent::``/``ancestor::`` (the index has no upward jumps,
    exactly as the paper notes for its hybrid evaluator).
 
-Semantically this equals the reference evaluation of the whole path; the
-property tests check exactly that.
+Semantically this equals evaluating the whole path at once; the property
+tests check that against the sqlite oracle.
 """
 
 from __future__ import annotations

@@ -59,8 +59,8 @@ identical queries stay correct; distinct queries run concurrently.
 
 When evaluation fails, the daemon degrades instead of dying: an
 unexpected exception retries the request once on the ``naive``
-reference path (correct by construction -- the oracle every other
-strategy is differential-tested against; the response carries
+strategy (the automaton's plain full traversal: no jumping, no memo
+tables, no set-at-a-time kernel; the response carries
 ``"fallback": "naive"``), and ``fail_threshold`` *consecutive*
 ultimately-failed evaluations quarantine the document
 (:class:`~repro.serve.mounts.Mount`) -- further requests answer a
@@ -113,8 +113,8 @@ TIMEOUT_S = 30.0
 #: quarantined (0 disables quarantine).
 FAIL_THRESHOLD = 3
 #: The strategy a failed evaluation is retried on, once, before giving
-#: up -- the reference oracle every fast path is differential-tested
-#: against.
+#: up -- the automaton's plain full traversal: no jumping, no memo
+#: tables, no set-at-a-time kernel.
 FALLBACK_STRATEGY = "naive"
 #: Failures that are the client's problem, not the document's: they pass
 #: through every retry and fallback untouched and answer a structured 4xx.

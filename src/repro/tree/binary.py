@@ -159,8 +159,8 @@ class BinaryTree:
     nothing else.
 
     ``tree.left[v]`` ... ``tree.xml_end[v]`` remain the element-wise API
-    of the node-at-a-time code (the automaton strategies, the reference
-    evaluator, the baselines): each attribute is a plain-``int`` list
+    of the node-at-a-time code (the automaton strategies and the
+    baselines): each attribute is a plain-``int`` list
     *mirror* of its :func:`column`, built the first time it is read and kept.
     Mirrors go through one shared pool of ``int`` objects
     (:meth:`ints`), so the same id is the same object in every column

@@ -4,15 +4,16 @@
 - :mod:`repro.xpath.parser` -- lexer + recursive-descent parser with the
   usual abbreviations (``//x``, ``x/y``, ``.//x``, ``@a``),
 - :mod:`repro.xpath.compiler` -- the XPath -> ASTA compilation scheme of
-  Section 4.2,
-- :mod:`repro.xpath.reference` -- a trivially-correct set-based evaluator
-  used as the semantic oracle by the test suite.
+  Section 4.2.
+
+The test suite checks every strategy's answers against
+``tests/oracle_sqlite.py``, which shares nothing with the system but this
+package's parser and syntax.
 """
 
 from repro.xpath.ast import Axis, Path, Pred, PredAnd, PredNot, PredOr, PredPath, Step
 from repro.xpath.parser import XPathSyntaxError, parse_xpath
 from repro.xpath.compiler import compile_xpath
-from repro.xpath.reference import evaluate_reference
 
 __all__ = [
     "Axis",
@@ -26,5 +27,4 @@ __all__ = [
     "parse_xpath",
     "XPathSyntaxError",
     "compile_xpath",
-    "evaluate_reference",
 ]

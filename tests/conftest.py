@@ -6,26 +6,28 @@ import pytest
 
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
-from repro.tree.parser import parse_xml
 from repro.xmark.generator import XMarkGenerator
 
 
-@pytest.fixture(scope="session")
-def small_doc():
-    """A hand-written document exercising nesting, siblings, repetition."""
-    return parse_xml(
-        "<site>"
-        "  <a><x/><b/><c><b/><d/></c></a>"
-        "  <b><a><b/></a></b>"
-        "  <keyword/>"
-        "  <listitem><text><keyword><emph/></keyword></text></listitem>"
-        "</site>".replace("  ", "")
-    )
+SMALL_XML = (
+    "<site>"
+    "<a><x/><b/><c><b/><d/></c></a>"
+    "<b><a><b/></a></b>"
+    "<keyword/>"
+    "<listitem><text><keyword><emph/></keyword></text></listitem>"
+    "</site>"
+)
+"""A hand-written document exercising nesting, siblings, repetition."""
 
 
 @pytest.fixture(scope="session")
-def small_tree(small_doc):
-    return BinaryTree.from_document(small_doc)
+def small_xml():
+    return SMALL_XML
+
+
+@pytest.fixture(scope="session")
+def small_tree(small_xml):
+    return BinaryTree.from_xml(small_xml)
 
 
 @pytest.fixture(scope="session")
@@ -34,9 +36,15 @@ def small_index(small_tree):
 
 
 @pytest.fixture(scope="session")
-def xmark_tree():
-    """A small but structurally complete XMark instance."""
-    return XMarkGenerator(scale=0.12, seed=11).tree()
+def xmark_xml():
+    """A small but structurally complete XMark instance, as the XML text
+    the sqlite oracle reads too."""
+    return XMarkGenerator(scale=0.12, seed=11).xml()
+
+
+@pytest.fixture(scope="session")
+def xmark_tree(xmark_xml):
+    return BinaryTree.from_xml(xmark_xml)
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +53,12 @@ def xmark_index(xmark_tree):
 
 
 @pytest.fixture(scope="session")
-def xmark_26k():
+def xmark_26k_xml():
     """XMark at scale 1 (26k nodes): large enough that the set-at-a-time
     kernels take their context side and first-witness searches by size."""
-    return TreeIndex(XMarkGenerator(scale=1.0, seed=11).tree())
+    return XMarkGenerator(scale=1.0, seed=11).xml()
+
+
+@pytest.fixture(scope="session")
+def xmark_26k(xmark_26k_xml):
+    return TreeIndex(BinaryTree.from_xml(xmark_26k_xml))

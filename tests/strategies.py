@@ -69,6 +69,21 @@ def tree_specs(draw, max_depth: int = 4, max_children: int = 4, labels=LABELS):
     return node(0)
 
 
+def spec_xml(spec) -> str:
+    """The XML text of a :func:`tree_specs` literal: what the sqlite
+    oracle reads, and what an answer check parses its tree from."""
+    if isinstance(spec, str):
+        return f"<{spec}/>"
+    label, *children = spec
+    return f"<{label}>{''.join(map(spec_xml, children))}</{label}>"
+
+
+@st.composite
+def documents(draw, **kwargs):
+    """Random small documents as XML text (the shapes of :func:`tree_specs`)."""
+    return spec_xml(draw(tree_specs(**kwargs)))
+
+
 @st.composite
 def binary_trees(draw, **kwargs):
     """Random small documents as BinaryTree."""

@@ -3,8 +3,7 @@
 Covers the vectorised JSON id encoder, the lazy two-form
 :class:`ExecutionResult` and its ownership rule, the count paths that
 must never build an id, the spliced response envelope, served-id
-identity against the reference semantics through an independent JSON
-parser, and the HTTP/1.0 keep-alive rule.
+identity against the sqlite oracle through an independent JSON parser, and the HTTP/1.0 keep-alive rule.
 """
 
 from __future__ import annotations
@@ -30,11 +29,10 @@ from repro.engine.workspace import Workspace
 from repro.serve import DaemonThread, QueryDaemon, ServeClient
 from repro.serve.http import encode_answer, encode_ids
 from repro.store import DocumentStore, open_document
-from repro.tree.binary import BinaryTree
-from repro.tree.parser import parse_xml
 from repro.xmark.generator import XMarkGenerator
 from repro.xpath.parser import parse_xpath
-from repro.xpath.reference import evaluate_reference
+
+import oracle_sqlite
 from test_differential_fuzz import CORPORA
 
 
@@ -169,10 +167,13 @@ def test_array_strategies_hand_over_the_frontier():
 # -- (ii) ownership -----------------------------------------------------------
 
 
+XMARK = XMarkGenerator(scale=0.2, seed=3).xml()
+
+
 @pytest.fixture(scope="module")
 def xmark_store(tmp_path_factory):
     root = tmp_path_factory.mktemp("answer-path")
-    DocumentStore(str(root)).add("xmark", XMarkGenerator(scale=0.2, seed=3).xml())
+    DocumentStore(str(root)).add("xmark", XMARK)
     return str(root)
 
 
@@ -194,7 +195,7 @@ class TestOwnership:
         del raw
         engine = Engine(stored, strategy="vectorized")
         result = engine.prepare(self.QUERY).execute()
-        expected = evaluate_reference(engine.tree, path)
+        expected = oracle_sqlite.select(XMARK, self.QUERY)
         array = result.ids_array
         assert _owns_its_data(array) and not array.flags.writeable
         # With the result (and nothing else) alive, every mapping closes
@@ -322,10 +323,9 @@ class TestEnvelope:
     def test_echoed_query_with_json_syntax_in_it(self, tmp_path):
         xml = "<a><b/><c><d/></c><b><c/></b></a>"
         DocumentStore(str(tmp_path)).add("d", xml)
-        tree = BinaryTree.from_document(parse_xml(xml))
         # ids, [ and ] inside the string the daemon echoes back.
         queries = ["//*[b or c]/*[not(d) and not(ids)]", "//*[b or c]/*[ids or c]"]
-        answers = [evaluate_reference(tree, parse_xpath(q)) for q in queries]
+        answers = [oracle_sqlite.select(xml, q) for q in queries]
         assert all(answers)
         with DaemonThread(QueryDaemon(str(tmp_path))) as handle:
             single = _raw_post(handle.port, "/query", {"query": queries[0]})
@@ -336,7 +336,7 @@ class TestEnvelope:
             assert entry["count"] == len(ids)
 
 
-# -- (iii) served ids == the reference semantics, independent JSON parser -------
+# -- (iii) served ids == the sqlite oracle, independent JSON parser --------------
 
 
 def _raw_post(port: int, path: str, payload: dict) -> dict:
@@ -354,21 +354,20 @@ def _raw_post(port: int, path: str, payload: dict) -> dict:
 
 
 def _stored_corpus(directory: str, corpus, encode) -> dict:
-    """Store every document of ``corpus``; ``{name: {query: reference ids}}``."""
+    """Store every document of ``corpus``; ``{name: {query: oracle ids}}``."""
     store = DocumentStore(directory)
     expected = {}
     for number, (xml, queries) in enumerate(corpus):
         name = f"doc{number}"
         store.add(name, xml, **encode)
-        tree = BinaryTree.from_document(parse_xml(xml), **encode)
         expected[name] = {
-            query: evaluate_reference(tree, parse_xpath(query)) for query in queries
+            query: oracle_sqlite.select(xml, query, **encode) for query in queries
         }
     return expected
 
 
 @pytest.mark.parametrize("corpus,encode", CORPORA)
-def test_served_ids_match_reference(tmp_path, corpus, encode):
+def test_served_ids_match_the_oracle(tmp_path, corpus, encode):
     expected = _stored_corpus(str(tmp_path), corpus, encode)
     with DaemonThread(QueryDaemon(str(tmp_path))) as handle:
         for name, answers in expected.items():
@@ -389,7 +388,7 @@ def test_served_ids_match_reference(tmp_path, corpus, encode):
 
 
 @pytest.mark.parametrize("corpus,encode", CORPORA)
-def test_pooled_ids_match_reference(tmp_path, corpus, encode):
+def test_pooled_ids_match_the_oracle(tmp_path, corpus, encode):
     """The worker-process pool over the same bundles: each task reopens
     its bundle in the worker and sends the ids back pickled."""
     expected = _stored_corpus(str(tmp_path), corpus, encode)

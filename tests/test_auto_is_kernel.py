@@ -18,8 +18,8 @@ from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.xmark.generator import XMarkGenerator
 from repro.xpath.compiler import XPathCompileError
-from repro.xpath.parser import parse_xpath
-from repro.xpath.reference import evaluate_reference
+
+import oracle_sqlite
 from test_differential_fuzz import CORPORA
 from test_planner import MIX20
 
@@ -51,15 +51,11 @@ def test_every_auto_plan_is_the_kernel(scale, seed):
     xml = XMarkGenerator(scale=scale, seed=seed).xml()
     index = TreeIndex(BinaryTree.from_xml(xml))
     engine = Engine(index)  # the default strategy
-    oracle = Engine(xml, strategy="optimized")  # a separate parse
     for query in QUERIES:
         plan = engine.prepare(query)
         assert planner_fields(plan) == {"executes_as": "window"}, query
         assert "planner" not in plan.artifacts, query
-        try:
-            expected = oracle.select(query)
-        except XPathCompileError:  # e.g. ``/@a``: the compiler refuses it
-            expected = evaluate_reference(oracle.tree, parse_xpath(query))
+        expected = oracle_sqlite.select(xml, query)
         for _ in range(2):
             assert plan.select() == expected, query
     assert index.tree.resident_mirrors() == ()

@@ -10,9 +10,9 @@ from repro.engine.mixed import forward_prefix_length
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.xpath.parser import parse_xpath
-from repro.xpath.reference import evaluate_reference
 
-from strategies import binary_trees, execute_as, run_as
+import oracle_sqlite
+from strategies import documents, execute_as, run_as, xpath_queries
 
 XML = "<r><a><x><b/></x><b/></a><c><b/></c><b/></r>"
 
@@ -63,27 +63,27 @@ class TestSegmentation:
         assert forward_prefix_length(parse_xpath("//a/b[..]//c")) == 1
 
 
-class TestReferenceSemantics:
-    def test_parent_step(self, tree):
-        got = evaluate_reference(tree, parse_xpath("//b/.."))
-        assert [tree.label(v) for v in got] == ["r", "a", "x", "c"]
+def oracle_labels(query):
+    labels = oracle_sqlite.labels(XML)
+    return [labels[v] for v in oracle_sqlite.select(XML, query)]
 
-    def test_ancestor_step(self, tree):
-        got = evaluate_reference(tree, parse_xpath("//b/ancestor::a"))
-        assert [tree.label(v) for v in got] == ["a"]
 
-    def test_parent_with_test(self, tree):
-        got = evaluate_reference(tree, parse_xpath("//b/parent::c"))
-        assert [tree.label(v) for v in got] == ["c"]
+class TestOracleSemantics:
+    def test_parent_step(self):
+        assert oracle_labels("//b/..") == ["r", "a", "x", "c"]
 
-    def test_backward_then_forward(self, tree):
+    def test_ancestor_step(self):
+        assert oracle_labels("//b/ancestor::a") == ["a"]
+
+    def test_parent_with_test(self):
+        assert oracle_labels("//b/parent::c") == ["c"]
+
+    def test_backward_then_forward(self):
         # parents of b's that have an x child
-        got = evaluate_reference(tree, parse_xpath("//b/../x"))
-        assert [tree.label(v) for v in got] == ["x"]
+        assert oracle_labels("//b/../x") == ["x"]
 
-    def test_backward_in_predicate(self, tree):
-        got = evaluate_reference(tree, parse_xpath("//b[ancestor::a]"))
-        assert len(got) == 2
+    def test_backward_in_predicate(self):
+        assert len(oracle_labels("//b[ancestor::a]")) == 2
 
 
 class TestMixedPipeline:
@@ -99,14 +99,14 @@ class TestMixedPipeline:
     ]
 
     @pytest.mark.parametrize("query", QUERIES)
-    def test_matches_reference(self, query, tree, index):
-        expected = evaluate_reference(tree, parse_xpath(query))
+    def test_matches_the_oracle(self, query, index):
+        expected = oracle_sqlite.select(XML, query)
         _, got = run_as("mixed", query, index)
         assert got == expected
 
     @pytest.mark.parametrize("query", QUERIES)
-    def test_stepwise_matches_reference(self, query, tree, index):
-        expected = evaluate_reference(tree, parse_xpath(query))
+    def test_stepwise_matches_the_oracle(self, query, index):
+        expected = oracle_sqlite.select(XML, query)
         assert stepwise_evaluate(query, index, EvalStats()) == expected
 
     def test_engine_routes_automatically(self, tree):
@@ -119,29 +119,22 @@ class TestMixedPipeline:
         stats = execute_as("mixed", "//b/..", index).stats
         assert stats.jumps > 0  # the //b prefix ran on the ASTA engine
 
-    @given(binary_trees(max_depth=4, max_children=4))
+    @given(documents(max_depth=4, max_children=4))
     @settings(max_examples=60, deadline=None)
-    def test_random_docs(self, t):
-        idx = TreeIndex(t)
+    def test_random_docs(self, xml):
+        idx = TreeIndex(BinaryTree.from_xml(xml))
         for query in ("//b/..", "//c/ancestor::a", "//a/../b", "//b[../c]"):
-            expected = evaluate_reference(t, parse_xpath(query))
+            expected = oracle_sqlite.select(xml, query)
             assert run_as("mixed", query, idx)[1] == expected
             assert stepwise_evaluate(query, idx, EvalStats()) == expected
 
 
 class TestRandomBackwardQueries:
-    from strategies import xpath_queries as _xq
-
-    @given(binary_trees(max_depth=4, max_children=3),
-           __import__("strategies").xpath_queries(backward=True))
+    @given(documents(max_depth=4, max_children=3), xpath_queries(backward=True))
     @settings(max_examples=80, deadline=None)
-    def test_engine_matches_reference(self, t, query):
-        from repro import Engine
-
-        path = parse_xpath(query)
-        expected = evaluate_reference(t, path)
-        engine = Engine(t)
-        assert engine.select(path) == expected, query
+    def test_engine_matches_the_oracle(self, xml, query):
+        expected = oracle_sqlite.select(xml, query)
+        assert Engine(xml).select(parse_xpath(query)) == expected, query
 
 
 class TestExplainBackward:

@@ -24,6 +24,7 @@ from repro.tree.binary import BinaryTree
 from repro.xmark.generator import XMarkGenerator
 from repro.xmark.queries import HYBRID_QUERY, QUERIES
 
+import oracle_sqlite
 from strategies import tree_specs
 from test_builder import loop_columns
 from test_planner import MIX20
@@ -132,9 +133,10 @@ def test_workspace_close_unmaps_every_bundle(tmp_path):
 
 
 def test_automaton_run_builds_exactly_what_it_reads(bundles):
+    expected = oracle_sqlite.select(XMarkGenerator(scale=0.5, seed=42).xml(), Q10)
     with open_document(bundles[0.5]) as stored:
         tree = stored.tree
-        expected = Engine(stored, strategy="window").select(Q10)
+        assert Engine(stored, strategy="window").select(Q10) == expected
         assert tree.resident_mirrors() == ()
         assert Engine(stored, strategy="optimized").select(Q10) == expected
         # engine/core.py's _run_interned takes these five up front.

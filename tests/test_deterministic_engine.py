@@ -15,10 +15,9 @@ from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.xmark.queries import QUERIES
 from repro.xpath.compiler import compile_xpath
-from repro.xpath.parser import parse_xpath
-from repro.xpath.reference import evaluate_reference
 
-from strategies import binary_trees, execute_as, run_as
+import oracle_sqlite
+from strategies import documents, execute_as, run_as
 
 PATH_QUERIES = ["//a//b", "/r/a/b", "//a/b//c", "/r//b", "//a", "/r/*/b"]
 NON_PATH_QUERIES = ["//a[b]", "//a[not(b)]//c", "//a[b or c]"]
@@ -59,17 +58,17 @@ class TestDeterminism:
 
 class TestEvaluation:
     @pytest.mark.parametrize("query", PATH_QUERIES)
-    def test_matches_reference_on_fixed_tree(self, query, small_tree, small_index):
-        expected = evaluate_reference(small_tree, parse_xpath(query))
+    def test_matches_the_oracle_on_fixed_tree(self, query, small_xml, small_index):
+        expected = oracle_sqlite.select(small_xml, query)
         _, selected = run_as("deterministic", query, small_index)
         assert selected == expected
 
-    @given(binary_trees(max_depth=4, max_children=4))
+    @given(documents(max_depth=4, max_children=4))
     @settings(max_examples=60, deadline=None)
-    def test_matches_reference_random(self, tree):
-        index = TreeIndex(tree)
+    def test_matches_the_oracle_random(self, xml):
+        index = TreeIndex(BinaryTree.from_xml(xml))
         for query in ("//a//b", "/a/b//c", "//c"):
-            expected = evaluate_reference(tree, parse_xpath(query))
+            expected = oracle_sqlite.select(xml, query)
             assert run_as("deterministic", query, index)[1] == expected
 
     def test_visits_only_relevant_nodes(self, small_index):
@@ -79,10 +78,10 @@ class TestEvaluation:
         stats = execute_as("deterministic", "//a//b", small_index).stats
         assert stats.visited == len(relevant)
 
-    def test_paper_path_queries_on_xmark(self, xmark_index):
+    def test_paper_path_queries_on_xmark(self, xmark_xml, xmark_index):
         for qid in ("Q01", "Q05", "Q11"):
             query = QUERIES[qid]
-            expected = evaluate_reference(xmark_index.tree, parse_xpath(query))
+            expected = oracle_sqlite.select(xmark_xml, query)
             assert run_as("deterministic", query, xmark_index)[1] == expected
 
 
@@ -97,11 +96,10 @@ class TestEngineIntegration:
         engine = Engine(self.XML, strategy="deterministic")
         assert engine.select("//a[c]//b") == [3, 5]
 
-    def test_matches_optimized_everywhere(self, xmark_index):
+    def test_matches_the_oracle_everywhere(self, xmark_xml, xmark_index):
         det = Engine(xmark_index.tree, strategy="deterministic")
-        opt = Engine(xmark_index.tree, strategy="optimized")
         for qid, query in QUERIES.items():
-            assert det.select(query) == opt.select(query), qid
+            assert det.select(query) == oracle_sqlite.select(xmark_xml, query), qid
 
 
 class TestBottomUpFilter:
@@ -131,31 +129,33 @@ class TestFilterQueriesAreServed:
 
     @pytest.mark.parametrize("strategy", registry.strategy_names())
     @pytest.mark.parametrize("query", XMARK_FILTERS)
-    def test_matches_reference_on_xmark(self, query, strategy, xmark_index):
-        expected = evaluate_reference(xmark_index.tree, parse_xpath(query))
+    def test_matches_the_oracle_on_xmark(self, query, strategy, xmark_xml, xmark_index):
+        expected = oracle_sqlite.select(xmark_xml, query)
         result = Engine(xmark_index).prepare(query, strategy=strategy).execute()
         assert expected
         assert list(result.ids) == expected
         assert result.accepted
 
     @pytest.mark.parametrize("strategy", registry.strategy_names())
-    @given(tree=binary_trees(max_depth=4, max_children=4))
+    @given(xml=documents(max_depth=4, max_children=4))
     @settings(max_examples=20, deadline=None)
-    def test_matches_reference_random(self, strategy, tree):
-        engine = Engine(tree)
+    def test_matches_the_oracle_random(self, strategy, xml):
+        engine = Engine(xml)
         for query in FILTER_QUERIES:
-            expected = evaluate_reference(tree, parse_xpath(query))
+            expected = oracle_sqlite.select(xml, query)
             result = engine.prepare(query, strategy=strategy).execute()
             assert list(result.ids) == expected, (strategy, query)
 
     @pytest.mark.parametrize("series", ["jumping", "optimized"])
     @pytest.mark.parametrize("query", XMARK_FILTERS)
-    def test_jumping_skips_witness_free_regions(self, query, series, xmark_index):
+    def test_jumping_skips_witness_free_regions(
+        self, query, series, xmark_xml, xmark_index
+    ):
         stats = EvalStats()
         _, selected = run_asta(
             compile_xpath(query), xmark_index, stats=stats, **SERIES[series]
         )
-        assert selected == evaluate_reference(xmark_index.tree, parse_xpath(query))
+        assert selected == oracle_sqlite.select(xmark_xml, query)
         assert stats.visited < xmark_index.tree.n // 4
 
 
@@ -166,18 +166,15 @@ class TestWildcardInventory:
 
     XML = '<r><a id="v">text here</a><b/></r>'
 
+    ENCODE = dict(encode_attributes=True, encode_text=True)
+
     @pytest.fixture()
     def encoded_index(self):
-        from repro.tree.parser import parse_xml
-
-        tree = BinaryTree.from_document(
-            parse_xml(self.XML), encode_attributes=True, encode_text=True
-        )
-        return TreeIndex(tree)
+        return TreeIndex(BinaryTree.from_xml(self.XML, **self.ENCODE))
 
     def test_strategy_excludes_encoded_labels(self, encoded_index):
         engine = Engine(encoded_index, strategy="deterministic")
-        expected = evaluate_reference(encoded_index.tree, parse_xpath("//*"))
+        expected = oracle_sqlite.select(self.XML, "//*", **self.ENCODE)
         assert engine.select("//*") == expected
         labels = engine.labels_of(engine.select("//*"))
         assert all(not l.startswith(("@", "#")) for l in labels)
@@ -191,7 +188,7 @@ class TestWildcardInventory:
         _, with_inventory = run_tdsta(
             compile_tdsta("//*", inventory), encoded_index, EvalStats()
         )
-        expected = evaluate_reference(encoded_index.tree, parse_xpath("//*"))
+        expected = oracle_sqlite.select(self.XML, "//*", **self.ENCODE)
         assert with_inventory == expected
         # Without the inventory the wildcard matches every label: the
         # two cache entries must not alias.

@@ -1,13 +1,16 @@
-"""Differential fuzzing: every registered strategy vs the naive oracle.
+"""Differential fuzzing: every registered strategy vs the sqlite oracle.
 
 A fixed-seed grammar fuzzer (:mod:`strategies`) generates random
 documents and random Core-XPath queries over the full supported
 fragment -- all axes (backward ones resolve through the mixed pipeline),
 nested ``and``/``or``/``not`` predicates, wildcard and ``node()``/
-``text()`` tests, attribute encoding.  Each case is checked against the
-set-based reference semantics (:func:`evaluate_reference`, the oracle
-the naive engine itself is validated against) for *every* strategy in
-the registry, so a new plugin is fuzzed for free.
+``text()`` tests, attribute encoding.  Each case is checked against
+:mod:`oracle_sqlite`, which reads the same XML text with the stdlib
+parser and answers in SQL, for *every* strategy in the registry, so a
+new plugin is fuzzed for free.  The trees here are built by
+``BinaryTree.from_document`` (the mixed-content constructor);
+:mod:`test_independent_oracle` runs the same corpora through the
+streaming builder and the store.
 
 The corpus is a pure function of the seeds below: CI replays the exact
 same few hundred cases on every run.
@@ -23,8 +26,8 @@ from repro.engine.plan import CompiledQueryCache
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.tree.parser import parse_xml
-from repro.xpath.parser import parse_xpath
-from repro.xpath.reference import evaluate_reference
+
+import oracle_sqlite
 from strategies import fuzz_corpus, window_fuzz_corpus
 
 SEED = 0xC0FFEE
@@ -71,12 +74,13 @@ CORPORA = [
 
 
 def _indexes(corpus, encode):
-    """One TreeIndex per corpus document (module-level work is cached by
-    pytest only per-call, so keep construction cheap: docs are tiny)."""
+    """``(xml, TreeIndex, queries)`` per corpus document (module-level
+    work is cached by pytest only per-call, so keep construction cheap:
+    docs are tiny)."""
     out = []
     for xml, queries in corpus:
         tree = BinaryTree.from_document(parse_xml(xml), **_encode_kwargs(encode))
-        out.append((TreeIndex(tree), queries))
+        out.append((xml, TreeIndex(tree), queries))
     return out
 
 
@@ -91,15 +95,14 @@ def _encode_kwargs(encode):
 @pytest.mark.parametrize("strategy", registry.strategy_names())
 def test_strategy_matches_oracle_on_fuzz_corpus(corpus, encode, strategy):
     cases = 0
-    for index, queries in _indexes(corpus, encode):
+    for xml, index, queries in _indexes(corpus, encode):
         cache = CompiledQueryCache()
         engine = Engine(index, strategy=strategy, cache=cache)
         for query in queries:
-            path = parse_xpath(query)
-            expected = evaluate_reference(index.tree, path)
+            expected = oracle_sqlite.select(xml, query, **encode)
             got = engine.select(query)
             assert got == expected, (
-                f"strategy {strategy!r} disagrees with the reference "
+                f"strategy {strategy!r} disagrees with the sqlite "
                 f"oracle on {query!r}: {got} != {expected}"
             )
             cases += 1
@@ -136,10 +139,10 @@ def test_both_sides_of_both_choices_match_oracle(
         )
     else:
         monkeypatch.setattr(frontier, "WITNESS_DISPATCH", 10**9)
-    for index, queries in _indexes(corpus, encode):
+    for xml, index, queries in _indexes(corpus, encode):
         engine = Engine(index, strategy=strategy)
         for query in queries:
-            expected = evaluate_reference(index.tree, parse_xpath(query))
+            expected = oracle_sqlite.select(xml, query, **encode)
             assert engine.select(query) == expected, (strategy, position, query)
 
 
@@ -159,11 +162,9 @@ def test_auto_planner_consistent_across_repeats():
     stays byte-identical to the oracle."""
     corpus = fuzz_corpus(SEED + 3, 2, 8, following=True)
     for xml, queries in corpus:
-        tree = BinaryTree.from_xml(xml)
-        index = TreeIndex(tree)
-        engine = Engine(index, strategy="auto")
+        engine = Engine(TreeIndex(BinaryTree.from_xml(xml)), strategy="auto")
         for query in queries:
-            expected = evaluate_reference(tree, parse_xpath(query))
+            expected = oracle_sqlite.select(xml, query)
             plan = engine.prepare(query)
             for _ in range(4):
                 assert list(plan.execute().ids) == expected, query

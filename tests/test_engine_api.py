@@ -5,6 +5,8 @@ import pytest
 from repro import Engine, evaluate, parse_xml
 from repro.tree.binary import BinaryTree
 
+import oracle_sqlite
+
 XML = "<r><a><x/><b/><c><b/></c></a><b/></r>"
 
 
@@ -132,11 +134,9 @@ class TestUnusualLabels:
         inner = root.new_child("a")
         inner.new_child("†other")
         engine = Engine(XMLDocument(root))
-        from repro.tree.binary import BinaryTree
-        from repro.xpath.parser import parse_xpath
-        from repro.xpath.reference import evaluate_reference
-
-        tree = engine.tree
+        # ElementTree refuses the name too: the oracle reads the same
+        # shape with a plain label, which no query below names.
+        renamed = "<r><a/><other/><a><other/></a></r>"
         for q in ("//a", "//a/*"):
-            expected = evaluate_reference(tree, parse_xpath(q))
+            expected = oracle_sqlite.select(renamed, q)
             assert engine.select(q) == expected, q

@@ -10,9 +10,9 @@ from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.xpath.compiler import compile_xpath
 from repro.xpath.parser import parse_xpath
-from repro.xpath.reference import evaluate_reference
 
-from strategies import binary_trees, xpath_queries
+import oracle_sqlite
+from strategies import documents, xpath_queries
 
 ALL_FLAGS = [
     (j, m, i) for j in (False, True) for m in (False, True) for i in (False, True)
@@ -22,12 +22,12 @@ ALL_FLAGS = [
 class TestFlagMatrix:
     """All eight (jumping, memo, ip) combinations are semantically equal."""
 
-    @given(binary_trees(max_depth=4, max_children=3), xpath_queries())
+    @given(documents(max_depth=4, max_children=3), xpath_queries())
     @settings(max_examples=60, deadline=None)
-    def test_all_combinations_agree(self, tree, query):
-        index = TreeIndex(tree)
+    def test_all_combinations_agree(self, xml, query):
+        index = TreeIndex(BinaryTree.from_xml(xml))
         asta = compile_xpath(parse_xpath(query))
-        expected = evaluate_reference(tree, parse_xpath(query))
+        expected = oracle_sqlite.select(xml, query)
         for j, m, i in ALL_FLAGS:
             _, selected = run_asta(
                 asta, index, stats=EvalStats(), jumping=j, memo=m, ip=i

@@ -1,15 +1,17 @@
-"""Cross-engine equivalence: every engine == the set-based reference.
+"""Cross-engine equivalence: every engine == the sqlite oracle.
 
 This is the library's central correctness property: naive, jumping,
 memoized, optimized, hybrid and the step-wise baseline must all return
-exactly the reference answer, on the paper's fifteen queries over XMark
-documents and on hypothesis-random documents x random fragment queries.
+exactly the answer of :mod:`oracle_sqlite` -- the same XML text read by
+the stdlib parser and answered in SQL -- on the paper's fifteen queries
+over XMark documents and on hypothesis-random documents x random
+fragment queries.
 
 The registry conformance suite at the bottom extends the property to
 *every registered strategy*: it parametrizes over
 ``registry.strategy_names()`` at collection time, so a plugin strategy
-registered before test collection is checked against the ``naive``
-oracle and the reference semantics for free.
+registered before test collection is checked against the oracle for
+free.
 """
 
 import pytest
@@ -21,21 +23,20 @@ from repro.engine import registry
 from repro.engine.core import SERIES, run_asta
 from repro.engine.api import Engine
 from repro.index.jumping import TreeIndex
+from repro.tree.binary import BinaryTree
 from repro.xmark.queries import QUERIES
 from repro.xpath.compiler import compile_xpath
 from repro.xpath.parser import parse_xpath
-from repro.xpath.reference import evaluate_reference
 
-from strategies import binary_trees, xpath_queries
-
+import oracle_sqlite
+from strategies import documents, xpath_queries
 
 
 class TestPaperQueriesOnXMark:
     @pytest.mark.parametrize("qid", sorted(QUERIES))
-    def test_all_engines_match_reference(self, qid, xmark_index):
+    def test_all_engines_match_the_oracle(self, qid, xmark_xml, xmark_index):
         query = QUERIES[qid]
-        tree = xmark_index.tree
-        expected = evaluate_reference(tree, parse_xpath(query))
+        expected = oracle_sqlite.select(xmark_xml, query)
         asta = compile_xpath(query)
         for name, switches in SERIES.items():
             accepted, selected = run_asta(
@@ -72,12 +73,12 @@ class TestJumpingNeverVisitsMore:
 
 
 class TestRandomDocumentsRandomQueries:
-    @given(binary_trees(max_depth=4, max_children=4), xpath_queries())
+    @given(documents(max_depth=4, max_children=4), xpath_queries())
     @settings(max_examples=120, deadline=None)
-    def test_engines_match_reference(self, tree, query):
+    def test_engines_match_the_oracle(self, xml, query):
         path = parse_xpath(query)
-        expected = evaluate_reference(tree, path)
-        index = TreeIndex(tree)
+        expected = oracle_sqlite.select(xml, query)
+        index = TreeIndex(BinaryTree.from_xml(xml))
         asta = compile_xpath(path)
         for name, switches in SERIES.items():
             _, selected = run_asta(asta, index, stats=EvalStats(), **switches)
@@ -87,21 +88,18 @@ class TestRandomDocumentsRandomQueries:
         assert stepwise_evaluate(path, index, EvalStats()) == expected
         assert Engine(index, "hybrid").select(path) == expected
 
-    @given(binary_trees(max_depth=3, max_children=3), xpath_queries(pred_depth=2))
+    @given(documents(max_depth=3, max_children=3), xpath_queries(pred_depth=2))
     @settings(max_examples=80, deadline=None)
-    def test_deep_predicates_match(self, tree, query):
-        path = parse_xpath(query)
-        expected = evaluate_reference(tree, path)
-        index = TreeIndex(tree)
-        asta = compile_xpath(path)
+    def test_deep_predicates_match(self, xml, query):
+        expected = oracle_sqlite.select(xml, query)
+        index = TreeIndex(BinaryTree.from_xml(xml))
+        asta = compile_xpath(query)
         _, selected = run_asta(asta, index, stats=EvalStats())
         assert selected == expected
 
 
 class TestDeepAndWideDocuments:
     def test_wide_sibling_chain_no_recursion_limit(self):
-        from repro.tree.binary import BinaryTree
-
         tree = BinaryTree.from_xml("<r>" + "<a><b/></a>" * 20_000 + "</r>")
         index = TreeIndex(tree)
         asta = compile_xpath("//a/b")
@@ -110,8 +108,6 @@ class TestDeepAndWideDocuments:
             assert len(selected) == 20_000, name
 
     def test_deep_nesting_no_recursion_limit(self):
-        from repro.tree.binary import BinaryTree
-
         depth = 5_000
         xml = "<a>" * depth + "</a>" * depth
         tree = BinaryTree.from_xml(xml)
@@ -126,11 +122,11 @@ class TestXPathMarkASeries:
 
     @pytest.mark.parametrize("aid", sorted(__import__(
         "repro.xmark.queries", fromlist=["XPATHMARK_A"]).XPATHMARK_A))
-    def test_engines_agree(self, aid, xmark_index):
+    def test_engines_agree(self, aid, xmark_xml, xmark_index):
         from repro.xmark.queries import XPATHMARK_A
 
         query = XPATHMARK_A[aid]
-        expected = evaluate_reference(xmark_index.tree, parse_xpath(query))
+        expected = oracle_sqlite.select(xmark_xml, query)
         asta = compile_xpath(query)
         for name, switches in SERIES.items():
             _, selected = run_asta(asta, xmark_index, stats=EvalStats(), **switches)
@@ -150,22 +146,23 @@ class TestXPathMarkASeries:
 
 
 # ---------------------------------------------------------------------------
-# Registry conformance: every registered strategy vs the naive oracle.
+# Registry conformance: every registered strategy vs the sqlite oracle.
 # ---------------------------------------------------------------------------
 
 ALL_STRATEGIES = registry.strategy_names()
 
 
-def assert_strategy_matches_oracle(engine: Engine, strategy: str, query: str):
-    """The shared conformance check: ``strategy`` == naive == reference.
+def assert_strategy_matches_oracle(
+    xml: str, engine: Engine, strategy: str, query: str
+):
+    """The shared conformance check: ``strategy`` on ``engine`` (a
+    document built from ``xml``) == the sqlite oracle on ``xml``.
 
     Exercised through the public API, so fallback-chain resolution is
     part of what's being conformance-tested.
     """
-    expected = evaluate_reference(engine.tree, parse_xpath(query))
-    oracle = list(engine.prepare(query, strategy="naive").execute().ids)
+    expected = oracle_sqlite.select(xml, query)
     result = engine.prepare(query, strategy=strategy).execute()
-    assert oracle == expected, f"naive oracle disagrees with reference on {query}"
     assert list(result.ids) == expected, (
         f"{strategy} disagrees on {query}: {list(result.ids)} != {expected}"
     )
@@ -184,16 +181,20 @@ class TestRegistryConformance:
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     @pytest.mark.parametrize("qid", sorted(QUERIES))
-    def test_paper_corpus(self, corpus_engine, strategy, qid):
-        assert_strategy_matches_oracle(corpus_engine, strategy, QUERIES[qid])
+    def test_paper_corpus(self, corpus_engine, xmark_xml, strategy, qid):
+        assert_strategy_matches_oracle(
+            xmark_xml, corpus_engine, strategy, QUERIES[qid]
+        )
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-    def test_backward_axes_resolve_and_agree(self, corpus_engine, strategy):
+    def test_backward_axes_resolve_and_agree(
+        self, corpus_engine, xmark_xml, strategy
+    ):
         for query in ("//bidder/parent::open_auction", "//emph/ancestor::listitem"):
-            assert_strategy_matches_oracle(corpus_engine, strategy, query)
+            assert_strategy_matches_oracle(xmark_xml, corpus_engine, strategy, query)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-    @given(tree=binary_trees(max_depth=3, max_children=3), query=xpath_queries())
+    @given(xml=documents(max_depth=3, max_children=3), query=xpath_queries())
     @settings(max_examples=25, deadline=None)
-    def test_random_documents(self, strategy, tree, query):
-        assert_strategy_matches_oracle(Engine(tree), strategy, query)
+    def test_random_documents(self, strategy, xml, query):
+        assert_strategy_matches_oracle(xml, Engine(xml), strategy, query)

@@ -18,7 +18,8 @@ from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.xpath.ast import Axis
 from repro.xpath.parser import parse_xpath
-from repro.xpath.reference import evaluate_reference
+
+import oracle_sqlite
 from strategies import kernel_as, random_document, random_predicate
 
 SEED = 0xF1257
@@ -27,7 +28,7 @@ STRATEGIES = ["vectorized", "window"]
 
 
 @pytest.fixture(scope="module")
-def big_index():
+def big_xml():
     """``<a>`` over six sections of 400 fuzz documents each: one root,
     a handful of sections, thousands of nodes per label."""
     rng = random.Random(SEED)
@@ -37,7 +38,12 @@ def big_index():
         + f"</{label}>"
         for label in "bcdbcd"
     )
-    return TreeIndex(BinaryTree.from_xml(f"<a>{sections}</a>"))
+    return f"<a>{sections}</a>"
+
+
+@pytest.fixture(scope="module")
+def big_index(big_xml):
+    return TreeIndex(BinaryTree.from_xml(big_xml))
 
 
 @pytest.fixture()
@@ -71,13 +77,13 @@ def calls(monkeypatch):
 CONTEXTS = ("/a[{}]", "/a/*[{}]", "//*[{}]")
 
 
-class TestPredicatesAgainstTheReference:
+class TestPredicatesAgainstTheOracle:
     """Seeded predicates of the fuzz grammar -- true and false, nested,
     negated, and/or-mixed, (window) backward -- behind 1 / 6 / ~30k
-    context nodes, both strategies against ``xpath/reference.py``."""
+    context nodes, both strategies against the sqlite oracle."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_forward_predicates(self, big_index, calls, strategy):
+    def test_forward_predicates(self, big_xml, big_index, calls, strategy):
         rng = random.Random(SEED + 1)
         selected = {shape: set() for shape in CONTEXTS}
         for _ in range(40):
@@ -85,7 +91,7 @@ class TestPredicatesAgainstTheReference:
             for shape in CONTEXTS:
                 query = shape.format(pred)
                 path = parse_xpath(query)
-                expected = evaluate_reference(big_index.tree, path)
+                expected = oracle_sqlite.select(big_xml, query)
                 assert kernel_as(strategy, path, big_index) == (
                     bool(expected),
                     expected,
@@ -102,14 +108,14 @@ class TestPredicatesAgainstTheReference:
         assert 1 in sizes and 6 in sizes and max(sizes) < 100
         assert ("back to front", None) in calls
 
-    def test_backward_predicates_stay_native(self, big_index, calls):
+    def test_backward_predicates_stay_native(self, big_xml, big_index, calls):
         rng = random.Random(SEED + 2)
         for _ in range(30):
             pred = random_predicate(rng, window=True)
             for shape in CONTEXTS[1:]:  # the root has no ancestors
                 query = shape.format(pred)
                 path = parse_xpath(query)
-                expected = evaluate_reference(big_index.tree, path)
+                expected = oracle_sqlite.select(big_xml, query)
                 assert kernel_as("window", path, big_index)[1] == expected, query
         assert {how for how, _ in calls} >= {"witness", "back to front"}
 

@@ -9,13 +9,25 @@ from repro.engine.api import Engine
 from repro.engine.hybrid import is_hybrid_applicable, plan_pivot
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
-from repro.xmark.configs import CONFIG_SPECS, make_config_tree
+from repro.xmark.configs import CONFIG_SPECS, make_config, make_config_tree
 from repro.xmark.queries import HYBRID_QUERY
 from repro.xpath.compiler import compile_xpath
 from repro.xpath.parser import parse_xpath
-from repro.xpath.reference import evaluate_reference
 
-from strategies import binary_trees, execute_as, run_as
+import oracle_sqlite
+from strategies import documents, execute_as, run_as, spec_xml
+
+
+def config_xml(name: str, fraction: float) -> str:
+    """A Figure 5 configuration (element-only) as XML text, written by
+    the tests' own spec walk."""
+
+    def spec(node):
+        if not node.children:
+            return node.label
+        return (node.label, *map(spec, node.children))
+
+    return spec_xml(spec(make_config(name, fraction).root))
 
 
 class TestPlanning:
@@ -38,11 +50,11 @@ class TestPlanning:
         path = parse_xpath("//b//c")
         assert plan_pivot(path, index) == 1  # 1 c < 3 b's
 
-    def test_fallback_for_non_chain_query(self, xmark_index):
+    def test_fallback_for_non_chain_query(self, xmark_xml, xmark_index):
         # Queries outside the chain fragment resolve to the optimized
         # engine and still return correct results.
         query = "/site/people/person[ address and (phone or homepage) ]"
-        expected = evaluate_reference(xmark_index.tree, parse_xpath(query))
+        expected = oracle_sqlite.select(xmark_xml, query)
         plan = Engine(xmark_index, "hybrid").prepare(query)
         assert plan.strategy.name == "optimized"
         assert plan.execute().nodes == expected
@@ -72,14 +84,13 @@ class TestUpwardCheck:
 class TestFigure5Configs:
     @pytest.mark.parametrize("name", sorted(CONFIG_SPECS))
     def test_selected_counts_scaled(self, name):
-        tree = make_config_tree(name, fraction=0.05)
-        index = TreeIndex(tree)
+        xml = config_xml(name, fraction=0.05)
+        index = TreeIndex(BinaryTree.from_xml(xml))
         _, sel = run_as("hybrid", HYBRID_QUERY, index)
         asta = compile_xpath(HYBRID_QUERY)
         _, sel_regular = run_asta(asta, index, stats=EvalStats())
         assert sel == sel_regular
-        expected = evaluate_reference(tree, parse_xpath(HYBRID_QUERY))
-        assert sel == expected
+        assert sel == oracle_sqlite.select(xml, HYBRID_QUERY)
 
     @pytest.mark.parametrize("name", ["A", "B"])
     def test_best_cases_visit_far_fewer_nodes(self, name):
@@ -101,12 +112,12 @@ class TestFigure5Configs:
 
 
 class TestPropertyEquivalence:
-    @given(binary_trees(max_depth=4, max_children=4))
+    @given(documents(max_depth=4, max_children=4))
     @settings(max_examples=60, deadline=None)
-    def test_hybrid_matches_reference_on_chains(self, tree):
-        index = TreeIndex(tree)
+    def test_hybrid_matches_the_oracle_on_chains(self, xml):
+        index = TreeIndex(BinaryTree.from_xml(xml))
         for query in ("//a//b", "//b//a//c", "//d"):
-            expected = evaluate_reference(tree, parse_xpath(query))
+            expected = oracle_sqlite.select(xml, query)
             assert run_as("hybrid", query, index)[1] == expected
 
 
@@ -119,17 +130,15 @@ class TestPredicateChains:
         assert not is_hybrid_applicable(parse_xpath("//a[x]//b"))
         assert not is_hybrid_applicable(parse_xpath("//a//b[../c]"))
 
-    @given(binary_trees(max_depth=4, max_children=4))
+    @given(documents(max_depth=4, max_children=4))
     @settings(max_examples=60, deadline=None)
-    def test_matches_reference_with_predicates(self, tree):
-        index = TreeIndex(tree)
+    def test_matches_the_oracle_with_predicates(self, xml):
+        index = TreeIndex(BinaryTree.from_xml(xml))
         for query in ("//a//b[c]", "//b[c or d]", "//a//c[not(b)]"):
-            expected = evaluate_reference(tree, parse_xpath(query))
+            expected = oracle_sqlite.select(xml, query)
             assert run_as("hybrid", query, index)[1] == expected, query
 
-    def test_q05_variant_on_xmark(self, xmark_index):
+    def test_q05_variant_on_xmark(self, xmark_xml, xmark_index):
         query = "//listitem//keyword[emph]"
-        expected = evaluate_reference(
-            xmark_index.tree, parse_xpath(query)
-        )
+        expected = oracle_sqlite.select(xmark_xml, query)
         assert run_as("hybrid", query, xmark_index)[1] == expected

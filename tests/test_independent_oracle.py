@@ -1,15 +1,14 @@
 """Every strategy against an oracle that shares nothing with the tree
 layer (:mod:`oracle_sqlite`: stdlib ElementTree + sqlite3 over a
-pre/post table).
+``(pre, last, parent, label)`` table), on the documents as the store
+serves them.
 
-:mod:`test_differential_fuzz` holds the strategies to
-``xpath/reference.py``, which reads the same ``BinaryTree`` columns they
-do; here the expected answer never touches ``TreeBuilder`` or
-``BinaryTree``, so a defect in how those columns are built -- by the
-streaming builder, by ``BinaryTree.from_document`` (the mixed-content
-fallback) or by ``open_document`` -- is a disagreement.  Every document
-is checked through both constructors: parsed fresh, and saved to a
-bundle and reopened.
+The expected answer never touches ``TreeBuilder`` or ``BinaryTree``, so
+a defect in how those columns are built -- by the streaming builder, by
+``BinaryTree.from_document`` (the mixed-content fallback) or by
+``open_document`` -- is a disagreement.  Every document is checked
+through both constructors: parsed fresh, and saved to a bundle and
+reopened, labels first, then every query.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import os
 
 import pytest
 
-from oracle_sqlite import SqliteOracle
+import oracle_sqlite
 from repro.engine import registry
 from repro.engine.api import Engine
 from repro.store import open_document, save_document
@@ -54,15 +53,15 @@ def _systems(tmp_path, xml, strategy, name, **encode):
 
 
 def _check(tmp_path, xml, queries, strategy, name, **encode):
-    oracle = SqliteOracle(xml, **encode)
+    labels = oracle_sqlite.labels(xml, **encode)
     fresh, stored = _systems(tmp_path, xml, strategy, name, **encode)
     with stored:
         tree = stored.tree
-        assert [tree.label(v) for v in range(tree.n)] == oracle.labels()
-        assert fresh.labels_of(range(oracle.n)) == oracle.labels()
+        assert [tree.label(v) for v in range(tree.n)] == labels
+        assert fresh.labels_of(range(len(labels))) == labels
         reopened = Engine(stored, strategy=strategy)
         for query in queries:
-            expected = oracle.select(query)
+            expected = oracle_sqlite.select(xml, query, **encode)
             for side, engine in (("fresh", fresh), ("reopened", reopened)):
                 got = engine.select(query)
                 assert got == expected, (

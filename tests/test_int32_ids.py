@@ -45,8 +45,9 @@ from repro.tree import binary
 from repro.tree.binary import DocumentTooLarge
 from repro.xmark.generator import XMarkGenerator
 from repro.xpath.parser import parse_xpath
-from repro.xpath.reference import eval_path_from
-from strategies import tree_specs
+
+import oracle_sqlite
+from strategies import spec_xml, tree_specs
 
 #: Forward, backward and sibling steps, a predicate, a wildcard: every
 #: kind of join the kernel runs.
@@ -99,6 +100,7 @@ def test_every_node_id_array_is_int32(xml, bundle, source):
         wide = result.ids_array
         assert wide.dtype == np.int64 and not wide.flags.writeable
         assert wide.tolist() == ids.tolist() == list(result.ids)
+        assert list(result.ids) == oracle_sqlite.select(xml, query), query
         assert engine.labels_of(wide) == engine.labels_of(result.nodes)
     if source == "reopened":
         document.close()
@@ -119,7 +121,7 @@ def test_every_bundle_array_loads_as_int32(bundle):
     assert data == 16 * n + 4 * (len(header["labels"]) + 1)
 
 
-def test_a_framed_answer_is_four_bytes_wide(bundle):
+def test_a_framed_answer_is_four_bytes_wide(xml, bundle):
     root = os.path.dirname(bundle)
     with DaemonThread(QueryDaemon(root)) as handle:
         conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
@@ -138,7 +140,7 @@ def test_a_framed_answer_is_four_bytes_wide(bundle):
     answer = decode_answer(body)
     with open_document(bundle) as stored:
         engine = Engine(stored)
-        expected = engine.select("//keyword")
+        expected = oracle_sqlite.select(xml, "//keyword")
         assert answer["ids"] == expected and len(expected) > 100
         assert answer["labels"] == engine.labels_of(np.array(expected))
 
@@ -192,21 +194,40 @@ def test_a_succinct_tree_lists_without_a_pool(xml):
     assert labels.fused([lab]).lst == labels._arrays[lab].tolist()
 
 
-# -- the sibling mask, both directions, against the reference --------------------
+# -- the sibling mask, both directions, against a walk of the spec ---------------
+
+
+def spec_parents(spec) -> list:
+    """The parent of each node of a :func:`tree_specs` literal, in
+    document order (``-1`` for the root), read off the literal itself."""
+    parents = []
+
+    def walk(node, parent):
+        me = len(parents)
+        parents.append(parent)
+        if not isinstance(node, str):
+            for child in node[1:]:
+                walk(child, me)
+
+    walk(spec, -1)
+    return parents
 
 
 @given(spec=tree_specs(max_depth=4, max_children=5), data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_sibling_mask_matches_the_reference(spec, data):
-    tree = BinaryTree.from_spec(spec)
+def test_sibling_mask_matches_a_walk_of_the_spec(spec, data):
+    tree = BinaryTree.from_xml(spec_xml(spec))
     index = TreeIndex(tree)
     ids = st.integers(0, tree.n - 1)
     nodes = sorted(data.draw(st.sets(ids, min_size=1), label="nodes"))
     others = sorted(data.draw(st.sets(ids, min_size=1), label="others"))
-    following = parse_xpath("following-sibling::*")
-    after_other = set(eval_path_from(tree, following, others))
+    parent = spec_parents(spec)
+    after_other = {
+        v for v in range(tree.n)
+        if any(parent[o] == parent[v] and o < v for o in others)
+    }
     before_other = {
-        c for c in nodes if set(eval_path_from(tree, following, [c])) & set(others)
+        c for c in nodes if any(parent[o] == parent[c] and o > c for o in others)
     }
     for forward, expected in ((False, after_other), (True, before_other)):
         mask = joins._sibling(

@@ -13,25 +13,31 @@ from repro.counters import EvalStats
 from repro.engine.api import Engine
 from repro.engine.core import SERIES, run_asta
 from repro.index.jumping import TreeIndex
+from repro.tree.binary import BinaryTree
 from repro.xmark.generator import XMarkGenerator
 from repro.xmark.queries import QUERIES
 from repro.xpath.compiler import compile_xpath
 from repro.xpath.parser import parse_xpath
-from repro.xpath.reference import evaluate_reference
 
+import oracle_sqlite
 from strategies import run_as
 
 
 @pytest.fixture(scope="module")
-def index():
-    return TreeIndex(XMarkGenerator(scale=0.6, seed=2026).tree())
+def xml():
+    return XMarkGenerator(scale=0.6, seed=2026).xml()
+
+
+@pytest.fixture(scope="module")
+def index(xml):
+    return TreeIndex(BinaryTree.from_xml(xml))
 
 
 @pytest.mark.parametrize("qid", sorted(QUERIES))
-def test_all_engines_at_scale(qid, index):
+def test_all_engines_at_scale(qid, xml, index):
     query = QUERIES[qid]
     path = parse_xpath(query)
-    expected = evaluate_reference(index.tree, path)
+    expected = oracle_sqlite.select(xml, query)
     asta = compile_xpath(path)
     assert run_asta(asta, index, stats=EvalStats(), **SERIES["naive"])[1] == expected
     assert run_asta(asta, index, stats=EvalStats(), **SERIES["jumping"])[1] == expected
@@ -41,11 +47,11 @@ def test_all_engines_at_scale(qid, index):
     assert stepwise_evaluate(path, index, EvalStats()) == expected
 
 
-def test_deterministic_and_mixed_at_scale(index):
+def test_deterministic_and_mixed_at_scale(xml, index):
     for query in ("//listitem//keyword", "/site/regions/europe/item",
                   "//keyword/ancestor::listitem", "//mail/../../name"):
         path = parse_xpath(query)
-        expected = evaluate_reference(index.tree, path)
+        expected = oracle_sqlite.select(xml, query)
         if path.has_backward_axes():
             assert run_as("mixed", path, index)[1] == expected
         else:

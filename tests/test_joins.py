@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 
 from repro.counters import EvalStats
 from repro.engine import frontier, joins
-from repro.engine.api import Engine
 from repro.engine.workspace import Workspace
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.xpath.ast import Axis
 from repro.xpath.parser import parse_xpath
+
+import oracle_sqlite
 from strategies import kernel_as, tree_specs
 from test_planner import MIX20
 
@@ -147,14 +148,13 @@ class TestWideDocument:
         assert ran[-1] == operator
 
 
-def test_eight_threads_on_one_index_match_the_oracle(xmark_26k):
+def test_eight_threads_on_one_index_match_the_oracle(xmark_26k_xml, xmark_26k):
     """Different plans run concurrently on one fresh ``TreeIndex`` (the
     threads share it, and race to build its CSR, rank columns and path
     summary, and to bind their plans to the summary once it exists);
     scratch they shared, or a column published half built, would show as
     a wrong answer."""
-    oracle = Engine(xmark_26k, strategy="optimized")
-    expected = {query: oracle.select(query) for query in MIX20}
+    expected = {query: oracle_sqlite.select(xmark_26k_xml, query) for query in MIX20}
     ws = Workspace(strategy="window")
     index = TreeIndex(xmark_26k.tree)
     ws.add("doc", index)

@@ -2,8 +2,8 @@
 runs of child and descendant steps answered from it
 (``joins.summary_run``), and the forward and upward predicate paths it
 decides (``frontier.Decided``), against the joins they replace, every
-kernel name, ``optimized``, the independent sqlite oracle and thread and
-pool execution; the trie itself against a brute force; when it is built
+kernel name, ``optimized``, and thread and pool execution, all held to
+the sqlite oracle; the trie itself against a brute force; when it is built
 (once the joins it would replace have booked ``n`` touches); and what it
 costs on hostile shapes."""
 
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_sqlite import SqliteOracle
+import oracle_sqlite
 from repro.counters import EvalStats
 from repro.engine import frontier
 from repro.engine.api import Engine
@@ -186,11 +186,11 @@ def test_summary_answers_what_the_joins_answer(services, i):
     xml, attributes, text = CASES[i]
     on = workspace.engine(f"doc{i}").index
     off = fresh(on)
-    oracle = SqliteOracle(xml, encode_attributes=attributes, encode_text=text)
+    encode = dict(encode_attributes=attributes, encode_text=text)
     engines = {name: Engine(on, strategy=name) for name in STRATEGIES}
     rng = random.Random(f"{xml}{attributes}{text}")  # str seeds are stable
     queries = summary_queries(rng, on.tree, attributes, text, QUERIES_PER_DOCUMENT)
-    expected = {query: oracle.select(query) for query in queries}
+    expected = {query: oracle_sqlite.select(xml, query, **encode) for query in queries}
     decided = runs = 0
     for query in queries:
         path = parse_xpath(query)
@@ -286,11 +286,14 @@ def test_a_one_shot_cold_query_builds_no_summary(xmark_26k):
         assert index.path_summary() is None, query
 
 
-def test_repeated_executes_build_the_summary_and_the_plan_rebinds(xmark_26k):
+def test_repeated_executes_build_the_summary_and_the_plan_rebinds(
+    xmark_26k_xml, xmark_26k
+):
     index = fresh(xmark_26k)
     engine = Engine(index)
     plan = engine.prepare("//listitem//keyword")
-    expected = plan.execute().ids
+    expected = tuple(oracle_sqlite.select(xmark_26k_xml, "//listitem//keyword"))
+    assert plan.execute().ids == expected
     assert explain_fields(plan)["operators"] == ["document", "descendant/rank"]
     runs = 1
     while index.path_summary() is None:
@@ -361,14 +364,14 @@ def test_a_partial_run_probes_each_candidate_once(xmark_26k):
     ],
 )
 def test_root_and_upward_predicates_are_decided_without_a_search(
-    monkeypatch, xmark_26k, query
+    monkeypatch, xmark_26k_xml, xmark_26k, query
 ):
     """Q10 and Q12-Q15 put their predicate on ``/site``, whose path holds
     one node; W08's is an ancestor test, a property of a node's path.
     Either way the predicate folds into the rooted run at bind: no
     first-witness search, no back-to-front match set, one gather or none."""
     on = summarized(xmark_26k)
-    expected = Engine(xmark_26k, strategy="optimized").select(query)
+    expected = oracle_sqlite.select(xmark_26k_xml, query)
     for name in ("_first_witnesses", "_match_set", "_pred_mask"):
         monkeypatch.setattr(frontier, name, None)  # calling one fails
     program = frontier.bind(parse_xpath(query), on)
@@ -379,14 +382,14 @@ def test_root_and_upward_predicates_are_decided_without_a_search(
 
 
 def test_an_open_predicate_searches_only_the_nodes_the_summary_left_open(
-    monkeypatch, xmark_26k
+    monkeypatch, xmark_26k_xml, xmark_26k
 ):
     """``//*[.//keyword]``: elements of paths with no keyword below, and
     of one-node paths with one, are decided by the gather; only the
     rest reach the joins."""
     on = summarized(xmark_26k)
     query = "//*[ .//keyword ]"
-    expected = Engine(xmark_26k, strategy="optimized").select(query)
+    expected = oracle_sqlite.select(xmark_26k_xml, query)
     elements = on.labels.union_size(frontier.label_key(on, Axis.CHILD, "*"))
     asked = []
     real = frontier._match_set

@@ -109,7 +109,7 @@ class TestPluginStrategies:
             assert engine.select("//a//b") == [3, 5]
             # The conformance helper covers plugins exactly like builtins.
             for query in ("//a//b", "//b[not(c)]", "//a/b/parent::a"):
-                assert_strategy_matches_oracle(engine, "echo-naive", query)
+                assert_strategy_matches_oracle(XML, engine, "echo-naive", query)
         finally:
             registry.unregister_strategy("echo-naive")
         assert "echo-naive" not in registry.strategy_names()

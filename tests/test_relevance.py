@@ -1,10 +1,8 @@
 """Relevant nodes (Definition 3.1, Lemma 3.1)."""
 
 from repro.automata.examples import sta_desc_a_desc_b, sta_dtd_root_a
-from repro.automata.labelset import LabelSet
 from repro.automata.minimize import complete_topdown, minimize_tdsta
 from repro.automata.relevance import (
-    essential_labels,
     topdown_relevant,
     topdown_sink_state,
     topdown_universal_state,
@@ -26,20 +24,6 @@ class TestSpecialStates:
         sta = sta_desc_a_desc_b()
         assert topdown_universal_state(sta) is None
         assert topdown_sink_state(sta) is None
-
-
-class TestEssentialLabels:
-    def test_example21_essential_labels(self):
-        sta = sta_desc_a_desc_b()
-        ess0 = essential_labels(sta, "q0")
-        assert ess0.contains("a") and not ess0.contains("b")
-        # q1 never changes state but selects on b: b is essential.
-        ess1 = essential_labels(sta, "q1")
-        assert ess1.contains("b") and not ess1.contains("a")
-
-    def test_universal_state_has_no_essential_labels(self):
-        rec = sta_dtd_root_a()
-        assert essential_labels(rec, "qT").is_empty()
 
 
 class TestTopDownRelevance:

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_sqlite import SqliteOracle
+import oracle_sqlite
 from repro import faults
 from repro.engine.workspace import Workspace
 from repro.faults import FaultPlan
@@ -267,11 +267,14 @@ def plain_post(sock, path, payload) -> bytes:
     return bytes(raw)
 
 
+XMARK = XMarkGenerator(scale=0.05, seed=7).xml()
+
+
 @pytest.fixture(scope="module")
 def store_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("frame-corpus")
     ws = Workspace()
-    ws.add("xmark", XMarkGenerator(scale=0.05, seed=7).xml())
+    ws.add("xmark", XMARK)
     ws.add("tiny", TINY)
     ws.save(str(root))
     ws.close()
@@ -419,7 +422,7 @@ class TestEveryExecutor:
         same_answer(framed_batch, plain_batch)
         assert [e["fallback"] for e in framed_batch["results"]] == ["naive"] * 2
         assert daemon.stats()["counters"]["fallback_successes"] == 6
-        assert framed["ids"] == daemon.mounts.records["xmark"].engine.select(self.QUERY)
+        assert framed["ids"] == oracle_sqlite.select(XMARK, self.QUERY)
 
 
 # -- the served path against the independent oracle ---------------------------------
@@ -435,8 +438,9 @@ def test_served_path_matches_independent_oracle(tmp_path, corpus, encode):
     for number, (xml, queries) in enumerate(corpus):
         name = f"doc{number}"
         save_document(xml, str(tmp_path / name), **encode)
-        oracle = SqliteOracle(xml, **encode)
-        expected[name] = {query: oracle.select(query) for query in queries}
+        expected[name] = {
+            query: oracle_sqlite.select(xml, query, **encode) for query in queries
+        }
     cases = 0
     with DaemonThread(QueryDaemon(str(tmp_path), workers=2)) as handle:
         port = handle.port

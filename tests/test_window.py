@@ -1,7 +1,7 @@
 """The window-join strategy (repro.engine.window): XPath accelerator.
 
 Pins the subtree-window identity the joins read, each axis join against
-the reference evaluator (fresh and on a reopened bundle), native
+the sqlite oracle (fresh and on a reopened bundle), native
 backward axes, predicate window counts, thread / pooled execution
 identity, planner integration, and the dense columns the joins gather
 from (rank-column LRU bound, child CSR).
@@ -24,9 +24,9 @@ from repro.store import open_document, save_document
 from repro.tree.binary import BinaryTree
 from repro.tree.parser import parse_xml
 from repro.xpath.parser import parse_xpath
-from repro.xpath.reference import evaluate_reference
 
-from strategies import kernel_as, run_as, tree_specs
+import oracle_sqlite
+from strategies import kernel_as, run_as, spec_xml, tree_specs
 
 XML = (
     "<site>"
@@ -96,7 +96,7 @@ class TestEncoding:
                     visit(child, above + [here])
 
         visit(spec, [])
-        xml_end = TreeIndex(BinaryTree.from_spec(spec)).xml_end_array()
+        xml_end = TreeIndex(BinaryTree.from_xml(spec_xml(spec))).xml_end_array()
         assert xml_end.size == len(ancestors)
         for v, above in enumerate(ancestors):
             for u in range(len(ancestors)):
@@ -105,20 +105,17 @@ class TestEncoding:
 
 class TestOracleIdentity:
     @pytest.mark.parametrize("query", FORWARD_QUERIES + BACKWARD_QUERIES)
-    def test_matches_reference(self, index, query):
+    def test_matches_the_oracle(self, index, query):
         path = parse_xpath(query)
-        expected = evaluate_reference(index.tree, path)
+        expected = oracle_sqlite.select(XML, query)
         accepted, got = run_as("window", path, index)
         assert got == expected
         assert accepted == bool(expected)
 
-    def test_matches_reference_on_encoded_doc(self):
-        tree = BinaryTree.from_document(
-            parse_xml('<r a="1"><x b="2">text</x><y>more</y></r>'),
-            encode_attributes=True,
-            encode_text=True,
-        )
-        index = TreeIndex(tree)
+    def test_matches_the_oracle_on_encoded_doc(self):
+        xml = '<r a="1"><x b="2">text</x><y>more</y></r>'
+        encode = dict(encode_attributes=True, encode_text=True)
+        index = TreeIndex(BinaryTree.from_document(parse_xml(xml), **encode))
         for query in (
             "//x[@b]",
             "/r[@a]/x",
@@ -130,19 +127,16 @@ class TestOracleIdentity:
             "//@b/parent::x",
             "//x[@b]/ancestor::r",
         ):
-            path = parse_xpath(query)
-            _, got = run_as("window", path, index)
-            assert got == evaluate_reference(tree, path), query
+            _, got = run_as("window", parse_xpath(query), index)
+            assert got == oracle_sqlite.select(xml, query, **encode), query
 
-    def test_matches_reference_on_reopened_bundle(self, tmp_path):
+    def test_matches_the_oracle_on_reopened_bundle(self, tmp_path):
         bundle = str(tmp_path / "doc")
         save_document(XML, bundle)
-        reference = BinaryTree.from_document(parse_xml(XML))
         with open_document(bundle) as stored:
             for query in FORWARD_QUERIES + BACKWARD_QUERIES:
-                path = parse_xpath(query)
-                _, got = run_as("window", path, stored.index)
-                assert got == evaluate_reference(reference, path), query
+                _, got = run_as("window", parse_xpath(query), stored.index)
+                assert got == oracle_sqlite.select(XML, query), query
 
     def test_degenerate_single_node_document(self):
         index = TreeIndex(BinaryTree.from_spec("r"))
@@ -151,12 +145,11 @@ class TestOracleIdentity:
         assert run_as("window", "//r[x]", index) == (False, [])
         assert run_as("window", "//r/ancestor::r", index) == (False, [])
 
-    def test_fig4_mix_on_xmark(self, xmark_index):
+    def test_fig4_mix_on_xmark(self, xmark_xml, xmark_index):
         from repro.xmark.queries import QUERIES as FIG4
 
-        naive = Engine(xmark_index, strategy="naive")
         for qid, query in FIG4.items():
-            expected = list(naive.prepare(query).execute().ids)
+            expected = oracle_sqlite.select(xmark_xml, query)
             _, got = run_as("window", query, xmark_index)
             assert got == expected, qid
 
@@ -194,9 +187,7 @@ class TestFragment:
         # Backward axes do NOT fall back to the mixed pipeline.
         backward = engine.prepare("//b/ancestor::a")
         assert backward.strategy.name == "window"
-        assert backward.select() == evaluate_reference(
-            index.tree, parse_xpath("//b/ancestor::a")
-        )
+        assert backward.select() == oracle_sqlite.select(XML, "//b/ancestor::a")
 
     def test_explain_describes_native_backward_plan(self, index):
         engine = Engine(index, strategy="window")
@@ -215,17 +206,14 @@ class TestParallelIdentity:
     ]
 
     @pytest.mark.parametrize("executor", ["thread", "pool"])
-    def test_parallel_matches_reference(self, executor):
+    def test_parallel_matches_the_oracle(self, executor):
         ws = Workspace(strategy="window")
         ws.add("doc", XML)
-        tree = ws.engine("doc").tree
         try:
             with QueryService(ws, jobs=2, executor=executor) as service:
                 for query in self.QUERIES:
                     got = list(service.execute(query, "doc").ids)
-                    assert got == evaluate_reference(
-                        tree, parse_xpath(query)
-                    ), query
+                    assert got == oracle_sqlite.select(XML, query), query
         finally:
             ws.close()
 
@@ -234,14 +222,11 @@ class TestParallelIdentity:
         save_document(XML, bundle)
         ws = Workspace(strategy="window")
         ws.open_store(str(tmp_path))
-        tree = ws.engine("doc").index.tree
         try:
             with QueryService(ws, jobs=2) as service:
                 for query in self.QUERIES:
                     got = list(service.execute(query, "doc").ids)
-                    assert got == evaluate_reference(
-                        tree, parse_xpath(query)
-                    ), query
+                    assert got == oracle_sqlite.select(XML, query), query
         finally:
             ws.close()
 
@@ -252,9 +237,7 @@ class TestPlannerIntegration:
         plan = engine.prepare("//b/ancestor::a")
         assert plan.strategy.name == "auto"
         assert plan.strategy.executes_as == "window"
-        assert plan.select() == evaluate_reference(
-            index.tree, parse_xpath("//b/ancestor::a")
-        )
+        assert plan.select() == oracle_sqlite.select(XML, "//b/ancestor::a")
         # No mixed split, no planner state: the bound program only.
         assert list(plan.artifacts) == ["kernel"]
 
@@ -303,7 +286,7 @@ class TestDenseColumns:
         index = self.fresh()
         index._ranks.maxsize = 1
         query = "//a[.//b and .//d]"
-        expected = evaluate_reference(index.tree, parse_xpath(query))
+        expected = oracle_sqlite.select(XML, query)
         for _ in range(3):
             assert kernel_as("window", parse_xpath(query), index)[1] == expected
         info = index._ranks.cache_info()
