@@ -16,6 +16,15 @@ from repro.serve import (
     ServeError,
     format_rows,
 )
+from repro.serve.http import (
+    FRAME_MAGIC,
+    IDS_TYPE,
+    MAX_HEADER_BYTES,
+    MAX_HEADERS,
+    decode_answer,
+    encode_request,
+    read_response,
+)
 from repro.xmark.generator import XMarkGenerator
 
 QUERY_MIX = [
@@ -338,6 +347,161 @@ class TestExpectContinue:
                 + self.BODY
             )
             assert sock.recv(65536).startswith(b"HTTP/1.1 200 OK")
+
+
+def read_to_eof(sock):
+    """Everything the daemon sends until it closes the connection."""
+    sock.settimeout(5)
+    data = b""
+    while chunk := sock.recv(65536):
+        data += chunk
+    return data
+
+
+def query_request(body, accept=None):
+    return encode_request(
+        "POST", "/query", "x", json.dumps(body).encode(), accept=accept
+    )
+
+
+#: A request ``read_request`` refuses -> (raw bytes, status).  Each is
+#: answered once and the connection is closed after the answer.
+REFUSALS = {
+    "head_too_large": (
+        b"GET /healthz HTTP/1.1\r\nX-Pad: "
+        + b"a" * MAX_HEADER_BYTES
+        + b"\r\n\r\n",
+        431,
+    ),
+    "too_many_headers": (
+        b"GET /healthz HTTP/1.1\r\n"
+        + b"".join(b"X-%d: y\r\n" % i for i in range(MAX_HEADERS + 1))
+        + b"\r\n",
+        431,
+    ),
+    "chunked_body": (
+        b"POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+        400,
+    ),
+    "content_length_not_a_number": (
+        b"POST /query HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+        400,
+    ),
+    "negative_content_length": (
+        b"POST /query HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+        400,
+    ),
+    "unsupported_version": (b"GET /healthz HTTP/2.0\r\n\r\n", 400),
+    "request_line_without_version": (b"GET /healthz\r\n\r\n", 400),
+    "header_without_colon": (b"GET /healthz HTTP/1.1\r\nNo colon\r\n\r\n", 400),
+}
+
+
+class TestTransport:
+    """What the connection layer does with bytes, whatever carries them."""
+
+    def test_two_pipelined_requests_get_two_answers_in_order(self, daemon):
+        # The first is cold (so it waits for a worker thread), the second
+        # is answered at once: the order on the wire is still the order
+        # asked in.
+        first = query_request(
+            {"query": "//c/b", "document": "tiny", "strategy": "jumping"}
+        )
+        second = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.settimeout(5)
+            sock.sendall(first + second)
+            status, keep_alive, body, surplus = read_response(sock)
+            assert status == 200 and keep_alive
+            reply = json.loads(body)
+            assert reply["query"] == "//c/b" and reply["ids"] == [5]
+            status, keep_alive, body, surplus = read_response(sock, surplus)
+            assert status == 200 and keep_alive and surplus == b""
+            assert json.loads(body)["ok"] is True
+
+    def test_a_request_sent_one_byte_at_a_time_is_answered(self, corpus, daemon):
+        _, oracle = corpus
+        raw = query_request({"query": "//a/b", "document": "tiny"})
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(5)
+            for byte in raw:
+                sock.send(bytes([byte]))
+            status, _keep_alive, body, surplus = read_response(sock)
+        assert status == 200 and surplus == b""
+        assert json.loads(body)["ids"] == oracle[("tiny", "//a/b")]
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_a_refused_request_is_answered_and_the_connection_closed(
+        self, daemon, case
+    ):
+        raw, status = REFUSALS[case]
+        self.refused(daemon, raw, status)
+
+    def test_a_body_over_max_body_is_refused_unread(self, daemon):
+        head = b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (
+            daemon.max_body + 1
+        )
+        self.refused(daemon, head, 413)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"GET /healthz HTTP/1.1\r\nHost:",
+            b"POST /query HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}",
+        ],
+        ids=["head", "body"],
+    )
+    def test_a_request_cut_short_by_eof_is_refused(self, daemon, raw):
+        self.refused(daemon, raw, 400, shut=True)
+
+    def test_twenty_pipelined_id_lists_arrive_intact_and_in_order(
+        self, tmp_path_factory
+    ):
+        # Far more answer bytes than the socket buffers of a peer that
+        # reads nothing until it has sent everything: the daemon has to
+        # stop and restart writing on the way.
+        root = tmp_path_factory.mktemp("serve-flow")
+        ws = Workspace()
+        ws.add("big", XMarkGenerator(scale=0.5, seed=11).xml())
+        queries = ["//*", "//keyword", "//*", "//listitem//keyword"] * 5
+        oracle = {q: ws.select(q, "big") for q in set(queries)}
+        ws.save(str(root))
+        ws.close()
+        with DaemonThread(QueryDaemon(str(root), workers=2)) as handle:
+            with socket.create_connection(("127.0.0.1", handle.port)) as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 16384)
+                sock.settimeout(30)
+                sock.sendall(
+                    b"".join(
+                        query_request({"query": q}, accept=IDS_TYPE)
+                        for q in queries
+                    )
+                )
+                time.sleep(0.3)  # let the daemon run into a full socket
+                surplus = b""
+                for query in queries:
+                    status, _keep_alive, body, surplus = read_response(
+                        sock, surplus
+                    )
+                    assert status == 200
+                    assert bytes(body[:4]) == FRAME_MAGIC
+                    reply = decode_answer(body)
+                    assert reply["query"] == query
+                    assert reply["ids"] == oracle[query], query
+                assert surplus == b""
+
+    def refused(self, daemon, raw, status, shut=False):
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.sendall(raw)
+            if shut:
+                sock.shutdown(socket.SHUT_WR)
+            response = read_to_eof(sock)
+        head, _, body = response.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0].startswith(b"HTTP/1.1 %d " % status), response[:200]
+        assert b"Connection: close" in lines
+        assert json.loads(body)["error"]["kind"] == "bad_request"
 
 
 class TestConcurrency:
