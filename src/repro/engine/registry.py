@@ -220,6 +220,12 @@ def get_strategy(name: str) -> Strategy:
         ) from None
 
 
+def is_registered(name: str) -> bool:
+    """Whether ``name`` is a registered strategy (nothing sorted)."""
+    _load_builtins()
+    return name in _REGISTRY
+
+
 def strategy_names() -> List[str]:
     """Sorted names of all registered strategies."""
     _load_builtins()

@@ -8,7 +8,7 @@ The package turns the single-shot library into a long-running system:
   :class:`~repro.engine.plan.PreparedQuery` state hot across
   requests, behind a stdlib-only asyncio HTTP/JSON front
   (:mod:`repro.serve.http`).  It self-heals: a failing strategy retries
-  once on the reference path, repeatedly failing documents are
+  once on the ``naive`` fallback, repeatedly failing documents are
   quarantined behind structured 503s (``/healthz`` reports
   ``degraded``), and shutdown is a graceful drain.
 - :mod:`repro.serve.mounts` is the one path from disk to the mounted
@@ -20,8 +20,8 @@ The package turns the single-shot library into a long-running system:
   engine and health.
 - :mod:`repro.serve.admission` bounds what runs
   (:class:`~repro.serve.admission.Admission`: a slot limit with ``429``
-  past it, a worker-thread or event-loop run with ``504`` past its
-  deadline, epoch tags a reload drains).
+  past it, a worker-thread run or one in the read callback with ``504``
+  past its deadline, epoch tags a reload drains).
 - :class:`~repro.serve.client.ServeClient` is the matching stdlib
   client (``repro client query/batch/stats`` in the CLI), with an
   exponential-backoff retry budget (seeded jitter) on connection

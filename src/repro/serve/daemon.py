@@ -32,15 +32,25 @@ generation; ``reload_poll`` does the same from a change-stamp poller),
 ``400`` with the parser's offset-carrying payload
 (:meth:`repro.xpath.parser.XPathSyntaxError.to_dict`).
 
-Every request is answered in this process.  Where a ``/query`` runs --
-every response says (``"executor"``):
+Every request is answered in this process, over one
+``asyncio.Protocol`` per connection
+(:class:`~repro.serve.http.Connection`): the read callback parses what
+has arrived and hands each request to :meth:`QueryDaemon.serve`.  Where a ``/query`` runs -- every response says
+(``"executor"``):
 
 - ``"thread"``: on the worker-thread executor, like every ``/batch``
   and ``/explain``; ``timing_ms.queue`` is admission to function start.
-- ``"inline"``: on the event loop, when its plan is cached and the
-  daemon has *measured* the plan's whole worker-side function (evaluate
-  + encode, for this answer mode) at under :data:`INLINE_MAX_S` the
-  last time it ran.  The measurement lives with the plan
+  Such a request, like every ``/batch``, ``/explain`` and ``/reload``,
+  is one asyncio Task, and its connection parses nothing more until the
+  answer is written, so answers leave in the order they were asked
+  (``/stats``, ``/healthz`` and every refusal are answered in the read
+  callback).
+- ``"inline"``: answered in the read callback itself -- parsed,
+  resolved, executed, encoded and written with no Task, coroutine or
+  thread hop -- when its plan is cached and the daemon has *measured*
+  the plan's whole worker-side function (evaluate + encode, for this
+  answer mode) at under :data:`INLINE_MAX_S` the last time it ran.
+  The measurement lives with the plan
   (``plan.artifacts``), so whatever forgets the plan -- a reload
   swapping the engine, an LRU eviction, a registry change -- forgets it
   too and the next request takes the thread again; so does any request
@@ -59,7 +69,7 @@ identical queries stay correct; distinct queries run concurrently.
 
 When evaluation fails, the daemon degrades instead of dying: an
 unexpected exception retries the request once on the ``naive``
-strategy (the automaton's plain full traversal: no jumping, no memo
+fallback (the automaton's plain full traversal: no jumping, no memo
 tables, no set-at-a-time kernel; the response carries
 ``"fallback": "naive"``), and ``fail_threshold`` *consecutive*
 ultimately-failed evaluations quarantine the document
@@ -83,7 +93,7 @@ import traceback
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import suppress
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import faults
 from repro.engine import registry
@@ -95,11 +105,10 @@ from repro.serve.http import (
     FRAME_MAGIC,
     Answer,
     Body,
+    Connection,
     HttpError,
     Request,
     encode_answer,
-    read_request,
-    send_response,
 )
 from repro.serve.mounts import Mount, MountTable
 from repro.xpath.compiler import XPathCompileError
@@ -123,7 +132,8 @@ CLIENT_ERRORS = (HttpError, XPathSyntaxError, XPathCompileError)
 #: explicit ``POST /reload`` endpoint always works).
 RELOAD_POLL_S = 0.0
 #: A ``/query`` whose worker-side function last took less than this many
-#: seconds runs on the event loop instead of hopping to a worker thread.
+#: seconds is answered in the read callback instead of hopping to a
+#: worker thread.
 #: A constant, not an option: it is not a preference but a bound on how
 #: long the loop may be held, and the interpreter already sets the scale
 #: -- a worker thread running Python code keeps the GIL, and so holds the
@@ -148,11 +158,6 @@ COUNTERS = (
 def _ms(start: float, end: float) -> float:
     """A ``perf_counter`` interval as ``timing_ms`` reports it."""
     return round((end - start) * 1000.0, 4)
-
-
-def _timing(**timing: Optional[float]) -> dict:
-    """``timing_ms``: ``queue`` only where the caller measured one."""
-    return {k: v for k, v in timing.items() if v is not None}
 
 
 def _query_field(fields: dict) -> str:
@@ -200,8 +205,8 @@ class QueryDaemon:
     max_body:
         Largest request body accepted, in bytes (``413`` beyond it).
     fail_threshold:
-        Consecutive ultimately-failed evaluations (the reference-path
-        retry included) before a document is quarantined; ``0``
+        Consecutive ultimately-failed evaluations (the ``naive``
+        fallback included) before a document is quarantined; ``0``
         disables quarantine.
     reload_poll:
         Seconds between corpus change-stamp checks; when a stamp moves,
@@ -281,12 +286,12 @@ class QueryDaemon:
             self.workers + queue_depth, self._threads, self._bump
         )
         # Touched from the event-loop thread only.
-        self._requests_open = 0
         self._draining = False
         self._reload_lock = asyncio.Lock()
         self._poll_task: Optional[asyncio.Task] = None
         self._last_reload: Optional[dict] = None
-        self._connections: set = set()
+        #: The open :class:`~repro.serve.http.Connection` objects.
+        self.connections: set = set()
         self._server: Optional[asyncio.base_events.Server] = None
         #: Wakes :meth:`run_async` from any thread, while it is waiting.
         self._stop_request: Optional[Callable[[], object]] = None
@@ -300,6 +305,8 @@ class QueryDaemon:
 
     _in_flight = property(lambda self: self.admission.in_flight)
     strategy = property(lambda self: self.mounts.strategy)
+    #: Stopping: refusing new work, and keeping no connection alive.
+    draining = property(lambda self: self._draining)
 
     @property
     def skipped(self) -> Dict[str, dict]:
@@ -309,9 +316,22 @@ class QueryDaemon:
     def documents(self) -> List[str]:
         return list(self.mounts.records)
 
-    def _bump(self, counter: str, by: int = 1) -> None:
+    def _bump(self, *counters: str) -> None:
+        """Add one to each of ``counters`` (a name may repeat), under
+        one acquisition of the lock."""
         with self._counters_lock:
-            self.counters[counter] += by
+            for counter in counters:
+                self.counters[counter] += 1
+
+    def _counted(self, fn: Callable, *args):
+        """``fn(*args, tally)`` with a fresh ``tally`` of counter names,
+        bumped when it returns or raises: how a function on a worker
+        thread counts what it did."""
+        tally: List[str] = []
+        try:
+            return fn(*args, tally)
+        finally:
+            self._bump(*tally)
 
     # -- health --------------------------------------------------------------
 
@@ -341,7 +361,9 @@ class QueryDaemon:
 
     # -- request-payload helpers ---------------------------------------------
 
-    def _target(self, fields: dict) -> Tuple[Mount, Engine, str, float]:
+    def _target(
+        self, fields: dict, tally: List[str]
+    ) -> Tuple[Mount, Engine, str, float]:
         """What ``/query``, ``/batch`` and ``/explain`` all name: the
         document (defaulting to a single mounted one) as its record and
         engine, the strategy, and the request's budget in seconds."""
@@ -368,7 +390,7 @@ class QueryDaemon:
             )
         info = mount.quarantine
         if info is not None:
-            self._bump("quarantine_rejects")
+            tally.append("quarantine_rejects")
             raise HttpError(
                 503,
                 "quarantined",
@@ -377,7 +399,7 @@ class QueryDaemon:
                 {"document": name, "detail": dict(info)},
             )
         strategy = fields.get("strategy", self.strategy)
-        if not isinstance(strategy, str) or strategy not in registry.strategy_names():
+        if not isinstance(strategy, str) or not registry.is_registered(strategy):
             raise HttpError(
                 400,
                 "bad_request",
@@ -404,6 +426,7 @@ class QueryDaemon:
         cached: Optional[PreparedQuery],
         query: str,
         strategy: str,
+        tally: List[str],
     ) -> Tuple[PreparedQuery, bool]:
         """``(plan, warm)``: ``cached`` -- what the request's one
         :meth:`~repro.engine.api.Engine.cached_plan` lookup found -- or,
@@ -413,7 +436,7 @@ class QueryDaemon:
         compilation and plan resolution."""
         warm = cached is not None
         plan = cached if warm else engine.prepare(query, strategy=strategy)
-        self._bump("warm_hits" if warm else "cold_misses")
+        tally.append("warm_hits" if warm else "cold_misses")
         return plan, warm
 
     def _runs_inline(
@@ -431,42 +454,6 @@ class QueryDaemon:
 
     # -- worker-side work ----------------------------------------------------
 
-    def _answer(
-        self,
-        query: str,
-        plan: PreparedQuery,
-        result,
-        *,
-        count_only: bool,
-        with_labels: bool = False,
-        with_stats: bool = False,
-        **fields,
-    ) -> Answer:
-        """The one place a result becomes an answer: ``(envelope, ids)``.
-
-        ``fields`` are the envelope members only the caller knows
-        (``document``, ``timing_ms``, ``warm``, ``fallback``,
-        ``executor``; ``None`` means absent).  The ids stay the result's
-        own array (:attr:`~repro.engine.plan.ExecutionResult.ids_compact`,
-        no widening pass) until :func:`~repro.serve.http.encode_answer`
-        writes them; a count-only answer has ``None`` and never
-        materialises one.
-        """
-        envelope = {
-            "query": query,
-            "strategy": plan.strategy.name,
-            "count": len(result),
-        }
-        envelope.update((k, v) for k, v in fields.items() if v is not None)
-        envelope.update(planner_fields(plan))
-        if with_labels:
-            # The plan's own engine: old-generation ids must never be
-            # labelled against a new generation's tree.
-            envelope["labels"] = plan.engine.labels_of(result.ids_array)
-        if with_stats:
-            envelope["stats"] = result.stats.snapshot()
-        return envelope, None if count_only else result.ids_compact
-
     def _evaluate(
         self,
         mount: Mount,
@@ -474,6 +461,7 @@ class QueryDaemon:
         cached: Optional[PreparedQuery],
         query: str,
         strategy: str,
+        tally: List[str],
         *,
         count_only: bool,
         with_labels: bool = False,
@@ -481,30 +469,41 @@ class QueryDaemon:
         executor: Optional[str] = None,
         queue_ms: Optional[float] = None,
     ) -> Answer:
-        """One query, start to finish, wherever the caller runs it.
+        """One query, start to finish, wherever the caller runs it: the
+        one place a result becomes an answer, ``(envelope, ids)``.
 
         ``mount`` and ``engine`` are what the request resolved on the
         event loop and ``cached`` what its plan lookup found; a reload
         in between changes none of them.  ``executor`` and ``queue_ms``
         are what only the caller knows of the request's way here; they
-        are reported, not acted on.
+        are reported, not acted on.  What happened is counted into
+        ``tally``.  The ids stay the result's own array
+        (:attr:`~repro.engine.plan.ExecutionResult.ids_compact`, no
+        widening pass) until :func:`~repro.serve.http.encode_answer`
+        writes them; a count-only answer has ``None`` and never
+        materialises one.
 
         The chosen strategy, then -- once, after an unexpected
-        exception -- the reference path; only if that also fails does
-        the request fail and count toward the document's quarantine
-        streak.  Syntax errors and structured HTTP errors pass straight
-        through: they are the client's problem, not the document's.
+        exception -- the ``naive`` fallback; only if that also fails
+        does the request fail and count toward the document's
+        quarantine streak.  Syntax errors and structured HTTP errors
+        pass straight through: they are the client's problem, not the
+        document's.
         """
         t0 = time.perf_counter()
-        plan, warm = self._plan(engine, cached, query, strategy)
+        plan, warm = self._plan(engine, cached, query, strategy, tally)
         t1 = time.perf_counter()
         errors: List[Exception] = []
         for attempt in dict.fromkeys((strategy, FALLBACK_STRATEGY)):
             try:
                 if errors:
-                    self._bump("fallbacks")
+                    tally.append("fallbacks")
                     plan, _ = self._plan(
-                        engine, engine.cached_plan(query, attempt), query, attempt
+                        engine,
+                        engine.cached_plan(query, attempt),
+                        query,
+                        attempt,
+                        tally,
                     )
                 faults.check(
                     "serve.evaluate", document=mount.name, strategy=attempt
@@ -516,7 +515,7 @@ class QueryDaemon:
             except Exception as exc:
                 errors.append(exc)
         else:
-            self._bump("eval_failures")
+            tally.append("eval_failures")
             mount.failed(
                 errors[-1],
                 self.fail_threshold,
@@ -526,34 +525,39 @@ class QueryDaemon:
             raise HttpError(
                 500,
                 "evaluation_failed",
-                f"evaluation failed ({causes[0]}); reference-path retry "
+                f"evaluation failed ({causes[0]}); the naive fallback "
                 f"also failed ({causes[1]})"
                 if len(causes) > 1
-                else f"evaluation failed on the reference path: {causes[0]}",
+                else f"evaluation failed on the naive fallback: {causes[0]}",
                 {"document": mount.name, "strategy": strategy},
             ) from errors[-1]
         if errors:
-            self._bump("fallback_successes")
+            tally.append("fallback_successes")
         mount.answered()
         t2 = time.perf_counter()
-        return self._answer(
-            query,
-            plan,
-            result,
-            count_only=count_only,
-            with_labels=with_labels,
-            with_stats=with_stats,
-            document=mount.name,
-            warm=warm,
-            fallback=FALLBACK_STRATEGY if errors else None,
-            executor=executor,
-            timing_ms=_timing(
-                queue=queue_ms,
-                prepare=_ms(t0, t1),
-                execute=_ms(t1, t2),
-                total=_ms(t0, t2),
-            ),
-        )
+        timing = {"prepare": _ms(t0, t1), "execute": _ms(t1, t2), "total": _ms(t0, t2)}
+        if queue_ms is not None:
+            timing["queue"] = queue_ms
+        envelope = {
+            "query": query,
+            "strategy": plan.strategy.name,
+            "count": len(result),
+            "document": mount.name,
+            "warm": warm,
+            "timing_ms": timing,
+            **planner_fields(plan),
+        }
+        if errors:
+            envelope["fallback"] = FALLBACK_STRATEGY
+        if executor is not None:
+            envelope["executor"] = executor
+        if with_labels:
+            # The plan's own engine: old-generation ids must never be
+            # labelled against a new generation's tree.
+            envelope["labels"] = plan.engine.labels_of(result.ids_array)
+        if with_stats:
+            envelope["stats"] = result.stats.snapshot()
+        return envelope, None if count_only else result.ids_compact
 
     def _query_body(
         self,
@@ -564,15 +568,16 @@ class QueryDaemon:
         strategy: str,
         flags: Dict[str, bool],
         frame: bool,
-        admitted: Optional[float] = None,
+        admitted: Optional[float],
+        tally: List[str],
     ) -> bytes:
         """The worker-side function of ``/query``: evaluate, encode.
 
         ``admitted`` is when the request passed admission if it then
         hopped to a worker thread, ``None`` when it runs inline.  The
         function times itself and leaves the result with the plan --
-        also when it fails, or ran the slow reference path -- which is
-        all :meth:`_runs_inline` goes by next time.
+        also when it fails, or ran the slow ``naive`` fallback -- which
+        is all :meth:`_runs_inline` goes by next time.
         """
         start = time.perf_counter()
         inline = admitted is None
@@ -585,10 +590,12 @@ class QueryDaemon:
                     cached,
                     query,
                     strategy,
+                    tally,
                     executor="inline" if inline else "thread",
                     queue_ms=0.0 if inline else _ms(admitted, start),
                     **flags,
                 ),
+                tally,
             )
         finally:
             cost = time.perf_counter() - start
@@ -600,27 +607,27 @@ class QueryDaemon:
                     tuple(flags.values())
                 ] = cost
 
-    def _encode(self, frame: bool, answer: tuple) -> bytes:
+    def _encode(self, frame: bool, answer: tuple, tally: List[str]) -> bytes:
         """The body of one ``/query`` or ``/batch`` answer, wherever it
         was evaluated: a frame if the request asked for one and the
         answer holds ids (counted as ``framed``), else JSON."""
         body = encode_answer(*answer, frame=frame)
         if body.startswith(FRAME_MAGIC):
-            self._bump("framed")
+            tally.append("framed")
         return body
 
-    def _evaluate_batch(
+    def _batch_body(
         self,
         mount: Mount,
         engine: Engine,
         queries: List[str],
         strategy: str,
-        *,
         count_only: bool,
-    ) -> Tuple[dict, None, List[Answer]]:
-        """A whole batch as :func:`encode_answer` takes it: ``(envelope,
-        None, one answer per query)``, evaluated query by query right
-        here."""
+        frame: bool,
+        tally: List[str],
+    ) -> bytes:
+        """The worker-side function of ``/batch``: every query evaluated
+        right here, in order, then one body for them all."""
         t0 = time.perf_counter()
         answers = [
             self._evaluate(
@@ -629,6 +636,7 @@ class QueryDaemon:
                 engine.cached_plan(query, strategy),
                 query,
                 strategy,
+                tally,
                 count_only=count_only,
             )
             for query in queries
@@ -639,7 +647,7 @@ class QueryDaemon:
             "document": mount.name,
             "timing_ms": {"total": _ms(t0, time.perf_counter())},
         }
-        return envelope, None, answers
+        return self._encode(frame, (envelope, None, answers), tally)
 
     def _explain(
         self,
@@ -648,8 +656,9 @@ class QueryDaemon:
         cached: Optional[PreparedQuery],
         query: str,
         strategy: str,
+        tally: List[str],
     ) -> dict:
-        plan, warm = self._plan(engine, cached, query, strategy)
+        plan, warm = self._plan(engine, cached, query, strategy, tally)
         return {
             "document": mount.name,
             "query": query,
@@ -736,7 +745,7 @@ class QueryDaemon:
 
     # -- endpoints -----------------------------------------------------------
 
-    def _healthz(self, request: Request) -> dict:
+    def _healthz(self, request: Request, tally: List[str]) -> dict:
         status = self.health_status()
         return {
             "ok": status == "ok",
@@ -749,41 +758,37 @@ class QueryDaemon:
             "uptime_s": round(time.monotonic() - self._started, 3),
         }
 
-    async def _query(self, request: Request) -> bytes:
+    def _query(
+        self, request: Request, tally: List[str]
+    ) -> Union[bytes, Awaitable[bytes]]:
+        """The body now when the plan runs inline, else the coroutine
+        that hops to a worker thread for it.  Everything up to that
+        choice -- payload, target, flags, the one plan-cache lookup --
+        is done once, here, whichever way the request then goes."""
         payload = request.json()
-        mount, engine, strategy, timeout_s = self._target(payload)
+        mount, engine, strategy, timeout_s = self._target(payload, tally)
         query = _query_field(payload)
         flags = {
             "count_only": _flag(payload, "count"),
             "with_labels": _flag(payload, "labels"),
             "with_stats": _flag(payload, "stats"),
         }
-        self._bump("queries")
-        # The request's one plan-cache lookup; everything below is
-        # handed the objects, never the names.
         cached = engine.cached_plan(query, strategy)
-        inline = self._runs_inline(cached, tuple(flags.values()), timeout_s)
-        admitted = None if inline else time.perf_counter()
-        body = await self.admission.run(
-            lambda: self._query_body(
-                mount,
-                engine,
-                cached,
-                query,
-                strategy,
-                flags,
-                request.accepts_frame,
-                admitted,
-            ),
+        work = (mount, engine, cached, query, strategy, flags, request.accepts_frame)
+        if self._runs_inline(cached, tuple(flags.values()), timeout_s):
+            tally += ("queries", "inline")
+            return self.admission.call(
+                lambda: self._query_body(*work, None, tally), timeout_s
+            )
+        tally += ("queries", "threaded")
+        return self.admission.run(
+            partial(self._counted, self._query_body, *work, time.perf_counter()),
             timeout_s,
-            inline=inline,
         )
-        self._bump("inline" if inline else "threaded")
-        return body
 
-    async def _batch(self, request: Request) -> bytes:
+    def _batch(self, request: Request, tally: List[str]) -> Awaitable[bytes]:
         payload = request.json()
-        mount, engine, strategy, timeout_s = self._target(payload)
+        mount, engine, strategy, timeout_s = self._target(payload, tally)
         queries = payload.get("queries")
         if (
             not isinstance(queries, list)
@@ -796,68 +801,142 @@ class QueryDaemon:
                 "'queries' must be a non-empty list of query strings",
             )
         count_only = _flag(payload, "count")
-        self._bump("batches")
-        self._bump("batch_queries", len(queries))
-        return await self.admission.run(
-            lambda: self._encode(
+        tally += ["batches"] + ["batch_queries"] * len(queries)
+        return self.admission.run(
+            lambda: self._counted(
+                self._batch_body,
+                mount,
+                engine,
+                queries,
+                strategy,
+                count_only,
                 request.accepts_frame,
-                self._evaluate_batch(
-                    mount, engine, queries, strategy, count_only=count_only
-                ),
             ),
             timeout_s,
         )
 
-    async def _explain_route(self, request: Request) -> dict:
+    def _explain_route(self, request: Request, tally: List[str]) -> Awaitable[dict]:
         # Its budget is the daemon's, whatever the parameters say.
         mount, engine, strategy, timeout_s = self._target(
-            {**request.params, "timeout_s": self.timeout}
+            {**request.params, "timeout_s": self.timeout}, tally
         )
         query = _query_field(request.params)
-        self._bump("explains")
+        tally.append("explains")
         cached = engine.cached_plan(query, strategy)
-        return await self.admission.run(
-            lambda: self._explain(mount, engine, cached, query, strategy),
+        return self.admission.run(
+            lambda: self._counted(
+                self._explain, mount, engine, cached, query, strategy
+            ),
             timeout_s,
         )
 
-    #: path -> (method, handler(self, request) -> body, or its
-    #: coroutine): the one route table.  ``/reload`` is not admitted: it
-    #: waits for admitted requests to drain, so counting it among them
-    #: would deadlock.
+    #: path -> (method, handler(self, request, tally) -> body, or an
+    #: awaitable of it): the one route table.  ``/reload`` is not
+    #: admitted: it waits for admitted requests to drain, so counting it
+    #: among them would deadlock.
     _ROUTES = {
         "/query": ("POST", _query),
         "/batch": ("POST", _batch),
         "/explain": ("GET", _explain_route),
-        "/reload": ("POST", lambda self, request: self.reload()),
-        "/stats": ("GET", lambda self, request: self.stats()),
+        "/reload": ("POST", lambda self, request, tally: self.reload()),
+        "/stats": ("GET", lambda self, request, tally: self.stats()),
         "/healthz": ("GET", _healthz),
     }
 
-    async def _dispatch(self, request: Request) -> Tuple[int, Body]:
+    def _route(
+        self, request: Request, tally: List[str]
+    ) -> Union[Body, Awaitable[Body]]:
+        """Run the request's handler: its body, or an awaitable of it.
+        Raises what the handler raises; counts into ``tally``."""
         # The probes keep answering during the shutdown drain, so
         # orchestration can watch it.
         if self._draining and request.path not in ("/healthz", "/stats"):
-            self._bump("drain_rejects")
+            tally.append("drain_rejects")
             raise HttpError(
                 503, "shutting_down", "daemon is draining; connection closing"
             )
-        if request.path not in self._ROUTES:
+        route = self._ROUTES.get(request.path)
+        if route is None:
             raise HttpError(
                 404,
                 "not_found",
                 f"no route {request.path!r}",
                 {"routes": list(self._ROUTES)},
             )
-        method, handler = self._ROUTES[request.path]
+        method, handler = route
         if request.method != method:
             raise HttpError(
                 405,
                 "method_not_allowed",
                 f"use {method}, not {request.method}",
             )
-        body = handler(self, request)
-        return 200, await body if asyncio.iscoroutine(body) else body
+        return handler(self, request, tally)
+
+    async def _dispatch(self, request: Request) -> Tuple[int, Body]:
+        """One request routed and awaited, in-process, no socket: what
+        :meth:`serve` does, but raising instead of answering errors."""
+        tally: List[str] = []
+        try:
+            body = self._route(request, tally)
+            return 200, await body if asyncio.iscoroutine(body) else body
+        finally:
+            self._bump(*tally)
+
+    def serve(
+        self, request: Request
+    ) -> Union[Tuple[int, Body], Awaitable[Tuple[int, Body]]]:
+        """Answer one request: ``(status, body)`` now, or -- when its
+        handler has to wait (a worker thread, a reload) -- an awaitable
+        of it.  Every failure becomes structured JSON, and the request's
+        counters are bumped once, with the answer."""
+        tally = ["requests"]
+        try:
+            body = self._route(request, tally)
+            if asyncio.iscoroutine(body):
+                return self._serve_later(body, tally)
+            answer = 200, body
+        except Exception as exc:
+            answer = self._refusal(exc, tally)
+        self._bump(*tally)
+        return answer
+
+    async def _serve_later(
+        self, body: Awaitable[Body], tally: List[str]
+    ) -> Tuple[int, Body]:
+        try:
+            answer = 200, await body
+        except Exception as exc:
+            answer = self._refusal(exc, tally)
+        self._bump(*tally)
+        return answer
+
+    def refused(self, error: HttpError) -> None:
+        """A request its connection could not parse (it answers)."""
+        self._bump("bad_requests")
+
+    def _refusal(self, exc: Exception, tally: List[str]) -> Tuple[int, dict]:
+        """The structured answer to a failed request (called while
+        ``exc`` is being handled)."""
+        if isinstance(exc, HttpError):
+            if exc.status == 400 and exc.kind == "bad_request":
+                tally.append("bad_requests")
+            return exc.status, exc.to_payload()
+        if isinstance(exc, XPathSyntaxError):
+            # The same offset-carrying payload the CLI renders a caret
+            # from -- satellite and daemon share one error type.
+            tally.append("syntax_errors")
+            return 400, {"error": exc.to_dict()}
+        if isinstance(exc, XPathCompileError):
+            tally.append("bad_requests")
+            return 400, {"error": {"kind": "unsupported", "message": str(exc)}}
+        tally.append("internal_errors")
+        traceback.print_exc(file=sys.stderr)
+        return 500, {
+            "error": {
+                "kind": "internal",
+                "message": "internal error (see daemon log)",
+            }
+        }
 
     def stats(self) -> dict:
         """The ``GET /stats`` payload (also handy in-process)."""
@@ -927,85 +1006,12 @@ class QueryDaemon:
             "caches": caches,
         }
 
-    # -- connection handling -------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    request = await read_request(
-                        reader, max_body=self.max_body, writer=writer
-                    )
-                except HttpError as exc:
-                    # The stream is unparseable past this point: answer
-                    # and drop the connection.
-                    self._bump("bad_requests")
-                    await send_response(
-                        writer, exc.status, exc.to_payload(), keep_alive=False
-                    )
-                    return
-                if request is None:
-                    return
-                self._bump("requests")
-                # _requests_open covers read-to-written, so the drain in
-                # stop() never closes a socket between a worker finishing
-                # and its response leaving the process.
-                self._requests_open += 1
-                try:
-                    status, payload = await self._respond(request)
-                    keep_alive = request.keep_alive and not self._draining
-                    await send_response(
-                        writer, status, payload, keep_alive=keep_alive
-                    )
-                finally:
-                    self._requests_open -= 1
-                if not keep_alive:
-                    return
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            # CancelledError: the loop is shutting down mid-close; the
-            # transport is torn down with it either way.
-            with suppress(ConnectionError, OSError, asyncio.CancelledError):
-                await writer.wait_closed()
-
-    async def _respond(self, request: Request) -> Tuple[int, Body]:
-        """Dispatch one request; every failure becomes structured JSON."""
-        try:
-            return await self._dispatch(request)
-        except HttpError as exc:
-            if exc.status == 400 and exc.kind == "bad_request":
-                self._bump("bad_requests")
-            return exc.status, exc.to_payload()
-        except XPathSyntaxError as exc:
-            # The same offset-carrying payload the CLI renders a caret
-            # from -- satellite and daemon share one error type.
-            self._bump("syntax_errors")
-            return 400, {"error": exc.to_dict()}
-        except XPathCompileError as exc:
-            self._bump("bad_requests")
-            return 400, {"error": {"kind": "unsupported", "message": str(exc)}}
-        except Exception:
-            self._bump("internal_errors")
-            traceback.print_exc(file=sys.stderr)
-            return 500, {
-                "error": {
-                    "kind": "internal",
-                    "message": "internal error (see daemon log)",
-                }
-            }
-
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
         """Bind and start accepting connections (updates :attr:`port`)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            partial(Connection, self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.reload_poll > 0:
@@ -1032,18 +1038,24 @@ class QueryDaemon:
         server, self._server = self._server, None
         if server is not None:
             server.close()
-            await server.wait_closed()
         deadline = time.monotonic() + (
             self.timeout if drain_timeout is None else drain_timeout
         )
-        while self._requests_open > 0 and time.monotonic() < deadline:
+        # An admitted answer is written in the same loop step that frees
+        # its slot, and a reload holds its lock until its report is
+        # ready: once neither is held, everything read is written back.
+        while (
+            self.admission.in_flight or self._reload_lock.locked()
+        ) and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
         # Idle keep-alive connections (and, past the deadline, any
-        # stragglers) are torn down; their handler tasks exit on the
-        # resulting connection error.
-        for writer in list(self._connections):
-            writer.close()
-        self._threads.shutdown(wait=self._requests_open == 0, cancel_futures=True)
+        # stragglers, whose answers are then never written) are torn
+        # down.
+        for connection in list(self.connections):
+            connection.transport.close()
+        self._threads.shutdown(
+            wait=not self.admission.in_flight, cancel_futures=True
+        )
         self.mounts.close()
 
     async def run_async(self, ready=None) -> None:

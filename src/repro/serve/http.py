@@ -3,12 +3,15 @@
 Just enough of the protocol for a JSON service -- request-line +
 headers + ``Content-Length`` bodies in, JSON responses out (or, for a
 peer that sent ``Accept: application/x-repro-ids``, the binary answer
-frame of :func:`encode_answer`), with keep-alive -- on plain
-:mod:`asyncio` streams.  No routing framework,
-no chunked encoding, no external dependencies; the daemon
-(:mod:`repro.serve.daemon`) does its own dispatch on ``(method, path)``.
-Both directions of the wire format live here: :func:`read_request` /
-:func:`encode_response` are the daemon's side,
+frame of :func:`encode_answer`), with keep-alive and pipelining.  On
+the daemon's side :class:`Connection`, one ``asyncio.Protocol`` per
+client, turns the bytes that arrive into requests
+(:func:`parse_request`, synchronous: it takes whatever the connection
+has buffered) and the answers into bytes (:func:`encode_response`); the
+daemon (:mod:`repro.serve.daemon`) does its own dispatch on ``(method,
+path)``.  No routing framework, no chunked encoding, no external
+dependencies.  Both directions of the wire format live here:
+:func:`parse_request` / :func:`encode_response` are the daemon's side,
 :func:`encode_request` / :func:`read_response` the blocking mirror
 :class:`~repro.serve.client.ServeClient` drives over a plain socket;
 :func:`encode_answer` / :func:`decode_answer` are the two ends of an
@@ -27,7 +30,7 @@ import json
 import socket
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Awaitable, Dict, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qsl, urlsplit
 
 import numpy as np
@@ -58,6 +61,9 @@ IDS_TYPE = "application/x-repro-ids"
 FRAME_MAGIC = b"\x93IDS"
 #: magic, id width in bytes (4 or 8), byte length of the JSON head.
 _FRAME = struct.Struct("<4sBI")
+#: ``json.dumps(value, sort_keys=True)``, without building an encoder
+#: per call as ``dumps`` does for any non-default option.
+_dumps_sorted = json.JSONEncoder(sort_keys=True).encode
 
 
 class HttpError(Exception):
@@ -111,6 +117,15 @@ class Request:
             return connection == "keep-alive"
         return connection != "close"
 
+    @property
+    def expects_continue(self) -> bool:
+        """Whether the peer holds its body back until an interim
+        ``100 Continue`` (never in HTTP/1.0, which has none)."""
+        return (
+            self.version != "HTTP/1.0"
+            and self.headers.get("expect", "").lower() == "100-continue"
+        )
+
     def json(self) -> dict:
         """The request body as a JSON object (400 on anything else)."""
         if not self.body:
@@ -128,89 +143,75 @@ class Request:
         return payload
 
 
-async def read_request(
-    reader: asyncio.StreamReader,
-    *,
-    max_body: int = 8 * 1024 * 1024,
-    writer: Optional[asyncio.StreamWriter] = None,
-) -> Optional[Request]:
-    """Read one request off the stream; ``None`` on clean EOF.
+def parse_request(
+    buffer: Union[bytes, bytearray], max_body: int
+) -> Optional[Tuple[Request, int]]:
+    """The request at the front of ``buffer``: ``(request, end)``, or
+    ``None`` while its head has not all arrived.
 
-    Raises :class:`HttpError` on malformed input or oversize
-    headers/body -- callers should answer with the error payload and
-    close the connection (the stream position is unrecoverable).
-
-    A client that announced its body with ``Expect: 100-continue`` is
-    waiting for permission to send it: given a ``writer``, the interim
-    ``100 Continue`` goes out as soon as ``Content-Length`` has passed
-    the ``max_body`` check (an oversize body is refused unread).
+    ``end`` is where the request stops in ``buffer``.  When it lies past
+    the buffer's end the body has not all arrived yet and
+    ``request.body`` is empty: call again with more bytes (a caller
+    owes a peer that :attr:`~Request.expects_continue` the interim
+    ``100 Continue`` now).  Raises :class:`HttpError` on malformed input
+    or an oversize head or body -- the answer is the error payload and
+    the connection must close: the stream position is unrecoverable.
+    A body over ``max_body`` is refused as soon as the head is in, unread.
     """
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise HttpError(400, "bad_request", "truncated request") from None
-    except asyncio.LimitOverrunError:
-        raise HttpError(431, "bad_request", "request head too large") from None
-    if len(head) > MAX_HEADER_BYTES:
+    head_end = buffer.find(b"\r\n\r\n")
+    if head_end < 0:
+        if len(buffer) > MAX_HEADER_BYTES:
+            raise HttpError(431, "bad_request", "request head too large")
+        return None
+    if head_end + 4 > MAX_HEADER_BYTES:
         raise HttpError(431, "bad_request", "request head too large")
     try:
-        lines = head.decode("latin-1").split("\r\n")
+        lines = buffer[:head_end].decode("latin-1").split("\r\n")
         method, target, version = lines[0].split(" ", 2)
-    except (UnicodeDecodeError, ValueError):
+    except ValueError:
         raise HttpError(400, "bad_request", "malformed request line") from None
     if not version.startswith("HTTP/1."):
         raise HttpError(400, "bad_request", f"unsupported {version!r}")
     headers: Dict[str, str] = {}
     for line in lines[1:]:
-        if not line:
-            continue
         if len(headers) >= MAX_HEADERS:
             raise HttpError(431, "bad_request", "too many headers")
         name, sep, value = line.partition(":")
         if not sep:
             raise HttpError(400, "bad_request", f"malformed header {line!r}")
         headers[name.strip().lower()] = value.strip()
-    body = b""
+    length = 0
     if "content-length" in headers:
         try:
             length = int(headers["content-length"])
         except ValueError:
-            raise HttpError(
-                400, "bad_request", "malformed Content-Length"
-            ) from None
+            length = -1
         if length < 0:
             raise HttpError(400, "bad_request", "malformed Content-Length")
         if length > max_body:
             raise HttpError(
                 413, "bad_request", f"body exceeds {max_body} bytes"
             )
-        if (
-            writer is not None
-            and length
-            and version != "HTTP/1.0"
-            and headers.get("expect", "").lower() == "100-continue"
-        ):
-            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise HttpError(400, "bad_request", "truncated body") from None
     elif headers.get("transfer-encoding"):
         raise HttpError(
             400, "bad_request", "chunked request bodies are not supported"
         )
+    start = head_end + 4
+    end = start + length
     split = urlsplit(target)
-    params = dict(parse_qsl(split.query, keep_blank_values=True))
-    return Request(
-        method=method.upper(),
-        target=target,
-        path=split.path or "/",
-        params=params,
-        headers=headers,
-        body=body,
-        version=version,
+    return (
+        Request(
+            method=method.upper(),
+            target=target,
+            path=split.path or "/",
+            params=dict(parse_qsl(split.query, keep_blank_values=True))
+            if split.query
+            else {},
+            headers=headers,
+            body=bytes(buffer[start:end]) if end <= len(buffer) else b"",
+            version=version,
+        ),
+        end,
     )
 
 
@@ -300,7 +301,7 @@ def _json_body(envelope: dict, ids, results, write_ids) -> bytes:
     become the object's last members, spliced in at the envelope's own
     closing brace -- its final byte, whatever the strings inside contain.
     """
-    members = [json.dumps(envelope, sort_keys=True).encode("utf-8")[1:-1]]
+    members = [_dumps_sorted(envelope).encode("utf-8")[1:-1]]
     if results is not None:
         entries = b", ".join(
             _json_body(entry, block, None, write_ids) for entry, block in results
@@ -423,7 +424,7 @@ def encode_response(
     :func:`encode_answer` made (its magic says so)."""
     body = payload
     if not isinstance(body, bytes):
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        body = _dumps_sorted(payload).encode("utf-8")
     media = IDS_TYPE if body.startswith(FRAME_MAGIC) else "application/json"
     head = (
         f"HTTP/1.1 {status} {REASONS.get(status, 'Unknown')}\r\n"
@@ -443,7 +444,7 @@ def encode_request(
     *,
     accept: Optional[str] = None,
 ) -> bytes:
-    """Serialize one client request: the mirror of :func:`read_request`.
+    """Serialize one client request: the mirror of :func:`parse_request`.
 
     ``accept`` is the ``Accept`` header (:data:`IDS_TYPE` asks for
     framed answers); without one the daemon answers JSON.
@@ -465,7 +466,7 @@ def read_response(
 ) -> Tuple[int, bool, Union[bytes, bytearray], bytes]:
     """Read one :func:`encode_response` off a blocking socket.
 
-    The client-side mirror of :func:`read_request`, under the same
+    The client-side mirror of :func:`parse_request`, under the same
     ``MAX_HEADER_BYTES`` / ``MAX_HEADERS`` caps: the head ends at the
     first blank line, the body is ``Content-Length`` bytes.  ``pending``
     is what the previous call read past its own response; returns
@@ -529,12 +530,124 @@ def read_response(
     return int(code), keep_alive, body, b""
 
 
-async def send_response(
-    writer: asyncio.StreamWriter,
-    status: int,
-    payload: Body,
-    *,
-    keep_alive: bool = True,
-) -> None:
-    writer.write(encode_response(status, payload, keep_alive=keep_alive))
-    await writer.drain()
+class Connection(asyncio.Protocol):
+    """One client connection: a peer's bytes in, its answers out, in the
+    order it asked.
+
+    ``server`` answers.  It has ``max_body``; ``serve(request)``, which
+    returns ``(status, body)`` -- or an awaitable of it, when the answer
+    has to wait (a worker thread, a reload); ``refused(error)``, told of
+    every request refused before it was parsed; ``draining``, while which
+    no answer keeps its connection alive; and ``connections``, the set
+    an open connection is in.
+
+    Every read callback appends to the connection's buffer and answers
+    the complete requests at its front, in order.  An awaitable answer
+    becomes one Task, and nothing more is parsed until it is written.
+    The same holds while the transport's write buffer is over its
+    high-water mark (:meth:`pause_writing` to :meth:`resume_writing`): a
+    peer that sends without reading is not answered faster than it
+    reads.  Bytes that arrive meanwhile pause reading until then, so the
+    buffer stays bounded; a peer that waits for each answer before it
+    sends the next request never pauses it.
+    """
+
+    def __init__(self, server) -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray()
+        self._task: Optional[asyncio.Task] = None
+        self._paused = False  # the transport's write buffer is full
+        self._continued = False  # the front request's head was answered
+        self._eof = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self.server.connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.server.connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        if self._task is None and not self._paused:
+            self._advance()
+        else:
+            # Hold a peer that sends ahead off until the wait is over.
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._advance()
+        return True  # half-open: _advance closes once all is answered
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._advance()
+
+    def _advance(self) -> None:
+        """Answer what the buffer holds, in order, until a request has
+        to wait, the transport pushes back or the buffer runs dry."""
+        server, transport = self.server, self.transport
+        while (
+            self._task is None and not self._paused and not transport.is_closing()
+        ):
+            try:
+                parsed = parse_request(self._buffer, server.max_body)
+            except HttpError as exc:
+                self._refuse(exc)
+                break
+            if parsed is None or parsed[1] > len(self._buffer):
+                if self._eof and self._buffer:
+                    what = "request" if parsed is None else "body"
+                    self._refuse(HttpError(400, "bad_request", f"truncated {what}"))
+                elif self._eof:
+                    transport.close()
+                elif parsed is not None and not self._continued:
+                    # A head whose body is still to come: a peer that
+                    # waits for leave to send it gets it now.
+                    self._continued = True
+                    if parsed[0].expects_continue:
+                        transport.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+                break
+            request, end = parsed
+            del self._buffer[:end]
+            self._continued = False
+            answer = server.serve(request)
+            if isinstance(answer, tuple):
+                self._write(*answer, keep_alive=request.keep_alive)
+            else:
+                self._task = asyncio.get_running_loop().create_task(
+                    self._finish(request, answer)
+                )
+        if self._task is None and not self._paused:
+            transport.resume_reading()
+
+    async def _finish(
+        self, request: Request, answer: Awaitable[Tuple[int, Body]]
+    ) -> None:
+        """Write an answer that had to wait, then go on reading."""
+        try:
+            status, body = await answer
+            if not self.transport.is_closing():
+                self._write(status, body, keep_alive=request.keep_alive)
+        finally:
+            self._task = None
+        self._advance()
+
+    def _refuse(self, error: HttpError) -> None:
+        """A request that cannot be parsed: the stream position is lost,
+        so the answer closes the connection."""
+        self.server.refused(error)
+        self._write(error.status, error.to_payload(), keep_alive=False)
+
+    def _write(self, status: int, body: Body, *, keep_alive: bool) -> None:
+        """One response; after it the connection closes unless both the
+        request and the server (not draining) keep it alive."""
+        keep_alive = keep_alive and not self.server.draining
+        self.transport.write(encode_response(status, body, keep_alive=keep_alive))
+        if not keep_alive:
+            self.transport.close()

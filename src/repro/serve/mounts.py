@@ -88,9 +88,11 @@ class Mount:
                 }
 
     def answered(self) -> None:
-        """An answered request breaks the failure streak."""
-        with self.lock:
-            self.failures = 0
+        """An answered request breaks the failure streak (and takes no
+        lock when there is none, as on nearly every request)."""
+        if self.failures:
+            with self.lock:
+                self.failures = 0
 
     def lift(self) -> bool:
         """End the quarantine and the streak; whether there was one."""

@@ -491,7 +491,7 @@ class TestDaemonChaos:
     def test_fallback_to_reference_path(self, chaos_corpus):
         root, oracle = chaos_corpus
         plan = FaultPlan()
-        # Every strategy except the naive reference path fails.
+        # Every strategy except the naive fallback fails.
         plan.add("serve.evaluate", "exception", unless={"strategy": "naive"})
         with DaemonThread(make_daemon(root)) as handle:
             with ServeClient(port=handle.port, retries=0) as client:

@@ -1,5 +1,6 @@
 """The persistent query daemon: concurrency, admission, errors, identity."""
 
+import asyncio
 import json
 import multiprocessing
 import socket
@@ -19,6 +20,7 @@ from repro.serve import (
 from repro.serve.http import (
     FRAME_MAGIC,
     IDS_TYPE,
+    Connection,
     MAX_HEADER_BYTES,
     MAX_HEADERS,
     decode_answer,
@@ -456,11 +458,12 @@ class TestTransport:
         self.refused(daemon, raw, 400, shut=True)
 
     def test_twenty_pipelined_id_lists_arrive_intact_and_in_order(
-        self, tmp_path_factory
+        self, tmp_path_factory, monkeypatch
     ):
-        # Far more answer bytes than the socket buffers of a peer that
-        # reads nothing until it has sent everything: the daemon has to
-        # stop and restart writing on the way.
+        # Far more answer bytes than the socket buffers hold while the
+        # peer reads nothing until it has sent everything: the daemon has
+        # to stop and restart writing on the way (the daemon's send
+        # buffer is made small, so the kernel cannot absorb it all).
         root = tmp_path_factory.mktemp("serve-flow")
         ws = Workspace()
         ws.add("big", XMarkGenerator(scale=0.5, seed=11).xml())
@@ -468,9 +471,23 @@ class TestTransport:
         oracle = {q: ws.select(q, "big") for q in set(queries)}
         ws.save(str(root))
         ws.close()
+        pauses = []
+        made, pause = Connection.connection_made, Connection.pause_writing
+
+        def small_send_buffer(connection, transport):
+            transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 8192
+            )
+            made(connection, transport)
+
+        def counted_pause(connection):
+            pauses.append(connection)
+            pause(connection)
+
+        monkeypatch.setattr(Connection, "connection_made", small_send_buffer)
+        monkeypatch.setattr(Connection, "pause_writing", counted_pause)
         with DaemonThread(QueryDaemon(str(root), workers=2)) as handle:
             with socket.create_connection(("127.0.0.1", handle.port)) as sock:
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 16384)
                 sock.settimeout(30)
                 sock.sendall(
                     b"".join(
@@ -479,6 +496,7 @@ class TestTransport:
                     )
                 )
                 time.sleep(0.3)  # let the daemon run into a full socket
+                assert pauses, "the daemon never had to stop writing"
                 surplus = b""
                 for query in queries:
                     status, _keep_alive, body, surplus = read_response(
@@ -502,6 +520,71 @@ class TestTransport:
         assert lines[0].startswith(b"HTTP/1.1 %d " % status), response[:200]
         assert b"Connection: close" in lines
         assert json.loads(body)["error"]["kind"] == "bad_request"
+
+
+class FakeTransport:
+    """What a :class:`Connection` uses of its transport, recorded; a
+    write can push back as a full socket would (``push_back``)."""
+
+    def __init__(self):
+        self.written, self.reading, self.closing = [], True, False
+        self.push_back = None
+
+    def write(self, data):
+        self.written.append(bytes(data))
+        if self.push_back is not None:
+            self.push_back.pause_writing()
+
+    def is_closing(self):
+        return self.closing
+
+    def close(self):
+        self.closing = True
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+
+class TestFlowControl:
+    HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    @pytest.fixture()
+    def connection(self, corpus):
+        daemon = QueryDaemon(corpus[0], workers=1)
+        connection, transport = Connection(daemon), FakeTransport()
+        connection.connection_made(transport)
+        yield connection, transport
+        asyncio.run(daemon.stop(drain_timeout=0.1))
+
+    def test_nothing_buffered_is_answered_while_writing_is_paused(
+        self, connection
+    ):
+        connection, transport = connection
+        connection.data_received(self.HEALTHZ)
+        assert len(transport.written) == 1  # answered in the read callback
+        connection.pause_writing()
+        connection.data_received(self.HEALTHZ * 3)
+        assert len(transport.written) == 1 and not transport.reading
+        connection.resume_writing()
+        assert len(transport.written) == 4 and transport.reading
+        assert all(
+            body.startswith(b"HTTP/1.1 200 OK") for body in transport.written
+        )
+
+    def test_a_write_that_pushes_back_stops_the_requests_behind_it(
+        self, connection
+    ):
+        connection, transport = connection
+        transport.push_back = connection
+        connection.data_received(self.HEALTHZ * 3)
+        assert len(transport.written) == 1
+        transport.push_back = None
+        connection.resume_writing()
+        assert len(transport.written) == 3
+        assert not connection._buffer and not transport.closing
 
 
 class TestConcurrency:

@@ -47,7 +47,7 @@ class TestAdmission:
             await asyncio.sleep(0.05)
             assert admission.in_flight == admission.limit
             with pytest.raises(HttpError) as excinfo:
-                await admission.run(lambda: "never", 5.0, inline=True)
+                admission.call(lambda: "never", 5.0)
             assert excinfo.value.status == 429
             assert excinfo.value.kind == "overloaded"
             assert excinfo.value.extra == {"limit": 2}
@@ -64,19 +64,21 @@ class TestAdmission:
         release = threading.Event()
 
         async def scenario():
-            for kwargs, fn in (
-                ({"inline": True}, lambda: time.sleep(0.05)),
-                ({}, lambda: release.wait(5)),
+            for run, fn in (
+                (admission.call, lambda: time.sleep(0.05)),
+                (admission.run, lambda: release.wait(5)),
             ):
                 with pytest.raises(HttpError) as excinfo:
-                    await admission.run(fn, 0.01, **kwargs)
+                    answer = run(fn, 0.01)
+                    if asyncio.iscoroutine(answer):
+                        await answer
                 assert excinfo.value.status == 504
                 assert excinfo.value.kind == "timeout"
                 assert excinfo.value.extra == {"timeout_s": 0.01}
                 assert admission.in_flight == 0
             release.set()
             # In time, either way, is an answer.
-            assert await admission.run(lambda: 7, 1.0, inline=True) == 7
+            assert admission.call(lambda: 7, 1.0) == 7
             assert await admission.run(lambda: 8, 1.0) == 8
 
         asyncio.run(scenario())
@@ -84,9 +86,10 @@ class TestAdmission:
 
     def test_a_failing_function_releases_its_slot(self, admission):
         async def scenario():
-            for kwargs in ({"inline": True}, {}):
-                with pytest.raises(ZeroDivisionError):
-                    await admission.run(lambda: 1 // 0, 1.0, **kwargs)
+            with pytest.raises(ZeroDivisionError):
+                admission.call(lambda: 1 // 0, 1.0)
+            with pytest.raises(ZeroDivisionError):
+                await admission.run(lambda: 1 // 0, 1.0)
             assert admission.in_flight == 0
 
         asyncio.run(scenario())
