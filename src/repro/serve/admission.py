@@ -6,11 +6,12 @@ a lock.  Evaluation -- pure CPU work -- runs in one of two places:
 
 - :meth:`Admission.run`: on a bounded
   :class:`~concurrent.futures.ThreadPoolExecutor`, submitted at once and
-  awaited under ``asyncio.wait_for``: on timeout the client gets a structured ``504``
-  and the task is cancelled -- a still-queued task is truly cancelled
-  and never runs; one already on a worker thread finishes and its
-  result is discarded.  The hop costs two context switches, a task and
-  the loop iterations that wake it, ~0.1-0.2 ms of a round trip;
+  awaited under ``asyncio.wait_for``: on timeout the client gets a
+  structured ``504`` and the task is cancelled -- a still-queued task is
+  truly cancelled and never runs; one already on a worker thread
+  finishes and its result is discarded.  The hop costs two context
+  switches, a task and the loop iterations that wake it, ~0.1-0.2 ms of
+  a round trip;
 - :meth:`Admission.call`: synchronously, on the event loop itself, in
   the callback that read the request -- no task, no coroutine, no hop.
   Such a run cannot be interrupted, only bounded in advance (the daemon

@@ -35,8 +35,8 @@ generation; ``reload_poll`` does the same from a change-stamp poller),
 Every request is answered in this process, over one
 ``asyncio.Protocol`` per connection
 (:class:`~repro.serve.http.Connection`): the read callback parses what
-has arrived and hands each request to :meth:`QueryDaemon.serve`.  Where a ``/query`` runs -- every response says
-(``"executor"``):
+has arrived and hands each request to :meth:`QueryDaemon.serve`.
+Where a ``/query`` runs -- every response says (``"executor"``):
 
 - ``"thread"``: on the worker-thread executor, like every ``/batch``
   and ``/explain``; ``timing_ms.queue`` is admission to function start.

@@ -537,9 +537,9 @@ class Connection(asyncio.Protocol):
     ``server`` answers.  It has ``max_body``; ``serve(request)``, which
     returns ``(status, body)`` -- or an awaitable of it, when the answer
     has to wait (a worker thread, a reload); ``refused(error)``, told of
-    every request refused before it was parsed; ``draining``, while which
-    no answer keeps its connection alive; and ``connections``, the set
-    an open connection is in.
+    every request refused before it was parsed; ``draining``, true while
+    it stops (no answer then keeps its connection alive); and
+    ``connections``, the set an open connection is in.
 
     Every read callback appends to the connection's buffer and answers
     the complete requests at its front, in order.  An awaitable answer

@@ -495,7 +495,9 @@ class TestTransport:
                         for q in queries
                     )
                 )
-                time.sleep(0.3)  # let the daemon run into a full socket
+                deadline = time.monotonic() + 10
+                while not pauses and time.monotonic() < deadline:
+                    time.sleep(0.01)  # let the daemon run into a full socket
                 assert pauses, "the daemon never had to stop writing"
                 surplus = b""
                 for query in queries:
