@@ -11,15 +11,19 @@ layer on top: a ``manifest.json`` at the corpus root recording a
 
 Update protocol (one mutating op = one generation)::
 
+    0. load the manifest once per public operation; a ``sync`` plans
+       against that copy and applies each of its ops to it
     1. stage + publish the new bundle (write_bundle: staged rename,
        fsync'd; a superseded bundle is *retired* by rename into the
        hidden ``.retired.*`` namespace instead of deleted)
-    2. write the updated manifest atomically (temp file + rename)
+    2. write the updated manifest atomically (temp file + rename,
+       fsync'd) before the next publish starts
 
-A crash between 1 and 2 leaves the bundle set valid and the manifest
-one step stale; :func:`read_manifest`'s reconciliation (adopt unknown
-bundles, drop entries whose bundle vanished, adopt orphaned retired
-directories) heals the bookkeeping, and a later ``sync`` re-applies the
+``compact`` writes only when a retired entry went away.  A crash
+between 1 and 2 leaves the bundle set valid and the manifest one step
+stale; :func:`read_manifest`'s reconciliation (adopt unknown bundles,
+drop entries whose bundle vanished, adopt orphaned retired directories)
+heals the bookkeeping, and a later ``sync`` re-applies the
 logically-lost op from the source fingerprints.  The manifest is
 therefore a cache of corpus state, never the source of truth about
 which arrays are served -- the published bundles are.
@@ -146,17 +150,15 @@ class CorpusManifest:
 
     # -- mutation bookkeeping ------------------------------------------------
 
-    def record(self, op: str, name: Optional[str] = None, **detail) -> int:
-        """Bump the generation and append a history entry; returns it."""
+    def record(self, op: str, name: Optional[str] = None, **detail) -> None:
+        """Bump the generation and append a history entry (the written
+        history keeps the last ``HISTORY_LIMIT``)."""
         self.generation += 1
         entry = {"generation": self.generation, "op": op, "time": _now()}
         if name is not None:
             entry["name"] = name
         entry.update(detail)
         self.history.append(entry)
-        if len(self.history) > HISTORY_LIMIT:
-            del self.history[: len(self.history) - HISTORY_LIMIT]
-        return self.generation
 
     def set_document(self, name: str, fingerprint: Optional[str]) -> None:
         self.documents[name] = {
@@ -238,9 +240,8 @@ def read_manifest(root: str) -> CorpusManifest:
     """
     manifest = load_manifest(root) or CorpusManifest()
     on_disk = set(bundle_names(root))
-    for name in list(manifest.documents):
-        if name not in on_disk:
-            manifest.documents.pop(name)
+    for name in set(manifest.documents) - on_disk:
+        del manifest.documents[name]
     for name in sorted(on_disk - set(manifest.documents)):
         try:
             header = read_header(os.path.join(root, name))
@@ -299,6 +300,13 @@ def plan_sync(
     zero bundle writes.  ``delete=False`` leaves corpus documents with
     no source file alone (they are listed under ``"keep"`` instead).
     """
+    return _plan(read_manifest(root), source_dir, delete)
+
+
+def _plan(
+    manifest: CorpusManifest, source_dir: str, delete: bool
+) -> Dict[str, List[str]]:
+    """:func:`plan_sync` against a manifest the caller already loaded."""
     if not os.path.isdir(source_dir):
         raise StoreError(f"sync source {source_dir!r} is not a directory")
     sources: Dict[str, str] = {}
@@ -314,13 +322,8 @@ def plan_sync(
                 f"name {name!r}"
             )
         sources[name] = os.path.join(source_dir, entry)
-    manifest = read_manifest(root)
     plan: Dict[str, List[str]] = {
-        "add": [],
-        "replace": [],
-        "remove": [],
-        "unchanged": [],
-        "keep": [],
+        op: [] for op in ("add", "replace", "remove", "unchanged", "keep")
     }
     for name, path in sources.items():
         entry = manifest.documents.get(name)

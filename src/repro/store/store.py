@@ -46,8 +46,8 @@ from repro.store.format import (
 )
 from repro.store.manifest import (
     CorpusManifest,
-    file_fingerprint,
-    plan_sync,
+    _plan,
+    bytes_fingerprint,
     read_manifest,
     retired_dir_name,
     write_manifest,
@@ -385,7 +385,7 @@ class DocumentStore:
     >>> store.names()
     ['tiny']
     >>> store.open("tiny").n
-    4
+    3
     >>> _ = store.replace("tiny", "<r><a/><a/></r>")
     >>> store.generation()
     2
@@ -432,19 +432,49 @@ class DocumentStore:
             history = history[-limit:]
         return list(history)
 
-    @staticmethod
-    def _merge_fingerprint(
-        fingerprint: Optional[str], kwargs: dict
-    ) -> Optional[str]:
-        """Thread a content fingerprint into the bundle's source header."""
-        source = dict(kwargs.get("source") or {})
-        if fingerprint is not None:
-            source["fingerprint"] = fingerprint
+    def _commit(
+        self,
+        manifest: CorpusManifest,
+        op: str,
+        name: str,
+        document: Optional[Document] = None,
+        *,
+        fingerprint: Optional[str] = None,
+        **kwargs,
+    ) -> str:
+        """One mutating op (``add``, ``replace`` or ``remove``) of ``name``
+        on a manifest the caller loaded: one generation, one bundle
+        publish (or retire rename), then the manifest written."""
+        path = self.path_for(name)
+        if is_bundle(path) == (op == "add"):
+            raise StoreError(
+                f"document {name!r} already exists in {self.root!r}; "
+                "use replace()"
+                if op == "add"
+                else f"no document {name!r} in {self.root!r} to {op}; "
+                f"present: {self.names()}"
+            )
+        if op != "add":
+            old = manifest.documents.get(name) or {}
+            retired = retired_dir_name(name, old.get("generation", 0))
+        retire_to = os.path.join(self.root, retired) if op != "add" else None
+        if op == "remove":
+            manifest.record(op, name)
+            os.rename(path, retire_to)
         else:
+            # Thread a content fingerprint into the bundle's source header.
+            kwargs["source"] = source = dict(kwargs.get("source") or {})
+            if fingerprint is not None:
+                source["fingerprint"] = fingerprint
             fingerprint = source.get("fingerprint")
-        if source:
-            kwargs["source"] = source
-        return fingerprint
+            manifest.record(op, name, fingerprint=fingerprint)
+            save_document(document, path, retire_to=retire_to, **kwargs)
+        if op != "add":
+            manifest.retire(name, retired)
+        if op != "remove":
+            manifest.set_document(name, fingerprint)
+        write_manifest(self.root, manifest)
+        return path
 
     def add(
         self,
@@ -461,19 +491,10 @@ class DocumentStore:
         ``source={"fingerprint": ...}``) records the source content
         hash that :meth:`sync` diffs against.
         """
-        path = self.path_for(name)
-        if is_bundle(path):
-            raise StoreError(
-                f"document {name!r} already exists in {self.root!r}; "
-                "use replace()"
-            )
-        fingerprint = self._merge_fingerprint(fingerprint, kwargs)
-        manifest = self.manifest()
-        manifest.record("add", name, fingerprint=fingerprint)
-        save_document(document, path, **kwargs)
-        manifest.set_document(name, fingerprint)
-        write_manifest(self.root, manifest)
-        return path
+        return self._commit(
+            self.manifest(), "add", name, document,
+            fingerprint=fingerprint, **kwargs,
+        )
 
     def replace(
         self,
@@ -491,27 +512,10 @@ class DocumentStore:
         crash-safe window, where open readers keep it alive until
         :meth:`compact` collects it.
         """
-        path = self.path_for(name)
-        if not is_bundle(path):
-            raise StoreError(
-                f"no document {name!r} in {self.root!r} to replace; "
-                f"present: {self.names()}"
-            )
-        fingerprint = self._merge_fingerprint(fingerprint, kwargs)
-        manifest = self.manifest()
-        old = manifest.documents.get(name) or {}
-        retired = retired_dir_name(name, old.get("generation", 0))
-        manifest.record("replace", name, fingerprint=fingerprint)
-        save_document(
-            document,
-            path,
-            retire_to=os.path.join(self.root, retired),
-            **kwargs,
+        return self._commit(
+            self.manifest(), "replace", name, document,
+            fingerprint=fingerprint, **kwargs,
         )
-        manifest.retire(name, retired)
-        manifest.set_document(name, fingerprint)
-        write_manifest(self.root, manifest)
-        return path
 
     def remove(self, name: str) -> None:
         """Retire a document out of the corpus (bundle kept as garbage).
@@ -521,48 +525,36 @@ class DocumentStore:
         manifest drops the name; :meth:`compact` deletes it once no
         in-process reader remains.
         """
-        path = self.path_for(name)
-        if not is_bundle(path):
-            raise StoreError(
-                f"no document {name!r} in {self.root!r} to remove; "
-                f"present: {self.names()}"
-            )
-        manifest = self.manifest()
-        old = manifest.documents.get(name) or {}
-        retired = retired_dir_name(name, old.get("generation", 0))
-        manifest.record("remove", name)
-        os.rename(path, os.path.join(self.root, retired))
-        manifest.retire(name, retired)
-        write_manifest(self.root, manifest)
+        self._commit(self.manifest(), "remove", name)
 
     def compact(self) -> dict:
         """Delete retired bundles whose readers are gone.
 
         A retired bundle with a live in-process reader
         (:func:`live_readers`) is kept for a later pass.  Returns
-        ``{"deleted": [...], "kept": [...], "generation": g}``.
+        ``{"deleted": [...], "kept": [...], "generation": g}``; the
+        manifest is written only when a retired entry went away.
         """
         manifest = self.manifest()
         deleted: List[str] = []
-        kept: List[str] = []
-        remaining: List[dict] = []
+        kept: List[dict] = []
         for entry in manifest.retired:
             full = os.path.join(self.root, entry["bundle"])
             if not os.path.isdir(full):
                 continue  # already gone; forget the entry
             if live_readers(full) > 0:
-                kept.append(entry["bundle"])
-                remaining.append(entry)
+                kept.append(entry)
                 continue
             shutil.rmtree(full, ignore_errors=True)
             deleted.append(entry["bundle"])
-        manifest.retired = remaining
-        if deleted:
-            manifest.record("compact", deleted=len(deleted))
-        write_manifest(self.root, manifest)
+        if len(kept) < len(manifest.retired):
+            manifest.retired = kept
+            if deleted:
+                manifest.record("compact", deleted=len(deleted))
+            write_manifest(self.root, manifest)
         return {
             "deleted": deleted,
-            "kept": kept,
+            "kept": [entry["bundle"] for entry in kept],
             "generation": manifest.generation,
         }
 
@@ -587,11 +579,10 @@ class DocumentStore:
         ``compact=True`` runs :meth:`compact` afterwards;
         ``dry_run=True`` reports the plan without touching anything.
         """
-        from repro.store.manifest import bytes_fingerprint
-
-        plan = plan_sync(self.root, source_dir, delete=delete)
+        manifest = self.manifest()
+        plan = _plan(manifest, source_dir, delete)
         sources: Dict[str, str] = plan.pop("sources")  # type: ignore[assignment]
-        before = self.generation()
+        before = manifest.generation
         report = {
             "source_dir": os.path.abspath(source_dir),
             "added": list(plan["add"]),
@@ -604,11 +595,8 @@ class DocumentStore:
         if dry_run:
             report["generation"] = {"before": before, "after": before}
             return report
-        for publish, names in (
-            (self.add, plan["add"]),
-            (self.replace, plan["replace"]),
-        ):
-            for name in names:
+        for op in ("add", "replace"):
+            for name in plan[op]:
                 source = os.path.abspath(sources[name])
                 with open(source, "rb") as handle:
                     data = handle.read()
@@ -622,9 +610,8 @@ class DocumentStore:
                         source, exc.start, exc.reason
                     ) from exc
                 try:
-                    publish(
-                        name,
-                        text,
+                    self._commit(
+                        manifest, op, name, text,
                         fingerprint=bytes_fingerprint(data),
                         source={"kind": "xml", "file": source},
                         encode_attributes=encode_attributes,
@@ -635,8 +622,8 @@ class DocumentStore:
                         f"{source}: {exc.message}", exc.position
                     ) from exc
         for name in plan["remove"]:
-            self.remove(name)
-        report["generation"] = {"before": before, "after": self.generation()}
+            self._commit(manifest, "remove", name)
+        report["generation"] = {"before": before, "after": manifest.generation}
         if compact:
             report["compacted"] = self.compact()
         return report
@@ -648,9 +635,8 @@ class DocumentStore:
         for compaction), a new one :meth:`add`\\ ed -- either way the
         manifest generation advances by one.
         """
-        if name in self:
-            return self.replace(name, document, **kwargs)
-        return self.add(name, document, **kwargs)
+        op = "replace" if name in self else "add"
+        return self._commit(self.manifest(), op, name, document, **kwargs)
 
     def open(self, name: str, *, mmap: bool = True) -> StoredDocument:
         """Reopen the named bundle."""

@@ -261,7 +261,9 @@ class _Scan:
         self.tags: dict[str, int] = {}  # attribute-free tag -> its code
         # replay: (kind, name, attrs, text, name id); 0 is a swallowed piece
         self.payloads = [(_SKIP, None, None, "", 0)] if replay else None
-        self.slices: list[tuple] = []  # (pieces before, start, end, after)
+        # (pieces before, start, end, after, where the last piece's markup
+        # ends or None when the slice needed resolving)
+        self.slices: list[tuple] = []
         self.codes: list[np.ndarray] = []
         self.error: Optional[XMLSyntaxError] = None  # the first lexical one
         pos = _skip_misc(text, 1 if text.startswith("\ufeff") else 0)
@@ -271,9 +273,10 @@ class _Scan:
             raise XMLSyntaxError("expected a name", pos + 1)
         self._run(pos)
 
-    def _classify(self, source: str, start: int) -> tuple[int, int]:
+    def _classify(self, source: str, start: int) -> tuple[int, int, int]:
         """The code of the markup at ``source[start:]`` (just past its
-        ``<``) and the text run after it, and where the next ``<`` is.
+        ``<``) and the text run after it, where the markup ends and where
+        the next ``<`` is.
         In a piece (``start`` 0) what is no tag is ``_ERR`` and a section
         cut short by the split ``_SECTION``; in the document both are
         settled or raised.  A bad reference in the text run is flagged
@@ -283,7 +286,7 @@ class _Scan:
         if match is None:
             if whole:
                 raise _bad_markup(source, start)
-            return _ERR, 0
+            return _ERR, 0, 0
         name, blob, empty, closed, section = match.groups()
         stop, attrs, lead, index = match.end(), None, "", 0
         if section is not None:
@@ -292,7 +295,7 @@ class _Scan:
             if close == -1:
                 if whole:
                     _section_end(source, stop, section)
-                return _SECTION, 0
+                return _SECTION, 0, 0
             if section == "![CDATA[":
                 lead = source[stop:close]
             stop = close + len(terminator)
@@ -314,7 +317,7 @@ class _Scan:
         if self.payloads is not None:
             self.payloads.append((kind, name, attrs, lead + tail, index))
             index = len(self.payloads) - 1
-        return index << 4 | kind, following
+        return index << 4 | kind, stop, following
 
     def _run(self, pos: int) -> None:
         """Scan from the ``<`` at ``pos`` to the end of the text, or
@@ -329,15 +332,19 @@ class _Scan:
                     end = text.find("<", pos + _SLICE) % (len(text) + 1)
             pieces = text[pos + 1 : end].split("<")
             local = dict.fromkeys(pieces)  # distinct, first occurrence first
+            last = pieces[-1]
+            mark = last.find(">") + 1  # right for a memoized tag (no "=")
             flagged = False
             for piece in local:
                 tag, closed, tail = piece.partition(">")
                 code = tags.get(tag) if closed and "&" not in tail else None
                 if code is None:
                     try:
-                        code = self._classify(piece, 0)[0]
+                        code, stop, _ = self._classify(piece, 0)
                     except XMLSyntaxError:  # diagnosed in _resolve
-                        code = _ERR
+                        code, stop = _ERR, 0
+                    if piece == last:
+                        mark = stop
                     flagged |= code & 15 >= _SECTION
                     # No "=", no quoted ">": the tag is the piece's markup
                     # (a payload is the whole piece's, never shared).
@@ -347,13 +354,14 @@ class _Scan:
             codes = np.fromiter(
                 map(local.__getitem__, pieces), np.int32, len(pieces)
             )
-            self.slices.append((count, pos + 1, end, count + len(pieces)))
+            mark = None if flagged else end - len(last) + mark
+            self.slices.append((count, pos + 1, end, count + len(pieces), mark))
             count += len(pieces)
             pos = end
             if flagged:
                 codes, pos = self._resolve(pieces, codes, pos)
             self.codes.append(codes)
-            del pieces, local  # before the next slice is cut, not after
+            del pieces, local, last  # before the next slice is cut, not after
 
     def _resolve(self, pieces: list, codes: np.ndarray, end: int):
         """Settle, in document order, what the split could not: each such
@@ -372,7 +380,7 @@ class _Scan:
             if i < covered:
                 continue
             try:
-                codes[i], following = self._classify(text, starts[i])
+                codes[i], _, following = self._classify(text, starts[i])
             except XMLSyntaxError as error:
                 self.error = error
                 del codes[i:]
@@ -390,7 +398,7 @@ class _Scan:
     def _start(self, index: int) -> int:
         """Offset of piece ``index`` (just past its ``<``): none is kept,
         the slice is cut again unless the piece is its last."""
-        before, start, end, after = next(
+        before, start, end, after, _ = next(
             s for s in reversed(self.slices) if s[0] <= index
         )
         if index == after - 1:
@@ -436,17 +444,18 @@ class _Scan:
             )
         if self.error is not None:
             raise self.error
-        # The last piece no section swallowed: the root's end tag, or
-        # where the input ends inside an element.
-        last = self._start(np.flatnonzero(codes != _GONE)[-1])
-        match = _TAG.match(text, last)
+        # Where the markup of the last piece no section swallowed ends:
+        # the root's end tag, or where the input ends inside an element.
+        last = np.flatnonzero(codes != _GONE)[-1]
+        *_, after, stop = self.slices[-1]
+        if last != after - 1 or stop is None:
+            match = _TAG.match(text, self._start(last))
+            stop = match.end()
+            if match[5]:
+                stop = _section_end(text, stop, match[5])
         if not closed.size:
-            raise XMLSyntaxError(
-                "unexpected end of input inside element",
-                _section_end(text, match.end(), match[5])
-                if match[5] else match.end(),
-            )
-        tail = _skip_misc(text, match.end())
+            raise XMLSyntaxError("unexpected end of input inside element", stop)
+        tail = _skip_misc(text, stop)
         if tail != len(text):
             raise XMLSyntaxError("content after document element", tail)
         return codes, parens, names, matching

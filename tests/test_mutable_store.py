@@ -374,6 +374,89 @@ class TestSync:
             store.sync(str(tmp_path / "nope"))
 
 
+class TestManifestIOPerOperation:
+    """Each public op loads ``manifest.json`` once and writes it once per
+    publish; a ``compact`` with nothing to collect writes nothing."""
+
+    @pytest.fixture
+    def io(self, monkeypatch):
+        import repro.store.manifest
+        import repro.store.store
+
+        calls = {"load": 0, "write": 0}
+
+        def counted(key, function):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            repro.store.manifest,
+            "load_manifest",
+            counted("load", repro.store.manifest.load_manifest),
+        )
+        monkeypatch.setattr(
+            repro.store.store,
+            "write_manifest",
+            counted("write", repro.store.store.write_manifest),
+        )
+
+        def take():
+            seen = dict(calls)
+            calls.update(load=0, write=0)
+            return seen
+
+        return take
+
+    def test_sync_one_replace_then_compact(self, tmp_path, io):
+        src = tmp_path / "xml"
+        src.mkdir()
+        for name, body in {"a": XML_V1, "b": XML_V2, "c": "<r/>"}.items():
+            (src / f"{name}.xml").write_text(body)
+        store = DocumentStore(str(tmp_path / "corpus"))
+        store.sync(str(src))
+        assert io() == {"load": 1, "write": 3}
+        (src / "b.xml").write_text(XML_V1)
+        report = store.sync(str(src))
+        assert report["replaced"] == ["b"]
+        assert report["generation"] == {"before": 3, "after": 4}
+        assert io() == {"load": 1, "write": 1}
+        report = store.compact()
+        assert len(report["deleted"]) == 1 and report["generation"] == 5
+        assert io() == {"load": 1, "write": 1}
+
+    def test_clean_compact_writes_nothing(self, tmp_path, io):
+        store = DocumentStore(str(tmp_path))
+        store.add("doc", XML_V1)
+        store.replace("doc", XML_V2)
+        store.compact()
+        io()
+        manifest = os.path.join(str(tmp_path), "manifest.json")
+        before = os.stat(manifest)
+        report = store.compact()
+        assert report == {"deleted": [], "kept": [], "generation": 3}
+        assert io() == {"load": 1, "write": 0}
+        after = os.stat(manifest)
+        assert (after.st_ino, after.st_mtime_ns) == (
+            before.st_ino,
+            before.st_mtime_ns,
+        )
+
+    def test_each_mutation_loads_once_and_writes_once(self, tmp_path, io):
+        store = DocumentStore(str(tmp_path))
+        store.add("doc", XML_V1)
+        assert io() == {"load": 1, "write": 1}
+        store.replace("doc", XML_V2)
+        assert io() == {"load": 1, "write": 1}
+        store.save("doc", XML_V1)
+        assert io() == {"load": 1, "write": 1}
+        store.remove("doc")
+        assert io() == {"load": 1, "write": 1}
+        assert store.generation() == 4
+
+
 class TestManifestReconciliation:
     def test_adopts_bundle_published_without_record(self, tmp_path):
         """The publish-then-record crash window: the bundle landed, the
