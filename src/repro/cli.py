@@ -496,8 +496,9 @@ def _store_sync(args, out) -> None:
 
 def _store_log(args, out) -> None:
     with _opened(args.corpus, corpus=True) as store:
-        entries = store.log(limit=args.limit)
-        generation = store.generation()
+        manifest = store.manifest()
+    entries = manifest.log(args.limit)
+    generation = manifest.generation
     if args.json:
         _print_json({"generation": generation, "history": entries}, out)
         return

@@ -28,6 +28,11 @@ logically-lost op from the source fingerprints.  The manifest is
 therefore a cache of corpus state, never the source of truth about
 which arrays are served -- the published bundles are.
 
+A sync decides "unchanged" from a recorded stat before it looks at any
+bytes: a source whose ``os.stat`` equals its entry's trusted
+:func:`source_record` is never opened; any other is read and hashed
+once (:func:`read_source`), and its fingerprint decides.
+
 Retired bundles are garbage, not trash: a reader that opened a bundle
 before it was superseded keeps a valid memory-map of the renamed
 directory (POSIX rename does not disturb open mappings).
@@ -43,7 +48,9 @@ import datetime
 import hashlib
 import json
 import os
-from typing import Dict, List, Optional
+import sys
+import time
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.store.format import (
     HEADER_FILE,
@@ -64,6 +71,34 @@ MANIFEST_VERSION = 1
 RETIRED_PREFIX = ".retired."
 #: History entries kept in the manifest (oldest are dropped).
 HISTORY_LIMIT = 1000
+#: Bytes of changed sources one sync keeps between planning and
+#: ingesting them; a changed source met once this many are held is
+#: read again to ingest.
+HELD_SOURCE_BYTES = 64 << 20
+#: Stamps that are whole multiples of this (centiseconds, whole
+#: seconds, FAT's two) come from a filesystem coarser than
+#: :data:`STAMP_LAG_NS`, and a record of them is never trusted.
+COARSE_STAMP_NS = 10_000_000
+
+
+def _stamp_lag_ns() -> int:
+    """How far a file's stamps may trail the wall clock at the write.
+
+    Linux stamps inodes from ``CLOCK_REALTIME_COARSE`` (clock id 5 in
+    ``<linux/time.h>``), which advances once per tick; the bound is
+    twice the tick the OS reports for it (DESIGN.md, "Sync", has the
+    measurement).  Where that clock is unknown the bound is 2 s.
+    """
+    if sys.platform.startswith("linux"):
+        try:
+            return 2 * round(time.clock_getres(5) * 1e9)
+        except OSError:
+            pass
+    return 2_000_000_000
+
+
+#: The filesystem timestamp lag bound, ns (see :func:`_stamp_lag_ns`).
+STAMP_LAG_NS = _stamp_lag_ns()
 
 
 def _now() -> str:
@@ -92,13 +127,57 @@ def text_fingerprint(text: str) -> str:
     return bytes_fingerprint(text.encode("utf-8"))
 
 
+def stat_key(st: os.stat_result) -> List[int]:
+    """The fields of a source's stat a record compares."""
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def source_record(st: os.stat_result, clock_ns: int) -> Optional[List[int]]:
+    """The stat record a later sync may trust in place of hashing the
+    source, or ``None`` when the source is racily clean.
+
+    ``clock_ns`` is the wall clock read before ``st`` was taken.  A
+    write after that reads a stamp no older than ``clock_ns -
+    STAMP_LAG_NS``, so stamps older than that can never recur on a
+    changed file; newer ones, and coarse ones, can.
+    """
+    stamps = (st.st_mtime_ns, st.st_ctime_ns)
+    if max(stamps) >= clock_ns - STAMP_LAG_NS:
+        return None
+    if all(stamp % COARSE_STAMP_NS == 0 for stamp in stamps):
+        return None
+    return stat_key(st)
+
+
+class SourceRead(NamedTuple):
+    """One read of a sync source: its bytes, their fingerprint, and the
+    :func:`source_record` of the handle they came from."""
+
+    data: bytes
+    fingerprint: str
+    record: Optional[List[int]]
+
+
+def read_source(path: str) -> SourceRead:
+    """Read and hash a source once, with its stat taken before the read."""
+    clock_ns = time.time_ns()
+    with open(path, "rb") as handle:
+        st = os.fstat(handle.fileno())
+        data = handle.read()
+    record = source_record(st, clock_ns)
+    return SourceRead(data, bytes_fingerprint(data), record)
+
+
 class CorpusManifest:
     """In-memory view of one corpus manifest (see the module docstring).
 
     ``documents`` maps name -> ``{"fingerprint", "generation",
-    "updated"}``; ``retired`` is a list of ``{"bundle", "name",
-    "generation", "retired"}`` (``bundle`` is the hidden directory
-    name); ``history`` is the bounded operation log, newest last.
+    "updated", "stat"}`` (``stat`` is the source's trusted
+    :func:`source_record` or ``None``; an entry written before records
+    has no ``stat``, which reads as ``None``); ``retired`` is a list of
+    ``{"bundle", "name", "generation", "retired"}`` (``bundle`` is the
+    hidden directory name); ``history`` is the bounded operation log,
+    newest last.
     """
 
     def __init__(
@@ -160,12 +239,25 @@ class CorpusManifest:
         entry.update(detail)
         self.history.append(entry)
 
-    def set_document(self, name: str, fingerprint: Optional[str]) -> None:
+    def set_document(
+        self,
+        name: str,
+        fingerprint: Optional[str],
+        record: Optional[List[int]] = None,
+    ) -> None:
         self.documents[name] = {
             "fingerprint": fingerprint,
             "generation": self.generation,
             "updated": _now(),
+            "stat": record,
         }
+
+    def log(self, limit: Optional[int] = None) -> List[dict]:
+        """The history, oldest first; the last ``limit`` when positive."""
+        history = self.history
+        if limit is not None and limit > 0:
+            history = history[-limit:]
+        return list(history)
 
     def retire(self, name: str, bundle: str) -> None:
         entry = self.documents.pop(name, None)
@@ -295,18 +387,28 @@ def plan_sync(
 
     Documents are named by file stem (``auctions.xml`` -> ``auctions``).
     Returns ``{"add": [...], "replace": [...], "remove": [...],
-    "unchanged": [...]}`` -- the minimal operation set, decided purely
-    by content fingerprints, so an untouched file costs one hash and
-    zero bundle writes.  ``delete=False`` leaves corpus documents with
-    no source file alone (they are listed under ``"keep"`` instead).
+    "unchanged": [...]}`` -- the minimal operation set.  A source whose
+    ``os.stat`` equals its entry's trusted record costs that one stat;
+    any other is read and hashed once, and its content fingerprint
+    decides.  ``delete=False`` leaves corpus documents with no source
+    file alone (they are listed under ``"keep"`` instead).
     """
     return _plan(read_manifest(root), source_dir, delete)
 
 
 def _plan(
-    manifest: CorpusManifest, source_dir: str, delete: bool
+    manifest: CorpusManifest,
+    source_dir: str,
+    delete: bool,
+    held: Optional[Dict[str, SourceRead]] = None,
 ) -> Dict[str, List[str]]:
-    """:func:`plan_sync` against a manifest the caller already loaded."""
+    """:func:`plan_sync` against a manifest the caller already loaded.
+
+    The stat records it learns for unchanged sources are set on
+    ``manifest``'s entries.  ``held``, when given, receives the
+    :class:`SourceRead` of each changed source until
+    :data:`HELD_SOURCE_BYTES` are held, so those are not read again.
+    """
     if not os.path.isdir(source_dir):
         raise StoreError(f"sync source {source_dir!r} is not a directory")
     sources: Dict[str, str] = {}
@@ -325,14 +427,25 @@ def _plan(
     plan: Dict[str, List[str]] = {
         op: [] for op in ("add", "replace", "remove", "unchanged", "keep")
     }
+    held_bytes = 0
     for name, path in sources.items():
         entry = manifest.documents.get(name)
         if entry is None:
             plan["add"].append(name)
-        elif entry.get("fingerprint") != file_fingerprint(path):
-            plan["replace"].append(name)
-        else:
+            continue
+        record = entry.get("stat")
+        if record is not None and record == stat_key(os.stat(path)):
             plan["unchanged"].append(name)
+            continue
+        read = read_source(path)
+        if read.fingerprint == entry.get("fingerprint"):
+            entry["stat"] = read.record
+            plan["unchanged"].append(name)
+            continue
+        plan["replace"].append(name)
+        if held is not None and held_bytes < HELD_SOURCE_BYTES:
+            held[name] = read
+            held_bytes += len(read.data)
     for name in sorted(set(manifest.documents) - set(sources)):
         plan["remove" if delete else "keep"].append(name)
     plan["sources"] = sources  # type: ignore[assignment]

@@ -46,9 +46,10 @@ from repro.store.format import (
 )
 from repro.store.manifest import (
     CorpusManifest,
+    SourceRead,
     _plan,
-    bytes_fingerprint,
     read_manifest,
+    read_source,
     retired_dir_name,
     write_manifest,
 )
@@ -427,10 +428,7 @@ class DocumentStore:
 
     def log(self, limit: Optional[int] = None) -> List[dict]:
         """Generation history, oldest first (``repro store log``)."""
-        history = self.manifest().history
-        if limit is not None and limit > 0:
-            history = history[-limit:]
-        return list(history)
+        return self.manifest().log(limit)
 
     def _commit(
         self,
@@ -440,11 +438,13 @@ class DocumentStore:
         document: Optional[Document] = None,
         *,
         fingerprint: Optional[str] = None,
+        record: Optional[List[int]] = None,
         **kwargs,
     ) -> str:
         """One mutating op (``add``, ``replace`` or ``remove``) of ``name``
         on a manifest the caller loaded: one generation, one bundle
-        publish (or retire rename), then the manifest written."""
+        publish (or retire rename), then the manifest written.
+        ``record`` is the source's stat record (a sync's ingest only)."""
         path = self.path_for(name)
         if is_bundle(path) == (op == "add"):
             raise StoreError(
@@ -472,7 +472,7 @@ class DocumentStore:
         if op != "add":
             manifest.retire(name, retired)
         if op != "remove":
-            manifest.set_document(name, fingerprint)
+            manifest.set_document(name, fingerprint, record)
         write_manifest(self.root, manifest)
         return path
 
@@ -571,16 +571,21 @@ class DocumentStore:
         """Mirror a directory of XML files with the minimal change set.
 
         Each ``<stem>.xml`` under ``source_dir`` names document
-        ``<stem>``.  Files are diffed against the manifest by content
-        fingerprint: unchanged documents cost one hash and **zero**
-        bundle writes; only genuinely new/changed/vanished documents
-        are added/replaced/removed (one generation each).
+        ``<stem>``.  A file whose ``os.stat`` equals its entry's trusted
+        stat record costs that one stat and is never opened; any other
+        is read and hashed once, diffed by content fingerprint, and --
+        if new or changed -- ingested from those same bytes.  Unchanged
+        documents cost **zero** bundle writes; only genuinely
+        new/changed/vanished documents are added/replaced/removed (one
+        generation each), and stat records learned on the way are
+        written by the first of those.
         ``delete=False`` keeps corpus documents with no source file;
         ``compact=True`` runs :meth:`compact` afterwards;
         ``dry_run=True`` reports the plan without touching anything.
         """
         manifest = self.manifest()
-        plan = _plan(manifest, source_dir, delete)
+        held: Dict[str, SourceRead] = {}
+        plan = _plan(manifest, source_dir, delete, held)
         sources: Dict[str, str] = plan.pop("sources")  # type: ignore[assignment]
         before = manifest.generation
         report = {
@@ -598,13 +603,12 @@ class DocumentStore:
         for op in ("add", "replace"):
             for name in plan[op]:
                 source = os.path.abspath(sources[name])
-                with open(source, "rb") as handle:
-                    data = handle.read()
+                read = held.pop(name, None) or read_source(source)
                 # A file that cannot be ingested stops the sync where it
                 # stands -- everything published before it stays -- and
                 # the error says which of the N sources it was.
                 try:
-                    text = data.decode("utf-8")
+                    text = read.data.decode("utf-8")
                 except UnicodeDecodeError as exc:
                     raise SourceEncodingError(
                         source, exc.start, exc.reason
@@ -612,7 +616,8 @@ class DocumentStore:
                 try:
                     self._commit(
                         manifest, op, name, text,
-                        fingerprint=bytes_fingerprint(data),
+                        fingerprint=read.fingerprint,
+                        record=read.record,
                         source={"kind": "xml", "file": source},
                         encode_attributes=encode_attributes,
                         encode_text=encode_text,

@@ -474,6 +474,24 @@ class TestStoreMutationCLI:
         assert len(lines) == 2 and lines[0].startswith("g3      replace  one ")
         assert lines[1] == "generation 3"
 
+    def test_log_json_loads_the_manifest_once(self, synced_corpus, monkeypatch):
+        import repro.store.manifest
+
+        _, corpus = synced_corpus
+        loads = []
+        load = repro.store.manifest.load_manifest
+
+        def counted(root):
+            loads.append(root)
+            return load(root)
+
+        monkeypatch.setattr(repro.store.manifest, "load_manifest", counted)
+        code, out = run(["store", "log", corpus, "--json"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["generation"] == 3 and len(report["history"]) == 3
+        assert loads == [corpus]
+
     def test_compact_reports_json_keys(self, synced_corpus):
         _, corpus = synced_corpus
         code, out = run(["store", "compact", corpus])

@@ -130,3 +130,19 @@ class TestFusedCache:
         assert index.count("a") == 2
         assert index.count("b") == 1
         assert index.count("zzz") == 0
+
+
+@pytest.mark.parametrize("distinct", [300, 0x10000 + 4464])
+def test_label_arrays_match_the_int32_sort(distinct):
+    """Label ids below 0x10000 sort as 16-bit keys; more distinct names
+    than that keep the ``int32`` sort.  Both give its per-label arrays."""
+    names = [f"n{i % distinct}" for i in range(distinct + 3000)]
+    body = "".join(f"<{name}/>" for name in names)
+    tree = BinaryTree.from_xml(f"<r>{body}</r>")
+    assert (len(tree.labels) > 0x10000) == (distinct > 0x10000)
+    ids, bounds = LabelIndex(tree).state()
+    label_of = np.asarray(tree._columns["label_of"], dtype=np.int32)
+    order = np.argsort(label_of, kind="stable")
+    counts = np.bincount(label_of, minlength=len(tree.labels))
+    assert ids.tolist() == order.tolist()
+    assert np.diff(bounds).tolist() == counts.tolist()

@@ -519,3 +519,239 @@ class TestManifestReconciliation:
         store = DocumentStore(str(tmp_path))
         store.replace("doc", XML_V2)
         assert store.generation() == 1
+
+
+class TestSyncStatRecords:
+    """A sync reads only what changed: a source whose ``os.stat`` equals
+    its trusted record is never opened, any other is read and hashed
+    once, and a racily clean record is hashed again by the next sync.
+
+    A source's ``ctime`` cannot be set back, so a record is made old by
+    moving the clock the sync reads forward (``clock``), not by
+    sleeping; ``os.utime`` sets the ``mtime`` a case needs.
+    """
+
+    SIX = {f"d{i}": f"<r><a{i}/></r>" for i in range(6)}
+
+    @staticmethod
+    def sources(base, files):
+        src = base / "xml"
+        src.mkdir(exist_ok=True)
+        for name, body in files.items():
+            (src / f"{name}.xml").write_text(body)
+        return src
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        real = time.time_ns
+
+        def at(ns=None):
+            """Pin the clock at ``ns``; without it, run it 10 s ahead,
+            past any lag bound."""
+            now = (lambda: ns) if ns is not None else (lambda: real() + 10**10)
+            monkeypatch.setattr(time, "time_ns", now)
+
+        return at
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The source files opened and the ``sha256`` calls made since
+        the last call."""
+        import builtins
+        import hashlib
+
+        seen = {"open": [], "sha256": 0}
+        real_open, real_sha256 = builtins.open, hashlib.sha256
+
+        def counted_open(file, *args, **kwargs):
+            if str(file).endswith(".xml"):
+                seen["open"].append(os.path.basename(file))
+            return real_open(file, *args, **kwargs)
+
+        def counted_sha256(*args, **kwargs):
+            seen["sha256"] += 1
+            return real_sha256(*args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counted_open)
+        monkeypatch.setattr(hashlib, "sha256", counted_sha256)
+
+        def take():
+            taken = {"open": list(seen["open"]), "sha256": seen["sha256"]}
+            seen.update(open=[], sha256=0)
+            return taken
+
+        return take
+
+    @staticmethod
+    def tick_past(probe, stamp):
+        """Rewrite ``probe`` until the filesystem stamps it later than
+        ``stamp``: at most one clock tick of syscalls."""
+        while True:
+            probe.write_bytes(b"x")
+            if os.stat(probe).st_ctime_ns > stamp:
+                return
+
+    def test_one_changed_of_six_reads_only_it(self, tmp_path, clock, reads):
+        src = self.sources(tmp_path, self.SIX)
+        store = DocumentStore(str(tmp_path / "corpus"))
+        clock()
+        store.sync(str(src))
+        (src / "d3.xml").write_text("<r><changed/></r>")
+        reads()
+        report = store.sync(str(src))
+        assert report["replaced"] == ["d3"]
+        assert report["unchanged"] == ["d0", "d1", "d2", "d4", "d5"]
+        assert reads() == {"open": ["d3.xml"], "sha256": 1}
+        assert Engine(store.open("d3")).select("//changed") == [1]
+        report = store.sync(str(src))
+        assert len(report["unchanged"]) == 6
+        assert reads() == {"open": [], "sha256": 0}
+
+    def test_racy_record_is_rehashed(self, tmp_path, clock, reads):
+        src = self.sources(tmp_path, {"a": XML_V1})
+        st = os.stat(src / "a.xml")
+        # 1 ms after the stamps: inside any clock tick, so a same-size
+        # write now could keep them.
+        clock(max(st.st_mtime_ns, st.st_ctime_ns) + 1_000_000)
+        store = DocumentStore(str(tmp_path / "corpus"))
+        store.sync(str(src))
+        assert store.manifest().documents["a"]["stat"] is None
+        clock()
+        reads()
+        report = store.sync(str(src))
+        assert report["unchanged"] == ["a"]
+        assert reads() == {"open": ["a.xml"], "sha256": 1}
+
+    def test_touched_source_is_rehashed_and_unchanged(
+        self, tmp_path, clock, reads
+    ):
+        src = self.sources(tmp_path, {"a": XML_V1})
+        store = DocumentStore(str(tmp_path / "corpus"))
+        clock()
+        store.sync(str(src))
+        generation = store.generation()
+        os.utime(src / "a.xml")
+        reads()
+        report = store.sync(str(src))
+        assert report["unchanged"] == ["a"] and not report["replaced"]
+        assert report["generation"] == {
+            "before": generation, "after": generation
+        }
+        assert reads() == {"open": ["a.xml"], "sha256": 1}
+
+    def test_same_size_rewrite_with_restored_mtime_is_replaced(
+        self, tmp_path, clock
+    ):
+        src = self.sources(tmp_path, {"a": "<r><b/></r>"})
+        path = src / "a.xml"
+        store = DocumentStore(str(tmp_path / "corpus"))
+        clock()
+        store.sync(str(src))
+        st = os.stat(path)
+        self.tick_past(tmp_path / "probe", st.st_ctime_ns)
+        path.write_text("<r><c/></r>")
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        now = os.stat(path)
+        assert (now.st_ino, now.st_size, now.st_mtime_ns) == (
+            st.st_ino, st.st_size, st.st_mtime_ns
+        )
+        report = store.sync(str(src))
+        assert report["replaced"] == ["a"]
+        assert Engine(store.open("a")).select("//c") == [1]
+
+    def test_source_replaced_by_rename_is_rehashed(
+        self, tmp_path, clock, reads
+    ):
+        src = self.sources(tmp_path, {"a": "<r><b/></r>"})
+        path = src / "a.xml"
+        store = DocumentStore(str(tmp_path / "corpus"))
+        clock()
+        store.sync(str(src))
+        st = os.stat(path)
+        staged = src / "a.staged"
+        staged.write_text("<r><c/></r>")
+        os.utime(staged, ns=(st.st_atime_ns, st.st_mtime_ns))
+        os.replace(staged, path)
+        assert os.stat(path).st_ino != st.st_ino
+        reads()
+        report = store.sync(str(src))
+        assert report["replaced"] == ["a"]
+        assert reads() == {"open": ["a.xml"], "sha256": 1}
+
+    def test_manifest_without_records(self, tmp_path, clock, reads):
+        """A manifest written before stat records: every source is
+        hashed until a mutating sync writes the records it learned; a
+        sync that changes nothing writes nothing."""
+        src = self.sources(tmp_path, self.SIX)
+        corpus = str(tmp_path / "corpus")
+        store = DocumentStore(corpus)
+        clock()
+        store.sync(str(src))
+        old = load_manifest(corpus)
+        for entry in old.documents.values():
+            del entry["stat"]
+        from repro.store import write_manifest
+
+        write_manifest(corpus, old)
+        path = os.path.join(corpus, "manifest.json")
+        before = os.stat(path)
+        reads()
+        report = store.sync(str(src))
+        assert len(report["unchanged"]) == 6
+        assert reads() == {"open": sorted(f"{n}.xml" for n in self.SIX),
+                           "sha256": 6}
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mtime_ns) == (
+            before.st_ino, before.st_mtime_ns
+        )
+        (src / "d0.xml").write_text("<r><changed/></r>")
+        report = store.sync(str(src))
+        assert report["replaced"] == ["d0"]
+        assert reads()["sha256"] == 6
+        stored = load_manifest(corpus).documents
+        assert all(stored[name]["stat"] is not None for name in self.SIX)
+        store.sync(str(src))
+        assert reads() == {"open": [], "sha256": 0}
+
+    def test_changed_sources_past_the_hold_are_read_again(
+        self, tmp_path, clock, reads, monkeypatch
+    ):
+        import repro.store.manifest
+
+        src = self.sources(tmp_path, {"a": XML_V1, "b": XML_V1})
+        store = DocumentStore(str(tmp_path / "corpus"))
+        clock()
+        store.sync(str(src))
+        (src / "a.xml").write_text(XML_V2)
+        (src / "b.xml").write_text(XML_V2)
+        monkeypatch.setattr(repro.store.manifest, "HELD_SOURCE_BYTES", 1)
+        reads()
+        report = store.sync(str(src))
+        assert report["replaced"] == ["a", "b"]
+        assert reads() == {"open": ["a.xml", "b.xml", "b.xml"], "sha256": 3}
+        for name in ("a", "b"):
+            assert Engine(store.open(name)).select("//a/b") == [2, 3]
+
+    def test_source_record_rules(self):
+        from types import SimpleNamespace
+
+        from repro.store.manifest import source_record
+
+        def st(mtime_ns, ctime_ns):
+            return SimpleNamespace(
+                st_dev=1, st_ino=2, st_size=3,
+                st_mtime_ns=mtime_ns, st_ctime_ns=ctime_ns,
+            )
+
+        old = 10**18 + 123_456_789
+        assert source_record(st(old, old), old + 10**9) == [
+            1, 2, 3, old, old
+        ]
+        # Within a millisecond of the clock, either stamp is racy.
+        assert source_record(st(old - 10**9, old), old + 1_000_000) is None
+        assert source_record(st(old, old - 10**9), old + 1_000_000) is None
+        # Whole-second stamps: a filesystem coarser than the lag bound.
+        assert source_record(st(10**18, 10**18), 10**18 + 10**10) is None
+        # A whole-second mtime (a restored archive) on a fine ctime is
+        # trusted: the ctime shows the filesystem's grain.
+        assert source_record(st(10**18, old), old + 10**9) is not None
