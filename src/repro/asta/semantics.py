@@ -41,16 +41,27 @@ def concat(a: Rope, b: Rope) -> Rope:
 
 
 def flatten(rope: Rope) -> List[int]:
-    """Materialize a rope into a sorted duplicate-free id list."""
+    """Materialize a rope into a sorted duplicate-free id list.
+
+    A rope is a DAG, not a tree: one sub-rope may be concatenated into
+    many (a state's result set feeds every transition that reads it), so
+    each node is walked once, by identity.  A walk of the unfolded tree
+    reads a shared node once per path to it: quadratically often on a
+    chain of siblings, each ``following-sibling`` set holding the next.
+    """
     out: List[int] = []
     append = out.append
+    seen = set()
+    add = seen.add
     stack = [rope]
     pop = stack.pop
     push = stack.append
     while stack:
         r = pop()
-        if not r:
+        key = id(r)  # every node is alive (held by the rope) while walked
+        if key in seen or not r:
             continue
+        add(key)
         if r[0] == "v":
             append(r[1])
         else:

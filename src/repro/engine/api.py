@@ -150,7 +150,7 @@ class Engine:
                 path = parse_xpath(query) if isinstance(query, str) else query
                 require_absolute(path)
                 resolved = registry.resolve(key[1], path)
-                plan = PreparedQuery(self, query, path, resolved)
+                plan = PreparedQuery(self, key[0], path, resolved)
                 self._plans.put(key, plan)
         return plan
 

@@ -41,7 +41,7 @@ engines -- the same relevant elements, many per operation.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -121,7 +121,8 @@ class Decided(NamedTuple):
     verdict: np.ndarray
 
 
-#: Axes whose step from a node reaches paths its own path decides.
+#: Axes whose step from a node reaches paths its own path decides (tuples:
+#: a membership test compares identity first, a set would hash the enum).
 _DOWN = (Axis.CHILD, Axis.ATTRIBUTE, Axis.DESCENDANT)
 _UP = (Axis.PARENT, Axis.ANCESTOR)
 _INVERSE = {
@@ -137,33 +138,15 @@ def _one_way(path: Path) -> bool:
     """A relative predicate path the summary decides: no nested
     predicate, and every step down (child, attribute, descendant) or
     every step up (parent, ancestor)."""
-    axes = {step.axis for step in path.steps}
-    return (
-        not path.absolute
-        and all(step.predicate is None for step in path.steps)
-        and (axes <= set(_DOWN) or axes <= set(_UP))
-    )
-
-
-def summarizable(path: Path) -> bool:
-    """Whether the path summary would decide any part of ``path`` -- a
-    rooted run of two downward steps, or a predicate path of one
-    direction anywhere -- so that the joins it would replace pay toward
-    building it (:meth:`TreeIndex.path_summary`)."""
-    steps = path.steps
-    if path.absolute and len(steps) > 1 and {s.axis for s in steps[:2]} <= set(_DOWN):
-        return True
-    return any(_summarizable_pred(step.predicate) for step in steps)
-
-
-def _summarizable_pred(pred: Optional[Pred]) -> bool:
-    if isinstance(pred, (PredAnd, PredOr)):
-        return _summarizable_pred(pred.left) or _summarizable_pred(pred.right)
-    if isinstance(pred, PredNot):
-        return _summarizable_pred(pred.inner)
-    return isinstance(pred, PredPath) and (
-        _one_way(pred.path) or summarizable(pred.path)
-    )
+    if path.absolute:
+        return False
+    down = up = True
+    for step in path.steps:
+        if step.predicate is not None:
+            return False
+        down = down and step.axis in _DOWN
+        up = up and step.axis in _UP
+    return down or up
 
 
 def bind(path: Path, index: TreeIndex) -> Path:
@@ -173,140 +156,129 @@ def bind(path: Path, index: TreeIndex) -> Path:
     Keys, not arrays: a candidate array is an O(1) lookup or the fused
     union LRU's at run time, so no plan pins a merged union.  Once the
     document has its path summary, the leading run and the predicate
-    paths it decides are bound to it (:func:`_rooted`, :class:`Decided`)."""
-    return _bind(path, index, index.path_summary())
+    paths it decides are bound to it (:meth:`_Binder.rooted`,
+    :class:`Decided`)."""
+    return _Binder(index).path(path)
 
 
-def _bind(path: Path, index: TreeIndex, summary) -> Path:
-    steps = tuple(_bind_step(index, summary, step) for step in path.steps)
-    if summary is not None and path.absolute:
-        steps = _rooted(summary, steps)
-    return Path(path.absolute, steps)
+class _Binder:
+    """One walk binding a path to ``index``'s document, and its by-product
+    :attr:`rents`: while the document has no path summary, whether the
+    summary would decide any part of the path -- a rooted run of two
+    downward steps, or a one-way predicate path anywhere -- so that the
+    joins it would replace pay toward building it
+    (:meth:`TreeIndex.path_summary`)."""
 
+    def __init__(self, index: TreeIndex) -> None:
+        self.index = index
+        self.summary = index.path_summary()
+        self.rents = False
 
-def _bind_step(index: TreeIndex, summary, step: Step) -> Bound:
-    key = label_key(index, step.axis, step.test)
-    size = index.labels.union_size(key)
-    pred = None
-    if step.predicate is not None:
-        pred = _bind_pred(index, summary, step.predicate, key)
-        size += pred_size(index, pred)
-    return Bound(step.axis, key, size, pred)
+    def path(self, path: Path) -> Path:
+        steps = tuple([self.step(step) for step in path.steps])
+        if path.absolute and steps:
+            if self.summary is not None:
+                steps = self.rooted(steps)
+            elif len(steps) > 1 and steps[0].axis in _DOWN and steps[1].axis in _DOWN:
+                self.rents = True
+        return Path(path.absolute, steps)
 
+    def step(self, step: Step) -> Bound:
+        key, size = self.index.node_test(step.axis, step.test)
+        pred = step.predicate
+        if pred is not None:
+            pred = self.pred(pred, key)
+            size += pred_size(self.index, pred)
+        return Bound(step.axis, key, size, pred)
 
-def _bind_pred(index: TreeIndex, summary, pred: Pred, key: Key) -> Pred:
-    """The predicate's own shape, every path in it bound; a path the
-    summary decides for some path of the step's label set ``key`` is
-    :class:`Decided`."""
-    if isinstance(pred, (PredAnd, PredOr)):
-        return type(pred)(
-            _bind_pred(index, summary, pred.left, key),
-            _bind_pred(index, summary, pred.right, key),
-        )
-    if isinstance(pred, PredNot):
-        return PredNot(_bind_pred(index, summary, pred.inner, key))
-    if isinstance(pred, PredPath):
-        bound = PredPath(_bind(pred.path, index, summary))
-        if summary is not None and _one_way(pred.path):
-            verdict = _verdict(summary, bound.path.steps)
-            if (verdict[summary.labelled(key)] != 1).any():
-                return Decided(bound, verdict)
-        return bound
-    raise AssertionError(pred)
+    def pred(self, pred: Pred, key: Key) -> Pred:
+        """The predicate's own shape, every path in it bound; a path the
+        summary decides for some path of the step's label set ``key`` is
+        :class:`Decided`."""
+        if isinstance(pred, PredPath):
+            bound = PredPath(self.path(pred.path))
+            if _one_way(pred.path):
+                summary = self.summary
+                if summary is None:
+                    self.rents = True
+                else:
+                    verdict = self.verdict(bound.path.steps)
+                    if np.count_nonzero(verdict[summary.labelled(key)] != 1):
+                        return Decided(bound, verdict)
+            return bound
+        if isinstance(pred, (PredAnd, PredOr)):
+            return type(pred)(self.pred(pred.left, key), self.pred(pred.right, key))
+        if isinstance(pred, PredNot):
+            return PredNot(self.pred(pred.inner, key))
+        raise AssertionError(pred)
 
+    def verdict(self, steps: tuple) -> np.ndarray:
+        """:class:`Decided`'s verdict of a one-way relative path of bound
+        ``steps``, built back to front over the trie like
+        :func:`_match_set` over the nodes: the paths from which the
+        path's suffix matches, then those with a first step into them.
+        A path reaching a match holds a node with a witness; the one node
+        of a one-node path, every node of it when the steps go up (a
+        node's ancestors are its path's)."""
+        summary = self.summary
+        if not steps:  # '.' always exists
+            return np.full(summary.label.size, 2, dtype=np.int8)
+        matches = summary.labelled(steps[-1].key)
+        for i in range(len(steps) - 2, -1, -1):
+            matches = summary.labelled(steps[i].key) & summary.step(
+                _INVERSE[steps[i + 1].axis], matches
+            )
+        hit = summary.step(_INVERSE[steps[0].axis], matches)
+        if steps[0].axis in _DOWN:
+            return hit * summary.witnessed
+        return hit.view(np.int8) * 2
 
-def _verdict(summary, steps: tuple) -> np.ndarray:
-    """:class:`Decided`'s verdict of a one-way relative path of bound
-    ``steps``, built back to front over the trie like :func:`_match_set`
-    over the nodes: the paths from which the path's suffix matches,
-    then those with a first step into them.  A path reaching a match
-    holds a node with a witness; the one node of a one-node path, every
-    node of it when the steps go up (a node's ancestors are its path's)."""
-    if not steps:  # '.' always exists
-        return np.full(summary.label.size, 2, dtype=np.int8)
-    matches = summary.labelled(steps[-1].key)
-    for i in range(len(steps) - 2, -1, -1):
-        matches = summary.labelled(steps[i].key) & summary.step(
-            _INVERSE[steps[i + 1].axis], matches
-        )
-    hit = summary.step(_INVERSE[steps[0].axis], matches)
-    verdict = hit.view(np.int8) * 2
-    if steps[0].axis in _DOWN:
-        verdict -= hit > summary.single  # a match, but more than one node
-    return verdict
+    def rooted(self, steps: tuple) -> tuple:
+        """Bound main-path ``steps`` with their leading run folded into
+        its last step, when the summary answers it: downward steps from
+        the document node, walked over the trie top down (a descendant
+        step is a self-loop), each predicate folded in where it is
+        decided on every path reached, the run ending on a step whose
+        predicate is not (that predicate then runs on the nodes).  A run
+        of one step that folded no predicate is no run: the document
+        node answers it alone."""
+        summary = self.summary
+        reached, run, open_ = None, 0, False
+        for step in steps:
+            if step.axis not in _DOWN:
+                break
+            here = summary.labelled(step.key)
+            if reached is not None:
+                here = here & summary.step(step.axis, reached)
+            elif step.axis is not Axis.DESCENDANT:
+                here = here & summary.root  # the document node's one child
+            reached, run = here, run + 1
+            if step.predicate is not None:
+                verdict = _decide(step.predicate, here.size)
+                open_ = np.count_nonzero(verdict[reached] == 1) > 0
+                if open_:
+                    break
+                reached = reached & (verdict == 2)
+        if run == 0 or (run == 1 and (open_ or steps[0].predicate is None)):
+            return steps
+        axis, key, size, pred, _ = steps[run - 1]
+        whole = np.count_nonzero(reached) == summary.labelled_count(key)
+        mask = True if whole else reached
+        last = Bound(axis, key, size, pred if open_ else None, mask)
+        return (last,) + steps[run:]
 
 
 def _decide(pred: Pred, size: int) -> np.ndarray:
     """The verdict per path id of a whole bound predicate, its paths the
     summary does not decide open."""
+    if isinstance(pred, Decided):
+        return pred.verdict
     if isinstance(pred, (PredAnd, PredOr)):
         combine = np.minimum if isinstance(pred, PredAnd) else np.maximum
         return combine(_decide(pred.left, size), _decide(pred.right, size))
     if isinstance(pred, PredNot):
         return 2 - _decide(pred.inner, size)
-    if isinstance(pred, Decided):
-        return pred.verdict
     return np.ones(size, dtype=np.int8)
-
-
-def _rooted(summary, steps: tuple) -> tuple:
-    """Bound main-path ``steps`` with their leading run folded into its
-    last step, when the summary answers it: downward steps from the
-    document node, walked over the trie top down (a descendant step is
-    a self-loop), each predicate folded in where it is decided on every
-    path reached, the run ending on a step whose predicate is not (that
-    predicate then runs on the nodes).  A run of one step that folded
-    no predicate is no run: the document node answers it alone."""
-    reached, run, open_ = None, 0, False
-    for step in steps:
-        if step.axis not in _DOWN:
-            break
-        here = summary.labelled(step.key)
-        if reached is not None:
-            here = here & summary.step(step.axis, reached)
-        elif step.axis is not Axis.DESCENDANT:
-            here = here.copy()  # the document node's one child: the root
-            here[1:] = False
-        reached, run = here, run + 1
-        if step.predicate is not None:
-            verdict = _decide(step.predicate, here.size)
-            open_ = (verdict[reached] == 1).any()
-            if open_:
-                break
-            reached = reached & (verdict == 2)
-    if run == 0 or (run == 1 and (open_ or steps[0].predicate is None)):
-        return steps
-    last = steps[run - 1]
-    whole = np.count_nonzero(reached) == np.count_nonzero(summary.labelled(last.key))
-    last = last._replace(
-        predicate=last.predicate if open_ else None,
-        rooted=True if whole else reached,
-    )
-    return (last,) + steps[run:]
-
-
-def test_label_names(labels: List[str], axis: Axis, test: str) -> List[str]:
-    """The element names a node test can match, resolved against one
-    document's label inventory (the single place these semantics live --
-    ``explain`` sizes steps through the same resolution)."""
-    if axis is Axis.ATTRIBUTE:
-        if test in ("*", "node()"):
-            return [l for l in labels if l.startswith("@")]
-        return ["@" + test]
-    if test == "node()":
-        return list(labels)
-    if test == "*":
-        return [l for l in labels if not l.startswith(("@", "#"))]
-    if test == "text()":
-        return ["#text"]
-    return [test]
-
-
-def label_key(index: TreeIndex, axis: Axis, test: str) -> Key:
-    """The sorted label-id tuple of a node test on ``index``'s document
-    (labels it does not hold dropped): what names its candidates."""
-    names = test_label_names(index.tree.labels, axis, test)
-    return tuple(sorted(index.label_ids(names)))
 
 
 def pred_size(index, pred: Pred, contexts: Optional[int] = None) -> int:
@@ -547,9 +519,9 @@ class KernelStrategy(Strategy):
     the summary exists."""
 
     def prepare(self, plan) -> None:
-        index = plan.index
-        renting = index.path_summary() is None and summarizable(plan.path)
-        plan.artifacts[PROGRAM] = (index, bind(plan.path, index), renting)
+        binder = _Binder(plan.index)
+        program = binder.path(plan.path)
+        plan.artifacts[PROGRAM] = (plan.index, program, binder.rents)
 
     def explain(self, plan):
         from repro.engine.planner import describe_plan  # planner imports us

@@ -273,16 +273,12 @@ class PreparedQuery:
     )
 
     def __init__(
-        self,
-        engine,
-        query: Union[str, Path],
-        path: Path,
-        strategy: "Strategy",
+        self, engine, query: str, path: Path, strategy: "Strategy"
     ) -> None:
         self.index = engine.index
         self._cache = engine.cache
         self._engine = weakref.ref(engine)
-        self.query = query if isinstance(query, str) else str(query)
+        self.query = query
         self.path = path
         self.strategy = strategy
         self.artifacts: Dict[str, object] = {}

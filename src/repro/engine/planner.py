@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.engine import joins
-from repro.engine.frontier import KernelStrategy, bind, label_key, pred_size
+from repro.engine.frontier import KernelStrategy, bind, pred_size
 from repro.engine.registry import register_strategy
 from repro.engine.window import WindowStrategy
 from repro.index.jumping import TreeIndex
@@ -73,14 +73,13 @@ def mean_fanout(index: TreeIndex) -> float:
 def extract_features(path: Path, index: TreeIndex) -> QueryFeatures:
     """One-pass feature extraction (O(query size)).
 
-    Candidate counts come from the evaluator's own sizing (the label
-    key of :func:`repro.engine.frontier.label_key`, ``pred_size``), and
+    Candidate counts come from the evaluator's own sizing (the node
+    test's size of :meth:`TreeIndex.node_test`, ``pred_size``), and
     the rooted run and predicates from the path bound as a plan binds it
     now (:func:`repro.engine.frontier.bind`), so what ``explain`` states
     is what the next execute runs."""
     step_candidates = tuple(
-        index.labels.union_size(label_key(index, step.axis, step.test))
-        for step in path.steps
+        index.node_test(step.axis, step.test)[1] for step in path.steps
     )
     program = bind(path, index).steps
     rooted = 0

@@ -19,7 +19,7 @@ the paper's error node Ω.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 from repro.index.labels import FusedLabels, LabelIndex
 from repro.lru import LRUCache
@@ -149,9 +149,13 @@ class PathSummary:
         self.end = np.full(m + 1, m + 1, dtype=np.int64)
         self.end[pre] = pre + size
         self.count = np.bincount(self.pid, minlength=m + 1)
-        self.single = self.count == 1
+        # What a witness on a path decides about each of its nodes: all
+        # of them (2) when the path holds one node, else only some (1).
+        self.witnessed = np.where(self.count == 1, 2, 1).astype(np.int8)
         self.ids = np.arange(m + 1)
+        self.root = self.ids == 0  # the document node's one child
         self._labelled: dict = {}
+        self._labelled_counts: dict = {}
 
     def labelled(self, key) -> "np.ndarray":
         """The paths that end in a label of ``key`` (a sorted label-id
@@ -165,8 +169,14 @@ class PathSummary:
             wanted[list(key)] = True
             paths = wanted[self.label]
             paths.flags.writeable = False
+            self._labelled_counts[key] = int(np.count_nonzero(paths))
             self._labelled[key] = paths
         return paths
+
+    def labelled_count(self, key) -> int:
+        """How many paths :meth:`labelled` holds for ``key``."""
+        self.labelled(key)
+        return self._labelled_counts[key]
 
     def step(self, axis: Axis, paths) -> "np.ndarray":
         """The paths one ``axis`` step reaches from the set ``paths``
@@ -205,6 +215,7 @@ class TreeIndex:
         self._ranks = LRUCache(RANK_CACHE_SIZE, lock=True)
         self._path_summary: Optional[PathSummary] = None
         self._rent = 0  # touches booked by joins the summary would replace
+        self._wildcards: Optional[dict] = None
 
     def fused(self, label_ids: Iterable[int]) -> FusedLabels:
         """The cached merged node array of a label-id set (see
@@ -298,6 +309,49 @@ class TreeIndex:
         return self.tree._columns["label_of"]
 
     # -- label helpers -------------------------------------------------------
+
+    def node_test(self, axis: Axis, test: str) -> Tuple[Tuple[int, ...], int]:
+        """``(key, size)`` of a node test on this document: the sorted
+        label-id tuple of the labels it matches (``()`` for a name the
+        document does not hold) and how many nodes carry them -- the
+        single place node-test semantics live.  A name matches its label
+        (``@name`` on the attribute axis) and ``text()`` the ``#text``
+        label, one dict lookup each; ``*`` and ``node()`` read a table of
+        this document built on first use (:meth:`_wildcard_table`)."""
+        attribute = axis is Axis.ATTRIBUTE
+        if test == "*" or test == "node()":
+            table = self._wildcards
+            if table is None:
+                table = self._wildcards = self._wildcard_table()
+            return table[attribute, test]
+        if attribute:
+            test = "@" + test
+        elif test == "text()":
+            test = "#text"
+        lab = self.tree.label_ids.get(test)
+        if lab is None:
+            return (), 0
+        return (lab,), self.labels.union((lab,)).size
+
+    def _wildcard_table(self) -> dict:
+        """``(on the attribute axis, test) -> (key, size)`` of the
+        wildcards: ``*`` is every element label, ``node()`` every label,
+        and on the attribute axis both are every attribute label."""
+        labels = self.tree.labels
+        attributes = [lab for lab, name in enumerate(labels) if name[:1] == "@"]
+        elements = [
+            lab for lab, name in enumerate(labels) if name[:1] not in ("@", "#")
+        ]
+        table = {}
+        for attribute, test, ids in (
+            (True, "*", attributes),
+            (True, "node()", attributes),
+            (False, "*", elements),
+            (False, "node()", range(len(labels))),
+        ):
+            size = sum(self.labels.union((lab,)).size for lab in ids)
+            table[attribute, test] = tuple(ids), size
+        return table
 
     def label_ids(self, names: Iterable[str]) -> list[int]:
         """Intern a set of element names; silently drops absent labels.

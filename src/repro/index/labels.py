@@ -187,10 +187,6 @@ class LabelIndex:
             return self._arrays[key[0]]
         return self.fused(key).arr
 
-    def union_size(self, key: Iterable[int]) -> int:
-        """Length of :meth:`union`'s array, from O(1) label counts."""
-        return sum(len(self._arrays[lab]) for lab in key)
-
     def fused(self, label_ids: Iterable[int]) -> FusedLabels:
         """The merged sorted union array of a label-id set (cached).
 

@@ -16,6 +16,8 @@ paper's queries (Figure 2):
 
 from __future__ import annotations
 
+import re
+from functools import cached_property
 from typing import List, Optional
 
 from repro.xpath.ast import Axis, Path, Pred, PredAnd, PredNot, PredOr, PredPath, Step
@@ -71,75 +73,67 @@ class XPathSyntaxError(ValueError):
         return f"{head}\n  {self.query}\n  {' ' * self.offset}^"
 
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CHARS = _NAME_START | set("0123456789-")
-
 _AXES = {axis.value: axis for axis in Axis}
+
+#: One token per match: the punctuation (a two-character token before
+#: its one-character prefix), or a name -- captured -- else, uncaptured,
+#: any other character but whitespace, which is an error.  ``findall``
+#: skips whitespace between matches, and a bad character lists as ``""``.
+_TOKEN = re.compile(
+    r"(//|/|::|\.\.|[.\[\]()*@]|[A-Za-z_][A-Za-z0-9_-]*)|[^ \t\r\n]"
+)
+
+#: Deepest nesting of ``[`` and ``(`` the parser accepts.  Every stage
+#: after it -- binding, the kernel's predicate masks, ``explain`` --
+#: recurses once per level; at this depth each still runs under the
+#: interpreter's default recursion limit with room to spare (DESIGN.md,
+#: "The cold path").
+MAX_NESTING = 64
 
 
 class _Lexer:
-    """Produces a token list: names, punctuation, keywords.
+    """Produces a token list: names, punctuation, keywords, from one
+    ``findall`` of :data:`_TOKEN`.
 
-    Each token's character offset into the query text is recorded in
-    the parallel :attr:`offsets` list, so parse errors can point at the
-    exact position they arose from.
+    Each token's character offset into the query text is the parallel
+    :attr:`offsets` list, found again by the same pattern when an error
+    first needs one (a query that parses never does).
     """
-
-    PUNCT = ["//", "/", "::", "[", "]", "(", ")", "*", "@", "..", "."]
 
     def __init__(self, text: str) -> None:
         self.text = text
-        self.tokens: List[str] = []
-        self.offsets: List[int] = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch in " \t\r\n":
-                i += 1
-                continue
-            matched = False
-            for p in self.PUNCT:
-                if text.startswith(p, i):
-                    # Avoid splitting names containing '.' is moot: names
-                    # cannot contain '.', so '.' is always punctuation.
-                    self.tokens.append(p)
-                    self.offsets.append(i)
-                    i += len(p)
-                    matched = True
-                    break
-            if matched:
-                continue
-            if ch in _NAME_START:
-                j = i + 1
-                while j < n and text[j] in _NAME_CHARS:
-                    j += 1
-                self.tokens.append(text[i:j])
-                self.offsets.append(i)
-                i = j
-                continue
+        self.tokens: List[str] = _TOKEN.findall(text)
+        if "" in self.tokens:
+            at = self.offsets[self.tokens.index("")]
             raise XPathSyntaxError(
-                f"unexpected character {ch!r}", offset=i, query=text
+                f"unexpected character {text[at]!r}", offset=at, query=text
             )
+
+    @cached_property
+    def offsets(self) -> List[int]:
+        return [m.start() for m in _TOKEN.finditer(self.text)]
 
 
 class _Parser:
     def __init__(self, lexer: _Lexer) -> None:
+        self.lexer = lexer
         self.text = lexer.text
-        self.tokens = lexer.tokens
-        self.offsets = lexer.offsets
+        # Two sentinels: ``peek(1)`` at the last token reads ``None``.
+        self.tokens = lexer.tokens + [None, None]
+        self.end = len(lexer.tokens)
         self.pos = 0
+        self.depth = 0  # brackets open: '[' and '('
 
     # -- token helpers --------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Optional[str]:
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else None
+        return self.tokens[self.pos + offset]
 
     def _at(self, pos: Optional[int] = None) -> int:
         """Character offset of the token at ``pos`` (default: current),
         or the end of the text once the tokens run out."""
         i = self.pos if pos is None else pos
-        return self.offsets[i] if i < len(self.offsets) else len(self.text)
+        return self.lexer.offsets[i] if i < self.end else len(self.text)
 
     def error(self, message: str, *, at: Optional[int] = None) -> XPathSyntaxError:
         return XPathSyntaxError(
@@ -149,20 +143,32 @@ class _Parser:
         )
 
     def take(self) -> str:
-        if self.pos >= len(self.tokens):
+        if self.pos >= self.end:
             raise self.error("unexpected end of query")
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def expect(self, tok: str) -> None:
-        at = self._at()
         got = self.take()
         if got != tok:
-            raise self.error(f"expected {tok!r}, got {got!r}", at=at)
+            raise self.error(
+                f"expected {tok!r}, got {got!r}", at=self._at(self.pos - 1)
+            )
+
+    def open(self) -> None:
+        """Take the ``[`` or ``(`` at the current token, one level deeper."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} brackets")
+        self.depth += 1
+        self.pos += 1
+
+    def close(self, tok: str) -> None:
+        self.expect(tok)
+        self.depth -= 1
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.pos >= self.end
 
     # -- grammar ---------------------------------------------------------------
 
@@ -173,67 +179,55 @@ class _Parser:
         return path
 
     def parse_path(self) -> Path:
-        absolute = False
-        steps: List[Step] = []
-        tok = self.peek()
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        absolute = tok == "/" or tok == "//"
         if tok == ".":
             # context-node prefix: './/x' or plain '.'
-            self.take()
-            if self.peek() in ("//", "/"):
-                sep = self.take()
-                steps.append(self.parse_step(descendant=(sep == "//")))
-            else:
-                return Path.of(False, [])
-        elif tok == "//":
-            self.take()
-            absolute = True
-            steps.append(self.parse_step(descendant=True))
-        elif tok == "/":
-            self.take()
-            absolute = True
-            steps.append(self.parse_step(descendant=False))
-        else:
-            steps.append(self.parse_step(descendant=False))
-        while self.peek() in ("/", "//"):
-            sep = self.take()
-            steps.append(self.parse_step(descendant=(sep == "//")))
-        return Path.of(absolute, steps)
+            self.pos += 1
+            tok = tokens[self.pos]
+            if tok != "/" and tok != "//":
+                return Path(False, ())
+        if tok == "/" or tok == "//":
+            self.pos += 1
+        steps = [self.parse_step(descendant=(tok == "//"))]
+        tok = tokens[self.pos]
+        while tok == "/" or tok == "//":
+            self.pos += 1
+            steps.append(self.parse_step(descendant=(tok == "//")))
+            tok = tokens[self.pos]
+        return Path(absolute, tuple(steps))
 
     def parse_step(self, descendant: bool) -> Step:
         axis = Axis.DESCENDANT if descendant else Axis.CHILD
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok == "..":
             if descendant:
                 raise self.error("'..' cannot follow '//'")
-            self.take()
+            self.pos += 1
             return Step(Axis.PARENT, "node()", None)
         if tok == "@":
-            self.take()
+            self.pos += 1
             axis = Axis.ATTRIBUTE
-            test = self.parse_node_test()
-        elif self.peek(1) == "::":
+        elif self.tokens[self.pos + 1] == "::":
             if tok not in _AXES:
                 raise self.error(f"unsupported axis {tok!r}")
             if descendant:
                 raise self.error(
                     "explicit axis cannot follow '//' (write /axis::test)"
                 )
-            self.take()
-            self.take()
+            self.pos += 2
             axis = _AXES[tok]
-            test = self.parse_node_test()
-        else:
-            test = self.parse_node_test()
+        test = self.parse_node_test()
         pred = None
-        while self.peek() == "[":
-            self.take()
+        while self.tokens[self.pos] == "[":
+            self.open()
             p = self.parse_pred()
-            self.expect("]")
+            self.close("]")
             pred = p if pred is None else PredAnd(pred, p)
         return Step(axis, test, pred)
 
     def parse_node_test(self) -> str:
-        at = self._at()
         tok = self.take()
         if tok == "*":
             return "*"
@@ -242,7 +236,9 @@ class _Parser:
             self.expect(")")
             return f"{tok}()"
         if tok in ("//", "/", "[", "]", "(", ")", "::", "@", "."):
-            raise self.error(f"expected a node test, got {tok!r}", at=at)
+            raise self.error(
+                f"expected a node test, got {tok!r}", at=self._at(self.pos - 1)
+            )
         return tok
 
     # predicates: 'or' < 'and' < unary
@@ -266,14 +262,14 @@ class _Parser:
         tok = self.peek()
         if tok == "not" and self.peek(1) == "(":
             self.take()
-            self.take()
+            self.open()
             inner = self.parse_pred()
-            self.expect(")")
+            self.close(")")
             return PredNot(inner)
         if tok == "(":
-            self.take()
+            self.open()
             inner = self.parse_pred()
-            self.expect(")")
+            self.close(")")
             return inner
         return PredPath(self.parse_path())
 

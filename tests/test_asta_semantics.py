@@ -76,6 +76,30 @@ class TestRopes:
     def test_flatten_empty(self):
         assert flatten(EMPTY_ROPE) == []
 
+    def test_a_shared_sub_rope_is_walked_once(self, monkeypatch):
+        """On a chain of siblings, ``following-sibling`` result sets share
+        their sub-ropes; ``flatten`` reads each distinct node once, where
+        walking the unfolded tree read a shared node once per path to it."""
+        import oracle_sqlite
+        from repro import Engine
+        from repro.asta import semantics
+
+        xml = "<r>" + "<item><mailbox><mail/></mailbox></item>" * 60 + "</r>"
+        query = "//item[mailbox/mail]/following-sibling::item"
+        ropes = []
+        monkeypatch.setattr(
+            semantics, "flatten", lambda rope: ropes.append(rope) or flatten(rope)
+        )
+        answer = Engine(xml, strategy="optimized").select(query)
+        assert answer == oracle_sqlite.select(xml, query)
+        (rope,) = ropes
+
+        counted, paths = _counting_replica(rope)
+        _Counted.reads = 0
+        assert flatten(counted) == answer
+        assert _Counted.reads <= len(paths)  # one read of each distinct node
+        assert sum(paths.values()) > 10 * len(paths)  # the unfolded tree
+
 
 class TestFormulaEvaluation:
     def test_down_collects_markings(self):
@@ -140,3 +164,49 @@ class TestEvalTransitions:
         assert accepted and ids == [3]
         accepted, ids = root_answer(asta, {"q1": leaf(3)})
         assert not accepted and ids == []
+
+
+class _Counted(tuple):
+    """A rope node that counts the reads of its tag, once per node walked."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        if i == 0:
+            _Counted.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def _counting_replica(rope):
+    """``rope`` rebuilt from :class:`_Counted` nodes, sharing kept, and
+    per distinct node (by identity) the number of paths from the root to
+    it: what a walk of the unfolded tree reads of it."""
+    order = _children_first(rope)
+    paths = {id(node): 0 for node in order}
+    paths[id(rope)] = 1
+    for node in reversed(order):
+        if node[0] == "+":
+            for part in node[1:]:
+                if part:
+                    paths[id(part)] += paths[id(node)]
+    copies = {}
+    for node in order:
+        parts = tuple(copies.get(id(part), part) for part in node[1:])
+        copies[id(node)] = _Counted((node[0],) + parts)
+    return copies[id(rope)], paths
+
+
+def _children_first(rope):
+    """The distinct nodes of ``rope``, each after every node below it."""
+    order, expanded = [], set()
+    stack = [(rope, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif id(node) not in expanded:
+            expanded.add(id(node))
+            stack.append((node, True))
+            if node[0] == "+":
+                stack.extend((part, False) for part in node[1:] if part)
+    return order

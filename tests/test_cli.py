@@ -305,6 +305,21 @@ class TestStructuredSyntaxErrors:
         assert lines[1] == "  " + query
         assert lines[2] == "  " + " " * offset + "^"
 
+    def test_ten_thousand_nested_predicates_are_a_syntax_error(
+        self, xml_file, capsys
+    ):
+        from repro.xpath.parser import MAX_NESTING
+
+        query = "/a" + "[b" * 10**4 + "]" * 10**4
+        code, _ = run([query, xml_file])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == (
+            f"syntax error: nesting deeper than {MAX_NESTING} brackets "
+            f"(offset {2 + 2 * MAX_NESTING})"
+        )
+        assert "Traceback" not in err
+
     def test_non_syntax_errors_keep_plain_format(self, tmp_path, capsys):
         path = tmp_path / "bad.xml"
         path.write_text("<a><b></a>")

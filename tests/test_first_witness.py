@@ -13,7 +13,6 @@ import pytest
 
 from repro.counters import EvalStats
 from repro.engine import frontier, joins
-from repro.engine.frontier import label_key
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
 from repro.xpath.ast import Axis
@@ -237,10 +236,10 @@ class TestCounters:
 
     def test_context_side_join_books_what_it_copies(self, xmark):
         stats = EvalStats()
-        regions = xmark.labels.union(label_key(xmark, Axis.CHILD, "regions"))
+        regions = xmark.labels.union(xmark.node_test(Axis.CHILD, "regions")[0])
         continents = xmark.parent_array()
         continents = np.flatnonzero(continents == regions[0])
-        key = label_key(xmark, Axis.DESCENDANT, "keyword")
+        key = xmark.node_test(Axis.DESCENDANT, "keyword")[0]
         cand = xmark.labels.union(key)
         out = joins.join(xmark, Axis.DESCENDANT, cand, key, continents, None, stats)
         assert continents.size == 6 and out.size
@@ -249,8 +248,8 @@ class TestCounters:
 
     def test_candidate_side_join_books_the_candidates(self, xmark):
         stats = EvalStats()
-        src = label_key(xmark, Axis.DESCENDANT, "text")
-        key = label_key(xmark, Axis.DESCENDANT, "keyword")
+        src = xmark.node_test(Axis.DESCENDANT, "text")[0]
+        key = xmark.node_test(Axis.DESCENDANT, "keyword")[0]
         texts, cand = xmark.labels.union(src), xmark.labels.union(key)
         out = joins.join(xmark, Axis.DESCENDANT, cand, key, texts, src, stats)
         assert out.size == cand.size  # keywords only occur in running text

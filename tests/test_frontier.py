@@ -169,9 +169,9 @@ class TestVectorizedPrimitives:
         index = TreeIndex(tree)
         from repro.xpath.ast import Axis
 
-        star = index.labels.union(frontier.label_key(index, Axis.CHILD, "*"))
+        star = index.labels.union(index.node_test(Axis.CHILD, "*")[0])
         everything = index.labels.union(
-            frontier.label_key(index, Axis.CHILD, "node()")
+            index.node_test(Axis.CHILD, "node()")[0]
         )
         assert star.tolist() == [0]
         assert everything.tolist() == [0, 1, 2]

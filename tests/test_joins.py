@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.counters import EvalStats
-from repro.engine import frontier, joins
+from repro.engine import joins
 from repro.engine.workspace import Workspace
 from repro.index.jumping import TreeIndex
 from repro.tree.binary import BinaryTree
@@ -180,7 +180,7 @@ def test_parent_gathers_only_from_a_quarter_of_the_candidates(xmark_26k):
     keywords, src = label_set(index, ["keyword"])
     row = joins.OPERATORS[Axis.PARENT]
     for test, expected in (("text", "parent/mark"), ("*", "parent/gather")):
-        key = frontier.label_key(index, Axis.PARENT, test)
+        key = index.node_test(Axis.PARENT, test)[0]
         cand = index.labels.union(key)
         picked = row.ops[row.choose(keywords.size, cand.size, index.tree.n, None, True)]
         assert picked.name == expected, (test, keywords.size, cand.size)

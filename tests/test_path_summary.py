@@ -30,6 +30,7 @@ from repro.xpath.ast import Axis
 from repro.xpath.parser import parse_xpath
 from strategies import LABELS, random_document, random_predicate, tree_specs
 from test_independent_oracle import ENCODINGS, LATE_TEXT
+from test_planner import MIX20
 
 SEED = 0x5A77
 STRATEGIES = ("auto", "window", "vectorized", "optimized")
@@ -313,10 +314,38 @@ def test_repeated_executes_build_the_summary_and_the_plan_rebinds(
     assert engine.prepare("/site//keyword").artifacts[frontier.PROGRAM][2] is False
 
 
+class _NoColumns:
+    """Stands in for a tree's node columns: any read fails the test."""
+
+    def _read(self, *args, **kwargs):
+        raise AssertionError("prepare read a node column")
+
+    __getattr__ = __getitem__ = __iter__ = __len__ = __contains__ = _read
+
+
+def test_prepare_reads_no_node_column_once_the_summary_exists(
+    xmark_26k, monkeypatch
+):
+    """Binding is O(query x summary paths), never O(n): with the summary
+    built, every MIX20 query prepares under ``auto`` -- node tests,
+    sizes, rooted runs and decided predicates -- without one read of a
+    node column."""
+    on = summarized(xmark_26k)
+    engine = Engine(on)
+    monkeypatch.setattr(on.tree, "_columns", _NoColumns())
+    for query in MIX20:
+        plan = engine.prepare(query)
+        assert plan.artifacts[frontier.PROGRAM][2] is False  # bound to it
+    monkeypatch.undo()
+    assert [plan.execute().nodes for plan in map(engine.prepare, MIX20)] == [
+        Engine(xmark_26k, strategy="optimized").select(query) for query in MIX20
+    ]
+
+
 def test_joins_the_summary_would_not_replace_pay_no_rent(xmark_26k):
     index = fresh(xmark_26k)
     plan = Engine(index).prepare("//keyword/parent::text")
-    assert not frontier.summarizable(plan.path)
+    assert not plan.artifacts[frontier.PROGRAM][2]  # renting: no
     for _ in range(50):
         plan.execute()
     assert index.path_summary() is None
@@ -390,7 +419,7 @@ def test_an_open_predicate_searches_only_the_nodes_the_summary_left_open(
     on = summarized(xmark_26k)
     query = "//*[ .//keyword ]"
     expected = oracle_sqlite.select(xmark_26k_xml, query)
-    elements = on.labels.union_size(frontier.label_key(on, Axis.CHILD, "*"))
+    elements = on.node_test(Axis.CHILD, "*")[1]
     asked = []
     real = frontier._match_set
 

@@ -172,6 +172,18 @@ class TestStructuredErrors:
         assert err.payload["error"]["offset"] == 4
         assert err.payload["error"]["query"] == "//a["
 
+    def test_ten_thousand_nested_predicates_are_a_syntax_error(self, client):
+        before = client.stats()["counters"]
+        query = "/a" + "[b" * 10**4 + "]" * 10**4
+        with pytest.raises(ServeError) as excinfo:
+            client.query(query, document="tiny")
+        err = excinfo.value
+        assert err.status == 400 and err.kind == "syntax"
+        assert err.payload["error"]["message"].startswith("nesting deeper than")
+        after = client.stats()["counters"]
+        assert after["syntax_errors"] == before["syntax_errors"] + 1
+        assert after["internal_errors"] == before["internal_errors"]
+
     @pytest.mark.parametrize(
         "query, axis",
         [

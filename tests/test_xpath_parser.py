@@ -1,10 +1,13 @@
 """XPath lexer/parser over the Definition C.1 fragment."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.xmark.queries import QUERIES
 from repro.xpath.ast import Axis, Path, PredAnd, PredNot, PredOr, PredPath
 from repro.xpath.parser import XPathSyntaxError, parse_xpath
+from test_planner import MIX20
 
 
 class TestBasicPaths:
@@ -224,3 +227,128 @@ class TestStructuredErrors:
         assert err.offset is None
         assert err.describe() == "syntax error: boom"
         assert err.to_dict() == {"kind": "syntax", "message": "boom"}
+
+
+class TestNesting:
+    """Brackets nest at most ``MAX_NESTING`` deep; a deeper query is a
+    syntax error at the first bracket past the bound, never a
+    ``RecursionError``, and the deepest accepted query runs end to end."""
+
+    @pytest.mark.parametrize(
+        "opening, closing",
+        [("[b", "]"), ("[(b", ")]"), ("[not(b", ")]"), ("[.//b", "]")],
+    )
+    def test_one_level_past_the_bound_is_refused_at_its_bracket(
+        self, opening, closing
+    ):
+        from repro.xpath.parser import MAX_NESTING
+
+        text = "/a" + opening * (MAX_NESTING + 1) + closing * (MAX_NESTING + 1)
+        with pytest.raises(XPathSyntaxError) as excinfo:
+            parse_xpath(text)
+        err = excinfo.value
+        assert err.message == f"nesting deeper than {MAX_NESTING} brackets"
+        brackets = [i for i, ch in enumerate(text) if ch in "[("]
+        assert err.offset == brackets[MAX_NESTING]
+
+    def test_ten_thousand_levels_are_a_syntax_error(self):
+        from repro.xpath.parser import MAX_NESTING
+
+        text = "/a" + "[b" * 10**4 + "]" * 10**4
+        with pytest.raises(XPathSyntaxError) as excinfo:
+            parse_xpath(text)
+        assert excinfo.value.offset == 2 + 2 * MAX_NESTING
+
+    def test_node_type_tests_open_no_level(self):
+        from repro.xpath.parser import MAX_NESTING
+
+        deepest = "/a" + "[text()" * MAX_NESTING + "]" * MAX_NESTING
+        assert parse_xpath(deepest).steps[0].test == "a"
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda d: "/a" + "[b" * d + "]" * d,
+            lambda d: "/a" + "[.//b" * d + "]" * d,
+            lambda d: "//b" + "[ancestor::b" * d + "]" * d,
+            lambda d: "/a[" + "not(" * (d - 1) + "b" + ")" * (d - 1) + "]",
+            lambda d: "/a[" + "(" * (d - 1) + "b" + ")" * (d - 1) + "]",
+        ],
+        ids=["child", "descendant", "ancestor", "not", "parentheses"],
+    )
+    def test_the_deepest_accepted_query_prepares_executes_and_explains(self, form):
+        from repro import Engine
+        from repro.xpath.parser import MAX_NESTING
+
+        deep = "<a>" + "<b>" * (MAX_NESTING + 2) + "</b>" * (MAX_NESTING + 2) + "</a>"
+        query = form(MAX_NESTING)
+        for document in (deep, "<a><c/></a>"):
+            engine = Engine(document)
+            plan = engine.prepare(query)
+            answer = plan.execute().nodes
+            assert plan.explain().startswith("strategy: auto")
+            engine.index.path_summary(engine.tree.n)  # and bound to the summary
+            assert engine.prepare(query, strategy="window").execute().nodes == answer
+        with pytest.raises(XPathSyntaxError):
+            parse_xpath(form(MAX_NESTING + 1))
+
+    def test_ten_thousand_steps_parse_and_answer(self):
+        from repro import Engine
+
+        query = "/a" + "/b" * 10**4
+        assert len(parse_xpath(query).steps) == 10**4 + 1
+        chain = "<a>" + "<b>" * 10**4 + "</b>" * 10**4 + "</a>"
+        assert Engine(chain).count(query) == 1
+
+
+class TestLexerEquivalence:
+    """The one-pattern lexer against the character loop it replaced
+    (``tests/lexer_reference.py``): the same tokens at the same offsets,
+    or the same error at the same offset."""
+
+    @staticmethod
+    def outcome(lex, text):
+        try:
+            return lex(text)
+        except XPathSyntaxError as err:
+            return err.message, err.offset
+
+    @staticmethod
+    def lexed(text):
+        from repro.xpath.parser import _Lexer
+
+        lexer = _Lexer(text)
+        return lexer.tokens, lexer.offsets
+
+    def check(self, text):
+        import lexer_reference
+
+        assert self.outcome(self.lexed, text) == self.outcome(
+            lexer_reference.tokens, text
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    list("abzAZ_09-/:[]()*@.")
+                    + [" ", "\t", "\r", "\n"]
+                    + list("$#!,'\"<=é\x0b\f\x00")  # no XPath character
+                ),
+                st.sampled_from(
+                    ["//", "::", "..", "node()", "text()", "and", "or", "not(",
+                     "child", "descendant", "following-sibling", "parent",
+                     "ancestor", "keyword", "a-1", "_x9"]
+                ),
+            ),
+            max_size=24,
+        ).map("".join)
+    )
+    def test_random_strings_lex_alike(self, text):
+        self.check(text)
+
+    @pytest.mark.parametrize("text", MIX20)  # Figure 4's Q01-Q15 and five more
+    def test_every_benchmark_query_lexes_alike(self, text):
+        self.check(text)
+        assert self.lexed(text)[0]  # and lexes, rather than failing alike
